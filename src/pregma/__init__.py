@@ -2,10 +2,11 @@
 
 The package splits along the data flow: `model` holds the grammar and
 expansion machinery, `gio` the text format, `validation` the per-class
-degree accounting, `pushdown` and `pcp` build grammars from other inputs,
-`oracle` provides exact finite-horizon ground truth, `formulas` the
-property language, and `qualitative`/`quantitative`/`labeling` the three
-engines behind `check` and `prob`.
+degree accounting and the grammar analysis the engines share, `pushdown`
+and `pcp` build grammars from other inputs, `oracle` provides exact
+finite-horizon ground truth, `formulas` the property language, and
+`qualitative`/`quantitative`/`labeling` the three engines behind `check`
+and `prob`.
 """
 from .formulas import FormulaError, parse_formula, to_text
 from .gio import ParseError, emit_dot, load_grammar, parse_grammar, serialize_grammar
@@ -38,29 +39,29 @@ from .pushdown import PushdownSystem, SuffixRule, config_words, load_pds, parse_
 from .qualitative import next_qualitative, until_almost_sure, until_positive
 from .quantitative import UntilSolution, axiom_probability, solve_until
 from .validation import (
+    Analysis,
     ChainAmbiguityError,
     DegreeProfile,
     EngineUnsupported,
     PhrReport,
+    VertexClass,
+    analyse,
     check_complete_outside,
-    degree_profile,
-    engine_admissible,
-    full_colours,
     phr_check,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalVertex", "ChainAmbiguityError", "DegreeProfile", "Enclosure",
-    "EngineUnsupported", "Expansion", "FiniteMC", "FormulaError", "Grammar",
-    "GrammarError", "HorizonError", "Hypergraph", "Labelling", "PCPInstance",
-    "ParseError", "PathQuery", "PhrReport", "PolySystem", "PushdownSystem",
-    "Rule", "SuffixRule", "UntilSolution", "Verdict", "axiom_probability",
-    "bounded_until", "check_complete_outside", "classes_for_colours",
-    "closed_form", "config_words", "decide_threshold", "degree_profile",
-    "dyadic_value", "emit_dot", "encode", "engine_admissible", "expand",
-    "expansions_match", "full_colours", "green_probability", "label_formula",
+    "Analysis", "CanonicalVertex", "ChainAmbiguityError", "DegreeProfile",
+    "Enclosure", "EngineUnsupported", "Expansion", "FiniteMC", "FormulaError",
+    "Grammar", "GrammarError", "HorizonError", "Hypergraph", "Labelling",
+    "PCPInstance", "ParseError", "PathQuery", "PhrReport", "PolySystem",
+    "PushdownSystem", "Rule", "SuffixRule", "UntilSolution", "Verdict",
+    "VertexClass", "analyse", "axiom_probability", "bounded_until",
+    "check_complete_outside", "classes_for_colours", "closed_form",
+    "config_words", "decide_threshold", "dyadic_value", "emit_dot", "encode",
+    "expand", "expansions_match", "green_probability", "label_formula",
     "load_grammar", "load_pcp", "load_pds", "next_qualitative",
     "parse_formula", "parse_grammar", "parse_pcp", "parse_pds", "phr_check",
     "reachable_component", "sample_until", "sequence_grammar",

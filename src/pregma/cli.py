@@ -30,7 +30,7 @@ from .oracle import HorizonError, PathQuery, bounded_until, sample_until, trunca
 from .pcp import encode, load_pcp
 from .pushdown import load_pds, to_grammar
 from .quantitative import axiom_probability, render_key, solve_until
-from .validation import check_complete_outside, phr_check
+from .validation import analyse, check_complete_outside, phr_check
 
 USAGE_EXIT = 3
 
@@ -55,6 +55,23 @@ def _positive_fraction(text: str) -> Fraction:
     value = _fraction(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _natural(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
@@ -249,10 +266,11 @@ def _cmd_prob(args, parser: _Parser) -> int:
     phi2_names = _colour_names(g, args.phi2, parser)
 
     if args.method == "enclosure":
-        phi1 = classes_for_colours(g, phi1_names)
-        phi2 = classes_for_colours(g, phi2_names)
         try:
-            sol = solve_until(g, g.mu, phi1, phi2, eps=args.eps)
+            an = analyse(g, g.mu)
+            phi1 = classes_for_colours(an, phi1_names)
+            phi2 = classes_for_colours(an, phi2_names)
+            sol = solve_until(an, phi1, phi2, eps=args.eps)
         except GrammarError as exc:
             print(str(exc), file=sys.stderr)
             return 1
@@ -421,7 +439,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("expand", help="materialize a finite prefix")
     p.add_argument("grammar")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--format", choices=("text", "dot", "json-lines"),
                    default="text")
     p.add_argument("--component", default=None, metavar="VERTEX",
@@ -440,9 +458,9 @@ def _build_parser() -> _Parser:
                    default=Fraction(1, 10**6))
     p.add_argument("--method", choices=("enclosure", "truncate", "sample"),
                    default="enclosure")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--n", dest="trajectories", type=int, default=10000)
+    p.add_argument("--horizon", type=_natural, default=None)
+    p.add_argument("--depth", type=_natural, default=None)
+    p.add_argument("--n", dest="trajectories", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-system", action="store_true",
                    help="print the polynomial system before solving")

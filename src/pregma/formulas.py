@@ -11,13 +11,19 @@ NAME is a colour or an axiom-rule vertex name (letters, digits, _, ').
 Thresholds are exact rationals in [0, 1], written like 1, 0, 2/3.
 F[~r] p is shorthand for tt U[~r] p; G[~r] p turns into the dual until with
 the comparison flipped around 1-r. Parsing is total: anything malformed
-raises FormulaError with a position.
+raises FormulaError with a position, and so does a formula nested deeper
+than MAX_NESTING levels, which keeps every recursive walk over formulas
+(the parser, printing, the labeller) far from the interpreter's recursion
+limit.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+MAX_NESTING = 100
 
 
 class FormulaError(ValueError):
@@ -87,6 +93,19 @@ def _wrap(f: Formula) -> str:
 
 def to_text(f: Formula) -> str:
     return str(f)
+
+
+def _depth(f: Formula) -> int:
+    """Levels of the formula tree, counted without recursion."""
+    deepest, todo = 0, [(f, 1)]
+    while todo:
+        f, level = todo.pop()
+        deepest = max(deepest, level)
+        if isinstance(f, (Not, Next)):
+            todo.append((f.sub, level + 1))
+        elif isinstance(f, (And, Until)):
+            todo += [(f.left, level + 1), (f.right, level + 1)]
+    return deepest
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -159,17 +178,19 @@ class _Parser:
         self.take("sym", "]")
         return cmp, rho
 
-    def unary(self) -> Formula:
+    def unary(self, level: int) -> Formula:
         tok = self.peek()
         if tok is None:
             raise FormulaError("unexpected end of formula")
         kind, value, off = tok
+        if level > MAX_NESTING:
+            raise FormulaError(f"nesting deeper than {MAX_NESTING} at offset {off}")
         if kind == "sym" and value == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.unary(level + 1))
         if kind == "sym" and value == "(":
             self.take()
-            f = self.expr()
+            f = self.expr(level + 1)
             self.take("sym", ")")
             return f
         if kind == "name" and value == "tt":
@@ -178,15 +199,15 @@ class _Parser:
         if kind == "name" and value == "X":
             self.take()
             cmp, rho = self.box()
-            return Next(cmp, rho, self.unary())
+            return Next(cmp, rho, self.unary(level + 1))
         if kind == "name" and value == "F":
             self.take()
             cmp, rho = self.box()
-            return Until(cmp, rho, TT(), self.unary())
+            return Until(cmp, rho, TT(), self.unary(level + 1))
         if kind == "name" and value == "G":
             self.take()
             cmp, rho = self.box()
-            return Until(_FLIP[cmp], 1 - rho, TT(), Not(self.unary()))
+            return Until(_FLIP[cmp], 1 - rho, TT(), Not(self.unary(level + 1)))
         if kind == "name":
             if value == "U":
                 raise FormulaError(f"U needs a left operand (offset {off})")
@@ -194,23 +215,23 @@ class _Parser:
             return Atom(value)
         raise FormulaError(f"unexpected {value!r} at offset {off}")
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self, level: int) -> Formula:
+        f = self.unary(level)
         while True:
             tok = self.peek()
             if tok is not None and tok[0] == "sym" and tok[1] == "&":
                 self.take()
-                f = And(f, self.unary())
+                f = And(f, self.unary(level))
             else:
                 return f
 
-    def expr(self) -> Formula:
-        f = self.conj()
+    def expr(self, level: int) -> Formula:
+        f = self.conj(level)
         tok = self.peek()
         if tok is not None and tok[0] == "name" and tok[1] == "U":
             self.take()
             cmp, rho = self.box()
-            right = self.conj()
+            right = self.conj(level)
             after = self.peek()
             if after is not None and after[0] == "name" and after[1] == "U":
                 raise FormulaError(
@@ -220,10 +241,12 @@ class _Parser:
         return f
 
     def parse(self) -> Formula:
-        f = self.expr()
+        f = self.expr(1)
         tok = self.peek()
         if tok is not None:
             raise FormulaError(f"trailing {tok[1]!r} at offset {tok[2]}")
+        if _depth(f) > MAX_NESTING:
+            raise FormulaError(f"nesting deeper than {MAX_NESTING}")
         return f
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
-from .model import CanonicalVertex, Grammar, GrammarError, Rule, VertexId
-from .validation import ProbabilityMap, absorbing_classes
+from .model import CanonicalVertex, GrammarError, Rule, VertexId
+from .validation import Analysis
 
 NodeKey = tuple
 
@@ -49,28 +48,15 @@ class Fragment:
                 if n.kind in ("same", "interior") and n.key[0] == "base"]
 
 
-def _single_occurrence(rule: Rule, v: VertexId) -> int | None:
-    found = None
-    for idx, h in enumerate(rule.rhs.hyperarcs):
-        if v in h.vertices:
-            if found is not None:
-                raise GrammarError(
-                    f"rule {rule.lhs}: vertex {v} lies on several hyperarcs"
-                )
-            found = idx
-    return found
-
-
-def build_fragment(g: Grammar, context: str) -> Fragment:
-    rule = g.rule_for(context)
+def build_fragment(an: Analysis, context: str) -> Fragment:
+    rule = an.rules[context]
     frag = Fragment(context, rule)
 
     for v in rule.rhs.vertices:
         key = ("base", v)
-        occ = _single_occurrence(rule, v)
         if rule.is_input(v):
             node = FragmentNode(key, "input", None, input_index=rule.input_index(v))
-        elif occ is not None:
+        elif (context, v) in an.slots:
             node = FragmentNode(key, "same", CanonicalVertex(context, v))
         else:
             node = FragmentNode(key, "interior", CanonicalVertex(context, v))
@@ -80,7 +66,7 @@ def build_fragment(g: Grammar, context: str) -> Fragment:
         frag.arcs.append((arc.label, ("base", arc.source), ("base", arc.target)))
 
     for arc_index, h in enumerate(rule.rhs.hyperarcs):
-        child = g.rule_for(h.label)
+        child = an.rules[h.label]
         if len(child.inputs) != len(h.vertices):
             raise GrammarError(f"hyperarc {h.label} arity mismatch in rule {context}")
         frag.glue[arc_index] = tuple(("base", v) for v in h.vertices)
@@ -91,8 +77,7 @@ def build_fragment(g: Grammar, context: str) -> Fragment:
         for w in child.non_inputs:
             key = ("copy", arc_index, w)
             mapping[w] = key
-            occ = _single_occurrence(child, w)
-            kind = "child" if occ is not None else "interior"
+            kind = "child" if (h.label, w) in an.slots else "interior"
             frag.nodes[key] = FragmentNode(
                 key, kind, CanonicalVertex(h.label, w), arc_index=arc_index
             )
@@ -140,8 +125,7 @@ def _solve_linear(
 
 
 def local_rows(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     frag: Fragment,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
@@ -160,7 +144,8 @@ def local_rows(
     start; the row just records where their first step inside this fragment
     ends up.
     """
-    sinks = absorbing_classes(g)
+    sinks = an.absorbing
+    mu = an.mu
 
     def interior_bucket(node: FragmentNode) -> str | None:
         if node.can in phi2:
@@ -208,11 +193,6 @@ def local_rows(
     buckets += [k for k, n in frag.nodes.items() if n.kind != "interior"]
     bindex = {b: i for i, b in enumerate(buckets)}
 
-    def arc_prob(label: str) -> Fraction:
-        if label not in mu:
-            raise GrammarError(f"no probability for arc label {label}")
-        return mu[label]
-
     def classify(dst: NodeKey) -> NodeKey | str:
         node = frag.nodes[dst]
         if node.kind == "interior":
@@ -227,7 +207,7 @@ def local_rows(
     for key in transient:
         i = index[key]
         for label, dst in out_arcs[key]:
-            p = arc_prob(label)
+            p = mu[label]
             target = classify(dst)
             if target in index:
                 a[i][index[target]] -= p
@@ -275,7 +255,7 @@ def local_rows(
                 continue
         row = LocalRow()
         for label, dst in out_arcs[node.key]:
-            p = arc_prob(label)
+            p = mu[label]
             step = absorbed_from(dst)
             row.win += p * step.win
             row.loss += p * step.loss

@@ -11,12 +11,12 @@ are absolute probabilities exactly for the axiom rule's classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
-from .model import CanonicalVertex, Grammar, reachable_nonterminals
+from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
 from .qualitative import (
     _membership3,
@@ -25,7 +25,7 @@ from .qualitative import (
     until_positive,
 )
 from .quantitative import solve_until
-from .validation import ProbabilityMap, canonical_vertices, full_colours
+from .validation import Analysis, ProbabilityMap, analyse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,20 +49,13 @@ class Labelling:
         return self.verdicts[can]
 
 
-def domain(g: Grammar) -> list[CanonicalVertex]:
-    names = reachable_nonterminals(g)
-    return [c for c in canonical_vertices(g) if c.rule in names]
-
-
 def classes_for_colours(
-    g: Grammar, names: frozenset[str] | None
+    an: Analysis, names: frozenset[str] | None
 ) -> frozenset[CanonicalVertex]:
-    """Classes carrying at least one of the colours; None means all."""
-    cans = domain(g)
+    """Reachable classes carrying at least one of the colours; None means all."""
     if names is None:
-        return frozenset(cans)
-    colours = full_colours(g)
-    return frozenset(c for c in cans if colours[c] & names)
+        return frozenset(an.reachable)
+    return frozenset(c for c in an.reachable if an.classes[c].colours & names)
 
 
 def _tv_to_verdict(tv: TV) -> str:
@@ -78,19 +71,18 @@ _QUAL_FALSE = {(">", ONE), ("<", ZERO)}
 
 
 class _Evaluator:
-    def __init__(self, g: Grammar, mu: ProbabilityMap, eps: Fraction):
-        self.g = g
-        self.mu = mu
+    def __init__(self, an: Analysis, eps: Fraction):
+        self.an = an
+        self.g = an.grammar
         self.eps = eps
-        self.cans = domain(g)
-        self.colours = full_colours(g)
-        self.colour_names = g.colour_names
-        self.axiom_vertices = set(g.axiom_rule().rhs.vertices)
+        self.cans = an.reachable
+        self.colour_names = self.g.colour_names
+        self.axiom_vertices = set(an.rules[self.g.axiom].rhs.vertices)
         self._succ = None
 
     def succ(self):
         if self._succ is None:
-            self._succ = successor_table(self.g, self.mu)
+            self._succ = successor_table(self.an)
         return self._succ
 
     # each eval returns {class: True | False | None}, plus per-class
@@ -130,7 +122,7 @@ class _Evaluator:
                 f"atom {name} is both a colour and an axiom-rule vertex; rename one"
             )
         if is_colour:
-            return {c: name in self.colours[c] for c in self.cans}
+            return {c: name in self.an.classes[c].colours for c in self.cans}
         if is_vertex:
             target = CanonicalVertex(self.g.axiom, name)
             return {c: c == target for c in self.cans}
@@ -154,10 +146,10 @@ class _Evaluator:
             lo = ZERO
             hi = ZERO
             for p, target in table[c]:
-                if _membership3(self.g, c, target, under) is True:
+                if _membership3(self.an, c, target, under) is True:
                     lo += p
                     hi += p
-                elif _membership3(self.g, c, target, over) is not False:
+                elif _membership3(self.an, c, target, over) is not False:
                     hi += p
             verdict = decide_threshold((lo, hi), f.cmp, f.rho)
             out[c] = True if verdict == "holds" else False if verdict == "fails" else None
@@ -187,8 +179,8 @@ class _Evaluator:
         else:
             engine = until_almost_sure
             negated = f.cmp == "<"
-        lower = engine(self.g, self.mu, u1, u2)
-        upper = lower if (u1, u2) == (o1, o2) else engine(self.g, self.mu, o1, o2)
+        lower = engine(self.an, u1, u2)
+        upper = lower if (u1, u2) == (o1, o2) else engine(self.an, o1, o2)
         out: dict[CanonicalVertex, TV] = {}
         for c in self.cans:
             if lower[c] == "holds":
@@ -206,8 +198,8 @@ class _Evaluator:
         eps = self.eps
         exact_args = (u1, u2) == (o1, o2)
         for _ in range(3):
-            lo_sol = solve_until(self.g, self.mu, u1, u2, eps=eps)
-            hi_sol = lo_sol if exact_args else solve_until(self.g, self.mu, o1, o2, eps=eps)
+            lo_sol = solve_until(self.an, u1, u2, eps=eps)
+            hi_sol = lo_sol if exact_args else solve_until(self.an, o1, o2, eps=eps)
             intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
             out: dict[CanonicalVertex, TV] = {}
             undecided_axiom = False
@@ -234,8 +226,8 @@ class _Evaluator:
         # surroundings, but certified 0 / 1 still decide any threshold
         zero_one_needed = [c for c in self.cans if c.rule != self.g.axiom]
         if zero_one_needed:
-            pos = until_positive(self.g, self.mu, o1, o2)
-            one = until_almost_sure(self.g, self.mu, u1, u2)
+            pos = until_positive(self.an, o1, o2)
+            one = until_almost_sure(self.an, u1, u2)
             for c in zero_one_needed:
                 if pos[c] == "fails":
                     intervals[c] = (ZERO, ZERO)
@@ -259,8 +251,7 @@ def label_formula(
     mu: ProbabilityMap | None = None,
     eps: Fraction = Fraction(1, 10**6),
 ) -> Labelling:
-    mu = dict(g.mu) if mu is None else dict(mu)
-    ev = _Evaluator(g, mu, eps)
+    ev = _Evaluator(analyse(g, g.mu if mu is None else mu), eps)
     tv, intervals = ev.eval(formula)
     verdicts = {
         c: Verdict(_tv_to_verdict(tv[c]), intervals.get(c))

@@ -1,4 +1,4 @@
-"""Core model: ranked symbols, hypergraphs, rules, deterministic rewriting.
+"""Core model: hypergraphs, rules, deterministic rewriting.
 
 A grammar here carries exactly one rule per nonterminal, so rewriting a graph
 is deterministic: every nonterminal hyperarc is replaced simultaneously, the
@@ -34,12 +34,6 @@ class ColourMark(NamedTuple):
 class Hyperarc(NamedTuple):
     label: str
     vertices: tuple[VertexId, ...]
-
-
-class RankedSymbol(NamedTuple):
-    name: str
-    arity: int
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -115,23 +109,6 @@ class Hypergraph:
             out.setdefault(arc.target, []).append(arc)
         return out
 
-    def terminal_part(self) -> "Hypergraph":
-        return Hypergraph(
-            vertices=list(self.vertices),
-            arcs=list(self.arcs),
-            colours=list(self.colours),
-            hyperarcs=[],
-        )
-
-    def copy(self) -> "Hypergraph":
-        return Hypergraph(
-            vertices=list(self.vertices),
-            arcs=list(self.arcs),
-            colours=list(self.colours),
-            hyperarcs=list(self.hyperarcs),
-        )
-
-
 @dataclass
 class Rule:
     lhs: str
@@ -168,25 +145,11 @@ class Grammar:
     def arc_labels(self) -> frozenset[str]:
         return frozenset(n for n, k in self.terminals.items() if k == 2)
 
-    @property
-    def rule_map(self) -> dict[str, Rule]:
-        out: dict[str, Rule] = {}
-        for rule in self.rules:
-            out.setdefault(rule.lhs, rule)
-        return out
-
     def rule_for(self, name: str) -> Rule:
         for rule in self.rules:
             if rule.lhs == name:
                 return rule
         raise GrammarError(f"no rule for nonterminal {name!r}")
-
-    def symbol(self, name: str) -> RankedSymbol:
-        if name in self.terminals:
-            return RankedSymbol(name, self.terminals[name], True)
-        if name in self.nonterminals:
-            return RankedSymbol(name, self.nonterminals[name], False)
-        raise GrammarError(f"unknown symbol {name!r}")
 
     def axiom_rule(self) -> Rule:
         return self.rule_for(self.axiom)
@@ -307,69 +270,13 @@ def _instantiate(
     rule: Rule,
     glue: dict[VertexId, VertexId],
     fresh: Callable[[], VertexId],
-) -> tuple[dict[VertexId, VertexId], list[VertexId]]:
+) -> dict[VertexId, VertexId]:
     """Map rule vertices to concrete ones: inputs via glue, the rest fresh."""
     mapping = dict(glue)
-    created: list[VertexId] = []
     for v in rule.rhs.vertices:
         if v not in mapping:
-            cid = fresh()
-            mapping[v] = cid
-            created.append(cid)
-    return mapping, created
-
-
-def rewrite_one(
-    g: Grammar,
-    graph: Hypergraph,
-    index: int = 0,
-    fresh: Callable[[], VertexId] | None = None,
-) -> Hypergraph:
-    """Replace the nonterminal hyperarc at `index` by its rule's rhs."""
-    if not (0 <= index < len(graph.hyperarcs)):
-        raise GrammarError(f"no hyperarc at index {index}")
-    fresh = fresh or _default_fresh()
-    target = graph.hyperarcs[index]
-    rule = g.rule_for(target.label)
-    if len(rule.inputs) != len(target.vertices):
-        raise GrammarError(f"hyperarc {target.label} arity mismatch")
-    out = graph.copy()
-    out.hyperarcs = [h for i, h in enumerate(graph.hyperarcs) if i != index]
-    mapping, created = _instantiate(rule, dict(zip(rule.inputs, target.vertices)), fresh)
-    for cid in created:
-        out.add_vertex(cid)
-    for arc in rule.rhs.arcs:
-        out.add_arc(arc.label, mapping[arc.source], mapping[arc.target])
-    for colour, v in rule.rhs.colours:
-        out.add_colour(colour, mapping[v])
-    for h in rule.rhs.hyperarcs:
-        out.add_hyperarc(h.label, tuple(mapping[v] for v in h.vertices))
-    return out
-
-
-def parallel_rewrite(
-    g: Grammar,
-    graph: Hypergraph,
-    fresh: Callable[[], VertexId] | None = None,
-) -> Hypergraph:
-    """Replace every nonterminal hyperarc simultaneously (one full round)."""
-    fresh = fresh or _default_fresh()
-    out = graph.copy()
-    out.hyperarcs = []
-    for target in graph.hyperarcs:
-        rule = g.rule_for(target.label)
-        if len(rule.inputs) != len(target.vertices):
-            raise GrammarError(f"hyperarc {target.label} arity mismatch")
-        mapping, created = _instantiate(rule, dict(zip(rule.inputs, target.vertices)), fresh)
-        for cid in created:
-            out.add_vertex(cid)
-        for arc in rule.rhs.arcs:
-            out.add_arc(arc.label, mapping[arc.source], mapping[arc.target])
-        for colour, v in rule.rhs.colours:
-            out.add_colour(colour, mapping[v])
-        for h in rule.rhs.hyperarcs:
-            out.add_hyperarc(h.label, tuple(mapping[v] for v in h.vertices))
-    return out
+            mapping[v] = fresh()
+    return mapping
 
 
 @dataclass
@@ -435,7 +342,7 @@ def expand(
 
     def apply_rule(rule: Rule, glue: dict[VertexId, VertexId],
                    level: int, parent: int | None, via_index: int | None) -> None:
-        mapping, _ = _instantiate(rule, glue, fresh)
+        mapping = _instantiate(rule, glue, fresh)
         inst = Instance(len(instances), rule.lhs, level, parent, via_index, mapping)
         instances.append(inst)
         for rv, cid in ((rv, mapping[rv]) for rv in rule.rhs.vertices):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
@@ -54,17 +54,18 @@ class PolySystem:
             return
         self.equations[key].append((coeff, tuple(factors)))
 
+    def value(self, key: Key, point: Mapping[Key, Fraction]) -> Fraction:
+        """rhs_key at point, which needs only the variables rhs_key mentions."""
+        acc = ZERO
+        for coeff, factors in self.equations[key]:
+            term = coeff
+            for f in factors:
+                term *= point[f]
+            acc += term
+        return acc
+
     def evaluate(self, point: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
-        out: dict[Key, Fraction] = {}
-        for key in self.variables:
-            acc = ZERO
-            for coeff, factors in self.equations[key]:
-                term = coeff
-                for f in factors:
-                    term *= point[f]
-                acc += term
-            out[key] = acc
-        return out
+        return {key: self.value(key, point) for key in self.variables}
 
     def positive_variables(self) -> frozenset[Key]:
         """Variables with a strictly positive least-fixpoint value."""
@@ -227,15 +228,6 @@ def solve_enclosure(
     components = _scc_order(system)
     base_delta = eps / 8 if eps > 0 else Fraction(1, 10**12)
 
-    def eval_key(k: Key, point: Mapping[Key, Fraction]) -> Fraction:
-        acc = ZERO
-        for coeff, factors in system.equations[k]:
-            term = coeff
-            for f in factors:
-                term *= point[f]
-            acc += term
-        return acc
-
     def certify() -> None:
         # Walk components dependencies-first; `point` carries the upper
         # bounds certified so far, so each check is sound on its own.
@@ -243,7 +235,7 @@ def solve_enclosure(
         for comp, cyclic in components:
             if not cyclic:
                 k = comp[0]
-                v = min(eval_key(k, point), ONE)
+                v = min(system.value(k, point), ONE)
                 if v < hi[k]:
                     hi[k] = v
                 point[k] = hi[k]
@@ -255,7 +247,7 @@ def solve_enclosure(
             while True:
                 y = {k: min(lo[k] + delta, ONE) for k in comp}
                 merged = {**point, **y}
-                if all(eval_key(k, merged) <= y[k] for k in comp):
+                if all(system.value(k, merged) <= y[k] for k in comp):
                     for k in comp:
                         if y[k] < hi[k]:
                             hi[k] = y[k]

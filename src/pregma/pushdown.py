@@ -16,7 +16,7 @@ from fractions import Fraction
 from .gio import ParseError
 from .model import Expansion, Grammar, GrammarError, Hypergraph, Rule, VertexId
 from .oracle import FiniteMC
-from .validation import degree_profile
+from .validation import hyperarc_slots, vertex_classes
 
 Word = tuple[str, ...]
 
@@ -237,9 +237,10 @@ def _mark_sinks(g: Grammar, colour: str) -> None:
         raise GrammarError(f"sink colour {colour!r} collides with a symbol")
     g.terminals[colour] = 1
     g.absorbing.add(colour)
-    for can, profile in degree_profile(g, "out").items():
-        if not profile.finite and not profile.infinite:
-            g.rule_for(can.rule).rhs.add_colour(colour, can.vertex)
+    rules = {rule.lhs: rule for rule in g.rules}
+    for can, vc in vertex_classes(g, rules, hyperarc_slots(g)).items():
+        if vc.is_sink:
+            rules[can.rule].rhs.add_colour(colour, can.vertex)
 
 
 def config_words(p: PushdownSystem, g: Grammar, expansion: Expansion) -> dict[VertexId, str]:

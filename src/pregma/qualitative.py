@@ -9,32 +9,21 @@ enclosure from the quantitative solver.
 
 The recurring subtlety is descending through an input: which vertex the walk
 lands on depends on where the class's context rule was instantiated. The
-resolver below enumerates the possible landing sites; "for all occurrences"
-arguments then give sound universal verdicts, "for some occurrence" sound
-existential ones.
+grammar's analysis lists what every occurrence binds to each input
+(`bindings`) and every class that can end up there (`refs`); "for all
+occurrences" arguments then give sound universal verdicts, "for some
+occurrence" sound existential ones. Every engine here takes that analysis
+and reads the assembled system it shares with the quantitative solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .model import CanonicalVertex, Grammar, GrammarError, reachable_nonterminals
+from .model import CanonicalVertex
 from .polysys import decide_threshold
-from .quantitative import (
-    UntilSolution,
-    assemble_system,
-    dec_key,
-    solve_until,
-    win_key,
-)
-from .validation import (
-    ProbabilityMap,
-    absorbing_classes,
-    canonical_vertices,
-    engine_admissible,
-    role_chain,
-)
+from .quantitative import dec_key, shared_assembly, solve_until, win_key
+from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,70 +33,36 @@ SELF = ("self",)
 # a successor target: a class, ("ref", rule, j) for "whatever the context's
 # parent glued onto input j", or SELF for an absorbing sink's self-loop
 Target = object
-Ref = tuple[str, str, int]
 
 
-def _reachable_rules(g: Grammar):
-    names = reachable_nonterminals(g)
-    return [r for r in g.rules if r.lhs in names]
-
-
-def resolve_ref(g: Grammar, rule_name: str, j: int) -> frozenset[CanonicalVertex]:
-    """All classes that can sit at input j of rule_name across occurrences."""
-    rules = _reachable_rules(g)
-    out: set[CanonicalVertex] = set()
-    seen: set[tuple[str, int]] = set()
-    todo = [(rule_name, j)]
-    while todo:
-        name, pos = todo.pop()
-        if (name, pos) in seen:
-            continue
-        seen.add((name, pos))
-        for host in rules:
-            for h in host.rhs.hyperarcs:
-                if h.label != name:
-                    continue
-                v = h.vertices[pos - 1]
-                if host.is_input(v):
-                    todo.append((host.lhs, host.input_index(v)))
-                else:
-                    out.add(CanonicalVertex(host.lhs, v))
-    return frozenset(out)
-
-
-def successor_table(
-    g: Grammar, mu: ProbabilityMap
-) -> dict[CanonicalVertex, list[tuple[Fraction, Target]]]:
+def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, Target]]]:
     """One-step successors of each class, with exact probabilities.
 
-    Walks the full role chain, so arcs gained at later gluings are included.
-    An arc into an input of the chain's current rule resolves through the
-    hyperarc occurrence the chain arrived by, which pins the target down to a
-    class of the previous rule (or, at the chain's first site, leaves a ref
-    to the context's own parent). Absorbing sinks get a self-loop.
+    Walks the class's role chain, so arcs gained at later gluings are
+    included. An arc into an input of the chain's current rule resolves
+    through the hyperarc occurrence the chain arrived by, which pins the
+    target down to a class of the previous rule (or, at the chain's first
+    site, leaves a ref to the context's own parent). Absorbing sinks get a
+    self-loop.
     """
-    sinks = absorbing_classes(g)
     table: dict[CanonicalVertex, list[tuple[Fraction, Target]]] = {}
-    for can in canonical_vertices(g):
+    for can, vc in an.classes.items():
         succs: list[tuple[Fraction, Target]] = []
-        chain = role_chain(g, can.rule, can.vertex)
         prev_rule = None
         prev_arc = None  # hyperarc occurrence the chain moved through
-        for site_rule_name, site_vertex in chain.sites:
-            rule = g.rule_for(site_rule_name)
+        for site in vc.chain.sites:
+            rule = an.rules[site[0]]
             for arc in rule.rhs.arcs:
-                if arc.source != site_vertex:
+                if arc.source != site[1]:
                     continue
-                if arc.label not in mu:
-                    raise GrammarError(f"no probability for arc label {arc.label}")
-                p = mu[arc.label]
+                p = an.mu[arc.label]
                 x = arc.target
                 if not rule.is_input(x):
-                    succs.append((p, CanonicalVertex(site_rule_name, x)))
+                    succs.append((p, CanonicalVertex(rule.lhs, x)))
                     continue
                 k = rule.input_index(x)
                 if prev_rule is None:
-                    succs.append((p, ("ref", site_rule_name, k)))
+                    succs.append((p, ("ref", rule.lhs, k)))
                 else:
                     z = prev_arc.vertices[k - 1]
                     if prev_rule.is_input(z):
@@ -117,19 +72,16 @@ def successor_table(
                     else:
                         succs.append((p, CanonicalVertex(prev_rule.lhs, z)))
             # move one gluing deeper for the next site
-            occ = None
-            for h in rule.rhs.hyperarcs:
-                if site_vertex in h.vertices:
-                    occ = h
-            prev_rule, prev_arc = rule, occ
-        if not succs and can in sinks:
+            occs = an.slots.get(site)
+            prev_rule, prev_arc = rule, occs[0][0] if occs else None
+        if not succs and can in an.absorbing:
             succs.append((ONE, SELF))
         table[can] = succs
     return table
 
 
 def _membership3(
-    g: Grammar,
+    an: Analysis,
     can: CanonicalVertex,
     target: Target,
     inside: frozenset[CanonicalVertex],
@@ -138,8 +90,7 @@ def _membership3(
         return can in inside
     if isinstance(target, CanonicalVertex):
         return target in inside
-    _, rule_name, j = target
-    sites = resolve_ref(g, rule_name, j)
+    sites = an.refs[target[1:]]
     if sites <= inside:
         return True
     if not (sites & inside):
@@ -148,8 +99,7 @@ def _membership3(
 
 
 def next_qualitative(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     targets: frozenset[CanonicalVertex],
     cmp: str,
     rho: Fraction,
@@ -158,14 +108,12 @@ def next_qualitative(
 
     One-step mass is a single exact rational per class, so any threshold is
     decidable here up to ref targets whose occurrences disagree."""
-    engine_admissible(g, mu)
-    table = successor_table(g, mu)
     out: dict[CanonicalVertex, str] = {}
-    for can, succs in table.items():
+    for can, succs in successor_table(an).items():
         mass_lo = ZERO
         mass_hi = ZERO
         for p, target in succs:
-            member = _membership3(g, can, target, targets)
+            member = _membership3(an, can, target, targets)
             if member is True:
                 mass_lo += p
                 mass_hi += p
@@ -181,10 +129,10 @@ class PositivityTables:
     dec_plus: dict[CanonicalVertex, frozenset[int]]
 
 
-def _positivity(g: Grammar, mu: ProbabilityMap,
+def _positivity(an: Analysis,
                 phi1: frozenset[CanonicalVertex],
                 phi2: frozenset[CanonicalVertex]) -> PositivityTables:
-    assembly = assemble_system(g, mu, phi1, phi2)
+    assembly = shared_assembly(an, phi1, phi2)
     positive = set(assembly.reduced().positive_variables())
     positive |= {k for k, v in assembly.pins.items() if v > 0}
     win_plus = set()
@@ -202,16 +150,15 @@ def _positivity(g: Grammar, mu: ProbabilityMap,
     )
 
 
-def _occurrences_of(g: Grammar, name: str):
-    for host in _reachable_rules(g):
-        for h in host.rhs.hyperarcs:
-            if h.label == name:
-                yield host, h
+def _bound(target, classes: set[CanonicalVertex], refs: set[tuple[str, int]]) -> bool:
+    """Is a binding's target among the classes, or a ref among the refs?"""
+    if isinstance(target, CanonicalVertex):
+        return target in classes
+    return target[1:] in refs
 
 
 def until_positive(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
 ) -> dict[CanonicalVertex, str]:
@@ -225,11 +172,15 @@ def until_positive(
     argument is inductive over a concrete ancestry, which always bottoms out
     at the axiom, so missing witnesses really do mean "always positive".
     """
-    engine_admissible(g, mu)
-    pos = _positivity(g, mu, phi1, phi2)
+    pos = _positivity(an, phi1, phi2)
+    reachable = an.reachable
+    ruled = {c.rule for c in reachable}
+    inputs = [key for key in an.refs if key[0] in ruled]
 
-    cans = canonical_vertices(g)
-    reachable = {c for c in cans if c.rule in reachable_nonterminals(g)}
+    def ref_follows(key: tuple[str, int], classes, refs) -> bool:
+        """Does some occurrence bind input key to a member?"""
+        name, j = key
+        return any(_bound(b[j - 1], classes, refs) for b in an.bindings.get(name, []))
 
     # existential reachability of positive probability, refs resolved by "some"
     may: set[CanonicalVertex] = set()
@@ -238,76 +189,34 @@ def until_positive(
     while changed:
         changed = False
         for c in reachable:
-            if c in may:
-                continue
-            hit = c in pos.win_plus
-            for j in pos.dec_plus.get(c, frozenset()):
-                if (c.rule, j) in may_ref:
-                    hit = True
-            if hit:
+            if c not in may and (c in pos.win_plus or any(
+                    (c.rule, j) in may_ref for j in pos.dec_plus.get(c, ()))):
                 may.add(c)
                 changed = True
-        for name in {c.rule for c in reachable}:
-            rule = g.rule_for(name)
-            for j in range(1, len(rule.inputs) + 1):
-                if (name, j) in may_ref:
-                    continue
-                found = False
-                for host, h in _occurrences_of(g, name):
-                    v = h.vertices[j - 1]
-                    if host.is_input(v):
-                        if (host.lhs, host.input_index(v)) in may_ref:
-                            found = True
-                    elif CanonicalVertex(host.lhs, v) in may:
-                        found = True
-                if found:
-                    may_ref.add((name, j))
-                    changed = True
+        for key in inputs:
+            if key not in may_ref and ref_follows(key, may, may_ref):
+                may_ref.add(key)
+                changed = True
 
     # failure witnesses: least fixpoint, refs resolved per occurrence
     bad: set[CanonicalVertex] = set()
     bad_ref: set[tuple[str, int]] = set()
-
-    def site_bad(host, h, j: int) -> bool:
-        v = h.vertices[j - 1]
-        if host.is_input(v):
-            return (host.lhs, host.input_index(v)) in bad_ref
-        return CanonicalVertex(host.lhs, v) in bad
-
     changed = True
     while changed:
         changed = False
         for c in reachable:
-            if c in bad:
-                continue
-            if c in phi2:
-                continue
-            if c not in phi1:
-                bad.add(c)
-                changed = True
-                continue
-            if c in pos.win_plus:
+            if c in bad or c in phi2 or (c in phi1 and c in pos.win_plus):
                 continue
             js = pos.dec_plus.get(c, frozenset())
-            if not js:
+            if c not in phi1 or not js or any(
+                    all(_bound(b[j - 1], bad, bad_ref) for j in js)
+                    for b in an.bindings.get(c.rule, [])):
                 bad.add(c)
                 changed = True
-                continue
-            for host, h in _occurrences_of(g, c.rule):
-                if all(site_bad(host, h, j) for j in js):
-                    bad.add(c)
-                    changed = True
-                    break
-        for name in {c.rule for c in reachable}:
-            rule = g.rule_for(name)
-            for j in range(1, len(rule.inputs) + 1):
-                if (name, j) in bad_ref:
-                    continue
-                for host, h in _occurrences_of(g, name):
-                    if site_bad(host, h, j):
-                        bad_ref.add((name, j))
-                        changed = True
-                        break
+        for key in inputs:
+            if key not in bad_ref and ref_follows(key, bad, bad_ref):
+                bad_ref.add(key)
+                changed = True
 
     out: dict[CanonicalVertex, str] = {}
     for c in reachable:
@@ -325,8 +234,7 @@ def until_positive(
 
 
 def until_almost_sure(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
     eps: Fraction = Fraction(1, 10**9),
@@ -342,12 +250,10 @@ def until_almost_sure(
     example mass one in the limit but never certified) the answer stays
     unknown.
     """
-    sol = solve_until(g, mu, phi1, phi2, eps=eps, watch="all", max_rounds=max_rounds)
-    pos = _positivity(g, mu, phi1, phi2)
+    sol = solve_until(an, phi1, phi2, eps=eps, watch="all", max_rounds=max_rounds)
+    pos = _positivity(an, phi1, phi2)
     enc = sol.enclosure
-
-    cans = [c for c in canonical_vertices(g)
-            if c.rule in reachable_nonterminals(g)]
+    cans = an.reachable
 
     def scalar3(c: CanonicalVertex) -> str:
         js = pos.dec_plus.get(c, frozenset())
@@ -362,11 +268,7 @@ def until_almost_sure(
         return "unk"
 
     scalars = {c: scalar3(c) for c in cans}
-    refs = {
-        (c, j): resolve_ref(g, c.rule, j)
-        for c in cans
-        for j in pos.dec_plus.get(c, frozenset())
-    }
+    refs = an.refs
 
     certain: set[CanonicalVertex] = set()
     changed = True
@@ -375,7 +277,7 @@ def until_almost_sure(
         for c in cans:
             if c in certain or scalars[c] != "one":
                 continue
-            if all(refs[(c, j)] <= certain for j in pos.dec_plus.get(c, frozenset())):
+            if all(refs[(c.rule, j)] <= certain for j in pos.dec_plus.get(c, frozenset())):
                 certain.add(c)
                 changed = True
 
@@ -389,7 +291,7 @@ def until_almost_sure(
                 changed = True
                 continue
             for j in pos.dec_plus.get(c, frozenset()):
-                sites = refs[(c, j)]
+                sites = refs[(c.rule, j)]
                 if sites and not (sites & candidates):
                     candidates.discard(c)
                     changed = True

@@ -14,14 +14,13 @@ read their answers there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .fragments import Fragment, LocalRow, NodeKey, build_fragment, local_rows
-from .model import CanonicalVertex, Grammar, GrammarError, reachable_nonterminals
+from .fragments import Fragment, LocalRow, build_fragment, local_rows
+from .model import CanonicalVertex, Grammar, GrammarError
 from .polysys import Enclosure, Key, PolySystem, solve_enclosure
-from .validation import ProbabilityMap, engine_admissible
+from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,13 +54,11 @@ class Assembly:
 
 
 def assemble_system(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
 ) -> Assembly:
-    contexts = [name for name in reachable_nonterminals(g)]
-    contexts.sort(key=lambda n: (n != g.axiom, n))
+    contexts = list(an.contexts)
 
     system = PolySystem()
     pins: dict[Key, Fraction] = {}
@@ -70,7 +67,7 @@ def assemble_system(
     arity: dict[str, int] = {}
 
     for name in contexts:
-        frag = build_fragment(g, name)
+        frag = build_fragment(an, name)
         fragments[name] = frag
         arity[name] = len(frag.rule.inputs)
         for node in frag.starts:
@@ -90,7 +87,7 @@ def assemble_system(
 
     for name in contexts:
         frag = fragments[name]
-        local = local_rows(g, mu, frag, phi1, phi2)
+        local = local_rows(an, frag, phi1, phi2)
         n_inputs = arity[name]
         for node in frag.starts:
             can = node.can
@@ -148,6 +145,18 @@ def assemble_system(
     return Assembly(system, pins, fragments, rows, contexts, arity)
 
 
+def shared_assembly(
+    an: Analysis,
+    phi1: frozenset[CanonicalVertex],
+    phi2: frozenset[CanonicalVertex],
+) -> Assembly:
+    """The analysis's assembly for (phi1, phi2), assembled on first use."""
+    key = (phi1, phi2)
+    if key not in an.assemblies:
+        an.assemblies[key] = assemble_system(an, phi1, phi2)
+    return an.assemblies[key]
+
+
 @dataclass
 class UntilSolution:
     assembly: Assembly
@@ -169,8 +178,7 @@ class UntilSolution:
 
 
 def solve_until(
-    g: Grammar,
-    mu: ProbabilityMap,
+    an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
     eps: Fraction = Fraction(1, 10**6),
@@ -180,14 +188,13 @@ def solve_until(
     """Assemble and solve. watch picks the convergence criterion: "axiom"
     tracks the axiom context's win variables (where absolute probabilities
     live), "all" tracks everything, or pass explicit keys."""
-    engine_admissible(g, mu)
-    assembly = assemble_system(g, mu, phi1, phi2)
+    assembly = shared_assembly(an, phi1, phi2)
     reduced = assembly.reduced()
 
     if watch == "axiom":
         watch = [
             win_key(node.can)
-            for node in assembly.fragments[g.axiom].starts
+            for node in assembly.fragments[an.grammar.axiom].starts
             if node.can is not None
         ]
     elif watch == "all":

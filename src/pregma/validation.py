@@ -1,4 +1,5 @@
-"""Per-class degree accounting and the probability-sum check.
+"""Per-class degree accounting, the probability-sum check, and the one
+analysis of a grammar that every engine reads.
 
 A concrete vertex picks up arcs in stages: some at its creation site, then
 some more each time it is glued onto the input of a deeper rule copy. The
@@ -10,19 +11,44 @@ The chain either terminates (the current role vertex lies on no nonterminal
 hyperarc), revisits a role (the vertex keeps being re-glued forever, and any
 arcs gained inside the loop occur infinitely often), or hits a role lying on
 two or more hyperarcs, which is rejected as ambiguous.
+
+`analyse` walks each class's chain once and keeps what the engines need: a
+rule lookup, the hyperarc occurrence table, each class's profiles and
+colours, the absorbing and reachable classes, the classes each rule input
+can be bound to, and the equation systems assembled so far. It refuses
+grammars outside what the engines handle. The analysis is a value the caller
+owns and passes along; nothing is cached on the grammar, which callers such
+as the pushdown converter still edit after reading its profiles.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .model import CanonicalVertex, Grammar, GrammarError, Rule, VertexId, validate_grammar
+from .model import (
+    CanonicalVertex,
+    Grammar,
+    GrammarError,
+    Hyperarc,
+    Rule,
+    VertexId,
+    reachable_nonterminals,
+    validate_grammar,
+)
 
 ProbabilityMap = Mapping[str, Fraction]
 
 Site = tuple[str, VertexId]
+
+# (rule, vertex) site -> every (hyperarc, 1-based position) slot holding it
+Slots = dict[Site, list[tuple[Hyperarc, int]]]
+
+# what a parent glues onto a rule input: a class, or ("ref", rule, j) for
+# whatever the parent's own parent glued onto the parent's input j
+Ref = tuple[str, str, int]
+Binding = CanonicalVertex | Ref
 
 
 class ChainAmbiguityError(GrammarError):
@@ -50,17 +76,19 @@ class RoleChain:
         return self.cycle_start is None
 
 
-def _occurrences(rule: Rule, v: VertexId) -> list[tuple[str, int]]:
-    """(label, 1-based position) pairs for every hyperarc slot holding v."""
-    out = []
-    for h in rule.rhs.hyperarcs:
-        for pos, u in enumerate(h.vertices, start=1):
-            if u == v:
-                out.append((h.label, pos))
-    return out
+def hyperarc_slots(g: Grammar) -> Slots:
+    """The occurrence table: every hyperarc slot, indexed by the site in it."""
+    slots: Slots = {}
+    for rule in g.rules:
+        for h in rule.rhs.hyperarcs:
+            for pos, v in enumerate(h.vertices, start=1):
+                slots.setdefault((rule.lhs, v), []).append((h, pos))
+    return slots
 
 
-def role_chain(g: Grammar, rule_name: str, vertex: VertexId) -> RoleChain:
+def role_chain(
+    rules: Mapping[str, Rule], slots: Slots, rule_name: str, vertex: VertexId
+) -> RoleChain:
     sites: list[Site] = []
     seen: dict[Site, int] = {}
     site: Site = (rule_name, vertex)
@@ -69,17 +97,16 @@ def role_chain(g: Grammar, rule_name: str, vertex: VertexId) -> RoleChain:
             return RoleChain(tuple(sites), seen[site])
         seen[site] = len(sites)
         sites.append(site)
-        rule = g.rule_for(site[0])
-        occs = _occurrences(rule, site[1])
+        occs = slots.get(site, [])
         if not occs:
             return RoleChain(tuple(sites), None)
         if len(occs) > 1:
             raise ChainAmbiguityError(site, len(occs))
-        label, pos = occs[0]
-        child = g.rule_for(label)
+        h, pos = occs[0]
+        child = rules[h.label]
         if len(child.inputs) < pos:
-            raise GrammarError(f"rule {label} has no input {pos}")
-        site = (label, child.inputs[pos - 1])
+            raise GrammarError(f"rule {h.label} has no input {pos}")
+        site = (h.label, child.inputs[pos - 1])
 
 
 @dataclass(frozen=True)
@@ -111,27 +138,31 @@ class DegreeProfile:
         return "{" + ", ".join(parts) + "}"
 
 
-def _site_arc_gains(g: Grammar, site: Site, direction: str) -> Counter:
-    rule = g.rule_for(site[0])
-    gains: Counter = Counter()
-    for arc in rule.rhs.arcs:
-        end = arc.source if direction == "out" else arc.target
-        if end == site[1]:
-            gains[arc.label] += 1
-    return gains
-
-
-def _profile_from_chain(g: Grammar, chain: RoleChain, direction: str) -> DegreeProfile:
+def _profile(chain: RoleChain, gains: Mapping[Site, Counter]) -> DegreeProfile:
     finite: Counter = Counter()
     infinite: set[str] = set()
     for idx, site in enumerate(chain.sites):
-        gains = _site_arc_gains(g, site, direction)
+        got = gains.get(site, Counter())
         if chain.cycle_start is not None and idx >= chain.cycle_start:
-            infinite.update(label for label, n in gains.items() if n > 0)
+            infinite.update(got)
         else:
-            finite.update(gains)
-    finite_part = tuple(sorted((label, n) for label, n in finite.items() if n > 0))
-    return DegreeProfile(finite_part, frozenset(infinite))
+            finite.update(got)
+    return DegreeProfile(tuple(sorted(finite.items())), frozenset(infinite))
+
+
+@dataclass(frozen=True)
+class VertexClass:
+    """What one class's role chain shows: every arc its vertices ever get,
+    in both directions, and every colour they carry."""
+
+    chain: RoleChain
+    out: DegreeProfile
+    into: DegreeProfile
+    colours: frozenset[str]
+
+    @property
+    def is_sink(self) -> bool:
+        return not self.out.finite and not self.out.infinite
 
 
 def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
@@ -143,33 +174,31 @@ def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
     return out
 
 
-def degree_profile(g: Grammar, direction: str = "out") -> dict[CanonicalVertex, DegreeProfile]:
-    """Full degree profile of every canonical vertex.
+def vertex_classes(
+    g: Grammar, rules: Mapping[str, Rule], slots: Slots
+) -> dict[CanonicalVertex, VertexClass]:
+    """Walk the role chain of every canonical vertex once.
 
-    direction "out" counts arcs leaving the vertex, "in" arcs entering it.
     Raises ChainAmbiguityError on grammars where some role is ambiguous; run
     check_complete_outside first to get a readable report.
     """
-    if direction not in ("out", "in"):
-        raise ValueError("direction must be 'out' or 'in'")
-    out: dict[CanonicalVertex, DegreeProfile] = {}
+    out_gains: dict[Site, Counter] = {}
+    in_gains: dict[Site, Counter] = {}
+    marks: dict[Site, set[str]] = {}
+    for rule in g.rules:
+        for arc in rule.rhs.arcs:
+            out_gains.setdefault((rule.lhs, arc.source), Counter())[arc.label] += 1
+            in_gains.setdefault((rule.lhs, arc.target), Counter())[arc.label] += 1
+        for colour, v in rule.rhs.colours:
+            marks.setdefault((rule.lhs, v), set()).add(colour)
+    table: dict[CanonicalVertex, VertexClass] = {}
     for can in canonical_vertices(g):
-        chain = role_chain(g, can.rule, can.vertex)
-        out[can] = _profile_from_chain(g, chain, direction)
-    return out
-
-
-def full_colours(g: Grammar) -> dict[CanonicalVertex, frozenset[str]]:
-    """Every colour a vertex of the given class ends up carrying."""
-    out: dict[CanonicalVertex, frozenset[str]] = {}
-    for can in canonical_vertices(g):
-        chain = role_chain(g, can.rule, can.vertex)
-        marks: set[str] = set()
-        for site in chain.sites:
-            rule = g.rule_for(site[0])
-            marks.update(c for c, v in rule.rhs.colours if v == site[1])
-        out[can] = frozenset(marks)
-    return out
+        chain = role_chain(rules, slots, can.rule, can.vertex)
+        colours = frozenset(c for site in chain.sites for c in marks.get(site, ()))
+        table[can] = VertexClass(
+            chain, _profile(chain, out_gains), _profile(chain, in_gains), colours
+        )
+    return table
 
 
 @dataclass(frozen=True)
@@ -187,18 +216,22 @@ def check_complete_outside(g: Grammar) -> OutsideReport:
     acquiring arcs after being passed back up), so they are reported
     separately rather than rejected.
     """
+    return _outside(g, hyperarc_slots(g))
+
+
+def _outside(g: Grammar, slots: Slots) -> OutsideReport:
     violations: list[str] = []
     flagged: list[tuple[str, VertexId, str, int]] = []
     for rule in g.rules:
         for v in rule.rhs.vertices:
-            occs = _occurrences(rule, v)
+            occs = slots.get((rule.lhs, v), [])
             if len(occs) > 1:
                 violations.append(
                     f"rule {rule.lhs}: vertex {v} lies on {len(occs)} hyperarcs"
                 )
             elif len(occs) == 1 and rule.is_input(v):
-                label, pos = occs[0]
-                flagged.append((rule.lhs, v, label, pos))
+                h, pos = occs[0]
+                flagged.append((rule.lhs, v, h.label, pos))
     return OutsideReport(not violations, tuple(violations), tuple(flagged))
 
 
@@ -235,34 +268,28 @@ class PhrReport:
         return "\n".join(lines)
 
 
-def phr_check(g: Grammar, mu: ProbabilityMap | None = None) -> PhrReport:
-    """Does every vertex class have total outgoing probability exactly 1?
-
-    Sinks are allowed only when marked with a declared absorbing colour.
-    Classes with an infinitely repeated outgoing arc fail for every mu.
-    All arithmetic is exact.
-    """
+def _validated(g: Grammar) -> tuple[dict[str, Rule], Slots]:
     issues = validate_grammar(g)
     if issues:
         raise GrammarError("; ".join(str(i) for i in issues))
-    mu = dict(g.mu) if mu is None else dict(mu)
+    return {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g)
 
-    outside = check_complete_outside(g)
-    cans = canonical_vertices(g)
-    if not outside.ok:
-        return PhrReport(False, (), outside, len(cans))
 
-    colours = full_colours(g)
+def _mass_report(
+    g: Grammar,
+    mu: ProbabilityMap,
+    outside: OutsideReport,
+    classes: Mapping[CanonicalVertex, VertexClass],
+) -> PhrReport:
     failures: list[PhrFailure] = []
-    for can in cans:
-        chain = role_chain(g, can.rule, can.vertex)
-        profile = _profile_from_chain(g, chain, "out")
+    for can, vc in classes.items():
+        profile = vc.out
         if profile.infinite:
             failures.append(PhrFailure(can, profile, None,
                                        "arcs repeat forever, no mu can normalise this"))
             continue
         if not profile.finite:
-            if colours[can] & g.absorbing:
+            if vc.colours & g.absorbing:
                 continue
             failures.append(PhrFailure(can, profile, Fraction(0),
                                        "sink without an absorbing colour"))
@@ -275,45 +302,124 @@ def phr_check(g: Grammar, mu: ProbabilityMap | None = None) -> PhrReport:
         total = profile.total(mu)
         if total != 1:
             failures.append(PhrFailure(can, profile, total, "total is not 1"))
-    return PhrReport(not failures, tuple(failures), outside, len(cans))
+    ok = outside.ok and not failures
+    return PhrReport(ok, tuple(failures), outside, len(canonical_vertices(g)))
 
 
-def absorbing_classes(g: Grammar) -> frozenset[CanonicalVertex]:
-    """Classes that are deliberate sinks: no outgoing arcs ever, marked."""
-    colours = full_colours(g)
-    out = set()
-    for can in canonical_vertices(g):
-        chain = role_chain(g, can.rule, can.vertex)
-        profile = _profile_from_chain(g, chain, "out")
-        if not profile.finite and not profile.infinite and colours[can] & g.absorbing:
-            out.add(can)
-    return frozenset(out)
+def phr_check(g: Grammar, mu: ProbabilityMap | None = None) -> PhrReport:
+    """Does every vertex class have total outgoing probability exactly 1?
+
+    Sinks are allowed only when marked with a declared absorbing colour.
+    Classes with an infinitely repeated outgoing arc fail for every mu.
+    All arithmetic is exact.
+    """
+    rules, slots = _validated(g)
+    mu = dict(g.mu) if mu is None else dict(mu)
+    outside = _outside(g, slots)
+    classes = vertex_classes(g, rules, slots) if outside.ok else {}
+    return _mass_report(g, mu, outside, classes)
 
 
-def engine_admissible(g: Grammar, mu: ProbabilityMap | None = None) -> PhrReport:
-    """Gate for the solving engines; raises EngineUnsupported when the local
-    fragment picture breaks down.
+@dataclass
+class Analysis:
+    """Everything the engines read off one grammar under one mu.
+
+    Built by `analyse`, once per engine entry point; `assemblies` holds the
+    equation system of each (phi1, phi2) pair once something assembled it.
+    """
+
+    grammar: Grammar
+    mu: dict[str, Fraction]
+    rules: dict[str, Rule]
+    slots: Slots
+    classes: dict[CanonicalVertex, VertexClass]
+    absorbing: frozenset[CanonicalVertex]
+    contexts: list[str]  # reachable rules, the axiom first
+    reachable: list[CanonicalVertex]  # classes of the reachable rules
+    # per nonterminal, one tuple per hyperarc occurrence in a reachable
+    # rule: what that occurrence glues onto each input
+    bindings: dict[str, list[tuple[Binding, ...]]]
+    # (rule, j) -> every class that can sit at input j across occurrences
+    refs: dict[tuple[str, int], frozenset[CanonicalVertex]]
+    assemblies: dict
+
+
+def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
+    """The analysis the solving engines run on; raises EngineUnsupported when
+    the local fragment picture breaks down.
 
     Beyond phr_check this refuses (a) classes whose incoming arcs repeat
-    forever and (b) inputs lying on a hyperarc whose onward chain still gains
-    outgoing arcs: in both cases a vertex's one-step behaviour would depend
-    on levels above the fragment under consideration.
+    forever and (b) vertices that, glued onto an input lying on a hyperarc,
+    keep gaining outgoing arcs further down: in both cases a vertex's
+    one-step behaviour would depend on levels above the fragment under
+    consideration.
     """
-    report = phr_check(g, mu)
+    rules, slots = _validated(g)
+    mu = dict(mu)
+    classes = vertex_classes(g, rules, slots)
+    report = _mass_report(g, mu, _outside(g, slots), classes)
     if not report.ok:
         raise EngineUnsupported(str(report))
-    for can, profile in degree_profile(g, "in").items():
-        if profile.infinite:
+    for can, vc in classes.items():
+        if vc.into.infinite:
             raise EngineUnsupported(
-                f"{can}: incoming arcs {sorted(profile.infinite)} repeat forever"
+                f"{can}: incoming arcs {sorted(vc.into.infinite)} repeat forever"
             )
-    for rule_name, vertex, label, pos in check_complete_outside(g).input_as_output:
-        child = g.rule_for(label)
-        chain = role_chain(g, label, child.inputs[pos - 1])
-        onward = _profile_from_chain(g, chain, "out")
-        if onward.finite or onward.infinite:
+    for vc in classes.values():
+        # every site past the first is a rule input; from the second gluing
+        # on, the vertex has been passed down through an input on a hyperarc
+        chain = vc.chain
+        onward = chain.sites[2 if chain.terminates else min(2, chain.cycle_start):]
+        if any(arc.source == v for name, v in onward for arc in rules[name].rhs.arcs):
+            rule_name, vertex = chain.sites[1]
+            h, pos = slots[chain.sites[1]][0]
             raise EngineUnsupported(
                 f"rule {rule_name}: input {vertex} keeps gaining arcs "
-                f"after being passed to {label} at position {pos}"
+                f"after being passed to {h.label} at position {pos}"
             )
-    return report
+
+    names = reachable_nonterminals(g)
+    bindings: dict[str, list[tuple[Binding, ...]]] = {}
+    for host in g.rules:
+        if host.lhs not in names:
+            continue
+        for h in host.rhs.hyperarcs:
+            bindings.setdefault(h.label, []).append(tuple(
+                ("ref", host.lhs, host.input_index(v)) if host.is_input(v)
+                else CanonicalVertex(host.lhs, v)
+                for v in h.vertices
+            ))
+
+    def resolve(name: str, j: int) -> frozenset[CanonicalVertex]:
+        out: set[CanonicalVertex] = set()
+        seen: set[tuple[str, int]] = set()
+        todo = [(name, j)]
+        while todo:
+            here = todo.pop()
+            if here in seen:
+                continue
+            seen.add(here)
+            for bound in bindings.get(here[0], []):
+                target = bound[here[1] - 1]
+                if isinstance(target, CanonicalVertex):
+                    out.add(target)
+                else:
+                    todo.append((target[1], target[2]))
+        return frozenset(out)
+
+    return Analysis(
+        grammar=g,
+        mu=mu,
+        rules=rules,
+        slots=slots,
+        classes=classes,
+        absorbing=frozenset(
+            c for c, vc in classes.items() if vc.is_sink and vc.colours & g.absorbing
+        ),
+        contexts=sorted(names, key=lambda n: (n != g.axiom, n)),
+        reachable=[c for c in classes if c.rule in names],
+        bindings=bindings,
+        refs={(r.lhs, j): resolve(r.lhs, j)
+              for r in g.rules for j in range(1, len(r.inputs) + 1)},
+        assemblies={},
+    )

@@ -28,7 +28,7 @@ from pregma.polysys import decide_threshold
 from pregma.pushdown import config_chain, config_words, successors, to_grammar
 from pregma.qualitative import next_qualitative, until_almost_sure, until_positive
 from pregma.quantitative import axiom_probability, dec_key, solve_until
-from pregma.validation import phr_check
+from pregma.validation import analyse, phr_check
 
 F = Fraction
 
@@ -42,8 +42,13 @@ def gate(capfd, number, label, checks):
     assert not failing, f"check {number} failed: {failing}"
 
 
-def cls(g, name):
-    return classes_for_colours(g, frozenset({name}) if name else None)
+def cls(an, name):
+    return classes_for_colours(an, frozenset({name}) if name else None)
+
+
+def solve(g, phi1, phi2, **options):
+    an = analyse(g, g.mu)
+    return solve_until(an, cls(an, phi1), cls(an, phi2), **options)
 
 
 def straddles(lo, hi, scale_lo, scale_hi, square):
@@ -69,9 +74,10 @@ def test_gate_1_exact_mass_validation(capfd, running):
 
 
 def test_gate_2_local_first_hit_probabilities(capfd, running):
-    frag = build_fragment(running, "A")
-    rows = local_rows(running, running.mu, frag, cls(running, "V1"),
-                      cls(running, "V2"), include_inputs=True)
+    an = analyse(running, running.mu)
+    frag = build_fragment(an, "A")
+    rows = local_rows(an, frag, cls(an, "V1"), cls(an, "V2"),
+                      include_inputs=True)
     fork = rows[("base", "fork")]
     branch = rows[("base", "next")]
     entry = rows[("base", "s")]
@@ -145,8 +151,7 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
         if coeff:
             poly[power] = poly.get(power, F(0)) + coeff
 
-    sol = solve_until(running, running.mu, cls(running, "V1"),
-                      cls(running, "V2"), eps=F(1, 10**9), watch="all")
+    sol = solve(running, "V1", "V2", eps=F(1, 10**9), watch="all")
     lo, hi = sol.enclosure.interval(dec_key(CanonicalVertex("A", "next"), 1))
     elapsed = time.perf_counter() - started
     gate(capfd, 3, "descent fixpoint", [
@@ -164,8 +169,7 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
 
 def test_gate_4_headline_enclosure(capfd, running):
     started = time.perf_counter()
-    sol = solve_until(running, running.mu, cls(running, "V1"),
-                      cls(running, "V2"))
+    sol = solve(running, "V1", "V2")
     lo, hi = axiom_probability(sol, running, "v0")
     elapsed = time.perf_counter() - started
     gate(capfd, 4, "headline reachability value", [
@@ -185,19 +189,16 @@ def test_gate_5_bounded_oracle_coherence(capfd, running, dag, updrift,
     rows = [
         ("running", truncate(running, 45), frozenset({"V1"}),
          frozenset({"V2"}), "v0",
-         solve_until(running, running.mu, cls(running, "V1"),
-                     cls(running, "V2")), running),
+         solve(running, "V1", "V2"), running),
         ("pushdown", config_chain(pds_prob, ("r",), 50), None,
          frozenset({"halt"}), "r",
-         solve_until(gp, gp.mu, cls(gp, None), cls(gp, "halt")), gp),
+         solve(gp, None, "halt"), gp),
         ("dag", truncate(dag, 45), None, frozenset({"goal"}), "v0",
-         solve_until(dag, dag.mu, cls(dag, None), cls(dag, "goal")), dag),
+         solve(dag, None, "goal"), dag),
         ("updrift", truncate(updrift, 45), None, frozenset({"green"}), "m0",
-         solve_until(updrift, updrift.mu, cls(updrift, None),
-                     cls(updrift, "green")), updrift),
+         solve(updrift, None, "green"), updrift),
         ("walk", truncate(walk, 1), None, frozenset({"green"}), fork,
-         solve_until(walk, walk.mu, cls(walk, None), cls(walk, "green")),
-         walk),
+         solve(walk, None, "green"), walk),
     ]
     checks = []
     for name, mc, phi1, phi2, start, sol, g in rows:
@@ -264,15 +265,16 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
         e = expand(g, 8)
         colour_sets = e.graph.colour_sets()
         out_arcs = e.graph.out_arcs()
+        an = analyse(g, g.mu)
         pairs = [(None, c) for c in sorted(g.colour_names)]
         if fname == "running.gg":
             pairs.append(("V1", "V2"))
         for p1name, p2name in pairs:
-            phi1 = cls(g, p1name)
-            phi2 = cls(g, p2name)
+            phi1 = cls(an, p1name)
+            phi2 = cls(an, p2name)
             p1cols = frozenset({p1name}) if p1name else None
             p2cols = frozenset({p2name})
-            positive = until_positive(g, g.mu, phi1, phi2)
+            positive = until_positive(an, phi1, phi2)
             agree = True
             for v, cv in e.vertices.items():
                 if cv.level > 6:
@@ -291,7 +293,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                  agree))
 
             for cmp, rho in ((">", F(0)), (">=", F(1, 2)), (">=", F(1))):
-                one_step = next_qualitative(g, g.mu, phi2, cmp, rho)
+                one_step = next_qualitative(an, phi2, cmp, rho)
                 outcome = {}
                 for v, cv in e.vertices.items():
                     if cv.level > 6 or v in e.frontier:
@@ -323,12 +325,12 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                      agree))
     checks.append(("sweep is exhaustive", checked > 600))
 
-    every = cls(running, None)
-    trivially = until_almost_sure(running, running.mu, every, every)
+    an = analyse(running, running.mu)
+    every = cls(an, None)
+    trivially = until_almost_sure(an, every, every)
     checks.append(("probability one on the trivial target",
                    set(trivially.values()) == {"holds"}))
-    headline = until_almost_sure(running, running.mu, every,
-                                 cls(running, "V2"))
+    headline = until_almost_sure(an, every, cls(an, "V2"))
     checks.append(("headline start is not almost sure",
                    headline[CanonicalVertex("Z", "v0")] == "fails"))
     designated = [
@@ -337,7 +339,8 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
         ("pds_example_prob.pds", to_grammar(pds_prob), "halt"),
     ]
     for fname, g, colour in designated:
-        verdicts = until_almost_sure(g, g.mu, cls(g, None), cls(g, colour))
+        an = analyse(g, g.mu)
+        verdicts = until_almost_sure(an, cls(an, None), cls(an, colour))
         if "unknown" in verdicts.values():
             marked = (corpus_dir / fname).read_text().startswith("# hard")
             checks.append(

@@ -206,6 +206,15 @@ def test_check_at_json(corpus_dir):
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample"],
      "--horizon is required"),
     (["frobnicate"], "invalid choice"),
+    (["expand", "{g}", "--depth", "-1"], "must be >= 0"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "truncate",
+      "--horizon", "3", "--depth", "-1"], "must be >= 0"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "truncate",
+      "--horizon", "-1"], "must be >= 0"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample",
+      "--horizon", "3", "--n", "0"], "must be >= 1"),
+    (["expand", "{g}", "--depth", "two"], "not a whole number"),
+    (["check", "{g}", "--formula", "!" * 3000 + "V2"], "nesting deeper than"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]
@@ -292,6 +301,15 @@ def test_gen_pcp(corpus_dir, tmp_path):
     g = load_grammar(out_path)
     assert set(g.nonterminals) == {"Z", "New1"}
     assert validate_grammar(g) == []
+
+
+def test_prob_refuses_two_tile_gadget(corpus_dir, tmp_path):
+    # two tiles put the gadget's vgate on two hyperarcs: a diagnostic, no traceback
+    gadget = tmp_path / "gadget.gg"
+    assert run(["gen-pcp", gg(corpus_dir, "pcp_s2.pcp"), "-o", str(gadget)])[0] == 0
+    code, out, err = run(["prob", str(gadget), "--phi2", "green", "--from", "vgate"])
+    assert (code, out) == (1, "")
+    assert "lies on 2 nonterminal hyperarcs" in err
 
 
 def test_version():

@@ -8,6 +8,7 @@ from pregma.formulas import (
     TT,
     And,
     Atom,
+    MAX_NESTING,
     FormulaError,
     Next,
     Not,
@@ -103,3 +104,14 @@ def test_text_round_trip(f):
 @given(_formulas)
 def test_rendered_atoms_survive(f):
     assert atoms(parse_formula(to_text(f))) == atoms(f)
+
+
+def test_nesting_cap():
+    deepest = "!" * (MAX_NESTING - 1) + "a"
+    assert parse_formula(deepest) is not None
+    for text in ("!" + deepest,                           # parser recursion
+                 "(" * 3000 + "a" + ")" * 3000,
+                 " & ".join(["a"] * (MAX_NESTING + 1)),    # left-deep tree
+                 "G[>0] " * (MAX_NESTING // 2 + 1) + "a"):  # G adds two levels
+        with pytest.raises(FormulaError, match="nesting deeper than"):
+            parse_formula(text)

@@ -5,21 +5,22 @@ import pytest
 from pregma.fragments import build_fragment, local_rows
 from pregma.labeling import classes_for_colours
 from pregma.model import reachable_nonterminals
+from pregma.validation import analyse
 
 F = Fraction
 
 
 @pytest.fixture()
 def running_rows(running):
-    phi1 = classes_for_colours(running, frozenset({"V1"}))
-    phi2 = classes_for_colours(running, frozenset({"V2"}))
-    frag = build_fragment(running, "A")
-    return frag, local_rows(running, running.mu, frag, phi1, phi2,
-                            include_inputs=True)
+    an = analyse(running, running.mu)
+    phi1 = classes_for_colours(an, frozenset({"V1"}))
+    phi2 = classes_for_colours(an, frozenset({"V2"}))
+    frag = build_fragment(an, "A")
+    return frag, local_rows(an, frag, phi1, phi2, include_inputs=True)
 
 
 def test_fragment_layout(running):
-    frag = build_fragment(running, "A")
+    frag = build_fragment(analyse(running, running.mu), "A")
     assert sorted(n.key for n in frag.starts) == [
         ("base", "dead"), ("base", "fork"), ("base", "next"), ("base", "win"),
     ]
@@ -58,19 +59,21 @@ def test_rows_from_inputs(running_rows):
 
 
 def test_input_rows_are_off_by_default(running):
-    phi1 = classes_for_colours(running, frozenset({"V1"}))
-    phi2 = classes_for_colours(running, frozenset({"V2"}))
-    frag = build_fragment(running, "A")
-    rows = local_rows(running, running.mu, frag, phi1, phi2)
+    an = analyse(running, running.mu)
+    phi1 = classes_for_colours(an, frozenset({"V1"}))
+    phi2 = classes_for_colours(an, frozenset({"V2"}))
+    frag = build_fragment(an, "A")
+    rows = local_rows(an, frag, phi1, phi2)
     assert ("base", "s") not in rows
     assert set(rows) == {n.key for n in frag.starts}
 
 
 def test_axiom_fragment_rows(running):
-    phi1 = classes_for_colours(running, frozenset({"V1"}))
-    phi2 = classes_for_colours(running, frozenset({"V2"}))
-    frag = build_fragment(running, "Z")
-    rows = local_rows(running, running.mu, frag, phi1, phi2)
+    an = analyse(running, running.mu)
+    phi1 = classes_for_colours(an, frozenset({"V1"}))
+    phi2 = classes_for_colours(an, frozenset({"V2"}))
+    frag = build_fragment(an, "Z")
+    rows = local_rows(an, frag, phi1, phi2)
     v0 = rows[("base", "v0")]
     assert v0.hit(("base", "t0")) == F(1, 2)
     assert v0.hit(("copy", 0, "next")) == F(1, 2)
@@ -84,13 +87,14 @@ def test_rows_partition_unit_mass(running, dag, updrift, critical, colour_pair):
         names = g.colour_names
         if phi2_name not in names:
             continue
+        an = analyse(g, g.mu)
         phi1 = classes_for_colours(
-            g, frozenset({phi1_name}) if phi1_name in names else None
+            an, frozenset({phi1_name}) if phi1_name in names else None
         )
-        phi2 = classes_for_colours(g, frozenset({phi2_name}))
+        phi2 = classes_for_colours(an, frozenset({phi2_name}))
         for name in reachable_nonterminals(g):
-            frag = build_fragment(g, name)
-            rows = local_rows(g, g.mu, frag, phi1, phi2)
+            frag = build_fragment(an, name)
+            rows = local_rows(an, frag, phi1, phi2)
             for key, row in rows.items():
                 assert row.total() == 1, (g.axiom, name, key)
                 assert row.win >= 0 and row.loss >= 0

@@ -6,6 +6,7 @@ from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex
+from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
 
@@ -15,13 +16,14 @@ def statuses(lab):
 
 
 def test_classes_for_colours(running):
-    assert classes_for_colours(running, frozenset({"V2"})) == frozenset(
+    an = analyse(running, running.mu)
+    assert classes_for_colours(an, frozenset({"V2"})) == frozenset(
         {CanonicalVertex("A", "win")})
-    assert classes_for_colours(running, frozenset({"sink"})) == frozenset({
+    assert classes_for_colours(an, frozenset({"sink"})) == frozenset({
         CanonicalVertex("Z", "t0"), CanonicalVertex("A", "win"),
         CanonicalVertex("A", "dead"),
     })
-    assert len(classes_for_colours(running, None)) == 6
+    assert len(classes_for_colours(an, None)) == 6
 
 
 def test_colour_atom(running):
@@ -106,3 +108,30 @@ def test_threshold_shortcuts(running):
     assert set(statuses(
         label_formula(running, parse_formula("V1 U[>1] V2"))).values()
     ) == {"fails"}
+
+
+def test_one_analysis_per_labelling(running, monkeypatch):
+    """One label_formula walks each class's role chain once and assembles
+    each (phi1, phi2) pair once, however many solves and qualitative passes
+    the quantitative until makes."""
+    import pregma.quantitative as quantitative
+    import pregma.validation as validation
+
+    walks, pairs = [], []
+
+    def counting_chain(*args):
+        walks.append(args[-2:])
+        return role_chain(*args)
+
+    def counting_assembly(*args):
+        pairs.append(args[-2:])
+        return assemble_system(*args)
+
+    role_chain = validation.role_chain
+    assemble_system = quantitative.assemble_system
+    monkeypatch.setattr(validation, "role_chain", counting_chain)
+    monkeypatch.setattr(quantitative, "assemble_system", counting_assembly)
+    label_formula(running, parse_formula("V1 U[>=1/4] V2"))
+    assert sorted(walks) == sorted(
+        (c.rule, c.vertex) for c in canonical_vertices(running))
+    assert len(pairs) == len(set(pairs)) == 1

@@ -10,10 +10,8 @@ from pregma.model import (
     Rule,
     component_ids,
     expand,
-    parallel_rewrite,
     reachable_component,
     reachable_nonterminals,
-    rewrite_one,
     validate_grammar,
 )
 
@@ -110,20 +108,34 @@ def test_axiom_vertex_unknown_name(running):
         e.axiom_vertex("nope")
 
 
-def test_rewrite_one_matches_parallel_on_single_hyperarc(running):
+def test_expand_one_round_replaces_the_axiom_hyperarc(running):
+    # the axiom rhs carries a single A hyperarc: one round glues one copy of
+    # A's rhs onto it and leaves A's own hyperarcs behind
     start = running.axiom_rule().rhs
-    one = rewrite_one(running, start)
-    par = parallel_rewrite(running, start)
-    assert len(one.vertices) == len(par.vertices)
-    assert len(one.arcs) == len(par.arcs)
-    assert sorted(h.label for h in one.hyperarcs) == sorted(
-        h.label for h in par.hyperarcs
+    (h,) = start.hyperarcs
+    child = running.rule_for(h.label)
+    e = expand(running, 1)
+    assert len(e.graph.vertices) == len(start.vertices) + len(child.non_inputs)
+    assert len(e.graph.arcs) == len(start.arcs) + len(child.rhs.arcs)
+    assert sorted(h.label for h in e.graph.hyperarcs) == sorted(
+        h.label for h in child.rhs.hyperarcs
     )
 
 
-def test_rewrite_one_bad_index(running):
-    with pytest.raises(GrammarError):
-        rewrite_one(running, running.axiom_rule().rhs, index=5)
+def test_expand_rejects_arity_mismatch():
+    rhs = Hypergraph()
+    rhs.add_vertex("x")
+    rhs.add_hyperarc("A", ("x",))
+    child = Hypergraph(vertices=["p", "q"])
+    g = Grammar(
+        terminals={},
+        nonterminals={"Z": 0, "A": 2},
+        axiom="Z",
+        rules=[Rule("Z", (), rhs), Rule("A", ("p", "q"), child)],
+    )
+    assert expand(g, 0).graph.hyperarcs  # nothing rewritten yet
+    with pytest.raises(GrammarError, match="arity mismatch"):
+        expand(g, 1)
 
 
 def test_component_ids_stays_inside_graph(running):

@@ -21,7 +21,7 @@ from pregma.pcp import (
     sequence_grammar,
 )
 from pregma.quantitative import axiom_probability, solve_until
-from pregma.validation import check_complete_outside, engine_admissible
+from pregma.validation import analyse, check_complete_outside
 
 F = Fraction
 
@@ -111,7 +111,7 @@ def test_closed_form_agrees_with_bounded_oracle(pcp_solvable, pcp_unsolvable):
 def test_encode_single_tile_is_engine_ready(pcp_solvable):
     g, mu, formula = encode(pcp_solvable[0])
     assert validate_grammar(g) == []
-    assert engine_admissible(g, mu).ok
+    analyse(g, mu)  # raises EngineUnsupported if the engines cannot run
     assert formula == And(
         Atom("s"),
         And(Until(">=", F(1, 2), TT(), Atom("green")),
@@ -142,9 +142,9 @@ def test_sequence_grammar_engine_path(pcp_solvable, pcp_unsolvable):
         (pcp_unsolvable[0], (1, 1), F(13, 32)),
     ]:
         g, fork = sequence_grammar(inst, seq)
-        assert engine_admissible(g, g.mu).ok
-        sol = solve_until(g, g.mu, classes_for_colours(g, None),
-                          classes_for_colours(g, frozenset({"green"})))
+        an = analyse(g, g.mu)
+        sol = solve_until(an, classes_for_colours(an, None),
+                          classes_for_colours(an, frozenset({"green"})))
         assert sol.converged and sol.exact
         assert axiom_probability(sol, g, fork) == (expected, expected)
 

@@ -13,7 +13,7 @@ from pregma.pushdown import (
     successors,
     to_grammar,
 )
-from pregma.validation import engine_admissible
+from pregma.validation import analyse
 
 F = Fraction
 
@@ -106,7 +106,7 @@ def test_to_grammar_shape(pds_plain):
 def test_to_grammar_prob_is_engine_ready(pds_prob):
     g = to_grammar(pds_prob)
     assert validate_grammar(g) == []
-    assert engine_admissible(g, g.mu).ok
+    analyse(g, g.mu)  # raises EngineUnsupported if the engines cannot run
     # dead configurations carry the absorbing colour
     halted = {(r.lhs, c.vertex) for r in g.rules for c in r.rhs.colours
               if c.colour == "halt"}

@@ -8,22 +8,21 @@ from pregma.model import CanonicalVertex
 from pregma.qualitative import (
     SELF,
     next_qualitative,
-    resolve_ref,
     successor_table,
     until_almost_sure,
     until_positive,
 )
-from pregma.validation import EngineUnsupported
+from pregma.validation import EngineUnsupported, analyse
 
 F = Fraction
 
 
-def cls(g, name):
-    return classes_for_colours(g, frozenset({name}) if name else None)
+def cls(an, name):
+    return classes_for_colours(an, frozenset({name}) if name else None)
 
 
 def test_successor_table_running(running):
-    tab = successor_table(running, running.mu)
+    tab = successor_table(analyse(running, running.mu))
     fork = tab[CanonicalVertex("A", "fork")]
     assert sorted(fork, key=repr) == sorted([
         (F(1, 4), CanonicalVertex("A", "dead")),
@@ -45,22 +44,23 @@ def test_successor_table_running(running):
 
 def test_successor_masses_sum_to_one(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
-        for can, succs in successor_table(g, g.mu).items():
+        for can, succs in successor_table(analyse(g, g.mu)).items():
             assert sum((p for p, _ in succs), F(0)) == 1, str(can)
 
 
 def test_resolve_ref_running(running):
-    assert resolve_ref(running, "A", 1) == frozenset({
+    refs = analyse(running, running.mu).refs
+    assert refs[("A", 1)] == frozenset({
         CanonicalVertex("Z", "v0"), CanonicalVertex("A", "next"),
     })
-    assert resolve_ref(running, "A", 2) == frozenset({
+    assert refs[("A", 2)] == frozenset({
         CanonicalVertex("Z", "t0"), CanonicalVertex("A", "fork"),
     })
 
 
 def test_next_qualitative_decides_plain_targets(running):
     win = frozenset({CanonicalVertex("A", "win")})
-    out = next_qualitative(running, running.mu, win, ">=", F(1, 2))
+    out = next_qualitative(analyse(running, running.mu), win, ">=", F(1, 2))
     assert out[CanonicalVertex("A", "fork")] == "holds"
     assert out[CanonicalVertex("A", "next")] == "fails"
     assert out[CanonicalVertex("A", "dead")] == "fails"
@@ -71,18 +71,19 @@ def test_next_qualitative_mixed_ref_is_unknown(running):
     # fork's d-step onto input 1 may land on Z:v0 or A:next depending on the
     # instance, so a target set holding only one of them cannot be decided
     target = frozenset({CanonicalVertex("Z", "v0")})
-    out = next_qualitative(running, running.mu, target, ">", F(0))
+    an = analyse(running, running.mu)
+    out = next_qualitative(an, target, ">", F(0))
     assert out[CanonicalVertex("A", "fork")] == "unknown"
     assert out[CanonicalVertex("A", "next")] == "fails"
     covering = frozenset({CanonicalVertex("Z", "v0"),
                           CanonicalVertex("A", "next")})
-    assert next_qualitative(running, running.mu, covering, ">", F(0))[
+    assert next_qualitative(an, covering, ">", F(0))[
         CanonicalVertex("A", "fork")] == "holds"
 
 
 def test_until_positive_running(running):
-    out = until_positive(running, running.mu, cls(running, "V1"),
-                         cls(running, "V2"))
+    an = analyse(running, running.mu)
+    out = until_positive(an, cls(an, "V1"), cls(an, "V2"))
     assert {str(k): v for k, v in out.items()} == {
         "Z:v0": "holds", "Z:t0": "fails",
         "A:win": "holds", "A:fork": "holds", "A:next": "holds",
@@ -91,14 +92,14 @@ def test_until_positive_running(running):
 
 
 def test_until_positive_everywhere_on_critical(critical):
-    out = until_positive(critical, critical.mu, cls(critical, None),
-                         cls(critical, "green"))
+    an = analyse(critical, critical.mu)
+    out = until_positive(an, cls(an, None), cls(an, "green"))
     assert set(out.values()) == {"holds"}
 
 
 def test_until_almost_sure_running(running):
-    out = until_almost_sure(running, running.mu, cls(running, "V1"),
-                            cls(running, "V2"))
+    an = analyse(running, running.mu)
+    out = until_almost_sure(an, cls(an, "V1"), cls(an, "V2"))
     assert {str(k): v for k, v in out.items()} == {
         "Z:v0": "fails", "Z:t0": "fails",
         "A:win": "holds", "A:fork": "fails", "A:next": "fails",
@@ -107,21 +108,24 @@ def test_until_almost_sure_running(running):
 
 
 def test_until_almost_sure_dag(dag):
-    out = until_almost_sure(dag, dag.mu, cls(dag, None), cls(dag, "goal"))
+    an = analyse(dag, dag.mu)
+    out = until_almost_sure(an, cls(an, None), cls(an, "goal"))
     assert set(out.values()) == {"holds"}
 
 
 def test_until_almost_sure_critical_is_unknown(critical):
-    out = until_almost_sure(critical, critical.mu, cls(critical, None),
-                            cls(critical, "green"), max_rounds=1500)
+    an = analyse(critical, critical.mu)
+    out = until_almost_sure(an, cls(an, None), cls(an, "green"),
+                            max_rounds=1500)
     assert out[CanonicalVertex("Z", "base")] == "holds"
     assert out[CanonicalVertex("Z", "m0")] == "unknown"
     assert out[CanonicalVertex("Walk", "hi")] == "unknown"
 
 
 def test_until_almost_sure_trivial_phi2(running):
-    every = cls(running, None)
-    out = until_almost_sure(running, running.mu, every, every)
+    an = analyse(running, running.mu)
+    every = cls(an, None)
+    out = until_almost_sure(an, every, every)
     assert set(out.values()) == {"holds"}
 
 
@@ -133,8 +137,6 @@ def test_engines_refuse_inadmissible_grammars():
         "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n"
         "  hyperarc C x\n"
     )
-    stop = cls(g, "stop")
+    # the engines run only on an analysis, and there is none to be had
     with pytest.raises(EngineUnsupported):
-        until_positive(g, g.mu, cls(g, None), stop)
-    with pytest.raises(EngineUnsupported):
-        next_qualitative(g, g.mu, stop, ">", F(0))
+        analyse(g, g.mu)

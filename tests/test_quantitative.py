@@ -12,16 +12,18 @@ from pregma.quantitative import (
     solve_until,
     win_key,
 )
+from pregma.validation import analyse
 
 F = Fraction
 
 
-def classes(g, name):
-    return classes_for_colours(g, frozenset({name}) if name else None)
+def classes(an, name):
+    return classes_for_colours(an, frozenset({name}) if name else None)
 
 
 def until_args(g, phi1, phi2):
-    return g, g.mu, classes(g, phi1), classes(g, phi2)
+    an = analyse(g, g.mu)
+    return an, classes(an, phi1), classes(an, phi2)
 
 
 def straddles_sqrt3(lo, hi, scale_num, scale_den, shift):
@@ -144,8 +146,8 @@ def test_axiom_probability_rejects_unknown_vertex(running):
 
 def test_trivial_phi2_saturates(running):
     # phi2 = every colour pins every class to 1
-    sol = solve_until(running, running.mu, classes(running, None),
-                      classes(running, None))
+    an = analyse(running, running.mu)
+    sol = solve_until(an, classes(an, None), classes(an, None))
     assert sol.exact
-    for can in classes(running, None):
+    for can in classes(an, None):
         assert sol.class_interval(can) == (F(1), F(1))

@@ -7,14 +7,12 @@ from pregma.model import CanonicalVertex, GrammarError
 from pregma.validation import (
     ChainAmbiguityError,
     EngineUnsupported,
-    absorbing_classes,
+    analyse,
     canonical_vertices,
     check_complete_outside,
-    degree_profile,
-    engine_admissible,
-    full_colours,
+    hyperarc_slots,
     phr_check,
-    role_chain,
+    vertex_classes,
 )
 
 HEAD = (
@@ -46,6 +44,23 @@ AMBIGUOUS = HEAD + (
     "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n"
 )
 
+# r's out-arc is gained two gluings down, through C's input on a D hyperarc;
+# every class still sums to 1
+PASSED_DOWN = HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 1\n") + (
+    "rule Z\n  vertex r\n  hyperarc C r\n"
+    "rule C inputs x\n  hyperarc D x\n"
+    "rule D inputs w\n  vertex z\n  arc a w z\n  colour stop z\n"
+)
+
+
+def classes(g):
+    """The per-class table, for grammars the engines refuse."""
+    return vertex_classes(g, {r.lhs: r for r in g.rules}, hyperarc_slots(g))
+
+
+def cv(rule, vertex):
+    return CanonicalVertex(rule, vertex)
+
 
 def test_canonical_vertices_skip_inputs(running):
     cans = canonical_vertices(running)
@@ -55,16 +70,16 @@ def test_canonical_vertices_skip_inputs(running):
 
 
 def test_role_chain_follows_the_gluing(running):
-    chain = role_chain(running, "A", "next")
+    table = analyse(running, running.mu).classes
+    chain = table[cv("A", "next")].chain
     assert chain.sites == (("A", "next"), ("A", "s"))
     assert chain.terminates
-    assert role_chain(running, "A", "fork").sites == (("A", "fork"), ("A", "t"))
-    assert role_chain(running, "A", "win").sites == (("A", "win"),)
+    assert table[cv("A", "fork")].chain.sites == (("A", "fork"), ("A", "t"))
+    assert table[cv("A", "win")].chain.sites == (("A", "win"),)
 
 
 def test_role_chain_detects_cycles():
-    g = parse_grammar(GAINING_LOOP)
-    chain = role_chain(g, "Z", "r")
+    chain = classes(parse_grammar(GAINING_LOOP))[cv("Z", "r")].chain
     assert chain.sites == (("Z", "r"), ("C", "x"))
     assert chain.cycle_start == 1
     assert not chain.terminates
@@ -73,11 +88,14 @@ def test_role_chain_detects_cycles():
 def test_role_chain_ambiguity():
     g = parse_grammar(AMBIGUOUS)
     with pytest.raises(ChainAmbiguityError, match="lies on 2 nonterminal hyperarcs"):
-        role_chain(g, "Z", "r")
+        classes(g)
+    with pytest.raises(ChainAmbiguityError, match="vertex r in rule Z"):
+        analyse(g, g.mu)
 
 
 def test_out_profiles_running(running):
-    prof = degree_profile(running, "out")
+    table = analyse(running, running.mu).classes
+    prof = {can: vc.out for can, vc in table.items()}
     next_p = prof[CanonicalVertex("A", "next")]
     assert next_p.finite == (("a", 2),)
     assert next_p.count("a") == 2 and next_p.count("d") == 0
@@ -89,7 +107,7 @@ def test_out_profiles_running(running):
 
 
 def test_in_profiles_running(running):
-    prof = degree_profile(running, "in")
+    prof = {can: vc.into for can, vc in analyse(running, running.mu).classes.items()}
     assert prof[CanonicalVertex("A", "fork")].finite == (("a", 1),)
     # dead is only ever entered through the d arc
     assert prof[CanonicalVertex("A", "dead")].finite == (("d", 1),)
@@ -97,7 +115,7 @@ def test_in_profiles_running(running):
 
 def test_infinite_profile():
     g = parse_grammar(GAINING_LOOP)
-    p = degree_profile(g, "out")[CanonicalVertex("Z", "r")]
+    p = classes(g)[CanonicalVertex("Z", "r")].out
     assert not p.is_finite
     assert p.infinite == frozenset({"a"})
     assert str(p) == "{a:inf}"
@@ -105,13 +123,13 @@ def test_infinite_profile():
 
 
 def test_profile_total_needs_every_label(running):
-    prof = degree_profile(running, "out")
+    fork = analyse(running, running.mu).classes[CanonicalVertex("A", "fork")]
     with pytest.raises(KeyError):
-        prof[CanonicalVertex("A", "fork")].total({"a": Fraction(1, 2)})
+        fork.out.total({"a": Fraction(1, 2)})
 
 
 def test_full_colours_walks_the_chain(running):
-    cols = full_colours(running)
+    cols = {can: vc.colours for can, vc in analyse(running, running.mu).classes.items()}
     assert cols[CanonicalVertex("A", "win")] == frozenset({"V2", "sink", "V1"})
     assert cols[CanonicalVertex("A", "dead")] == frozenset({"sink"})
     assert cols[CanonicalVertex("Z", "v0")] == frozenset({"V1"})
@@ -182,7 +200,7 @@ def test_phr_validates_first():
 
 
 def test_absorbing_classes(running):
-    assert absorbing_classes(running) == frozenset({
+    assert analyse(running, running.mu).absorbing == frozenset({
         CanonicalVertex("Z", "t0"),
         CanonicalVertex("A", "win"),
         CanonicalVertex("A", "dead"),
@@ -191,22 +209,33 @@ def test_absorbing_classes(running):
 
 def test_engine_admissible_on_corpus(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
-        assert engine_admissible(g, g.mu).ok
+        an = analyse(g, g.mu)
+        assert set(an.classes) == set(canonical_vertices(g))
 
 
 def test_engine_rejects_infinite_in_profile():
     g = parse_grammar(INCOMING_LOOP)
     assert phr_check(g).ok
     with pytest.raises(EngineUnsupported, match="incoming arcs .* repeat forever"):
-        engine_admissible(g, g.mu)
+        analyse(g, g.mu)
 
 
 def test_engine_rejects_gaining_inputs():
+    g = parse_grammar(GAINING_LOOP)
     with pytest.raises(EngineUnsupported):
-        engine_admissible(parse_grammar(GAINING_LOOP))
+        analyse(g, g.mu)
+
+
+def test_engine_rejects_arcs_gained_past_an_input():
+    g = parse_grammar(PASSED_DOWN)
+    assert phr_check(g).ok
+    assert check_complete_outside(g).input_as_output == (("C", "x", "D", 1),)
+    with pytest.raises(EngineUnsupported, match=(
+            "rule C: input x keeps gaining arcs after being passed to D at position 1")):
+        analyse(g, g.mu)
 
 
 def test_engine_accepts_quiet_input_loop():
     g = parse_grammar(QUIET_LOOP)
     assert check_complete_outside(g).input_as_output
-    assert engine_admissible(g, g.mu).ok
+    assert analyse(g, g.mu).classes[cv("Z", "r")].chain.cycle_start == 1
