@@ -359,6 +359,8 @@ def _cmd_check(args, parser: _Parser) -> int:
         parser.error(f"bad formula: {exc}")
     if args.qualitative and not _qualitative_only(formula):
         parser.error("--qualitative requires every threshold to be 0 or 1")
+    if args.at is not None:
+        _axiom_vertex(g, args.at, parser)
     try:
         labelling = label_formula(g, formula, eps=args.eps)
     except FormulaError as exc:
@@ -396,7 +398,6 @@ def _cmd_check(args, parser: _Parser) -> int:
                 print(f"class={can} verdict={verdict.status}{extra}")
 
     if args.at is not None:
-        _axiom_vertex(g, args.at, parser)
         can = CanonicalVertex(g.axiom, args.at)
         verdict = labelling.at(can)
         show(verdict.status, verdict.interval,

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING, Mapping
 
 from .model import CanonicalVertex, GrammarError, Rule, VertexId
-from .validation import Analysis
+
+if TYPE_CHECKING:
+    from .validation import Analysis, Slots
 
 NodeKey = tuple
 
@@ -37,9 +40,9 @@ class Fragment:
     context: str
     rule: Rule
     nodes: dict[NodeKey, FragmentNode] = field(default_factory=dict)
-    arcs: list[tuple[str, NodeKey, NodeKey]] = field(default_factory=list)
+    # every node's out-arcs as (label, target), in arc order
+    out: dict[NodeKey, list[tuple[str, NodeKey]]] = field(default_factory=dict)
     glue: dict[int, tuple[NodeKey, ...]] = field(default_factory=dict)
-    child_rule: dict[int, str] = field(default_factory=dict)
 
     @property
     def starts(self) -> list[FragmentNode]:
@@ -48,41 +51,42 @@ class Fragment:
                 if n.kind in ("same", "interior") and n.key[0] == "base"]
 
 
-def build_fragment(an: Analysis, context: str) -> Fragment:
-    rule = an.rules[context]
+def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fragment:
+    """The context rule's rhs with a child copy glued on every hyperarc."""
+    rule = rules[context]
     frag = Fragment(context, rule)
+
+    def add(node: FragmentNode) -> None:
+        frag.nodes[node.key] = node
+        frag.out[node.key] = []
 
     for v in rule.rhs.vertices:
         key = ("base", v)
         if rule.is_input(v):
-            node = FragmentNode(key, "input", None, input_index=rule.input_index(v))
-        elif (context, v) in an.slots:
-            node = FragmentNode(key, "same", CanonicalVertex(context, v))
+            add(FragmentNode(key, "input", None, input_index=rule.input_index(v)))
+        elif (context, v) in slots:
+            add(FragmentNode(key, "same", CanonicalVertex(context, v)))
         else:
-            node = FragmentNode(key, "interior", CanonicalVertex(context, v))
-        frag.nodes[key] = node
+            add(FragmentNode(key, "interior", CanonicalVertex(context, v)))
 
     for arc in rule.rhs.arcs:
-        frag.arcs.append((arc.label, ("base", arc.source), ("base", arc.target)))
+        frag.out[("base", arc.source)].append((arc.label, ("base", arc.target)))
 
     for arc_index, h in enumerate(rule.rhs.hyperarcs):
-        child = an.rules[h.label]
+        child = rules[h.label]
         if len(child.inputs) != len(h.vertices):
             raise GrammarError(f"hyperarc {h.label} arity mismatch in rule {context}")
         frag.glue[arc_index] = tuple(("base", v) for v in h.vertices)
-        frag.child_rule[arc_index] = h.label
         mapping: dict[VertexId, NodeKey] = {}
         for i, v in enumerate(h.vertices):
             mapping[child.inputs[i]] = ("base", v)
         for w in child.non_inputs:
             key = ("copy", arc_index, w)
             mapping[w] = key
-            kind = "child" if (h.label, w) in an.slots else "interior"
-            frag.nodes[key] = FragmentNode(
-                key, kind, CanonicalVertex(h.label, w), arc_index=arc_index
-            )
+            kind = "child" if (h.label, w) in slots else "interior"
+            add(FragmentNode(key, kind, CanonicalVertex(h.label, w), arc_index=arc_index))
         for carc in child.rhs.arcs:
-            frag.arcs.append((carc.label, mapping[carc.source], mapping[carc.target]))
+            frag.out[mapping[carc.source]].append((carc.label, mapping[carc.target]))
 
     return frag
 
@@ -154,10 +158,6 @@ def local_rows(
             return "loss"
         return None
 
-    out_arcs: dict[NodeKey, list[tuple[str, NodeKey]]] = {k: [] for k in frag.nodes}
-    for label, src, dst in frag.arcs:
-        out_arcs[src].append((label, dst))
-
     candidates: list[NodeKey] = []
     for key, node in frag.nodes.items():
         if node.kind == "interior" and interior_bucket(node) is None:
@@ -173,7 +173,7 @@ def local_rows(
         for key in candidates:
             if key in productive:
                 continue
-            for _, dst in out_arcs[key]:
+            for _, dst in frag.out[key]:
                 node = frag.nodes[dst]
                 escapes = (
                     node.kind != "interior"
@@ -206,7 +206,7 @@ def local_rows(
     b = [[ZERO] * len(buckets) for _ in range(n)]
     for key in transient:
         i = index[key]
-        for label, dst in out_arcs[key]:
+        for label, dst in frag.out[key]:
             p = mu[label]
             target = classify(dst)
             if target in index:
@@ -254,7 +254,7 @@ def local_rows(
                 rows[node.key] = LocalRow(loss=ONE)
                 continue
         row = LocalRow()
-        for label, dst in out_arcs[node.key]:
+        for label, dst in frag.out[node.key]:
             p = mu[label]
             step = absorbed_from(dst)
             row.win += p * step.win

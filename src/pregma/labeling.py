@@ -18,19 +18,17 @@ from typing import Mapping
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
-from .qualitative import (
-    _membership3,
-    successor_table,
-    until_almost_sure,
-    until_positive,
-)
+from .qualitative import next_qualitative, until_almost_sure, until_positive
 from .quantitative import solve_until
 from .validation import Analysis, ProbabilityMap, analyse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-TV = bool | None
+# a verdict per class: "holds" | "fails" | "unknown"
+Verdicts = dict[CanonicalVertex, str]
+
+_NEGATED = {"holds": "fails", "fails": "holds", "unknown": "unknown"}
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,6 @@ def classes_for_colours(
     return frozenset(c for c in an.reachable if an.classes[c].colours & names)
 
 
-def _tv_to_verdict(tv: TV) -> str:
-    if tv is True:
-        return "holds"
-    if tv is False:
-        return "fails"
-    return "unknown"
-
-
 _QUAL_TRUE = {(">=", ZERO), ("<=", ONE)}
 _QUAL_FALSE = {(">", ONE), ("<", ZERO)}
 
@@ -78,35 +68,29 @@ class _Evaluator:
         self.cans = an.reachable
         self.colour_names = self.g.colour_names
         self.axiom_vertices = set(an.rules[self.g.axiom].rhs.vertices)
-        self._succ = None
 
-    def succ(self):
-        if self._succ is None:
-            self._succ = successor_table(self.an)
-        return self._succ
-
-    # each eval returns {class: True | False | None}, plus per-class
-    # probability intervals when the node was solved quantitatively
-    def eval(self, f: Formula) -> tuple[dict[CanonicalVertex, TV], dict]:
+    # each eval returns a verdict per class, plus per-class probability
+    # intervals when the node was solved quantitatively
+    def eval(self, f: Formula) -> tuple[Verdicts, dict]:
         if isinstance(f, TT):
-            return {c: True for c in self.cans}, {}
+            return {c: "holds" for c in self.cans}, {}
         if isinstance(f, Atom):
             return self._atom(f.name), {}
         if isinstance(f, Not):
-            tv, _ = self.eval(f.sub)
-            return {c: (None if v is None else not v) for c, v in tv.items()}, {}
+            sub, _ = self.eval(f.sub)
+            return {c: _NEGATED[v] for c, v in sub.items()}, {}
         if isinstance(f, And):
             left, _ = self.eval(f.left)
             right, _ = self.eval(f.right)
-            out: dict[CanonicalVertex, TV] = {}
+            out: Verdicts = {}
             for c in self.cans:
                 a, b = left[c], right[c]
-                if a is False or b is False:
-                    out[c] = False
-                elif a is True and b is True:
-                    out[c] = True
+                if a == "fails" or b == "fails":
+                    out[c] = "fails"
+                elif a == "holds" and b == "holds":
+                    out[c] = "holds"
                 else:
-                    out[c] = None
+                    out[c] = "unknown"
             return out, {}
         if isinstance(f, Next):
             return self._next(f), {}
@@ -114,7 +98,7 @@ class _Evaluator:
             return self._until(f)
         raise TypeError(f)
 
-    def _atom(self, name: str) -> dict[CanonicalVertex, TV]:
+    def _atom(self, name: str) -> Verdicts:
         is_colour = name in self.colour_names
         is_vertex = name in self.axiom_vertices
         if is_colour and is_vertex:
@@ -122,40 +106,28 @@ class _Evaluator:
                 f"atom {name} is both a colour and an axiom-rule vertex; rename one"
             )
         if is_colour:
-            return {c: name in self.an.classes[c].colours for c in self.cans}
-        if is_vertex:
-            target = CanonicalVertex(self.g.axiom, name)
-            return {c: c == target for c in self.cans}
-        raise FormulaError(
-            f"atom {name} is neither a colour ({sorted(self.colour_names)}) "
-            f"nor an axiom-rule vertex ({sorted(map(str, self.axiom_vertices))})"
-        )
+            members = classes_for_colours(self.an, frozenset({name}))
+        elif is_vertex:
+            members = frozenset({CanonicalVertex(self.g.axiom, name)})
+        else:
+            raise FormulaError(
+                f"atom {name} is neither a colour ({sorted(self.colour_names)}) "
+                f"nor an axiom-rule vertex ({sorted(map(str, self.axiom_vertices))})"
+            )
+        return {c: "holds" if c in members else "fails" for c in self.cans}
 
     @staticmethod
-    def _split(tv: Mapping[CanonicalVertex, TV]):
-        under = frozenset(c for c, v in tv.items() if v is True)
-        over = frozenset(c for c, v in tv.items() if v is not False)
+    def _split(verdicts: Mapping[CanonicalVertex, str]):
+        under = frozenset(c for c, v in verdicts.items() if v == "holds")
+        over = frozenset(c for c, v in verdicts.items() if v != "fails")
         return under, over
 
-    def _next(self, f: Next) -> dict[CanonicalVertex, TV]:
-        tv, _ = self.eval(f.sub)
-        under, over = self._split(tv)
-        table = self.succ()
-        out: dict[CanonicalVertex, TV] = {}
-        for c in self.cans:
-            lo = ZERO
-            hi = ZERO
-            for p, target in table[c]:
-                if _membership3(self.an, c, target, under) is True:
-                    lo += p
-                    hi += p
-                elif _membership3(self.an, c, target, over) is not False:
-                    hi += p
-            verdict = decide_threshold((lo, hi), f.cmp, f.rho)
-            out[c] = True if verdict == "holds" else False if verdict == "fails" else None
-        return out
+    def _next(self, f: Next) -> Verdicts:
+        sub, _ = self.eval(f.sub)
+        under, over = self._split(sub)
+        return next_qualitative(self.an, under, f.cmp, f.rho, over=over)
 
-    def _until(self, f: Until) -> tuple[dict[CanonicalVertex, TV], dict]:
+    def _until(self, f: Until) -> tuple[Verdicts, dict]:
         left, _ = self.eval(f.left)
         right, _ = self.eval(f.right)
         u1, o1 = self._split(left)
@@ -163,9 +135,9 @@ class _Evaluator:
         key = (f.cmp, f.rho)
 
         if key in _QUAL_TRUE:
-            return {c: True for c in self.cans}, {}
+            return {c: "holds" for c in self.cans}, {}
         if key in _QUAL_FALSE:
-            return {c: False for c in self.cans}, {}
+            return {c: "fails" for c in self.cans}, {}
 
         if f.rho == 0 or f.rho == 1:
             return self._until_qualitative(f, u1, o1, u2, o2), {}
@@ -181,17 +153,15 @@ class _Evaluator:
             negated = f.cmp == "<"
         lower = engine(self.an, u1, u2)
         upper = lower if (u1, u2) == (o1, o2) else engine(self.an, o1, o2)
-        out: dict[CanonicalVertex, TV] = {}
+        out: Verdicts = {}
         for c in self.cans:
             if lower[c] == "holds":
-                tv: TV = True
+                verdict = "holds"
             elif upper[c] == "fails":
-                tv = False
+                verdict = "fails"
             else:
-                tv = None
-            if negated and tv is not None:
-                tv = not tv
-            out[c] = tv
+                verdict = "unknown"
+            out[c] = _NEGATED[verdict] if negated else verdict
         return out
 
     def _until_quantitative(self, f: Until, u1, o1, u2, o2):
@@ -201,7 +171,7 @@ class _Evaluator:
             lo_sol = solve_until(self.an, u1, u2, eps=eps)
             hi_sol = lo_sol if exact_args else solve_until(self.an, o1, o2, eps=eps)
             intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
-            out: dict[CanonicalVertex, TV] = {}
+            out: Verdicts = {}
             undecided_axiom = False
             for c in self.cans:
                 if c.rule == self.g.axiom:
@@ -211,13 +181,9 @@ class _Evaluator:
                     verdict = decide_threshold((lo, hi), f.cmp, f.rho)
                     if verdict == "unknown" and not (lo_sol.converged and hi_sol.converged):
                         undecided_axiom = True
-                    out[c] = (
-                        True if verdict == "holds"
-                        else False if verdict == "fails"
-                        else None
-                    )
+                    out[c] = verdict
                 else:
-                    out[c] = None
+                    out[c] = "unknown"
             if not undecided_axiom:
                 break
             eps = eps / 4
@@ -231,17 +197,11 @@ class _Evaluator:
             for c in zero_one_needed:
                 if pos[c] == "fails":
                     intervals[c] = (ZERO, ZERO)
-                    verdict = decide_threshold((ZERO, ZERO), f.cmp, f.rho)
                 elif one[c] == "holds":
                     intervals[c] = (ONE, ONE)
-                    verdict = decide_threshold((ONE, ONE), f.cmp, f.rho)
                 else:
                     continue
-                out[c] = (
-                    True if verdict == "holds"
-                    else False if verdict == "fails"
-                    else None
-                )
+                out[c] = decide_threshold(intervals[c], f.cmp, f.rho)
         return out, intervals
 
 
@@ -252,9 +212,6 @@ def label_formula(
     eps: Fraction = Fraction(1, 10**6),
 ) -> Labelling:
     ev = _Evaluator(analyse(g, g.mu if mu is None else mu), eps)
-    tv, intervals = ev.eval(formula)
-    verdicts = {
-        c: Verdict(_tv_to_verdict(tv[c]), intervals.get(c))
-        for c in ev.cans
-    }
+    statuses, intervals = ev.eval(formula)
+    verdicts = {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
     return Labelling(formula, ev.cans, verdicts)

@@ -138,6 +138,7 @@ def _floor_to_grid(v: Fraction, bits: int) -> Fraction:
 
 
 _DEN_CAP = 1 << 128  # keep exact values while their denominators stay modest
+_CERTIFY_EVERY = 50  # Kleene rounds between certification attempts
 
 
 def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
@@ -207,7 +208,6 @@ def solve_enclosure(
     eps: Fraction = Fraction(1, 10**6),
     keys_of_interest: Sequence[Key] | None = None,
     max_rounds: int = 20000,
-    certificate_every: int = 50,
 ) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
@@ -280,7 +280,7 @@ def solve_enclosure(
             bits += 32  # grid too coarse to see the strict increase
             continue
         lo = nxt
-        if rounds % certificate_every == 0:
+        if rounds % _CERTIFY_EVERY == 0:
             certify()
             if watched_width() <= eps:
                 break

@@ -45,26 +45,26 @@ class PushdownSystem:
 
 
 def _split_word(lineno: int, text: str, symbols: list[str]) -> Word:
-    """Maximal-munch split of a configuration word into declared symbols,
-    with backtracking so prefix-overlapping alphabets still parse."""
+    """Maximal-munch split of a configuration word into declared symbols:
+    at each position the longest symbol whose remainder still splits, so
+    prefix-overlapping alphabets parse. One backward pass marks the
+    positions from which the rest of the word splits."""
     ordered = sorted(set(symbols), key=len, reverse=True)
-
-    def attempt(rest: str) -> Word | None:
-        if not rest:
-            return ()
-        for sym in ordered:
-            if rest.startswith(sym):
-                tail = attempt(rest[len(sym):])
-                if tail is not None:
-                    return (sym,) + tail
-        return None
-
-    out = attempt(text)
-    if out is None:
+    n = len(text)
+    splits = [False] * n + [True]
+    for i in range(n - 1, -1, -1):
+        splits[i] = any(text.startswith(s, i) and splits[i + len(s)] for s in ordered)
+    if not splits[0]:
         raise ParseError(lineno, f"cannot split {text!r} into declared symbols")
-    if not out:
+    if not n:
         raise ParseError(lineno, "empty configuration word")
-    return out
+    out: list[str] = []
+    i = 0
+    while i < n:
+        sym = next(s for s in ordered if text.startswith(s, i) and splits[i + len(s)])
+        out.append(sym)
+        i += len(sym)
+    return tuple(out)
 
 
 def parse_pds(text: str) -> PushdownSystem:

@@ -12,8 +12,9 @@ lands on depends on where the class's context rule was instantiated. The
 grammar's analysis lists what every occurrence binds to each input
 (`bindings`) and every class that can end up there (`refs`); "for all
 occurrences" arguments then give sound universal verdicts, "for some
-occurrence" sound existential ones. Every engine here takes that analysis
-and reads the assembled system it shares with the quantitative solver.
+occurrence" sound existential ones. Every engine here takes that analysis:
+one-step successors are read from its per-context fragments, and the until
+engines read the assembled system they share with the quantitative solver.
 """
 from __future__ import annotations
 
@@ -36,47 +37,25 @@ Target = object
 
 
 def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, Target]]]:
-    """One-step successors of each class, with exact probabilities.
+    """One-step successors of each reachable class, with exact probabilities.
 
-    Walks the class's role chain, so arcs gained at later gluings are
-    included. An arc into an input of the chain's current rule resolves
-    through the hyperarc occurrence the chain arrived by, which pins the
-    target down to a class of the previous rule (or, at the chain's first
-    site, leaves a ref to the context's own parent). Absorbing sinks get a
+    Read off the class's node in its context's fragment, whose out-arcs
+    already include those gained from the child copy the class is glued
+    onto. An arc into one of the context's own inputs becomes a ref to
+    whatever the context's parent glued there. Absorbing sinks get a
     self-loop.
     """
     table: dict[CanonicalVertex, list[tuple[Fraction, Target]]] = {}
-    for can, vc in an.classes.items():
-        succs: list[tuple[Fraction, Target]] = []
-        prev_rule = None
-        prev_arc = None  # hyperarc occurrence the chain moved through
-        for site in vc.chain.sites:
-            rule = an.rules[site[0]]
-            for arc in rule.rhs.arcs:
-                if arc.source != site[1]:
-                    continue
-                p = an.mu[arc.label]
-                x = arc.target
-                if not rule.is_input(x):
-                    succs.append((p, CanonicalVertex(rule.lhs, x)))
-                    continue
-                k = rule.input_index(x)
-                if prev_rule is None:
-                    succs.append((p, ("ref", rule.lhs, k)))
-                else:
-                    z = prev_arc.vertices[k - 1]
-                    if prev_rule.is_input(z):
-                        succs.append(
-                            (p, ("ref", prev_rule.lhs, prev_rule.input_index(z)))
-                        )
-                    else:
-                        succs.append((p, CanonicalVertex(prev_rule.lhs, z)))
-            # move one gluing deeper for the next site
-            occs = an.slots.get(site)
-            prev_rule, prev_arc = rule, occs[0][0] if occs else None
-        if not succs and can in an.absorbing:
-            succs.append((ONE, SELF))
-        table[can] = succs
+    for name, frag in an.fragments.items():
+        for node in frag.starts:
+            succs: list[tuple[Fraction, Target]] = []
+            for label, key in frag.out[node.key]:
+                hit = frag.nodes[key]
+                target = ("ref", name, hit.input_index) if hit.kind == "input" else hit.can
+                succs.append((an.mu[label], target))
+            if not succs and node.can in an.absorbing:
+                succs.append((ONE, SELF))
+            table[node.can] = succs
     return table
 
 
@@ -103,21 +82,24 @@ def next_qualitative(
     targets: frozenset[CanonicalVertex],
     cmp: str,
     rho: Fraction,
+    over: frozenset[CanonicalVertex] | None = None,
 ) -> dict[CanonicalVertex, str]:
     """Per-class verdict for: one step lands in `targets` with mass cmp rho.
 
     One-step mass is a single exact rational per class, so any threshold is
-    decidable here up to ref targets whose occurrences disagree."""
+    decidable here up to ref targets whose occurrences disagree. For a
+    target set known only up to bounds, `targets` is the classes surely in
+    it and `over` (default: `targets`) the classes possibly in it."""
+    over = targets if over is None else over
     out: dict[CanonicalVertex, str] = {}
     for can, succs in successor_table(an).items():
         mass_lo = ZERO
         mass_hi = ZERO
         for p, target in succs:
-            member = _membership3(an, can, target, targets)
-            if member is True:
+            if _membership3(an, can, target, targets) is True:
                 mass_lo += p
                 mass_hi += p
-            elif member is None:
+            elif _membership3(an, can, target, over) is not False:
                 mass_hi += p
         out[can] = decide_threshold((mass_lo, mass_hi), cmp, rho)
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fragments import Fragment, LocalRow, build_fragment, local_rows
+from .fragments import local_rows
 from .model import CanonicalVertex, Grammar, GrammarError
 from .polysys import Enclosure, Key, PolySystem, solve_enclosure
 from .validation import Analysis
@@ -44,10 +44,6 @@ def render_key(key: Key) -> str:
 class Assembly:
     system: PolySystem  # full system, pins not yet substituted
     pins: dict[Key, Fraction]
-    fragments: dict[str, Fragment]
-    rows: dict[CanonicalVertex, LocalRow]
-    contexts: list[str]
-    arity: dict[str, int]  # context rule -> number of inputs
 
     def reduced(self) -> PolySystem:
         return self.system.substitute(self.pins)
@@ -58,42 +54,31 @@ def assemble_system(
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
 ) -> Assembly:
-    contexts = list(an.contexts)
-
     system = PolySystem()
     pins: dict[Key, Fraction] = {}
-    fragments: dict[str, Fragment] = {}
-    rows: dict[CanonicalVertex, LocalRow] = {}
-    arity: dict[str, int] = {}
 
-    for name in contexts:
-        frag = build_fragment(an, name)
-        fragments[name] = frag
-        arity[name] = len(frag.rule.inputs)
+    for frag in an.fragments.values():
+        n_inputs = len(frag.rule.inputs)
         for node in frag.starts:
             can = node.can
-            assert can is not None
             system.add_variable(win_key(can))
-            for j in range(1, arity[name] + 1):
+            for j in range(1, n_inputs + 1):
                 system.add_variable(dec_key(can, j))
             if can in phi2:
                 pins[win_key(can)] = ONE
-                for j in range(1, arity[name] + 1):
+                for j in range(1, n_inputs + 1):
                     pins[dec_key(can, j)] = ZERO
             elif can not in phi1:
                 pins[win_key(can)] = ZERO
-                for j in range(1, arity[name] + 1):
+                for j in range(1, n_inputs + 1):
                     pins[dec_key(can, j)] = ZERO
 
-    for name in contexts:
-        frag = fragments[name]
+    for frag in an.fragments.values():
         local = local_rows(an, frag, phi1, phi2)
-        n_inputs = arity[name]
+        n_inputs = len(frag.rule.inputs)
         for node in frag.starts:
             can = node.can
-            assert can is not None
             row = local[node.key]
-            rows[can] = row
             if win_key(can) in pins:
                 continue
             wkey = win_key(can)
@@ -142,7 +127,7 @@ def assemble_system(
                     for j, dkey in enumerate(dkeys, start=1):
                         system.add_term(dkey, p, dec_key(e, ell), dec_key(target, j))
 
-    return Assembly(system, pins, fragments, rows, contexts, arity)
+    return Assembly(system, pins)
 
 
 def shared_assembly(
@@ -182,24 +167,22 @@ def solve_until(
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
     eps: Fraction = Fraction(1, 10**6),
-    watch: list[Key] | str = "axiom",
+    watch: str = "axiom",
     max_rounds: int = 20000,
 ) -> UntilSolution:
     """Assemble and solve. watch picks the convergence criterion: "axiom"
     tracks the axiom context's win variables (where absolute probabilities
-    live), "all" tracks everything, or pass explicit keys."""
+    live), "all" tracks everything."""
     assembly = shared_assembly(an, phi1, phi2)
     reduced = assembly.reduced()
 
     if watch == "axiom":
-        watch = [
-            win_key(node.can)
-            for node in assembly.fragments[an.grammar.axiom].starts
-            if node.can is not None
-        ]
+        keys = [win_key(node.can) for node in an.fragments[an.grammar.axiom].starts]
     elif watch == "all":
-        watch = list(reduced.variables)
-    reduced_watch = [k for k in watch if k in reduced.equations]
+        keys = reduced.variables
+    else:
+        raise ValueError(f"watch must be 'axiom' or 'all', not {watch!r}")
+    reduced_watch = [k for k in keys if k in reduced.equations]
 
     enc = solve_enclosure(
         reduced,

@@ -15,7 +15,8 @@ two or more hyperarcs, which is rejected as ambiguous.
 `analyse` walks each class's chain once and keeps what the engines need: a
 rule lookup, the hyperarc occurrence table, each class's profiles and
 colours, the absorbing and reachable classes, the classes each rule input
-can be bound to, and the equation systems assembled so far. It refuses
+can be bound to, one local fragment per context (the source of every
+one-step fact), and the equation systems assembled so far. It refuses
 grammars outside what the engines handle. The analysis is a value the caller
 owns and passes along; nothing is cached on the grammar, which callers such
 as the pushdown converter still edit after reading its profiles.
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .fragments import Fragment, build_fragment
 from .model import (
     CanonicalVertex,
     Grammar,
@@ -334,7 +336,7 @@ class Analysis:
     slots: Slots
     classes: dict[CanonicalVertex, VertexClass]
     absorbing: frozenset[CanonicalVertex]
-    contexts: list[str]  # reachable rules, the axiom first
+    fragments: dict[str, Fragment]  # one per context (reachable rule), axiom first
     reachable: list[CanonicalVertex]  # classes of the reachable rules
     # per nonterminal, one tuple per hyperarc occurrence in a reachable
     # rule: what that occurrence glues onto each input
@@ -416,7 +418,8 @@ def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
         absorbing=frozenset(
             c for c, vc in classes.items() if vc.is_sink and vc.colours & g.absorbing
         ),
-        contexts=sorted(names, key=lambda n: (n != g.axiom, n)),
+        fragments={name: build_fragment(rules, slots, name)
+                   for name in sorted(names, key=lambda n: (n != g.axiom, n))},
         reachable=[c for c in classes if c.rule in names],
         bindings=bindings,
         refs={(r.lhs, j): resolve(r.lhs, j)

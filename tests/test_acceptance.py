@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from pregma.cli import main
-from pregma.fragments import build_fragment, local_rows
+from pregma.fragments import local_rows
 from pregma.labeling import classes_for_colours
 from pregma.model import CanonicalVertex, expand
 from pregma.oracle import PathQuery, bounded_until, sample_until, truncate
@@ -75,7 +75,7 @@ def test_gate_1_exact_mass_validation(capfd, running):
 
 def test_gate_2_local_first_hit_probabilities(capfd, running):
     an = analyse(running, running.mu)
-    frag = build_fragment(an, "A")
+    frag = an.fragments["A"]
     rows = local_rows(an, frag, cls(an, "V1"), cls(an, "V2"),
                       include_inputs=True)
     fork = rows[("base", "fork")]

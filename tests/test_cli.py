@@ -223,6 +223,17 @@ def test_usage_errors_exit_3(corpus_dir, argv, needle):
     assert needle in err
 
 
+def test_check_at_is_validated_before_labelling(corpus_dir, monkeypatch):
+    def no_labelling(*args, **kwargs):
+        raise AssertionError("labelled before --at was checked")
+
+    monkeypatch.setattr("pregma.cli.label_formula", no_labelling)
+    code, out, err = run(["check", gg(corpus_dir, "running.gg"),
+                          "--formula", "V1 U[>=1/4] V2", "--at", "zz"])
+    assert code == 3 and out == ""
+    assert "not an axiom-rule vertex" in err
+
+
 def test_expand_text(corpus_dir, running):
     code, out, _ = run([
         "expand", gg(corpus_dir, "running.gg"), "--depth", "2"])

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pregma.fragments import build_fragment, local_rows
+from pregma.fragments import local_rows
 from pregma.labeling import classes_for_colours
-from pregma.model import reachable_nonterminals
 from pregma.validation import analyse
 
 F = Fraction
@@ -15,12 +14,12 @@ def running_rows(running):
     an = analyse(running, running.mu)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
-    frag = build_fragment(an, "A")
+    frag = an.fragments["A"]
     return frag, local_rows(an, frag, phi1, phi2, include_inputs=True)
 
 
 def test_fragment_layout(running):
-    frag = build_fragment(analyse(running, running.mu), "A")
+    frag = analyse(running, running.mu).fragments["A"]
     assert sorted(n.key for n in frag.starts) == [
         ("base", "dead"), ("base", "fork"), ("base", "next"), ("base", "win"),
     ]
@@ -62,7 +61,7 @@ def test_input_rows_are_off_by_default(running):
     an = analyse(running, running.mu)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
-    frag = build_fragment(an, "A")
+    frag = an.fragments["A"]
     rows = local_rows(an, frag, phi1, phi2)
     assert ("base", "s") not in rows
     assert set(rows) == {n.key for n in frag.starts}
@@ -72,7 +71,7 @@ def test_axiom_fragment_rows(running):
     an = analyse(running, running.mu)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
-    frag = build_fragment(an, "Z")
+    frag = an.fragments["Z"]
     rows = local_rows(an, frag, phi1, phi2)
     v0 = rows[("base", "v0")]
     assert v0.hit(("base", "t0")) == F(1, 2)
@@ -92,8 +91,7 @@ def test_rows_partition_unit_mass(running, dag, updrift, critical, colour_pair):
             an, frozenset({phi1_name}) if phi1_name in names else None
         )
         phi2 = classes_for_colours(an, frozenset({phi2_name}))
-        for name in reachable_nonterminals(g):
-            frag = build_fragment(an, name)
+        for name, frag in an.fragments.items():
             rows = local_rows(an, frag, phi1, phi2)
             for key, row in rows.items():
                 assert row.total() == 1, (g.axiom, name, key)

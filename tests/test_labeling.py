@@ -89,6 +89,22 @@ def test_one_step_operator(running):
     }
 
 
+@pytest.mark.parametrize("formula, expected", [
+    ("X[>0] (V1 U[>=1/4] V2)", {
+        "Z:v0": "unknown", "Z:t0": "fails", "A:win": "holds",
+        "A:fork": "holds", "A:next": "unknown", "A:dead": "fails",
+    }),
+    ("X[<=1/2] (V1 U[>=1/4] V2)", {
+        "Z:v0": "holds", "Z:t0": "holds", "A:win": "fails",
+        "A:fork": "unknown", "A:next": "unknown", "A:dead": "holds",
+    }),
+])
+def test_one_step_over_undecided_subformula(running, formula, expected):
+    # the until is unknown at A:fork and A:next, so the one-step mass into
+    # it is only known between the holds and the not-fails classes
+    assert statuses(label_formula(running, parse_formula(formula))) == expected
+
+
 def test_almost_sure_until_leaves_hard_classes_open(critical):
     lab = label_formula(critical, parse_formula("tt U[>=1] green"))
     assert statuses(lab) == {
@@ -111,27 +127,34 @@ def test_threshold_shortcuts(running):
 
 
 def test_one_analysis_per_labelling(running, monkeypatch):
-    """One label_formula walks each class's role chain once and assembles
-    each (phi1, phi2) pair once, however many solves and qualitative passes
-    the quantitative until makes."""
+    """One label_formula walks each class's role chain once, builds each
+    context's fragment once and assembles each (phi1, phi2) pair once,
+    however many untils, solves and qualitative passes the formula needs."""
     import pregma.quantitative as quantitative
     import pregma.validation as validation
 
-    walks, pairs = [], []
+    walks, built, pairs = [], [], []
 
     def counting_chain(*args):
         walks.append(args[-2:])
         return role_chain(*args)
+
+    def counting_fragment(*args):
+        built.append(args[-1])
+        return build_fragment(*args)
 
     def counting_assembly(*args):
         pairs.append(args[-2:])
         return assemble_system(*args)
 
     role_chain = validation.role_chain
+    build_fragment = validation.build_fragment
     assemble_system = quantitative.assemble_system
     monkeypatch.setattr(validation, "role_chain", counting_chain)
+    monkeypatch.setattr(validation, "build_fragment", counting_fragment)
     monkeypatch.setattr(quantitative, "assemble_system", counting_assembly)
-    label_formula(running, parse_formula("V1 U[>=1/4] V2"))
+    label_formula(running, parse_formula("V1 U[>=1/4] V2 & F[>0] V2"))
     assert sorted(walks) == sorted(
         (c.rule, c.vertex) for c in canonical_vertices(running))
-    assert len(pairs) == len(set(pairs)) == 1
+    assert sorted(built) == ["A", "Z"]
+    assert len(pairs) == len(set(pairs)) == 2

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,21 @@ def test_word_splitting_backtracks():
     p = parse_pds("stack ab a bb\nstate q\nrule abbq x aq\n")
     assert p.rules[0].lhs == ("a", "bb", "q")
     assert p.rules[0].rhs == ("a", "q")
+
+
+def test_word_splitting_takes_long_words():
+    # 2001 symbols: a recursive split overflows the interpreter's stack
+    p = parse_pds("stack a b\nstate q\nrule " + "ab" * 1000 + "q x aq\n")
+    assert p.rules[0].lhs == ("a", "b") * 1000 + ("q",)
+
+
+def test_word_splitting_fails_fast():
+    # no split exists, and backtracking over {a, aa, aaa} tries every
+    # composition of the 26 a's before giving up
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="cannot split"):
+        parse_pds("stack a aa aaa\nstate q\nrule " + "a" * 26 + "b x q\n")
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("text, needle", [

@@ -33,9 +33,10 @@ def straddles_sqrt3(lo, hi, scale_num, scale_den, shift):
 
 
 def test_assembly_shape(running):
-    asm = assemble_system(*until_args(running, "V1", "V2"))
-    assert asm.contexts == ["Z", "A"]
-    assert asm.arity == {"Z": 0, "A": 2}
+    an, phi1, phi2 = until_args(running, "V1", "V2")
+    asm = assemble_system(an, phi1, phi2)
+    assert [(n, len(f.rule.inputs)) for n, f in an.fragments.items()] == [
+        ("Z", 0), ("A", 2)]
     # one win per class, one dec per input of A's classes
     assert len(asm.system.variables) == 14
     win = CanonicalVertex("A", "win")
@@ -44,7 +45,6 @@ def test_assembly_shape(running):
         win_key(win): F(1), dec_key(win, 1): F(0), dec_key(win, 2): F(0),
         win_key(dead): F(0), dec_key(dead, 1): F(0), dec_key(dead, 2): F(0),
     }
-    assert asm.rows[CanonicalVertex("A", "fork")].win == F(1, 2)
 
 
 def test_reduced_system_equations(running):
