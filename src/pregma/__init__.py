@@ -37,7 +37,7 @@ from .pcp import (
 from .polysys import Enclosure, PolySystem, decide_threshold, solve_enclosure
 from .pushdown import PushdownSystem, SuffixRule, config_words, load_pds, parse_pds, to_grammar
 from .qualitative import next_qualitative, until_almost_sure, until_positive
-from .quantitative import UntilSolution, axiom_probability, solve_until
+from .quantitative import axiom_probability, solve_until
 from .validation import (
     Analysis,
     ChainAmbiguityError,
@@ -57,8 +57,8 @@ __all__ = [
     "Enclosure", "EngineUnsupported", "Expansion", "FiniteMC", "FormulaError",
     "Grammar", "GrammarError", "HorizonError", "Hypergraph", "Labelling",
     "PCPInstance", "ParseError", "PathQuery", "PhrReport", "PolySystem",
-    "PushdownSystem", "Rule", "SuffixRule", "UntilSolution", "Verdict",
-    "VertexClass", "analyse", "axiom_probability", "bounded_until",
+    "PushdownSystem", "Rule", "SuffixRule", "Verdict", "VertexClass",
+    "analyse", "axiom_probability", "bounded_until",
     "check_complete_outside", "classes_for_colours", "closed_form",
     "config_words", "decide_threshold", "dyadic_value", "emit_dot", "encode",
     "expand", "expansions_match", "green_probability", "label_formula",

@@ -29,7 +29,7 @@ from .model import (
 from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
 from .pcp import encode, load_pcp
 from .pushdown import load_pds, to_grammar
-from .quantitative import axiom_probability, render_key, solve_until
+from .quantitative import axiom_probability, render_key, shared_assembly, solve_until
 from .validation import analyse, check_complete_outside, phr_check
 
 USAGE_EXIT = 3
@@ -194,15 +194,13 @@ def _cmd_expand(args, parser: _Parser) -> int:
     try:
         if args.component is not None:
             _axiom_vertex(g, args.component, parser)
-            graph, vertices = reachable_component(g, args.component, args.depth)
-            frontier: frozenset = frozenset()
+            expansion = reachable_component(g, args.component, args.depth)
         else:
             expansion = expand(g, args.depth)
-            graph, vertices = expansion.graph, expansion.vertices
-            frontier = expansion.frontier
     except GrammarError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    graph, vertices, frontier = expansion.graph, expansion.vertices, expansion.frontier
 
     if args.format == "dot":
         _write_out(emit_dot(graph, vertices), args.output)
@@ -270,25 +268,25 @@ def _cmd_prob(args, parser: _Parser) -> int:
             an = analyse(g, g.mu)
             phi1 = classes_for_colours(an, phi1_names)
             phi2 = classes_for_colours(an, phi2_names)
-            sol = solve_until(an, phi1, phi2, eps=args.eps)
+            enc = solve_until(an, phi1, phi2, eps=args.eps)
         except GrammarError as exc:
             print(str(exc), file=sys.stderr)
             return 1
         if args.emit_system:
-            reduced = sol.assembly.reduced()
-            for key, value in sol.assembly.pins.items():
+            assembly = shared_assembly(an, phi1, phi2)
+            for key, value in assembly.pins.items():
                 print(f"pin {render_key(key)} = {value}")
-            print(reduced.render(render_key))
-        lo, hi = axiom_probability(sol, g, args.start)
+            print(assembly.system.render(render_key))
+        lo, hi = axiom_probability(enc, g, args.start)
         if args.format == "json-lines":
             _emit({
                 "kind": "enclosure", "lower": str(lo), "upper": str(hi),
-                "converged": sol.converged, "exact": sol.exact,
+                "converged": enc.converged, "exact": enc.exact,
             }, args.format)
         else:
             print(f"lower={lo} upper={hi}")
-            state = "exact" if sol.exact else (
-                "converged" if sol.converged else "not converged"
+            state = "exact" if enc.exact else (
+                "converged" if enc.converged else "not converged"
             )
             print(
                 f"decimal [{float(lo):.12f}, {float(hi):.12f}] "

@@ -19,8 +19,8 @@ from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
 from .qualitative import next_qualitative, until_almost_sure, until_positive
-from .quantitative import solve_until
-from .validation import Analysis, ProbabilityMap, analyse
+from .quantitative import solve_until, win_key
+from .validation import Analysis, analyse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -165,28 +165,16 @@ class _Evaluator:
         return out
 
     def _until_quantitative(self, f: Until, u1, o1, u2, o2):
-        eps = self.eps
-        exact_args = (u1, u2) == (o1, o2)
-        for _ in range(3):
-            lo_sol = solve_until(self.an, u1, u2, eps=eps)
-            hi_sol = lo_sol if exact_args else solve_until(self.an, o1, o2, eps=eps)
-            intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
-            out: Verdicts = {}
-            undecided_axiom = False
-            for c in self.cans:
-                if c.rule == self.g.axiom:
-                    lo = lo_sol.class_interval(c)[0]
-                    hi = hi_sol.class_interval(c)[1]
-                    intervals[c] = (lo, hi)
-                    verdict = decide_threshold((lo, hi), f.cmp, f.rho)
-                    if verdict == "unknown" and not (lo_sol.converged and hi_sol.converged):
-                        undecided_axiom = True
-                    out[c] = verdict
-                else:
-                    out[c] = "unknown"
-            if not undecided_axiom:
-                break
-            eps = eps / 4
+        lo_enc = solve_until(self.an, u1, u2, eps=self.eps)
+        hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(self.an, o1, o2, eps=self.eps)
+        intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
+        out: Verdicts = {}
+        for c in self.cans:
+            if c.rule == self.g.axiom:
+                intervals[c] = (lo_enc.lo[win_key(c)], hi_enc.hi[win_key(c)])
+                out[c] = decide_threshold(intervals[c], f.cmp, f.rho)
+            else:
+                out[c] = "unknown"
 
         # deeper classes: absolute probabilities depend on the instance's
         # surroundings, but certified 0 / 1 still decide any threshold
@@ -208,10 +196,9 @@ class _Evaluator:
 def label_formula(
     g: Grammar,
     formula: Formula,
-    mu: ProbabilityMap | None = None,
     eps: Fraction = Fraction(1, 10**6),
 ) -> Labelling:
-    ev = _Evaluator(analyse(g, g.mu if mu is None else mu), eps)
+    ev = _Evaluator(analyse(g, g.mu), eps)
     statuses, intervals = ev.eval(formula)
     verdicts = {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
     return Labelling(formula, ev.cans, verdicts)

@@ -9,7 +9,7 @@ round that created it (its level).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -103,12 +103,6 @@ class Hypergraph:
             out.setdefault(arc.source, []).append(arc)
         return out
 
-    def in_arcs(self) -> dict[VertexId, list[Arc]]:
-        out: dict[VertexId, list[Arc]] = {v: [] for v in self.vertices}
-        for arc in self.arcs:
-            out.setdefault(arc.target, []).append(arc)
-        return out
-
 @dataclass
 class Rule:
     lhs: str
@@ -140,10 +134,6 @@ class Grammar:
     @property
     def colour_names(self) -> frozenset[str]:
         return frozenset(n for n, k in self.terminals.items() if k == 1)
-
-    @property
-    def arc_labels(self) -> frozenset[str]:
-        return frozenset(n for n, k in self.terminals.items() if k == 2)
 
     def rule_for(self, name: str) -> Rule:
         for rule in self.rules:
@@ -240,30 +230,18 @@ def validate_grammar(g: Grammar) -> list[Issue]:
     return issues
 
 
-def succ_nonterminals(g: Grammar) -> dict[str, frozenset[str]]:
-    """Nonterminal labels occurring on the right-hand side of each rule."""
-    return {
-        rule.lhs: frozenset(h.label for h in rule.rhs.hyperarcs)
-        for rule in g.rules
-    }
-
-
 def reachable_nonterminals(g: Grammar) -> frozenset[str]:
-    succ = succ_nonterminals(g)
+    """Nonterminals reachable from the axiom through right-hand sides."""
+    succ = {rule.lhs: [h.label for h in rule.rhs.hyperarcs] for rule in g.rules}
     seen = {g.axiom}
     todo = [g.axiom]
     while todo:
         here = todo.pop()
-        for nxt in succ.get(here, frozenset()):
+        for nxt in succ.get(here, ()):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return frozenset(seen)
-
-
-def _default_fresh() -> Callable[[], int]:
-    counter = itertools.count()
-    return lambda: next(counter)
 
 
 def _instantiate(
@@ -315,11 +293,7 @@ class Expansion:
         return mapping[name]
 
 
-def expand(
-    g: Grammar,
-    depth: int,
-    fresh: Callable[[], VertexId] | None = None,
-) -> Expansion:
+def expand(g: Grammar, depth: int) -> Expansion:
     """Apply `depth` rounds of parallel rewriting starting from the axiom.
 
     Returns the resulting graph (remaining hyperarcs included) together with
@@ -329,7 +303,7 @@ def expand(
     """
     if depth < 0:
         raise GrammarError("depth must be >= 0")
-    fresh = fresh or _default_fresh()
+    fresh = itertools.count().__next__
     axiom_rule = g.axiom_rule()
     if axiom_rule.inputs:
         raise GrammarError("axiom rule must have no inputs")
@@ -392,24 +366,22 @@ def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
     return frozenset(seen)
 
 
-def reachable_component(
-    g: Grammar,
-    start: VertexId,
-    depth: int,
-) -> tuple[Hypergraph, dict[VertexId, ConcreteVertex]]:
-    """Terminal part of the depth-`depth` expansion restricted to the
-    undirected component of the axiom-rule vertex named `start`."""
+def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
+    """The depth-`depth` expansion restricted to the undirected component of
+    the axiom-rule vertex named `start`: its vertices, arcs and colours, the
+    hyperarcs lying wholly inside it, and its part of the frontier."""
     expansion = expand(g, depth)
-    sid = expansion.axiom_vertex(start)
-    ids = component_ids(expansion, sid)
-    sub = Hypergraph()
-    for v in expansion.graph.vertices:
-        if v in ids:
-            sub.add_vertex(v)
-    for arc in expansion.graph.arcs:
-        if arc.source in ids and arc.target in ids:
-            sub.arcs.append(arc)
-    for colour, v in expansion.graph.colours:
-        if v in ids:
-            sub.colours.append(ColourMark(colour, v))
-    return sub, {v: cv for v, cv in expansion.vertices.items() if v in ids}
+    ids = component_ids(expansion, expansion.axiom_vertex(start))
+    graph = expansion.graph
+    sub = Hypergraph(
+        vertices=[v for v in graph.vertices if v in ids],
+        arcs=[a for a in graph.arcs if a.source in ids and a.target in ids],
+        colours=[m for m in graph.colours if m.vertex in ids],
+        hyperarcs=[h for h in graph.hyperarcs if all(v in ids for v in h.vertices)],
+    )
+    return replace(
+        expansion,
+        graph=sub,
+        vertices={v: cv for v, cv in expansion.vertices.items() if v in ids},
+        frontier=expansion.frontier & ids,
+    )

@@ -83,24 +83,6 @@ class PolySystem:
                         break
         return frozenset(pos)
 
-    def substitute(self, values: Mapping[Key, Fraction]) -> "PolySystem":
-        """Fold known variables into the coefficients and drop them."""
-        out = PolySystem()
-        for key in self.variables:
-            if key in values:
-                continue
-            out.add_variable(key)
-            for coeff, factors in self.equations[key]:
-                kept: list[Key] = []
-                for f in factors:
-                    if f in values:
-                        coeff = coeff * values[f]
-                    else:
-                        kept.append(f)
-                if coeff != 0:
-                    out.equations[key].append((coeff, tuple(kept)))
-        return out
-
     def render(self, name: Callable[[Key], str] | None = None) -> str:
         name = name or str
         lines = []

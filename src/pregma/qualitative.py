@@ -31,6 +31,10 @@ ONE = Fraction(1)
 
 SELF = ("self",)
 
+# width and round budget of the enclosure behind the almost-sure verdicts
+_ALMOST_SURE_EPS = Fraction(1, 10**9)
+_ALMOST_SURE_ROUNDS = 4000
+
 # a successor target: a class, ("ref", rule, j) for "whatever the context's
 # parent glued onto input j", or SELF for an absorbing sink's self-loop
 Target = object
@@ -115,13 +119,11 @@ def _positivity(an: Analysis,
                 phi1: frozenset[CanonicalVertex],
                 phi2: frozenset[CanonicalVertex]) -> PositivityTables:
     assembly = shared_assembly(an, phi1, phi2)
-    positive = set(assembly.reduced().positive_variables())
-    positive |= {k for k, v in assembly.pins.items() if v > 0}
+    positive = assembly.system.positive_variables() | {
+        k for k, v in assembly.pins.items() if v > 0}
     win_plus = set()
     dec_plus: dict[CanonicalVertex, set[int]] = {}
-    for key in assembly.system.variables:
-        if key not in positive:
-            continue
+    for key in positive:
         if key[0] == "win":
             win_plus.add(key[1])
         else:
@@ -219,8 +221,6 @@ def until_almost_sure(
     an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
-    eps: Fraction = Fraction(1, 10**9),
-    max_rounds: int = 4000,
 ) -> dict[CanonicalVertex, str]:
     """Is P(phi1 until phi2) equal to one: holds / fails / unknown per class.
 
@@ -232,9 +232,9 @@ def until_almost_sure(
     example mass one in the limit but never certified) the answer stays
     unknown.
     """
-    sol = solve_until(an, phi1, phi2, eps=eps, watch="all", max_rounds=max_rounds)
+    enc = solve_until(an, phi1, phi2, eps=_ALMOST_SURE_EPS, watch="all",
+                      max_rounds=_ALMOST_SURE_ROUNDS)
     pos = _positivity(an, phi1, phi2)
-    enc = sol.enclosure
     cans = an.reachable
 
     def scalar3(c: CanonicalVertex) -> str:

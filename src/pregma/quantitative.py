@@ -42,11 +42,8 @@ def render_key(key: Key) -> str:
 
 @dataclass
 class Assembly:
-    system: PolySystem  # full system, pins not yet substituted
+    system: PolySystem  # the unpinned variables, pins folded into coefficients
     pins: dict[Key, Fraction]
-
-    def reduced(self) -> PolySystem:
-        return self.system.substitute(self.pins)
 
 
 def assemble_system(
@@ -61,34 +58,41 @@ def assemble_system(
         n_inputs = len(frag.rule.inputs)
         for node in frag.starts:
             can = node.can
+            if can in phi2 or can not in phi1:
+                pins[win_key(can)] = ONE if can in phi2 else ZERO
+                for j in range(1, n_inputs + 1):
+                    pins[dec_key(can, j)] = ZERO
+                continue
             system.add_variable(win_key(can))
             for j in range(1, n_inputs + 1):
                 system.add_variable(dec_key(can, j))
-            if can in phi2:
-                pins[win_key(can)] = ONE
-                for j in range(1, n_inputs + 1):
-                    pins[dec_key(can, j)] = ZERO
-            elif can not in phi1:
-                pins[win_key(can)] = ZERO
-                for j in range(1, n_inputs + 1):
-                    pins[dec_key(can, j)] = ZERO
+
+    def add_term(key: Key, coeff: Fraction, *factors: Key) -> None:
+        """Add a term with each pinned factor's value folded into coeff."""
+        kept = []
+        for f in factors:
+            if f in pins:
+                coeff *= pins[f]
+            else:
+                kept.append(f)
+        system.add_term(key, coeff, *kept)
 
     for frag in an.fragments.values():
         local = local_rows(an, frag, phi1, phi2)
         n_inputs = len(frag.rule.inputs)
         for node in frag.starts:
             can = node.can
-            row = local[node.key]
             if win_key(can) in pins:
                 continue
+            row = local[node.key]
             wkey = win_key(can)
-            system.add_term(wkey, row.win)
+            add_term(wkey, row.win)
             dkeys = [dec_key(can, j) for j in range(1, n_inputs + 1)]
             for j, dkey in enumerate(dkeys, start=1):
                 for bkey, p in row.hits.items():
                     hit = frag.nodes[bkey]
                     if hit.kind == "input" and hit.input_index == j:
-                        system.add_term(dkey, p)
+                        add_term(dkey, p)
 
             for bkey, p in row.hits.items():
                 hit = frag.nodes[bkey]
@@ -98,16 +102,16 @@ def assemble_system(
                     # interior hits cannot happen (interiors absorb as
                     # win/loss), so this is a same-level attachment
                     d = hit.can
-                    system.add_term(wkey, p, win_key(d))
+                    add_term(wkey, p, win_key(d))
                     for j, dkey in enumerate(dkeys, start=1):
-                        system.add_term(dkey, p, dec_key(d, j))
+                        add_term(dkey, p, dec_key(d, j))
                     continue
                 # child attachment: compose the child's descend behaviour
                 # with whatever its copy was glued on
                 e = hit.can
                 o = hit.arc_index
                 assert e is not None and o is not None
-                system.add_term(wkey, p, win_key(e))
+                add_term(wkey, p, win_key(e))
                 child_arity = len(frag.glue[o])
                 for ell in range(1, child_arity + 1):
                     base = frag.nodes[frag.glue[o][ell - 1]]
@@ -117,15 +121,13 @@ def assemble_system(
                         jprime = base.input_index
                         assert jprime is not None
                         if jprime <= n_inputs:
-                            system.add_term(
-                                dkeys[jprime - 1], p, dec_key(e, ell)
-                            )
+                            add_term(dkeys[jprime - 1], p, dec_key(e, ell))
                         continue
                     target = base.can
                     assert target is not None
-                    system.add_term(wkey, p, dec_key(e, ell), win_key(target))
+                    add_term(wkey, p, dec_key(e, ell), win_key(target))
                     for j, dkey in enumerate(dkeys, start=1):
-                        system.add_term(dkey, p, dec_key(e, ell), dec_key(target, j))
+                        add_term(dkey, p, dec_key(e, ell), dec_key(target, j))
 
     return Assembly(system, pins)
 
@@ -142,26 +144,6 @@ def shared_assembly(
     return an.assemblies[key]
 
 
-@dataclass
-class UntilSolution:
-    assembly: Assembly
-    enclosure: Enclosure  # over all variables, pinned ones included exactly
-
-    def interval(self, key: Key) -> tuple[Fraction, Fraction]:
-        return self.enclosure.interval(key)
-
-    def class_interval(self, can: CanonicalVertex) -> tuple[Fraction, Fraction]:
-        return self.enclosure.interval(win_key(can))
-
-    @property
-    def converged(self) -> bool:
-        return self.enclosure.converged
-
-    @property
-    def exact(self) -> bool:
-        return self.enclosure.exact
-
-
 def solve_until(
     an: Analysis,
     phi1: frozenset[CanonicalVertex],
@@ -169,38 +151,35 @@ def solve_until(
     eps: Fraction = Fraction(1, 10**6),
     watch: str = "axiom",
     max_rounds: int = 20000,
-) -> UntilSolution:
-    """Assemble and solve. watch picks the convergence criterion: "axiom"
-    tracks the axiom context's win variables (where absolute probabilities
-    live), "all" tracks everything."""
+) -> Enclosure:
+    """Assemble and solve; the enclosure covers every variable, pinned ones
+    exactly. watch picks the convergence criterion: "axiom" tracks the axiom
+    context's win variables (where absolute probabilities live), "all"
+    tracks everything."""
     assembly = shared_assembly(an, phi1, phi2)
-    reduced = assembly.reduced()
+    system = assembly.system
 
     if watch == "axiom":
         keys = [win_key(node.can) for node in an.fragments[an.grammar.axiom].starts]
     elif watch == "all":
-        keys = reduced.variables
+        keys = system.variables
     else:
         raise ValueError(f"watch must be 'axiom' or 'all', not {watch!r}")
-    reduced_watch = [k for k in keys if k in reduced.equations]
+    watched = [k for k in keys if k in system.equations]
 
     enc = solve_enclosure(
-        reduced,
+        system,
         eps=eps,
-        keys_of_interest=reduced_watch if reduced_watch else None,
+        keys_of_interest=watched if watched else None,
         max_rounds=max_rounds,
     )
-    lo = dict(enc.lo)
-    hi = dict(enc.hi)
-    for key, value in assembly.pins.items():
-        lo[key] = value
-        hi[key] = value
-    full = Enclosure(lo, hi, enc.converged, enc.exact, enc.iterations)
-    return UntilSolution(assembly, full)
+    enc.lo.update(assembly.pins)
+    enc.hi.update(assembly.pins)
+    return enc
 
 
 def axiom_probability(
-    sol: UntilSolution, g: Grammar, vertex
+    enc: Enclosure, g: Grammar, vertex
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of P(until) from a named vertex of the axiom rule."""
     rule = g.axiom_rule()
@@ -209,4 +188,4 @@ def axiom_probability(
             f"{vertex!r} is not a vertex of the axiom rule "
             f"(known: {sorted(map(str, rule.rhs.vertices))})"
         )
-    return sol.class_interval(CanonicalVertex(g.axiom, vertex))
+    return enc.interval(win_key(CanonicalVertex(g.axiom, vertex)))

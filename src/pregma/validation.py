@@ -116,10 +116,6 @@ class DegreeProfile:
     finite: tuple[tuple[str, int], ...]  # sorted (label, count), counts > 0
     infinite: frozenset[str]
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
     def count(self, label: str) -> int:
         return dict(self.finite).get(label, 0)
 

@@ -151,8 +151,8 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
         if coeff:
             poly[power] = poly.get(power, F(0)) + coeff
 
-    sol = solve(running, "V1", "V2", eps=F(1, 10**9), watch="all")
-    lo, hi = sol.enclosure.interval(dec_key(CanonicalVertex("A", "next"), 1))
+    enc = solve(running, "V1", "V2", eps=F(1, 10**9), watch="all")
+    lo, hi = enc.interval(dec_key(CanonicalVertex("A", "next"), 1))
     elapsed = time.perf_counter() - started
     gate(capfd, 3, "descent fixpoint", [
         ("solver exits cleanly", code == 0),

@@ -273,7 +273,7 @@ def test_expand_dot_and_component(corpus_dir):
         "expand", gg(corpus_dir, "running.gg"), "--depth", "3",
         "--component", "v0"])
     assert code == 0
-    assert out.splitlines()[0].endswith("frontier=0")
+    assert out.splitlines()[0].endswith("hyperarcs=1 frontier=2")
 
     code, _, err = run([
         "expand", gg(corpus_dir, "running.gg"), "--depth", "3",

@@ -4,6 +4,8 @@ import pytest
 
 from pregma.gio import ParseError, emit_dot, parse_grammar, serialize_grammar
 from pregma.model import expand, validate_grammar
+from pregma.pcp import parse_pcp
+from pregma.pushdown import parse_pds
 
 
 SMALL = """
@@ -140,3 +142,19 @@ def test_emit_dot_mentions_levels(running):
     assert "level" in dot
     legs = sum(len(h.vertices) for h in e.graph.hyperarcs)
     assert dot.count("->") == len(e.graph.arcs) + legs
+
+
+def test_readme_examples_parse(corpus_dir, running):
+    readme = (corpus_dir.parent / "README.md").read_text(encoding="utf-8")
+
+    def block(heading: str) -> str:
+        """The first fenced block after a heading."""
+        return readme.split(heading, 1)[1].split("```\n", 2)[1]
+
+    g = parse_grammar(block("### Grammars (`.gg`)"))
+    assert validate_grammar(g) == []
+    assert serialize_grammar(g) == serialize_grammar(running)
+    pds = parse_pds(block("### Suffix rewriting systems (`.pds`)"))
+    assert pds.sink_colour == "halt" and len(pds.rules) == 2
+    pcp = parse_pcp(block("### Word-pair instances (`.pcp`)"))
+    assert pcp.pairs == (("01", "0"), ("1", "11"))

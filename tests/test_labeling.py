@@ -158,3 +158,22 @@ def test_one_analysis_per_labelling(running, monkeypatch):
         (c.rule, c.vertex) for c in canonical_vertices(running))
     assert sorted(built) == ["A", "Z"]
     assert len(pairs) == len(set(pairs)) == 2
+
+
+def test_one_solve_per_until(critical, monkeypatch):
+    """A quantitative until whose axiom verdict stays unknown is solved once:
+    with exact arguments one solve serves both bounds, and a smaller eps
+    cannot sharpen an enclosure the round cap has stopped."""
+    import pregma.labeling as labeling
+
+    calls = []
+
+    def counting_solve(*args, **options):
+        calls.append(options.get("eps"))
+        return solve_until(*args, **options, max_rounds=200)
+
+    solve_until = labeling.solve_until
+    monkeypatch.setattr(labeling, "solve_until", counting_solve)
+    lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
+    assert lab.at(CanonicalVertex("Z", "m0")).status == "unknown"
+    assert calls == [F(1, 10**6)]

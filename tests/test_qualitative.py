@@ -115,8 +115,7 @@ def test_until_almost_sure_dag(dag):
 
 def test_until_almost_sure_critical_is_unknown(critical):
     an = analyse(critical, critical.mu)
-    out = until_almost_sure(an, cls(an, None), cls(an, "green"),
-                            max_rounds=1500)
+    out = until_almost_sure(an, cls(an, None), cls(an, "green"))
     assert out[CanonicalVertex("Z", "base")] == "holds"
     assert out[CanonicalVertex("Z", "m0")] == "unknown"
     assert out[CanonicalVertex("Walk", "hi")] == "unknown"

@@ -38,7 +38,7 @@ def test_assembly_shape(running):
     assert [(n, len(f.rule.inputs)) for n, f in an.fragments.items()] == [
         ("Z", 0), ("A", 2)]
     # one win per class, one dec per input of A's classes
-    assert len(asm.system.variables) == 14
+    assert len(asm.system.variables) + len(asm.pins) == 14
     win = CanonicalVertex("A", "win")
     dead = CanonicalVertex("A", "dead")
     assert asm.pins == {
@@ -49,7 +49,7 @@ def test_assembly_shape(running):
 
 def test_reduced_system_equations(running):
     asm = assemble_system(*until_args(running, "V1", "V2"))
-    reduced = asm.reduced()
+    reduced = asm.system
     nxt = CanonicalVertex("A", "next")
     fork = CanonicalVertex("A", "fork")
     v0 = CanonicalVertex("Z", "v0")
@@ -76,7 +76,7 @@ def test_reduced_system_equations(running):
 
 def test_descend_direction_two_is_dead_weight(running):
     asm = assemble_system(*until_args(running, "V1", "V2"))
-    reduced = asm.reduced()
+    reduced = asm.system
     nxt = CanonicalVertex("A", "next")
     fork = CanonicalVertex("A", "fork")
     pos = reduced.positive_variables()
@@ -147,7 +147,7 @@ def test_axiom_probability_rejects_unknown_vertex(running):
 def test_trivial_phi2_saturates(running):
     # phi2 = every colour pins every class to 1
     an = analyse(running, running.mu)
-    sol = solve_until(an, classes(an, None), classes(an, None))
-    assert sol.exact
+    enc = solve_until(an, classes(an, None), classes(an, None))
+    assert enc.exact
     for can in classes(an, None):
-        assert sol.class_interval(can) == (F(1), F(1))
+        assert enc.interval(win_key(can)) == (F(1), F(1))

@@ -116,7 +116,6 @@ def test_in_profiles_running(running):
 def test_infinite_profile():
     g = parse_grammar(GAINING_LOOP)
     p = classes(g)[CanonicalVertex("Z", "r")].out
-    assert not p.is_finite
     assert p.infinite == frozenset({"a"})
     assert str(p) == "{a:inf}"
     assert p.total(g.mu) is None
