@@ -1,18 +1,28 @@
 """Monotone quadratic fixpoint systems over exact rationals.
 
-The solving strategy is a rounded Kleene iteration from zero for the lower
-bound (rounding always down, so soundness never depends on float behaviour)
-paired with certified post-fixpoints for the upper bound: any y with
-F(y) <= y, checked exactly, bounds the least fixpoint from above.
+The solver encloses the least fixpoint from below and above. Variables
+whose least fixpoint is 0 (no chain of terms feeds them a constant) are
+set to 0 and dropped first, together with every term they appear in.
 
-Certification walks the strongly connected components of the variable
-dependency graph from the bottom up. Lower components keep their already
-certified upper bounds, acyclic variables are evaluated forward, and inside
-a cyclic component a shared offset above the current lower bound is grown
-until the post-fixpoint inequality holds. Splitting by component matters:
-a single offset applied to the whole system can overshoot on equations that
-also mention variables from other components, even when every component on
-its own is comfortably contracting. Component values are probabilities, so
+The lower bound starts at zero. Each round takes a Kleene step, rounded
+down onto a bit grid, and then one Newton step on every strongly connected
+component of the dependency graph, dependencies first (decomposed Newton,
+Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010). Kleene
+iteration converges like 1/n at a double root; Newton gains at least a bit
+per step there. The Newton direction comes from a float64 solve, but a step
+is taken only after exact checks show it lies at or below the exact Newton
+point, which never passes the least fixpoint, so soundness never depends on
+float behaviour.
+
+The upper bound is a certified post-fixpoint: any y with F(y) <= y,
+checked exactly, bounds the least fixpoint from above. Certification walks
+the components from the bottom up. Lower components keep their already
+certified upper bounds, acyclic variables are evaluated forward, and a
+cyclic component is raised above its lower bound along the direction
+(I - F')^-1 1 of its last Newton step (all ones before any), by a growing
+offset, until the post-fixpoint inequality holds. Along that direction F
+falls below the identity near a fixpoint even where a row of F' sums above
+1, which no shared offset survives. Component values are probabilities, so
 1 is always a sound upper bound when no certificate is found; in that case
 the enclosure simply stays wide and the caller sees converged=False.
 """
@@ -21,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Sequence
+
+import numpy as np
 
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
@@ -119,8 +131,12 @@ def _floor_to_grid(v: Fraction, bits: int) -> Fraction:
     return Fraction(scaled, 1 << bits)
 
 
+def _ceil_to_grid(v: Fraction, bits: int) -> Fraction:
+    return -_floor_to_grid(-v, bits)
+
+
 _DEN_CAP = 1 << 128  # keep exact values while their denominators stay modest
-_CERTIFY_EVERY = 50  # Kleene rounds between certification attempts
+_CERTIFY_EVERY = 50  # rounds between certification attempts, small Newton steps aside
 
 
 def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
@@ -185,6 +201,81 @@ def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
     return out
 
 
+def _i_minus_jacobian(
+    system: PolySystem,
+    comp: list[Key],
+    point: Mapping[Key, Fraction],
+    z: Mapping[Key, Fraction],
+) -> dict[Key, Fraction]:
+    """(I - A) z on comp, exactly, with A = F'(point) restricted to comp."""
+    out = {}
+    for k in comp:
+        acc = z[k]
+        for coeff, factors in system.equations[k]:
+            for i, f in enumerate(factors):
+                if f in z:
+                    acc -= coeff * z[f] * (point[factors[1 - i]] if len(factors) == 2 else ONE)
+        out[k] = acc
+    return out
+
+
+def _newton(
+    system: PolySystem,
+    comp: list[Key],
+    point: Mapping[Key, Fraction],
+    bits: int,
+) -> tuple[dict[Key, Fraction] | None, dict[Key, Fraction] | None]:
+    """One Newton step on the cyclic component comp at point, the variables
+    outside it held at point: comp's new values (None when refused) and a
+    direction for certifying its upper bound (None when there is none).
+
+    With A = F'(point) on comp and b = F(point) - point, a float64 solve
+    gives (I - A)^-1 b and (I - A)^-1 1. The second, scaled to a largest
+    entry of 1 and rounded up onto the grid of `bits` bits, is the direction
+    v; the exact check (I - A) v > 0 makes I - A a nonsingular M-matrix,
+    whose inverse is >= 0. The first, rounded down onto a grid twice as
+    fine (near a double root b is about the square of the distance to the
+    fixpoint), is lowered along v by the least t on the grid that makes
+    (I - A) d <= b hold exactly. Then d is at most the exact Newton step,
+    so by convexity point + d stays at or below the least fixpoint whenever
+    point does, and with d >= 0 also point + d <= F(point + d).
+    """
+    index = {k: i for i, k in enumerate(comp)}
+    floats = {f: float(point[f]) for k in comp for _, fs in system.equations[k] for f in fs}
+    n = len(comp)
+    jac = np.zeros((n, n))
+    for row, k in enumerate(comp):
+        for coeff, factors in system.equations[k]:
+            for i, f in enumerate(factors):
+                if f in index:
+                    other = floats[factors[1 - i]] if len(factors) == 2 else 1.0
+                    jac[row, index[f]] += float(coeff) * other
+    residual = {k: system.value(k, point) - point[k] for k in comp}
+    rhs = np.column_stack([[float(residual[k]) for k in comp], np.ones(n)])
+    try:
+        solution = np.linalg.solve(np.eye(n) - jac, rhs)
+    except np.linalg.LinAlgError:
+        return None, None
+    if not (np.all(np.isfinite(solution)) and np.all(solution[:, 1] > 0)):
+        return None, None
+
+    u = solution[:, 1] / solution[:, 1].max()
+    v = {k: _ceil_to_grid(Fraction(float(u[i])), bits) for i, k in enumerate(comp)}
+    w = _i_minus_jacobian(system, comp, point, v)
+    if min(w.values()) <= 0:
+        return None, v
+    d = {
+        k: _floor_to_grid(point[k] + Fraction(float(solution[i, 0])), 2 * bits) - point[k]
+        for i, k in enumerate(comp)
+    }
+    r = _i_minus_jacobian(system, comp, point, d)
+    t = _ceil_to_grid(max(max((r[k] - residual[k]) / w[k] for k in comp), ZERO), bits)
+    d = {k: d[k] - t * v[k] for k in comp}
+    if min(d.values()) < 0 or max(d.values()) == 0:
+        return None, v
+    return {k: point[k] + d[k] for k in comp}, v
+
+
 def solve_enclosure(
     system: PolySystem,
     eps: Fraction = Fraction(1, 10**6),
@@ -204,32 +295,51 @@ def solve_enclosure(
         if k not in system.equations:
             raise KeyError(k)
 
-    lo: dict[Key, Fraction] = {k: ZERO for k in keys}
-    hi: dict[Key, Fraction] = {k: ONE for k in keys}
+    # Variables outside `positive` have least fixpoint exactly 0: drop them
+    # and every term they appear in, so no component mixes them with
+    # variables whose value is positive.
+    positive = system.positive_variables()
+    clean = PolySystem(
+        [k for k in keys if k in positive],
+        {
+            k: [t for t in system.equations[k] if all(f in positive for f in t[1])]
+            for k in keys
+            if k in positive
+        },
+    )
+    lo: dict[Key, Fraction] = {k: ZERO for k in clean.variables}
+    hi: dict[Key, Fraction] = {k: ONE for k in clean.variables}
     bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
-    components = _scc_order(system)
-    base_delta = eps / 8 if eps > 0 else Fraction(1, 10**12)
+    components = _scc_order(clean)
+    # The first positive offset lies far below eps: a component's slack above
+    # its lower bound reaches the components above it amplified.
+    base_delta = eps / 2**20 if eps > 0 else Fraction(1, 10**12)
+    # per cyclic component (by position): certification direction, and the
+    # round of the next Newton attempt with the wait after a refusal
+    directions: dict[int, dict[Key, Fraction]] = {}
+    next_try = {i: 1 for i, (_, cyclic) in enumerate(components) if cyclic}
+    wait = dict.fromkeys(next_try, 1)
 
     def certify() -> None:
         # Walk components dependencies-first; `point` carries the upper
         # bounds certified so far, so each check is sound on its own.
         point: dict[Key, Fraction] = {}
-        for comp, cyclic in components:
+        for i, (comp, cyclic) in enumerate(components):
             if not cyclic:
                 k = comp[0]
-                v = min(system.value(k, point), ONE)
+                v = min(clean.value(k, point), ONE)
                 if v < hi[k]:
                     hi[k] = v
                 point[k] = hi[k]
                 continue
             # delta 0 first: a component whose lower bound has already
-            # closed (e.g. a balanced cycle with fixpoint 0) certifies
-            # itself and admits no positive slack at all.
+            # closed certifies itself and may admit no positive slack at all.
+            u = directions.get(i)
             delta = ZERO
             while True:
-                y = {k: min(lo[k] + delta, ONE) for k in comp}
+                y = {k: min(lo[k] + delta * (u[k] if u else ONE), ONE) for k in comp}
                 merged = {**point, **y}
-                if all(system.value(k, merged) <= y[k] for k in comp):
+                if all(clean.value(k, merged) <= y[k] for k in comp):
                     for k in comp:
                         if y[k] < hi[k]:
                             hi[k] = y[k]
@@ -241,28 +351,47 @@ def solve_enclosure(
                 point[k] = hi[k]
 
     def watched_width() -> Fraction:
-        return max((hi[k] - lo[k] for k in watch), default=ZERO)
+        return max((hi[k] - lo[k] for k in watch if k in lo), default=ZERO)
 
     exact = False
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        fx = system.evaluate(lo)
+        fx = clean.evaluate(lo)
+        if fx == lo:
+            hi = dict(lo)
+            exact = True
+            break
         nxt: dict[Key, Fraction] = {}
-        for k in keys:
-            v = fx[k]
+        for k, v in fx.items():
             if v.denominator > _DEN_CAP:
                 v = _floor_to_grid(v, bits)
             nxt[k] = max(v, lo[k])
+        # Newton steps on the Kleene iterate, dependencies first, so each
+        # component starts from the values just found below it.
+        stepped = False
+        for i, when in next_try.items():
+            if rounds < when:
+                continue
+            values, u = _newton(clean, components[i][0], nxt, bits)
+            if u is not None:
+                directions[i] = u
+            if values is None:
+                wait[i] = min(2 * wait[i], _CERTIFY_EVERY)
+                next_try[i] = rounds + wait[i]
+                continue
+            wait[i] = 1
+            nxt.update(values)
+            stepped = True
         if nxt == lo:
-            if fx == lo:
-                hi = dict(lo)
-                exact = True
-                break
             bits += 32  # grid too coarse to see the strict increase
             continue
+        # Certify once Newton moves lo by at most eps: before that lo is far
+        # from the fixpoint, and a certificate would either fail or stop the
+        # solve at a width near eps that the next step shrinks far below it.
+        small = stepped and max(nxt[k] - lo[k] for k in nxt) <= eps
         lo = nxt
-        if rounds % _CERTIFY_EVERY == 0:
+        if small or rounds % _CERTIFY_EVERY == 0:
             certify()
             if watched_width() <= eps:
                 break
@@ -270,7 +399,13 @@ def solve_enclosure(
     if not exact:
         certify()
     converged = watched_width() <= eps
-    return Enclosure(lo, hi, converged, exact, rounds)
+    return Enclosure(
+        {k: lo.get(k, ZERO) for k in keys},
+        {k: hi.get(k, ZERO) for k in keys},
+        converged,
+        exact,
+        rounds,
+    )
 
 
 def decide_threshold(

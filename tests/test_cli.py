@@ -11,8 +11,17 @@ from pregma.model import expand, validate_grammar
 
 F = Fraction
 
-LOWER = "5707442479085226515/18446744073709551616"
-UPPER = "89178932850894740152747/288230376151711744000000"
+LOWER = ("105283730727269265092843629008539196283/"
+         "340282366920938463463374607431768211456")
+UPPER = ("1645058292618652869476594620864411754743379/"
+         "5316911983139663491615228241121378304000000")
+
+
+def encloses_headline(lower, upper):
+    """Does [lower, upper] contain P = (4 sqrt(3) - 6)/3, running's headline
+    value? Exact: q <= P iff (3q + 6)^2 <= 48, for q >= -2."""
+    lo, hi = F(lower), F(upper)
+    return (3 * lo + 6) ** 2 <= 48 <= (3 * hi + 6) ** 2
 
 EMITTED_SYSTEM = """\
 pin win(A:win) = 1
@@ -76,7 +85,9 @@ def test_prob_enclosure(corpus_dir):
     lines = out.splitlines()
     assert lines[0] == f"lower={LOWER} upper={UPPER}"
     assert lines[1] == \
-        "decimal [0.309401076758, 0.309401576758] width=5.000e-07 (converged)"
+        "decimal [0.309401076758, 0.309401076759] width=9.537e-13 (converged)"
+    assert encloses_headline(LOWER, UPPER)
+    assert F(UPPER) - F(LOWER) <= F(1, 10**6)
 
 
 def test_prob_emit_system(corpus_dir):
@@ -88,6 +99,7 @@ def test_prob_emit_system(corpus_dir):
     lines = out.splitlines()
     assert "\n".join(lines[:14]) == EMITTED_SYSTEM
     assert lines[14] == f"lower={LOWER} upper={UPPER}"
+    assert encloses_headline(LOWER, UPPER)
 
 
 def test_prob_truncate(corpus_dir):
@@ -172,7 +184,7 @@ def test_check_emit_coloured(corpus_dir):
     assert "class=Z:t0 verdict=fails enclosure=[0, 0]" in lines
     assert "class=A:win verdict=holds enclosure=[1, 1]" in lines
     assert "class=A:fork verdict=unknown" in lines
-    assert lines[0].startswith(f"class=Z:v0 verdict=holds enclosure=[{LOWER}")
+    assert lines[0] == f"class=Z:v0 verdict=holds enclosure=[{LOWER}, {UPPER}]"
     assert lines[-1] == "fails"
 
 
@@ -192,6 +204,8 @@ def test_check_at_json(corpus_dir):
     rec = json.loads(out)
     assert rec["kind"] == "verdict" and rec["status"] == "holds"
     assert rec["at"] == "v0" and rec["lower"] == LOWER
+    assert encloses_headline(rec["lower"], rec["upper"])
+    assert F(rec["upper"]) - F(rec["lower"]) <= F(1, 10**6)
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -161,9 +161,9 @@ def test_one_analysis_per_labelling(running, monkeypatch):
 
 
 def test_one_solve_per_until(critical, monkeypatch):
-    """A quantitative until whose axiom verdict stays unknown is solved once:
-    with exact arguments one solve serves both bounds, and a smaller eps
-    cannot sharpen an enclosure the round cap has stopped."""
+    """A quantitative until is solved once: one solve serves both bounds.
+    At m0 the value is 1 (a double root), and the enclosure's lower bound
+    passes 99999/100000 well inside the 200-round budget."""
     import pregma.labeling as labeling
 
     calls = []
@@ -175,5 +175,5 @@ def test_one_solve_per_until(critical, monkeypatch):
     solve_until = labeling.solve_until
     monkeypatch.setattr(labeling, "solve_until", counting_solve)
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
-    assert lab.at(CanonicalVertex("Z", "m0")).status == "unknown"
+    assert lab.at(CanonicalVertex("Z", "m0")).status == "holds"
     assert calls == [F(1, 10**6)]

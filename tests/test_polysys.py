@@ -64,20 +64,20 @@ def test_solve_exact_acyclic():
 
 
 def test_solve_linear_contraction():
-    # x = 1/2 + x/2 creeps up to 1 and certifies exactly there
+    # x = 1/2 + x/2: Newton's step on a linear equation lands on the
+    # fixpoint 1, and the next round finds it closed
     s = PolySystem()
     s.add_variable("x")
     s.add_term("x", F(1, 2))
     s.add_term("x", F(1, 2), "x")
     enc = solve_enclosure(s, eps=F(1, 10**6))
-    assert enc.converged and not enc.exact
-    assert enc.hi["x"] == 1
-    assert 1 - enc.lo["x"] <= F(1, 10**6)
+    assert enc.converged and enc.exact
+    assert enc.lo["x"] == enc.hi["x"] == 1
 
 
 def test_solve_balanced_cycle_certifies_zero():
     # y's cycle has coefficient sum exactly 1 at the fixpoint of x, so no
-    # positive slack exists; the zero-offset certificate has to carry it
+    # positive slack exists; y has no constant feed, so it is 0 exactly
     s = PolySystem()
     for k in ("x", "y"):
         s.add_variable(k)
@@ -93,13 +93,15 @@ def test_solve_balanced_cycle_certifies_zero():
 
 
 def test_solve_double_root_stays_sound():
-    # x = 1/2 + x^2/2 has its least fixpoint at the double root 1; the lower
-    # bound crawls (harmonically) and the upper certificate only fires at 1,
-    # so the enclosure refuses to claim convergence
-    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)), eps=F(1, 10**4), max_rounds=300)
-    assert not enc.converged
+    # x = 1/2 + x^2/2 has its least fixpoint at the double root 1, where
+    # Kleene iteration crawls like 1/n; Newton still halves the distance each
+    # step, and the upper certificate fires only at 1
+    eps = F(1, 10**6)
+    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)), eps=eps)
+    assert enc.converged and not enc.exact
+    assert enc.iterations <= 25
     assert enc.hi["x"] == 1
-    assert F(9, 10) < enc.lo["x"] < 1
+    assert 1 - eps <= enc.lo["x"] < 1
 
 
 def test_solve_quadratic_with_gap():
@@ -110,6 +112,62 @@ def test_solve_quadratic_with_gap():
     assert enc.width("x") <= F(1, 10**9)
     lo, hi = enc.interval("x")
     # 1 - sqrt(3)/2 lies inside iff (1 - q)^2 straddles 3/4
+    assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
+
+
+def system(equations):
+    """A PolySystem from {key: [(coeff, factors), ...]}."""
+    s = PolySystem()
+    for k in equations:
+        s.add_variable(k)
+    for k, terms in equations.items():
+        for coeff, factors in terms:
+            s.add_term(k, F(coeff), *factors)
+    return s
+
+
+def test_solve_drops_zero_variables():
+    # z has no constant feed, so its value is exactly 0, although it shares
+    # a cycle with x, whose value is 1; no offset above 0 certifies z with
+    # x in the same component
+    s = system({
+        "x": [(F(1, 2), ()), (F(1, 2), ("x",)), (F(1, 4), ("z",))],
+        "z": [(1, ("x", "z"))],
+    })
+    enc = solve_enclosure(s, eps=F(1, 10**6))
+    assert enc.converged
+    assert enc.lo["z"] == enc.hi["z"] == 0
+    assert enc.lo["x"] == enc.hi["x"] == 1
+
+
+def test_certificate_follows_the_newton_direction():
+    # at the fixpoint a row of F' sums above 1, so raising both variables by
+    # one shared offset never certifies; raising them along (I - F')^-1 1 does
+    s = system({
+        "x0": [(F(3, 64), ()), (F(63, 256), ("x0",)), (F(147, 2048), ("x0",)),
+               (F(5, 8), ("x1", "x1"))],
+        "x1": [(F(3, 4), ()), (F(1, 16), ("x1", "x1")),
+               (F(15, 128), ("x1", "x0"))],
+    })
+    enc = solve_enclosure(s, eps=F(1, 10**6), max_rounds=3000)
+    assert enc.converged
+    assert enc.hi["x0"] < 1 and enc.hi["x1"] < 1
+    assert all(v <= enc.hi[k] for k, v in s.evaluate(enc.hi).items())
+
+
+@pytest.mark.parametrize("factor", [4, 10**6, -1])
+def test_newton_survives_a_wrong_float_solve(monkeypatch, factor):
+    # the float solve only proposes; the exact arithmetic decides: a step
+    # that overshoots is cut back to at most the exact Newton step, and
+    # without a positive direction no step is taken (Kleene carries on)
+    import pregma.polysys as polysys
+
+    solve = polysys.np.linalg.solve
+    monkeypatch.setattr(polysys.np.linalg, "solve",
+                        lambda a, b: factor * solve(a, b))
+    enc = solve_enclosure(scalar(F(1, 8), F(1, 2)), eps=F(1, 10**9))
+    assert enc.converged
+    lo, hi = enc.interval("x")
     assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
 
 
@@ -132,12 +190,46 @@ def test_scalar_quadratic_soundness(c, a):
     enc = solve_enclosure(scalar(c, a), eps=F(1, 10**4), max_rounds=400)
     lo, hi = enc.interval("x")
     assert 0 <= lo <= hi <= 1
-    # exact sandwich around the least root: a Kleene iterate satisfies
+    # exact sandwich around the least root: the lower bound satisfies
     # F(lo) >= lo, a certified upper bound F(hi) <= hi
     assert c + a * lo * lo >= lo
     assert c + a * hi * hi <= hi
     if enc.converged:
         assert hi - lo <= F(1, 10**4)
+
+
+@st.composite
+def small_systems(draw):
+    """Up to four variables, up to three terms each of degree <= 2, every
+    row's coefficients summing to at most 1, so F maps [0, 1]^n into itself."""
+    n = draw(st.integers(1, 4))
+    keys = [f"x{i}" for i in range(n)]
+    equations = {}
+    for k in keys:
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, 8),
+                      st.lists(st.sampled_from(keys), max_size=2)),
+            min_size=1, max_size=3))
+        scale = F(draw(st.integers(1, 16)), 16) / sum(c for c, _ in terms)
+        equations[k] = [(c * scale, tuple(fs)) for c, fs in terms]
+    return system(equations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_random_system_enclosures(s):
+    enc = solve_enclosure(s, eps=F(1, 10**6), max_rounds=500)
+    assert all(0 <= enc.lo[k] <= enc.hi[k] <= 1 for k in s.variables)
+    # hi is a post-fixpoint and lo a pre-fixpoint, both checked exactly
+    fhi, flo = s.evaluate(enc.hi), s.evaluate(enc.lo)
+    assert all(fhi[k] <= enc.hi[k] and enc.lo[k] <= flo[k] for k in s.variables)
+    # F^20(0) lies below the least fixpoint, and so does each iterate rounded
+    # down (exactly, onto a grid of 2^-256: exact iterates double in size)
+    x = {k: F(0) for k in s.variables}
+    for _ in range(20):
+        x = {k: F(v.numerator * 2**256 // v.denominator, 2**256)
+             for k, v in s.evaluate(x).items()}
+    assert all(x[k] <= enc.hi[k] for k in s.variables)
 
 
 @pytest.mark.parametrize(
