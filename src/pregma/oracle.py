@@ -20,8 +20,6 @@ from .model import Expansion, Grammar, GrammarError, expand, validate_grammar
 from .rng import draw_array
 from .validation import ProbabilityMap
 
-SELF_LOOP = "__self__"
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -84,7 +82,7 @@ def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> Finite
         if trans[i] or i in frontier:
             continue
         if colours[i] & g.absorbing:
-            trans[i].append((i, ONE))  # the SELF_LOOP step
+            trans[i].append((i, ONE))
 
     for i, v in enumerate(states):
         if i in frontier:

@@ -12,68 +12,64 @@ lands on depends on where the class's context rule was instantiated. The
 grammar's analysis lists what every occurrence binds to each input
 (`bindings`) and every class that can end up there (`refs`); "for all
 occurrences" arguments then give sound universal verdicts, "for some
-occurrence" sound existential ones. Every engine here takes that analysis:
-one-step successors are read from its per-context fragments, and the until
-engines read the assembled system they share with the quantitative solver.
+occurrence" sound existential ones. One-step successors are read from the
+analysis's per-context fragments. The until engines read which of the
+shared assembled system's variables are positive, and each of their class
+sets is one fixpoint (`_fixpoint`), whose soundness rests on one induction
+over the level of a concrete vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .model import CanonicalVertex
-from .polysys import decide_threshold
+from .polysys import Key, decide_threshold
 from .quantitative import dec_key, shared_assembly, solve_until, win_key
-from .validation import Analysis
+from .validation import Analysis, Binding
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-SELF = ("self",)
 
 # width and round budget of the enclosure behind the almost-sure verdicts
 _ALMOST_SURE_EPS = Fraction(1, 10**9)
 _ALMOST_SURE_ROUNDS = 4000
 
-# a successor target: a class, ("ref", rule, j) for "whatever the context's
-# parent glued onto input j", or SELF for an absorbing sink's self-loop
-Target = object
+
+def _sites(an: Analysis, target: Binding) -> frozenset[CanonicalVertex]:
+    """The classes a target can be: a class itself, or every class that can
+    sit at input j for ("ref", rule, j)."""
+    if isinstance(target, CanonicalVertex):
+        return frozenset({target})
+    return an.refs[target[1:]]
 
 
-def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, Target]]]:
+def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, Binding]]]:
     """One-step successors of each reachable class, with exact probabilities.
 
     Read off the class's node in its context's fragment, whose out-arcs
     already include those gained from the child copy the class is glued
-    onto. An arc into one of the context's own inputs becomes a ref to
-    whatever the context's parent glued there. Absorbing sinks get a
-    self-loop.
+    onto. An arc into one of the context's own inputs becomes a ref
+    ("ref", rule, j) to whatever the context's parent glued there. An
+    absorbing sink is its own successor.
     """
-    table: dict[CanonicalVertex, list[tuple[Fraction, Target]]] = {}
+    table: dict[CanonicalVertex, list[tuple[Fraction, Binding]]] = {}
     for name, frag in an.fragments.items():
         for node in frag.starts:
-            succs: list[tuple[Fraction, Target]] = []
+            succs: list[tuple[Fraction, Binding]] = []
             for label, key in frag.out[node.key]:
                 hit = frag.nodes[key]
                 target = ("ref", name, hit.input_index) if hit.kind == "input" else hit.can
                 succs.append((an.mu[label], target))
             if not succs and node.can in an.absorbing:
-                succs.append((ONE, SELF))
+                succs.append((ONE, node.can))
             table[node.can] = succs
     return table
 
 
-def _membership3(
-    an: Analysis,
-    can: CanonicalVertex,
-    target: Target,
-    inside: frozenset[CanonicalVertex],
-) -> bool | None:
-    if target == SELF:
-        return can in inside
-    if isinstance(target, CanonicalVertex):
-        return target in inside
-    sites = an.refs[target[1:]]
+def _membership3(an: Analysis, target: Binding,
+                 inside: frozenset[CanonicalVertex]) -> bool | None:
+    sites = _sites(an, target)
     if sites <= inside:
         return True
     if not (sites & inside):
@@ -100,45 +96,61 @@ def next_qualitative(
         mass_lo = ZERO
         mass_hi = ZERO
         for p, target in succs:
-            if _membership3(an, can, target, targets) is True:
+            if _membership3(an, target, targets) is True:
                 mass_lo += p
                 mass_hi += p
-            elif _membership3(an, can, target, over) is not False:
+            elif _membership3(an, target, over) is not False:
                 mass_hi += p
         out[can] = decide_threshold((mass_lo, mass_hi), cmp, rho)
     return out
 
 
-@dataclass
-class PositivityTables:
-    win_plus: frozenset[CanonicalVertex]
-    dec_plus: dict[CanonicalVertex, frozenset[int]]
+def _fixpoint(
+    an: Analysis,
+    start: Iterable[CanonicalVertex],
+    member: Callable[[CanonicalVertex, set[CanonicalVertex]], bool],
+) -> set[CanonicalVertex]:
+    """Re-test every reachable class against the set, updating it in place,
+    until no class changes. For a monotone test this is the least fixpoint
+    when started from no class and the greatest when started from all.
+
+    Every fixpoint S is sound, by induction over the level of a concrete
+    vertex v of class c. A walk that leaves v's level does so through an
+    input of v's rule copy and lands on a vertex created at a lower level;
+    the test sees that vertex only through the classes it can be (`_sites`,
+    `an.refs`), and the axiom's classes, on level 0, have no inputs. Two
+    kinds of test follow:
+    - "c passes and every class it reads in S has the property at every
+      vertex, so c has it at every vertex": then every member of S has the
+      property at every vertex; the greatest fixpoint is the tightest.
+    - "v has the property, so c passes once S holds the classes of v's
+      landing vertices that have it": then S holds every class with such a
+      vertex; the least fixpoint is the tightest.
+    """
+    s = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for c in an.reachable:
+            if member(c, s) != (c in s):
+                s ^= {c}
+                changed = True
+    return s
 
 
-def _positivity(an: Analysis,
-                phi1: frozenset[CanonicalVertex],
-                phi2: frozenset[CanonicalVertex]) -> PositivityTables:
+def _positive(
+    an: Analysis,
+    phi1: frozenset[CanonicalVertex],
+    phi2: frozenset[CanonicalVertex],
+) -> tuple[frozenset[Key], dict[CanonicalVertex, list[int]]]:
+    """The keys of the until's variables that are above 0, pins included,
+    and each reachable class's positive descents: the inputs its walks
+    leave the level through with positive probability."""
     assembly = shared_assembly(an, phi1, phi2)
-    positive = assembly.system.positive_variables() | {
+    pos = assembly.system.positive_variables() | {
         k for k, v in assembly.pins.items() if v > 0}
-    win_plus = set()
-    dec_plus: dict[CanonicalVertex, set[int]] = {}
-    for key in positive:
-        if key[0] == "win":
-            win_plus.add(key[1])
-        else:
-            dec_plus.setdefault(key[1], set()).add(key[2])
-    return PositivityTables(
-        frozenset(win_plus),
-        {c: frozenset(js) for c, js in dec_plus.items()},
-    )
-
-
-def _bound(target, classes: set[CanonicalVertex], refs: set[tuple[str, int]]) -> bool:
-    """Is a binding's target among the classes, or a ref among the refs?"""
-    if isinstance(target, CanonicalVertex):
-        return target in classes
-    return target[1:] in refs
+    return pos, {c: [j for j in range(1, len(an.rules[c.rule].inputs) + 1)
+                     if dec_key(c, j) in pos] for c in an.reachable}
 
 
 def until_positive(
@@ -149,72 +161,26 @@ def until_positive(
     """Is P(phi1 until phi2) positive: holds (for every instance), fails (for
     none), or unknown.
 
-    The existential side is exact reachability. The universal side certifies
-    "no instance can fail" through a least fixpoint of failure witnesses:
-    a class can fail only by having no winning mass on its own level and
-    some occurrence whose every reachable input continues a failure. That
-    argument is inductive over a concrete ancestry, which always bottoms out
-    at the axiom, so missing witnesses really do mean "always positive".
+    `may` holds every class with a vertex of positive probability: winning
+    mass on its own level, or a positive descent onto an input where some
+    occurrence may put a member. `bad` holds every class with a vertex of
+    probability 0: no winning mass, and one occurrence that may put a
+    member at the input of every positive descent. Both are least
+    fixpoints.
     """
-    pos = _positivity(an, phi1, phi2)
-    reachable = an.reachable
-    ruled = {c.rule for c in reachable}
-    inputs = [key for key in an.refs if key[0] in ruled]
+    pos, down = _positive(an, phi1, phi2)
 
-    def ref_follows(key: tuple[str, int], classes, refs) -> bool:
-        """Does some occurrence bind input key to a member?"""
-        name, j = key
-        return any(_bound(b[j - 1], classes, refs) for b in an.bindings.get(name, []))
+    def can_be_zero(c: CanonicalVertex, s: set[CanonicalVertex]) -> bool:
+        if win_key(c) in pos:
+            return False
+        return not down[c] or any(all(_sites(an, b[j - 1]) & s for j in down[c])
+                                  for b in an.bindings.get(c.rule, []))
 
-    # existential reachability of positive probability, refs resolved by "some"
-    may: set[CanonicalVertex] = set()
-    may_ref: set[tuple[str, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in reachable:
-            if c not in may and (c in pos.win_plus or any(
-                    (c.rule, j) in may_ref for j in pos.dec_plus.get(c, ()))):
-                may.add(c)
-                changed = True
-        for key in inputs:
-            if key not in may_ref and ref_follows(key, may, may_ref):
-                may_ref.add(key)
-                changed = True
-
-    # failure witnesses: least fixpoint, refs resolved per occurrence
-    bad: set[CanonicalVertex] = set()
-    bad_ref: set[tuple[str, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in reachable:
-            if c in bad or c in phi2 or (c in phi1 and c in pos.win_plus):
-                continue
-            js = pos.dec_plus.get(c, frozenset())
-            if c not in phi1 or not js or any(
-                    all(_bound(b[j - 1], bad, bad_ref) for j in js)
-                    for b in an.bindings.get(c.rule, [])):
-                bad.add(c)
-                changed = True
-        for key in inputs:
-            if key not in bad_ref and ref_follows(key, bad, bad_ref):
-                bad_ref.add(key)
-                changed = True
-
-    out: dict[CanonicalVertex, str] = {}
-    for c in reachable:
-        if c in phi2:
-            out[c] = "holds"
-        elif c not in phi1:
-            out[c] = "fails"
-        elif c not in may:
-            out[c] = "fails"
-        elif c not in bad:
-            out[c] = "holds"
-        else:
-            out[c] = "unknown"
-    return out
+    may = _fixpoint(an, (), lambda c, s: win_key(c) in pos or any(
+        an.refs[(c.rule, j)] & s for j in down[c]))
+    bad = _fixpoint(an, (), can_be_zero)
+    return {c: "fails" if c not in may else "holds" if c not in bad else "unknown"
+            for c in an.reachable}
 
 
 def until_almost_sure(
@@ -224,67 +190,27 @@ def until_almost_sure(
 ) -> dict[CanonicalVertex, str]:
     """Is P(phi1 until phi2) equal to one: holds / fails / unknown per class.
 
-    A class joins the certified-one set when its winning and descending mass
-    provably sums to one and every possible landing site of every positive
-    descend direction is already certified. Symmetrically, a class leaves the
-    candidate set when its mass sum is provably below one or some positive
-    descend direction lands only outside the candidates. In the gap (for
-    example mass one in the limit but never certified) the answer stays
-    unknown.
+    `certain` holds classes with probability one at every vertex: the lower
+    bounds of the winning and positive descending mass sum to one, and
+    every class that can sit at a positive descent's input is certain.
+    `candidates` holds every class with a vertex of probability one: the
+    upper bounds sum to one or more, and each positive descent may land on
+    a candidate. Both are greatest fixpoints. In the gap (for example mass
+    one in the limit but never certified) the answer stays unknown.
     """
     enc = solve_until(an, phi1, phi2, eps=_ALMOST_SURE_EPS, watch="all",
                       max_rounds=_ALMOST_SURE_ROUNDS)
-    pos = _positivity(an, phi1, phi2)
-    cans = an.reachable
+    pos, down = _positive(an, phi1, phi2)
 
-    def scalar3(c: CanonicalVertex) -> str:
-        js = pos.dec_plus.get(c, frozenset())
-        lo = enc.lo[win_key(c)] + sum((enc.lo[dec_key(c, j)] for j in js), ZERO)
-        hi = (enc.hi[win_key(c)] if c in pos.win_plus else ZERO) + sum(
-            (enc.hi[dec_key(c, j)] for j in js), ZERO
-        )
-        if lo >= 1:
-            return "one"
-        if hi < 1:
-            return "less"
-        return "unk"
+    def mass(bound: dict[Key, Fraction], c: CanonicalVertex) -> Fraction:
+        keys = [win_key(c)] + [dec_key(c, j) for j in down[c]]
+        return sum((bound[k] for k in keys if k in pos), ZERO)
 
-    scalars = {c: scalar3(c) for c in cans}
-    refs = an.refs
-
-    certain: set[CanonicalVertex] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in cans:
-            if c in certain or scalars[c] != "one":
-                continue
-            if all(refs[(c.rule, j)] <= certain for j in pos.dec_plus.get(c, frozenset())):
-                certain.add(c)
-                changed = True
-
-    candidates: set[CanonicalVertex] = set(cans)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(candidates):
-            if scalars[c] == "less":
-                candidates.discard(c)
-                changed = True
-                continue
-            for j in pos.dec_plus.get(c, frozenset()):
-                sites = refs[(c.rule, j)]
-                if sites and not (sites & candidates):
-                    candidates.discard(c)
-                    changed = True
-                    break
-
-    out: dict[CanonicalVertex, str] = {}
-    for c in cans:
-        if c in certain:
-            out[c] = "holds"
-        elif c not in candidates:
-            out[c] = "fails"
-        else:
-            out[c] = "unknown"
-    return out
+    sure = {c for c in an.reachable if mass(enc.lo, c) >= 1}
+    maybe = {c for c in an.reachable if mass(enc.hi, c) >= 1}
+    certain = _fixpoint(an, an.reachable, lambda c, s: c in sure and all(
+        an.refs[(c.rule, j)] <= s for j in down[c]))
+    candidates = _fixpoint(an, an.reachable, lambda c, s: c in maybe and all(
+        not an.refs[(c.rule, j)] or an.refs[(c.rule, j)] & s for j in down[c]))
+    return {c: "holds" if c in certain else "unknown" if c in candidates else "fails"
+            for c in an.reachable}

@@ -2,16 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from pregma.formulas import parse_formula
 from pregma.gio import parse_grammar
-from pregma.labeling import classes_for_colours
+from pregma.labeling import classes_for_colours, label_formula
 from pregma.model import CanonicalVertex
+from pregma.oracle import PathQuery, bounded_until, truncate
+from pregma.pushdown import to_grammar
 from pregma.qualitative import (
-    SELF,
     next_qualitative,
     successor_table,
     until_almost_sure,
     until_positive,
 )
+from pregma.quantitative import dec_key, solve_until, win_key
 from pregma.validation import EngineUnsupported, analyse
 
 F = Fraction
@@ -38,8 +41,8 @@ def test_successor_table_running(running):
         (F(1, 2), CanonicalVertex("Z", "t0")),
         (F(1, 2), CanonicalVertex("A", "next")),
     ]
-    assert tab[CanonicalVertex("Z", "t0")] == [(F(1), SELF)]
-    assert tab[CanonicalVertex("A", "win")] == [(F(1), SELF)]
+    assert tab[CanonicalVertex("Z", "t0")] == [(F(1), CanonicalVertex("Z", "t0"))]
+    assert tab[CanonicalVertex("A", "win")] == [(F(1), CanonicalVertex("A", "win"))]
 
 
 def test_successor_masses_sum_to_one(running, dag, updrift, critical):
@@ -119,6 +122,62 @@ def test_until_almost_sure_critical_is_unknown(critical):
     assert out[CanonicalVertex("Z", "base")] == "holds"
     assert out[CanonicalVertex("Z", "m0")] == "unknown"
     assert out[CanonicalVertex("Walk", "hi")] == "unknown"
+
+
+def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):
+    # BAp's only positive descent may land on a BAp vertex of a lower level;
+    # the level induction still certifies it, and Ar and Br' descending
+    # onto it
+    g = to_grammar(pds_prob)
+    an = analyse(g, g.mu)
+    every, halt = cls(an, None), cls(an, "halt")
+    assert set(until_almost_sure(an, every, halt).values()) == {"holds"}
+    enc = solve_until(an, every, halt, watch="all")
+    for name in ("Ar", "Br'", "BAp"):
+        c = CanonicalVertex("X", name)
+        keys = [win_key(c)] + [dec_key(c, j) for j in range(1, 5)]
+        assert sum(enc.lo[k] for k in keys) == sum(enc.hi[k] for k in keys) == 1
+
+
+# A hands its inputs on to B untouched and owns no vertex of its own, so
+# B:v's one step onto input u lands on the axiom's goal vertex p
+PASS_THROUGH = """\
+nonterminal Z 0
+nonterminal A 2
+nonterminal B 2
+terminal go 2
+colour goal
+colour stop
+prob go 1
+absorbing goal
+absorbing stop
+axiom Z
+
+rule Z
+  vertex p q
+  colour goal p
+  colour stop q
+  hyperarc A p q
+
+rule A inputs x y
+  hyperarc B x y
+
+rule B inputs u w
+  vertex v
+  arc go v u
+"""
+
+
+def test_until_through_a_pass_through_rule():
+    g = parse_grammar(PASS_THROUGH)
+    v = CanonicalVertex("B", "v")
+    for text, status in [("F[>0] goal", "holds"), ("F[>=1] goal", "holds"),
+                         ("F[<=0] goal", "fails")]:
+        assert label_formula(g, parse_formula(text)).at(v).status == status, text
+    mc = truncate(g, 3)
+    start = next(cv.id for cv in mc.expansion.vertices.values() if cv.can == v)
+    assert mc.expansion.vertices[start].level == 2
+    assert bounded_until(mc, PathQuery(None, frozenset({"goal"}), start, 4)) == 1
 
 
 def test_until_almost_sure_trivial_phi2(running):
