@@ -209,23 +209,24 @@ def _cmd_expand(args, parser: _Parser) -> int:
     lines: list[str] = []
     colour_sets = graph.colour_sets()
     if args.format == "json-lines":
+        encode = json.JSONEncoder(sort_keys=True).encode
         for v in graph.vertices:
             cv = vertices[v]
-            lines.append(json.dumps({
+            lines.append(encode({
                 "kind": "vertex", "id": str(v), "level": cv.level,
                 "class": str(cv.can), "colours": sorted(colour_sets.get(v, ())),
                 "frontier": v in frontier,
-            }, sort_keys=True))
+            }))
         for arc in graph.arcs:
-            lines.append(json.dumps({
+            lines.append(encode({
                 "kind": "arc", "label": arc.label,
                 "source": str(arc.source), "target": str(arc.target),
-            }, sort_keys=True))
+            }))
         for h in graph.hyperarcs:
-            lines.append(json.dumps({
+            lines.append(encode({
                 "kind": "hyperarc", "label": h.label,
                 "vertices": [str(v) for v in h.vertices],
-            }, sort_keys=True))
+            }))
     else:
         lines.append(
             f"vertices={len(graph.vertices)} arcs={len(graph.arcs)} "

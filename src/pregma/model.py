@@ -314,16 +314,24 @@ def expand(g: Grammar, depth: int) -> Expansion:
     # pending: (hyperarc with concrete vertices, owner instance, index in owner's rule rhs)
     pending: list[tuple[Hyperarc, int, int]] = []
 
+    rules: dict[str, Rule] = {}
+    for rule in g.rules:
+        rules.setdefault(rule.lhs, rule)
+    # each rule vertex's canonical vertex, built once and shared by its copies
+    cans = {name: [CanonicalVertex(name, rv) for rv in rule.rhs.vertices]
+            for name, rule in rules.items()}
+
     def apply_rule(rule: Rule, glue: dict[VertexId, VertexId],
                    level: int, parent: int | None, via_index: int | None) -> None:
         mapping = _instantiate(rule, glue, fresh)
         inst = Instance(len(instances), rule.lhs, level, parent, via_index, mapping)
         instances.append(inst)
-        for rv, cid in ((rv, mapping[rv]) for rv in rule.rhs.vertices):
+        for rv, can in zip(rule.rhs.vertices, cans[rule.lhs]):
+            cid = mapping[rv]
             if cid in vertices:
                 continue
             graph.add_vertex(cid)
-            vertices[cid] = ConcreteVertex(cid, level, CanonicalVertex(rule.lhs, rv))
+            vertices[cid] = ConcreteVertex(cid, level, can)
         for arc in rule.rhs.arcs:
             graph.add_arc(arc.label, mapping[arc.source], mapping[arc.target])
         for colour, v in rule.rhs.colours:
@@ -336,7 +344,9 @@ def expand(g: Grammar, depth: int) -> Expansion:
     for level in range(1, depth + 1):
         batch, pending = pending, []
         for concrete, owner, via_index in batch:
-            rule = g.rule_for(concrete.label)
+            rule = rules.get(concrete.label)
+            if rule is None:
+                raise GrammarError(f"no rule for nonterminal {concrete.label!r}")
             if len(rule.inputs) != len(concrete.vertices):
                 raise GrammarError(f"hyperarc {concrete.label} arity mismatch")
             glue = dict(zip(rule.inputs, concrete.vertices))

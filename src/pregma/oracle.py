@@ -7,12 +7,18 @@ horizon/depth combinations whose answer could still be influenced by the
 frontier, and the sampler reports frontier contacts separately instead of
 guessing. Marked absorbing sinks get an explicit probability-1 self-loop so
 the truncation is a genuine Markov chain.
+
+The exact bounded sweep covers only the start's horizon cone, the states it
+can reach in time, and runs in integers over one common denominator; the
+mass check and the sampler's cut points read the same integer weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from itertools import accumulate
+from math import lcm
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -58,6 +64,17 @@ class FiniteMC:
         return self.index[self.expansion.axiom_vertex(start)]
 
 
+def _integer_rows(
+    rows: list[list[tuple[int, Fraction]]],
+) -> tuple[int, Iterator[list[tuple[int, int]]]]:
+    """The rows over one common denominator: the lcm `den` of every
+    probability's denominator, and each row, one at a time, with each p as
+    the integer p * den."""
+    den = lcm(*{p.denominator for row in rows for _, p in row})
+    return den, ([(t, p.numerator * (den // p.denominator)) for t, p in row]
+                 for row in rows)
+
+
 def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> FiniteMC:
     issues = validate_grammar(g)
     if issues:
@@ -84,16 +101,16 @@ def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> Finite
         if colours[i] & g.absorbing:
             trans[i].append((i, ONE))
 
-    for i, v in enumerate(states):
-        if i in frontier:
+    den, weights = _integer_rows(trans)
+    for i, (v, row) in enumerate(zip(states, weights)):
+        if i in frontier or sum(w for _, w in row) == den:
             continue
         total = sum((p for _, p in trans[i]), ZERO)
-        if total != 1:
-            cv = expansion.vertices[v]
-            raise TotalityError(
-                f"vertex {v} (class {cv.can}, level {cv.level}) has outgoing "
-                f"mass {total}"
-            )
+        cv = expansion.vertices[v]
+        raise TotalityError(
+            f"vertex {v} (class {cv.can}, level {cv.level}) has outgoing "
+            f"mass {total}"
+        )
     return FiniteMC(expansion, states, index, trans, colours, frontier)
 
 
@@ -109,12 +126,15 @@ class PathQuery:
 
 
 def _frontier_guard(mc: FiniteMC, win: np.ndarray, alive: np.ndarray,
-                    start: int, horizon: int) -> None:
-    """Reject when a frontier state is reachable within the horizon through
-    states whose behaviour the truncation does know."""
+                    start: int, horizon: int) -> list[list[int]]:
+    """The start's forward cone: layers[d], d = 0..horizon, holds the states
+    first reached in d steps, walking on only from states that are neither
+    won nor dead. Reject when a frontier state is reachable within the horizon
+    through states whose behaviour the truncation does know."""
     seen = {start}
     layer = {start}
-    for _ in range(horizon + 1):
+    layers: list[list[int]] = []
+    for d in range(horizon + 1):
         # a frontier state that already shows the goal colour is fine: colours
         # only ever accumulate, so it wins no matter what comes later
         hit = [s for s in layer if s in mc.frontier and not win[s]]
@@ -128,6 +148,9 @@ def _frontier_guard(mc: FiniteMC, win: np.ndarray, alive: np.ndarray,
                 f"frontier vertex {v}{where} is within {horizon} steps of "
                 "the start; deepen the truncation"
             )
+        layers.append(list(layer))
+        if d == horizon:
+            break
         nxt: set[int] = set()
         for s in layer:
             if win[s] or not alive[s]:
@@ -137,33 +160,45 @@ def _frontier_guard(mc: FiniteMC, win: np.ndarray, alive: np.ndarray,
                     seen.add(t)
                     nxt.add(t)
         layer = nxt
-        if not layer:
-            return
+    return layers
 
 
 def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
-    """Exact probability of reaching phi2 through phi1 within the horizon."""
-    win_mask = mc.colour_mask(query.phi2)
-    alive_mask = mc.colour_mask(query.phi1)
-    start = mc.resolve(query.start)
-    _frontier_guard(mc, win_mask, alive_mask, start, query.horizon)
+    """Exact probability of reaching phi2 through phi1 within the horizon.
 
-    n = len(mc.states)
-    prev = [ONE if win_mask[s] else ZERO for s in range(n)]
-    for _ in range(query.horizon):
-        cur = []
-        for s in range(n):
-            if win_mask[s]:
-                cur.append(ONE)
-            elif not alive_mask[s]:
-                cur.append(ZERO)
-            else:
-                acc = ZERO
-                for t, p in mc.trans[s]:
-                    acc += p * prev[t]
-                cur.append(acc)
+    Only the start's horizon cone is swept: step k reads the states within
+    horizon - k steps of the start, since no other state's value reaches
+    the start's in time. Values are integers over den**k, den being the
+    lcm of the transition denominators inside the cone."""
+    win = mc.colour_mask(query.phi2)
+    alive = mc.colour_mask(query.phi1)
+    start = mc.resolve(query.start)
+    horizon = query.horizon
+    layers = _frontier_guard(mc, win, alive, start, horizon)
+
+    # the cone in layer order: the states within d steps are a prefix
+    order = [s for layer in layers for s in layer]
+    pos = {s: i for i, s in enumerate(order)}
+    within = list(accumulate(len(layer) for layer in layers))
+    # steps start only within horizon - 1 steps of the start; won and dead
+    # states keep empty rows, and the won ones are reset each step
+    stepping = order[:within[horizon - 1]] if horizon else []
+    den, weights = _integer_rows([mc.trans[s] if alive[s] and not win[s] else []
+                                  for s in stepping])
+    rows = [[(pos[t], w) for t, w in row] for row in weights]
+    prev = [int(win[s]) for s in order]
+    won = [i for i, v in enumerate(prev) if v]
+    scale = 1
+    for k in range(1, horizon + 1):
+        scale *= den
+        reach = within[horizon - k]
+        cur = [sum(w * prev[j] for j, w in rows[i]) for i in range(reach)]
+        for i in won:
+            if i >= reach:
+                break
+            cur[i] = scale
         prev = cur
-    return prev[start]
+    return Fraction(prev[0], scale)
 
 
 @dataclass
@@ -185,16 +220,13 @@ class SampleResult:
 def _threshold_tables(mc: FiniteMC) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per state: sorted uint64 cut points (first k-1 cumulative probabilities
     scaled by 2^64, rounded down) and the k target indices."""
+    den, weights = _integer_rows(mc.trans)
     cuts: list[np.ndarray] = []
     targets: list[np.ndarray] = []
-    for rows in mc.trans:
-        cum = ZERO
-        cs = []
-        for t, p in rows[:-1]:
-            cum += p
-            cs.append((cum.numerator << 64) // cum.denominator)
-        cuts.append(np.array(cs, dtype=np.uint64))
-        targets.append(np.array([t for t, _ in rows], dtype=np.int64))
+    for row in weights:
+        cum = accumulate(w for _, w in row[:-1])
+        cuts.append(np.array([(c << 64) // den for c in cum], dtype=np.uint64))
+        targets.append(np.array([t for t, _ in row], dtype=np.int64))
     return cuts, targets
 
 

@@ -195,8 +195,9 @@ def until_almost_sure(
     every class that can sit at a positive descent's input is certain.
     `candidates` holds every class with a vertex of probability one: the
     upper bounds sum to one or more, and each positive descent may land on
-    a candidate. Both are greatest fixpoints. In the gap (for example mass
-    one in the limit but never certified) the answer stays unknown.
+    a candidate. `certain` is a greatest fixpoint and `candidates` a least
+    one, each the tightest of its kind. In the gap (for example mass one in
+    the limit but never certified) the answer stays unknown.
     """
     enc = solve_until(an, phi1, phi2, eps=_ALMOST_SURE_EPS, watch="all",
                       max_rounds=_ALMOST_SURE_ROUNDS)
@@ -210,7 +211,7 @@ def until_almost_sure(
     maybe = {c for c in an.reachable if mass(enc.hi, c) >= 1}
     certain = _fixpoint(an, an.reachable, lambda c, s: c in sure and all(
         an.refs[(c.rule, j)] <= s for j in down[c]))
-    candidates = _fixpoint(an, an.reachable, lambda c, s: c in maybe and all(
+    candidates = _fixpoint(an, (), lambda c, s: c in maybe and all(
         not an.refs[(c.rule, j)] or an.refs[(c.rule, j)] & s for j in down[c]))
     return {c: "holds" if c in certain else "unknown" if c in candidates else "fails"
             for c in an.reachable}

@@ -277,6 +277,25 @@ def test_expand_json_lines(corpus_dir, running):
             assert set(r["vertices"]) <= vertices
 
 
+def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, running):
+    code, out, _ = run([
+        "expand", gg(corpus_dir, "running.gg"), "--depth", "5",
+        "--format", "json-lines"])
+    assert code == 0
+    e = expand(running, 5)
+    colours = e.graph.colour_sets()
+    records = [{"kind": "vertex", "id": str(v), "level": e.vertices[v].level,
+                "class": f"{e.vertices[v].can.rule}:{e.vertices[v].can.vertex}",
+                "colours": sorted(colours[v]), "frontier": v in e.frontier}
+               for v in e.graph.vertices]
+    records += [{"kind": "arc", "label": a.label, "source": str(a.source),
+                 "target": str(a.target)} for a in e.graph.arcs]
+    records += [{"kind": "hyperarc", "label": h.label,
+                 "vertices": [str(v) for v in h.vertices]}
+                for h in e.graph.hyperarcs]
+    assert out.splitlines() == [json.dumps(r, sort_keys=True) for r in records]
+
+
 def test_expand_dot_and_component(corpus_dir):
     code, out, _ = run([
         "expand", gg(corpus_dir, "running.gg"), "--depth", "2",

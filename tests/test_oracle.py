@@ -1,15 +1,22 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pregma.gio import parse_grammar
 from pregma.oracle import (
     HorizonError,
     PathQuery,
     TotalityError,
+    _threshold_tables,
     bounded_until,
     sample_until,
     truncate,
 )
+from pregma.pcp import encode, load_pcp
+from pregma.pushdown import config_chain, load_pds, to_grammar
 
 V1 = frozenset({"V1"})
 V2 = frozenset({"V2"})
@@ -119,3 +126,124 @@ def test_sample_until_needs_positive_n(running):
     mc = truncate(running, 4)
     with pytest.raises(ValueError, match="positive sample count"):
         sample_until(mc, q(2), 0, 1)
+
+
+def full_sweep(mc, query):
+    """Reference: the plain Fraction sweep over every state at every step."""
+    win, alive = mc.colour_mask(query.phi2), mc.colour_mask(query.phi1)
+    prev = [Fraction(int(w)) for w in win]
+    for _ in range(query.horizon):
+        prev = [Fraction(1) if win[s] else Fraction(0) if not alive[s] else
+                sum((p * prev[t] for t, p in row), Fraction(0))
+                for s, row in enumerate(mc.trans)]
+    return prev[mc.resolve(query.start)]
+
+
+@pytest.fixture(scope="module")
+def branching_walk():
+    """A seeded two-level walk: level i climbs from its input `lo` with u<i>
+    to two fresh vertices, each stepping back down with d<i> and carrying the
+    next level's hyperarc; the axiom's m0 steps down to the green base."""
+    rng = random.Random(7)
+    d = [Fraction(rng.randrange(17, 28, 2), 128) for _ in range(2)]
+    lines = ["nonterminal Z 0", "nonterminal W0 1", "nonterminal W1 1"]
+    lines += [f"terminal {lab}{i} 2" for i in range(2) for lab in "ud"]
+    lines += ["colour green", "absorbing green", "axiom Z"]
+    for i in range(2):
+        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / 2}"]
+    lines += ["rule Z", "  vertex base m0", "  colour green base",
+              "  arc d1 m0 base", "  hyperarc W0 m0"]
+    for i in range(2):
+        lines += [f"rule W{i} inputs lo", "  vertex h0 h1"]
+        for h in ("h0", "h1"):
+            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
+                      f"  hyperarc W{1 - i} {h}"]
+    return parse_grammar("\n".join(lines) + "\n")
+
+
+def test_bounded_until_matches_the_full_sweep(running, dag, updrift,
+                                               branching_walk, pds_prob):
+    cases = [(truncate(g, 14), phi1, frozenset({phi2}), start)
+             for g, phi1, phi2, start in [(running, V1, "V2", "v0"),
+                                          (running, None, "V2", "v0"),
+                                          (dag, None, "goal", "v0"),
+                                          (updrift, None, "green", "m0")]]
+    walk = truncate(branching_walk, 8)
+    cases.append((walk, None, frozenset({"green"}), "m0"))
+    cases.append((config_chain(pds_prob, ("r",), 14), None,
+                  frozenset({"halt"}), "r"))
+    for mc, phi1, phi2, start in cases:
+        for h in range(13):
+            query = PathQuery(phi1, phi2, start, h)
+            if mc is walk and h >= 8:
+                # the walk's frontier is 8 climbs above m0
+                with pytest.raises(HorizonError):
+                    bounded_until(mc, query)
+                continue
+            assert bounded_until(mc, query) == full_sweep(mc, query), (start, h)
+
+
+def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running):
+    for depth in range(1, 7):
+        mc = truncate(running, depth)
+        for h in range(9):
+            if h < depth:
+                assert bounded_until(mc, q(h)) == full_sweep(mc, q(h))
+            else:
+                with pytest.raises(HorizonError):
+                    bounded_until(mc, q(h))
+    with pytest.raises(HorizonError, match=(
+            r"^frontier vertex 13 \(class A:next, level 3\) is within 3 "
+            r"steps of the start; deepen the truncation$")):
+        bounded_until(truncate(running, 3), q(3))
+
+
+class Unreadable:
+    def _refuse(self, *args):
+        raise AssertionError("read a row outside the horizon cone")
+
+    __iter__ = __getitem__ = __len__ = _refuse
+
+
+def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
+    for g, start, h in [(updrift, "m0", 6), (branching_walk, "m0", 5)]:
+        mc = truncate(g, 14 if g is updrift else 8)
+        query = PathQuery(None, frozenset({"green"}), start, h)
+        dist = {mc.resolve(start): 0}
+        todo = [mc.resolve(start)]
+        for s in todo:
+            for t, _ in mc.trans[s]:
+                if t not in dist:
+                    dist[t] = dist[s] + 1
+                    todo.append(t)
+        far = [s for s in range(len(mc.states)) if dist.get(s, h + 1) > h]
+        assert far
+        trans = list(mc.trans)
+        for s in far:
+            trans[s] = Unreadable()
+        assert bounded_until(replace(mc, trans=trans), query) \
+            == full_sweep(mc, query)
+
+
+def test_threshold_tables_match_the_fraction_cuts(corpus_dir):
+    grammars = [parse_grammar(p.read_text()) for p in sorted(corpus_dir.glob("*.gg"))]
+    grammars += [encode(load_pcp(p))[0] for p in sorted(corpus_dir.glob("*.pcp"))]
+    grammars.append(to_grammar(load_pds(corpus_dir / "pds_example_prob.pds")))
+    assert len(grammars) == 11
+    for g in grammars:
+        mc = truncate(g, 8)
+        cuts, targets = _threshold_tables(mc)
+        for s, row in enumerate(mc.trans):
+            cum = Fraction(0)
+            expected = []
+            for _, p in row[:-1]:
+                cum += p
+                expected.append((cum.numerator << 64) // cum.denominator)
+            assert cuts[s].tolist() == expected
+            assert np.array_equal(targets[s], [t for t, _ in row])
+
+
+def test_truncate_rejects_mass_below_one(running):
+    with pytest.raises(TotalityError, match=(
+            r"^vertex 0 \(class Z:v0, level 0\) has outgoing mass 1/2$")):
+        truncate(running, 4, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)})

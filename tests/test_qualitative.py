@@ -7,6 +7,7 @@ from pregma.gio import parse_grammar
 from pregma.labeling import classes_for_colours, label_formula
 from pregma.model import CanonicalVertex
 from pregma.oracle import PathQuery, bounded_until, truncate
+from pregma.pcp import encode
 from pregma.pushdown import to_grammar
 from pregma.qualitative import (
     next_qualitative,
@@ -178,6 +179,25 @@ def test_until_through_a_pass_through_rule():
     start = next(cv.id for cv in mc.expansion.vertices.values() if cv.can == v)
     assert mc.expansion.vertices[start].level == 2
     assert bounded_until(mc, PathQuery(None, frozenset({"goal"}), start, 4)) == 1
+
+
+def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
+    # pcp_u2's v1 and fork climb towards the axiom, winning red with 1/2 per
+    # level and losing at the top, so no vertex of theirs reaches red surely
+    g, _, _ = encode(pcp_unsolvable[1])
+    an = analyse(g, g.mu)
+    out = until_almost_sure(an, cls(an, None), cls(an, "red"))
+    mc = truncate(g, 7)
+    red = frozenset({"red"})
+    for name, first in [("v1", F(1, 2)), ("fork", F(3, 4))]:
+        c = CanonicalVertex("New1", name)
+        assert out[c] == "fails"
+        assert label_formula(g, parse_formula("F[>=1] red")).at(c).status == "fails"
+        by_level = {cv.level: cv.id for cv in mc.expansion.vertices.values()
+                    if cv.can == c}
+        values = [bounded_until(mc, PathQuery(None, red, by_level[level], 40))
+                  for level in range(1, 5)]
+        assert values == [1 - (1 - first) / 2**k for k in range(4)]
 
 
 def test_until_almost_sure_trivial_phi2(running):
