@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .formulas import Formula, FormulaError, Next, Not, And, Until, parse_formula, to_text
@@ -189,6 +190,18 @@ def _cmd_gen_pcp(args, parser: _Parser) -> int:
 # ------------------------------------------------------------------ expand
 
 
+class _Fragments(dict):
+    """Encoded output fragments, each made once per key on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _cmd_expand(args, parser: _Parser) -> int:
     g = _load(args.grammar)
     try:
@@ -209,24 +222,27 @@ def _cmd_expand(args, parser: _Parser) -> int:
     lines: list[str] = []
     colour_sets = graph.colour_sets()
     if args.format == "json-lines":
-        encode = json.JSONEncoder(sort_keys=True).encode
+        # each line equals json.dumps(record, sort_keys=True); its pieces
+        # are encoded once per vertex, class, colour set and label
+        ids = {v: _json_str(str(v)) for v in graph.vertices}
+        head = _Fragments(
+            lambda can: f'{{"class": {_json_str(str(can))}, "colours": ')
+        marks = _Fragments(
+            lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
         for v in graph.vertices:
             cv = vertices[v]
-            lines.append(encode({
-                "kind": "vertex", "id": str(v), "level": cv.level,
-                "class": str(cv.can), "colours": sorted(colour_sets.get(v, ())),
-                "frontier": v in frontier,
-            }))
-        for arc in graph.arcs:
-            lines.append(encode({
-                "kind": "arc", "label": arc.label,
-                "source": str(arc.source), "target": str(arc.target),
-            }))
-        for h in graph.hyperarcs:
-            lines.append(encode({
-                "kind": "hyperarc", "label": h.label,
-                "vertices": [str(v) for v in h.vertices],
-            }))
+            lines.append(f'{head[cv.can]}{marks[colour_sets[v]]}, "frontier": '
+                         f'{"true" if v in frontier else "false"}, "id": '
+                         f'{ids[v]}, "kind": "vertex", "level": {cv.level}}}')
+        arc_head = _Fragments(
+            lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, '
+                          '"source": ')
+        for label, source, target in graph.arcs:
+            lines.append(f'{arc_head[label]}{ids[source]}, "target": '
+                         f'{ids[target]}}}')
+        for label, hvs in graph.hyperarcs:
+            lines.append(f'{{"kind": "hyperarc", "label": {_json_str(label)}, '
+                         f'"vertices": [{", ".join(ids[v] for v in hvs)}]}}')
     else:
         lines.append(
             f"vertices={len(graph.vertices)} arcs={len(graph.arcs)} "

@@ -8,10 +8,9 @@ round that created it (its level).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 VertexId = Any
 
@@ -92,10 +91,18 @@ class Hypergraph:
         self.hyperarcs.append(Hyperarc(label, tuple(vertices)))
 
     def colour_sets(self) -> dict[VertexId, frozenset[str]]:
-        out: dict[VertexId, set[str]] = {v: set() for v in self.vertices}
+        """Each vertex's colours. Vertices with equal colours share one
+        frozenset object, the uncoloured ones a single empty set."""
+        marks: dict[VertexId, set[str]] = {}
         for colour, v in self.colours:
-            out.setdefault(v, set()).add(colour)
-        return {v: frozenset(cs) for v, cs in out.items()}
+            marks.setdefault(v, set()).add(colour)
+        empty: frozenset[str] = frozenset()
+        shared = {empty: empty}
+        out = dict.fromkeys(self.vertices, empty)
+        for v, cs in marks.items():
+            key = frozenset(cs)
+            out[v] = shared.setdefault(key, key)
+        return out
 
     def out_arcs(self) -> dict[VertexId, list[Arc]]:
         out: dict[VertexId, list[Arc]] = {v: [] for v in self.vertices}
@@ -244,17 +251,32 @@ def reachable_nonterminals(g: Grammar) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _instantiate(
-    rule: Rule,
-    glue: dict[VertexId, VertexId],
-    fresh: Callable[[], VertexId],
-) -> dict[VertexId, VertexId]:
-    """Map rule vertices to concrete ones: inputs via glue, the rest fresh."""
-    mapping = dict(glue)
-    for v in rule.rhs.vertices:
-        if v not in mapping:
-            mapping[v] = fresh()
-    return mapping
+class _Compiled(NamedTuple):
+    """A rule laid out as slots for `expand`: its inputs in input order, then
+    its other vertices in rhs order. One application of the rule puts a
+    concrete vertex in every slot; arcs, colours and hyperarcs name slots."""
+
+    lhs: str
+    names: tuple[VertexId, ...]  # the rule vertex in each slot
+    arity: int  # slots glued onto the replaced hyperarc's vertices
+    cans: tuple[CanonicalVertex, ...]  # one per fresh slot
+    arcs: tuple[tuple[str, int, int], ...]
+    colours: tuple[tuple[str, int], ...]
+    hyperarcs: tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def _compile(rule: Rule) -> _Compiled:
+    own = rule.non_inputs
+    names = (*rule.inputs, *own)
+    slot = {v: i for i, v in enumerate(names)}
+    return _Compiled(
+        rule.lhs, names, len(rule.inputs),
+        tuple(CanonicalVertex(rule.lhs, v) for v in own),
+        tuple((a.label, slot[a.source], slot[a.target]) for a in rule.rhs.arcs),
+        tuple((colour, slot[v]) for colour, v in rule.rhs.colours),
+        tuple((h.label, tuple(slot[v] for v in h.vertices))
+              for h in rule.rhs.hyperarcs),
+    )
 
 
 @dataclass
@@ -303,56 +325,47 @@ def expand(g: Grammar, depth: int) -> Expansion:
     """
     if depth < 0:
         raise GrammarError("depth must be >= 0")
-    fresh = itertools.count().__next__
     axiom_rule = g.axiom_rule()
     if axiom_rule.inputs:
         raise GrammarError("axiom rule must have no inputs")
 
-    graph = Hypergraph()
+    # each rule compiled once; its canonical vertices are shared by its copies
+    rules: dict[str, _Compiled] = {}
+    for rule in g.rules:
+        if rule.lhs not in rules:
+            rules[rule.lhs] = _compile(rule)
+    arcs: list[Arc] = []
+    colours: list[ColourMark] = []
     vertices: dict[VertexId, ConcreteVertex] = {}
     instances: list[Instance] = []
-    # pending: (hyperarc with concrete vertices, owner instance, index in owner's rule rhs)
-    pending: list[tuple[Hyperarc, int, int]] = []
-
-    rules: dict[str, Rule] = {}
-    for rule in g.rules:
-        rules.setdefault(rule.lhs, rule)
-    # each rule vertex's canonical vertex, built once and shared by its copies
-    cans = {name: [CanonicalVertex(name, rv) for rv in rule.rhs.vertices]
-            for name, rule in rules.items()}
-
-    def apply_rule(rule: Rule, glue: dict[VertexId, VertexId],
-                   level: int, parent: int | None, via_index: int | None) -> None:
-        mapping = _instantiate(rule, glue, fresh)
-        inst = Instance(len(instances), rule.lhs, level, parent, via_index, mapping)
-        instances.append(inst)
-        for rv, can in zip(rule.rhs.vertices, cans[rule.lhs]):
-            cid = mapping[rv]
-            if cid in vertices:
-                continue
-            graph.add_vertex(cid)
-            vertices[cid] = ConcreteVertex(cid, level, can)
-        for arc in rule.rhs.arcs:
-            graph.add_arc(arc.label, mapping[arc.source], mapping[arc.target])
-        for colour, v in rule.rhs.colours:
-            graph.add_colour(colour, mapping[v])
-        for hi, h in enumerate(rule.rhs.hyperarcs):
-            concrete = Hyperarc(h.label, tuple(mapping[v] for v in h.vertices))
-            pending.append((concrete, inst.index, hi))
-
-    apply_rule(axiom_rule, {}, 0, None, None)
-    for level in range(1, depth + 1):
+    # pending: (label, concrete vertices, owner instance, index in owner's rule rhs)
+    pending: list[tuple[str, tuple[VertexId, ...], int | None, int | None]] = [
+        (g.axiom, (), None, None)]
+    for level in range(depth + 1):
         batch, pending = pending, []
-        for concrete, owner, via_index in batch:
-            rule = rules.get(concrete.label)
+        for label, glued, parent, via_index in batch:
+            rule = rules.get(label)
             if rule is None:
-                raise GrammarError(f"no rule for nonterminal {concrete.label!r}")
-            if len(rule.inputs) != len(concrete.vertices):
-                raise GrammarError(f"hyperarc {concrete.label} arity mismatch")
-            glue = dict(zip(rule.inputs, concrete.vertices))
-            apply_rule(rule, glue, level, owner, via_index)
+                raise GrammarError(f"no rule for nonterminal {label!r}")
+            if rule.arity != len(glued):
+                raise GrammarError(f"hyperarc {label} arity mismatch")
+            # concrete ids count up from 0 in order of creation
+            new = range(len(vertices), len(vertices) + len(rule.cans))
+            ids = [*glued, *new]
+            owner = len(instances)
+            instances.append(Instance(owner, rule.lhs, level, parent, via_index,
+                                      dict(zip(rule.names, ids))))
+            for cid, can in zip(new, rule.cans):
+                vertices[cid] = ConcreteVertex(cid, level, can)
+            for arc_label, s, t in rule.arcs:
+                arcs.append(Arc(arc_label, ids[s], ids[t]))
+            for colour, v in rule.colours:
+                colours.append(ColourMark(colour, ids[v]))
+            for hi, (h_label, slots) in enumerate(rule.hyperarcs):
+                pending.append((h_label, tuple([ids[v] for v in slots]), owner, hi))
 
-    graph.hyperarcs = [concrete for concrete, _, _ in pending]
+    graph = Hypergraph(list(vertices), arcs, colours,
+                       [Hyperarc(label, vs) for label, vs, _, _ in pending])
     frontier = frozenset(v for h in graph.hyperarcs for v in h.vertices)
     return Expansion(g, depth, graph, vertices, instances, frontier)
 

@@ -9,12 +9,14 @@ guessing. Marked absorbing sinks get an explicit probability-1 self-loop so
 the truncation is a genuine Markov chain.
 
 The exact bounded sweep covers only the start's horizon cone, the states it
-can reach in time, and runs in integers over one common denominator; the
-mass check and the sampler's cut points read the same integer weights.
+can reach in time, and runs in integers over one common denominator. The
+mass check adds each label's integer weight as the rows are built. The
+sampler builds cut tables only for the states a trajectory can step from
+while undecided within the horizon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -26,7 +28,6 @@ from .model import Expansion, Grammar, GrammarError, expand, validate_grammar
 from .rng import draw_array
 from .validation import ProbabilityMap
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -51,9 +52,10 @@ class FiniteMC:
         """Boolean per state; names=None means "every state"."""
         if names is None:
             return np.ones(len(self.states), dtype=bool)
-        return np.array(
-            [bool(cs & names) for cs in self.colours], dtype=bool
-        )
+        # states share their colour sets, so test each distinct set once
+        meets = {cs: bool(cs & names) for cs in set(self.colours)}
+        return np.fromiter((meets[cs] for cs in self.colours), dtype=bool,
+                           count=len(self.colours))
 
     def resolve(self, start: Any) -> int:
         """Accept a state id or an axiom-rule vertex name."""
@@ -80,36 +82,41 @@ def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> Finite
     if issues:
         raise GrammarError("; ".join(str(i) for i in issues))
     mu = dict(g.mu) if mu is None else dict(mu)
+    # each label's probability as an integer weight over one denominator
+    den = lcm(*(p.denominator for p in mu.values()))
+    weight = {label: p.numerator * (den // p.denominator)
+              for label, p in mu.items()}
 
     expansion = expand(g, depth)
     graph = expansion.graph
     states = list(graph.vertices)
     index = {v: i for i, v in enumerate(states)}
     colour_sets = graph.colour_sets()
-    colours = [colour_sets.get(v, frozenset()) for v in states]
+    colours = [colour_sets[v] for v in states]
     frontier = frozenset(index[v] for v in expansion.frontier)
 
     trans: list[list[tuple[int, Fraction]]] = [[] for _ in states]
-    for arc in graph.arcs:
-        if arc.label not in mu:
-            raise GrammarError(f"no probability for arc label {arc.label}")
-        trans[index[arc.source]].append((index[arc.target], mu[arc.label]))
+    mass = [0] * len(states)
+    for label, source, target in graph.arcs:
+        if label not in weight:
+            raise GrammarError(f"no probability for arc label {label}")
+        i = index[source]
+        trans[i].append((index[target], mu[label]))
+        mass[i] += weight[label]
 
-    for i, v in enumerate(states):
-        if trans[i] or i in frontier:
-            continue
-        if colours[i] & g.absorbing:
+    for i, cs in enumerate(colours):
+        if not trans[i] and i not in frontier and cs & g.absorbing:
             trans[i].append((i, ONE))
+            mass[i] = den
 
-    den, weights = _integer_rows(trans)
-    for i, (v, row) in enumerate(zip(states, weights)):
-        if i in frontier or sum(w for _, w in row) == den:
+    for i, total in enumerate(mass):
+        if total == den or i in frontier:
             continue
-        total = sum((p for _, p in trans[i]), ZERO)
+        v = states[i]
         cv = expansion.vertices[v]
         raise TotalityError(
             f"vertex {v} (class {cv.can}, level {cv.level}) has outgoing "
-            f"mass {total}"
+            f"mass {Fraction(total, den)}"
         )
     return FiniteMC(expansion, states, index, trans, colours, frontier)
 
@@ -217,17 +224,43 @@ class SampleResult:
         return Fraction(self.hits + self.escapes, self.n)
 
 
-def _threshold_tables(mc: FiniteMC) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per state: sorted uint64 cut points (first k-1 cumulative probabilities
-    scaled by 2^64, rounded down) and the k target indices."""
-    den, weights = _integer_rows(mc.trans)
-    cuts: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for row in weights:
+def _threshold_tables(
+    mc: FiniteMC, states: list[int],
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """For each of `states`: sorted uint64 cut points (first k-1 cumulative
+    probabilities scaled by 2^64, rounded down) and the k target indices.
+    A cut is floor(P * 2^64) whichever common denominator P is taken over,
+    so the tables do not depend on which other states are in `states`."""
+    den, weights = _integer_rows([mc.trans[s] for s in states])
+    cuts: dict[int, np.ndarray] = {}
+    targets: dict[int, np.ndarray] = {}
+    for s, row in zip(states, weights):
         cum = accumulate(w for _, w in row[:-1])
-        cuts.append(np.array([(c << 64) // den for c in cum], dtype=np.uint64))
-        targets.append(np.array([t for t, _ in row], dtype=np.int64))
+        cuts[s] = np.array([(c << 64) // den for c in cum], dtype=np.uint64)
+        targets[s] = np.array([t for t, _ in row], dtype=np.int64)
     return cuts, targets
+
+
+def _stepping_cone(mc: FiniteMC, undecided: list[bool], start: int,
+                   horizon: int) -> list[int]:
+    """The states a trajectory can take a step from: the undecided ones it
+    reaches in fewer than `horizon` steps, walking only through undecided
+    states (a decided trajectory stops where it is)."""
+    seen = {start}
+    layer = [start]
+    stepping: list[int] = []
+    for _ in range(horizon):
+        nxt: list[int] = []
+        for s in layer:
+            if not undecided[s]:
+                continue
+            stepping.append(s)
+            for t, _ in mc.trans[s]:
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        layer = nxt
+    return stepping
 
 
 def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleResult:
@@ -236,7 +269,8 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     Trajectory i uses draw number step * n + i, so the result is a pure
     function of (seed, n, horizon). A trajectory touching the frontier while
     still undecided counts as an escape: the truth then lies between
-    hits/n and (hits+escapes)/n.
+    hits/n and (hits+escapes)/n. Cut tables are built only for the states
+    a trajectory can step from within the horizon.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
@@ -245,9 +279,11 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     fmask = np.zeros(len(mc.states), dtype=bool)
     for s in mc.frontier:
         fmask[s] = True
-    cuts, targets = _threshold_tables(mc)
-
     start = mc.resolve(query.start)
+    undecided = (alive & ~win & ~fmask).tolist()
+    cuts, targets = _threshold_tables(
+        mc, _stepping_cone(mc, undecided, start, query.horizon))
+
     cur = np.full(n, start, dtype=np.int64)
     # 0 active, 1 hit, 2 miss, 3 escape
     status = np.zeros(n, dtype=np.int8)
@@ -275,13 +311,15 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
         traj = np.flatnonzero(moving)
         ks = np.uint64(step) * np.uint64(n) + traj.astype(np.uint64)
         rand = draw_array(seed, ks)
+        # group the moving trajectories by the state they step from
+        order = np.argsort(cur[traj])
+        traj, rand = traj[order], rand[order]
         src = cur[traj]
-        nxt = np.empty(len(traj), dtype=np.int64)
-        for s in np.unique(src):
-            sel = src == s
-            slot = np.searchsorted(cuts[s], rand[sel], side="right")
-            nxt[sel] = targets[s][slot]
-        cur[traj] = nxt
+        sources, firsts = np.unique(src, return_index=True)
+        ends = [*firsts[1:].tolist(), len(traj)]
+        for s, a, b in zip(sources.tolist(), firsts.tolist(), ends):
+            slot = np.searchsorted(cuts[s], rand[a:b], side="right")
+            cur[traj[a:b]] = targets[s][slot]
 
     return SampleResult(
         hits=int((status == 1).sum()),

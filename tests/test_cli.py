@@ -277,23 +277,57 @@ def test_expand_json_lines(corpus_dir, running):
             assert set(r["vertices"]) <= vertices
 
 
-def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, running):
-    code, out, _ = run([
-        "expand", gg(corpus_dir, "running.gg"), "--depth", "5",
-        "--format", "json-lines"])
-    assert code == 0
-    e = expand(running, 5)
-    colours = e.graph.colour_sets()
-    records = [{"kind": "vertex", "id": str(v), "level": e.vertices[v].level,
-                "class": f"{e.vertices[v].can.rule}:{e.vertices[v].can.vertex}",
-                "colours": sorted(colours[v]), "frontier": v in e.frontier}
-               for v in e.graph.vertices]
-    records += [{"kind": "arc", "label": a.label, "source": str(a.source),
-                 "target": str(a.target)} for a in e.graph.arcs]
-    records += [{"kind": "hyperarc", "label": h.label,
-                 "vertices": [str(v) for v in h.vertices]}
-                for h in e.graph.hyperarcs]
-    assert out.splitlines() == [json.dumps(r, sort_keys=True) for r in records]
+# names that JSON must escape: quotes, backslashes, non-ASCII letters
+ODD_NAMES = r"""nonterminal Z 0
+nonterminal Wé"\ 1
+terminal a"b 2
+terminal d\x 2
+colour gré"n
+colour V\2
+absorbing gré"n
+axiom Z
+prob a"b 1/2
+prob d\x 1/2
+rule Z
+  vertex v\0 w"1 é
+  colour gré"n w"1
+  colour V\2 é
+  colour gré"n é
+  arc d\x v\0 w"1
+  arc a"b v\0 é
+  hyperarc Wé"\ é
+rule Wé"\ inputs s
+  vertex t ü
+  colour V\2 t
+  colour gré"n ü
+  arc a"b s t
+  arc d\x s ü
+  hyperarc Wé"\ t
+"""
+
+
+def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
+    odd = tmp_path / "odd.gg"
+    odd.write_text(ODD_NAMES, encoding="utf-8")
+    for path, depth in [(gg(corpus_dir, "running.gg"), 5), (str(odd), 4)]:
+        code, out, _ = run([
+            "expand", path, "--depth", str(depth), "--format", "json-lines"])
+        assert code == 0
+        e = expand(load_grammar(path), depth)
+        colours = e.graph.colour_sets()
+        records = [{"kind": "vertex", "id": str(v), "level": e.vertices[v].level,
+                    "class": f"{e.vertices[v].can.rule}:{e.vertices[v].can.vertex}",
+                    "colours": sorted(colours[v]), "frontier": v in e.frontier}
+                   for v in e.graph.vertices]
+        records += [{"kind": "arc", "label": a.label, "source": str(a.source),
+                     "target": str(a.target)} for a in e.graph.arcs]
+        records += [{"kind": "hyperarc", "label": h.label,
+                     "vertices": [str(v) for v in h.vertices]}
+                    for h in e.graph.hyperarcs]
+        assert out.splitlines() == [json.dumps(r, sort_keys=True)
+                                    for r in records]
+    for escaped in ('\\u00e9', '\\"', '\\\\'):
+        assert escaped in out
 
 
 def test_expand_dot_and_component(corpus_dir):

@@ -37,6 +37,13 @@ def test_colour_sets_and_arc_indexes():
     assert [arc.target for arc in h.out_arcs()["a"]] == ["b", "a"]
 
 
+def test_colour_sets_share_one_object_per_distinct_set(running, updrift, dag):
+    for g in (running, updrift, dag):
+        cs = expand(g, 8).graph.colour_sets()
+        assert len({id(s) for s in cs.values()}) == len(set(cs.values()))
+        assert len(cs) > 2 * len(set(cs.values()))
+
+
 def test_corpus_grammars_validate(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
         assert validate_grammar(g) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pregma.gio import parse_grammar
+from pregma.model import GrammarError
 from pregma.oracle import (
     HorizonError,
     PathQuery,
@@ -232,7 +233,7 @@ def test_threshold_tables_match_the_fraction_cuts(corpus_dir):
     assert len(grammars) == 11
     for g in grammars:
         mc = truncate(g, 8)
-        cuts, targets = _threshold_tables(mc)
+        cuts, targets = _threshold_tables(mc, list(range(len(mc.trans))))
         for s, row in enumerate(mc.trans):
             cum = Fraction(0)
             expected = []
@@ -241,9 +242,59 @@ def test_threshold_tables_match_the_fraction_cuts(corpus_dir):
                 expected.append((cum.numerator << 64) // cum.denominator)
             assert cuts[s].tolist() == expected
             assert np.array_equal(targets[s], [t for t, _ in row])
+        # tables for a subset of the states, over its own denominator, agree
+        some = list(range(0, len(mc.trans), 3))
+        part, _ = _threshold_tables(mc, some)
+        assert all(np.array_equal(part[s], cuts[s]) for s in some)
 
 
 def test_truncate_rejects_mass_below_one(running):
     with pytest.raises(TotalityError, match=(
             r"^vertex 0 \(class Z:v0, level 0\) has outgoing mass 1/2$")):
         truncate(running, 4, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)})
+
+
+def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
+    # horizons 20 and 11 run past the frontier, so escapes are covered too
+    for g, depth, h in [(updrift, 14, 6), (updrift, 14, 20),
+                        (branching_walk, 8, 5), (branching_walk, 8, 11)]:
+        mc = truncate(g, depth)
+        query = PathQuery(None, frozenset({"green"}), "m0", h)
+        win = mc.colour_mask(query.phi2)
+
+        def undecided(s):
+            return not win[s] and s not in mc.frontier
+
+        start = mc.resolve("m0")
+        dist = {start: 0}
+        todo = [start]
+        for s in todo:
+            if dist[s] < h and undecided(s):
+                for t, _ in mc.trans[s]:
+                    if t not in dist:
+                        dist[t] = dist[s] + 1
+                        todo.append(t)
+        stepping = {s for s, d in dist.items() if d < h and undecided(s)}
+        far = [s for s in range(len(mc.states)) if s not in stepping]
+        assert far
+        trans = list(mc.trans)
+        for s in far:
+            trans[s] = Unreadable()
+        escapes = 0
+        for seed in (0, 11):
+            a = sample_until(mc, query, 2000, seed)
+            b = sample_until(replace(mc, trans=trans), query, 2000, seed)
+            assert (a.hits, a.misses, a.escapes) == (b.hits, b.misses, b.escapes)
+            escapes += a.escapes
+        assert (escapes > 0) == (h > 8)
+
+
+def test_missing_probability_names_the_first_label_in_arc_order():
+    g = parse_grammar(
+        "nonterminal Z 0\nterminal b 2\nterminal zz 2\nterminal aa 2\n"
+        "prob b 1\naxiom Z\nrule Z\n  vertex v0 v1\n"
+        "  arc b v0 v1\n  arc zz v1 v0\n  arc aa v1 v1\n")
+    with pytest.raises(GrammarError, match="^no probability for arc label zz$"):
+        truncate(g, 0)
+    with pytest.raises(GrammarError, match="^no probability for arc label aa$"):
+        truncate(g, 0, mu={"b": Fraction(1), "zz": Fraction(1, 2)})
