@@ -119,9 +119,8 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit(record: dict, fmt: str) -> None:
-    if fmt == "json-lines":
-        print(json.dumps(record, sort_keys=True))
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True))
 
 
 # ---------------------------------------------------------------- validate
@@ -299,7 +298,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
             _emit({
                 "kind": "enclosure", "lower": str(lo), "upper": str(hi),
                 "converged": enc.converged, "exact": enc.exact,
-            }, args.format)
+            })
         else:
             print(f"lower={lo} upper={hi}")
             state = "exact" if enc.exact else (
@@ -324,7 +323,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
                 _emit({
                     "kind": "bounded", "horizon": horizon, "depth": depth,
                     "value": str(value),
-                }, args.format)
+                })
             else:
                 print(f"bounded={value}")
                 print(f"decimal {float(value):.12f} (horizon {horizon})")
@@ -338,7 +337,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
         _emit({
             "kind": "sample", "hits": result.hits, "escapes": result.escapes,
             "n": n, "seed": args.seed, "horizon": horizon, "depth": depth,
-        }, args.format)
+        })
     else:
         print(f"hits={result.hits} escapes={result.escapes} n={n}")
         print(
@@ -384,33 +383,23 @@ def _cmd_check(args, parser: _Parser) -> int:
         print(str(exc), file=sys.stderr)
         return 1
 
-    def show(status: str, interval, record: dict) -> None:
+    def show(line: str, interval, record: dict) -> None:
+        """One verdict, with its enclosure when it has one."""
         if args.format == "json-lines":
             if interval is not None:
                 record["lower"] = str(interval[0])
                 record["upper"] = str(interval[1])
-            _emit(record, args.format)
+            _emit(record)
         else:
-            line = status
             if interval is not None:
                 line += f" enclosure=[{interval[0]}, {interval[1]}]"
             print(line)
 
     if args.emit_coloured:
         for can, verdict in labelling.verdicts.items():
-            if args.format == "json-lines":
-                rec = {"kind": "class-verdict", "class": str(can),
-                       "status": verdict.status}
-                if verdict.interval is not None:
-                    rec["lower"] = str(verdict.interval[0])
-                    rec["upper"] = str(verdict.interval[1])
-                _emit(rec, args.format)
-            else:
-                extra = ""
-                if verdict.interval is not None:
-                    extra = (f" enclosure=[{verdict.interval[0]},"
-                             f" {verdict.interval[1]}]")
-                print(f"class={can} verdict={verdict.status}{extra}")
+            show(f"class={can} verdict={verdict.status}", verdict.interval,
+                 {"kind": "class-verdict", "class": str(can),
+                  "status": verdict.status})
 
     if args.at is not None:
         can = CanonicalVertex(g.axiom, args.at)

@@ -108,20 +108,6 @@ def _depth(f: Formula) -> int:
     return deepest
 
 
-def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset([f.name])
-    if isinstance(f, (TT,)):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms(f.sub)
-    if isinstance(f, Next):
-        return atoms(f.sub)
-    if isinstance(f, (And, Until)):
-        return atoms(f.left) | atoms(f.right)
-    raise TypeError(f)
-
-
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"

@@ -8,11 +8,11 @@ frontier, and the sampler reports frontier contacts separately instead of
 guessing. Marked absorbing sinks get an explicit probability-1 self-loop so
 the truncation is a genuine Markov chain.
 
-The exact bounded sweep covers only the start's horizon cone, the states it
-can reach in time, and runs in integers over one common denominator. The
-mass check adds each label's integer weight as the rows are built. The
-sampler builds cut tables only for the states a trajectory can step from
-while undecided within the horizon.
+Transition rows hold integer weights over one denominator, the lcm of mu's
+denominators. Both the exact bounded sweep and the sampler walk only the
+start's horizon cone, the states a path can reach in time while undecided:
+the sweep runs in integers over powers of that denominator, and the sampler
+builds cut tables only for the cone's undecided states.
 """
 from __future__ import annotations
 
@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from .model import Expansion, Grammar, GrammarError, expand, validate_grammar
 from .rng import draw_array
 from .validation import ProbabilityMap
-
-ONE = Fraction(1)
 
 
 class TotalityError(GrammarError):
@@ -39,12 +37,25 @@ class HorizonError(ValueError):
     """The requested horizon can see past the truncation depth."""
 
 
+def integer_weights(mu: ProbabilityMap) -> tuple[int, dict[str, int]]:
+    """The lcm `den` of mu's denominators and each label's probability as
+    the integer weight p * den."""
+    den = lcm(*(p.denominator for p in mu.values()))
+    return den, {label: p.numerator * (den // p.denominator)
+                 for label, p in mu.items()}
+
+
 @dataclass
 class FiniteMC:
+    """A finite Markov chain. trans[i] lists state i's steps as (target,
+    weight) int pairs: a step's probability is weight / den, den being the
+    lcm of mu's denominators. Frontier states have incomplete rows."""
+
     expansion: Expansion | None
     states: list[Any]
     index: dict[Any, int]
-    trans: list[list[tuple[int, Fraction]]]
+    trans: list[list[tuple[int, int]]]
+    den: int
     colours: list[frozenset[str]]
     frontier: frozenset[int]
 
@@ -66,26 +77,11 @@ class FiniteMC:
         return self.index[self.expansion.axiom_vertex(start)]
 
 
-def _integer_rows(
-    rows: list[list[tuple[int, Fraction]]],
-) -> tuple[int, Iterator[list[tuple[int, int]]]]:
-    """The rows over one common denominator: the lcm `den` of every
-    probability's denominator, and each row, one at a time, with each p as
-    the integer p * den."""
-    den = lcm(*{p.denominator for row in rows for _, p in row})
-    return den, ([(t, p.numerator * (den // p.denominator)) for t, p in row]
-                 for row in rows)
-
-
 def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> FiniteMC:
     issues = validate_grammar(g)
     if issues:
         raise GrammarError("; ".join(str(i) for i in issues))
-    mu = dict(g.mu) if mu is None else dict(mu)
-    # each label's probability as an integer weight over one denominator
-    den = lcm(*(p.denominator for p in mu.values()))
-    weight = {label: p.numerator * (den // p.denominator)
-              for label, p in mu.items()}
+    den, weight = integer_weights(g.mu if mu is None else mu)
 
     expansion = expand(g, depth)
     graph = expansion.graph
@@ -95,21 +91,18 @@ def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> Finite
     colours = [colour_sets[v] for v in states]
     frontier = frozenset(index[v] for v in expansion.frontier)
 
-    trans: list[list[tuple[int, Fraction]]] = [[] for _ in states]
-    mass = [0] * len(states)
+    trans: list[list[tuple[int, int]]] = [[] for _ in states]
     for label, source, target in graph.arcs:
         if label not in weight:
             raise GrammarError(f"no probability for arc label {label}")
-        i = index[source]
-        trans[i].append((index[target], mu[label]))
-        mass[i] += weight[label]
+        trans[index[source]].append((index[target], weight[label]))
 
     for i, cs in enumerate(colours):
         if not trans[i] and i not in frontier and cs & g.absorbing:
-            trans[i].append((i, ONE))
-            mass[i] = den
+            trans[i].append((i, den))
 
-    for i, total in enumerate(mass):
+    for i, row in enumerate(trans):
+        total = sum(w for _, w in row)
         if total == den or i in frontier:
             continue
         v = states[i]
@@ -118,7 +111,7 @@ def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> Finite
             f"vertex {v} (class {cv.can}, level {cv.level}) has outgoing "
             f"mass {Fraction(total, den)}"
         )
-    return FiniteMC(expansion, states, index, trans, colours, frontier)
+    return FiniteMC(expansion, states, index, trans, den, colours, frontier)
 
 
 @dataclass(frozen=True)
@@ -132,41 +125,24 @@ class PathQuery:
     horizon: int
 
 
-def _frontier_guard(mc: FiniteMC, win: np.ndarray, alive: np.ndarray,
-                    start: int, horizon: int) -> list[list[int]]:
-    """The start's forward cone: layers[d], d = 0..horizon, holds the states
-    first reached in d steps, walking on only from states that are neither
-    won nor dead. Reject when a frontier state is reachable within the horizon
-    through states whose behaviour the truncation does know."""
+def _cone(mc: FiniteMC, undecided: list[bool], start: int,
+          horizon: int) -> list[set[int]]:
+    """The start's forward cone: layers[d] holds the states first reached in
+    d <= horizon steps, stepping on only from undecided states (alive, not
+    won, not on the frontier). The list ends before the first empty layer."""
     seen = {start}
-    layer = {start}
-    layers: list[list[int]] = []
-    for d in range(horizon + 1):
-        # a frontier state that already shows the goal colour is fine: colours
-        # only ever accumulate, so it wins no matter what comes later
-        hit = [s for s in layer if s in mc.frontier and not win[s]]
-        if hit:
-            v = mc.states[hit[0]]
-            where = ""
-            if mc.expansion is not None:
-                cv = mc.expansion.vertices[v]
-                where = f" (class {cv.can}, level {cv.level})"
-            raise HorizonError(
-                f"frontier vertex {v}{where} is within {horizon} steps of "
-                "the start; deepen the truncation"
-            )
-        layers.append(list(layer))
-        if d == horizon:
-            break
+    layers = [{start}]
+    for _ in range(horizon):
         nxt: set[int] = set()
-        for s in layer:
-            if win[s] or not alive[s]:
-                continue  # absorbed before taking another step
-            for t, _ in mc.trans[s]:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        layer = nxt
+        for s in layers[-1]:
+            if undecided[s]:
+                for t, _ in mc.trans[s]:
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.add(t)
+        if not nxt:
+            break
+        layers.append(nxt)
     return layers
 
 
@@ -175,29 +151,48 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
 
     Only the start's horizon cone is swept: step k reads the states within
     horizon - k steps of the start, since no other state's value reaches
-    the start's in time. Values are integers over den**k, den being the
-    lcm of the transition denominators inside the cone."""
+    the start's in time. Values are integers over mc.den**k. Rejects the
+    query when a frontier state that is not won lies in the cone, where the
+    truncation does not know its behaviour."""
     win = mc.colour_mask(query.phi2)
     alive = mc.colour_mask(query.phi1)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    layers = _frontier_guard(mc, win, alive, start, horizon)
-
+    fmask = np.zeros(len(mc.states), dtype=bool)
+    fmask[list(mc.frontier)] = True
+    undecided = (alive & ~win & ~fmask).tolist()
+    layers = _cone(mc, undecided, start, horizon)
     # the cone in layer order: the states within d steps are a prefix
     order = [s for layer in layers for s in layer]
+    # a frontier state that already shows the goal colour is fine: colours
+    # only ever accumulate, so it wins no matter what comes later
+    hit = [s for s in order if s in mc.frontier and not win[s]]
+    if hit:
+        v = mc.states[hit[0]]
+        where = ""
+        if mc.expansion is not None:
+            cv = mc.expansion.vertices[v]
+            where = f" (class {cv.can}, level {cv.level})"
+        raise HorizonError(
+            f"frontier vertex {v}{where} is within {horizon} steps of "
+            "the start; deepen the truncation"
+        )
+    if not horizon or not undecided[start]:
+        # no step is taken, so no den**horizon scale is needed
+        return Fraction(int(win[start]))
     pos = {s: i for i, s in enumerate(order)}
     within = list(accumulate(len(layer) for layer in layers))
+    within += [len(order)] * (horizon + 1 - len(within))
     # steps start only within horizon - 1 steps of the start; won and dead
     # states keep empty rows, and the won ones are reset each step
-    stepping = order[:within[horizon - 1]] if horizon else []
-    den, weights = _integer_rows([mc.trans[s] if alive[s] and not win[s] else []
-                                  for s in stepping])
-    rows = [[(pos[t], w) for t, w in row] for row in weights]
+    stepping = order[:within[horizon - 1]]
+    rows = [[(pos[t], w) for t, w in mc.trans[s]] if undecided[s] else []
+            for s in stepping]
     prev = [int(win[s]) for s in order]
     won = [i for i, v in enumerate(prev) if v]
     scale = 1
     for k in range(1, horizon + 1):
-        scale *= den
+        scale *= mc.den
         reach = within[horizon - k]
         cur = [sum(w * prev[j] for j, w in rows[i]) for i in range(reach)]
         for i in won:
@@ -229,38 +224,16 @@ def _threshold_tables(
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """For each of `states`: sorted uint64 cut points (first k-1 cumulative
     probabilities scaled by 2^64, rounded down) and the k target indices.
-    A cut is floor(P * 2^64) whichever common denominator P is taken over,
-    so the tables do not depend on which other states are in `states`."""
-    den, weights = _integer_rows([mc.trans[s] for s in states])
+    A cut is floor(P * 2^64) whatever denominator P is written over, so the
+    draws depend only on the probabilities."""
     cuts: dict[int, np.ndarray] = {}
     targets: dict[int, np.ndarray] = {}
-    for s, row in zip(states, weights):
+    for s in states:
+        row = mc.trans[s]
         cum = accumulate(w for _, w in row[:-1])
-        cuts[s] = np.array([(c << 64) // den for c in cum], dtype=np.uint64)
+        cuts[s] = np.array([(c << 64) // mc.den for c in cum], dtype=np.uint64)
         targets[s] = np.array([t for t, _ in row], dtype=np.int64)
     return cuts, targets
-
-
-def _stepping_cone(mc: FiniteMC, undecided: list[bool], start: int,
-                   horizon: int) -> list[int]:
-    """The states a trajectory can take a step from: the undecided ones it
-    reaches in fewer than `horizon` steps, walking only through undecided
-    states (a decided trajectory stops where it is)."""
-    seen = {start}
-    layer = [start]
-    stepping: list[int] = []
-    for _ in range(horizon):
-        nxt: list[int] = []
-        for s in layer:
-            if not undecided[s]:
-                continue
-            stepping.append(s)
-            for t, _ in mc.trans[s]:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        layer = nxt
-    return stepping
 
 
 def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleResult:
@@ -277,12 +250,13 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     win = mc.colour_mask(query.phi2)
     alive = mc.colour_mask(query.phi1)
     fmask = np.zeros(len(mc.states), dtype=bool)
-    for s in mc.frontier:
-        fmask[s] = True
+    fmask[list(mc.frontier)] = True
     start = mc.resolve(query.start)
     undecided = (alive & ~win & ~fmask).tolist()
+    layers = _cone(mc, undecided, start, query.horizon)
     cuts, targets = _threshold_tables(
-        mc, _stepping_cone(mc, undecided, start, query.horizon))
+        mc, [s for layer in layers[:query.horizon] for s in layer
+             if undecided[s]])
 
     cur = np.full(n, start, dtype=np.int64)
     # 0 active, 1 hit, 2 miss, 3 escape

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .gio import ParseError
 from .model import Expansion, Grammar, GrammarError, Hypergraph, Rule, VertexId
-from .oracle import FiniteMC
+from .oracle import FiniteMC, integer_weights
 from .validation import hyperarc_slots, vertex_classes
 
 Word = tuple[str, ...]
@@ -290,6 +290,7 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
     for label in {r.label for r in p.rules}:
         if label not in p.mu:
             raise GrammarError(f"no probability for arc label {label}")
+    den, weight = integer_weights(p.mu)
     name = p.word_name
     layer = [start]
     seen = {start: 0}
@@ -306,7 +307,7 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
 
     states = [name(w) for w in order]
     index = {s: i for i, s in enumerate(states)}
-    trans: list[list[tuple[int, Fraction]]] = []
+    trans: list[list[tuple[int, int]]] = []
     colours: list[frozenset[str]] = []
     frontier: set[int] = set()
     for w in order:
@@ -318,21 +319,23 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
             colours.append(frozenset())
             continue
         if not succ and p.sink_colour is not None:
-            trans.append([(i, Fraction(1))])
+            trans.append([(i, den)])
             colours.append(frozenset({p.sink_colour}))
             continue
-        total = sum((p.mu[label] for label, _ in succ), Fraction(0))
+        row = [(index[name(t)], weight[label]) for label, t in succ]
+        total = Fraction(sum(n for _, n in row), den)
         if total != 1:
             raise GrammarError(
                 f"configuration {name(w)} has out-mass {total}, not 1"
             )
-        trans.append([(index[name(t)], p.mu[label]) for label, t in succ])
+        trans.append(row)
         colours.append(frozenset())
     return FiniteMC(
         expansion=None,
         states=states,
         index=index,
         trans=trans,
+        den=den,
         colours=colours,
         frontier=frozenset(frontier),
     )

@@ -329,7 +329,6 @@ class Analysis:
     grammar: Grammar
     mu: dict[str, Fraction]
     rules: dict[str, Rule]
-    slots: Slots
     classes: dict[CanonicalVertex, VertexClass]
     absorbing: frozenset[CanonicalVertex]
     fragments: dict[str, Fragment]  # one per context (reachable rule), axiom first
@@ -409,7 +408,6 @@ def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
         grammar=g,
         mu=mu,
         rules=rules,
-        slots=slots,
         classes=classes,
         absorbing=frozenset(
             c for c, vc in classes.items() if vc.is_sink and vc.colours & g.absorbing

@@ -13,7 +13,6 @@ from pregma.formulas import (
     Next,
     Not,
     Until,
-    atoms,
     parse_formula,
     to_text,
 )
@@ -74,12 +73,6 @@ def test_parse_errors(text, needle):
         parse_formula(text)
 
 
-def test_atoms_collects_names():
-    f = parse_formula("v0 & (V1 U[>2/3] V2) & X[>=0] !V1")
-    assert atoms(f) == frozenset({"v0", "V1", "V2"})
-    assert atoms(parse_formula("tt")) == frozenset()
-
-
 _names = st.sampled_from(["a", "b", "green", "v0", "p'"])
 _rhos = st.builds(F, st.integers(0, 16), st.just(16))
 _cmps = st.sampled_from(["<", "<=", ">", ">="])
@@ -99,11 +92,6 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_text_round_trip(f):
     assert parse_formula(to_text(f)) == f
-
-
-@given(_formulas)
-def test_rendered_atoms_survive(f):
-    assert atoms(parse_formula(to_text(f))) == atoms(f)
 
 
 def test_nesting_cap():

@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import numpy as np
 import pytest
@@ -39,7 +41,8 @@ def test_truncate_state_count(running):
 def test_truncate_gives_sinks_self_loops(running):
     mc = truncate(running, 3)
     t0 = mc.resolve("t0")
-    assert mc.trans[t0] == [(t0, Fraction(1))]
+    assert mc.den == 4
+    assert mc.trans[t0] == [(t0, 4)]
 
 
 def test_resolve_accepts_names_and_ids(running):
@@ -88,12 +91,16 @@ def test_frontier_guard(running):
     assert bounded_until(mc, q(2)) == 0
     with pytest.raises(HorizonError, match="deepen the truncation"):
         bounded_until(mc, q(3))
+    # the cone walk ends with the cone, not with the horizon
+    with pytest.raises(HorizonError, match="within 1000000 steps"):
+        bounded_until(mc, q(10**6))
 
 
 def test_frontier_guard_spares_winning_frontiers(running):
     # every frontier vertex carries V1, so a V1 target needs no deepening
     mc = truncate(running, 3)
     assert bounded_until(mc, PathQuery(None, V1, "v0", 10)) == 1
+    assert bounded_until(mc, PathQuery(None, V1, "v0", 10**6)) == 1
 
 
 def test_sample_until_frozen_run(running):
@@ -135,7 +142,7 @@ def full_sweep(mc, query):
     prev = [Fraction(int(w)) for w in win]
     for _ in range(query.horizon):
         prev = [Fraction(1) if win[s] else Fraction(0) if not alive[s] else
-                sum((p * prev[t] for t, p in row), Fraction(0))
+                sum((Fraction(w, mc.den) * prev[t] for t, w in row), Fraction(0))
                 for s, row in enumerate(mc.trans)]
     return prev[mc.resolve(query.start)]
 
@@ -226,26 +233,79 @@ def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
             == full_sweep(mc, query)
 
 
-def test_threshold_tables_match_the_fraction_cuts(corpus_dir):
+@pytest.fixture(scope="module")
+def corpus_grammars(corpus_dir):
     grammars = [parse_grammar(p.read_text()) for p in sorted(corpus_dir.glob("*.gg"))]
     grammars += [encode(load_pcp(p))[0] for p in sorted(corpus_dir.glob("*.pcp"))]
     grammars.append(to_grammar(load_pds(corpus_dir / "pds_example_prob.pds")))
     assert len(grammars) == 11
-    for g in grammars:
+    return grammars
+
+
+def test_threshold_tables_match_the_fraction_cuts(corpus_grammars):
+    for g in corpus_grammars:
         mc = truncate(g, 8)
         cuts, targets = _threshold_tables(mc, list(range(len(mc.trans))))
         for s, row in enumerate(mc.trans):
             cum = Fraction(0)
             expected = []
-            for _, p in row[:-1]:
-                cum += p
+            for _, w in row[:-1]:
+                cum += Fraction(w, mc.den)
                 expected.append((cum.numerator << 64) // cum.denominator)
             assert cuts[s].tolist() == expected
             assert np.array_equal(targets[s], [t for t, _ in row])
-        # tables for a subset of the states, over its own denominator, agree
+        # tables for a subset of the states agree
         some = list(range(0, len(mc.trans), 3))
         part, _ = _threshold_tables(mc, some)
         assert all(np.array_equal(part[s], cuts[s]) for s in some)
+
+
+def test_rows_are_integer_weights_over_the_lcm_of_mu(corpus_grammars, pds_prob):
+    chains = [(truncate(g, 8), g.mu, g.absorbing) for g in corpus_grammars]
+    chains.append((config_chain(pds_prob, ("r",), 14), pds_prob.mu,
+                   {pds_prob.sink_colour}))
+    for mc, mu, absorbing in chains:
+        assert mc.den == lcm(*(p.denominator for p in mu.values()))
+        loops = 0
+        for i, row in enumerate(mc.trans):
+            if i in mc.frontier:
+                continue
+            assert sum(w for _, w in row) == mc.den
+            if mc.colours[i] & absorbing:
+                assert row == [(i, mc.den)]
+                loops += 1
+        assert loops
+
+
+def test_mixed_denominators_keep_values_and_cuts():
+    # 1/2 steps for the start's first three steps, 1/3 and 2/3 beyond them:
+    # the cone's lcm is 2 up to horizon 3, while mu's is 6
+    g = parse_grammar(
+        "nonterminal Z 0\nnonterminal A 2\nnonterminal B 2\nnonterminal C 2\n"
+        "terminal h 2\nterminal t 2\nterminal u 2\ncolour goal\n"
+        "absorbing goal\nprob h 1/2\nprob t 1/3\nprob u 2/3\naxiom Z\n"
+        "rule Z\n  vertex v0 g\n  colour goal g\n  hyperarc A v0 g\n"
+        "rule A inputs s g\n  vertex n\n  arc h s g\n  arc h s n\n"
+        "  hyperarc B n g\n"
+        "rule B inputs s g\n  vertex n\n  arc h s g\n  arc h s n\n"
+        "  hyperarc C n g\n"
+        "rule C inputs s g\n  vertex n\n  arc t s g\n  arc u s n\n"
+        "  hyperarc C n g\n")
+    mc = truncate(g, 10)
+    assert mc.den == 6
+    for h in range(9):
+        query = PathQuery(None, frozenset({"goal"}), "v0", h)
+        assert bounded_until(mc, query) == full_sweep(mc, query), h
+    assert bounded_until(mc, query) == Fraction(713, 729)
+    # the cuts from mu's own fractions, row by row in arc order
+    probs: dict[int, list[Fraction]] = {}
+    for arc in mc.expansion.graph.arcs:
+        probs.setdefault(mc.index[arc.source], []).append(g.mu[arc.label])
+    cuts, _ = _threshold_tables(mc, list(probs))
+    for s, ps in probs.items():
+        assert cuts[s].tolist() == [(c.numerator << 64) // c.denominator
+                                    for c in accumulate(ps[:-1])]
+    assert cuts[mc.resolve("v0")].tolist() == [1 << 63]
 
 
 def test_truncate_rejects_mass_below_one(running):

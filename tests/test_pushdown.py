@@ -182,8 +182,9 @@ def test_config_chain_frontier_and_steps(pds_prob):
     mc = config_chain(pds_prob, ("r",), 2)
     assert mc.states == ["r", "Br'", "BAr", "BAp"]
     assert mc.frontier == frozenset({2, 3})
-    assert mc.trans[0] == [(1, F(1))]
-    assert mc.trans[1] == [(2, F(1, 2)), (3, F(1, 2))]
+    assert mc.den == 2
+    assert mc.trans[0] == [(1, 2)]
+    assert mc.trans[1] == [(2, 1), (3, 1)]
     zero = config_chain(pds_prob, ("r",), 0)
     assert zero.states == ["r"] and zero.frontier == frozenset({0})
     assert len(config_chain(pds_prob, ("r",), 50).states) == 77
