@@ -2,7 +2,9 @@
 
 Exit codes are part of the contract: 0 for success (and `holds` verdicts),
 1 for validation failures and `fails` verdicts, 2 for `unknown` verdicts,
-3 for usage errors. Results go to stdout, diagnostics to stderr. With
+3 for usage errors. Exit 1 also covers an input file that cannot be read
+or is not UTF-8 and an `-o` path that cannot be written, each with one
+diagnostic line on stderr. Results go to stdout, diagnostics to stderr. With
 `--format json-lines` every result is one self-describing JSON object per
 line and rationals stay exact as "p/q" strings; the default text format
 adds rounded decimals for reading.
@@ -76,15 +78,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load(path: str) -> Grammar:
+class _Failure(Exception):
+    """A diagnostic line; `main` prints it on stderr and exits 1."""
+
+
+def _load(path: str, load=load_grammar):
+    """Read one input file with `load`: a grammar unless told otherwise."""
     try:
-        return load_grammar(path)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Failure(f"cannot read {path}: {exc}")
     except (ParseError, GrammarError) as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Failure(f"{path}: {exc}")
 
 
 def _colour_names(g: Grammar, expr: str, parser: _Parser) -> frozenset[str] | None:
@@ -110,17 +115,24 @@ def _axiom_vertex(g: Grammar, name: str, parser: _Parser) -> str:
 
 
 def _write_out(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise _Failure(f"cannot write {path}: {exc}")
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+def _report(args, record: dict, *lines: str) -> None:
+    """One result: its record as a JSON line, or else its text lines."""
+    if args.format == "json-lines":
+        print(json.dumps(record, sort_keys=True))
+    else:
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------- validate
@@ -129,11 +141,7 @@ def _emit(record: dict) -> None:
 def _cmd_validate(args, parser: _Parser) -> int:
     g = _load(args.grammar)
     if g.mu:
-        try:
-            report = phr_check(g)
-        except GrammarError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        report = phr_check(g)
         if report.ok:
             return 0
         for line in report.outside.violations:
@@ -157,29 +165,13 @@ def _cmd_validate(args, parser: _Parser) -> int:
 
 
 def _cmd_from_pds(args, parser: _Parser) -> int:
-    try:
-        system = load_pds(args.input)
-        g = to_grammar(system)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, GrammarError) as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 1
+    g = _load(args.input, lambda path: to_grammar(load_pds(path)))
     _write_out(serialize_grammar(g), args.output)
     return 0
 
 
 def _cmd_gen_pcp(args, parser: _Parser) -> int:
-    try:
-        instance = load_pcp(args.input)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, GrammarError) as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 1
-    g, _, formula = encode(instance)
+    g, _, formula = encode(_load(args.input, load_pcp))
     text = serialize_grammar(g)
     text += f"\n# matching forks satisfy: {to_text(formula)}\n"
     _write_out(text, args.output)
@@ -203,15 +195,11 @@ class _Fragments(dict):
 
 def _cmd_expand(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    try:
-        if args.component is not None:
-            _axiom_vertex(g, args.component, parser)
-            expansion = reachable_component(g, args.component, args.depth)
-        else:
-            expansion = expand(g, args.depth)
-    except GrammarError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    if args.component is not None:
+        _axiom_vertex(g, args.component, parser)
+        expansion = reachable_component(g, args.component, args.depth)
+    else:
+        expansion = expand(g, args.depth)
     graph, vertices, frontier = expansion.graph, expansion.vertices, expansion.frontier
 
     if args.format == "dot":
@@ -268,8 +256,7 @@ def _cmd_expand(args, parser: _Parser) -> int:
 
 def _require_mu(g: Grammar) -> None:
     if not g.mu:
-        print("grammar declares no arc probabilities", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Failure("grammar declares no arc probabilities")
 
 
 def _cmd_prob(args, parser: _Parser) -> int:
@@ -280,70 +267,46 @@ def _cmd_prob(args, parser: _Parser) -> int:
     phi2_names = _colour_names(g, args.phi2, parser)
 
     if args.method == "enclosure":
-        try:
-            an = analyse(g, g.mu)
-            phi1 = classes_for_colours(an, phi1_names)
-            phi2 = classes_for_colours(an, phi2_names)
-            enc = solve_until(an, phi1, phi2, eps=args.eps)
-        except GrammarError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        an = analyse(g, g.mu)
+        phi1 = classes_for_colours(an, phi1_names)
+        phi2 = classes_for_colours(an, phi2_names)
+        enc = solve_until(an, phi1, phi2, eps=args.eps)
         if args.emit_system:
             assembly = shared_assembly(an, phi1, phi2)
             for key, value in assembly.pins.items():
                 print(f"pin {render_key(key)} = {value}")
             print(assembly.system.render(render_key))
         lo, hi = axiom_probability(enc, g, args.start)
-        if args.format == "json-lines":
-            _emit({
-                "kind": "enclosure", "lower": str(lo), "upper": str(hi),
-                "converged": enc.converged, "exact": enc.exact,
-            })
-        else:
-            print(f"lower={lo} upper={hi}")
-            state = "exact" if enc.exact else (
-                "converged" if enc.converged else "not converged"
-            )
-            print(
+        state = "exact" if enc.exact else (
+            "converged" if enc.converged else "not converged"
+        )
+        _report(args, {"kind": "enclosure", "lower": str(lo), "upper": str(hi),
+                       "converged": enc.converged, "exact": enc.exact},
+                f"lower={lo} upper={hi}",
                 f"decimal [{float(lo):.12f}, {float(hi):.12f}] "
-                f"width={float(hi - lo):.3e} ({state})"
-            )
+                f"width={float(hi - lo):.3e} ({state})")
         return 0
 
     horizon = args.horizon
     if horizon is None:
         parser.error(f"--horizon is required with --method {args.method}")
     depth = args.depth if args.depth is not None else horizon + 2
-    try:
-        mc = truncate(g, depth)
-        query = PathQuery(phi1_names, phi2_names, args.start, horizon)
-        if args.method == "truncate":
-            value = bounded_until(mc, query)
-            if args.format == "json-lines":
-                _emit({
-                    "kind": "bounded", "horizon": horizon, "depth": depth,
-                    "value": str(value),
-                })
-            else:
-                print(f"bounded={value}")
-                print(f"decimal {float(value):.12f} (horizon {horizon})")
-            return 0
-        result = sample_until(mc, query, args.trajectories, args.seed)
-    except (GrammarError, HorizonError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    n = args.trajectories
-    if args.format == "json-lines":
-        _emit({
-            "kind": "sample", "hits": result.hits, "escapes": result.escapes,
-            "n": n, "seed": args.seed, "horizon": horizon, "depth": depth,
-        })
-    else:
-        print(f"hits={result.hits} escapes={result.escapes} n={n}")
-        print(
-            f"estimate [{result.hits / n:.6f}, "
-            f"{(result.hits + result.escapes) / n:.6f}] (seed {args.seed})"
-        )
+    mc = truncate(g, depth)
+    query = PathQuery(phi1_names, phi2_names, args.start, horizon)
+    if args.method == "truncate":
+        value = bounded_until(mc, query)
+        _report(args, {"kind": "bounded", "horizon": horizon, "depth": depth,
+                       "value": str(value)},
+                f"bounded={value}",
+                f"decimal {float(value):.12f} (horizon {horizon})")
+        return 0
+    result = sample_until(mc, query, args.trajectories, args.seed)
+    _report(args, {"kind": "sample", "hits": result.hits, "escapes": result.escapes,
+                   "n": result.n, "seed": args.seed, "horizon": horizon,
+                   "depth": depth},
+            f"hits={result.hits} escapes={result.escapes} n={result.n}",
+            f"estimate [{float(result.estimate_lo):.6f}, "
+            f"{float(result.estimate_hi):.6f}] (seed {args.seed})")
     return 0
 
 
@@ -367,33 +330,19 @@ _EXIT_BY_STATUS = {"holds": 0, "fails": 1, "unknown": 2}
 def _cmd_check(args, parser: _Parser) -> int:
     g = _load(args.grammar)
     _require_mu(g)
-    try:
-        formula = parse_formula(args.formula)
-    except FormulaError as exc:
-        parser.error(f"bad formula: {exc}")
+    formula = parse_formula(args.formula)
     if args.qualitative and not _qualitative_only(formula):
         parser.error("--qualitative requires every threshold to be 0 or 1")
     if args.at is not None:
         _axiom_vertex(g, args.at, parser)
-    try:
-        labelling = label_formula(g, formula, eps=args.eps)
-    except FormulaError as exc:
-        parser.error(f"bad formula: {exc}")
-    except GrammarError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    labelling = label_formula(g, formula, eps=args.eps)
 
     def show(line: str, interval, record: dict) -> None:
         """One verdict, with its enclosure when it has one."""
-        if args.format == "json-lines":
-            if interval is not None:
-                record["lower"] = str(interval[0])
-                record["upper"] = str(interval[1])
-            _emit(record)
-        else:
-            if interval is not None:
-                line += f" enclosure=[{interval[0]}, {interval[1]}]"
-            print(line)
+        if interval is not None:
+            record["lower"], record["upper"] = map(str, interval)
+            line += f" enclosure=[{record['lower']}, {record['upper']}]"
+        _report(args, record, line)
 
     if args.emit_coloured:
         for can, verdict in labelling.verdicts.items():
@@ -493,8 +442,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except SystemExit:
-        raise
+    except FormulaError as exc:
+        parser.error(f"bad formula: {exc}")
+    except (_Failure, GrammarError, HorizonError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

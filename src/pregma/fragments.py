@@ -37,7 +37,6 @@ class FragmentNode:
 
 @dataclass
 class Fragment:
-    context: str
     rule: Rule
     nodes: dict[NodeKey, FragmentNode] = field(default_factory=dict)
     # every node's out-arcs as (label, target), in arc order
@@ -54,7 +53,7 @@ class Fragment:
 def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fragment:
     """The context rule's rhs with a child copy glued on every hyperarc."""
     rule = rules[context]
-    frag = Fragment(context, rule)
+    frag = Fragment(rule)
 
     def add(node: FragmentNode) -> None:
         frag.nodes[node.key] = node
@@ -246,13 +245,9 @@ def local_rows(
             rows[node.key] = absorbed_from(node.key)
             continue
         # boundary start: force one step
-        if node.kind != "input":
-            if node.can in phi2:
-                rows[node.key] = LocalRow(win=ONE)
-                continue
-            if node.can not in phi1 or (node.can in sinks and node.can not in phi2):
-                rows[node.key] = LocalRow(loss=ONE)
-                continue
+        if node.kind != "input" and (bucket := interior_bucket(node)) is not None:
+            rows[node.key] = LocalRow(win=ONE) if bucket == "win" else LocalRow(loss=ONE)
+            continue
         row = LocalRow()
         for label, dst in frag.out[node.key]:
             p = mu[label]

@@ -39,8 +39,6 @@ class Verdict:
 
 @dataclass
 class Labelling:
-    formula: Formula
-    classes: list[CanonicalVertex]
     verdicts: dict[CanonicalVertex, Verdict]
 
     def at(self, can: CanonicalVertex) -> Verdict:
@@ -201,4 +199,4 @@ def label_formula(
     ev = _Evaluator(analyse(g, g.mu), eps)
     statuses, intervals = ev.eval(formula)
     verdicts = {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
-    return Labelling(formula, ev.cans, verdicts)
+    return Labelling(verdicts)

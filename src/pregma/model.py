@@ -298,8 +298,6 @@ class Instance:
 
 @dataclass
 class Expansion:
-    grammar: Grammar
-    depth: int
     graph: Hypergraph
     vertices: dict[VertexId, ConcreteVertex]
     instances: list[Instance]
@@ -367,7 +365,7 @@ def expand(g: Grammar, depth: int) -> Expansion:
     graph = Hypergraph(list(vertices), arcs, colours,
                        [Hyperarc(label, vs) for label, vs, _, _ in pending])
     frontier = frozenset(v for h in graph.hyperarcs for v in h.vertices)
-    return Expansion(g, depth, graph, vertices, instances, frontier)
+    return Expansion(graph, vertices, instances, frontier)
 
 
 def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:

@@ -102,6 +102,34 @@ def _tile_rule(name: str, u: str, v: str, recursion: list[str]) -> Rule:
     return Rule(name, ("vout", "uout"), rhs)
 
 
+def _gates() -> Hypergraph:
+    """The axiom rhs every gadget starts from: vgate steps to the green goal,
+    ugate to the red lost vertex, and both of those loop."""
+    rhs = Hypergraph()
+    for v in ("goal", "lost", "vgate", "ugate"):
+        rhs.add_vertex(v)
+    rhs.add_colour("green", "goal")
+    rhs.add_colour("red", "lost")
+    rhs.add_arc("b", "goal", "goal")
+    rhs.add_arc("b", "lost", "lost")
+    rhs.add_arc("b", "vgate", "goal")
+    rhs.add_arc("b", "ugate", "lost")
+    return rhs
+
+
+def _gadget(rules: list[Rule], tiles: list[str]) -> Grammar:
+    """Axiom Z plus one binary nonterminal per tile; rails flip fair coins
+    on `a`, and the green and red leaves absorb."""
+    return Grammar(
+        terminals={"a": 2, "b": 2, "s": 1, "green": 1, "red": 1},
+        nonterminals={"Z": 0, **{t: 2 for t in tiles}},
+        axiom="Z",
+        rules=rules,
+        mu={"a": HALF, "b": Fraction(1)},
+        absorbing={"green", "red"},
+    )
+
+
 def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
     """Gadget grammar, arc probabilities, and the matching formula.
 
@@ -110,15 +138,7 @@ def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
     threshold untils."""
     tiles = [f"New{i}" for i in range(1, len(p.pairs) + 1)]
 
-    axiom_rhs = Hypergraph()
-    for v in ("goal", "lost", "vgate", "ugate"):
-        axiom_rhs.add_vertex(v)
-    axiom_rhs.add_colour("green", "goal")
-    axiom_rhs.add_colour("red", "lost")
-    axiom_rhs.add_arc("b", "goal", "goal")
-    axiom_rhs.add_arc("b", "lost", "lost")
-    axiom_rhs.add_arc("b", "vgate", "goal")
-    axiom_rhs.add_arc("b", "ugate", "lost")
+    axiom_rhs = _gates()
     for t in tiles:
         axiom_rhs.add_hyperarc(t, ("vgate", "ugate"))
 
@@ -126,15 +146,7 @@ def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
     for t, (u, v) in zip(tiles, p.pairs):
         rules.append(_tile_rule(t, u, v, tiles))
 
-    mu = {"a": HALF, "b": Fraction(1)}
-    g = Grammar(
-        terminals={"a": 2, "b": 2, "s": 1, "green": 1, "red": 1},
-        nonterminals={"Z": 0, **{t: 2 for t in tiles}},
-        axiom="Z",
-        rules=rules,
-        mu=dict(mu),
-        absorbing={"green", "red"},
-    )
+    g = _gadget(rules, tiles)
     formula = And(
         Atom("s"),
         And(
@@ -142,7 +154,7 @@ def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
             Until("<=", HALF, TT(), Atom("green")),
         ),
     )
-    return g, mu, formula
+    return g, dict(g.mu), formula
 
 
 def _concat(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> tuple[str, str]:
@@ -202,16 +214,7 @@ def sequence_grammar(
     validator and both engines accept for any number of tiles."""
     u_all, v_all = _concat(p, seq)
 
-    rhs = Hypergraph()
-    for v in ("goal", "lost", "vgate", "ugate"):
-        rhs.add_vertex(v)
-    rhs.add_colour("green", "goal")
-    rhs.add_colour("red", "lost")
-    rhs.add_arc("b", "goal", "goal")
-    rhs.add_arc("b", "lost", "lost")
-    rhs.add_arc("b", "vgate", "goal")
-    rhs.add_arc("b", "ugate", "lost")
-
+    rhs = _gates()
     v_next, u_next = "vgate", "ugate"
     for j in range(len(seq) - 1, -1, -1):
         u, v = p.pairs[seq[j] - 1]
@@ -222,15 +225,7 @@ def sequence_grammar(
     rhs.add_arc("a", "s0", v_next)
     rhs.add_arc("a", "s0", u_next)
 
-    g = Grammar(
-        terminals={"a": 2, "b": 2, "s": 1, "green": 1, "red": 1},
-        nonterminals={"Z": 0},
-        axiom="Z",
-        rules=[Rule("Z", (), rhs)],
-        mu={"a": HALF, "b": Fraction(1)},
-        absorbing={"green", "red"},
-    )
-    return g, "s0"
+    return _gadget([Rule("Z", (), rhs)], []), "s0"
 
 
 def fork_sequences(g: Grammar, expansion: Expansion) -> list[tuple[str, tuple[int, ...]]]:

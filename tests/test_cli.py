@@ -237,6 +237,51 @@ def test_usage_errors_exit_3(corpus_dir, argv, needle):
     assert needle in err
 
 
+# every subcommand with the arguments it requires; {path} is the bad file
+READERS = [
+    ["validate", "{path}"],
+    ["expand", "{path}", "--depth", "2"],
+    ["prob", "{path}", "--phi2", "V2", "--from", "v0"],
+    ["check", "{path}", "--formula", "V2"],
+    ["from-pds", "{path}"],
+    ["gen-pcp", "{path}"],
+]
+WRITERS = [
+    ["expand", "{corpus}/running.gg", "--depth", "2", "-o", "{path}"],
+    ["from-pds", "{corpus}/pds_example.pds", "-o", "{path}"],
+    ["gen-pcp", "{corpus}/pcp_s1.pcp", "-o", "{path}"],
+]
+CONTRACT_CASES = (
+    [(argv, kind) for argv in READERS
+     for kind in ("missing", "directory", "non-utf8", "empty")]
+    + [(argv, kind) for argv in WRITERS for kind in ("missing-dir", "directory")]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, kind", CONTRACT_CASES,
+    ids=[f"{argv[0]}{'-o' if '-o' in argv else ''}-{kind}"
+         for argv, kind in CONTRACT_CASES])
+def test_bad_files_give_one_diagnostic_and_exit_1(corpus_dir, tmp_path, argv, kind):
+    path = tmp_path / "bad"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"pair 1 \xff\xfe\n")
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "missing-dir":
+        path = path / "out.gg"
+    code, out, err = run([a.format(path=path, corpus=corpus_dir) for a in argv])
+    if "-o" in argv:
+        prefix = f"cannot write {path}: "
+    else:
+        prefix = f"{path}: " if kind == "empty" else f"cannot read {path}: "
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+    assert "Traceback" not in err
+
+
 def test_check_at_is_validated_before_labelling(corpus_dir, monkeypatch):
     def no_labelling(*args, **kwargs):
         raise AssertionError("labelled before --at was checked")
