@@ -102,7 +102,7 @@ def _colour_names(g: Grammar, expr: str, parser: _Parser) -> frozenset[str] | No
     unknown = names - set(g.colour_names)
     if unknown:
         parser.error(
-            f"unknown colours {sorted(unknown)}; grammar has {g.colour_names}"
+            f"unknown colours {sorted(unknown)}; grammar has {sorted(g.colour_names)}"
         )
     return names
 

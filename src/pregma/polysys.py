@@ -25,12 +25,20 @@ falls below the identity near a fixpoint even where a row of F' sums above
 1, which no shared offset survives. Component values are probabilities, so
 1 is always a sound upper bound when no certificate is found; in that case
 the enclosure simply stays wide and the caller sees converged=False.
+
+The solver compiles the cleaned system once: variables become indices and
+coefficients integers over their common denominator. Every exact check (the
+Kleene step, a component's residual and post-fixpoint test, and (I - F')z)
+then runs as integer sums over the lcm of the denominators of the values it
+reads, with one reduced Fraction per row: the same rationals as term-by-term
+Fraction arithmetic, without a Fraction operation per term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from math import lcm, prod
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,33 +74,39 @@ class PolySystem:
             return
         self.equations[key].append((coeff, tuple(factors)))
 
-    def value(self, key: Key, point: Mapping[Key, Fraction]) -> Fraction:
-        """rhs_key at point, which needs only the variables rhs_key mentions."""
-        acc = ZERO
-        for coeff, factors in self.equations[key]:
-            term = coeff
-            for f in factors:
-                term *= point[f]
-            acc += term
-        return acc
-
     def evaluate(self, point: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
-        return {key: self.value(key, point) for key in self.variables}
+        return {
+            key: sum((prod((point[f] for f in factors), start=coeff)
+                      for coeff, factors in self.equations[key]), ZERO)
+            for key in self.variables
+        }
 
     def positive_variables(self) -> frozenset[Key]:
-        """Variables with a strictly positive least-fixpoint value."""
+        """Variables with a strictly positive least-fixpoint value: a
+        worklist in which each term counts its factors not yet positive."""
+        missing: list[int] = []  # per term
+        heads: list[Key] = []  # per term, the variable it feeds
+        uses: dict[Key, list[int]] = {}  # per factor, its terms
+        ready: list[Key] = []
+        for key in self.variables:
+            for coeff, factors in self.equations[key]:
+                if coeff > 0:
+                    for f in factors:
+                        uses.setdefault(f, []).append(len(missing))
+                    missing.append(len(factors))
+                    heads.append(key)
+                    if not factors:
+                        ready.append(key)
         pos: set[Key] = set()
-        changed = True
-        while changed:
-            changed = False
-            for key in self.variables:
-                if key in pos:
-                    continue
-                for coeff, factors in self.equations[key]:
-                    if coeff > 0 and all(f in pos for f in factors):
-                        pos.add(key)
-                        changed = True
-                        break
+        while ready:
+            key = ready.pop()
+            if key in pos:
+                continue
+            pos.add(key)
+            for t in uses.get(key, ()):
+                missing[t] -= 1
+                if missing[t] == 0:
+                    ready.append(heads[t])
         return frozenset(pos)
 
     def render(self, name: Callable[[Key], str] | None = None) -> str:
@@ -132,47 +146,67 @@ def _floor_to_grid(v: Fraction, bits: int) -> Fraction:
 
 
 def _ceil_to_grid(v: Fraction, bits: int) -> Fraction:
-    return -_floor_to_grid(-v, bits)
+    return Fraction(-(-v.numerator * (1 << bits) // v.denominator), 1 << bits)
 
 
 _DEN_CAP = 1 << 128  # keep exact values while their denominators stay modest
 _CERTIFY_EVERY = 50  # rounds between certification attempts, small Newton steps aside
 
 
-def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
+Row = list[tuple[int, int, int]]
+
+
+def _at(rows: list[Row], den: int, values: Sequence[Fraction]) -> list[Fraction]:
+    """rows at values, exactly. A term (c, a, b) reads c/den * values[a] *
+    values[b], index -1 reading 1. The values go to integers over the lcm L
+    of their denominators, so each row is one integer sum over den * L^2."""
+    scale = lcm(*{v.denominator for v in values})
+    n = [v.numerator * (scale // v.denominator) for v in values]
+    n.append(scale)
+    total = den * scale * scale
+    return [Fraction(sum(c * n[a] * n[b] for c, a, b in row), total) for row in rows]
+
+
+class _Component(NamedTuple):
+    members: list[int]
+    cyclic: bool
+    reads: list[int]  # the variables its rows read
+    rows: list[Row]  # its rows, indexing reads
+    i_minus_a: list[Row]  # (I - F')z on it: z_i's own term, then F'; indexing z + reads
+
+
+def _components(rows: list[Row], den: int) -> list[_Component]:
     """Strongly connected components of the dependency graph, dependencies
     first, each flagged with whether it contains a cycle."""
-    deps = {
-        k: list(dict.fromkeys(f for _, fs in system.equations[k] for f in fs))
-        for k in system.variables
-    }
-    index: dict[Key, int] = {}
-    low: dict[Key, int] = {}
-    onstack: set[Key] = set()
-    stack: list[Key] = []
-    comps: list[list[Key]] = []
+    deps = [list(dict.fromkeys(f for _, a, b in row for f in (a, b) if f >= 0))
+            for row in rows]
+    index = [-1] * len(rows)
+    low = [0] * len(rows)
+    onstack = [False] * len(rows)
+    stack: list[int] = []
+    comps: list[list[int]] = []
     counter = 0
 
-    def connect(root: Key) -> None:
+    def connect(root: int) -> None:
         nonlocal counter
-        work: list[tuple[Key, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             node, pos = work.pop()
             if pos == 0:
                 index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                onstack.add(node)
+                onstack[node] = True
             descended = False
             ds = deps[node]
             for i in range(pos, len(ds)):
                 d = ds[i]
-                if d not in index:
+                if index[d] < 0:
                     work.append((node, i + 1))
                     work.append((d, 0))
                     descended = True
                     break
-                if d in onstack:
+                if onstack[d]:
                     low[node] = min(low[node], index[d])
             if descended:
                 continue
@@ -180,7 +214,7 @@ def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    onstack.discard(w)
+                    onstack[w] = False
                     comp.append(w)
                     if w == node:
                         break
@@ -189,42 +223,40 @@ def _scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
 
-    for k in system.variables:
-        if k not in index:
+    for k in range(len(rows)):
+        if index[k] < 0:
             connect(k)
 
-    out: list[tuple[list[Key], bool]] = []
+    out = []
     for comp in comps:
-        members = set(comp)
-        cyclic = len(comp) > 1 or any(d in members for d in deps[comp[0]])
-        out.append((comp, cyclic))
-    return out
-
-
-def _i_minus_jacobian(
-    system: PolySystem,
-    comp: list[Key],
-    point: Mapping[Key, Fraction],
-    z: Mapping[Key, Fraction],
-) -> dict[Key, Fraction]:
-    """(I - A) z on comp, exactly, with A = F'(point) restricted to comp."""
-    out = {}
-    for k in comp:
-        acc = z[k]
-        for coeff, factors in system.equations[k]:
-            for i, f in enumerate(factors):
-                if f in z:
-                    acc -= coeff * z[f] * (point[factors[1 - i]] if len(factors) == 2 else ONE)
-        out[k] = acc
+        pos = {g: i for i, g in enumerate(comp)}
+        reads = list(dict.fromkeys(f for g in comp for f in deps[g]))
+        at = {g: i for i, g in enumerate(reads)}
+        at[-1] = -1  # an absent factor stays absent
+        i_minus_a = []
+        for i, g in enumerate(comp):
+            row = [(den, i, -1)]
+            for c, a, b in rows[g]:
+                for f, o in ((a, b), (b, a)):
+                    if f in pos:
+                        row.append((-c, pos[f], len(comp) + at[o] if o >= 0 else -1))
+            i_minus_a.append(row)
+        out.append(_Component(
+            comp,
+            len(comp) > 1 or comp[0] in deps[comp[0]],
+            reads,
+            [[(c, at[a], at[b]) for c, a, b in rows[g]] for g in comp],
+            i_minus_a,
+        ))
     return out
 
 
 def _newton(
-    system: PolySystem,
-    comp: list[Key],
-    point: Mapping[Key, Fraction],
+    comp: _Component,
+    den: int,
+    point: list[Fraction],
     bits: int,
-) -> tuple[dict[Key, Fraction] | None, dict[Key, Fraction] | None]:
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """One Newton step on the cyclic component comp at point, the variables
     outside it held at point: comp's new values (None when refused) and a
     direction for certifying its upper bound (None when there is none).
@@ -240,18 +272,16 @@ def _newton(
     so by convexity point + d stays at or below the least fixpoint whenever
     point does, and with d >= 0 also point + d <= F(point + d).
     """
-    index = {k: i for i, k in enumerate(comp)}
-    floats = {f: float(point[f]) for k in comp for _, fs in system.equations[k] for f in fs}
-    n = len(comp)
+    n = len(comp.members)
+    at = [point[g] for g in comp.reads]
+    x = [point[g] for g in comp.members]
+    residual = [f - y for f, y in zip(_at(comp.rows, den, at), x)]
+    floats = [float(y) for y in at]
     jac = np.zeros((n, n))
-    for row, k in enumerate(comp):
-        for coeff, factors in system.equations[k]:
-            for i, f in enumerate(factors):
-                if f in index:
-                    other = floats[factors[1 - i]] if len(factors) == 2 else 1.0
-                    jac[row, index[f]] += float(coeff) * other
-    residual = {k: system.value(k, point) - point[k] for k in comp}
-    rhs = np.column_stack([[float(residual[k]) for k in comp], np.ones(n)])
+    for row, terms in enumerate(comp.i_minus_a):
+        for c, f, o in terms[1:]:
+            jac[row, f] += -c / den * (floats[o - n] if o >= 0 else 1.0)
+    rhs = np.column_stack([[float(r) for r in residual], np.ones(n)])
     try:
         solution = np.linalg.solve(np.eye(n) - jac, rhs)
     except np.linalg.LinAlgError:
@@ -260,20 +290,17 @@ def _newton(
         return None, None
 
     u = solution[:, 1] / solution[:, 1].max()
-    v = {k: _ceil_to_grid(Fraction(float(u[i])), bits) for i, k in enumerate(comp)}
-    w = _i_minus_jacobian(system, comp, point, v)
-    if min(w.values()) <= 0:
+    v = [_ceil_to_grid(Fraction(float(e)), bits) for e in u]
+    w = _at(comp.i_minus_a, den, v + at)
+    if min(w) <= 0:
         return None, v
-    d = {
-        k: _floor_to_grid(point[k] + Fraction(float(solution[i, 0])), 2 * bits) - point[k]
-        for i, k in enumerate(comp)
-    }
-    r = _i_minus_jacobian(system, comp, point, d)
-    t = _ceil_to_grid(max(max((r[k] - residual[k]) / w[k] for k in comp), ZERO), bits)
-    d = {k: d[k] - t * v[k] for k in comp}
-    if min(d.values()) < 0 or max(d.values()) == 0:
+    g = [_floor_to_grid(y + Fraction(float(s)), 2 * bits) for y, s in zip(x, solution[:, 0])]
+    r = _at(comp.i_minus_a, den, [a - y for a, y in zip(g, x)] + at)
+    t = _ceil_to_grid(max(max((r[i] - residual[i]) / w[i] for i in range(n)), ZERO), bits)
+    new = [a - t * b for a, b in zip(g, v)]  # point + d, d lowered by t v
+    if any(a < y for a, y in zip(new, x)) or new == x:
         return None, v
-    return {k: point[k] + d[k] for k in comp}, v
+    return new, v
 
 
 def solve_enclosure(
@@ -297,37 +324,40 @@ def solve_enclosure(
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
-    # variables whose value is positive.
+    # variables whose value is positive. The rest become 0..m-1, their
+    # coefficients integers over the common denominator den.
     positive = system.positive_variables()
-    clean = PolySystem(
-        [k for k in keys if k in positive],
-        {
-            k: [t for t in system.equations[k] if all(f in positive for f in t[1])]
-            for k in keys
-            if k in positive
-        },
-    )
-    lo: dict[Key, Fraction] = {k: ZERO for k in clean.variables}
-    hi: dict[Key, Fraction] = {k: ONE for k in clean.variables}
+    names = [k for k in keys if k in positive]
+    index = {k: i for i, k in enumerate(names)}
+    terms = [[t for t in system.equations[k] if all(f in positive for f in t[1])]
+             for k in names]
+    den = lcm(*{coeff.denominator for row in terms for coeff, _ in row})
+    rows = [[(coeff.numerator * (den // coeff.denominator),
+              *(index[f] for f in factors), *(-1,) * (2 - len(factors)))
+             for coeff, factors in row] for row in terms]
+    m = len(rows)
+    lo = [ZERO] * m
+    hi = [ONE] * m
+    watched = [index[k] for k in watch if k in index]
     bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
-    components = _scc_order(clean)
+    components = _components(rows, den)
     # The first positive offset lies far below eps: a component's slack above
     # its lower bound reaches the components above it amplified.
     base_delta = eps / 2**20 if eps > 0 else Fraction(1, 10**12)
     # per cyclic component (by position): certification direction, and the
     # round of the next Newton attempt with the wait after a refusal
-    directions: dict[int, dict[Key, Fraction]] = {}
-    next_try = {i: 1 for i, (_, cyclic) in enumerate(components) if cyclic}
+    directions: dict[int, list[Fraction]] = {}
+    next_try = {i: 1 for i, comp in enumerate(components) if comp.cyclic}
     wait = dict.fromkeys(next_try, 1)
 
     def certify() -> None:
         # Walk components dependencies-first; `point` carries the upper
         # bounds certified so far, so each check is sound on its own.
-        point: dict[Key, Fraction] = {}
-        for i, (comp, cyclic) in enumerate(components):
-            if not cyclic:
-                k = comp[0]
-                v = min(clean.value(k, point), ONE)
+        point = list(hi)
+        for i, comp in enumerate(components):
+            if not comp.cyclic:
+                k = comp.members[0]
+                v = min(_at(comp.rows, den, [point[g] for g in comp.reads])[0], ONE)
                 if v < hi[k]:
                     hi[k] = v
                 point[k] = hi[k]
@@ -337,43 +367,43 @@ def solve_enclosure(
             u = directions.get(i)
             delta = ZERO
             while True:
-                y = {k: min(lo[k] + delta * (u[k] if u else ONE), ONE) for k in comp}
-                merged = {**point, **y}
-                if all(clean.value(k, merged) <= y[k] for k in comp):
-                    for k in comp:
-                        if y[k] < hi[k]:
-                            hi[k] = y[k]
+                y = [min(lo[k] + delta * (u[j] if u else ONE), ONE)
+                     for j, k in enumerate(comp.members)]
+                for k, yk in zip(comp.members, y):
+                    point[k] = yk
+                fy = _at(comp.rows, den, [point[g] for g in comp.reads])
+                if all(a <= b for a, b in zip(fy, y)):
+                    for k, yk in zip(comp.members, y):
+                        if yk < hi[k]:
+                            hi[k] = yk
                     break
                 delta = base_delta if delta == ZERO else delta * 4
                 if delta > 2:
                     break
-            for k in comp:
+            for k in comp.members:
                 point[k] = hi[k]
 
     def watched_width() -> Fraction:
-        return max((hi[k] - lo[k] for k in watch if k in lo), default=ZERO)
+        return max((hi[k] - lo[k] for k in watched), default=ZERO)
 
     exact = False
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        fx = clean.evaluate(lo)
+        fx = _at(rows, den, lo)
         if fx == lo:
-            hi = dict(lo)
+            hi = list(lo)
             exact = True
             break
-        nxt: dict[Key, Fraction] = {}
-        for k, v in fx.items():
-            if v.denominator > _DEN_CAP:
-                v = _floor_to_grid(v, bits)
-            nxt[k] = max(v, lo[k])
+        nxt = [max(_floor_to_grid(v, bits) if v.denominator > _DEN_CAP else v, old)
+               for v, old in zip(fx, lo)]
         # Newton steps on the Kleene iterate, dependencies first, so each
         # component starts from the values just found below it.
         stepped = False
         for i, when in next_try.items():
             if rounds < when:
                 continue
-            values, u = _newton(clean, components[i][0], nxt, bits)
+            values, u = _newton(components[i], den, nxt, bits)
             if u is not None:
                 directions[i] = u
             if values is None:
@@ -381,7 +411,8 @@ def solve_enclosure(
                 next_try[i] = rounds + wait[i]
                 continue
             wait[i] = 1
-            nxt.update(values)
+            for k, v in zip(components[i].members, values):
+                nxt[k] = v
             stepped = True
         if nxt == lo:
             bits += 32  # grid too coarse to see the strict increase
@@ -389,7 +420,7 @@ def solve_enclosure(
         # Certify once Newton moves lo by at most eps: before that lo is far
         # from the fixpoint, and a certificate would either fail or stop the
         # solve at a width near eps that the next step shrinks far below it.
-        small = stepped and max(nxt[k] - lo[k] for k in nxt) <= eps
+        small = stepped and max(a - b for a, b in zip(nxt, lo)) <= eps
         lo = nxt
         if small or rounds % _CERTIFY_EVERY == 0:
             certify()
@@ -400,8 +431,8 @@ def solve_enclosure(
         certify()
     converged = watched_width() <= eps
     return Enclosure(
-        {k: lo.get(k, ZERO) for k in keys},
-        {k: hi.get(k, ZERO) for k in keys},
+        {k: lo[index[k]] if k in index else ZERO for k in keys},
+        {k: hi[index[k]] if k in index else ZERO for k in keys},
         converged,
         exact,
         rounds,

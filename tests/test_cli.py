@@ -237,6 +237,15 @@ def test_usage_errors_exit_3(corpus_dir, argv, needle):
     assert needle in err
 
 
+def test_unknown_colours_line_is_sorted(corpus_dir):
+    # the grammar's colours print sorted, not in the hash-salted set order
+    code, _, err = run(["prob", gg(corpus_dir, "running.gg"), "--phi2", "nope",
+                        "--from", "v0"])
+    assert code == 3
+    assert err.splitlines()[-1] == (
+        "pregma: error: unknown colours ['nope']; grammar has ['V1', 'V2', 'sink']")
+
+
 # every subcommand with the arguments it requires; {path} is the bad file
 READERS = [
     ["validate", "{path}"],

@@ -1,12 +1,29 @@
-from fractions import Fraction
+from __future__ import annotations
 
+import random
+from fractions import Fraction
+from pathlib import Path
+from typing import Mapping, Sequence
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pregma.polysys import PolySystem, decide_threshold, solve_enclosure
+from pregma.gio import load_grammar, parse_grammar
+from pregma.labeling import classes_for_colours
+from pregma.model import GrammarError
+from pregma.pcp import encode, load_pcp
+from pregma.polysys import (
+    _CERTIFY_EVERY, _DEN_CAP, ONE, ZERO, Enclosure, Key, PolySystem, decide_threshold,
+    solve_enclosure,
+)
+from pregma.pushdown import load_pds, to_grammar
+from pregma.quantitative import assemble_system, win_key
+from pregma.validation import analyse
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def scalar(c, a):
@@ -248,3 +265,449 @@ def test_random_system_enclosures(s):
 )
 def test_decide_threshold(interval, cmp, rho, verdict):
     assert decide_threshold(interval, cmp, rho) == verdict
+
+
+# ------------------------------------------------- the Fraction reference
+# The solver as it stood before it ran on integer indices: dicts keyed by
+# the system's keys and one Fraction operation per term. The compiled
+# solver must reproduce its enclosures exactly, rounds included.
+
+
+def _ref_floor_to_grid(v, bits):
+    scaled = v.numerator * (1 << bits) // v.denominator
+    return Fraction(scaled, 1 << bits)
+
+
+def _ref_ceil_to_grid(v, bits):
+    return -_ref_floor_to_grid(-v, bits)
+
+
+def _ref_value(system, key, point):
+    acc = ZERO
+    for coeff, factors in system.equations[key]:
+        term = coeff
+        for f in factors:
+            term *= point[f]
+        acc += term
+    return acc
+
+
+def _ref_positive(system):
+    pos = set()
+    changed = True
+    while changed:
+        changed = False
+        for key in system.variables:
+            if key in pos:
+                continue
+            for coeff, factors in system.equations[key]:
+                if coeff > 0 and all(f in pos for f in factors):
+                    pos.add(key)
+                    changed = True
+                    break
+    return frozenset(pos)
+
+
+def _ref_scc_order(system: PolySystem) -> list[tuple[list[Key], bool]]:
+    """Strongly connected components of the dependency graph, dependencies
+    first, each flagged with whether it contains a cycle."""
+    deps = {
+        k: list(dict.fromkeys(f for _, fs in system.equations[k] for f in fs))
+        for k in system.variables
+    }
+    index: dict[Key, int] = {}
+    low: dict[Key, int] = {}
+    onstack: set[Key] = set()
+    stack: list[Key] = []
+    comps: list[list[Key]] = []
+    counter = 0
+
+    def connect(root: Key) -> None:
+        nonlocal counter
+        work: list[tuple[Key, int]] = [(root, 0)]
+        while work:
+            node, pos = work.pop()
+            if pos == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                onstack.add(node)
+            descended = False
+            ds = deps[node]
+            for i in range(pos, len(ds)):
+                d = ds[i]
+                if d not in index:
+                    work.append((node, i + 1))
+                    work.append((d, 0))
+                    descended = True
+                    break
+                if d in onstack:
+                    low[node] = min(low[node], index[d])
+            if descended:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+
+    for k in system.variables:
+        if k not in index:
+            connect(k)
+
+    out: list[tuple[list[Key], bool]] = []
+    for comp in comps:
+        members = set(comp)
+        cyclic = len(comp) > 1 or any(d in members for d in deps[comp[0]])
+        out.append((comp, cyclic))
+    return out
+
+
+def _ref_i_minus_jacobian(
+    system: PolySystem,
+    comp: list[Key],
+    point: Mapping[Key, Fraction],
+    z: Mapping[Key, Fraction],
+) -> dict[Key, Fraction]:
+    """(I - A) z on comp, exactly, with A = F'(point) restricted to comp."""
+    out = {}
+    for k in comp:
+        acc = z[k]
+        for coeff, factors in system.equations[k]:
+            for i, f in enumerate(factors):
+                if f in z:
+                    acc -= coeff * z[f] * (point[factors[1 - i]] if len(factors) == 2 else ONE)
+        out[k] = acc
+    return out
+
+
+def _ref_newton(
+    system: PolySystem,
+    comp: list[Key],
+    point: Mapping[Key, Fraction],
+    bits: int,
+) -> tuple[dict[Key, Fraction] | None, dict[Key, Fraction] | None]:
+    """One Newton step on the cyclic component comp at point, the variables
+    outside it held at point: comp's new values (None when refused) and a
+    direction for certifying its upper bound (None when there is none).
+
+    With A = F'(point) on comp and b = F(point) - point, a float64 solve
+    gives (I - A)^-1 b and (I - A)^-1 1. The second, scaled to a largest
+    entry of 1 and rounded up onto the grid of `bits` bits, is the direction
+    v; the exact check (I - A) v > 0 makes I - A a nonsingular M-matrix,
+    whose inverse is >= 0. The first, rounded down onto a grid twice as
+    fine (near a double root b is about the square of the distance to the
+    fixpoint), is lowered along v by the least t on the grid that makes
+    (I - A) d <= b hold exactly. Then d is at most the exact Newton step,
+    so by convexity point + d stays at or below the least fixpoint whenever
+    point does, and with d >= 0 also point + d <= F(point + d).
+    """
+    index = {k: i for i, k in enumerate(comp)}
+    floats = {f: float(point[f]) for k in comp for _, fs in system.equations[k] for f in fs}
+    n = len(comp)
+    jac = np.zeros((n, n))
+    for row, k in enumerate(comp):
+        for coeff, factors in system.equations[k]:
+            for i, f in enumerate(factors):
+                if f in index:
+                    other = floats[factors[1 - i]] if len(factors) == 2 else 1.0
+                    jac[row, index[f]] += float(coeff) * other
+    residual = {k: _ref_value(system, k, point) - point[k] for k in comp}
+    rhs = np.column_stack([[float(residual[k]) for k in comp], np.ones(n)])
+    try:
+        solution = np.linalg.solve(np.eye(n) - jac, rhs)
+    except np.linalg.LinAlgError:
+        return None, None
+    if not (np.all(np.isfinite(solution)) and np.all(solution[:, 1] > 0)):
+        return None, None
+
+    u = solution[:, 1] / solution[:, 1].max()
+    v = {k: _ref_ceil_to_grid(Fraction(float(u[i])), bits) for i, k in enumerate(comp)}
+    w = _ref_i_minus_jacobian(system, comp, point, v)
+    if min(w.values()) <= 0:
+        return None, v
+    d = {
+        k: _ref_floor_to_grid(point[k] + Fraction(float(solution[i, 0])), 2 * bits) - point[k]
+        for i, k in enumerate(comp)
+    }
+    r = _ref_i_minus_jacobian(system, comp, point, d)
+    t = _ref_ceil_to_grid(max(max((r[k] - residual[k]) / w[k] for k in comp), ZERO), bits)
+    d = {k: d[k] - t * v[k] for k in comp}
+    if min(d.values()) < 0 or max(d.values()) == 0:
+        return None, v
+    return {k: point[k] + d[k] for k in comp}, v
+
+
+def fraction_solve(
+    system: PolySystem,
+    eps: Fraction = Fraction(1, 10**6),
+    keys_of_interest: Sequence[Key] | None = None,
+    max_rounds: int = 20000,
+) -> Enclosure:
+    keys = list(system.variables)
+    watch = list(keys_of_interest) if keys_of_interest is not None else keys
+    for k in watch:
+        if k not in system.equations:
+            raise KeyError(k)
+
+    # Variables outside `positive` have least fixpoint exactly 0: drop them
+    # and every term they appear in, so no component mixes them with
+    # variables whose value is positive.
+    positive = _ref_positive(system)
+    clean = PolySystem(
+        [k for k in keys if k in positive],
+        {
+            k: [t for t in system.equations[k] if all(f in positive for f in t[1])]
+            for k in keys
+            if k in positive
+        },
+    )
+    lo: dict[Key, Fraction] = {k: ZERO for k in clean.variables}
+    hi: dict[Key, Fraction] = {k: ONE for k in clean.variables}
+    bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
+    components = _ref_scc_order(clean)
+    # The first positive offset lies far below eps: a component's slack above
+    # its lower bound reaches the components above it amplified.
+    base_delta = eps / 2**20 if eps > 0 else Fraction(1, 10**12)
+    # per cyclic component (by position): certification direction, and the
+    # round of the next Newton attempt with the wait after a refusal
+    directions: dict[int, dict[Key, Fraction]] = {}
+    next_try = {i: 1 for i, (_, cyclic) in enumerate(components) if cyclic}
+    wait = dict.fromkeys(next_try, 1)
+
+    def certify() -> None:
+        # Walk components dependencies-first; `point` carries the upper
+        # bounds certified so far, so each check is sound on its own.
+        point: dict[Key, Fraction] = {}
+        for i, (comp, cyclic) in enumerate(components):
+            if not cyclic:
+                k = comp[0]
+                v = min(_ref_value(clean, k, point), ONE)
+                if v < hi[k]:
+                    hi[k] = v
+                point[k] = hi[k]
+                continue
+            # delta 0 first: a component whose lower bound has already
+            # closed certifies itself and may admit no positive slack at all.
+            u = directions.get(i)
+            delta = ZERO
+            while True:
+                y = {k: min(lo[k] + delta * (u[k] if u else ONE), ONE) for k in comp}
+                merged = {**point, **y}
+                if all(_ref_value(clean, k, merged) <= y[k] for k in comp):
+                    for k in comp:
+                        if y[k] < hi[k]:
+                            hi[k] = y[k]
+                    break
+                delta = base_delta if delta == ZERO else delta * 4
+                if delta > 2:
+                    break
+            for k in comp:
+                point[k] = hi[k]
+
+    def watched_width() -> Fraction:
+        return max((hi[k] - lo[k] for k in watch if k in lo), default=ZERO)
+
+    exact = False
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        fx = {k: _ref_value(clean, k, lo) for k in clean.variables}
+        if fx == lo:
+            hi = dict(lo)
+            exact = True
+            break
+        nxt: dict[Key, Fraction] = {}
+        for k, v in fx.items():
+            if v.denominator > _DEN_CAP:
+                v = _ref_floor_to_grid(v, bits)
+            nxt[k] = max(v, lo[k])
+        # Newton steps on the Kleene iterate, dependencies first, so each
+        # component starts from the values just found below it.
+        stepped = False
+        for i, when in next_try.items():
+            if rounds < when:
+                continue
+            values, u = _ref_newton(clean, components[i][0], nxt, bits)
+            if u is not None:
+                directions[i] = u
+            if values is None:
+                wait[i] = min(2 * wait[i], _CERTIFY_EVERY)
+                next_try[i] = rounds + wait[i]
+                continue
+            wait[i] = 1
+            nxt.update(values)
+            stepped = True
+        if nxt == lo:
+            bits += 32  # grid too coarse to see the strict increase
+            continue
+        # Certify once Newton moves lo by at most eps: before that lo is far
+        # from the fixpoint, and a certificate would either fail or stop the
+        # solve at a width near eps that the next step shrinks far below it.
+        small = stepped and max(nxt[k] - lo[k] for k in nxt) <= eps
+        lo = nxt
+        if small or rounds % _CERTIFY_EVERY == 0:
+            certify()
+            if watched_width() <= eps:
+                break
+
+    if not exact:
+        certify()
+    converged = watched_width() <= eps
+    return Enclosure(
+        {k: lo.get(k, ZERO) for k in keys},
+        {k: hi.get(k, ZERO) for k in keys},
+        converged,
+        exact,
+        rounds,
+    )
+
+
+# ------------------------------------------------ inputs for the reference
+# A copy of the benchmark's walk generator (perfbench/families.py), so that
+# the test builds the same chain and branching walks on its own.
+
+
+def _odd_128ths(rng, lo, hi):
+    return Fraction(rng.randrange(lo, hi + 1, 2), 128)
+
+
+def walk_levels(k, critical, rng):
+    """Per-level down probabilities; rng None gives the uniform walk."""
+    if rng is None:
+        return [Fraction(1, 2) if critical else Fraction(1, 5)] * k
+    if not critical:
+        return [_odd_128ths(rng, 17, 27) for _ in range(k)]
+    out = []
+    for _ in range(k // 2):
+        a = _odd_128ths(rng, 39, 63)
+        out += [a, 1 - a]
+    return out
+
+
+def walk_grammar(shape, d):
+    """Level i's rule W<i> climbs from its input `lo` to b fresh vertices
+    (b = 1 for a chain, 2 for branching) with u<i>; each steps back down
+    with d<i> and carries level i+1's hyperarc (indices mod K)."""
+    b = {"chain": 1, "branching": 2}[shape]
+    k = len(d)
+    lines = ["nonterminal Z 0", *(f"nonterminal W{i} 1" for i in range(k))]
+    lines += [f"terminal {lab}{i} 2" for i in range(k) for lab in "ud"]
+    lines += ["colour green", "absorbing green", "axiom Z"]
+    for i in range(k):
+        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / b}"]
+    lines += ["", "rule Z", "  vertex base m0", "  colour green base",
+              f"  arc d{k - 1} m0 base", "  hyperarc W0 m0"]
+    for i in range(k):
+        tops = [f"h{j}" for j in range(b)]
+        lines += ["", f"rule W{i} inputs lo", "  vertex " + " ".join(tops)]
+        for h in tops:
+            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
+                      f"  hyperarc W{(i + 1) % k} {h}"]
+    return parse_grammar("\n".join(lines) + "\n")
+
+
+def corpus_and_walk_grammars():
+    """(name, grammar, mu): the corpus, the seeded and uniform walks at K = 8
+    and 32, and the critical walks."""
+    for path in sorted(CORPUS.iterdir()):
+        if path.suffix == ".gg":
+            g = load_grammar(path)
+            yield path.name, g, g.mu
+        elif path.suffix == ".pds":
+            g = to_grammar(load_pds(path))
+            yield path.name, g, g.mu
+        elif path.suffix == ".pcp":
+            g, mu, _ = encode(load_pcp(path))
+            yield path.name, g, mu
+    rng = random.Random(1)
+    for shape in ("chain", "branching"):
+        for k in (8, 32):
+            g = walk_grammar(shape, walk_levels(k, False, None if k == 8 else rng))
+            yield f"{shape}{k}", g, g.mu
+    for name, g in [("critical chain2", walk_grammar("chain", walk_levels(2, True, rng))),
+                    ("critical branching1", walk_grammar("branching", walk_levels(1, True, None)))]:
+        yield name, g, g.mu
+
+
+def assembled_systems():
+    """Every assembly of every analysable grammar above, over its colour
+    pairs (phi1 tt or a colour, phi2 a colour), with its axiom keys."""
+    for name, g, mu in corpus_and_walk_grammars():
+        if not mu:
+            continue
+        try:
+            an = analyse(g, mu)
+        except GrammarError:  # outside the engines' fragment (PCP gadgets)
+            continue
+        axiom = [win_key(node.can) for node in an.fragments[g.axiom].starts]
+        colours = sorted(g.colour_names)
+        for phi1 in [None, *colours]:
+            for phi2 in colours:
+                asm = assemble_system(
+                    an,
+                    classes_for_colours(an, None if phi1 is None else frozenset({phi1})),
+                    classes_for_colours(an, frozenset({phi2})),
+                )
+                watch = [k for k in axiom if k in asm.system.equations]
+                yield f"{name}: {phi1 or 'tt'} U {phi2}", asm.system, watch or None
+
+
+@st.composite
+def non_dyadic_systems(draw):
+    """Like small_systems, but every coefficient a multiple of 1/3, 1/7 or
+    1/21, so the values' common denominator is no power of two."""
+    n = draw(st.integers(1, 4))
+    keys = [f"x{i}" for i in range(n)]
+    equations = {}
+    for k in keys:
+        den = draw(st.sampled_from([3, 7, 21]))
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, 8),
+                      st.lists(st.sampled_from(keys), max_size=2)),
+            min_size=1, max_size=3))
+        total = sum(c for c, _ in terms)
+        cap = draw(st.integers(1, den))
+        equations[k] = [(F(c * cap, total * den), tuple(fs)) for c, fs in terms]
+    return system(equations)
+
+
+def same_enclosure(s, **kwargs):
+    new, ref = solve_enclosure(s, **kwargs), fraction_solve(s, **kwargs)
+    assert (new.lo, new.hi, new.converged, new.exact, new.iterations) == (
+        ref.lo, ref.hi, ref.converged, ref.exact, ref.iterations)
+    assert all(type(v) is Fraction for v in [*new.lo.values(), *new.hi.values()])
+
+
+def test_solver_matches_the_fraction_reference():
+    count = 0
+    for name, s, watch in assembled_systems():
+        for kwargs in [{"keys_of_interest": watch},
+                       {"eps": F(1, 10**9), "max_rounds": 4000}]:
+            try:
+                same_enclosure(s, **kwargs)
+            except AssertionError as exc:
+                raise AssertionError(f"{name} {kwargs}") from exc
+        count += 1
+    assert count >= 40
+    # x*x, a cross term whose y lies outside x's component, an empty row
+    # (z), and a term dropped with it (w's)
+    same_enclosure(system({
+        "x": [(F(1, 3), ()), (F(1, 3), ("x", "x")), (F(1, 7), ("x", "y"))],
+        "y": [(F(1, 5), ()), (F(2, 7), ("y",))],
+        "z": [],
+        "w": [(F(1, 2), ("x", "z")), (F(1, 7), ("w",)), (F(2, 3), ("x",))],
+    }))
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_dyadic_systems())
+def test_non_dyadic_systems_match_the_fraction_reference(s):
+    same_enclosure(s, eps=F(1, 10**6), max_rounds=500)
