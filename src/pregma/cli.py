@@ -426,7 +426,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--formula", required=True)
     p.add_argument("--at", default=None, metavar="VERTEX")
     p.add_argument("--eps", type=_positive_fraction,
-                   default=Fraction(1, 10**6))
+                   default=Fraction(1, 10**6),
+                   help="each until is solved once, aiming at a width of at "
+                        "most min(EPS, 1e-9) on every variable")
     p.add_argument("--qualitative", action="store_true",
                    help="reject formulas with thresholds other than 0 and 1")
     p.add_argument("--emit-coloured", action="store_true",

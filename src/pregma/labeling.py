@@ -6,7 +6,8 @@ them, unknown covers both genuine mixtures and the engines' honest refusals.
 Boolean connectives run three-valued, which lets a decided conjunct mask an
 undecided one. Probabilistic operators dispatch on the threshold: one-step
 masses are exact rationals, untils with threshold 0 or 1 go to the
-qualitative engines, and everything else uses certified enclosures, which
+qualitative engines, and everything else uses the until's one shared
+certified enclosure (which the almost-sure engine reads too), whose values
 are absolute probabilities exactly for the axiom rule's classes.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
 from .qualitative import next_qualitative, until_almost_sure, until_positive
-from .quantitative import solve_until, win_key
+from .quantitative import shared_enclosure, win_key
 from .validation import Analysis, analyse
 
 ZERO = Fraction(0)
@@ -163,8 +164,8 @@ class _Evaluator:
         return out
 
     def _until_quantitative(self, f: Until, u1, o1, u2, o2):
-        lo_enc = solve_until(self.an, u1, u2, eps=self.eps)
-        hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(self.an, o1, o2, eps=self.eps)
+        lo_enc = shared_enclosure(self.an, u1, u2, self.eps)
+        hi_enc = shared_enclosure(self.an, o1, o2, self.eps)
         intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
         out: Verdicts = {}
         for c in self.cans:

@@ -28,10 +28,12 @@ the enclosure simply stays wide and the caller sees converged=False.
 
 The solver compiles the cleaned system once: variables become indices and
 coefficients integers over their common denominator. Every exact check (the
-Kleene step, a component's residual and post-fixpoint test, and (I - F')z)
-then runs as integer sums over the lcm of the denominators of the values it
-reads, with one reduced Fraction per row: the same rationals as term-by-term
-Fraction arithmetic, without a Fraction operation per term.
+Kleene step, a component's post-fixpoint test, and (I - F')z) then runs as
+integer sums over the lcm of the denominators of the values it reads, with
+one reduced Fraction per row: the same rationals as term-by-term Fraction
+arithmetic, without a Fraction operation per term. A Newton step stays in
+integers throughout, on the bit grid its direction and step are rounded
+to, and builds one Fraction per variable only for the values it returns.
 """
 from __future__ import annotations
 
@@ -59,9 +61,13 @@ class PolySystem:
 
     variables: list[Key] = field(default_factory=list)
     equations: dict[Key, list[Term]] = field(default_factory=dict)
+    # positive_variables, once computed; adding a variable or term clears it
+    _positive: frozenset[Key] | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def add_variable(self, key: Key) -> None:
         if key not in self.equations:
+            self._positive = None
             self.variables.append(key)
             self.equations[key] = []
 
@@ -72,6 +78,7 @@ class PolySystem:
             raise ValueError("negative coefficient breaks monotonicity")
         if coeff == 0:
             return
+        self._positive = None
         self.equations[key].append((coeff, tuple(factors)))
 
     def evaluate(self, point: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
@@ -83,7 +90,10 @@ class PolySystem:
 
     def positive_variables(self) -> frozenset[Key]:
         """Variables with a strictly positive least-fixpoint value: a
-        worklist in which each term counts its factors not yet positive."""
+        worklist in which each term counts its factors not yet positive,
+        run once per system."""
+        if self._positive is not None:
+            return self._positive
         missing: list[int] = []  # per term
         heads: list[Key] = []  # per term, the variable it feeds
         uses: dict[Key, list[int]] = {}  # per factor, its terms
@@ -107,7 +117,8 @@ class PolySystem:
                 missing[t] -= 1
                 if missing[t] == 0:
                     ready.append(heads[t])
-        return frozenset(pos)
+        self._positive = frozenset(pos)
+        return self._positive
 
     def render(self, name: Callable[[Key], str] | None = None) -> str:
         name = name or str
@@ -145,15 +156,16 @@ def _floor_to_grid(v: Fraction, bits: int) -> Fraction:
     return Fraction(scaled, 1 << bits)
 
 
-def _ceil_to_grid(v: Fraction, bits: int) -> Fraction:
-    return Fraction(-(-v.numerator * (1 << bits) // v.denominator), 1 << bits)
-
-
 _DEN_CAP = 1 << 128  # keep exact values while their denominators stay modest
 _CERTIFY_EVERY = 50  # rounds between certification attempts, small Newton steps aside
 
 
 Row = list[tuple[int, int, int]]
+
+
+def _sums(rows: list[Row], n: Sequence[int]) -> list[int]:
+    """Each row's integer sum: a term (c, a, b) adds c * n[a] * n[b]."""
+    return [sum(c * n[a] * n[b] for c, a, b in row) for row in rows]
 
 
 def _at(rows: list[Row], den: int, values: Sequence[Fraction]) -> list[Fraction]:
@@ -164,7 +176,7 @@ def _at(rows: list[Row], den: int, values: Sequence[Fraction]) -> list[Fraction]
     n = [v.numerator * (scale // v.denominator) for v in values]
     n.append(scale)
     total = den * scale * scale
-    return [Fraction(sum(c * n[a] * n[b] for c, a, b in row), total) for row in rows]
+    return [Fraction(s, total) for s in _sums(rows, n)]
 
 
 class _Component(NamedTuple):
@@ -273,15 +285,21 @@ def _newton(
     point does, and with d >= 0 also point + d <= F(point + d).
     """
     n = len(comp.members)
+    # Everything below is integers: point over S, the lcm of the
+    # denominators it reads; the residual over den S^2; v over 2^bits; the
+    # grid point g over 4^bits; d = g - point over S 4^bits.
     at = [point[g] for g in comp.reads]
-    x = [point[g] for g in comp.members]
-    residual = [f - y for f, y in zip(_at(comp.rows, den, at), x)]
-    floats = [float(y) for y in at]
+    scale = lcm(*{y.denominator for y in at})
+    a = [y.numerator * (scale // y.denominator) for y in at]
+    a.append(scale)  # index -1 reads 1
+    x = [point[g].numerator * (scale // point[g].denominator) for g in comp.members]
+    residual = [s - y * den * scale for s, y in zip(_sums(comp.rows, a), x)]
+    floats = [y / scale for y in a[:-1]]
     jac = np.zeros((n, n))
     for row, terms in enumerate(comp.i_minus_a):
         for c, f, o in terms[1:]:
             jac[row, f] += -c / den * (floats[o - n] if o >= 0 else 1.0)
-    rhs = np.column_stack([[float(r) for r in residual], np.ones(n)])
+    rhs = np.column_stack([[r / (den * scale * scale) for r in residual], np.ones(n)])
     try:
         solution = np.linalg.solve(np.eye(n) - jac, rhs)
     except np.linalg.LinAlgError:
@@ -289,18 +307,30 @@ def _newton(
     if not (np.all(np.isfinite(solution)) and np.all(solution[:, 1] > 0)):
         return None, None
 
-    u = solution[:, 1] / solution[:, 1].max()
-    v = [_ceil_to_grid(Fraction(float(e)), bits) for e in u]
-    w = _at(comp.i_minus_a, den, v + at)
+    coarse, fine = 1 << bits, 1 << 2 * bits
+    v = []
+    for e in (solution[:, 1] / solution[:, 1].max()).tolist():
+        p, q = e.as_integer_ratio()
+        v.append(-(-p * coarse // q))
+    direction = [Fraction(y, coarse) for y in v]
+    # (I - A)z reads z and point, so its integers are over den * Z * S for
+    # z over Z
+    w = _sums(comp.i_minus_a, v + a)
     if min(w) <= 0:
-        return None, v
-    g = [_floor_to_grid(y + Fraction(float(s)), 2 * bits) for y, s in zip(x, solution[:, 0])]
-    r = _at(comp.i_minus_a, den, [a - y for a, y in zip(g, x)] + at)
-    t = _ceil_to_grid(max(max((r[i] - residual[i]) / w[i] for i in range(n)), ZERO), bits)
-    new = [a - t * b for a, b in zip(g, v)]  # point + d, d lowered by t v
-    if any(a < y for a, y in zip(new, x)) or new == x:
-        return None, v
-    return new, v
+        return None, direction
+    g = []
+    for y, s in zip(x, solution[:, 0].tolist()):
+        p, q = s.as_integer_ratio()
+        g.append((y * q + p * scale) * fine // (scale * q))
+    r = _sums(comp.i_minus_a, [b * scale - y * fine for b, y in zip(g, x)] + a)
+    # (r - residual) / w on the 2^-bits grid, rounded up
+    t = max(0, max(-((fine * res - ri) // (scale * wi))
+                   for ri, res, wi in zip(r, residual, w)))
+    new = [b - t * y for b, y in zip(g, v)]  # point + d over 4^bits, d lowered by t v
+    d = [b * scale - y * fine for b, y in zip(new, x)]
+    if min(d) < 0 or max(d) == 0:
+        return None, direction
+    return [Fraction(b, fine) for b in new], direction
 
 
 def solve_enclosure(

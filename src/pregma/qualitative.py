@@ -25,15 +25,11 @@ from typing import Callable, Iterable
 
 from .model import CanonicalVertex
 from .polysys import Key, decide_threshold
-from .quantitative import dec_key, shared_assembly, solve_until, win_key
+from .quantitative import dec_key, shared_assembly, shared_enclosure, win_key
 from .validation import Analysis, Binding
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# width and round budget of the enclosure behind the almost-sure verdicts
-_ALMOST_SURE_EPS = Fraction(1, 10**9)
-_ALMOST_SURE_ROUNDS = 4000
 
 
 def _sites(an: Analysis, target: Binding) -> frozenset[CanonicalVertex]:
@@ -199,8 +195,7 @@ def until_almost_sure(
     one, each the tightest of its kind. In the gap (for example mass one in
     the limit but never certified) the answer stays unknown.
     """
-    enc = solve_until(an, phi1, phi2, eps=_ALMOST_SURE_EPS, watch="all",
-                      max_rounds=_ALMOST_SURE_ROUNDS)
+    enc = shared_enclosure(an, phi1, phi2)
     pos, down = _positive(an, phi1, phi2)
 
     def mass(bound: dict[Key, Fraction], c: CanonicalVertex) -> Fraction:

@@ -44,6 +44,7 @@ def render_key(key: Key) -> str:
 class Assembly:
     system: PolySystem  # the unpinned variables, pins folded into coefficients
     pins: dict[Key, Fraction]
+    shared: tuple[Fraction, Enclosure] | None = None  # shared_enclosure's eps and result
 
 
 def assemble_system(
@@ -176,6 +177,29 @@ def solve_until(
     enc.lo.update(assembly.pins)
     enc.hi.update(assembly.pins)
     return enc
+
+
+# width bound and round budget of the enclosure behind the labeller's
+# thresholds and the almost-sure verdicts
+_SHARED_EPS = Fraction(1, 10**9)
+_SHARED_ROUNDS = 4000
+
+
+def shared_enclosure(
+    an: Analysis,
+    phi1: frozenset[CanonicalVertex],
+    phi2: frozenset[CanonicalVertex],
+    eps: Fraction = _SHARED_EPS,
+) -> Enclosure:
+    """The analysis's one enclosure of (phi1, phi2) watching every variable,
+    solved on first use at min(eps, 1e-9) and reused for any eps at least
+    the one it was solved at. Callers read it and never change it."""
+    assembly = shared_assembly(an, phi1, phi2)
+    eps = min(eps, _SHARED_EPS)
+    if assembly.shared is None or assembly.shared[0] > eps:
+        assembly.shared = eps, solve_until(an, phi1, phi2, eps=eps, watch="all",
+                                           max_rounds=_SHARED_ROUNDS)
+    return assembly.shared[1]
 
 
 def axiom_probability(

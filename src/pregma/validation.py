@@ -323,7 +323,8 @@ class Analysis:
     """Everything the engines read off one grammar under one mu.
 
     Built by `analyse`, once per engine entry point; `assemblies` holds the
-    equation system of each (phi1, phi2) pair once something assembled it.
+    equation system of each (phi1, phi2) pair once something assembled it,
+    and with it the pair's shared enclosure once something solved it.
     """
 
     grammar: Grammar

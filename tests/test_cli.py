@@ -15,6 +15,10 @@ LOWER = ("105283730727269265092843629008539196283/"
          "340282366920938463463374607431768211456")
 UPPER = ("1645058292618652869476594620864411754743379/"
          "5316911983139663491615228241121378304000000")
+# `check` reads the until's shared enclosure, of width at most 1e-9
+CHECK_LOWER = "24513278791511054947257915809/79228162514264337593543950336"
+CHECK_UPPER = ("47877497639670176767815706490866053/"
+               "154742504910672534362390528000000000")
 
 
 def encloses_headline(lower, upper):
@@ -184,7 +188,8 @@ def test_check_emit_coloured(corpus_dir):
     assert "class=Z:t0 verdict=fails enclosure=[0, 0]" in lines
     assert "class=A:win verdict=holds enclosure=[1, 1]" in lines
     assert "class=A:fork verdict=unknown" in lines
-    assert lines[0] == f"class=Z:v0 verdict=holds enclosure=[{LOWER}, {UPPER}]"
+    assert lines[0] == f"class=Z:v0 verdict=holds enclosure=[{CHECK_LOWER}, {CHECK_UPPER}]"
+    assert encloses_headline(CHECK_LOWER, CHECK_UPPER)
     assert lines[-1] == "fails"
 
 
@@ -203,9 +208,10 @@ def test_check_at_json(corpus_dir):
     assert code == 0
     rec = json.loads(out)
     assert rec["kind"] == "verdict" and rec["status"] == "holds"
-    assert rec["at"] == "v0" and rec["lower"] == LOWER
+    assert rec["at"] == "v0" and rec["lower"] == CHECK_LOWER
+    assert rec["upper"] == CHECK_UPPER
     assert encloses_headline(rec["lower"], rec["upper"])
-    assert F(rec["upper"]) - F(rec["lower"]) <= F(1, 10**6)
+    assert F(rec["upper"]) - F(rec["lower"]) <= F(1, 10**9)
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -5,7 +5,9 @@ import pytest
 from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
-from pregma.model import CanonicalVertex
+from pregma.model import CanonicalVertex, GrammarError
+from pregma.polysys import ONE, ZERO, decide_threshold
+from pregma.quantitative import shared_enclosure, solve_until, win_key
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
@@ -161,19 +163,68 @@ def test_one_analysis_per_labelling(running, monkeypatch):
 
 
 def test_one_solve_per_until(critical, monkeypatch):
-    """A quantitative until is solved once: one solve serves both bounds.
-    At m0 the value is 1 (a double root), and the enclosure's lower bound
-    passes 99999/100000 well inside the 200-round budget."""
+    """A quantitative until is solved once: one enclosure serves both
+    bounds and the almost-sure verdicts below the axiom. At m0 the value is
+    1 (a double root), and the enclosure's lower bound passes 99999/100000
+    well inside a 200-round budget."""
     import pregma.labeling as labeling
+    import pregma.quantitative as quantitative
 
-    calls = []
+    solves, almost_sure = [], []
 
     def counting_solve(*args, **options):
-        calls.append(options.get("eps"))
-        return solve_until(*args, **options, max_rounds=200)
+        solves.append(options.get("eps"))
+        return solve_enclosure(*args, **{**options, "max_rounds": 200})
 
-    solve_until = labeling.solve_until
-    monkeypatch.setattr(labeling, "solve_until", counting_solve)
+    def counting_almost_sure(*args):
+        almost_sure.append(args[1:])
+        return until_almost_sure(*args)
+
+    solve_enclosure = quantitative.solve_enclosure
+    until_almost_sure = labeling.until_almost_sure
+    monkeypatch.setattr(quantitative, "solve_enclosure", counting_solve)
+    monkeypatch.setattr(labeling, "until_almost_sure", counting_almost_sure)
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
     assert lab.at(CanonicalVertex("Z", "m0")).status == "holds"
-    assert calls == [F(1, 10**6)]
+    assert len(almost_sure) == 1
+    assert solves == [F(1, 10**9)]
+
+
+def test_shared_enclosure_lies_inside_the_axiom_solve():
+    """At every axiom class, the shared enclosure of each until lies inside
+    an independent solve that watches only the axiom at eps 1e-6, and the
+    labeller decides its thresholds from the shared interval."""
+    from test_polysys import corpus_and_walk_grammars
+
+    pairs = 0
+    for name, g, mu in corpus_and_walk_grammars():
+        if not mu:
+            continue
+        try:
+            an = analyse(g, mu)
+        except GrammarError:  # outside the engines' fragment (PCP gadgets)
+            continue
+        axiom = [node.can for node in an.fragments[g.axiom].starts]
+        colours = sorted(g.colour_names - {str(c.vertex) for c in axiom})
+        for phi1 in [None, *colours]:
+            for phi2 in colours:
+                u1 = classes_for_colours(an, None if phi1 is None else frozenset({phi1}))
+                u2 = classes_for_colours(an, frozenset({phi2}))
+                shared = shared_enclosure(an, u1, u2)
+                alone = solve_until(an, u1, u2, eps=F(1, 10**6))
+                until = f"{phi1 or 'tt'} U {phi2}"
+                assert shared.converged, f"{name}: {until}"
+                for c in axiom:
+                    lo, hi = shared.interval(win_key(c))
+                    assert alone.lo[win_key(c)] <= lo <= hi <= alone.hi[win_key(c)], \
+                        f"{name}: {until} at {c}"
+                    assert hi - lo <= F(1, 10**9)
+                first = shared.lo[win_key(axiom[0])]
+                for rho in {F(1, 2), first} - {ZERO, ONE}:
+                    lab = label_formula(g, parse_formula(until.replace(" U ", f" U[>={rho}] ")))
+                    for c in axiom:
+                        interval = shared.interval(win_key(c))
+                        assert lab.at(c) == Verdict(decide_threshold(interval, ">=", rho),
+                                                    interval), f"{name}: {until} at {c}"
+                pairs += 1
+    assert pairs >= 40

@@ -9,6 +9,7 @@ from pregma.quantitative import (
     axiom_probability,
     dec_key,
     render_key,
+    shared_enclosure,
     solve_until,
     win_key,
 )
@@ -147,6 +148,22 @@ def test_critical_converges_everywhere(critical):
                       eps=F(1, 10**9), watch="all", max_rounds=4000)
     assert sol.converged
     assert all(sol.hi[k] - sol.lo[k] <= F(1, 10**9) for k in sol.lo)
+
+
+def test_shared_enclosure_is_solved_once_per_width(running):
+    """One enclosure per until, watching every variable at min(eps, 1e-9):
+    a request it already meets reuses it, a finer one solves again."""
+    args = until_args(running, "V1", "V2")
+    enc = shared_enclosure(*args, eps=F(1, 10**6))
+    assert enc.converged
+    assert all(enc.hi[k] - enc.lo[k] <= F(1, 10**9) for k in enc.lo)
+    assert shared_enclosure(*args) is enc
+    fine = shared_enclosure(*args, eps=F(1, 10**15))
+    assert fine is not enc and fine.converged
+    assert all(fine.hi[k] - fine.lo[k] <= F(1, 10**15) for k in fine.lo)
+    assert shared_enclosure(*args, eps=F(1, 10**12)) is fine
+    an, _, phi2 = args
+    assert shared_enclosure(an, classes(an, None), phi2) is not fine
 
 
 def test_axiom_probability_rejects_unknown_vertex(running):
