@@ -25,6 +25,7 @@ from .model import (
     CanonicalVertex,
     Grammar,
     GrammarError,
+    checked_rules,
     expand,
     reachable_component,
     validate_grammar,
@@ -140,25 +141,22 @@ def _report(args, record: dict, *lines: str) -> None:
 
 def _cmd_validate(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    if g.mu:
-        report = phr_check(g)
-        if report.ok:
-            return 0
-        for line in report.outside.violations:
-            print(line, file=sys.stderr)
-        for f in report.failures:
-            if f.total is not None:
-                print(f"canonical={f.can} sum={f.total}", file=sys.stderr)
-            else:
-                print(f"canonical={f.can} {f.reason}", file=sys.stderr)
-        return 1
     issues = validate_grammar(g)
-    outside = check_complete_outside(g)
     for issue in issues:
-        print(str(issue), file=sys.stderr)
+        print(issue, file=sys.stderr)
+    if issues or not g.mu:
+        outside, failures = check_complete_outside(g), ()
+    else:
+        report = phr_check(g)
+        outside, failures = report.outside, report.failures
     for line in outside.violations:
         print(line, file=sys.stderr)
-    return 0 if not issues and outside.ok else 1
+    for f in failures:
+        if f.total is not None:
+            print(f"canonical={f.can} sum={f.total}", file=sys.stderr)
+        else:
+            print(f"canonical={f.can} {f.reason}", file=sys.stderr)
+    return 1 if issues or not outside.ok or failures else 0
 
 
 # ------------------------------------------------------------- converters
@@ -171,7 +169,7 @@ def _cmd_from_pds(args, parser: _Parser) -> int:
 
 
 def _cmd_gen_pcp(args, parser: _Parser) -> int:
-    g, _, formula = encode(_load(args.input, load_pcp))
+    g, formula = encode(_load(args.input, load_pcp))
     text = serialize_grammar(g)
     text += f"\n# matching forks satisfy: {to_text(formula)}\n"
     _write_out(text, args.output)
@@ -195,6 +193,7 @@ class _Fragments(dict):
 
 def _cmd_expand(args, parser: _Parser) -> int:
     g = _load(args.grammar)
+    checked_rules(g)
     if args.component is not None:
         _axiom_vertex(g, args.component, parser)
         expansion = reachable_component(g, args.component, args.depth)
@@ -267,7 +266,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
     phi2_names = _colour_names(g, args.phi2, parser)
 
     if args.method == "enclosure":
-        an = analyse(g, g.mu)
+        an = analyse(g)
         phi1 = classes_for_colours(an, phi1_names)
         phi2 = classes_for_colours(an, phi2_names)
         enc = solve_until(an, phi1, phi2, eps=args.eps)

@@ -148,7 +148,7 @@ def local_rows(
     ends up.
     """
     sinks = an.absorbing
-    mu = an.mu
+    mu = an.grammar.mu
 
     def interior_bucket(node: FragmentNode) -> str | None:
         if node.can in phi2:

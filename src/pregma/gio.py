@@ -26,16 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import (
-    Arc,
-    ColourMark,
-    ConcreteVertex,
-    Grammar,
-    Hyperarc,
-    Hypergraph,
-    Rule,
-    VertexId,
-)
+from .model import ConcreteVertex, Grammar, Hypergraph, Rule, VertexId
 
 _TOP_KEYWORDS = {
     "nonterminal", "terminal", "colour", "prob", "axiom",
@@ -50,29 +41,15 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-class _RuleDraft:
-    def __init__(self, lineno: int, name: str, inputs: tuple[str, ...]):
-        self.lineno = lineno
-        self.name = name
-        self.inputs = inputs
-        self.order: list[str] = []
-        self._seen: set[str] = set()
-        self.arcs: list[Arc] = []
-        self.colours: list[ColourMark] = []
-        self.hyperarcs: list[Hyperarc] = []
-        self.suppressed: set[tuple[str, str]] = set()
-        for v in inputs:
-            self.touch(v)
-
-    def touch(self, v: str) -> None:
-        if v not in self._seen:
-            self._seen.add(v)
-            self.order.append(v)
-
-
-def _fraction(lineno: int, text: str) -> Fraction:
+def read_prob(lineno: int, args: list[str], mu: dict[str, Fraction]) -> None:
+    """Enter the `prob LABEL P` line with arguments `args` into mu."""
+    if len(args) != 2:
+        raise ParseError(lineno, "prob needs LABEL VALUE")
+    label, text = args
+    if label in mu:
+        raise ParseError(lineno, f"probability for {label} given twice")
     try:
-        return Fraction(text)
+        mu[label] = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(lineno, f"bad probability {text!r}: {exc}") from None
 
@@ -84,8 +61,10 @@ def parse_grammar(text: str) -> Grammar:
     absorbing: set[str] = set()
     axiom: str | None = None
     default_colour: str | None = None
-    drafts: list[_RuleDraft] = []
-    current: _RuleDraft | None = None
+    # each rule with its line and the vertices its nocolour lines exempt
+    # from the default colour, which is attached once the whole text is read
+    rules: list[tuple[int, Rule, set[VertexId]]] = []
+    current: Rule | None = None
 
     def declare(lineno: int, table: dict[str, int], name: str, arity: int) -> None:
         if name in terminals or name in nonterminals:
@@ -93,6 +72,12 @@ def parse_grammar(text: str) -> Grammar:
         if arity < 0:
             raise ParseError(lineno, f"negative arity for {name}")
         table[name] = arity
+
+    def mention(*vs: VertexId) -> None:
+        """Register vertices in order of first mention."""
+        for v in vs:
+            if not current.rhs.has_vertex(v):
+                current.rhs.add_vertex(v)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -109,28 +94,25 @@ def parse_grammar(text: str) -> Grammar:
             if head == "vertex":
                 if not args:
                     raise ParseError(lineno, "vertex line needs at least one name")
-                for v in args:
-                    current.touch(v)
+                mention(*args)
             elif head == "arc":
                 if len(args) != 3:
                     raise ParseError(lineno, "arc needs LABEL SRC DST")
                 label, src, dst = args
-                current.touch(src)
-                current.touch(dst)
-                current.arcs.append(Arc(label, src, dst))
+                mention(src, dst)
+                current.rhs.add_arc(label, src, dst)
             elif head == "hyperarc":
                 if len(args) < 1:
                     raise ParseError(lineno, "hyperarc needs a label")
                 label, vs = args[0], args[1:]
-                for v in vs:
-                    current.touch(v)
-                current.hyperarcs.append(Hyperarc(label, tuple(vs)))
+                mention(*vs)
+                current.rhs.add_hyperarc(label, tuple(vs))
             elif head == "colour":
                 if len(args) != 2:
                     raise ParseError(lineno, "colour inside a rule needs NAME VERTEX")
                 name, v = args
-                current.touch(v)
-                current.colours.append(ColourMark(name, v))
+                mention(v)
+                current.rhs.add_colour(name, v)
             elif head == "nocolour":
                 if len(args) != 2:
                     raise ParseError(lineno, "nocolour needs NAME VERTEX")
@@ -142,8 +124,8 @@ def parse_grammar(text: str) -> Grammar:
                         lineno,
                         f"nocolour {name} does not match default-colour {default_colour}",
                     )
-                current.touch(v)
-                current.suppressed.add((name, v))
+                mention(v)
+                exempt.add(v)
             continue
 
         current = None
@@ -160,11 +142,7 @@ def parse_grammar(text: str) -> Grammar:
                 raise ParseError(lineno, "top-level colour needs just NAME")
             declare(lineno, terminals, args[0], 1)
         elif head == "prob":
-            if len(args) != 2:
-                raise ParseError(lineno, "prob needs LABEL VALUE")
-            if args[0] in mu:
-                raise ParseError(lineno, f"probability for {args[0]} given twice")
-            mu[args[0]] = _fraction(lineno, args[1])
+            read_prob(lineno, args, mu)
         elif head == "axiom":
             if len(args) != 1:
                 raise ParseError(lineno, "axiom needs NAME")
@@ -192,38 +170,29 @@ def parse_grammar(text: str) -> Grammar:
                 inputs = tuple(rest[1:])
             else:
                 inputs = ()
-            current = _RuleDraft(lineno, name, inputs)
-            drafts.append(current)
+            current, exempt = Rule(name, inputs, Hypergraph()), set()
+            rules.append((lineno, current, exempt))
+            mention(*inputs)
         else:
             raise ParseError(lineno, f"unknown keyword {head!r}")
 
     if axiom is None:
         raise ParseError(0, "no axiom line")
 
-    rules: list[Rule] = []
-    for draft in drafts:
-        rhs = Hypergraph()
-        for v in draft.order:
-            rhs.add_vertex(v)
-        rhs.arcs = list(draft.arcs)
-        rhs.hyperarcs = list(draft.hyperarcs)
-        marks = list(draft.colours)
+    for lineno, rule, exempt in rules:
         if default_colour is not None:
             if default_colour not in terminals:
-                raise ParseError(draft.lineno, f"default-colour {default_colour} not declared")
-            present = {(c, v) for c, v in marks}
-            for v in draft.order:
-                key = (default_colour, v)
-                if key not in present and key not in draft.suppressed:
-                    marks.append(ColourMark(default_colour, v))
-        rhs.colours = marks
-        rules.append(Rule(draft.name, draft.inputs, rhs))
+                raise ParseError(lineno, f"default-colour {default_colour} not declared")
+            marked = {v for c, v in rule.rhs.colours if c == default_colour}
+            for v in rule.rhs.vertices:
+                if v not in marked and v not in exempt:
+                    rule.rhs.add_colour(default_colour, v)
 
     return Grammar(
         terminals=terminals,
         nonterminals=nonterminals,
         axiom=axiom,
-        rules=rules,
+        rules=[rule for _, rule, _ in rules],
         mu=mu,
         absorbing=absorbing,
     )

@@ -197,7 +197,7 @@ def label_formula(
     formula: Formula,
     eps: Fraction = Fraction(1, 10**6),
 ) -> Labelling:
-    ev = _Evaluator(analyse(g, g.mu), eps)
+    ev = _Evaluator(analyse(g), eps)
     statuses, intervals = ev.eval(formula)
     verdicts = {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
     return Labelling(verdicts)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 VertexId = Any
 
@@ -131,6 +131,8 @@ class Rule:
 
 @dataclass
 class Grammar:
+    """One rule per nonterminal; mu gives each arc label its probability."""
+
     terminals: dict[str, int]
     nonterminals: dict[str, int]
     axiom: str
@@ -237,18 +239,32 @@ def validate_grammar(g: Grammar) -> list[Issue]:
     return issues
 
 
-def reachable_nonterminals(g: Grammar) -> frozenset[str]:
-    """Nonterminals reachable from the axiom through right-hand sides."""
-    succ = {rule.lhs: [h.label for h in rule.rhs.hyperarcs] for rule in g.rules}
-    seen = {g.axiom}
-    todo = [g.axiom]
+def checked_rules(g: Grammar) -> dict[str, Rule]:
+    """The rule of each nonterminal, for a grammar that `validate_grammar`
+    accepts; otherwise one GrammarError naming every issue."""
+    issues = validate_grammar(g)
+    if issues:
+        raise GrammarError("; ".join(map(str, issues)))
+    return {rule.lhs: rule for rule in g.rules}
+
+
+def reach(seeds: Iterable[Hashable],
+          step: Callable[[Any], Iterable[Hashable]]) -> set:
+    """Everything reachable from `seeds` by repeated `step`, seeds included."""
+    seen = set(seeds)
+    todo = list(seen)
     while todo:
-        here = todo.pop()
-        for nxt in succ.get(here, ()):
+        for nxt in step(todo.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    return frozenset(seen)
+    return seen
+
+
+def reachable_nonterminals(g: Grammar) -> frozenset[str]:
+    """Nonterminals reachable from the axiom through right-hand sides."""
+    succ = {rule.lhs: [h.label for h in rule.rhs.hyperarcs] for rule in g.rules}
+    return frozenset(reach([g.axiom], lambda name: succ.get(name, ())))
 
 
 class _Compiled(NamedTuple):
@@ -376,15 +392,7 @@ def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
     for arc in expansion.graph.arcs:
         adj[arc.source].add(arc.target)
         adj[arc.target].add(arc.source)
-    seen = {start}
-    todo = [start]
-    while todo:
-        here = todo.pop()
-        for nxt in adj[here]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+    return frozenset(reach([start], adj.__getitem__))
 
 
 def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:

@@ -12,7 +12,7 @@ Transition rows hold integer weights over one denominator, the lcm of mu's
 denominators. Both the exact bounded sweep and the sampler walk only the
 start's horizon cone, the states a path can reach in time while undecided:
 the sweep runs in integers over powers of that denominator, and the sampler
-builds cut tables only for the cone's undecided states.
+ends each trajectory as soon as it can no longer hit or escape.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import Expansion, Grammar, GrammarError, expand, validate_grammar
+from .model import Expansion, Grammar, GrammarError, checked_rules, expand, reach
 from .rng import draw_array
 from .validation import ProbabilityMap
 
@@ -77,11 +77,13 @@ class FiniteMC:
         return self.index[self.expansion.axiom_vertex(start)]
 
 
-def truncate(g: Grammar, depth: int, mu: ProbabilityMap | None = None) -> FiniteMC:
-    issues = validate_grammar(g)
-    if issues:
-        raise GrammarError("; ".join(str(i) for i in issues))
-    den, weight = integer_weights(g.mu if mu is None else mu)
+def truncate(g: Grammar, depth: int) -> FiniteMC:
+    """The depth-`depth` expansion as a finite chain under the grammar's own
+    mu. Raises GrammarError on a structurally invalid grammar or an arc
+    label without a probability, and TotalityError on a fully expanded
+    vertex whose outgoing mass is not 1."""
+    checked_rules(g)
+    den, weight = integer_weights(g.mu)
 
     expansion = expand(g, depth)
     graph = expansion.graph
@@ -242,8 +244,12 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     Trajectory i uses draw number step * n + i, so the result is a pure
     function of (seed, n, horizon). A trajectory touching the frontier while
     still undecided counts as an escape: the truth then lies between
-    hits/n and (hits+escapes)/n. Cut tables are built only for the states
-    a trajectory can step from within the horizon.
+    hits/n and (hits+escapes)/n. A trajectory misses as soon as it stands
+    on a state from which no win or frontier state can be reached inside
+    the cone, so the loop ends once no trajectory can still hit or escape;
+    draws are counter-based, so hits and escapes stay as if it walked on.
+    Cut tables are built only for the stepping states that can still hit
+    or escape.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
@@ -254,9 +260,21 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     start = mc.resolve(query.start)
     undecided = (alive & ~win & ~fmask).tolist()
     layers = _cone(mc, undecided, start, query.horizon)
+    stepping = [s for layer in layers[:query.horizon] for s in layer
+                if undecided[s]]
+    # walk back from the cone's won and frontier states through the
+    # stepping states: a trajectory anywhere else can only miss
+    preds: dict[int, list[int]] = {}
+    for s in stepping:
+        for t, _ in mc.trans[s]:
+            preds.setdefault(t, []).append(s)
+    exits = (win | fmask).tolist()
+    hopeful = reach([s for layer in layers for s in layer if exits[s]],
+                    lambda t: preds.get(t, ()))
+    misses = ~alive
+    misses[[s for s in stepping if s not in hopeful]] = True
     cuts, targets = _threshold_tables(
-        mc, [s for layer in layers[:query.horizon] for s in layer
-             if undecided[s]])
+        mc, [s for s in stepping if s in hopeful])
 
     cur = np.full(n, start, dtype=np.int64)
     # 0 active, 1 hit, 2 miss, 3 escape
@@ -271,7 +289,7 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
         decided[win[here]] = 1
         esc = fmask[here] & (decided == 0)
         decided[esc] = 3
-        dead = ~alive[here] & (decided == 0)
+        dead = misses[here] & (decided == 0)
         decided[dead] = 2
         status[np.flatnonzero(active)] = decided
         if step == query.horizon:

@@ -130,8 +130,9 @@ def _gadget(rules: list[Rule], tiles: list[str]) -> Grammar:
     )
 
 
-def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
-    """Gadget grammar, arc probabilities, and the matching formula.
+def encode(p: PCPInstance) -> tuple[Grammar, Formula]:
+    """Gadget grammar, its arc probabilities included, and the matching
+    formula.
 
     The formula holds at an s-vertex exactly when the probability of
     reaching green from it is 1/2, stated as a conjunction of the two weak
@@ -154,7 +155,7 @@ def encode(p: PCPInstance) -> tuple[Grammar, dict[str, Fraction], Formula]:
             Until("<=", HALF, TT(), Atom("green")),
         ),
     )
-    return g, dict(g.mu), formula
+    return g, formula
 
 
 def _concat(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> tuple[str, str]:

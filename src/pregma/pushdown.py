@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gio import ParseError
+from .gio import ParseError, read_prob
 from .model import Expansion, Grammar, GrammarError, Hypergraph, Rule, VertexId
 from .oracle import FiniteMC, integer_weights
 from .validation import hyperarc_slots, vertex_classes
@@ -90,14 +90,7 @@ def parse_pds(text: str) -> PushdownSystem:
         elif head == "state":
             states.extend(args)
         elif head == "prob":
-            if len(args) != 2:
-                raise ParseError(lineno, "prob needs LABEL VALUE")
-            if args[0] in mu:
-                raise ParseError(lineno, f"probability for {args[0]} given twice")
-            try:
-                mu[args[0]] = Fraction(args[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(lineno, f"bad probability {args[1]!r}: {exc}") from None
+            read_prob(lineno, args, mu)
         elif head == "absorb-sinks":
             if len(args) != 1:
                 raise ParseError(lineno, "absorb-sinks needs a colour name")

@@ -49,6 +49,7 @@ def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, 
     ("ref", rule, j) to whatever the context's parent glued there. An
     absorbing sink is its own successor.
     """
+    mu = an.grammar.mu
     table: dict[CanonicalVertex, list[tuple[Fraction, Binding]]] = {}
     for name, frag in an.fragments.items():
         for node in frag.starts:
@@ -56,7 +57,7 @@ def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, 
             for label, key in frag.out[node.key]:
                 hit = frag.nodes[key]
                 target = ("ref", name, hit.input_index) if hit.kind == "input" else hit.can
-                succs.append((an.mu[label], target))
+                succs.append((mu[label], target))
             if not succs and node.can in an.absorbing:
                 succs.append((ONE, node.can))
             table[node.can] = succs

@@ -36,8 +36,8 @@ from .model import (
     Hyperarc,
     Rule,
     VertexId,
+    checked_rules,
     reachable_nonterminals,
-    validate_grammar,
 )
 
 ProbabilityMap = Mapping[str, Fraction]
@@ -266,19 +266,12 @@ class PhrReport:
         return "\n".join(lines)
 
 
-def _validated(g: Grammar) -> tuple[dict[str, Rule], Slots]:
-    issues = validate_grammar(g)
-    if issues:
-        raise GrammarError("; ".join(str(i) for i in issues))
-    return {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g)
-
-
 def _mass_report(
     g: Grammar,
-    mu: ProbabilityMap,
     outside: OutsideReport,
     classes: Mapping[CanonicalVertex, VertexClass],
 ) -> PhrReport:
+    mu = g.mu
     failures: list[PhrFailure] = []
     for can, vc in classes.items():
         profile = vc.out
@@ -304,23 +297,25 @@ def _mass_report(
     return PhrReport(ok, tuple(failures), outside, len(canonical_vertices(g)))
 
 
-def phr_check(g: Grammar, mu: ProbabilityMap | None = None) -> PhrReport:
-    """Does every vertex class have total outgoing probability exactly 1?
+def phr_check(g: Grammar) -> PhrReport:
+    """Does every vertex class have total outgoing probability exactly 1
+    under the grammar's own mu?
 
     Sinks are allowed only when marked with a declared absorbing colour.
     Classes with an infinitely repeated outgoing arc fail for every mu.
-    All arithmetic is exact.
+    All arithmetic is exact. A structurally invalid grammar raises one
+    GrammarError naming every issue.
     """
-    rules, slots = _validated(g)
-    mu = dict(g.mu) if mu is None else dict(mu)
+    rules = checked_rules(g)
+    slots = hyperarc_slots(g)
     outside = _outside(g, slots)
     classes = vertex_classes(g, rules, slots) if outside.ok else {}
-    return _mass_report(g, mu, outside, classes)
+    return _mass_report(g, outside, classes)
 
 
 @dataclass
 class Analysis:
-    """Everything the engines read off one grammar under one mu.
+    """Everything the engines read off one grammar, its mu included.
 
     Built by `analyse`, once per engine entry point; `assemblies` holds the
     equation system of each (phi1, phi2) pair once something assembled it,
@@ -328,7 +323,6 @@ class Analysis:
     """
 
     grammar: Grammar
-    mu: dict[str, Fraction]
     rules: dict[str, Rule]
     classes: dict[CanonicalVertex, VertexClass]
     absorbing: frozenset[CanonicalVertex]
@@ -342,9 +336,10 @@ class Analysis:
     assemblies: dict
 
 
-def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
-    """The analysis the solving engines run on; raises EngineUnsupported when
-    the local fragment picture breaks down.
+def analyse(g: Grammar) -> Analysis:
+    """The analysis the solving engines run on, under the grammar's own mu.
+    Raises GrammarError when the grammar is structurally invalid, and
+    EngineUnsupported when the local fragment picture breaks down.
 
     Beyond phr_check this refuses (a) classes whose incoming arcs repeat
     forever and (b) vertices that, glued onto an input lying on a hyperarc,
@@ -352,10 +347,10 @@ def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
     one-step behaviour would depend on levels above the fragment under
     consideration.
     """
-    rules, slots = _validated(g)
-    mu = dict(mu)
+    rules = checked_rules(g)
+    slots = hyperarc_slots(g)
     classes = vertex_classes(g, rules, slots)
-    report = _mass_report(g, mu, _outside(g, slots), classes)
+    report = _mass_report(g, _outside(g, slots), classes)
     if not report.ok:
         raise EngineUnsupported(str(report))
     for can, vc in classes.items():
@@ -407,7 +402,6 @@ def analyse(g: Grammar, mu: ProbabilityMap) -> Analysis:
 
     return Analysis(
         grammar=g,
-        mu=mu,
         rules=rules,
         classes=classes,
         absorbing=frozenset(

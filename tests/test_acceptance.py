@@ -10,6 +10,7 @@ import io
 import math
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 from pregma.cli import main
@@ -47,7 +48,7 @@ def cls(an, name):
 
 
 def solve(g, phi1, phi2, **options):
-    an = analyse(g, g.mu)
+    an = analyse(g)
     return solve_until(an, cls(an, phi1), cls(an, phi2), **options)
 
 
@@ -60,8 +61,8 @@ def straddles(lo, hi, scale_lo, scale_hi, square):
 def test_gate_1_exact_mass_validation(capfd, running):
     started = time.perf_counter()
     good = phr_check(running)
-    detuned = dict(running.mu, d=F(1, 3))
-    bad = phr_check(running, detuned)
+    detuned = replace(running, mu=dict(running.mu, d=F(1, 3)))
+    bad = phr_check(detuned)
     elapsed = time.perf_counter() - started
     gate(capfd, 1, "out-mass validation", [
         ("accepts the stock probabilities", good.ok),
@@ -74,7 +75,7 @@ def test_gate_1_exact_mass_validation(capfd, running):
 
 
 def test_gate_2_local_first_hit_probabilities(capfd, running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     frag = an.fragments["A"]
     rows = local_rows(an, frag, cls(an, "V1"), cls(an, "V2"),
                       include_inputs=True)
@@ -265,7 +266,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
         e = expand(g, 8)
         colour_sets = e.graph.colour_sets()
         out_arcs = e.graph.out_arcs()
-        an = analyse(g, g.mu)
+        an = analyse(g)
         pairs = [(None, c) for c in sorted(g.colour_names)]
         if fname == "running.gg":
             pairs.append(("V1", "V2"))
@@ -325,7 +326,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                      agree))
     checks.append(("sweep is exhaustive", checked > 600))
 
-    an = analyse(running, running.mu)
+    an = analyse(running)
     every = cls(an, None)
     trivially = until_almost_sure(an, every, every)
     checks.append(("probability one on the trivial target",
@@ -339,7 +340,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
         ("pds_example_prob.pds", to_grammar(pds_prob), "halt"),
     ]
     for fname, g, colour in designated:
-        an = analyse(g, g.mu)
+        an = analyse(g)
         verdicts = until_almost_sure(an, cls(an, None), cls(an, colour))
         if "unknown" in verdicts.values():
             marked = (corpus_dir / fname).read_text().startswith("# hard")
@@ -372,7 +373,7 @@ def test_gate_8_word_matching_gadget(capfd, pcp_solvable, pcp_unsolvable):
 
     counts = []
     for inst in pcp_unsolvable:
-        gadget, _, _ = encode(inst)
+        gadget, _ = encode(inst)
         forks = fork_sequences(gadget, expand(gadget, 4))
         counts.append(len(forks))
         checks.append((

@@ -408,6 +408,42 @@ def test_expand_dot_and_component(corpus_dir):
     assert code == 3 and "not an axiom-rule vertex" in err
 
 
+# structurally invalid grammars, each with its validate_grammar issues
+INVALID = {
+    "duplicate-rule": (
+        "nonterminal Z 0\nnonterminal A 1\nterminal a 2\n{prob}axiom Z\n\n"
+        "rule Z\n  arc a v v\n  hyperarc A v\n\n"
+        "rule A inputs x\n  vertex y\n  arc a y y\n\n"
+        "rule Z\n  vertex w\n\nrule A inputs x\n",
+        ["duplicate-rule: second rule for Z", "duplicate-rule: second rule for A"]),
+    "undeclared-arc-label": (
+        "nonterminal Z 0\nterminal a 2\n{prob}axiom Z\n\n"
+        "rule Z\n  arc a v w\n  arc b w v\n  arc c w w\n",
+        ["arc-label: rule Z: b is not an arity-2 terminal",
+         "arc-label: rule Z: c is not an arity-2 terminal"]),
+}
+INVALID_CASES = [(name, prob) for name in INVALID for prob in ("", "prob a 1\n")]
+
+
+@pytest.mark.parametrize(
+    "name, prob", INVALID_CASES,
+    ids=[f"{name}-{'prob' if prob else 'plain'}" for name, prob in INVALID_CASES])
+def test_structural_issues_stop_validate_and_expand(tmp_path, name, prob):
+    text, issues = INVALID[name]
+    path = tmp_path / "bad.gg"
+    path.write_text(text.format(prob=prob))
+    assert [str(i) for i in validate_grammar(load_grammar(path))] == issues
+    # validate: one stderr line per issue, with or without prob lines
+    code, out, err = run(["validate", str(path)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == issues
+    # expand: refuses with one diagnostic line instead of printing a graph
+    code, out, err = run(["expand", str(path), "--depth", "2"])
+    assert (code, out) == (1, "")
+    assert err == "; ".join(issues) + "\n"
+    assert "Traceback" not in err
+
+
 def test_from_pds_round_trips(corpus_dir, tmp_path):
     out_path = tmp_path / "converted.gg"
     code, out, err = run([

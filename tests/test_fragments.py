@@ -11,7 +11,7 @@ F = Fraction
 
 @pytest.fixture()
 def running_rows(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
     frag = an.fragments["A"]
@@ -19,7 +19,7 @@ def running_rows(running):
 
 
 def test_fragment_layout(running):
-    frag = analyse(running, running.mu).fragments["A"]
+    frag = analyse(running).fragments["A"]
     assert sorted(n.key for n in frag.starts) == [
         ("base", "dead"), ("base", "fork"), ("base", "next"), ("base", "win"),
     ]
@@ -58,7 +58,7 @@ def test_rows_from_inputs(running_rows):
 
 
 def test_input_rows_are_off_by_default(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
     frag = an.fragments["A"]
@@ -68,7 +68,7 @@ def test_input_rows_are_off_by_default(running):
 
 
 def test_axiom_fragment_rows(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
     frag = an.fragments["Z"]
@@ -86,7 +86,7 @@ def test_rows_partition_unit_mass(running, dag, updrift, critical, colour_pair):
         names = g.colour_names
         if phi2_name not in names:
             continue
-        an = analyse(g, g.mu)
+        an = analyse(g)
         phi1 = classes_for_colours(
             an, frozenset({phi1_name}) if phi1_name in names else None
         )

@@ -64,6 +64,52 @@ def test_corpus_round_trip(corpus_dir, name):
         assert sorted(other.rhs.hyperarcs) == sorted(rule.rhs.hyperarcs)
 
 
+# running.gg read and written back: vertices in order of first mention,
+# explicit colour marks first, then the default colour on every vertex that
+# no nocolour line exempts
+RUNNING_SERIALISED = """\
+nonterminal Z 0
+nonterminal A 2
+terminal a 2
+terminal d 2
+colour V1
+colour V2
+colour sink
+prob a 1/2
+prob d 1/4
+absorbing sink
+axiom Z
+
+rule Z
+  hyperarc A v0 t0
+  colour sink t0
+  colour V1 v0
+  colour V1 t0
+
+rule A inputs s t
+  vertex s t win fork dead next
+  arc a s t
+  arc a s next
+  arc d fork dead
+  arc d fork s
+  arc a fork win
+  hyperarc A next fork
+  colour V2 win
+  colour sink win
+  colour sink dead
+  colour V1 s
+  colour V1 t
+  colour V1 win
+  colour V1 fork
+  colour V1 next
+"""
+
+
+def test_running_serialises_in_parse_order(corpus_dir):
+    text = (corpus_dir / "running.gg").read_text()
+    assert serialize_grammar(parse_grammar(text)) == RUNNING_SERIALISED
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_grammar("nonterminal Z 0\nwibble Z\n")
@@ -79,6 +125,7 @@ def test_parse_reports_line_numbers():
         ("nonterminal Z 0\naxiom Z\nrule Z\n  arc a v\n", "arc needs"),
         ("nonterminal Z 0\naxiom Z\nrule Z\n  nocolour c v\n", "default-colour"),
         ("nonterminal Z 0\nrule Z\n  vertex v\n", "axiom"),
+        ("terminal a 2\nprob a\n", "prob needs LABEL VALUE"),
     ],
 )
 def test_parse_rejects_bad_lines(text, needle):

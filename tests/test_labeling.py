@@ -18,7 +18,7 @@ def statuses(lab):
 
 
 def test_classes_for_colours(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     assert classes_for_colours(an, frozenset({"V2"})) == frozenset(
         {CanonicalVertex("A", "win")})
     assert classes_for_colours(an, frozenset({"sink"})) == frozenset({
@@ -201,7 +201,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
         if not mu:
             continue
         try:
-            an = analyse(g, mu)
+            an = analyse(g)
         except GrammarError:  # outside the engines' fragment (PCP gadgets)
             continue
         axiom = [node.can for node in an.fragments[g.axiom].starts]

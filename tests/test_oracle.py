@@ -20,6 +20,7 @@ from pregma.oracle import (
 )
 from pregma.pcp import encode, load_pcp
 from pregma.pushdown import config_chain, load_pds, to_grammar
+from pregma.rng import draw_array
 
 V1 = frozenset({"V1"})
 V2 = frozenset({"V2"})
@@ -77,12 +78,12 @@ def test_bounded_until_is_monotone_in_horizon(running, dag, updrift):
 
 def test_truncate_rejects_unnormalised_mu(running):
     with pytest.raises(TotalityError, match="outgoing mass 7/6"):
-        truncate(running, 4, mu={"a": Fraction(1, 2), "d": Fraction(1, 3)})
+        truncate(replace(running, mu={"a": Fraction(1, 2), "d": Fraction(1, 3)}), 4)
 
 
 def test_truncate_needs_every_label_priced(running):
     with pytest.raises(Exception, match="no probability for arc label d"):
-        truncate(running, 4, mu={"a": Fraction(1, 2)})
+        truncate(replace(running, mu={"a": Fraction(1, 2)}), 4)
 
 
 def test_frontier_guard(running):
@@ -134,6 +135,29 @@ def test_sample_until_needs_positive_n(running):
     mc = truncate(running, 4)
     with pytest.raises(ValueError, match="positive sample count"):
         sample_until(mc, q(2), 0, 1)
+
+
+def test_sample_until_ends_hopeless_trajectories(running, monkeypatch):
+    # many trajectories reach a state that can reach neither V2 nor the
+    # frontier, such as the absorbing sink t0 (coloured V1, so never dead);
+    # they end there as misses, so a far horizon draws exactly as often as
+    # a near one and gives the same counts
+    calls = []
+
+    def counting(seed, ks):
+        calls.append(len(ks))
+        return draw_array(seed, ks)
+
+    monkeypatch.setattr("pregma.oracle.draw_array", counting)
+    mc = truncate(running, 3)
+    runs = []
+    for horizon in (2000, 10**6):
+        calls.clear()
+        res = sample_until(mc, q(horizon), 1000, 0)
+        runs.append(((res.hits, res.misses, res.escapes), len(calls), sum(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (191, 675, 134)
+    assert runs[0][1] < 2000
 
 
 def full_sweep(mc, query):
@@ -311,7 +335,7 @@ def test_mixed_denominators_keep_values_and_cuts():
 def test_truncate_rejects_mass_below_one(running):
     with pytest.raises(TotalityError, match=(
             r"^vertex 0 \(class Z:v0, level 0\) has outgoing mass 1/2$")):
-        truncate(running, 4, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)})
+        truncate(replace(running, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}), 4)
 
 
 def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
@@ -357,4 +381,4 @@ def test_missing_probability_names_the_first_label_in_arc_order():
     with pytest.raises(GrammarError, match="^no probability for arc label zz$"):
         truncate(g, 0)
     with pytest.raises(GrammarError, match="^no probability for arc label aa$"):
-        truncate(g, 0, mu={"b": Fraction(1), "zz": Fraction(1, 2)})
+        truncate(replace(g, mu={"b": Fraction(1), "zz": Fraction(1, 2)}), 0)

@@ -109,9 +109,9 @@ def test_closed_form_agrees_with_bounded_oracle(pcp_solvable, pcp_unsolvable):
 
 
 def test_encode_single_tile_is_engine_ready(pcp_solvable):
-    g, mu, formula = encode(pcp_solvable[0])
+    g, formula = encode(pcp_solvable[0])
     assert validate_grammar(g) == []
-    analyse(g, mu)  # raises EngineUnsupported if the engines cannot run
+    analyse(g)  # raises EngineUnsupported if the engines cannot run
     assert formula == And(
         Atom("s"),
         And(Until(">=", F(1, 2), TT(), Atom("green")),
@@ -122,7 +122,7 @@ def test_encode_single_tile_is_engine_ready(pcp_solvable):
 
 
 def test_encode_many_tiles_leaves_normal_form(pcp_solvable):
-    g, mu, _ = encode(pcp_solvable[1])
+    g, _ = encode(pcp_solvable[1])
     assert validate_grammar(g) == []
     report = check_complete_outside(g)
     assert not report.ok
@@ -130,7 +130,7 @@ def test_encode_many_tiles_leaves_normal_form(pcp_solvable):
 
 
 def test_fork_sequences_read_innermost_first(pcp_solvable):
-    g, mu, _ = encode(pcp_solvable[1])
+    g, _ = encode(pcp_solvable[1])
     e = expand(g, 2)
     seqs = sorted(seq for _, seq in fork_sequences(g, e))
     assert seqs == [(1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
@@ -142,7 +142,7 @@ def test_sequence_grammar_engine_path(pcp_solvable, pcp_unsolvable):
         (pcp_unsolvable[0], (1, 1), F(13, 32)),
     ]:
         g, fork = sequence_grammar(inst, seq)
-        an = analyse(g, g.mu)
+        an = analyse(g)
         sol = solve_until(an, classes_for_colours(an, None),
                           classes_for_colours(an, frozenset({"green"})))
         assert sol.converged and sol.exact
@@ -152,7 +152,7 @@ def test_sequence_grammar_engine_path(pcp_solvable, pcp_unsolvable):
 def test_unsolvable_trio_has_no_matching_fork(pcp_unsolvable):
     counts = []
     for inst in pcp_unsolvable:
-        g, mu, _ = encode(inst)
+        g, _ = encode(inst)
         forks = fork_sequences(g, expand(g, 4))
         counts.append(len(forks))
         assert all(green_probability(inst, seq) != F(1, 2)

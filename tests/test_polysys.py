@@ -625,8 +625,8 @@ def corpus_and_walk_grammars():
             g = to_grammar(load_pds(path))
             yield path.name, g, g.mu
         elif path.suffix == ".pcp":
-            g, mu, _ = encode(load_pcp(path))
-            yield path.name, g, mu
+            g, _ = encode(load_pcp(path))
+            yield path.name, g, g.mu
     rng = random.Random(1)
     for shape in ("chain", "branching"):
         for k in (8, 32):
@@ -644,7 +644,7 @@ def assembled_systems():
         if not mu:
             continue
         try:
-            an = analyse(g, mu)
+            an = analyse(g)
         except GrammarError:  # outside the engines' fragment (PCP gadgets)
             continue
         axiom = [win_key(node.can) for node in an.fragments[g.axiom].starts]

@@ -84,6 +84,7 @@ def test_word_splitting_fails_fast():
     ("stack A\nstate s\nrule s a Qs\n", "cannot split"),
     ("stack A\nstate s\nprob a 1\nprob a 1\nrule s a As\n", "given twice"),
     ("stack A\nstate s\nprob a 7/0\nrule s a As\n", "bad probability"),
+    ("stack A\nstate s\nprob a\nrule s a As\n", "prob needs LABEL VALUE"),
     ("stack A\nstate s\nrule s a\n", "rule needs"),
     ("stack A\nstate s\nabsorb-sinks\nrule s a As\n", "absorb-sinks needs"),
 ])
@@ -122,7 +123,7 @@ def test_to_grammar_shape(pds_plain):
 def test_to_grammar_prob_is_engine_ready(pds_prob):
     g = to_grammar(pds_prob)
     assert validate_grammar(g) == []
-    analyse(g, g.mu)  # raises EngineUnsupported if the engines cannot run
+    analyse(g)  # raises EngineUnsupported if the engines cannot run
     # dead configurations carry the absorbing colour
     halted = {(r.lhs, c.vertex) for r in g.rules for c in r.rhs.colours
               if c.colour == "halt"}

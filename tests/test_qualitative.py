@@ -26,7 +26,7 @@ def cls(an, name):
 
 
 def test_successor_table_running(running):
-    tab = successor_table(analyse(running, running.mu))
+    tab = successor_table(analyse(running))
     fork = tab[CanonicalVertex("A", "fork")]
     assert sorted(fork, key=repr) == sorted([
         (F(1, 4), CanonicalVertex("A", "dead")),
@@ -48,12 +48,12 @@ def test_successor_table_running(running):
 
 def test_successor_masses_sum_to_one(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
-        for can, succs in successor_table(analyse(g, g.mu)).items():
+        for can, succs in successor_table(analyse(g)).items():
             assert sum((p for p, _ in succs), F(0)) == 1, str(can)
 
 
 def test_resolve_ref_running(running):
-    refs = analyse(running, running.mu).refs
+    refs = analyse(running).refs
     assert refs[("A", 1)] == frozenset({
         CanonicalVertex("Z", "v0"), CanonicalVertex("A", "next"),
     })
@@ -64,7 +64,7 @@ def test_resolve_ref_running(running):
 
 def test_next_qualitative_decides_plain_targets(running):
     win = frozenset({CanonicalVertex("A", "win")})
-    out = next_qualitative(analyse(running, running.mu), win, ">=", F(1, 2))
+    out = next_qualitative(analyse(running), win, ">=", F(1, 2))
     assert out[CanonicalVertex("A", "fork")] == "holds"
     assert out[CanonicalVertex("A", "next")] == "fails"
     assert out[CanonicalVertex("A", "dead")] == "fails"
@@ -75,7 +75,7 @@ def test_next_qualitative_mixed_ref_is_unknown(running):
     # fork's d-step onto input 1 may land on Z:v0 or A:next depending on the
     # instance, so a target set holding only one of them cannot be decided
     target = frozenset({CanonicalVertex("Z", "v0")})
-    an = analyse(running, running.mu)
+    an = analyse(running)
     out = next_qualitative(an, target, ">", F(0))
     assert out[CanonicalVertex("A", "fork")] == "unknown"
     assert out[CanonicalVertex("A", "next")] == "fails"
@@ -86,7 +86,7 @@ def test_next_qualitative_mixed_ref_is_unknown(running):
 
 
 def test_until_positive_running(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     out = until_positive(an, cls(an, "V1"), cls(an, "V2"))
     assert {str(k): v for k, v in out.items()} == {
         "Z:v0": "holds", "Z:t0": "fails",
@@ -96,13 +96,13 @@ def test_until_positive_running(running):
 
 
 def test_until_positive_everywhere_on_critical(critical):
-    an = analyse(critical, critical.mu)
+    an = analyse(critical)
     out = until_positive(an, cls(an, None), cls(an, "green"))
     assert set(out.values()) == {"holds"}
 
 
 def test_until_almost_sure_running(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     out = until_almost_sure(an, cls(an, "V1"), cls(an, "V2"))
     assert {str(k): v for k, v in out.items()} == {
         "Z:v0": "fails", "Z:t0": "fails",
@@ -112,13 +112,13 @@ def test_until_almost_sure_running(running):
 
 
 def test_until_almost_sure_dag(dag):
-    an = analyse(dag, dag.mu)
+    an = analyse(dag)
     out = until_almost_sure(an, cls(an, None), cls(an, "goal"))
     assert set(out.values()) == {"holds"}
 
 
 def test_until_almost_sure_critical_is_unknown(critical):
-    an = analyse(critical, critical.mu)
+    an = analyse(critical)
     out = until_almost_sure(an, cls(an, None), cls(an, "green"))
     assert out[CanonicalVertex("Z", "base")] == "holds"
     assert out[CanonicalVertex("Z", "m0")] == "unknown"
@@ -130,7 +130,7 @@ def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):
     # the level induction still certifies it, and Ar and Br' descending
     # onto it
     g = to_grammar(pds_prob)
-    an = analyse(g, g.mu)
+    an = analyse(g)
     every, halt = cls(an, None), cls(an, "halt")
     assert set(until_almost_sure(an, every, halt).values()) == {"holds"}
     enc = solve_until(an, every, halt, watch="all")
@@ -184,8 +184,8 @@ def test_until_through_a_pass_through_rule():
 def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
     # pcp_u2's v1 and fork climb towards the axiom, winning red with 1/2 per
     # level and losing at the top, so no vertex of theirs reaches red surely
-    g, _, _ = encode(pcp_unsolvable[1])
-    an = analyse(g, g.mu)
+    g, _ = encode(pcp_unsolvable[1])
+    an = analyse(g)
     out = until_almost_sure(an, cls(an, None), cls(an, "red"))
     mc = truncate(g, 7)
     red = frozenset({"red"})
@@ -201,7 +201,7 @@ def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
 
 
 def test_until_almost_sure_trivial_phi2(running):
-    an = analyse(running, running.mu)
+    an = analyse(running)
     every = cls(an, None)
     out = until_almost_sure(an, every, every)
     assert set(out.values()) == {"holds"}
@@ -217,4 +217,4 @@ def test_engines_refuse_inadmissible_grammars():
     )
     # the engines run only on an analysis, and there is none to be had
     with pytest.raises(EngineUnsupported):
-        analyse(g, g.mu)
+        analyse(g)

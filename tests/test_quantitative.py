@@ -23,7 +23,7 @@ def classes(an, name):
 
 
 def until_args(g, phi1, phi2):
-    an = analyse(g, g.mu)
+    an = analyse(g)
     return an, classes(an, phi1), classes(an, phi2)
 
 
@@ -174,7 +174,7 @@ def test_axiom_probability_rejects_unknown_vertex(running):
 
 def test_trivial_phi2_saturates(running):
     # phi2 = every colour pins every class to 1
-    an = analyse(running, running.mu)
+    an = analyse(running)
     enc = solve_until(an, classes(an, None), classes(an, None))
     assert enc.exact
     for can in classes(an, None):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,7 @@ def test_canonical_vertices_skip_inputs(running):
 
 
 def test_role_chain_follows_the_gluing(running):
-    table = analyse(running, running.mu).classes
+    table = analyse(running).classes
     chain = table[cv("A", "next")].chain
     assert chain.sites == (("A", "next"), ("A", "s"))
     assert chain.terminates
@@ -90,11 +91,11 @@ def test_role_chain_ambiguity():
     with pytest.raises(ChainAmbiguityError, match="lies on 2 nonterminal hyperarcs"):
         classes(g)
     with pytest.raises(ChainAmbiguityError, match="vertex r in rule Z"):
-        analyse(g, g.mu)
+        analyse(g)
 
 
 def test_out_profiles_running(running):
-    table = analyse(running, running.mu).classes
+    table = analyse(running).classes
     prof = {can: vc.out for can, vc in table.items()}
     next_p = prof[CanonicalVertex("A", "next")]
     assert next_p.finite == (("a", 2),)
@@ -107,7 +108,7 @@ def test_out_profiles_running(running):
 
 
 def test_in_profiles_running(running):
-    prof = {can: vc.into for can, vc in analyse(running, running.mu).classes.items()}
+    prof = {can: vc.into for can, vc in analyse(running).classes.items()}
     assert prof[CanonicalVertex("A", "fork")].finite == (("a", 1),)
     # dead is only ever entered through the d arc
     assert prof[CanonicalVertex("A", "dead")].finite == (("d", 1),)
@@ -122,13 +123,13 @@ def test_infinite_profile():
 
 
 def test_profile_total_needs_every_label(running):
-    fork = analyse(running, running.mu).classes[CanonicalVertex("A", "fork")]
+    fork = analyse(running).classes[CanonicalVertex("A", "fork")]
     with pytest.raises(KeyError):
         fork.out.total({"a": Fraction(1, 2)})
 
 
 def test_full_colours_walks_the_chain(running):
-    cols = {can: vc.colours for can, vc in analyse(running, running.mu).classes.items()}
+    cols = {can: vc.colours for can, vc in analyse(running).classes.items()}
     assert cols[CanonicalVertex("A", "win")] == frozenset({"V2", "sink", "V1"})
     assert cols[CanonicalVertex("A", "dead")] == frozenset({"sink"})
     assert cols[CanonicalVertex("Z", "v0")] == frozenset({"V1"})
@@ -155,7 +156,7 @@ def test_phr_accepts_running(running):
 
 
 def test_phr_rejects_wrong_mu(running):
-    report = phr_check(running, {"a": Fraction(1, 2), "d": Fraction(1, 3)})
+    report = phr_check(replace(running, mu={"a": Fraction(1, 2), "d": Fraction(1, 3)}))
     assert not report.ok
     (failure,) = report.failures
     assert failure.can == CanonicalVertex("A", "fork")
@@ -173,7 +174,7 @@ def test_phr_requires_absorbing_marks_on_sinks(running, corpus_dir):
 
 
 def test_phr_reports_missing_probability(running):
-    report = phr_check(running, {"a": Fraction(1, 2)})
+    report = phr_check(replace(running, mu={"a": Fraction(1, 2)}))
     assert not report.ok
     assert any("no probability for d" in f.reason for f in report.failures)
 
@@ -199,7 +200,7 @@ def test_phr_validates_first():
 
 
 def test_absorbing_classes(running):
-    assert analyse(running, running.mu).absorbing == frozenset({
+    assert analyse(running).absorbing == frozenset({
         CanonicalVertex("Z", "t0"),
         CanonicalVertex("A", "win"),
         CanonicalVertex("A", "dead"),
@@ -208,7 +209,7 @@ def test_absorbing_classes(running):
 
 def test_engine_admissible_on_corpus(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
-        an = analyse(g, g.mu)
+        an = analyse(g)
         assert set(an.classes) == set(canonical_vertices(g))
 
 
@@ -216,13 +217,13 @@ def test_engine_rejects_infinite_in_profile():
     g = parse_grammar(INCOMING_LOOP)
     assert phr_check(g).ok
     with pytest.raises(EngineUnsupported, match="incoming arcs .* repeat forever"):
-        analyse(g, g.mu)
+        analyse(g)
 
 
 def test_engine_rejects_gaining_inputs():
     g = parse_grammar(GAINING_LOOP)
     with pytest.raises(EngineUnsupported):
-        analyse(g, g.mu)
+        analyse(g)
 
 
 def test_engine_rejects_arcs_gained_past_an_input():
@@ -231,10 +232,10 @@ def test_engine_rejects_arcs_gained_past_an_input():
     assert check_complete_outside(g).input_as_output == (("C", "x", "D", 1),)
     with pytest.raises(EngineUnsupported, match=(
             "rule C: input x keeps gaining arcs after being passed to D at position 1")):
-        analyse(g, g.mu)
+        analyse(g)
 
 
 def test_engine_accepts_quiet_input_loop():
     g = parse_grammar(QUIET_LOOP)
     assert check_complete_outside(g).input_as_output
-    assert analyse(g, g.mu).classes[cv("Z", "r")].chain.cycle_start == 1
+    assert analyse(g).classes[cv("Z", "r")].chain.cycle_start == 1
