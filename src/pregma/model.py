@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 VertexId = Any
 
@@ -268,7 +268,7 @@ def reachable_nonterminals(g: Grammar) -> frozenset[str]:
 
 
 class _Compiled(NamedTuple):
-    """A rule laid out as slots for `expand`: its inputs in input order, then
+    """A rule laid out as slots for `_rewrite`: its inputs in input order, then
     its other vertices in rhs order. One application of the rule puts a
     concrete vertex in every slot; arcs, colours and hyperarcs name slots."""
 
@@ -320,22 +320,35 @@ class Expansion:
     frontier: frozenset[VertexId]
 
     def axiom_vertex(self, name: VertexId) -> VertexId:
-        mapping = self.instances[0].mapping
-        if name not in mapping:
-            raise GrammarError(
-                f"{name!r} is not a vertex of the axiom rule "
-                f"(known: {sorted(map(str, mapping))})"
-            )
-        return mapping[name]
+        return named_vertex(self.instances[0].mapping, name)
 
 
-def expand(g: Grammar, depth: int) -> Expansion:
+def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexId:
+    """The concrete vertex of the axiom-rule vertex `name`, given the axiom
+    application's map from rule vertices to concrete ones."""
+    if name not in axiom_ids:
+        raise GrammarError(
+            f"{name!r} is not a vertex of the axiom rule "
+            f"(known: {sorted(map(str, axiom_ids))})"
+        )
+    return axiom_ids[name]
+
+
+def _rewrite(
+    g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
+) -> Iterator[tuple[int, _Compiled, list[VertexId], int | None, int | None]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom.
 
-    Returns the resulting graph (remaining hyperarcs included) together with
-    per-vertex levels and canonical vertices, the full instance table, and the
-    frontier: vertices that still lie on an unexpanded hyperarc, whose
-    out-neighbourhood is therefore not final yet.
+    Yields (level, compiled rule, ids, parent, via_index) once per rule
+    application, in order: ids holds the concrete vertex in each of the
+    rule's slots, the glued ones first, then the fresh ones, numbered from
+    0 in order of creation; parent is the number of the application that
+    owns the replaced hyperarc (None for the axiom) and via_index its
+    position in that rule's rhs. Once the generator is exhausted,
+    `unexpanded` holds the hyperarcs left unexpanded as (label, concrete
+    vertices) pairs: filling a list instead of returning them lets callers
+    use a plain `for`, where a `next` loop catching StopIteration costs a
+    deep `expand` about 4%.
     """
     if depth < 0:
         raise GrammarError("depth must be >= 0")
@@ -348,11 +361,8 @@ def expand(g: Grammar, depth: int) -> Expansion:
     for rule in g.rules:
         if rule.lhs not in rules:
             rules[rule.lhs] = _compile(rule)
-    arcs: list[Arc] = []
-    colours: list[ColourMark] = []
-    vertices: dict[VertexId, ConcreteVertex] = {}
-    instances: list[Instance] = []
-    # pending: (label, concrete vertices, owner instance, index in owner's rule rhs)
+    created = applied = 0
+    # pending: (label, concrete vertices, owner application, index in owner's rule rhs)
     pending: list[tuple[str, tuple[VertexId, ...], int | None, int | None]] = [
         (g.axiom, (), None, None)]
     for level in range(depth + 1):
@@ -363,23 +373,42 @@ def expand(g: Grammar, depth: int) -> Expansion:
                 raise GrammarError(f"no rule for nonterminal {label!r}")
             if rule.arity != len(glued):
                 raise GrammarError(f"hyperarc {label} arity mismatch")
-            # concrete ids count up from 0 in order of creation
-            new = range(len(vertices), len(vertices) + len(rule.cans))
-            ids = [*glued, *new]
-            owner = len(instances)
-            instances.append(Instance(owner, rule.lhs, level, parent, via_index,
-                                      dict(zip(rule.names, ids))))
-            for cid, can in zip(new, rule.cans):
-                vertices[cid] = ConcreteVertex(cid, level, can)
-            for arc_label, s, t in rule.arcs:
-                arcs.append(Arc(arc_label, ids[s], ids[t]))
-            for colour, v in rule.colours:
-                colours.append(ColourMark(colour, ids[v]))
+            first = created
+            created += len(rule.cans)
+            ids = [*glued, *range(first, created)]
+            yield level, rule, ids, parent, via_index
             for hi, (h_label, slots) in enumerate(rule.hyperarcs):
-                pending.append((h_label, tuple([ids[v] for v in slots]), owner, hi))
+                pending.append((h_label, tuple([ids[v] for v in slots]), applied, hi))
+            applied += 1
+    unexpanded += [(label, vs) for label, vs, _, _ in pending]
+
+
+def expand(g: Grammar, depth: int) -> Expansion:
+    """Apply `depth` rounds of parallel rewriting starting from the axiom.
+
+    Returns the resulting graph (remaining hyperarcs included) together with
+    per-vertex levels and canonical vertices, the full instance table, and the
+    frontier: vertices that still lie on an unexpanded hyperarc, whose
+    out-neighbourhood is therefore not final yet.
+    """
+    arcs: list[Arc] = []
+    colours: list[ColourMark] = []
+    vertices: dict[VertexId, ConcreteVertex] = {}
+    instances: list[Instance] = []
+    unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
+    for level, rule, ids, parent, via_index in _rewrite(g, depth, unexpanded):
+        instances.append(Instance(len(instances), rule.lhs, level, parent,
+                                  via_index, dict(zip(rule.names, ids))))
+        # the fresh ids count up from 0 in order of creation
+        for cid, can in enumerate(rule.cans, len(vertices)):
+            vertices[cid] = ConcreteVertex(cid, level, can)
+        for arc_label, s, t in rule.arcs:
+            arcs.append(Arc(arc_label, ids[s], ids[t]))
+        for colour, v in rule.colours:
+            colours.append(ColourMark(colour, ids[v]))
 
     graph = Hypergraph(list(vertices), arcs, colours,
-                       [Hyperarc(label, vs) for label, vs, _, _ in pending])
+                       [Hyperarc(label, vs) for label, vs in unexpanded])
     frontier = frozenset(v for h in graph.hyperarcs for v in h.vertices)
     return Expansion(graph, vertices, instances, frontier)
 

@@ -1,7 +1,10 @@
 """Ground-truth oracle on finite truncations.
 
 Expanding the grammar to a fixed depth gives a finite chunk of the generated
-graph. Vertices still sitting on an unexpanded hyperarc (the frontier) have
+graph. `truncate` builds that chunk's chain straight from the rule
+applications of the rewriting routine behind `model.expand`, without
+building the expanded graph; each state keeps only its class and level.
+Vertices still sitting on an unexpanded hyperarc (the frontier) have
 incomplete out-arcs and possibly missing colours, so the oracle refuses
 horizon/depth combinations whose answer could still be influenced by the
 frontier, and the sampler reports frontier contacts separately instead of
@@ -24,7 +27,17 @@ from typing import Any
 
 import numpy as np
 
-from .model import Expansion, Grammar, GrammarError, checked_rules, expand, reach
+from .model import (
+    CanonicalVertex,
+    Grammar,
+    GrammarError,
+    VertexId,
+    _Compiled,
+    _rewrite,
+    checked_rules,
+    named_vertex,
+    reach,
+)
 from .rng import draw_array
 from .validation import ProbabilityMap
 
@@ -49,15 +62,19 @@ def integer_weights(mu: ProbabilityMap) -> tuple[int, dict[str, int]]:
 class FiniteMC:
     """A finite Markov chain. trans[i] lists state i's steps as (target,
     weight) int pairs: a step's probability is weight / den, den being the
-    lcm of mu's denominators. Frontier states have incomplete rows."""
+    lcm of mu's denominators. Frontier states have incomplete rows. A
+    truncation also gives each state's class and level, and maps the axiom
+    rule's vertex names to states."""
 
-    expansion: Expansion | None
     states: list[Any]
     index: dict[Any, int]
     trans: list[list[tuple[int, int]]]
     den: int
     colours: list[frozenset[str]]
     frontier: frozenset[int]
+    classes: list[CanonicalVertex] | None = None
+    levels: list[int] | None = None
+    axiom_ids: dict[VertexId, int] | None = None
 
     def colour_mask(self, names: frozenset[str] | None) -> np.ndarray:
         """Boolean per state; names=None means "every state"."""
@@ -72,48 +89,74 @@ class FiniteMC:
         """Accept a state id or an axiom-rule vertex name."""
         if start in self.index:
             return self.index[start]
-        if self.expansion is None:
+        if self.axiom_ids is None:
             raise KeyError(start)
-        return self.index[self.expansion.axiom_vertex(start)]
+        return self.index[named_vertex(self.axiom_ids, start)]
+
+    def where(self, i: int) -> str:
+        """The " (class C, level L)" that error messages give after a
+        truncation's state i; empty for other chains."""
+        if self.classes is None or self.levels is None:
+            return ""
+        return f" (class {self.classes[i]}, level {self.levels[i]})"
+
+
+def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int]]:
+    """A compiled rule's arcs as (source slot, target slot, weight), in arc
+    order."""
+    for label, _, _ in rule.arcs:
+        if label not in weight:
+            raise GrammarError(f"no probability for arc label {label}")
+    return [(s, t, weight[label]) for label, s, t in rule.arcs]
 
 
 def truncate(g: Grammar, depth: int) -> FiniteMC:
     """The depth-`depth` expansion as a finite chain under the grammar's own
-    mu. Raises GrammarError on a structurally invalid grammar or an arc
-    label without a probability, and TotalityError on a fully expanded
-    vertex whose outgoing mass is not 1."""
+    mu, built straight from the rule applications: state i is the concrete
+    vertex with id i. Raises GrammarError on a structurally invalid grammar
+    or an arc label without a probability, and TotalityError on a fully
+    expanded vertex whose outgoing mass is not 1."""
     checked_rules(g)
     den, weight = integer_weights(g.mu)
 
-    expansion = expand(g, depth)
-    graph = expansion.graph
-    states = list(graph.vertices)
-    index = {v: i for i, v in enumerate(states)}
-    colour_sets = graph.colour_sets()
-    colours = [colour_sets[v] for v in states]
-    frontier = frozenset(index[v] for v in expansion.frontier)
-
-    trans: list[list[tuple[int, int]]] = [[] for _ in states]
-    for label, source, target in graph.arcs:
-        if label not in weight:
-            raise GrammarError(f"no probability for arc label {label}")
-        trans[index[source]].append((index[target], weight[label]))
+    trans: list[list[tuple[int, int]]] = []
+    colours: list[frozenset[str]] = []
+    classes: list[CanonicalVertex] = []
+    levels: list[int] = []
+    empty: frozenset[str] = frozenset()
+    shared = {empty: empty}  # one object per distinct colour set
+    priced: dict[str, list[tuple[int, int, int]]] = {}
+    unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
+    for level, rule, ids, parent, _ in _rewrite(g, depth, unexpanded):
+        if parent is None:
+            axiom_ids = dict(zip(rule.names, ids))
+        arcs = priced.get(rule.lhs)
+        if arcs is None:
+            arcs = priced[rule.lhs] = _priced(rule, weight)
+        classes += rule.cans
+        levels += [level] * len(rule.cans)
+        colours += [empty] * len(rule.cans)
+        for _ in rule.cans:
+            trans.append([])
+        for s, t, w in arcs:
+            trans[ids[s]].append((ids[t], w))
+        for colour, v in rule.colours:
+            cs = colours[ids[v]] | {colour}
+            colours[ids[v]] = shared.setdefault(cs, cs)
+    frontier = frozenset(v for _, vs in unexpanded for v in vs)
 
     for i, cs in enumerate(colours):
         if not trans[i] and i not in frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
+    states = list(range(len(trans)))
+    mc = FiniteMC(states, dict(zip(states, states)), trans, den, colours,
+                  frontier, classes, levels, axiom_ids)
     for i, row in enumerate(trans):
-        total = sum(w for _, w in row)
-        if total == den or i in frontier:
-            continue
-        v = states[i]
-        cv = expansion.vertices[v]
-        raise TotalityError(
-            f"vertex {v} (class {cv.can}, level {cv.level}) has outgoing "
-            f"mass {Fraction(total, den)}"
-        )
-    return FiniteMC(expansion, states, index, trans, den, colours, frontier)
+        if i not in frontier and (total := sum([w for _, w in row])) != den:
+            raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
+                                f"{Fraction(total, den)}")
+    return mc
 
 
 @dataclass(frozen=True)
@@ -170,14 +213,9 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     # only ever accumulate, so it wins no matter what comes later
     hit = [s for s in order if s in mc.frontier and not win[s]]
     if hit:
-        v = mc.states[hit[0]]
-        where = ""
-        if mc.expansion is not None:
-            cv = mc.expansion.vertices[v]
-            where = f" (class {cv.can}, level {cv.level})"
         raise HorizonError(
-            f"frontier vertex {v}{where} is within {horizon} steps of "
-            "the start; deepen the truncation"
+            f"frontier vertex {mc.states[hit[0]]}{mc.where(hit[0])} is within "
+            f"{horizon} steps of the start; deepen the truncation"
         )
     if not horizon or not undecided[start]:
         # no step is taken, so no den**horizon scale is needed

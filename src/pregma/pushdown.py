@@ -316,15 +316,14 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
             colours.append(frozenset({p.sink_colour}))
             continue
         row = [(index[name(t)], weight[label]) for label, t in succ]
-        total = Fraction(sum(n for _, n in row), den)
-        if total != 1:
+        total = sum(n for _, n in row)
+        if total != den:
             raise GrammarError(
-                f"configuration {name(w)} has out-mass {total}, not 1"
+                f"configuration {name(w)} has out-mass {Fraction(total, den)}, not 1"
             )
         trans.append(row)
         colours.append(frozenset())
     return FiniteMC(
-        expansion=None,
         states=states,
         index=index,
         trans=trans,

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from pregma.gio import parse_grammar
-from pregma.model import GrammarError
+from pregma.model import GrammarError, checked_rules, expand
 from pregma.oracle import (
     HorizonError,
     PathQuery,
     TotalityError,
     _threshold_tables,
     bounded_until,
+    integer_weights,
     sample_until,
     truncate,
 )
@@ -266,6 +267,71 @@ def corpus_grammars(corpus_dir):
     return grammars
 
 
+def expanded_chain(g, depth):
+    """Reference: the chain read off a whole `expand(g, depth)`, with the
+    states in vertex order and the rows in arc order."""
+    checked_rules(g)
+    den, weight = integer_weights(g.mu)
+    expansion = expand(g, depth)
+    graph = expansion.graph
+    states = list(graph.vertices)
+    index = {v: i for i, v in enumerate(states)}
+    colour_sets = graph.colour_sets()
+    colours = [colour_sets[v] for v in states]
+    frontier = frozenset(index[v] for v in expansion.frontier)
+    trans = [[] for _ in states]
+    for label, source, target in graph.arcs:
+        if label not in weight:
+            raise GrammarError(f"no probability for arc label {label}")
+        trans[index[source]].append((index[target], weight[label]))
+    for i, cs in enumerate(colours):
+        if not trans[i] and i not in frontier and cs & g.absorbing:
+            trans[i].append((i, den))
+    vertices = [expansion.vertices[v] for v in states]
+    for i, row in enumerate(trans):
+        total = sum(w for _, w in row)
+        if total != den and i not in frontier:
+            raise TotalityError(
+                f"vertex {states[i]} (class {vertices[i].can}, level "
+                f"{vertices[i].level}) has outgoing mass {Fraction(total, den)}")
+    return {"states": states, "index": index, "trans": trans, "den": den,
+            "colours": colours, "frontier": frontier,
+            "classes": [cv.can for cv in vertices],
+            "levels": [cv.level for cv in vertices],
+            "axiom_ids": {name: index[v] for name, v
+                          in expansion.instances[0].mapping.items()}}
+
+
+def chain_or_error(build, g, depth):
+    try:
+        return build(g, depth)
+    except GrammarError as exc:
+        return type(exc), str(exc)
+
+
+def test_truncate_equals_the_chain_of_the_expansion(corpus_grammars,
+                                                    corpus_dir, running,
+                                                    branching_walk):
+    grammars = [*corpus_grammars,
+                to_grammar(load_pds(corpus_dir / "pds_example.pds")),
+                replace(running, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}),
+                replace(running, mu={"a": Fraction(1, 2)})]
+    cases = [(g, depth) for g in grammars for depth in range(9)]
+    cases.append((branching_walk, 14))
+    errors = 0
+    for g, depth in cases:
+        expected = chain_or_error(expanded_chain, g, depth)
+        mc = chain_or_error(truncate, g, depth)
+        if isinstance(expected, tuple):
+            errors += 1
+            assert mc == expected, (g.axiom, depth)
+            continue
+        assert {key: getattr(mc, key) for key in expected} == expected
+    # the unpriced pushdown and the two broken mus fail at every depth but
+    # 0, where no arc exists yet
+    assert errors == 3 * 8
+
+
 def test_threshold_tables_match_the_fraction_cuts(corpus_grammars):
     for g in corpus_grammars:
         mc = truncate(g, 8)
@@ -323,7 +389,7 @@ def test_mixed_denominators_keep_values_and_cuts():
     assert bounded_until(mc, query) == Fraction(713, 729)
     # the cuts from mu's own fractions, row by row in arc order
     probs: dict[int, list[Fraction]] = {}
-    for arc in mc.expansion.graph.arcs:
+    for arc in expand(g, 10).graph.arcs:
         probs.setdefault(mc.index[arc.source], []).append(g.mu[arc.label])
     cuts, _ = _threshold_tables(mc, list(probs))
     for s, ps in probs.items():

@@ -176,8 +176,9 @@ def test_until_through_a_pass_through_rule():
                          ("F[<=0] goal", "fails")]:
         assert label_formula(g, parse_formula(text)).at(v).status == status, text
     mc = truncate(g, 3)
-    start = next(cv.id for cv in mc.expansion.vertices.values() if cv.can == v)
-    assert mc.expansion.vertices[start].level == 2
+    i = mc.classes.index(v)
+    assert mc.levels[i] == 2
+    start = mc.states[i]
     assert bounded_until(mc, PathQuery(None, frozenset({"goal"}), start, 4)) == 1
 
 
@@ -193,8 +194,8 @@ def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
         c = CanonicalVertex("New1", name)
         assert out[c] == "fails"
         assert label_formula(g, parse_formula("F[>=1] red")).at(c).status == "fails"
-        by_level = {cv.level: cv.id for cv in mc.expansion.vertices.values()
-                    if cv.can == c}
+        by_level = {level: mc.states[s] for s, (can, level)
+                    in enumerate(zip(mc.classes, mc.levels)) if can == c}
         values = [bounded_until(mc, PathQuery(None, red, by_level[level], 40))
                   for level in range(1, 5)]
         assert values == [1 - (1 - first) / 2**k for k in range(4)]
