@@ -12,6 +12,7 @@ adds rounded decimals for reading.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -370,7 +371,15 @@ def _cmd_check(args, parser: _Parser) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first call of `main`.
+
+    No parse changes it: its defaults are immutable or a subcommand's own
+    parser (so usage errors a command raises name the subcommand), and
+    errors, help and the version look up sys.stdout and sys.stderr when
+    they print.
+    """
     parser = _Parser(prog="pregma", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -378,17 +387,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="structural and probability checks")
     p.add_argument("grammar")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, parser=p)
 
     p = sub.add_parser("from-pds", help="suffix rewriting system to grammar")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_from_pds)
+    p.set_defaults(func=_cmd_from_pds, parser=p)
 
     p = sub.add_parser("gen-pcp", help="word-pair instance to gadget grammar")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_gen_pcp)
+    p.set_defaults(func=_cmd_gen_pcp, parser=p)
 
     p = sub.add_parser("expand", help="materialize a finite prefix")
     p.add_argument("grammar")
@@ -398,7 +407,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--component", default=None, metavar="VERTEX",
                    help="restrict to the connected component of this axiom vertex")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_expand)
+    p.set_defaults(func=_cmd_expand, parser=p)
 
     p = sub.add_parser("prob", help="probability of an until query")
     p.add_argument("grammar")
@@ -418,7 +427,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit-system", action="store_true",
                    help="print the polynomial system before solving")
     p.add_argument("--format", choices=("text", "json-lines"), default="text")
-    p.set_defaults(func=_cmd_prob)
+    p.set_defaults(func=_cmd_prob, parser=p)
 
     p = sub.add_parser("check", help="three-valued formula verdicts")
     p.add_argument("grammar")
@@ -433,18 +442,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit-coloured", action="store_true",
                    help="print one verdict line per vertex class")
     p.add_argument("--format", choices=("text", "json-lines"), default="text")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except FormulaError as exc:
-        parser.error(f"bad formula: {exc}")
+        args.parser.error(f"bad formula: {exc}")
     except (_Failure, GrammarError, HorizonError) as exc:
         print(exc, file=sys.stderr)
         return 1

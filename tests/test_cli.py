@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from pregma.cli import main
+import pregma
+from pregma.cli import _build_parser, main
 from pregma.gio import load_grammar
 from pregma.model import expand, validate_grammar
 
@@ -241,6 +245,10 @@ def test_usage_errors_exit_3(corpus_dir, argv, needle):
     code, out, err = run(argv)
     assert code == 3
     assert needle in err
+    # errors the commands raise name their subcommand, as argparse's do
+    prog = "pregma" if argv[0] == "frobnicate" else f"pregma {argv[0]}"
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.splitlines()[-1].startswith(f"{prog}: error: ")
 
 
 def test_unknown_colours_line_is_sorted(corpus_dir):
@@ -249,7 +257,7 @@ def test_unknown_colours_line_is_sorted(corpus_dir):
                         "--from", "v0"])
     assert code == 3
     assert err.splitlines()[-1] == (
-        "pregma: error: unknown colours ['nope']; grammar has ['V1', 'V2', 'sink']")
+        "pregma prob: error: unknown colours ['nope']; grammar has ['V1', 'V2', 'sink']")
 
 
 # every subcommand with the arguments it requires; {path} is the bad file
@@ -489,3 +497,44 @@ def test_prob_refuses_two_tile_gadget(corpus_dir, tmp_path):
 def test_version():
     code, out, _ = run(["--version"])
     assert code == 0 and out.startswith("pregma ")
+
+
+def test_repeated_calls_share_no_state(corpus_dir):
+    running = gg(corpus_dir, "running.gg")
+    sample = ["prob", running, "--phi2", "V2", "--from", "v0",
+              "--method", "sample", "--horizon", "40", "--n", "200"]
+    enclosure = ["prob", running, "--phi2", "V2", "--from", "v0"]
+    _build_parser.cache_clear()
+    sample_alone, enclosure_alone = run(sample), run(enclosure)
+    assert sample_alone[0] == 0 and "(seed 0)" in sample_alone[1]
+
+    # no default leaks from one call into the next
+    seeded = run(sample + ["--seed", "5"])
+    assert seeded[0] == 0 and "(seed 5)" in seeded[1]
+    assert run(sample) == sample_alone
+
+    # a usage error, raised by argparse or by the command, leaves nothing behind
+    for bad in (["prob", running, "--phi2", "V2", "--from", "v0",
+                 "--format", "json-lines", "--eps", "0"],
+                ["prob", running, "--phi2", "nope", "--from", "v0",
+                 "--format", "json-lines", "--eps", "1/2"]):
+        assert run(bad)[0] == 3
+        assert run(enclosure) == enclosure_alone
+
+    for argv in (["--help"], ["prob", "--help"], ["--version"]):
+        once = run(argv)
+        assert once[0] == 0 and once[1]
+        assert run(argv) == once
+    assert _build_parser() is _build_parser()
+
+
+def test_shell_entry_point_matches_in_process(corpus_dir):
+    src = os.path.dirname(os.path.dirname(pregma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (["--version"],
+                 ["prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0"]):
+        proc = subprocess.run([sys.executable, "-m", "pregma.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run(argv)[1]
