@@ -200,10 +200,11 @@ def _cmd_expand(args, parser: _Parser) -> int:
         expansion = reachable_component(g, args.component, args.depth)
     else:
         expansion = expand(g, args.depth)
-    graph, vertices, frontier = expansion.graph, expansion.vertices, expansion.frontier
+    graph, frontier = expansion.graph, expansion.frontier
+    classes, levels = expansion.classes, expansion.levels
 
     if args.format == "dot":
-        _write_out(emit_dot(graph, vertices), args.output)
+        _write_out(emit_dot(graph, expansion), args.output)
         return 0
 
     lines: list[str] = []
@@ -217,10 +218,9 @@ def _cmd_expand(args, parser: _Parser) -> int:
         marks = _Fragments(
             lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
         for v in graph.vertices:
-            cv = vertices[v]
-            lines.append(f'{head[cv.can]}{marks[colour_sets[v]]}, "frontier": '
+            lines.append(f'{head[classes[v]]}{marks[colour_sets[v]]}, "frontier": '
                          f'{"true" if v in frontier else "false"}, "id": '
-                         f'{ids[v]}, "kind": "vertex", "level": {cv.level}}}')
+                         f'{ids[v]}, "kind": "vertex", "level": {levels[v]}}}')
         arc_head = _Fragments(
             lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, '
                           '"source": ')
@@ -236,11 +236,10 @@ def _cmd_expand(args, parser: _Parser) -> int:
             f"hyperarcs={len(graph.hyperarcs)} frontier={len(frontier)}"
         )
         for v in graph.vertices:
-            cv = vertices[v]
             marks = ",".join(sorted(colour_sets.get(v, ())))
             tag = " frontier" if v in frontier else ""
             lines.append(
-                f"vertex {v} level={cv.level} class={cv.can}"
+                f"vertex {v} level={levels[v]} class={classes[v]}"
                 + (f" colours={marks}" if marks else "") + tag
             )
         for arc in graph.arcs:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import ConcreteVertex, Grammar, Hypergraph, Rule, VertexId
+from .model import Expansion, Grammar, Hypergraph, Rule, VertexId
 
 _TOP_KEYWORDS = {
     "nonterminal", "terminal", "colour", "prob", "axiom",
@@ -261,24 +261,21 @@ def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def emit_dot(
-    graph: Hypergraph,
-    vertices: dict[VertexId, ConcreteVertex] | None = None,
-    name: str = "graph0",
-) -> str:
+def emit_dot(graph: Hypergraph, expansion: Expansion | None = None) -> str:
     """Graphviz rendering: solid labelled arcs, dashed numbered hyperarc legs,
-    colour marks listed under each vertex name."""
+    colour marks listed under each vertex name, and each vertex's level and
+    class as its tooltip when the expansion that made the graph is given."""
     colour_sets = graph.colour_sets()
-    out = [f"digraph {_esc(name)} {{", "  rankdir=LR;", '  node [shape=ellipse];']
+    out = ["digraph graph0 {", "  rankdir=LR;", '  node [shape=ellipse];']
     for v in graph.vertices:
         label = str(v)
         cs = sorted(colour_sets.get(v, frozenset()))
         if cs:
             label += "\\n" + ",".join(cs)
         extra = ""
-        if vertices is not None and v in vertices:
-            cv = vertices[v]
-            extra = f', tooltip="level {cv.level}, from {cv.can}"'
+        if expansion is not None:
+            extra = (f', tooltip="level {expansion.levels[v]}, '
+                     f'from {expansion.classes[v]}"')
         out.append(f'  "{_esc(str(v))}" [label="{_esc(label)}"{extra}];')
     for arc in graph.arcs:
         out.append(

@@ -51,13 +51,6 @@ class CanonicalVertex:
         return f"{self.rule}:{self.vertex}"
 
 
-@dataclass(frozen=True)
-class ConcreteVertex:
-    id: VertexId
-    level: int
-    can: CanonicalVertex
-
-
 @dataclass
 class Hypergraph:
     """Vertices, labelled binary arcs, colour marks, nonterminal hyperarcs."""
@@ -296,31 +289,23 @@ def _compile(rule: Rule) -> _Compiled:
 
 
 @dataclass
-class Instance:
-    """One rule application during an expansion.
-
-    via_index is the position of the replaced hyperarc within the parent
-    instance's rule rhs (None for the axiom instance); it identifies which
-    occurrence was rewritten even when several share a label.
-    """
-
-    index: int
-    rule: str
-    level: int
-    parent: int | None
-    via_index: int | None
-    mapping: dict[VertexId, VertexId]
-
-
-@dataclass
 class Expansion:
-    graph: Hypergraph
-    vertices: dict[VertexId, ConcreteVertex]
-    instances: list[Instance]
-    frontier: frozenset[VertexId]
+    """A depth-d expansion: the graph after d rounds of rewriting, its
+    remaining hyperarcs included, with vertex ids 0..n-1 in order of
+    creation. classes[v] and levels[v] give vertex v's canonical vertex and
+    the round that created it, axiom_ids maps the axiom rule's vertex names
+    to ids, and the frontier holds the vertices that still lie on an
+    unexpanded hyperarc. A component view keeps these columns whole and
+    restricts only the graph and the frontier."""
 
-    def axiom_vertex(self, name: VertexId) -> VertexId:
-        return named_vertex(self.instances[0].mapping, name)
+    graph: Hypergraph
+    classes: list[CanonicalVertex]
+    levels: list[int]
+    axiom_ids: dict[VertexId, int]
+    frontier: frozenset[int]
+
+    def axiom_vertex(self, name: VertexId) -> int:
+        return named_vertex(self.axiom_ids, name)
 
 
 def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexId:
@@ -387,35 +372,34 @@ def expand(g: Grammar, depth: int) -> Expansion:
     """Apply `depth` rounds of parallel rewriting starting from the axiom.
 
     Returns the resulting graph (remaining hyperarcs included) together with
-    per-vertex levels and canonical vertices, the full instance table, and the
+    each vertex's class and level, the axiom rule's vertex ids and the
     frontier: vertices that still lie on an unexpanded hyperarc, whose
     out-neighbourhood is therefore not final yet.
     """
     arcs: list[Arc] = []
     colours: list[ColourMark] = []
-    vertices: dict[VertexId, ConcreteVertex] = {}
-    instances: list[Instance] = []
+    classes: list[CanonicalVertex] = []
+    levels: list[int] = []
     unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
-    for level, rule, ids, parent, via_index in _rewrite(g, depth, unexpanded):
-        instances.append(Instance(len(instances), rule.lhs, level, parent,
-                                  via_index, dict(zip(rule.names, ids))))
-        # the fresh ids count up from 0 in order of creation
-        for cid, can in enumerate(rule.cans, len(vertices)):
-            vertices[cid] = ConcreteVertex(cid, level, can)
+    for level, rule, ids, parent, _ in _rewrite(g, depth, unexpanded):
+        if parent is None:
+            axiom_ids = dict(zip(rule.names, ids))
+        classes += rule.cans
+        levels += [level] * len(rule.cans)
         for arc_label, s, t in rule.arcs:
             arcs.append(Arc(arc_label, ids[s], ids[t]))
         for colour, v in rule.colours:
             colours.append(ColourMark(colour, ids[v]))
 
-    graph = Hypergraph(list(vertices), arcs, colours,
+    graph = Hypergraph(list(range(len(classes))), arcs, colours,
                        [Hyperarc(label, vs) for label, vs in unexpanded])
-    frontier = frozenset(v for h in graph.hyperarcs for v in h.vertices)
-    return Expansion(graph, vertices, instances, frontier)
+    frontier = frozenset(v for _, vs in unexpanded for v in vs)
+    return Expansion(graph, classes, levels, axiom_ids, frontier)
 
 
 def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
     """Vertices connected to `start` by terminal arcs, ignoring direction."""
-    if start not in expansion.vertices:
+    if not expansion.graph.has_vertex(start):
         raise GrammarError(f"unknown vertex id {start!r}")
     adj: dict[VertexId, set[VertexId]] = {v: set() for v in expansion.graph.vertices}
     for arc in expansion.graph.arcs:
@@ -437,9 +421,4 @@ def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
         colours=[m for m in graph.colours if m.vertex in ids],
         hyperarcs=[h for h in graph.hyperarcs if all(v in ids for v in h.vertices)],
     )
-    return replace(
-        expansion,
-        graph=sub,
-        vertices={v: cv for v, cv in expansion.vertices.items() if v in ids},
-        frontier=expansion.frontier & ids,
-    )
+    return replace(expansion, graph=sub, frontier=expansion.frontier & ids)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .formulas import And, Atom, Formula, TT, Until
 from .gio import ParseError
-from .model import Expansion, Grammar, GrammarError, Hypergraph, Rule
+from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite
 
 HALF = Fraction(1, 2)
 
@@ -229,23 +229,23 @@ def sequence_grammar(
     return _gadget([Rule("Z", (), rhs)], []), "s0"
 
 
-def fork_sequences(g: Grammar, expansion: Expansion) -> list[tuple[str, tuple[int, ...]]]:
-    """(concrete s-vertex id, tile sequence) for every fork of an expanded
-    gadget, the sequence read from the fork's own tile outward."""
+def fork_sequences(g: Grammar, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(vertex id of the fork in `expand(g, depth)`, tile sequence) for every
+    fork of an expanded gadget, the sequence read from the fork's own tile
+    outward."""
     tile_no = {
         name: i
         for i, name in enumerate(
             (n for n in g.nonterminals if n != g.axiom), start=1
         )
     }
-    out: list[tuple[str, tuple[int, ...]]] = []
-    for inst in expansion.instances:
-        if inst.rule == g.axiom:
+    seqs: list[tuple[int, ...]] = []  # per rule application, in order
+    out: list[tuple[int, tuple[int, ...]]] = []
+    for _, rule, ids, parent, _ in _rewrite(g, depth, []):
+        if rule.lhs == g.axiom:
+            seqs.append(())
             continue
-        seq = []
-        walk = inst
-        while walk.rule != g.axiom:
-            seq.append(tile_no[walk.rule])
-            walk = expansion.instances[walk.parent]
-        out.append((inst.mapping["fork"], tuple(seq)))
+        seq = (tile_no[rule.lhs], *seqs[parent])
+        seqs.append(seq)
+        out.append((ids[rule.names.index("fork")], seq))
     return out

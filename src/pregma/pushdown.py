@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gio import ParseError, read_prob
-from .model import Expansion, Grammar, GrammarError, Hypergraph, Rule, VertexId
+from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite
 from .oracle import FiniteMC, integer_weights
 from .validation import hyperarc_slots, vertex_classes
 
@@ -236,29 +236,26 @@ def _mark_sinks(g: Grammar, colour: str) -> None:
             rules[can.rule].rhs.add_colour(colour, can.vertex)
 
 
-def config_words(p: PushdownSystem, g: Grammar, expansion: Expansion) -> dict[VertexId, str]:
-    """Concrete vertex id -> configuration word of the expanded graph.
+def config_words(p: PushdownSystem, g: Grammar, depth: int) -> dict[int, str]:
+    """Vertex id of `expand(g, depth)` -> configuration word.
 
-    The axiom instance and the first copy carry their vertex names verbatim;
-    each deeper copy prepends the stack symbol of the hyperarc it replaced
-    (hyperarcs are emitted in stack-declaration order)."""
+    The axiom application and the first copy carry their vertex names
+    verbatim; each deeper copy prepends the stack symbol of the hyperarc it
+    replaced (hyperarcs are emitted in stack-declaration order)."""
     conf = next(n for n, k in g.nonterminals.items() if k > 0)
-    prefixes: dict[int, str] = {}
-    words: dict[VertexId, str] = {}
-    for inst in expansion.instances:
-        if inst.parent is None or expansion.instances[inst.parent].rule == g.axiom:
-            prefixes[inst.index] = ""
+    # per rule application, in order: its rule and its words' prefix
+    applied: list[tuple[str, str]] = []
+    words: dict[int, str] = {}
+    for _, rule, ids, parent, via_index in _rewrite(g, depth, []):
+        if rule.lhs != conf and rule.lhs != g.axiom:
+            raise GrammarError(f"unexpected rule {rule.lhs} in pushdown expansion")
+        if parent is None or applied[parent][0] == g.axiom:
+            prefix = ""
         else:
-            prefixes[inst.index] = (
-                prefixes[inst.parent] + p.stack[inst.via_index]
-            )
-        if inst.rule != conf and inst.rule != g.axiom:
-            raise GrammarError(f"unexpected rule {inst.rule} in pushdown expansion")
-        rule = g.rule_for(inst.rule)
-        iset = set(rule.inputs) if inst.parent is not None else set()
-        for v, cid in inst.mapping.items():
-            if v not in iset:
-                words[cid] = prefixes[inst.index] + str(v)
+            prefix = applied[parent][1] + p.stack[via_index]
+        applied.append((rule.lhs, prefix))
+        for v, cid in zip(rule.names[rule.arity:], ids[rule.arity:]):
+            words[cid] = prefix + str(v)
     return words
 
 

@@ -203,23 +203,19 @@ def vertex_classes(
 class OutsideReport:
     ok: bool
     violations: tuple[str, ...]
-    # inputs that also sit on a hyperarc: (rule, vertex, hyperarc label, position)
-    input_as_output: tuple[tuple[str, VertexId, str, int], ...]
 
 
 def check_complete_outside(g: Grammar) -> OutsideReport:
     """Each vertex may lie on at most one nonterminal hyperarc.
 
-    Inputs that lie on a hyperarc are legal but noteworthy (the vertex keeps
-    acquiring arcs after being passed back up), so they are reported
-    separately rather than rejected.
+    An input may lie on one: that is legal here, and `analyse` refuses the
+    inputs that keep gaining arcs after being passed down.
     """
     return _outside(g, hyperarc_slots(g))
 
 
 def _outside(g: Grammar, slots: Slots) -> OutsideReport:
     violations: list[str] = []
-    flagged: list[tuple[str, VertexId, str, int]] = []
     for rule in g.rules:
         for v in rule.rhs.vertices:
             occs = slots.get((rule.lhs, v), [])
@@ -227,10 +223,7 @@ def _outside(g: Grammar, slots: Slots) -> OutsideReport:
                 violations.append(
                     f"rule {rule.lhs}: vertex {v} lies on {len(occs)} hyperarcs"
                 )
-            elif len(occs) == 1 and rule.is_input(v):
-                h, pos = occs[0]
-                flagged.append((rule.lhs, v, h.label, pos))
-    return OutsideReport(not violations, tuple(violations), tuple(flagged))
+    return OutsideReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)

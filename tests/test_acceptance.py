@@ -277,12 +277,12 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
             p2cols = frozenset({p2name})
             positive = until_positive(an, phi1, phi2)
             agree = True
-            for v, cv in e.vertices.items():
-                if cv.level > 6:
+            for v in e.graph.vertices:
+                if e.levels[v] > 6:
                     continue
                 checked += 1
                 has = _reach_witness(out_arcs, colour_sets, v, p1cols, p2cols)
-                verdict = positive[cv.can]
+                verdict = positive[e.classes[v]]
                 if verdict == "holds" and not has:
                     agree = False
                 if verdict == "fails" and has:
@@ -296,8 +296,8 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
             for cmp, rho in ((">", F(0)), (">=", F(1, 2)), (">=", F(1))):
                 one_step = next_qualitative(an, phi2, cmp, rho)
                 outcome = {}
-                for v, cv in e.vertices.items():
-                    if cv.level > 6 or v in e.frontier:
+                for v in e.graph.vertices:
+                    if e.levels[v] > 6 or v in e.frontier:
                         continue
                     arcs = out_arcs[v]
                     if arcs:
@@ -311,7 +311,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                                 & p2cols else F(0))
                     sat = {"<": mass < rho, "<=": mass <= rho,
                            ">": mass > rho, ">=": mass >= rho}[cmp]
-                    outcome.setdefault(cv.can, set()).add(sat)
+                    outcome.setdefault(e.classes[v], set()).add(sat)
                 agree = True
                 for can, seen in outcome.items():
                     verdict = one_step[can]
@@ -374,7 +374,7 @@ def test_gate_8_word_matching_gadget(capfd, pcp_solvable, pcp_unsolvable):
     counts = []
     for inst in pcp_unsolvable:
         gadget, _ = encode(inst)
-        forks = fork_sequences(gadget, expand(gadget, 4))
+        forks = fork_sequences(gadget, 4)
         counts.append(len(forks))
         checks.append((
             f"no fork of {inst.pairs} reaches green with exactly 1/2",
@@ -412,7 +412,7 @@ def _split_word(word, symbols):
 def test_gate_9_configuration_graph_equality(capfd, pds_plain):
     g = to_grammar(pds_plain)
     e = expand(g, 5)
-    words = config_words(pds_plain, g, e)
+    words = config_words(pds_plain, g, 5)
     keep = {cid for cid, w in words.items()
             if len(_split_word(w, pds_plain.symbols)) <= 5}
     adjacency = {cid: set() for cid in keep}

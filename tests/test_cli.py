@@ -383,8 +383,8 @@ def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
         assert code == 0
         e = expand(load_grammar(path), depth)
         colours = e.graph.colour_sets()
-        records = [{"kind": "vertex", "id": str(v), "level": e.vertices[v].level,
-                    "class": f"{e.vertices[v].can.rule}:{e.vertices[v].can.vertex}",
+        records = [{"kind": "vertex", "id": str(v), "level": e.levels[v],
+                    "class": f"{e.classes[v].rule}:{e.classes[v].vertex}",
                     "colours": sorted(colours[v]), "frontier": v in e.frontier}
                    for v in e.graph.vertices]
         records += [{"kind": "arc", "label": a.label, "source": str(a.source),

@@ -9,6 +9,7 @@ from pregma.model import (
     GrammarError,
     Hypergraph,
     Rule,
+    _rewrite,
     component_ids,
     expand,
     reachable_component,
@@ -80,28 +81,27 @@ def test_reachable_nonterminals(running):
 
 
 def test_expand_levels_and_classes(running):
+    applied = [(rule.lhs, level) for level, rule, *_ in _rewrite(running, 2, [])]
+    assert applied == [("Z", 0), ("A", 1), ("A", 2)]
     e = expand(running, 2)
-    assert [i.rule for i in e.instances] == ["Z", "A", "A"]
-    assert [i.level for i in e.instances] == [0, 1, 2]
     # axiom contributes 2 vertices, each copy of A four more
-    assert len(e.graph.vertices) == 10
-    levels = sorted(cv.level for cv in e.vertices.values())
-    assert levels == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    assert e.graph.vertices == list(range(10))
+    assert e.levels == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
     # the remaining hyperarc pins down the frontier
     assert len(e.graph.hyperarcs) == 1
     assert e.frontier == frozenset(e.graph.hyperarcs[0].vertices)
     v0 = e.axiom_vertex("v0")
-    assert e.vertices[v0].can == CanonicalVertex("Z", "v0")
+    assert e.classes[v0] == CanonicalVertex("Z", "v0")
 
 
 def test_expand_instance_gluing(running):
     # the child's first input is glued onto next, the second onto fork
-    e = expand(running, 2)
-    child = e.instances[2]
-    parent = e.instances[1]
-    assert child.parent == 1
-    assert child.mapping["s"] == parent.mapping["next"]
-    assert child.mapping["t"] == parent.mapping["fork"]
+    applied = [(dict(zip(rule.names, ids)), parent)
+               for _, rule, ids, parent, _ in _rewrite(running, 2, [])]
+    (parent, _), (child, child_parent) = applied[1], applied[2]
+    assert child_parent == 1
+    assert child["s"] == parent["next"]
+    assert child["t"] == parent["fork"]
 
 
 def test_expand_rejects_negative_depth(running):
@@ -151,8 +151,9 @@ def test_component_ids_stays_inside_graph(running):
     ids = component_ids(e, v0)
     assert v0 in ids
     assert ids <= set(e.graph.vertices)
-    with pytest.raises(GrammarError):
-        component_ids(e, "no-such-id")
+    for unknown in ("no-such-id", -1, len(e.classes)):
+        with pytest.raises(GrammarError, match="unknown vertex id"):
+            component_ids(e, unknown)
 
 
 TWO_PARTS = """
@@ -185,11 +186,25 @@ def test_reachable_component_keeps_the_frontier(running):
 
     g = parse_grammar(TWO_PARTS)
     loop = reachable_component(g, "x", 2)
-    assert list(loop.vertices) == loop.graph.vertices == [0]
+    assert loop.graph.vertices == [0]
     assert loop.graph.hyperarcs == [] and loop.frontier == frozenset()
     chain = reachable_component(g, "y", 2)
     assert chain.graph.vertices == [1, 2, 3]
     assert [h.vertices for h in chain.graph.hyperarcs] == [(3,)]
     assert chain.frontier == frozenset({3})
-    assert all(a.source in chain.vertices and a.target in chain.vertices
+    assert all(chain.graph.has_vertex(a.source) and chain.graph.has_vertex(a.target)
                for a in chain.graph.arcs)
+    # the columns stay whole and indexed by id
+    whole = expand(g, 2)
+    assert (chain.classes, chain.levels, chain.axiom_ids) == (
+        whole.classes, whole.levels, whole.axiom_ids)
+
+
+def test_component_ids_refuses_ids_outside_a_component_view():
+    g = parse_grammar(TWO_PARTS)
+    chain = reachable_component(g, "y", 2)
+    x = chain.axiom_vertex("x")
+    assert x == 0 and not chain.graph.has_vertex(x)
+    with pytest.raises(GrammarError, match="unknown vertex id"):
+        component_ids(chain, x)
+    assert component_ids(chain, chain.axiom_vertex("y")) == frozenset({1, 2, 3})

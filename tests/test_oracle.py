@@ -287,19 +287,19 @@ def expanded_chain(g, depth):
     for i, cs in enumerate(colours):
         if not trans[i] and i not in frontier and cs & g.absorbing:
             trans[i].append((i, den))
-    vertices = [expansion.vertices[v] for v in states]
+    classes = [expansion.classes[v] for v in states]
+    levels = [expansion.levels[v] for v in states]
     for i, row in enumerate(trans):
         total = sum(w for _, w in row)
         if total != den and i not in frontier:
             raise TotalityError(
-                f"vertex {states[i]} (class {vertices[i].can}, level "
-                f"{vertices[i].level}) has outgoing mass {Fraction(total, den)}")
+                f"vertex {states[i]} (class {classes[i]}, level "
+                f"{levels[i]}) has outgoing mass {Fraction(total, den)}")
     return {"states": states, "index": index, "trans": trans, "den": den,
             "colours": colours, "frontier": frontier,
-            "classes": [cv.can for cv in vertices],
-            "levels": [cv.level for cv in vertices],
+            "classes": classes, "levels": levels,
             "axiom_ids": {name: index[v] for name, v
-                          in expansion.instances[0].mapping.items()}}
+                          in expansion.axiom_ids.items()}}
 
 
 def chain_or_error(build, g, depth):

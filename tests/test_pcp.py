@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pregma.formulas import TT, And, Atom, Until, to_text
 from pregma.gio import ParseError
 from pregma.labeling import classes_for_colours
-from pregma.model import GrammarError, expand, validate_grammar
+from pregma.model import CanonicalVertex, GrammarError, expand, validate_grammar
 from pregma.oracle import PathQuery, bounded_until, truncate
 from pregma.pcp import (
     PCPInstance,
@@ -131,9 +131,13 @@ def test_encode_many_tiles_leaves_normal_form(pcp_solvable):
 
 def test_fork_sequences_read_innermost_first(pcp_solvable):
     g, _ = encode(pcp_solvable[1])
-    e = expand(g, 2)
-    seqs = sorted(seq for _, seq in fork_sequences(g, e))
+    forks = fork_sequences(g, 2)
+    seqs = sorted(seq for _, seq in forks)
     assert seqs == [(1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
+    # the ids are those of the expansion to the same depth
+    e = expand(g, 2)
+    assert all(e.classes[cid] == CanonicalVertex(f"New{seq[0]}", "fork")
+               for cid, seq in forks)
 
 
 def test_sequence_grammar_engine_path(pcp_solvable, pcp_unsolvable):
@@ -153,7 +157,7 @@ def test_unsolvable_trio_has_no_matching_fork(pcp_unsolvable):
     counts = []
     for inst in pcp_unsolvable:
         g, _ = encode(inst)
-        forks = fork_sequences(g, expand(g, 4))
+        forks = fork_sequences(g, 4)
         counts.append(len(forks))
         assert all(green_probability(inst, seq) != F(1, 2)
                    for _, seq in forks)

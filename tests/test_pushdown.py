@@ -163,7 +163,7 @@ def test_successors(pds_plain, pds_prob):
 def test_config_words_name_the_configuration_graph(pds_prob):
     g = to_grammar(pds_prob)
     e = expand(g, 4)
-    words = config_words(pds_prob, g, e)
+    words = config_words(pds_prob, g, 4)
     assert len(set(words.values())) == len(words)
     symbols = pds_prob.symbols
     succs = {w: {(label, "".join(t))

@@ -139,7 +139,6 @@ def test_complete_outside_flags_inputs_on_hyperarcs():
     g = parse_grammar(GAINING_LOOP)
     report = check_complete_outside(g)
     assert report.ok
-    assert report.input_as_output == (("C", "x", "C", 1),)
 
 
 def test_complete_outside_rejects_double_membership():
@@ -229,7 +228,6 @@ def test_engine_rejects_gaining_inputs():
 def test_engine_rejects_arcs_gained_past_an_input():
     g = parse_grammar(PASSED_DOWN)
     assert phr_check(g).ok
-    assert check_complete_outside(g).input_as_output == (("C", "x", "D", 1),)
     with pytest.raises(EngineUnsupported, match=(
             "rule C: input x keeps gaining arcs after being passed to D at position 1")):
         analyse(g)
@@ -237,5 +235,4 @@ def test_engine_rejects_arcs_gained_past_an_input():
 
 def test_engine_accepts_quiet_input_loop():
     g = parse_grammar(QUIET_LOOP)
-    assert check_complete_outside(g).input_as_output
     assert analyse(g).classes[cv("Z", "r")].chain.cycle_start == 1
