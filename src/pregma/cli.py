@@ -204,7 +204,7 @@ def _cmd_expand(args, parser: _Parser) -> int:
     classes, levels = expansion.classes, expansion.levels
 
     if args.format == "dot":
-        _write_out(emit_dot(graph, expansion), args.output)
+        _write_out(emit_dot(expansion), args.output)
         return 0
 
     lines: list[str] = []

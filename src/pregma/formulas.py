@@ -156,7 +156,10 @@ class _Parser:
         self.take("sym", "[")
         cmp = self.take("cmp")[1]
         num = self.take("num")
-        rho = Fraction(num[1])
+        try:
+            rho = Fraction(num[1])
+        except ZeroDivisionError:
+            raise FormulaError(f"threshold {num[1]} at offset {num[2]} divides by zero") from None
         if not (0 <= rho <= 1):
             raise FormulaError(
                 f"threshold {rho} at offset {num[2]} is outside [0, 1]"

@@ -4,10 +4,13 @@ nonterminal hyperarc.
 Within such a fragment the one-step behaviour of every vertex created by the
 rule is complete (its creation arcs plus the arcs gained from the single copy
 it is attached to), so first-hit probabilities towards the fragment's
-boundary can be computed by plain absorbing-chain algebra over exact
-rationals. The boundary consists of the rule's own inputs (the walk moves to
-the level above), the rule's hyperarc vertices (it stays on this level), and
-the copies' hyperarc vertices (it moves one level deeper).
+boundary are plain absorbing-chain algebra. They are computed in integers:
+the arcs' probabilities become integer weights over one denominator, and
+one fraction-free elimination (Bareiss's, in Gauss–Jordan form) solves the
+fragment's system; each row becomes `Fraction`s only at the end. The
+boundary consists of the rule's own inputs (the walk moves to the level
+above), the rule's hyperarc vertices (it stays on this level), and the
+copies' hyperarc vertices (it moves one level deeper).
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .model import CanonicalVertex, GrammarError, Rule, VertexId
+from .model import CanonicalVertex, GrammarError, Rule, VertexId, integer_weights, reach
 
 if TYPE_CHECKING:
     from .validation import Analysis, Slots
@@ -106,25 +109,25 @@ class LocalRow:
         return self.win + self.loss + sum(self.hits.values(), ZERO)
 
 
-def _solve_linear(
-    a: list[list[Fraction]], b: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Gaussian elimination with exact rationals: solve A X = B."""
-    n = len(a)
-    m = [row[:] + rhs[:] for row, rhs in zip(a, b)]
-    width = len(m[0]) if m else 0
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss–Jordan (Bareiss, Montante) on the first n columns
+    of the integer matrix m, in place and without row swaps. Returns the
+    determinant d of the leading n×n block; row i then holds d in column i,
+    zero in the other leading columns, and d·x_i past them. A pivot ≤ 0 (a
+    leading principal minor, all positive on a nonsingular M-matrix)
+    raises GrammarError."""
+    prev = 1
+    for k in range(n):
+        top = m[k]
+        pivot = top[k]
+        if pivot <= 0:
             raise GrammarError("singular first-hit system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:width] for row in m]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return prev
 
 
 def local_rows(
@@ -146,115 +149,89 @@ def local_rows(
     colours belong to the level above, so no win/loss gate applies at the
     start; the row just records where their first step inside this fragment
     ends up.
-    """
-    sinks = an.absorbing
-    mu = an.grammar.mu
 
-    def interior_bucket(node: FragmentNode) -> str | None:
+    Every row comes from one integer system over the weights of the
+    fragment's labels: one unknown per transient interior and one per
+    boundary start, whose equation is its first step and which no other
+    unknown reads.
+    """
+    mu = an.grammar.mu
+    den, weight = integer_weights(
+        {label: mu[label] for arcs in frag.out.values() for label, _ in arcs})
+
+    def gate(node: FragmentNode) -> str | None:
         if node.can in phi2:
             return "win"
-        if node.can not in phi1 or node.can in sinks:
+        if node.can not in phi1 or node.can in an.absorbing:
             return "loss"
         return None
 
-    candidates: list[NodeKey] = []
-    for key, node in frag.nodes.items():
-        if node.kind == "interior" and interior_bucket(node) is None:
-            candidates.append(key)
-
+    open_keys = {key for key, node in frag.nodes.items()
+                 if node.kind == "interior" and gate(node) is None}
     # A transient pocket that can never reach the boundary keeps the walk
-    # forever, which for an until objective is just a loss; filtering those
-    # out also keeps the linear system nonsingular.
-    productive: set[NodeKey] = set()
-    changed = True
-    while changed:
-        changed = False
-        for key in candidates:
-            if key in productive:
-                continue
-            for _, dst in frag.out[key]:
-                node = frag.nodes[dst]
-                escapes = (
-                    node.kind != "interior"
-                    or interior_bucket(node) is not None
-                    or dst in productive
-                )
-                if escapes:
-                    productive.add(key)
-                    changed = True
-                    break
-    stuck = {key for key in candidates if key not in productive}
+    # forever, which for an until objective is just a loss; leaving it out
+    # also keeps the system nonsingular.
+    preds: dict[NodeKey, list[NodeKey]] = {}
+    for src, arcs in frag.out.items():
+        if src in open_keys:
+            for _, dst in arcs:
+                preds.setdefault(dst, []).append(src)
+    productive = reach((key for key in frag.nodes if key not in open_keys),
+                       lambda key: preds.get(key, ()))
+    column = {key: i for i, key in enumerate(
+        key for key in frag.nodes if key in open_keys and key in productive)}
 
-    transient = [key for key in candidates if key in productive]
-    index = {key: i for i, key in enumerate(transient)}
-
-    buckets: list[NodeKey | str] = ["win", "loss"]
-    buckets += [k for k, n in frag.nodes.items() if n.kind != "interior"]
-    bindex = {b: i for i, b in enumerate(buckets)}
-
-    def classify(dst: NodeKey) -> NodeKey | str:
+    def target(dst: NodeKey) -> NodeKey | str:
+        """Where a step onto dst ends: a transient, a boundary node, or
+        "win"/"loss"."""
         node = frag.nodes[dst]
-        if node.kind == "interior":
-            if dst in stuck:
-                return "loss"
-            return interior_bucket(node) or dst
-        return dst
+        if node.kind != "interior" or dst in column:
+            return dst
+        return gate(node) or "loss"
 
-    n = len(transient)
-    a = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    b = [[ZERO] * len(buckets) for _ in range(n)]
-    for key in transient:
-        i = index[key]
-        for label, dst in frag.out[key]:
-            p = mu[label]
-            target = classify(dst)
-            if target in index:
-                a[i][index[target]] -= p
-            else:
-                b[i][bindex[target]] += p
-    solved = _solve_linear(a, b) if n else []
-
-    def absorbed_from(key: NodeKey) -> LocalRow:
-        row = LocalRow()
-        target = classify(key)
-        if target == "win":
-            row.win = ONE
-        elif target == "loss":
-            row.loss = ONE
-        elif target in index:
-            values = solved[index[target]]
-            for bucket, v in zip(buckets, values):
-                if v == 0:
-                    continue
-                if bucket == "win":
-                    row.win = v
-                elif bucket == "loss":
-                    row.loss = v
-                else:
-                    row.hits[bucket] = row.hits.get(bucket, ZERO) + v
-        else:
-            row.hits[target] = ONE
-        return row
-
-    rows: dict[NodeKey, LocalRow] = {}
     starts = list(frag.starts)
     if include_inputs:
         starts += [n for n in frag.nodes.values() if n.kind == "input"]
+    stepped = [n.key for n in starts
+               if n.kind == "input" or (n.kind == "same" and gate(n) is None)]
+    unknowns = [*column, *stepped]
+    n = len(unknowns)
+    boundary = [k for k, node in frag.nodes.items() if node.kind != "interior"]
+    bucket = {b: n + i for i, b in enumerate(["win", "loss", *boundary])}
+
+    m = []
+    for i, key in enumerate(unknowns):
+        row = [0] * (n + len(bucket))
+        row[i] = den
+        for label, dst in frag.out[key]:
+            t = target(dst)
+            if t in column:
+                row[column[t]] -= weight[label]
+            else:
+                row[bucket[t]] += weight[label]
+        m.append(row)
+    det = _eliminate(m, n)
+    solved = dict(zip(unknowns, m))
+
+    def reached(t: NodeKey | str) -> list[NodeKey]:
+        """The boundary nodes a step ending at t hits, in bucket order."""
+        if t in column:
+            return [b for b in boundary if solved[t][bucket[b]]]
+        return [] if t in ("win", "loss") else [t]
+
+    rows: dict[NodeKey, LocalRow] = {}
     for node in starts:
-        if node.kind == "interior":
-            rows[node.key] = absorbed_from(node.key)
-            continue
-        # boundary start: force one step
-        if node.kind != "input" and (bucket := interior_bucket(node)) is not None:
-            rows[node.key] = LocalRow(win=ONE) if bucket == "win" else LocalRow(loss=ONE)
-            continue
-        row = LocalRow()
-        for label, dst in frag.out[node.key]:
-            p = mu[label]
-            step = absorbed_from(dst)
-            row.win += p * step.win
-            row.loss += p * step.loss
-            for bucket, v in step.hits.items():
-                row.hits[bucket] = row.hits.get(bucket, ZERO) + p * v
-        rows[node.key] = row
+        key = node.key
+        if key in solved:
+            # hits in the order the start's out-arcs first reach them
+            order = (boundary if key in column
+                     else [b for _, dst in frag.out[key] for b in reached(target(dst))])
+            values = solved[key]
+            rows[key] = LocalRow(
+                Fraction(values[n], det), Fraction(values[n + 1], det),
+                {b: Fraction(values[bucket[b]], det) for b in order if values[bucket[b]]})
+        elif key not in open_keys and gate(node) == "win":
+            rows[key] = LocalRow(win=ONE)
+        else:
+            rows[key] = LocalRow(loss=ONE)
     return rows

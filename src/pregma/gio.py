@@ -69,8 +69,6 @@ def parse_grammar(text: str) -> Grammar:
     def declare(lineno: int, table: dict[str, int], name: str, arity: int) -> None:
         if name in terminals or name in nonterminals:
             raise ParseError(lineno, f"symbol {name} declared twice")
-        if arity < 0:
-            raise ParseError(lineno, f"negative arity for {name}")
         table[name] = arity
 
     def mention(*vs: VertexId) -> None:
@@ -129,14 +127,12 @@ def parse_grammar(text: str) -> Grammar:
             continue
 
         current = None
-        if head == "nonterminal":
-            if len(args) != 2 or not args[1].isdigit():
-                raise ParseError(lineno, "nonterminal needs NAME ARITY")
-            declare(lineno, nonterminals, args[0], int(args[1]))
-        elif head == "terminal":
-            if len(args) != 2 or not args[1].isdigit():
-                raise ParseError(lineno, "terminal needs NAME ARITY")
-            declare(lineno, terminals, args[0], int(args[1]))
+        if head in ("nonterminal", "terminal"):
+            # ASCII digits only: str.isdigit also accepts "²", which int refuses
+            if len(args) != 2 or not (args[1].isascii() and args[1].isdigit()):
+                raise ParseError(lineno, f"{head} needs NAME ARITY")
+            table = nonterminals if head == "nonterminal" else terminals
+            declare(lineno, table, args[0], int(args[1]))
         elif head == "colour":
             if len(args) != 1:
                 raise ParseError(lineno, "top-level colour needs just NAME")
@@ -261,10 +257,11 @@ def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def emit_dot(graph: Hypergraph, expansion: Expansion | None = None) -> str:
-    """Graphviz rendering: solid labelled arcs, dashed numbered hyperarc legs,
-    colour marks listed under each vertex name, and each vertex's level and
-    class as its tooltip when the expansion that made the graph is given."""
+def emit_dot(expansion: Expansion) -> str:
+    """Graphviz rendering of an expansion's graph: solid labelled arcs,
+    dashed numbered hyperarc legs, colour marks listed under each vertex
+    name, and each vertex's level and class as its tooltip."""
+    graph = expansion.graph
     colour_sets = graph.colour_sets()
     out = ["digraph graph0 {", "  rankdir=LR;", '  node [shape=ellipse];']
     for v in graph.vertices:
@@ -272,11 +269,8 @@ def emit_dot(graph: Hypergraph, expansion: Expansion | None = None) -> str:
         cs = sorted(colour_sets.get(v, frozenset()))
         if cs:
             label += "\\n" + ",".join(cs)
-        extra = ""
-        if expansion is not None:
-            extra = (f', tooltip="level {expansion.levels[v]}, '
-                     f'from {expansion.classes[v]}"')
-        out.append(f'  "{_esc(str(v))}" [label="{_esc(label)}"{extra}];')
+        out.append(f'  "{_esc(str(v))}" [label="{_esc(label)}", tooltip="level '
+                   f'{expansion.levels[v]}, from {expansion.classes[v]}"];')
     for arc in graph.arcs:
         out.append(
             f'  "{_esc(str(arc.source))}" -> "{_esc(str(arc.target))}" '

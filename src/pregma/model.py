@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
+from math import lcm
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 VertexId = Any
 
@@ -145,6 +146,14 @@ class Grammar:
 
     def axiom_rule(self) -> Rule:
         return self.rule_for(self.axiom)
+
+
+def integer_weights(mu: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """mu in integers: the lcm `den` of its denominators and each label's
+    probability as the integer weight p * den."""
+    den = lcm(*(p.denominator for p in mu.values()))
+    return den, {label: p.numerator * (den // p.denominator)
+                 for label, p in mu.items()}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Any
 
 import numpy as np
@@ -35,11 +34,11 @@ from .model import (
     _Compiled,
     _rewrite,
     checked_rules,
+    integer_weights,
     named_vertex,
     reach,
 )
 from .rng import draw_array
-from .validation import ProbabilityMap
 
 
 class TotalityError(GrammarError):
@@ -48,14 +47,6 @@ class TotalityError(GrammarError):
 
 class HorizonError(ValueError):
     """The requested horizon can see past the truncation depth."""
-
-
-def integer_weights(mu: ProbabilityMap) -> tuple[int, dict[str, int]]:
-    """The lcm `den` of mu's denominators and each label's probability as
-    the integer weight p * den."""
-    den = lcm(*(p.denominator for p in mu.values()))
-    return den, {label: p.numerator * (den // p.denominator)
-                 for label, p in mu.items()}
 
 
 @dataclass

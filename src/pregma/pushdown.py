@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gio import ParseError, read_prob
-from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite
-from .oracle import FiniteMC, integer_weights
+from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite, integer_weights
+from .oracle import FiniteMC
 from .validation import hyperarc_slots, vertex_classes
 
 Word = tuple[str, ...]

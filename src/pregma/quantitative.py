@@ -89,19 +89,16 @@ def assemble_system(
             wkey = win_key(can)
             add_term(wkey, row.win)
             dkeys = [dec_key(can, j) for j in range(1, n_inputs + 1)]
-            for j, dkey in enumerate(dkeys, start=1):
-                for bkey, p in row.hits.items():
-                    hit = frag.nodes[bkey]
-                    if hit.kind == "input" and hit.input_index == j:
-                        add_term(dkey, p)
+            for bkey, p in row.hits.items():
+                hit = frag.nodes[bkey]
+                if hit.kind == "input":
+                    add_term(dkeys[hit.input_index - 1], p)
 
             for bkey, p in row.hits.items():
                 hit = frag.nodes[bkey]
                 if hit.kind == "input":
                     continue
-                if hit.kind in ("same", "interior"):
-                    # interior hits cannot happen (interiors absorb as
-                    # win/loss), so this is a same-level attachment
+                if hit.kind == "same":
                     d = hit.can
                     add_term(wkey, p, win_key(d))
                     for j, dkey in enumerate(dkeys, start=1):
@@ -113,16 +110,12 @@ def assemble_system(
                 o = hit.arc_index
                 assert e is not None and o is not None
                 add_term(wkey, p, win_key(e))
-                child_arity = len(frag.glue[o])
-                for ell in range(1, child_arity + 1):
-                    base = frag.nodes[frag.glue[o][ell - 1]]
+                for ell, glued in enumerate(frag.glue[o], start=1):
+                    base = frag.nodes[glued]
                     if base.kind == "input":
                         # descending onto a vertex the parent passed in:
                         # the walk leaves this level through that input
-                        jprime = base.input_index
-                        assert jprime is not None
-                        if jprime <= n_inputs:
-                            add_term(dkeys[jprime - 1], p, dec_key(e, ell))
+                        add_term(dkeys[base.input_index - 1], p, dec_key(e, ell))
                         continue
                     target = base.can
                     assert target is not None

@@ -37,6 +37,7 @@ from .model import (
     Rule,
     VertexId,
     checked_rules,
+    reach,
     reachable_nonterminals,
 )
 
@@ -376,22 +377,12 @@ def analyse(g: Grammar) -> Analysis:
                 for v in h.vertices
             ))
 
-    def resolve(name: str, j: int) -> frozenset[CanonicalVertex]:
-        out: set[CanonicalVertex] = set()
-        seen: set[tuple[str, int]] = set()
-        todo = [(name, j)]
-        while todo:
-            here = todo.pop()
-            if here in seen:
-                continue
-            seen.add(here)
-            for bound in bindings.get(here[0], []):
-                target = bound[here[1] - 1]
-                if isinstance(target, CanonicalVertex):
-                    out.add(target)
-                else:
-                    todo.append((target[1], target[2]))
-        return frozenset(out)
+    def glued_on(b: Binding) -> list[Binding]:
+        """What the occurrences glue onto the input a ref names."""
+        if isinstance(b, CanonicalVertex):
+            return []
+        _, name, j = b
+        return [bound[j - 1] for bound in bindings.get(name, [])]
 
     return Analysis(
         grammar=g,
@@ -404,7 +395,8 @@ def analyse(g: Grammar) -> Analysis:
                    for name in sorted(names, key=lambda n: (n != g.axiom, n))},
         reachable=[c for c in classes if c.rule in names],
         bindings=bindings,
-        refs={(r.lhs, j): resolve(r.lhs, j)
+        refs={(r.lhs, j): frozenset(b for b in reach([("ref", r.lhs, j)], glued_on)
+                                    if isinstance(b, CanonicalVertex))
               for r in g.rules for j in range(1, len(r.inputs) + 1)},
         assemblies={},
     )

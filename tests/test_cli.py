@@ -78,6 +78,49 @@ def test_validate_reports_detuned_mass(corpus_dir, tmp_path):
     assert err == "canonical=A:fork sum=7/6\n"
 
 
+def test_validate_names_a_missing_probability(corpus_dir, tmp_path):
+    text = (corpus_dir / "running.gg").read_text().replace("prob d 1/4\n", "")
+    path = tmp_path / "no_d.gg"
+    path.write_text(text)
+    assert run(["validate", str(path)]) == (
+        1, "", "canonical=A:fork no probability for d\n")
+
+
+# one malformed line per reachable ParseError of the .gg reader
+MALFORMED_GG = [
+    ("nonterminal Z 0\nterminal Z 2\n", 2, "symbol Z declared twice"),
+    ("nonterminal Z\n", 1, "nonterminal needs NAME ARITY"),
+    ("nonterminal Z \u00b2\n", 1, "nonterminal needs NAME ARITY"),
+    ("terminal a two\n", 1, "terminal needs NAME ARITY"),
+    ("colour c d\n", 1, "top-level colour needs just NAME"),
+    ("axiom\n", 1, "axiom needs NAME"),
+    ("axiom Z\naxiom Z\n", 2, "axiom given twice"),
+    ("default-colour\n", 1, "default-colour needs NAME"),
+    ("default-colour c\ndefault-colour c\n", 2, "default-colour given twice"),
+    ("absorbing\n", 1, "absorbing needs NAME"),
+    ("rule\n", 1, "rule needs a nonterminal name"),
+    ("rule Z with v\n", 1, "expected 'inputs' after the rule name"),
+    ("axiom Z\nrule Z\n  vertex\n", 3, "vertex line needs at least one name"),
+    ("axiom Z\nrule Z\n  hyperarc\n", 3, "hyperarc needs a label"),
+    ("axiom Z\nrule Z\n  colour c v w\n", 3,
+     "colour inside a rule needs NAME VERTEX"),
+    ("axiom Z\nrule Z\n  nocolour c\n", 3, "nocolour needs NAME VERTEX"),
+    ("default-colour c\naxiom Z\nrule Z\n  nocolour d v\n", 4,
+     "nocolour d does not match default-colour c"),
+    ("nonterminal Z 0\ndefault-colour c\naxiom Z\nrule Z\n  vertex v\n", 4,
+     "default-colour c not declared"),
+]
+
+
+@pytest.mark.parametrize("text, lineno, message", MALFORMED_GG,
+                         ids=[m for _, _, m in MALFORMED_GG])
+def test_malformed_gg_names_its_line(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.gg"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", str(path)]) == (
+        1, "", f"{path}: line {lineno}: {message}\n")
+
+
 def test_validate_missing_file():
     code, out, err = run(["validate", "no-such-file.gg"])
     assert code == 1
@@ -108,6 +151,69 @@ def test_prob_emit_system(corpus_dir):
     assert "\n".join(lines[:14]) == EMITTED_SYSTEM
     assert lines[14] == f"lower={LOWER} upper={UPPER}"
     assert encloses_headline(LOWER, UPPER)
+
+
+# the converted pushdown grammar is the one corpus input whose term order
+# shows the order in which a boundary start's out-arcs first reach its hits
+PDS_SYSTEM = """\
+pin win(Z:p) = 1
+pin win(Z:Ap) = 1
+pin win(X:AAp) = 1
+pin dec(X:AAp; 1) = 0
+pin dec(X:AAp; 2) = 0
+pin dec(X:AAp; 3) = 0
+pin dec(X:AAp; 4) = 0
+pin win(X:Bp) = 1
+pin dec(X:Bp; 1) = 0
+pin dec(X:Bp; 2) = 0
+pin dec(X:Bp; 3) = 0
+pin dec(X:Bp; 4) = 0
+win(Z:r') = 1/2 * win(X:Ar) + 1/2 * dec(X:Ar; 1) * win(Z:r') + 1/2 * dec(X:Ar; 2) * win(Z:r) + 1/2 * dec(X:Ar; 3) + 1/2 * dec(X:Ar; 4) + 1/2
+win(Z:r) = 1 * win(X:Br') + 1 * dec(X:Br'; 1) * win(Z:r') + 1 * dec(X:Br'; 2) * win(Z:r) + 1 * dec(X:Br'; 3) + 1 * dec(X:Br'; 4)
+win(X:Ar') = 1/2 * win(X:Ar) + 1/2 * dec(X:Ar; 1) * win(X:Ar') + 1/2 * dec(X:Ar; 2) * win(X:Ar) + 1/2 * dec(X:Ar; 4) + 1/2
+dec(X:Ar'; 1) = 1/2 * dec(X:Ar; 1) * dec(X:Ar'; 1) + 1/2 * dec(X:Ar; 2) * dec(X:Ar; 1)
+dec(X:Ar'; 2) = 1/2 * dec(X:Ar; 1) * dec(X:Ar'; 2) + 1/2 * dec(X:Ar; 2) * dec(X:Ar; 2)
+dec(X:Ar'; 3) = 1/2 * dec(X:Ar; 1) * dec(X:Ar'; 3) + 1/2 * dec(X:Ar; 2) * dec(X:Ar; 3)
+dec(X:Ar'; 4) = 1/2 * dec(X:Ar; 1) * dec(X:Ar'; 4) + 1/2 * dec(X:Ar; 2) * dec(X:Ar; 4) + 1/2 * dec(X:Ar; 3)
+win(X:Ar) = 1 * win(X:Br') + 1 * dec(X:Br'; 1) * win(X:Ar') + 1 * dec(X:Br'; 2) * win(X:Ar) + 1 * dec(X:Br'; 4)
+dec(X:Ar; 1) = 1 * dec(X:Br'; 1) * dec(X:Ar'; 1) + 1 * dec(X:Br'; 2) * dec(X:Ar; 1)
+dec(X:Ar; 2) = 1 * dec(X:Br'; 1) * dec(X:Ar'; 2) + 1 * dec(X:Br'; 2) * dec(X:Ar; 2)
+dec(X:Ar; 3) = 1 * dec(X:Br'; 1) * dec(X:Ar'; 3) + 1 * dec(X:Br'; 2) * dec(X:Ar; 3)
+dec(X:Ar; 4) = 1 * dec(X:Br'; 1) * dec(X:Ar'; 4) + 1 * dec(X:Br'; 2) * dec(X:Ar; 4) + 1 * dec(X:Br'; 3)
+win(X:Br') = 1/2 * win(X:Ar) + 1/2 * dec(X:Ar; 1) * win(X:Br') + 1/2 * dec(X:Ar; 2) * win(X:Br) + 1/2 * dec(X:Ar; 3) + 1/2 * dec(X:Ar; 4) * win(X:BAp) + 1/2 * win(X:BAp)
+dec(X:Br'; 1) = 1/2 * dec(X:Ar; 1) * dec(X:Br'; 1) + 1/2 * dec(X:Ar; 2) * dec(X:Br; 1) + 1/2 * dec(X:Ar; 4) * dec(X:BAp; 1) + 1/2 * dec(X:BAp; 1)
+dec(X:Br'; 2) = 1/2 * dec(X:Ar; 1) * dec(X:Br'; 2) + 1/2 * dec(X:Ar; 2) * dec(X:Br; 2) + 1/2 * dec(X:Ar; 4) * dec(X:BAp; 2) + 1/2 * dec(X:BAp; 2)
+dec(X:Br'; 3) = 1/2 * dec(X:Ar; 1) * dec(X:Br'; 3) + 1/2 * dec(X:Ar; 2) * dec(X:Br; 3) + 1/2 * dec(X:Ar; 4) * dec(X:BAp; 3) + 1/2 * dec(X:BAp; 3)
+dec(X:Br'; 4) = 1/2 * dec(X:Ar; 1) * dec(X:Br'; 4) + 1/2 * dec(X:Ar; 2) * dec(X:Br; 4) + 1/2 * dec(X:Ar; 4) * dec(X:BAp; 4) + 1/2 * dec(X:BAp; 4)
+win(X:Br) = 1 * win(X:Br') + 1 * dec(X:Br'; 1) * win(X:Br') + 1 * dec(X:Br'; 2) * win(X:Br) + 1 * dec(X:Br'; 3) + 1 * dec(X:Br'; 4) * win(X:BAp)
+dec(X:Br; 1) = 1 * dec(X:Br'; 1) * dec(X:Br'; 1) + 1 * dec(X:Br'; 2) * dec(X:Br; 1) + 1 * dec(X:Br'; 4) * dec(X:BAp; 1)
+dec(X:Br; 2) = 1 * dec(X:Br'; 1) * dec(X:Br'; 2) + 1 * dec(X:Br'; 2) * dec(X:Br; 2) + 1 * dec(X:Br'; 4) * dec(X:BAp; 2)
+dec(X:Br; 3) = 1 * dec(X:Br'; 1) * dec(X:Br'; 3) + 1 * dec(X:Br'; 2) * dec(X:Br; 3) + 1 * dec(X:Br'; 4) * dec(X:BAp; 3)
+dec(X:Br; 4) = 1 * dec(X:Br'; 1) * dec(X:Br'; 4) + 1 * dec(X:Br'; 2) * dec(X:Br; 4) + 1 * dec(X:Br'; 4) * dec(X:BAp; 4)
+win(X:BAp) = 0
+dec(X:BAp; 1) = 0
+dec(X:BAp; 2) = 0
+dec(X:BAp; 3) = 1
+dec(X:BAp; 4) = 0
+lower=1 upper=1
+decimal [1.000000000000, 1.000000000000] width=0.000e+00 (exact)
+"""
+
+
+def test_prob_emit_system_on_pushdown_grammar(corpus_dir, tmp_path):
+    converted = tmp_path / "pds_example_prob.gg"
+    assert run(["from-pds", gg(corpus_dir, "pds_example_prob.pds"),
+                "-o", str(converted)])[0] == 0
+    assert run(["prob", str(converted), "--phi2", "halt", "--from", "r",
+                "--emit-system"]) == (0, PDS_SYSTEM, "")
+
+
+def test_prob_needs_arc_probabilities(corpus_dir, tmp_path):
+    converted = tmp_path / "pds_example.gg"
+    assert run(["from-pds", gg(corpus_dir, "pds_example.pds"),
+                "-o", str(converted)])[0] == 0
+    assert run(["prob", str(converted), "--phi2", "halt", "--from", "r"]) == (
+        1, "", "grammar declares no arc probabilities\n")
 
 
 def test_prob_truncate(corpus_dir):
@@ -197,6 +303,12 @@ def test_check_emit_coloured(corpus_dir):
     assert lines[-1] == "fails"
 
 
+def test_check_qualitative_accepts_nested_zero_one_thresholds(corpus_dir):
+    assert run(["check", gg(corpus_dir, "running.gg"), "--qualitative",
+                "--formula", "!(V1 & X[>0] (tt U[>=1] V2))", "--at", "v0"]) == (
+        0, "holds\n", "")
+
+
 def test_check_aggregate_verdict(corpus_dir):
     code, out, _ = run([
         "check", gg(corpus_dir, "running.gg"), "--formula", "tt U[>=0] V2",
@@ -239,6 +351,9 @@ def test_check_at_json(corpus_dir):
       "--horizon", "3", "--n", "0"], "must be >= 1"),
     (["expand", "{g}", "--depth", "two"], "not a whole number"),
     (["check", "{g}", "--formula", "!" * 3000 + "V2"], "nesting deeper than"),
+    (["check", "{g}", "--formula", "F[>=1/0] V2"], "bad formula"),
+    (["check", "{g}", "--formula", "X[>0] !(V1 U[>1/2] V2)", "--qualitative"],
+     "threshold"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]
@@ -483,6 +598,17 @@ def test_gen_pcp(corpus_dir, tmp_path):
     g = load_grammar(out_path)
     assert set(g.nonterminals) == {"Z", "New1"}
     assert validate_grammar(g) == []
+
+
+def test_validate_lists_shared_vertices_of_two_tile_gadget(corpus_dir, tmp_path):
+    gadget = tmp_path / "gadget.gg"
+    assert run(["gen-pcp", gg(corpus_dir, "pcp_s2.pcp"), "-o", str(gadget)])[0] == 0
+    code, out, err = run(["validate", str(gadget)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"rule {rule}: vertex {v} lies on 2 hyperarcs"
+        for rule, v in [("Z", "vgate"), ("Z", "ugate"), ("New1", "v1"),
+                        ("New1", "u1"), ("New2", "v1"), ("New2", "u1")]]
 
 
 def test_prob_refuses_two_tile_gadget(corpus_dir, tmp_path):

@@ -67,6 +67,7 @@ def test_parenthesised_until_nests():
     ("a &", "unexpected end"),
     ("X[1/2] a", "expected cmp"),
     ("(a", "unexpected end"),
+    ("F[>=1/0] green", "divides by zero"),
 ])
 def test_parse_errors(text, needle):
     with pytest.raises(FormulaError, match=needle):
