@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
-from .formulas import Formula, FormulaError, Next, Not, And, Until, parse_formula, to_text
+from .formulas import Formula, FormulaError, Next, Not, And, Until, parse_formula
 from .gio import ParseError, emit_dot, load_grammar, serialize_grammar
 from .labeling import classes_for_colours, label_formula
 from .model import (
@@ -172,7 +172,7 @@ def _cmd_from_pds(args, parser: _Parser) -> int:
 def _cmd_gen_pcp(args, parser: _Parser) -> int:
     g, formula = encode(_load(args.input, load_pcp))
     text = serialize_grammar(g)
-    text += f"\n# matching forks satisfy: {to_text(formula)}\n"
+    text += f"\n# matching forks satisfy: {formula}\n"
     _write_out(text, args.output)
     return 0
 
@@ -273,8 +273,16 @@ def _cmd_prob(args, parser: _Parser) -> int:
         if args.emit_system:
             assembly = shared_assembly(an, phi1, phi2)
             for key, value in assembly.pins.items():
-                print(f"pin {render_key(key)} = {value}")
-            print(assembly.system.render(render_key))
+                variable = render_key(key)
+                _report(args, {"kind": "pin", "variable": variable, "value": str(value)},
+                        f"pin {variable} = {value}")
+            system = assembly.system
+            if args.format == "json-lines":
+                for key in system.variables:
+                    _report(args, {"kind": "equation", "variable": render_key(key),
+                                   "rhs": system.render_rhs(key, render_key)})
+            else:
+                print(system.render(render_key))
         lo, hi = axiom_probability(enc, g, args.start)
         state = "exact" if enc.exact else (
             "converged" if enc.converged else "not converged"

@@ -91,10 +91,6 @@ def _wrap(f: Formula) -> str:
     return str(f)
 
 
-def to_text(f: Formula) -> str:
-    return str(f)
-
-
 def _depth(f: Formula) -> int:
     """Levels of the formula tree, counted without recursion."""
     deepest, todo = 0, [(f, 1)]

@@ -76,8 +76,6 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fra
 
     for arc_index, h in enumerate(rule.rhs.hyperarcs):
         child = rules[h.label]
-        if len(child.inputs) != len(h.vertices):
-            raise GrammarError(f"hyperarc {h.label} arity mismatch in rule {context}")
         frag.glue[arc_index] = tuple(("base", v) for v in h.vertices)
         mapping: dict[VertexId, NodeKey] = {}
         for i, v in enumerate(h.vertices):

@@ -120,20 +120,16 @@ class PolySystem:
         self._positive = frozenset(pos)
         return self._positive
 
-    def render(self, name: Callable[[Key], str] | None = None) -> str:
-        name = name or str
-        lines = []
-        for key in self.variables:
-            terms = self.equations[key]
-            if not terms:
-                rhs = "0"
-            else:
-                rhs = " + ".join(
-                    " * ".join([f"{coeff}"] + [name(f) for f in factors])
-                    for coeff, factors in terms
-                )
-            lines.append(f"{name(key)} = {rhs}")
-        return "\n".join(lines)
+    def render(self, name: Callable[[Key], str] = str) -> str:
+        return "\n".join(f"{name(key)} = {self.render_rhs(key, name)}"
+                         for key in self.variables)
+
+    def render_rhs(self, key: Key, name: Callable[[Key], str] = str) -> str:
+        terms = self.equations[key]
+        if not terms:
+            return "0"
+        return " + ".join(" * ".join([f"{coeff}"] + [name(f) for f in factors])
+                          for coeff, factors in terms)
 
 
 @dataclass

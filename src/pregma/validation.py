@@ -106,10 +106,7 @@ def role_chain(
         if len(occs) > 1:
             raise ChainAmbiguityError(site, len(occs))
         h, pos = occs[0]
-        child = rules[h.label]
-        if len(child.inputs) < pos:
-            raise GrammarError(f"rule {h.label} has no input {pos}")
-        site = (h.label, child.inputs[pos - 1])
+        site = (h.label, rules[h.label].inputs[pos - 1])
 
 
 @dataclass(frozen=True)

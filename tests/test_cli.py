@@ -208,6 +208,28 @@ def test_prob_emit_system_on_pushdown_grammar(corpus_dir, tmp_path):
                 "--emit-system"]) == (0, PDS_SYSTEM, "")
 
 
+def test_prob_emit_system_json_lines_is_one_record_per_line(corpus_dir, tmp_path):
+    converted = tmp_path / "pds_example_prob.gg"
+    assert run(["from-pds", gg(corpus_dir, "pds_example_prob.pds"),
+                "-o", str(converted)])[0] == 0
+    running = gg(corpus_dir, "running.gg")
+    # the second query pins every variable, so its text run prints an empty
+    # system: one empty line between the pins and the enclosure
+    for argv in (["prob", running, "--phi2", "V2", "--from", "v0"],
+                 ["prob", running, "--phi2", "tt", "--from", "v0"],
+                 ["prob", str(converted), "--phi2", "halt", "--from", "r"]):
+        code, text, err = run([*argv, "--emit-system"])
+        assert code == 0 and err == ""
+        code, out, err = run([*argv, "--emit-system", "--format", "json-lines"])
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["kind"] for r in records[-1:]] == ["enclosure"]
+        assert {r["kind"] for r in records[:-1]} <= {"pin", "equation"}
+        assert [f"pin {r['variable']} = {r['value']}" if r["kind"] == "pin"
+                else f"{r['variable']} = {r['rhs']}" for r in records[:-1]] == \
+            [line for line in text.splitlines()[:-2] if line]
+
+
 def test_prob_needs_arc_probabilities(corpus_dir, tmp_path):
     converted = tmp_path / "pds_example.gg"
     assert run(["from-pds", gg(corpus_dir, "pds_example.pds"),
@@ -664,3 +686,19 @@ def test_shell_entry_point_matches_in_process(corpus_dir):
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run(argv)[1]
+
+
+def test_importing_a_front_end_module_loads_no_engine():
+    src = os.path.dirname(os.path.dirname(pregma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    engines = ("numpy", "pregma.polysys", "pregma.oracle", "pregma.quantitative",
+               "pregma.qualitative", "pregma.labeling")
+    for module in ("pregma.model", "pregma.gio", "pregma.formulas",
+                   "pregma.validation", "pregma.pcp"):
+        code = (f"import sys, {module}, pregma\n"
+                f"print(pregma.__version__, [m for m in {engines!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{pregma.__version__} []\n", module

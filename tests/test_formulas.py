@@ -14,7 +14,6 @@ from pregma.formulas import (
     Not,
     Until,
     parse_formula,
-    to_text,
 )
 
 F = Fraction
@@ -92,7 +91,7 @@ _formulas = st.recursive(
 
 @given(_formulas)
 def test_text_round_trip(f):
-    assert parse_formula(to_text(f)) == f
+    assert parse_formula(str(f)) == f
 
 
 def test_nesting_cap():

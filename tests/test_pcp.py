@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pregma.formulas import TT, And, Atom, Until, to_text
+from pregma.formulas import TT, And, Atom, Until
 from pregma.gio import ParseError
 from pregma.labeling import classes_for_colours
 from pregma.model import CanonicalVertex, GrammarError, expand, validate_grammar
@@ -117,7 +117,7 @@ def test_encode_single_tile_is_engine_ready(pcp_solvable):
         And(Until(">=", F(1, 2), TT(), Atom("green")),
             Until("<=", F(1, 2), TT(), Atom("green"))),
     )
-    assert to_text(formula) == \
+    assert str(formula) == \
         "s & ((tt U[>=1/2] green) & (tt U[<=1/2] green))"
 
 
