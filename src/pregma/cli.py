@@ -146,18 +146,18 @@ def _cmd_validate(args, parser: _Parser) -> int:
     for issue in issues:
         print(issue, file=sys.stderr)
     if issues or not g.mu:
-        outside, failures = check_complete_outside(g), ()
+        violations, failures = check_complete_outside(g), ()
     else:
         report = phr_check(g)
-        outside, failures = report.outside, report.failures
-    for line in outside.violations:
+        violations, failures = report.violations, report.failures
+    for line in violations:
         print(line, file=sys.stderr)
     for f in failures:
         if f.total is not None:
             print(f"canonical={f.can} sum={f.total}", file=sys.stderr)
         else:
             print(f"canonical={f.can} {f.reason}", file=sys.stderr)
-    return 1 if issues or not outside.ok or failures else 0
+    return 1 if issues or violations or failures else 0
 
 
 # ------------------------------------------------------------- converters
@@ -194,7 +194,7 @@ class _Fragments(dict):
 
 def _cmd_expand(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    checked_rules(g)
+    checked_rules(g)  # expand checks too, but only after --component is vetted
     if args.component is not None:
         _axiom_vertex(g, args.component, parser)
         expansion = reachable_component(g, args.component, args.depth)

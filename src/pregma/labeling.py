@@ -55,10 +55,6 @@ def classes_for_colours(
     return frozenset(c for c in an.reachable if an.classes[c].colours & names)
 
 
-_QUAL_TRUE = {(">=", ZERO), ("<=", ONE)}
-_QUAL_FALSE = {(">", ONE), ("<", ZERO)}
-
-
 class _Evaluator:
     def __init__(self, an: Analysis, eps: Fraction):
         self.an = an
@@ -131,12 +127,10 @@ class _Evaluator:
         right, _ = self.eval(f.right)
         u1, o1 = self._split(left)
         u2, o2 = self._split(right)
-        key = (f.cmp, f.rho)
-
-        if key in _QUAL_TRUE:
-            return {c: "holds" for c in self.cans}, {}
-        if key in _QUAL_FALSE:
-            return {c: "fails" for c in self.cans}, {}
+        # a threshold every probability passes, or none does
+        trivial = decide_threshold((ZERO, ONE), f.cmp, f.rho)
+        if trivial != "unknown":
+            return {c: trivial for c in self.cans}, {}
 
         if f.rho == 0 or f.rho == 1:
             return self._until_qualitative(f, u1, o1, u2, o2), {}

@@ -1,4 +1,4 @@
-"""Core model: hypergraphs, rules, deterministic rewriting.
+"""Core model: hypergraphs, rules, deterministic rewriting, finite chains.
 
 A grammar here carries exactly one rule per nonterminal, so rewriting a graph
 is deterministic: every nonterminal hyperarc is replaced simultaneously, the
@@ -317,6 +317,40 @@ class Expansion:
         return named_vertex(self.axiom_ids, name)
 
 
+@dataclass
+class FiniteMC:
+    """A finite Markov chain. trans[i] lists state i's steps as (target,
+    weight) int pairs: a step's probability is weight / den, den being the
+    lcm of mu's denominators. Frontier states have incomplete rows. A
+    truncation also gives each state's class and level, and maps the axiom
+    rule's vertex names to states."""
+
+    states: list[Any]
+    index: dict[Any, int]
+    trans: list[list[tuple[int, int]]]
+    den: int
+    colours: list[frozenset[str]]
+    frontier: frozenset[int]
+    classes: list[CanonicalVertex] | None = None
+    levels: list[int] | None = None
+    axiom_ids: dict[VertexId, int] | None = None
+
+    def resolve(self, start: Any) -> int:
+        """Accept a state id or an axiom-rule vertex name."""
+        if start in self.index:
+            return self.index[start]
+        if self.axiom_ids is None:
+            raise KeyError(start)
+        return self.index[named_vertex(self.axiom_ids, start)]
+
+    def where(self, i: int) -> str:
+        """The " (class C, level L)" that error messages give after a
+        truncation's state i; empty for other chains."""
+        if self.classes is None or self.levels is None:
+            return ""
+        return f" (class {self.classes[i]}, level {self.levels[i]})"
+
+
 def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexId:
     """The concrete vertex of the axiom-rule vertex `name`, given the axiom
     application's map from rule vertices to concrete ones."""
@@ -331,7 +365,8 @@ def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexI
 def _rewrite(
     g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
 ) -> Iterator[tuple[int, _Compiled, list[VertexId], int | None, int | None]]:
-    """Apply `depth` rounds of parallel rewriting starting from the axiom.
+    """Apply `depth` rounds of parallel rewriting starting from the axiom,
+    for a grammar that `checked_rules` accepts (GrammarError otherwise).
 
     Yields (level, compiled rule, ids, parent, via_index) once per rule
     application, in order: ids holds the concrete vertex in each of the
@@ -344,17 +379,10 @@ def _rewrite(
     use a plain `for`, where a `next` loop catching StopIteration costs a
     deep `expand` about 4%.
     """
+    # each rule compiled once; its canonical vertices are shared by its copies
+    rules = {name: _compile(rule) for name, rule in checked_rules(g).items()}
     if depth < 0:
         raise GrammarError("depth must be >= 0")
-    axiom_rule = g.axiom_rule()
-    if axiom_rule.inputs:
-        raise GrammarError("axiom rule must have no inputs")
-
-    # each rule compiled once; its canonical vertices are shared by its copies
-    rules: dict[str, _Compiled] = {}
-    for rule in g.rules:
-        if rule.lhs not in rules:
-            rules[rule.lhs] = _compile(rule)
     created = applied = 0
     # pending: (label, concrete vertices, owner application, index in owner's rule rhs)
     pending: list[tuple[str, tuple[VertexId, ...], int | None, int | None]] = [
@@ -362,11 +390,7 @@ def _rewrite(
     for level in range(depth + 1):
         batch, pending = pending, []
         for label, glued, parent, via_index in batch:
-            rule = rules.get(label)
-            if rule is None:
-                raise GrammarError(f"no rule for nonterminal {label!r}")
-            if rule.arity != len(glued):
-                raise GrammarError(f"hyperarc {label} arity mismatch")
+            rule = rules[label]
             first = created
             created += len(rule.cans)
             ids = [*glued, *range(first, created)]

@@ -28,14 +28,13 @@ import numpy as np
 
 from .model import (
     CanonicalVertex,
+    FiniteMC,
     Grammar,
     GrammarError,
     VertexId,
     _Compiled,
     _rewrite,
-    checked_rules,
     integer_weights,
-    named_vertex,
     reach,
 )
 from .rng import draw_array
@@ -49,47 +48,14 @@ class HorizonError(ValueError):
     """The requested horizon can see past the truncation depth."""
 
 
-@dataclass
-class FiniteMC:
-    """A finite Markov chain. trans[i] lists state i's steps as (target,
-    weight) int pairs: a step's probability is weight / den, den being the
-    lcm of mu's denominators. Frontier states have incomplete rows. A
-    truncation also gives each state's class and level, and maps the axiom
-    rule's vertex names to states."""
-
-    states: list[Any]
-    index: dict[Any, int]
-    trans: list[list[tuple[int, int]]]
-    den: int
-    colours: list[frozenset[str]]
-    frontier: frozenset[int]
-    classes: list[CanonicalVertex] | None = None
-    levels: list[int] | None = None
-    axiom_ids: dict[VertexId, int] | None = None
-
-    def colour_mask(self, names: frozenset[str] | None) -> np.ndarray:
-        """Boolean per state; names=None means "every state"."""
-        if names is None:
-            return np.ones(len(self.states), dtype=bool)
-        # states share their colour sets, so test each distinct set once
-        meets = {cs: bool(cs & names) for cs in set(self.colours)}
-        return np.fromiter((meets[cs] for cs in self.colours), dtype=bool,
-                           count=len(self.colours))
-
-    def resolve(self, start: Any) -> int:
-        """Accept a state id or an axiom-rule vertex name."""
-        if start in self.index:
-            return self.index[start]
-        if self.axiom_ids is None:
-            raise KeyError(start)
-        return self.index[named_vertex(self.axiom_ids, start)]
-
-    def where(self, i: int) -> str:
-        """The " (class C, level L)" that error messages give after a
-        truncation's state i; empty for other chains."""
-        if self.classes is None or self.levels is None:
-            return ""
-        return f" (class {self.classes[i]}, level {self.levels[i]})"
+def _colour_mask(mc: FiniteMC, names: frozenset[str] | None) -> np.ndarray:
+    """Boolean per state; names=None means "every state"."""
+    if names is None:
+        return np.ones(len(mc.states), dtype=bool)
+    # states share their colour sets, so test each distinct set once
+    meets = {cs: bool(cs & names) for cs in set(mc.colours)}
+    return np.fromiter((meets[cs] for cs in mc.colours), dtype=bool,
+                       count=len(mc.colours))
 
 
 def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int]]:
@@ -107,7 +73,6 @@ def truncate(g: Grammar, depth: int) -> FiniteMC:
     vertex with id i. Raises GrammarError on a structurally invalid grammar
     or an arc label without a probability, and TotalityError on a fully
     expanded vertex whose outgoing mass is not 1."""
-    checked_rules(g)
     den, weight = integer_weights(g.mu)
 
     trans: list[list[tuple[int, int]]] = []
@@ -190,8 +155,8 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     the start's in time. Values are integers over mc.den**k. Rejects the
     query when a frontier state that is not won lies in the cone, where the
     truncation does not know its behaviour."""
-    win = mc.colour_mask(query.phi2)
-    alive = mc.colour_mask(query.phi1)
+    win = _colour_mask(mc, query.phi2)
+    alive = _colour_mask(mc, query.phi1)
     start = mc.resolve(query.start)
     horizon = query.horizon
     fmask = np.zeros(len(mc.states), dtype=bool)
@@ -282,8 +247,8 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
-    win = mc.colour_mask(query.phi2)
-    alive = mc.colour_mask(query.phi1)
+    win = _colour_mask(mc, query.phi2)
+    alive = _colour_mask(mc, query.phi1)
     fmask = np.zeros(len(mc.states), dtype=bool)
     fmask[list(mc.frontier)] = True
     start = mc.resolve(query.start)

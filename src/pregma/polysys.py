@@ -37,6 +37,7 @@ to, and builds one Fraction per variable only for the values it returns.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -465,34 +466,19 @@ def solve_enclosure(
     )
 
 
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
 def decide_threshold(
     interval: tuple[Fraction, Fraction],
     cmp: str,
     rho: Fraction,
 ) -> str:
     """'holds' / 'fails' / 'unknown' for (true value) cmp rho, given an
-    enclosing interval. Exact comparisons, strictness handled per side."""
-    lo, hi = interval
-    if cmp == ">=":
-        if lo >= rho:
-            return "holds"
-        if hi < rho:
-            return "fails"
-    elif cmp == ">":
-        if lo > rho:
-            return "holds"
-        if hi <= rho:
-            return "fails"
-    elif cmp == "<=":
-        if hi <= rho:
-            return "holds"
-        if lo > rho:
-            return "fails"
-    elif cmp == "<":
-        if hi < rho:
-            return "holds"
-        if lo >= rho:
-            return "fails"
-    else:
+    enclosing interval lo <= hi. The values passing `cmp rho` form an up-set
+    or a down-set, so the verdict holds when both ends pass, fails when
+    neither does, and is unknown otherwise. Exact comparisons."""
+    if cmp not in _COMPARE:
         raise ValueError(f"unknown comparison {cmp!r}")
-    return "unknown"
+    passing = sum(_COMPARE[cmp](end, rho) for end in interval)
+    return ("fails", "unknown", "holds")[passing]

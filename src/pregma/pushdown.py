@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gio import ParseError, read_prob
-from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite, integer_weights
-from .oracle import FiniteMC
+from .model import FiniteMC, Grammar, GrammarError, Hypergraph, Rule, _rewrite, integer_weights
 from .validation import hyperarc_slots, vertex_classes
 
 Word = tuple[str, ...]

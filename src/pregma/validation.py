@@ -7,10 +7,13 @@ walker below follows that chain of roles purely syntactically, so the full
 out-degree (and colour set) of every vertex of the generated graph can be
 read off the grammar without expanding anything.
 
-The chain either terminates (the current role vertex lies on no nonterminal
-hyperarc), revisits a role (the vertex keeps being re-glued forever, and any
-arcs gained inside the loop occur infinitely often), or hits a role lying on
-two or more hyperarcs, which is rejected as ambiguous.
+The walk needs single membership: each vertex lies on at most one
+nonterminal hyperarc, so each role has at most one next role. Admission
+checks this before any chain is walked, and a grammar that breaks it is
+refused with one line per shared vertex. The chain then either terminates
+(the current role vertex lies on no nonterminal hyperarc) or revisits a role
+(the vertex keeps being re-glued forever, and any arcs gained inside the
+loop occur infinitely often).
 
 `analyse` walks each class's chain once and keeps what the engines need: a
 rule lookup, the hyperarc occurrence table, each class's profiles and
@@ -54,17 +57,6 @@ Ref = tuple[str, str, int]
 Binding = CanonicalVertex | Ref
 
 
-class ChainAmbiguityError(GrammarError):
-    """A role vertex lies on several nonterminal hyperarcs at once."""
-
-    def __init__(self, site: Site, count: int):
-        rule, vertex = site
-        super().__init__(
-            f"vertex {vertex} in rule {rule} lies on {count} nonterminal hyperarcs"
-        )
-        self.site = site
-
-
 class EngineUnsupported(GrammarError):
     """The grammar is outside what the solving engines handle."""
 
@@ -103,8 +95,6 @@ def role_chain(
         occs = slots.get(site, [])
         if not occs:
             return RoleChain(tuple(sites), None)
-        if len(occs) > 1:
-            raise ChainAmbiguityError(site, len(occs))
         h, pos = occs[0]
         site = (h.label, rules[h.label].inputs[pos - 1])
 
@@ -175,8 +165,8 @@ def vertex_classes(
 ) -> dict[CanonicalVertex, VertexClass]:
     """Walk the role chain of every canonical vertex once.
 
-    Raises ChainAmbiguityError on grammars where some role is ambiguous; run
-    check_complete_outside first to get a readable report.
+    Needs single membership: call it only on a grammar for which
+    check_complete_outside finds no violation.
     """
     out_gains: dict[Site, Counter] = {}
     in_gains: dict[Site, Counter] = {}
@@ -197,14 +187,9 @@ def vertex_classes(
     return table
 
 
-@dataclass(frozen=True)
-class OutsideReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def check_complete_outside(g: Grammar) -> OutsideReport:
-    """Each vertex may lie on at most one nonterminal hyperarc.
+def check_complete_outside(g: Grammar) -> tuple[str, ...]:
+    """Each vertex may lie on at most one nonterminal hyperarc: one line per
+    vertex that lies on more, empty when none does.
 
     An input may lie on one: that is legal here, and `analyse` refuses the
     inputs that keep gaining arcs after being passed down.
@@ -212,16 +197,10 @@ def check_complete_outside(g: Grammar) -> OutsideReport:
     return _outside(g, hyperarc_slots(g))
 
 
-def _outside(g: Grammar, slots: Slots) -> OutsideReport:
-    violations: list[str] = []
-    for rule in g.rules:
-        for v in rule.rhs.vertices:
-            occs = slots.get((rule.lhs, v), [])
-            if len(occs) > 1:
-                violations.append(
-                    f"rule {rule.lhs}: vertex {v} lies on {len(occs)} hyperarcs"
-                )
-    return OutsideReport(not violations, tuple(violations))
+def _outside(g: Grammar, slots: Slots) -> tuple[str, ...]:
+    return tuple(f"rule {rule.lhs}: vertex {v} lies on {n} hyperarcs"
+                 for rule in g.rules for v in rule.rhs.vertices
+                 if (n := len(slots.get((rule.lhs, v), ()))) > 1)
 
 
 @dataclass(frozen=True)
@@ -245,7 +224,7 @@ class PhrFailure:
 class PhrReport:
     ok: bool
     failures: tuple[PhrFailure, ...]
-    outside: OutsideReport
+    violations: tuple[str, ...]  # vertices on several hyperarcs
     checked: int
 
     def __str__(self) -> str:
@@ -253,16 +232,19 @@ class PhrReport:
             return f"phr_check: ok ({self.checked} vertex classes)"
         lines = [f"phr_check: FAILED ({len(self.failures)} of {self.checked} classes)"]
         lines += [f"  {f}" for f in self.failures]
-        lines += [f"  {v}" for v in self.outside.violations]
+        lines += [f"  {v}" for v in self.violations]
         return "\n".join(lines)
 
 
-def _mass_report(
-    g: Grammar,
-    outside: OutsideReport,
-    classes: Mapping[CanonicalVertex, VertexClass],
-) -> PhrReport:
-    mu = g.mu
+def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots,
+                                 dict[CanonicalVertex, VertexClass], PhrReport]:
+    """The one admission of a grammar: the structural gate, the occurrence
+    table, single membership, then, only when no vertex is shared, the
+    role-chain walk and the mass report."""
+    rules = checked_rules(g)
+    slots = hyperarc_slots(g)
+    violations = _outside(g, slots)
+    classes = {} if violations else vertex_classes(g, rules, slots)
     failures: list[PhrFailure] = []
     for can, vc in classes.items():
         profile = vc.out
@@ -276,16 +258,17 @@ def _mass_report(
             failures.append(PhrFailure(can, profile, Fraction(0),
                                        "sink without an absorbing colour"))
             continue
-        missing = [label for label, _ in profile.finite if label not in mu]
+        missing = [label for label, _ in profile.finite if label not in g.mu]
         if missing:
             failures.append(PhrFailure(can, profile, None,
                                        f"no probability for {', '.join(missing)}"))
             continue
-        total = profile.total(mu)
+        total = profile.total(g.mu)
         if total != 1:
             failures.append(PhrFailure(can, profile, total, "total is not 1"))
-    ok = outside.ok and not failures
-    return PhrReport(ok, tuple(failures), outside, len(canonical_vertices(g)))
+    ok = not violations and not failures
+    return rules, slots, classes, PhrReport(ok, tuple(failures), violations,
+                                            len(canonical_vertices(g)))
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -297,11 +280,7 @@ def phr_check(g: Grammar) -> PhrReport:
     All arithmetic is exact. A structurally invalid grammar raises one
     GrammarError naming every issue.
     """
-    rules = checked_rules(g)
-    slots = hyperarc_slots(g)
-    outside = _outside(g, slots)
-    classes = vertex_classes(g, rules, slots) if outside.ok else {}
-    return _mass_report(g, outside, classes)
+    return _admit(g)[-1]
 
 
 @dataclass
@@ -330,7 +309,8 @@ class Analysis:
 def analyse(g: Grammar) -> Analysis:
     """The analysis the solving engines run on, under the grammar's own mu.
     Raises GrammarError when the grammar is structurally invalid, and
-    EngineUnsupported when the local fragment picture breaks down.
+    EngineUnsupported when phr_check fails (with its report) or the local
+    fragment picture breaks down.
 
     Beyond phr_check this refuses (a) classes whose incoming arcs repeat
     forever and (b) vertices that, glued onto an input lying on a hyperarc,
@@ -338,10 +318,7 @@ def analyse(g: Grammar) -> Analysis:
     one-step behaviour would depend on levels above the fragment under
     consideration.
     """
-    rules = checked_rules(g)
-    slots = hyperarc_slots(g)
-    classes = vertex_classes(g, rules, slots)
-    report = _mass_report(g, _outside(g, slots), classes)
+    rules, slots, classes, report = _admit(g)
     if not report.ok:
         raise EngineUnsupported(str(report))
     for can, vc in classes.items():

@@ -140,9 +140,9 @@ def test_expand_rejects_arity_mismatch():
         axiom="Z",
         rules=[Rule("Z", (), rhs), Rule("A", ("p", "q"), child)],
     )
-    assert expand(g, 0).graph.hyperarcs  # nothing rewritten yet
-    with pytest.raises(GrammarError, match="arity mismatch"):
-        expand(g, 1)
+    # the structural gate refuses it before anything is rewritten
+    with pytest.raises(GrammarError, match="hyperarc-arity"):
+        expand(g, 0)
 
 
 def test_component_ids_stays_inside_graph(running):

@@ -13,6 +13,7 @@ from pregma.oracle import (
     HorizonError,
     PathQuery,
     TotalityError,
+    _colour_mask,
     _threshold_tables,
     bounded_until,
     integer_weights,
@@ -36,8 +37,8 @@ def test_truncate_state_count(running):
     # 2 axiom vertices plus 4 per level
     assert len(mc.states) == 34
     assert len(mc.trans) == 34
-    assert mc.colour_mask(V2).sum() == 8
-    assert mc.colour_mask(None).all()
+    assert _colour_mask(mc, V2).sum() == 8
+    assert _colour_mask(mc, None).all()
 
 
 def test_truncate_gives_sinks_self_loops(running):
@@ -163,7 +164,7 @@ def test_sample_until_ends_hopeless_trajectories(running, monkeypatch):
 
 def full_sweep(mc, query):
     """Reference: the plain Fraction sweep over every state at every step."""
-    win, alive = mc.colour_mask(query.phi2), mc.colour_mask(query.phi1)
+    win, alive = _colour_mask(mc, query.phi2), _colour_mask(mc, query.phi1)
     prev = [Fraction(int(w)) for w in win]
     for _ in range(query.horizon):
         prev = [Fraction(1) if win[s] else Fraction(0) if not alive[s] else
@@ -410,7 +411,7 @@ def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
                         (branching_walk, 8, 5), (branching_walk, 8, 11)]:
         mc = truncate(g, depth)
         query = PathQuery(None, frozenset({"green"}), "m0", h)
-        win = mc.colour_mask(query.phi2)
+        win = _colour_mask(mc, query.phi2)
 
         def undecided(s):
             return not win[s] and s not in mc.frontier

@@ -267,6 +267,47 @@ def test_decide_threshold(interval, cmp, rho, verdict):
     assert decide_threshold(interval, cmp, rho) == verdict
 
 
+def case_by_case_threshold(interval, cmp, rho):
+    """The verdict with each comparison's strictness handled per side."""
+    lo, hi = interval
+    if cmp == ">=":
+        if lo >= rho:
+            return "holds"
+        if hi < rho:
+            return "fails"
+    elif cmp == ">":
+        if lo > rho:
+            return "holds"
+        if hi <= rho:
+            return "fails"
+    elif cmp == "<=":
+        if hi <= rho:
+            return "holds"
+        if lo > rho:
+            return "fails"
+    elif cmp == "<":
+        if hi < rho:
+            return "holds"
+        if lo >= rho:
+            return "fails"
+    return "unknown"
+
+
+def test_decide_threshold_matches_the_case_by_case_rule():
+    grid = [F(i, 8) for i in range(9)]
+    cases = 0
+    for cmp in (">=", ">", "<=", "<"):
+        for lo in grid:
+            for hi in (x for x in grid if x >= lo):
+                for rho in grid:
+                    assert decide_threshold((lo, hi), cmp, rho) == \
+                        case_by_case_threshold((lo, hi), cmp, rho), (lo, hi, cmp, rho)
+                    cases += 1
+    assert cases == 1620
+    with pytest.raises(ValueError, match="unknown comparison"):
+        decide_threshold((ZERO, ONE), "==", ZERO)
+
+
 # ------------------------------------------------- the Fraction reference
 # The solver as it stood before it ran on integer indices: dicts keyed by
 # the system's keys and one Fraction operation per term. The compiled

@@ -5,7 +5,7 @@ import pytest
 
 from pregma.gio import ParseError, parse_grammar, serialize_grammar
 from pregma.model import GrammarError, expand, validate_grammar
-from pregma.oracle import PathQuery, bounded_until, truncate
+from pregma.oracle import FiniteMC, PathQuery, bounded_until, truncate
 from pregma.pushdown import (
     base_suffixes,
     config_chain,
@@ -206,10 +206,9 @@ def test_config_chain_agrees_with_grammar_oracle(pds_prob):
     reachability mass when both horizons fit inside their truncations."""
     g = to_grammar(pds_prob)
     horizon = 6
-    via_chain = bounded_until(
-        config_chain(pds_prob, ("r",), horizon + 1),
-        PathQuery(None, frozenset({"halt"}), "r", horizon),
-    )
+    chain = config_chain(pds_prob, ("r",), horizon + 1)
+    assert isinstance(chain, FiniteMC)
+    via_chain = bounded_until(chain, PathQuery(None, frozenset({"halt"}), "r", horizon))
     mc = truncate(g, horizon + 2)
     via_grammar = bounded_until(
         mc, PathQuery(None, frozenset({"halt"}), "r", horizon))
