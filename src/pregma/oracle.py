@@ -15,7 +15,8 @@ Transition rows hold integer weights over one denominator, the lcm of mu's
 denominators. Both the exact bounded sweep and the sampler walk only the
 start's horizon cone, the states a path can reach in time while undecided:
 the sweep runs in integers over powers of that denominator, and the sampler
-ends each trajectory as soon as it can no longer hit or escape.
+ends each trajectory as soon as it can no longer hit or escape. numpy
+serves the sampler alone and is imported only when it runs.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Any
-
-import numpy as np
 
 from .model import (
     CanonicalVertex,
@@ -37,7 +36,6 @@ from .model import (
     integer_weights,
     reach,
 )
-from .rng import draw_array
 
 
 class TotalityError(GrammarError):
@@ -48,14 +46,21 @@ class HorizonError(ValueError):
     """The requested horizon can see past the truncation depth."""
 
 
-def _colour_mask(mc: FiniteMC, names: frozenset[str] | None) -> np.ndarray:
+def _colour_mask(mc: FiniteMC, names: frozenset[str] | None) -> list[bool]:
     """Boolean per state; names=None means "every state"."""
     if names is None:
-        return np.ones(len(mc.states), dtype=bool)
+        return [True] * len(mc.states)
     # states share their colour sets, so test each distinct set once
     meets = {cs: bool(cs & names) for cs in set(mc.colours)}
-    return np.fromiter((meets[cs] for cs in mc.colours), dtype=bool,
-                       count=len(mc.colours))
+    return [meets[cs] for cs in mc.colours]
+
+
+def _undecided(mc: FiniteMC, win: list[bool], alive: list[bool]) -> list[bool]:
+    """Per state: alive, not won and not on the frontier."""
+    undecided = [a and not w for a, w in zip(alive, win)]
+    for s in mc.frontier:
+        undecided[s] = False
+    return undecided
 
 
 def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int]]:
@@ -159,9 +164,7 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     alive = _colour_mask(mc, query.phi1)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    fmask = np.zeros(len(mc.states), dtype=bool)
-    fmask[list(mc.frontier)] = True
-    undecided = (alive & ~win & ~fmask).tolist()
+    undecided = _undecided(mc, win, alive)
     layers = _cone(mc, undecided, start, horizon)
     # the cone in layer order: the states within d steps are a prefix
     order = [s for layer in layers for s in layer]
@@ -217,18 +220,17 @@ class SampleResult:
 
 def _threshold_tables(
     mc: FiniteMC, states: list[int],
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """For each of `states`: sorted uint64 cut points (first k-1 cumulative
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """For each of `states`: sorted 64-bit cut points (first k-1 cumulative
     probabilities scaled by 2^64, rounded down) and the k target indices.
     A cut is floor(P * 2^64) whatever denominator P is written over, so the
     draws depend only on the probabilities."""
-    cuts: dict[int, np.ndarray] = {}
-    targets: dict[int, np.ndarray] = {}
+    cuts: dict[int, list[int]] = {}
+    targets: dict[int, list[int]] = {}
     for s in states:
         row = mc.trans[s]
-        cum = accumulate(w for _, w in row[:-1])
-        cuts[s] = np.array([(c << 64) // mc.den for c in cum], dtype=np.uint64)
-        targets[s] = np.array([t for t, _ in row], dtype=np.int64)
+        cuts[s] = [(c << 64) // mc.den for c in accumulate(w for _, w in row[:-1])]
+        targets[s] = [t for t, _ in row]
     return cuts, targets
 
 
@@ -247,12 +249,16 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
+    # numpy serves the sampler alone: imported here, the front end and the
+    # engines never pay for loading it
+    import numpy as np
+
+    from .rng import draw_array
+
     win = _colour_mask(mc, query.phi2)
     alive = _colour_mask(mc, query.phi1)
-    fmask = np.zeros(len(mc.states), dtype=bool)
-    fmask[list(mc.frontier)] = True
     start = mc.resolve(query.start)
-    undecided = (alive & ~win & ~fmask).tolist()
+    undecided = _undecided(mc, win, alive)
     layers = _cone(mc, undecided, start, query.horizon)
     stepping = [s for layer in layers[:query.horizon] for s in layer
                 if undecided[s]]
@@ -262,13 +268,20 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     for s in stepping:
         for t, _ in mc.trans[s]:
             preds.setdefault(t, []).append(s)
-    exits = (win | fmask).tolist()
-    hopeful = reach([s for layer in layers for s in layer if exits[s]],
+    hopeful = reach([s for layer in layers for s in layer
+                     if win[s] or s in mc.frontier],
                     lambda t: preds.get(t, ()))
-    misses = ~alive
-    misses[[s for s in stepping if s not in hopeful]] = True
+    misses = [not a for a in alive]
+    for s in stepping:
+        if s not in hopeful:
+            misses[s] = True
     cuts, targets = _threshold_tables(
         mc, [s for s in stepping if s in hopeful])
+    cuts = {s: np.array(c, dtype=np.uint64) for s, c in cuts.items()}
+    targets = {s: np.array(t, dtype=np.int64) for s, t in targets.items()}
+    fmask = np.zeros(len(mc.states), dtype=bool)
+    fmask[list(mc.frontier)] = True
+    win, misses = np.array(win), np.array(misses)
 
     cur = np.full(n, start, dtype=np.int64)
     # 0 active, 1 hit, 2 miss, 3 escape

@@ -9,10 +9,12 @@ down onto a bit grid, and then one Newton step on every strongly connected
 component of the dependency graph, dependencies first (decomposed Newton,
 Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010). Kleene
 iteration converges like 1/n at a double root; Newton gains at least a bit
-per step there. The Newton direction comes from a float64 solve, but a step
-is taken only after exact checks show it lies at or below the exact Newton
-point, which never passes the least fixpoint, so soundness never depends on
-float behaviour.
+per step there. The Newton direction comes from a sparse float elimination
+of the component's I - F', without row swaps, in a fill-reducing order
+(greedy minimum degree) fixed once per component; a pivot that is not
+positive refuses the step. A step is taken only after exact checks show it
+lies at or below the exact Newton point, which never passes the least
+fixpoint, so soundness never depends on float behaviour.
 
 The upper bound is a certified post-fixpoint: any y with F(y) <= y,
 checked exactly, bounds the least fixpoint from above. Certification walks
@@ -40,10 +42,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from heapq import heapify, heappop, heappush
+from math import inf, isfinite, lcm, prod
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
@@ -182,11 +183,13 @@ class _Component(NamedTuple):
     reads: list[int]  # the variables its rows read
     rows: list[Row]  # its rows, indexing reads
     i_minus_a: list[Row]  # (I - F')z on it: z_i's own term, then F'; indexing z + reads
+    order: list[int]  # fill-reducing pivot order for eliminating I - F'
 
 
 def _components(rows: list[Row], den: int) -> list[_Component]:
     """Strongly connected components of the dependency graph, dependencies
-    first, each flagged with whether it contains a cycle."""
+    first, each flagged with whether it contains a cycle and given the
+    pivot order its Newton steps eliminate in."""
     deps = [list(dict.fromkeys(f for _, a, b in row for f in (a, b) if f >= 0))
             for row in rows]
     index = [-1] * len(rows)
@@ -256,8 +259,86 @@ def _components(rows: list[Row], den: int) -> list[_Component]:
             reads,
             [[(c, at[a], at[b]) for c, a, b in rows[g]] for g in comp],
             i_minus_a,
+            _min_degree([[f for _, f, _ in row] for row in i_minus_a]),
         ))
     return out
+
+
+def _solve(matrix: list[dict[int, float]], rhs: list[list[float]],
+           order: Sequence[int]) -> list[list[float]] | None:
+    """matrix^-1 rhs by sparse Gaussian elimination without row swaps,
+    pivoting on the diagonal in `order`; None once a pivot is not a
+    positive finite float, or a solution entry is not finite.
+
+    The rows map column to entry and rhs holds each row's right-hand sides.
+    Without row swaps the k-th pivot is the ratio of the k-th and (k-1)-th
+    leading principal minors of the matrix permuted symmetrically by
+    `order`, and a Z-matrix is a nonsingular M-matrix exactly when all of
+    them are positive: for I - A the pivot test is the M-matrix test, up to
+    float rounding.
+    """
+    rows = [dict(row) for row in matrix]
+    rhs = [list(b) for b in rhs]
+    below: list[set[int]] = [set() for _ in rows]  # per column, unpivoted rows with an entry
+    for i, row in enumerate(rows):
+        for j in row:
+            below[j].add(i)
+    pivots = [0.0] * len(rows)
+    for k in order:
+        row = rows[k]
+        for j in row:
+            below[j].discard(k)
+        p = row.pop(k, 0.0)
+        if not 0 < p < inf:
+            return None
+        pivots[k] = p
+        b = rhs[k]
+        for i in below[k]:
+            other = rows[i]
+            f = other.pop(k) / p
+            for j, v in row.items():
+                if j in other:
+                    other[j] -= f * v
+                else:
+                    other[j] = -f * v
+                    below[j].add(i)
+            rhs[i] = [y - f * z for y, z in zip(rhs[i], b)]
+    x: list[list[float]] = [[]] * len(rows)
+    for k in reversed(order):
+        x[k] = [(y - sum(v * x[j][c] for j, v in rows[k].items())) / pivots[k]
+                for c, y in enumerate(rhs[k])]
+    if not all(isfinite(y) for col in x for y in col):
+        return None
+    return x
+
+
+def _min_degree(pattern: list[list[int]]) -> list[int]:
+    """A fill-reducing pivot order for a matrix whose row i has entries in
+    the columns pattern[i]: greedy minimum degree on the symmetrised
+    pattern, the lower index first among equal degrees. Eliminating a
+    vertex joins its neighbours into a clique, which is the fill it makes."""
+    adj: list[set[int]] = [set() for _ in pattern]
+    for i, cols in enumerate(pattern):
+        for j in cols:
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+    heap = [(len(a), i) for i, a in enumerate(adj)]
+    heapify(heap)
+    done = [False] * len(adj)
+    order = []
+    while heap:
+        degree, k = heappop(heap)
+        if done[k] or degree != len(adj[k]):
+            continue  # a stale entry
+        done[k] = True
+        order.append(k)
+        for i in adj[k]:
+            a = adj[i]
+            a |= adj[k]
+            a -= {i, k}
+            heappush(heap, (len(a), i))
+    return order
 
 
 def _newton(
@@ -270,16 +351,18 @@ def _newton(
     outside it held at point: comp's new values (None when refused) and a
     direction for certifying its upper bound (None when there is none).
 
-    With A = F'(point) on comp and b = F(point) - point, a float64 solve
-    gives (I - A)^-1 b and (I - A)^-1 1. The second, scaled to a largest
-    entry of 1 and rounded up onto the grid of `bits` bits, is the direction
-    v; the exact check (I - A) v > 0 makes I - A a nonsingular M-matrix,
-    whose inverse is >= 0. The first, rounded down onto a grid twice as
-    fine (near a double root b is about the square of the distance to the
-    fixpoint), is lowered along v by the least t on the grid that makes
-    (I - A) d <= b hold exactly. Then d is at most the exact Newton step,
-    so by convexity point + d stays at or below the least fixpoint whenever
-    point does, and with d >= 0 also point + d <= F(point + d).
+    With A = F'(point) on comp and b = F(point) - point, one sparse float
+    elimination of I - A (`_solve`, in the component's fill-reducing order)
+    gives (I - A)^-1 b and (I - A)^-1 1, or refuses at a pivot that is not
+    positive. The second, scaled to a largest entry of 1 and rounded up
+    onto the grid of `bits` bits, is the direction v; the exact check
+    (I - A) v > 0 makes I - A a nonsingular M-matrix, whose inverse is
+    >= 0. The first, rounded down onto a grid twice as fine (near a double
+    root b is about the square of the distance to the fixpoint), is lowered
+    along v by the least t on the grid that makes (I - A) d <= b hold
+    exactly. Then d is at most the exact Newton step, so by convexity
+    point + d stays at or below the least fixpoint whenever point does, and
+    with d >= 0 also point + d <= F(point + d).
     """
     n = len(comp.members)
     # Everything below is integers: point over S, the lcm of the
@@ -292,22 +375,22 @@ def _newton(
     x = [point[g].numerator * (scale // point[g].denominator) for g in comp.members]
     residual = [s - y * den * scale for s, y in zip(_sums(comp.rows, a), x)]
     floats = [y / scale for y in a[:-1]]
-    jac = np.zeros((n, n))
+    matrix = []
     for row, terms in enumerate(comp.i_minus_a):
+        jac: dict[int, float] = {}  # A's entries in this row
         for c, f, o in terms[1:]:
-            jac[row, f] += -c / den * (floats[o - n] if o >= 0 else 1.0)
-    rhs = np.column_stack([[r / (den * scale * scale) for r in residual], np.ones(n)])
-    try:
-        solution = np.linalg.solve(np.eye(n) - jac, rhs)
-    except np.linalg.LinAlgError:
-        return None, None
-    if not (np.all(np.isfinite(solution)) and np.all(solution[:, 1] > 0)):
+            jac[f] = jac.get(f, 0.0) - c / den * (floats[o - n] if o >= 0 else 1.0)
+        matrix.append({row: 1.0 - jac.pop(row, 0.0), **{f: -v for f, v in jac.items()}})
+    solution = _solve(matrix, [[r / (den * scale * scale), 1.0] for r in residual],
+                      comp.order)
+    if solution is None or min(s[1] for s in solution) <= 0:
         return None, None
 
     coarse, fine = 1 << bits, 1 << 2 * bits
+    top = max(s[1] for s in solution)
     v = []
-    for e in (solution[:, 1] / solution[:, 1].max()).tolist():
-        p, q = e.as_integer_ratio()
+    for _, e in solution:
+        p, q = (e / top).as_integer_ratio()
         v.append(-(-p * coarse // q))
     direction = [Fraction(y, coarse) for y in v]
     # (I - A)z reads z and point, so its integers are over den * Z * S for
@@ -316,7 +399,7 @@ def _newton(
     if min(w) <= 0:
         return None, direction
     g = []
-    for y, s in zip(x, solution[:, 0].tolist()):
+    for y, (s, _) in zip(x, solution):
         p, q = s.as_integer_ratio()
         g.append((y * q + p * scale) * fine // (scale * q))
     r = _sums(comp.i_minus_a, [b * scale - y * fine for b, y in zip(g, x)] + a)

@@ -230,7 +230,11 @@ class PhrReport:
     def __str__(self) -> str:
         if self.ok:
             return f"phr_check: ok ({self.checked} vertex classes)"
-        lines = [f"phr_check: FAILED ({len(self.failures)} of {self.checked} classes)"]
+        if self.violations:  # then no class was checked
+            head = f"{len(self.violations)} shared vertices; classes not checked"
+        else:
+            head = f"{len(self.failures)} of {self.checked} classes"
+        lines = [f"phr_check: FAILED ({head})"]
         lines += [f"  {f}" for f in self.failures]
         lines += [f"  {v}" for v in self.violations]
         return "\n".join(lines)

@@ -15,14 +15,14 @@ from pregma.model import expand, validate_grammar
 
 F = Fraction
 
-LOWER = ("105283730727269265092843629008539196283/"
+LOWER = ("105283730727269265083205925805966334843/"
          "340282366920938463463374607431768211456")
-UPPER = ("1645058292618652869476594620864411754743379/"
+UPPER = ("1645058292618652869326005508324210794743379/"
          "5316911983139663491615228241121378304000000")
 # `check` reads the until's shared enclosure, of width at most 1e-9
-CHECK_LOWER = "24513278791511054947257915809/79228162514264337593543950336"
-CHECK_UPPER = ("47877497639670176767815706490866053/"
-               "154742504910672534362390528000000000")
+CHECK_LOWER = "392212460664176879051461864611/1267650600228229401496703205376"
+CHECK_UPPER = ("766039962234722828080627889140966223/"
+               "2475880078570760549798248448000000000")
 
 
 def encloses_headline(lower, upper):
@@ -688,6 +688,9 @@ def test_prob_refuses_two_tile_gadget(corpus_dir, tmp_path):
     assert run(["gen-pcp", gg(corpus_dir, "pcp_s2.pcp"), "-o", str(gadget)])[0] == 0
     code, out, err = run(["prob", str(gadget), "--phi2", "green", "--from", "vgate"])
     assert (code, out) == (1, "")
+    # shared vertices stop the check before any class is looked at
+    assert err.splitlines()[0] == \
+        "phr_check: FAILED (6 shared vertices; classes not checked)"
     assert "rule Z: vertex vgate lies on 2 hyperarcs" in err
 
 
@@ -751,3 +754,34 @@ def test_importing_a_front_end_module_loads_no_engine():
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{pregma.__version__} []\n", module
+
+
+def test_only_sampling_loads_numpy(corpus_dir, tmp_path):
+    # numpy serves the sampler alone: the CLI and every engine run without it
+    src = os.path.dirname(os.path.dirname(pregma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    running = gg(corpus_dir, "running.gg")
+    prob = ["prob", running, "--phi1", "V1", "--phi2", "V2", "--from", "v0"]
+    runs = [
+        ["validate", running],
+        ["expand", running, "--depth", "3"],
+        prob,
+        prob + ["--method", "truncate", "--depth", "8", "--horizon", "6"],
+        ["check", running, "--formula", "V1 U[>=1/4] V2"],
+        ["from-pds", gg(corpus_dir, "pds_example_prob.pds"), "-o", str(tmp_path / "pds.gg")],
+        ["gen-pcp", gg(corpus_dir, "pcp_s1.pcp"), "-o", str(tmp_path / "pcp.gg")],
+        prob + ["--method", "sample", "--depth", "8", "--horizon", "6", "--n", "200"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "import pregma.cli\n"
+            "print('import', 'numpy' in sys.modules)\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = pregma.cli.main(argv)\n"
+            "    print(code, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import False", *["0 False"] * 4, "1 False", *["0 False"] * 2, "0 True"]

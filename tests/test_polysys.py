@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +15,8 @@ from pregma.labeling import classes_for_colours
 from pregma.model import GrammarError
 from pregma.pcp import encode, load_pcp
 from pregma.polysys import (
-    _CERTIFY_EVERY, _DEN_CAP, ONE, ZERO, Enclosure, Key, PolySystem, decide_threshold,
-    solve_enclosure,
+    _CERTIFY_EVERY, _DEN_CAP, ONE, ZERO, Enclosure, Key, PolySystem, _min_degree, _solve,
+    decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system, win_key
@@ -179,13 +179,89 @@ def test_newton_survives_a_wrong_float_solve(monkeypatch, factor):
     # without a positive direction no step is taken (Kleene carries on)
     import pregma.polysys as polysys
 
-    solve = polysys.np.linalg.solve
-    monkeypatch.setattr(polysys.np.linalg, "solve",
-                        lambda a, b: factor * solve(a, b))
+    solve = polysys._solve
+
+    def wrong(*args):
+        solution = solve(*args)
+        return None if solution is None else [[factor * y for y in row] for row in solution]
+
+    monkeypatch.setattr(polysys, "_solve", wrong)
     enc = solve_enclosure(scalar(F(1, 8), F(1, 2)), eps=F(1, 10**9))
     assert enc.converged
     lo, hi = enc.interval("x")
     assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
+
+
+def exact_solve(matrix, rhs):
+    """Gauss–Jordan with pivot search over the exact rationals of the float
+    entries: matrix^-1 rhs for a nonsingular matrix of column-to-entry rows."""
+    n = len(matrix)
+    a = [[Fraction(row.get(j, 0.0)) for j in range(n)] + [Fraction(y) for y in b]
+         for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [y / a[col][col] for y in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [y - factor * z for y, z in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+@st.composite
+def sparse_m_matrices(draw):
+    """(I - B) D as float rows: B >= 0 with at most three entries per row and
+    row sums 0 or 9/10, D a positive diagonal. A nonsingular M-matrix whose rows
+    need not be diagonally dominant."""
+    n = draw(st.integers(1, 12))
+    d = [draw(st.integers(1, 5)) for _ in range(n)]
+    matrix = []
+    for i in range(n):
+        cols = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        weights = [draw(st.integers(1, 9)) for _ in cols]
+        row = {i: Fraction(1)}
+        for j, w in zip(cols, weights):
+            row[j] = row.get(j, ZERO) - Fraction(9 * w, 10 * sum(weights))
+        matrix.append({j: float(v * d[j]) for j, v in row.items()})
+    return matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_m_matrices(), st.data())
+def test_sparse_solve_matches_an_exact_solve(matrix, data):
+    n = len(matrix)
+    rhs = [[float(data.draw(st.integers(-5, 5))), 1.0] for _ in range(n)]
+    exact = exact_solve(matrix, rhs)
+    order = _min_degree([list(row) for row in matrix])
+    assert sorted(order) == list(range(n))
+    for pivots in (order, list(range(n))):
+        solution = _solve(matrix, rhs, pivots)
+        assert solution is not None
+        for got, want in zip(solution, exact):
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= Fraction(1, 10**9) * max(1, abs(w))
+
+
+def test_sparse_solve_refuses_what_is_no_nonsingular_m_matrix():
+    both = ([0, 1], [1, 0])
+    # a 2-cycle of weight 1: rho(A) = 1, so I - A is singular
+    cycle = [{0: 1.0, 1: -1.0}, {0: -1.0, 1: 1.0}]
+    # a leading minor 1 - 4 < 0
+    negative = [{0: 1.0, 1: -2.0}, {0: -2.0, 1: 1.0}]
+    for matrix in (cycle, negative):
+        for order in both:
+            assert _solve(matrix, [[1.0], [1.0]], order) is None
+    assert _solve([{0: math.inf}], [[1.0]], [0]) is None
+    assert _solve([{0: 1.0}], [[math.nan]], [0]) is None
+    assert _solve([{0: 2.0}], [[1.0]], [0]) == [[0.5]]
+
+
+def test_min_degree_eliminates_a_star_from_its_leaves():
+    # the hub first would fill the whole matrix; leaves first fill nothing
+    n = 6
+    star = [list(range(n))] + [[0, i] for i in range(1, n)]
+    assert _min_degree(star)[:n - 2] == list(range(1, n - 1))
 
 
 def test_solver_keeps_pinned_empty_equations():
@@ -439,43 +515,42 @@ def _ref_newton(
     outside it held at point: comp's new values (None when refused) and a
     direction for certifying its upper bound (None when there is none).
 
-    With A = F'(point) on comp and b = F(point) - point, a float64 solve
-    gives (I - A)^-1 b and (I - A)^-1 1. The second, scaled to a largest
-    entry of 1 and rounded up onto the grid of `bits` bits, is the direction
-    v; the exact check (I - A) v > 0 makes I - A a nonsingular M-matrix,
-    whose inverse is >= 0. The first, rounded down onto a grid twice as
-    fine (near a double root b is about the square of the distance to the
-    fixpoint), is lowered along v by the least t on the grid that makes
-    (I - A) d <= b hold exactly. Then d is at most the exact Newton step,
-    so by convexity point + d stays at or below the least fixpoint whenever
-    point does, and with d >= 0 also point + d <= F(point + d).
+    With A = F'(point) on comp and b = F(point) - point, the solver's
+    sparse float elimination gives (I - A)^-1 b and (I - A)^-1 1. The
+    second, scaled to a largest entry of 1 and rounded up onto the grid of
+    `bits` bits, is the direction v; the exact check (I - A) v > 0 makes
+    I - A a nonsingular M-matrix, whose inverse is >= 0. The first, rounded
+    down onto a grid twice as fine (near a double root b is about the
+    square of the distance to the fixpoint), is lowered along v by the least
+    t on the grid that makes (I - A) d <= b hold exactly. Then d is at most
+    the exact Newton step, so by convexity point + d stays at or below the
+    least fixpoint whenever point does, and with d >= 0 also
+    point + d <= F(point + d).
     """
     index = {k: i for i, k in enumerate(comp)}
     floats = {f: float(point[f]) for k in comp for _, fs in system.equations[k] for f in fs}
-    n = len(comp)
-    jac = np.zeros((n, n))
+    matrix = []
     for row, k in enumerate(comp):
+        jac: dict[int, float] = {}
         for coeff, factors in system.equations[k]:
             for i, f in enumerate(factors):
                 if f in index:
                     other = floats[factors[1 - i]] if len(factors) == 2 else 1.0
-                    jac[row, index[f]] += float(coeff) * other
+                    jac[index[f]] = jac.get(index[f], 0.0) + float(coeff) * other
+        matrix.append({row: 1.0 - jac.pop(row, 0.0), **{j: -v for j, v in jac.items()}})
     residual = {k: _ref_value(system, k, point) - point[k] for k in comp}
-    rhs = np.column_stack([[float(residual[k]) for k in comp], np.ones(n)])
-    try:
-        solution = np.linalg.solve(np.eye(n) - jac, rhs)
-    except np.linalg.LinAlgError:
-        return None, None
-    if not (np.all(np.isfinite(solution)) and np.all(solution[:, 1] > 0)):
+    solution = _solve(matrix, [[float(residual[k]), 1.0] for k in comp],
+                      _min_degree([list(row) for row in matrix]))
+    if solution is None or min(s[1] for s in solution) <= 0:
         return None, None
 
-    u = solution[:, 1] / solution[:, 1].max()
-    v = {k: _ref_ceil_to_grid(Fraction(float(u[i])), bits) for i, k in enumerate(comp)}
+    top = max(s[1] for s in solution)
+    v = {k: _ref_ceil_to_grid(Fraction(solution[i][1] / top), bits) for i, k in enumerate(comp)}
     w = _ref_i_minus_jacobian(system, comp, point, v)
     if min(w.values()) <= 0:
         return None, v
     d = {
-        k: _ref_floor_to_grid(point[k] + Fraction(float(solution[i, 0])), 2 * bits) - point[k]
+        k: _ref_floor_to_grid(point[k] + Fraction(solution[i][0]), 2 * bits) - point[k]
         for i, k in enumerate(comp)
     }
     r = _ref_i_minus_jacobian(system, comp, point, d)
