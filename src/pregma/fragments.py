@@ -100,12 +100,6 @@ class LocalRow:
     loss: Fraction = ZERO
     hits: dict[NodeKey, Fraction] = field(default_factory=dict)
 
-    def hit(self, key: NodeKey) -> Fraction:
-        return self.hits.get(key, ZERO)
-
-    def total(self) -> Fraction:
-        return self.win + self.loss + sum(self.hits.values(), ZERO)
-
 
 def _eliminate(m: list[list[int]], n: int) -> int:
     """Fraction-free Gauss–Jordan (Bareiss, Montante) on the first n columns

@@ -28,10 +28,6 @@ from fractions import Fraction
 
 from .model import Expansion, Grammar, Hypergraph, Rule, VertexId
 
-_TOP_KEYWORDS = {
-    "nonterminal", "terminal", "colour", "prob", "axiom",
-    "default-colour", "absorbing", "rule",
-}
 _RULE_KEYWORDS = {"vertex", "arc", "hyperarc", "colour", "nocolour"}
 
 

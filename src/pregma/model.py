@@ -98,11 +98,6 @@ class Hypergraph:
             out[v] = shared.setdefault(key, key)
         return out
 
-    def out_arcs(self) -> dict[VertexId, list[Arc]]:
-        out: dict[VertexId, list[Arc]] = {v: [] for v in self.vertices}
-        for arc in self.arcs:
-            out.setdefault(arc.source, []).append(arc)
-        return out
 
 @dataclass
 class Rule:
@@ -364,41 +359,38 @@ def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexI
 
 def _rewrite(
     g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
-) -> Iterator[tuple[int, _Compiled, list[VertexId], int | None, int | None]]:
+) -> Iterator[tuple[int, _Compiled, list[VertexId]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
     for a grammar that `checked_rules` accepts (GrammarError otherwise).
 
-    Yields (level, compiled rule, ids, parent, via_index) once per rule
-    application, in order: ids holds the concrete vertex in each of the
-    rule's slots, the glued ones first, then the fresh ones, numbered from
-    0 in order of creation; parent is the number of the application that
-    owns the replaced hyperarc (None for the axiom) and via_index its
-    position in that rule's rhs. Once the generator is exhausted,
-    `unexpanded` holds the hyperarcs left unexpanded as (label, concrete
-    vertices) pairs: filling a list instead of returning them lets callers
-    use a plain `for`, where a `next` loop catching StopIteration costs a
-    deep `expand` about 4%.
+    Yields (level, compiled rule, ids) once per rule application: ids holds
+    the concrete vertex in each of the rule's slots, the glued ones first,
+    then the fresh ones, numbered from 0 in order of creation. The order is
+    breadth first: the axiom's application alone at level 0, then the
+    hyperarcs each level leaves, in the order of the applications that
+    created them and each application's in its rule's rhs order. Once the
+    generator is exhausted, `unexpanded` holds the hyperarcs left
+    unexpanded as (label, concrete vertices) pairs: filling a list instead
+    of returning them lets callers use a plain `for`, where a `next` loop
+    catching StopIteration costs a deep `expand` about 4%.
     """
     # each rule compiled once; its canonical vertices are shared by its copies
     rules = {name: _compile(rule) for name, rule in checked_rules(g).items()}
     if depth < 0:
         raise GrammarError("depth must be >= 0")
-    created = applied = 0
-    # pending: (label, concrete vertices, owner application, index in owner's rule rhs)
-    pending: list[tuple[str, tuple[VertexId, ...], int | None, int | None]] = [
-        (g.axiom, (), None, None)]
+    created = 0
+    pending: list[tuple[str, tuple[VertexId, ...]]] = [(g.axiom, ())]
     for level in range(depth + 1):
         batch, pending = pending, []
-        for label, glued, parent, via_index in batch:
+        for label, glued in batch:
             rule = rules[label]
             first = created
             created += len(rule.cans)
             ids = [*glued, *range(first, created)]
-            yield level, rule, ids, parent, via_index
-            for hi, (h_label, slots) in enumerate(rule.hyperarcs):
-                pending.append((h_label, tuple([ids[v] for v in slots]), applied, hi))
-            applied += 1
-    unexpanded += [(label, vs) for label, vs, _, _ in pending]
+            yield level, rule, ids
+            for h_label, slots in rule.hyperarcs:
+                pending.append((h_label, tuple([ids[v] for v in slots])))
+    unexpanded += pending
 
 
 def expand(g: Grammar, depth: int) -> Expansion:
@@ -414,8 +406,8 @@ def expand(g: Grammar, depth: int) -> Expansion:
     classes: list[CanonicalVertex] = []
     levels: list[int] = []
     unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
-    for level, rule, ids, parent, _ in _rewrite(g, depth, unexpanded):
-        if parent is None:
+    for level, rule, ids in _rewrite(g, depth, unexpanded):
+        if level == 0:
             axiom_ids = dict(zip(rule.names, ids))
         classes += rule.cans
         levels += [level] * len(rule.cans)

@@ -88,8 +88,8 @@ def truncate(g: Grammar, depth: int) -> FiniteMC:
     shared = {empty: empty}  # one object per distinct colour set
     priced: dict[str, list[tuple[int, int, int]]] = {}
     unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
-    for level, rule, ids, parent, _ in _rewrite(g, depth, unexpanded):
-        if parent is None:
+    for level, rule, ids in _rewrite(g, depth, unexpanded):
+        if level == 0:
             axiom_ids = dict(zip(rule.names, ids))
         arcs = priced.get(rule.lhs)
         if arcs is None:

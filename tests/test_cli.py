@@ -615,6 +615,17 @@ INVALID = {
         "rule Z\n  arc a v w\n  arc b w v\n  arc c w w\n",
         ["arc-label: rule Z: b is not an arity-2 terminal",
          "arc-label: rule Z: c is not an arity-2 terminal"]),
+    # x lies on one hyperarc in each of two rules for Z: shared by neither
+    "duplicate-rule-hyperarcs": (
+        "nonterminal Z 0\nnonterminal A 1\nterminal a 2\n{prob}axiom Z\n\n"
+        + "rule Z\n  vertex x\n  hyperarc A x\n\n" * 2
+        + "rule A inputs y\n  arc a y y\n",
+        ["duplicate-rule: second rule for Z"]),
+    # x twice on one hyperarc still lies on one hyperarc
+    "hyperarc-repeat": (
+        "nonterminal Z 0\nnonterminal A 2\nterminal a 2\n{prob}axiom Z\n\n"
+        "rule Z\n  vertex x\n  hyperarc A x x\n\nrule A inputs y w\n  arc a y w\n",
+        ["hyperarc-repeat: rule Z: hyperarc A repeats a vertex"]),
 }
 INVALID_CASES = [(name, prob) for name in INVALID for prob in ("", "prob a 1\n")]
 

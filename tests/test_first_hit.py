@@ -8,26 +8,7 @@ from hypothesis import strategies as st
 
 from pregma.fragments import _eliminate
 from pregma.model import GrammarError
-
-
-def _solve_linear(a, b):
-    """Gauss–Jordan with partial pivot search over exact rationals: solve
-    A X = B, raising GrammarError when A is singular."""
-    n = len(a)
-    m = [row[:] + rhs[:] for row, rhs in zip(a, b)]
-    width = len(m[0]) if m else 0
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise GrammarError("singular first-hit system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:width] for row in m]
+from reference import gauss_jordan
 
 
 @st.composite
@@ -66,9 +47,9 @@ def test_eliminate_matches_fraction_gauss_jordan(system):
         with pytest.raises(GrammarError, match="singular"):
             _eliminate(m, n)
         with pytest.raises(GrammarError):
-            _solve_linear(a, b)
+            gauss_jordan(a, b)
         return
     det = _eliminate(m, n)
     assert det > 0
     assert all(m[i][j] == det * (i == j) for i in range(n) for j in range(n))
-    assert [[Fraction(x, det) for x in row[n:]] for row in m] == _solve_linear(a, b)
+    assert [[Fraction(x, det) for x in row[n:]] for row in m] == gauss_jordan(a, b)

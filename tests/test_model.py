@@ -16,6 +16,7 @@ from pregma.model import (
     reachable_nonterminals,
     validate_grammar,
 )
+from reference import applications
 
 
 def test_hypergraph_rejects_duplicate_vertex():
@@ -35,7 +36,7 @@ def test_colour_sets_and_arc_indexes():
     h.add_arc("e", "a", "a")
     h.add_colour("red", "b")
     assert h.colour_sets() == {"a": frozenset(), "b": frozenset({"red"})}
-    assert [arc.target for arc in h.out_arcs()["a"]] == ["b", "a"]
+    assert [arc.target for arc in h.arcs if arc.source == "a"] == ["b", "a"]
 
 
 def test_colour_sets_share_one_object_per_distinct_set(running, updrift, dag):
@@ -97,7 +98,7 @@ def test_expand_levels_and_classes(running):
 def test_expand_instance_gluing(running):
     # the child's first input is glued onto next, the second onto fork
     applied = [(dict(zip(rule.names, ids)), parent)
-               for _, rule, ids, parent, _ in _rewrite(running, 2, [])]
+               for rule, ids, parent, _ in applications(running, 2)]
     (parent, _), (child, child_parent) = applied[1], applied[2]
     assert child_parent == 1
     assert child["s"] == parent["next"]

@@ -20,8 +20,9 @@ from pregma.oracle import (
     truncate,
 )
 from pregma.pcp import encode, load_pcp
-from pregma.pushdown import config_chain, load_pds, to_grammar
+from pregma.pushdown import load_pds, to_grammar
 from pregma.rng import draw_array
+from reference import config_chain
 
 V1 = frozenset({"V1"})
 V2 = frozenset({"V2"})

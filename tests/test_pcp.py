@@ -9,19 +9,11 @@ from pregma.gio import ParseError
 from pregma.labeling import classes_for_colours
 from pregma.model import CanonicalVertex, GrammarError, expand, validate_grammar
 from pregma.oracle import PathQuery, bounded_until, truncate
-from pregma.pcp import (
-    PCPInstance,
-    closed_form,
-    dyadic_value,
-    encode,
-    expansions_match,
-    fork_sequences,
-    green_probability,
-    parse_pcp,
-    sequence_grammar,
-)
+from pregma.pcp import PCPInstance, encode, parse_pcp
 from pregma.quantitative import axiom_probability, solve_until
 from pregma.validation import analyse, check_complete_outside
+from reference import (closed_form, dyadic_value, expansions_match, fork_sequences,
+                       green_probability, sequence_grammar)
 
 F = Fraction
 

@@ -6,36 +6,11 @@ import pytest
 from pregma.gio import ParseError, parse_grammar, serialize_grammar
 from pregma.model import GrammarError, expand, validate_grammar
 from pregma.oracle import FiniteMC, PathQuery, bounded_until, truncate
-from pregma.pushdown import (
-    base_suffixes,
-    config_chain,
-    config_words,
-    parse_pds,
-    successors,
-    to_grammar,
-)
+from pregma.pushdown import base_suffixes, parse_pds, to_grammar
 from pregma.validation import analyse
+from reference import config_chain, config_words, split_word, successors
 
 F = Fraction
-
-
-def split(word, symbols):
-    """Greedy longest-first split with backtracking, for checking only."""
-    ordered = sorted(symbols, key=len, reverse=True)
-
-    def go(rest):
-        if not rest:
-            return ()
-        for sym in ordered:
-            if rest.startswith(sym):
-                tail = go(rest[len(sym):])
-                if tail is not None:
-                    return (sym,) + tail
-        return None
-
-    out = go(word)
-    assert out is not None, word
-    return out
 
 
 def test_parse_pds(pds_plain):
@@ -165,18 +140,20 @@ def test_config_words_name_the_configuration_graph(pds_prob):
     e = expand(g, 4)
     words = config_words(pds_prob, g, 4)
     assert len(set(words.values())) == len(words)
-    symbols = pds_prob.symbols
+    symbols = pds_prob.stack + pds_prob.states
     succs = {w: {(label, "".join(t))
-                 for label, t in successors(pds_prob, split(w, symbols))}
+                 for label, t in successors(pds_prob, split_word(w, symbols))}
              for w in words.values()}
     for arc in e.graph.arcs:
         assert (arc.label, words[arc.target]) in succs[words[arc.source]]
     # non-frontier vertices show every rewrite step of their word
-    out = e.graph.out_arcs()
+    out = {cid: set() for cid in words}
+    for a in e.graph.arcs:
+        out[a.source].add((a.label, words[a.target]))
     for cid, w in words.items():
         if cid in e.frontier:
             continue
-        assert {(a.label, words[a.target]) for a in out[cid]} == succs[w]
+        assert out[cid] == succs[w]
 
 
 def test_config_chain_frontier_and_steps(pds_prob):

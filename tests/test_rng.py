@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pregma.rng import draw, draw_array, mix64
+from pregma.rng import draw_array
+from reference import draw, mix64
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
