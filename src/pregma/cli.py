@@ -63,21 +63,22 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _natural(text: str) -> int:
+def _at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}")
     return value
+
+
+def _natural(text: str) -> int:
+    return _at_least(text, 0)
 
 
 def _positive_int(text: str) -> int:
-    value = _natural(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+    return _at_least(text, 1)
 
 
 class _Failure(Exception):
@@ -298,8 +299,8 @@ def _cmd_prob(args, parser: _Parser) -> int:
     if horizon is None:
         parser.error(f"--horizon is required with --method {args.method}")
     depth = args.depth if args.depth is not None else horizon + 2
-    mc = truncate(g, depth)
     query = PathQuery(phi1_names, phi2_names, args.start, horizon)
+    mc = truncate(g, depth, query)
     if args.method == "truncate":
         value = bounded_until(mc, query)
         _report(args, {"kind": "bounded", "horizon": horizon, "depth": depth,

@@ -359,6 +359,7 @@ def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexI
 
 def _rewrite(
     g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
+    enough: Callable[[list[tuple[str, tuple[VertexId, ...]]]], bool] | None = None,
 ) -> Iterator[tuple[int, _Compiled, list[VertexId]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
     for a grammar that `checked_rules` accepts (GrammarError otherwise).
@@ -373,6 +374,11 @@ def _rewrite(
     unexpanded as (label, concrete vertices) pairs: filling a list instead
     of returning them lets callers use a plain `for`, where a `next` loop
     catching StopIteration costs a deep `expand` about 4%.
+
+    After each level below `depth`, once the caller has read its
+    applications, `enough` (when given) sees the hyperarcs that level
+    leaves; if it returns true, rewriting stops there, as if `depth` had
+    been that level.
     """
     # each rule compiled once; its canonical vertices are shared by its copies
     rules = {name: _compile(rule) for name, rule in checked_rules(g).items()}
@@ -381,6 +387,8 @@ def _rewrite(
     created = 0
     pending: list[tuple[str, tuple[VertexId, ...]]] = [(g.axiom, ())]
     for level in range(depth + 1):
+        if level and enough is not None and enough(pending):
+            break
         batch, pending = pending, []
         for label, glued in batch:
             rule = rules[label]

@@ -17,13 +17,19 @@ start's horizon cone, the states a path can reach in time while undecided:
 the sweep runs in integers over powers of that denominator, and the sampler
 ends each trajectory as soon as it can no longer hit or escape. numpy
 serves the sampler alone and is imported only when it runs.
+
+Once the horizon cone holds no frontier state that is not won, deeper
+levels can no longer change the answer, so a truncation made for a query
+stops at the first level whose cone is closed: the requested depth is the
+most it builds.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any
+from typing import Any, Callable, Collection
 
 from .model import (
     CanonicalVertex,
@@ -35,6 +41,7 @@ from .model import (
     _rewrite,
     integer_weights,
     reach,
+    reachable_nonterminals,
 )
 
 
@@ -72,12 +79,77 @@ def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int
     return [(s, t, weight[label]) for label, s, t in rule.arcs]
 
 
-def truncate(g: Grammar, depth: int) -> FiniteMC:
+def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
+    """Whether the truncation raises at some depth, read off the rules alone:
+    a reachable rule has an arc label without a probability, or a reachable
+    class has a finite out-mass other than 1 and is not an absorbing sink.
+
+    A vertex gets arcs and colours in the rule that creates it and, for
+    every hyperarc it lies on, at that input of the hyperarc's rule, and so
+    on down; what each (rule, vertex) slot adds is worked out once. A
+    passing that comes back to a slot keeps the vertex on the frontier at
+    every depth, so the truncation never checks its mass."""
+    names = reachable_nonterminals(g)
+    rules = [rule for rule in g.rules if rule.lhs in names]
+    if any(arc.label not in weight for rule in rules for arc in rule.rhs.arcs):
+        return True
+    inputs = {rule.lhs: rule.inputs for rule in rules}
+    mass: Counter = Counter()
+    marks: dict[tuple[str, VertexId], set[str]] = {}
+    passed: dict[tuple[str, VertexId], list[tuple[str, VertexId]]] = {}
+    for rule in rules:
+        for label, source, _ in rule.rhs.arcs:
+            mass[rule.lhs, source] += weight[label]
+        for colour, v in rule.rhs.colours:
+            marks.setdefault((rule.lhs, v), set()).add(colour)
+        for label, vs in rule.rhs.hyperarcs:
+            for v, x in zip(vs, inputs[label]):
+                passed.setdefault((rule.lhs, v), []).append((label, x))
+    # per slot: (mass, colours) from there on down, None once it cycles
+    gains: dict[tuple[str, VertexId], tuple[int, frozenset[str]] | None] = {}
+    for rule in rules:
+        for v in rule.non_inputs:
+            todo = [(rule.lhs, v)]
+            while todo:
+                slot = todo[-1]
+                if slot not in gains:
+                    gains[slot] = None  # open: meeting it again is a cycle
+                    todo += [s for s in passed.get(slot, ()) if s not in gains]
+                    continue
+                todo.pop()
+                below = [gains[s] for s in passed.get(slot, ())]
+                if None not in below:
+                    gains[slot] = (
+                        mass[slot] + sum(m for m, _ in below),
+                        frozenset(marks.get(slot, ())).union(*(c for _, c in below)))
+            got = gains[rule.lhs, v]
+            if got is not None and got[0] != den and (
+                    got[0] or not got[1] & g.absorbing):
+                return True
+    return False
+
+
+def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
     """The depth-`depth` expansion as a finite chain under the grammar's own
     mu, built straight from the rule applications: state i is the concrete
     vertex with id i. Raises GrammarError on a structurally invalid grammar
     or an arc label without a probability, and TotalityError on a fully
-    expanded vertex whose outgoing mass is not 1."""
+    expanded vertex whose outgoing mass is not 1.
+
+    Without a query every level up to `depth` is built. Given one, the
+    truncation stops at the first level whose horizon cone from the query's
+    start is closed (see `_blocking`), so `depth` is the most it builds.
+    State ids go breadth first, so the shallower chain's ids are a prefix
+    of the full one's, and `bounded_until` and `sample_until` give the
+    query the same answers, errors included, on both. Two things keep it
+    building:
+    - some depth's truncation would raise (`_may_raise`): then every level
+      is built, so that the error is the full depth's;
+    - the cone tests so far have read more than four states per state
+      built: a level's test is then skipped, which bounds the tests of a
+      cone that never closes (one reads a state in about a quarter of the
+      time the build takes to make one) by about one more build.
+    """
     den, weight = integer_weights(g.mu)
 
     trans: list[list[tuple[int, int]]] = []
@@ -88,7 +160,39 @@ def truncate(g: Grammar, depth: int) -> FiniteMC:
     shared = {empty: empty}  # one object per distinct colour set
     priced: dict[str, list[tuple[int, int, int]]] = {}
     unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
-    for level, rule, ids in _rewrite(g, depth, unexpanded):
+    read = 0  # states the cone tests have read
+    may_raise: bool | None = None
+
+    def closed(pending: list[tuple[str, tuple[VertexId, ...]]]) -> bool:
+        """Whether the query's horizon cone is closed on the levels so far."""
+        nonlocal read, may_raise
+        if may_raise or read > 4 * len(trans):
+            return False
+        start = query.start
+        if isinstance(start, str) and start in axiom_ids:
+            start = axiom_ids[start]
+        elif not (type(start) is int and 0 <= start < len(trans)):
+            return False  # until it resolves as FiniteMC.resolve will
+        frontier = {v for _, vs in pending for v in vs}
+        phi1, phi2 = query.phi1, query.phi2
+
+        def won(s: int) -> bool:
+            return phi2 is None or not phi2.isdisjoint(colours[s])
+
+        def undecided(s: int) -> bool:
+            return not (s in frontier or won(s)) and (
+                phi1 is None or not phi1.isdisjoint(colours[s]))
+
+        layers = _cone(trans, undecided, start, query.horizon)
+        read += sum(map(len, layers))
+        if _blocking(layers, frontier, won) is not None:
+            return False
+        if may_raise is None:
+            may_raise = _may_raise(g, den, weight)
+        return not may_raise
+
+    for level, rule, ids in _rewrite(g, depth, unexpanded,
+                                     None if query is None else closed):
         if level == 0:
             axiom_ids = dict(zip(rule.names, ids))
         arcs = priced.get(rule.lhs)
@@ -131,8 +235,8 @@ class PathQuery:
     horizon: int
 
 
-def _cone(mc: FiniteMC, undecided: list[bool], start: int,
-          horizon: int) -> list[set[int]]:
+def _cone(trans: list[list[tuple[int, int]]], undecided: Callable[[int], bool],
+          start: int, horizon: int) -> list[set[int]]:
     """The start's forward cone: layers[d] holds the states first reached in
     d <= horizon steps, stepping on only from undecided states (alive, not
     won, not on the frontier). The list ends before the first empty layer."""
@@ -141,8 +245,8 @@ def _cone(mc: FiniteMC, undecided: list[bool], start: int,
     for _ in range(horizon):
         nxt: set[int] = set()
         for s in layers[-1]:
-            if undecided[s]:
-                for t, _ in mc.trans[s]:
+            if undecided(s):
+                for t, _ in trans[s]:
                     if t not in seen:
                         seen.add(t)
                         nxt.add(t)
@@ -150,6 +254,22 @@ def _cone(mc: FiniteMC, undecided: list[bool], start: int,
             break
         layers.append(nxt)
     return layers
+
+
+def _blocking(layers: list[set[int]], frontier: Collection[int],
+              won: Callable[[int], bool]) -> int | None:
+    """The cone's first state, in layer order, that lies on the frontier
+    without being won; None when there is none, and the cone is closed.
+
+    A frontier state that already shows the goal colour is fine: colours
+    only ever accumulate, so it wins no matter what comes later. Every
+    other state of a closed cone is off the frontier, so its row and its
+    colours are final, and deeper truncations hold the same cone."""
+    for layer in layers:
+        for s in layer:
+            if s in frontier and not won(s):
+                return s
+    return None
 
 
 def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
@@ -165,17 +285,15 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     start = mc.resolve(query.start)
     horizon = query.horizon
     undecided = _undecided(mc, win, alive)
-    layers = _cone(mc, undecided, start, horizon)
-    # the cone in layer order: the states within d steps are a prefix
-    order = [s for layer in layers for s in layer]
-    # a frontier state that already shows the goal colour is fine: colours
-    # only ever accumulate, so it wins no matter what comes later
-    hit = [s for s in order if s in mc.frontier and not win[s]]
-    if hit:
+    layers = _cone(mc.trans, undecided.__getitem__, start, horizon)
+    hit = _blocking(layers, mc.frontier, win.__getitem__)
+    if hit is not None:
         raise HorizonError(
-            f"frontier vertex {mc.states[hit[0]]}{mc.where(hit[0])} is within "
+            f"frontier vertex {mc.states[hit]}{mc.where(hit)} is within "
             f"{horizon} steps of the start; deepen the truncation"
         )
+    # the cone in layer order: the states within d steps are a prefix
+    order = [s for layer in layers for s in layer]
     if not horizon or not undecided[start]:
         # no step is taken, so no den**horizon scale is needed
         return Fraction(int(win[start]))
@@ -259,7 +377,7 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     alive = _colour_mask(mc, query.phi1)
     start = mc.resolve(query.start)
     undecided = _undecided(mc, win, alive)
-    layers = _cone(mc, undecided, start, query.horizon)
+    layers = _cone(mc.trans, undecided.__getitem__, start, query.horizon)
     stepping = [s for layer in layers[:query.horizon] for s in layer
                 if undecided[s]]
     # walk back from the cone's won and frontier states through the

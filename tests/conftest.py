@@ -54,3 +54,45 @@ def pcp_solvable():
 @pytest.fixture(scope="session")
 def pcp_unsolvable():
     return [load_pcp(CORPUS / f"pcp_u{i}.pcp") for i in (1, 2, 3)]
+
+
+_DEEP_DEFECT = """\
+nonterminal Z 0
+nonterminal A 1
+nonterminal B 1
+terminal go 2
+terminal bad 2
+terminal green 1
+prob go 1
+prob bad 1/2
+absorbing green
+axiom Z
+rule Z
+  vertex v0 goal u
+  arc go v0 goal
+  colour green goal
+  arc go u u
+  hyperarc A u
+rule A inputs x
+  vertex y
+  arc go y y
+  hyperarc B y
+rule B inputs x
+  vertex w
+  arc bad w w
+  arc go x x
+"""
+
+
+@pytest.fixture(scope="session")
+def deep_defects():
+    """Grammar texts with a defect below v0's horizon-2 cone, which closes
+    at level 0, each with the error that its depth-4 truncation raises.
+
+    In the first, A's vertex y gets one `go` loop from rule A and another
+    from rule B, so its out-mass is 2. In the second, that loop is gone and
+    `bad`, which rule B first uses at level 2, has no probability."""
+    unpriced = _DEEP_DEFECT.replace("prob bad 1/2\n", "").replace(
+        "  arc go x x\n", "")
+    return [(_DEEP_DEFECT, "vertex 3 (class A:y, level 1) has outgoing mass 2"),
+            (unpriced, "no probability for arc label bad")]

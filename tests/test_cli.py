@@ -260,6 +260,17 @@ def test_prob_sample(corpus_dir):
     ]
 
 
+@pytest.mark.parametrize("method", ["truncate", "sample"])
+def test_prob_keeps_the_errors_of_the_full_depth(tmp_path, deep_defects, method):
+    # the horizon cone from v0 closes at level 0, the defects lie deeper
+    path = tmp_path / "defect.gg"
+    for text, line in deep_defects:
+        path.write_text(text)
+        assert run(["prob", str(path), "--phi2", "green", "--from", "v0",
+                    "--method", method, "--horizon", "2", "--depth", "4"]) == (
+            1, "", line + "\n")
+
+
 def test_prob_json_lines(corpus_dir):
     code, out, _ = run([
         "prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0",
@@ -425,6 +436,9 @@ def test_check_at_json(corpus_dir):
     (["check", "{g}", "--formula", "F[>=1/0] V2"], "bad formula"),
     (["check", "{g}", "--formula", "X[>0] !(V1 U[>1/2] V2)", "--qualitative"],
      "threshold"),
+    # every --n below 1 gets the bound the README states
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample",
+      "--horizon", "3", "--n", "-5"], "argument --n: must be >= 1"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -449,3 +450,89 @@ def test_missing_probability_names_the_first_label_in_arc_order():
         truncate(g, 0)
     with pytest.raises(GrammarError, match="^no probability for arc label aa$"):
         truncate(replace(g, mu={"b": Fraction(1), "zz": Fraction(1, 2)}), 0)
+
+
+def outcome(answer, *args):
+    try:
+        return answer(*args)
+    except (HorizonError, GrammarError) as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
+                                                         corpus_dir,
+                                                         branching_walk):
+    grammars = [*corpus_grammars, branching_walk,
+                to_grammar(load_pds(corpus_dir / "pds_example.pds"))]
+    early_stops = 0
+    for g in grammars:
+        axiom = g.axiom_rule().rhs
+        # every axiom vertex, and one state id that later levels create
+        starts = [*map(str, axiom.vertices), len(axiom.vertices) + 3]
+        targets = [frozenset({c}) for c in sorted(g.colour_names)] or [None]
+        for depth in (1, 4, 8):
+            full = outcome(truncate, g, depth)
+            for start in starts:
+                for phi2 in targets:
+                    for h in range(13):
+                        query = PathQuery(None, phi2, start, h)
+                        early = outcome(truncate, g, depth, query)
+                        if isinstance(full, tuple):
+                            assert early == full
+                            continue
+                        n = len(early.states)
+                        if n == len(full.states):
+                            assert early == full
+                            continue
+                        early_stops += 1
+                        assert early.states == full.states[:n]
+                        assert early.classes == full.classes[:n]
+                        assert early.levels == full.levels[:n]
+                        assert early.axiom_ids == full.axiom_ids
+                        for s in range(n):
+                            if s not in early.frontier:
+                                assert early.trans[s] == full.trans[s]
+                                assert early.colours[s] == full.colours[s]
+                        assert outcome(bounded_until, early, query) == \
+                            outcome(bounded_until, full, query), (g.axiom, query)
+                        for seed in (0, 11):
+                            a = outcome(sample_until, early, query, 60, seed)
+                            b = outcome(sample_until, full, query, 60, seed)
+                            if not isinstance(a, tuple):
+                                a = (a.hits, a.misses, a.escapes)
+                                b = (b.hits, b.misses, b.escapes)
+                            assert a == b, (g.axiom, query, seed)
+    assert early_stops > 1000
+
+
+def test_a_closed_cone_keeps_the_errors_of_the_full_depth(deep_defects):
+    query = PathQuery(None, frozenset({"green"}), "v0", 2)
+    for text, line in deep_defects:
+        g = parse_grammar(text)
+        # the cone is closed at level 0, where the truncation is sound
+        assert bounded_until(truncate(g, 0), query) == 1
+        with pytest.raises(GrammarError, match=f"^{re.escape(line)}$"):
+            truncate(g, 4, query)
+
+
+def test_vertices_passed_on_for_ever_never_keep_a_truncation_building():
+    # g is passed from C to C at every level and gains one more loop each
+    # time, so it never leaves the frontier and its mass is never checked
+    g = parse_grammar(
+        "nonterminal Z 0\nnonterminal C 2\nterminal h 2\nterminal t 2\n"
+        "colour goal\nabsorbing goal\nprob h 1/2\nprob t 1/2\naxiom Z\n"
+        "rule Z\n  vertex v0 g\n  colour goal g\n  hyperarc C v0 g\n"
+        "rule C inputs s g\n  vertex n\n  arc h s g\n  arc t s n\n"
+        "  arc t g g\n  hyperarc C n g\n")
+    query = PathQuery(None, frozenset({"goal"}), "v0", 3)
+    mc = truncate(g, 12, query)
+    assert max(mc.levels) == 4
+    assert bounded_until(mc, query) == bounded_until(truncate(g, 12), query) \
+        == Fraction(7, 8)
+
+
+def test_a_huge_depth_is_not_built_once_the_cone_closes(updrift):
+    query = PathQuery(None, frozenset({"green"}), "m0", 6)
+    mc = truncate(updrift, 100_000, query)
+    assert max(mc.levels) <= 8
+    assert bounded_until(mc, query) == bounded_until(truncate(updrift, 8), query)
