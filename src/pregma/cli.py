@@ -16,7 +16,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator
 
 from . import __version__
 from .formulas import Formula, FormulaError, Next, Not, And, Until, parse_formula
@@ -24,6 +26,7 @@ from .gio import ParseError, emit_dot, load_grammar, serialize_grammar
 from .labeling import classes_for_colours, label_formula
 from .model import (
     CanonicalVertex,
+    Expansion,
     Grammar,
     GrammarError,
     checked_rules,
@@ -117,17 +120,34 @@ def _axiom_vertex(g: Grammar, name: str, parser: _Parser) -> str:
     return name
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+# lines `_write_out` joins and writes at a time
+_CHUNK_LINES = 4096
+
+
+def _write_out(lines: Iterable[str], path: str | None) -> None:
+    """Write `lines` joined by newlines, plus one newline unless the joined
+    text already ends in one, to `path` or else stdout. The lines are
+    rendered, joined and written a bounded chunk at a time, so the whole
+    text is never held in memory."""
     if path is None:
-        sys.stdout.write(text)
+        _stream(lines, sys.stdout)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _stream(lines, fh)
     except OSError as exc:
         raise _Failure(f"cannot write {path}: {exc}")
+
+
+def _stream(lines: Iterable[str], fh) -> None:
+    lines = iter(lines)
+    sep = tail = ""
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        text = sep + "\n".join(chunk)
+        fh.write(text)
+        sep, tail = "\n", text[-1:]
+    if tail != "\n":
+        fh.write("\n")
 
 
 def _report(args, record: dict, *lines: str) -> None:
@@ -166,15 +186,14 @@ def _cmd_validate(args, parser: _Parser) -> int:
 
 def _cmd_from_pds(args, parser: _Parser) -> int:
     g = _load(args.input, lambda path: to_grammar(load_pds(path)))
-    _write_out(serialize_grammar(g), args.output)
+    _write_out([serialize_grammar(g)], args.output)
     return 0
 
 
 def _cmd_gen_pcp(args, parser: _Parser) -> int:
     g, formula = encode(_load(args.input, load_pcp))
-    text = serialize_grammar(g)
-    text += f"\n# matching forks satisfy: {formula}\n"
-    _write_out(text, args.output)
+    _write_out([serialize_grammar(g), f"# matching forks satisfy: {formula}"],
+               args.output)
     return 0
 
 
@@ -201,54 +220,52 @@ def _cmd_expand(args, parser: _Parser) -> int:
         expansion = reachable_component(g, args.component, args.depth)
     else:
         expansion = expand(g, args.depth)
+    render = {"dot": emit_dot, "json-lines": _json_lines, "text": _text_lines}
+    _write_out(render[args.format](expansion), args.output)
+    return 0
+
+
+def _json_lines(expansion: Expansion) -> Iterator[str]:
+    """One record per vertex, arc and hyperarc. Each line equals
+    json.dumps(record, sort_keys=True); its pieces are encoded once per
+    class, colour set and label, and ids are ints, so "<id>" is their JSON."""
     graph, frontier = expansion.graph, expansion.frontier
     classes, levels = expansion.classes, expansion.levels
-
-    if args.format == "dot":
-        _write_out(emit_dot(expansion), args.output)
-        return 0
-
-    lines: list[str] = []
     colour_sets = graph.colour_sets()
-    if args.format == "json-lines":
-        # each line equals json.dumps(record, sort_keys=True); its pieces
-        # are encoded once per vertex, class, colour set and label
-        ids = {v: _json_str(str(v)) for v in graph.vertices}
-        head = _Fragments(
-            lambda can: f'{{"class": {_json_str(str(can))}, "colours": ')
-        marks = _Fragments(
-            lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
-        for v in graph.vertices:
-            lines.append(f'{head[classes[v]]}{marks[colour_sets[v]]}, "frontier": '
-                         f'{"true" if v in frontier else "false"}, "id": '
-                         f'{ids[v]}, "kind": "vertex", "level": {levels[v]}}}')
-        arc_head = _Fragments(
-            lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, '
-                          '"source": ')
-        for label, source, target in graph.arcs:
-            lines.append(f'{arc_head[label]}{ids[source]}, "target": '
-                         f'{ids[target]}}}')
-        for label, hvs in graph.hyperarcs:
-            lines.append(f'{{"kind": "hyperarc", "label": {_json_str(label)}, '
-                         f'"vertices": [{", ".join(ids[v] for v in hvs)}]}}')
-    else:
-        lines.append(
-            f"vertices={len(graph.vertices)} arcs={len(graph.arcs)} "
-            f"hyperarcs={len(graph.hyperarcs)} frontier={len(frontier)}"
-        )
-        for v in graph.vertices:
-            marks = ",".join(sorted(colour_sets.get(v, ())))
-            tag = " frontier" if v in frontier else ""
-            lines.append(
-                f"vertex {v} level={levels[v]} class={classes[v]}"
-                + (f" colours={marks}" if marks else "") + tag
-            )
-        for arc in graph.arcs:
-            lines.append(f"arc {arc.label} {arc.source} {arc.target}")
-        for h in graph.hyperarcs:
-            lines.append(f"hyperarc {h.label} " + " ".join(map(str, h.vertices)))
-    _write_out("\n".join(lines), args.output)
-    return 0
+    head = _Fragments(
+        lambda can: f'{{"class": {_json_str(str(can))}, "colours": ')
+    marks = _Fragments(
+        lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
+    for v in graph.vertices:
+        yield (f'{head[classes[v]]}{marks[colour_sets[v]]}, "frontier": '
+               f'{"true" if v in frontier else "false"}, "id": "{v}", '
+               f'"kind": "vertex", "level": {levels[v]}}}')
+    arc_head = _Fragments(
+        lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, "source": ')
+    for label, source, target in graph.arcs:
+        yield f'{arc_head[label]}"{source}", "target": "{target}"}}'
+    for label, hvs in graph.hyperarcs:
+        ids = ", ".join([f'"{v}"' for v in hvs])
+        yield (f'{{"kind": "hyperarc", "label": {_json_str(label)}, '
+               f'"vertices": [{ids}]}}')
+
+
+def _text_lines(expansion: Expansion) -> Iterator[str]:
+    """A count line, then one line per vertex, arc and hyperarc."""
+    graph, frontier = expansion.graph, expansion.frontier
+    classes, levels = expansion.classes, expansion.levels
+    colour_sets = graph.colour_sets()
+    yield (f"vertices={len(graph.vertices)} arcs={len(graph.arcs)} "
+           f"hyperarcs={len(graph.hyperarcs)} frontier={len(frontier)}")
+    for v in graph.vertices:
+        marks = ",".join(sorted(colour_sets.get(v, ())))
+        tag = " frontier" if v in frontier else ""
+        yield (f"vertex {v} level={levels[v]} class={classes[v]}"
+               + (f" colours={marks}" if marks else "") + tag)
+    for arc in graph.arcs:
+        yield f"arc {arc.label} {arc.source} {arc.target}"
+    for h in graph.hyperarcs:
+        yield f"hyperarc {h.label} " + " ".join(map(str, h.vertices))
 
 
 # -------------------------------------------------------------------- prob

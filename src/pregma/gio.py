@@ -25,6 +25,7 @@ explicit colour marks; serialisation writes them back out explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .model import Expansion, Grammar, Hypergraph, Rule, VertexId
 
@@ -253,31 +254,27 @@ def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def emit_dot(expansion: Expansion) -> str:
-    """Graphviz rendering of an expansion's graph: solid labelled arcs,
-    dashed numbered hyperarc legs, colour marks listed under each vertex
-    name, and each vertex's level and class as its tooltip."""
+def emit_dot(expansion: Expansion) -> Iterator[str]:
+    """Graphviz rendering of an expansion's graph, one line at a time:
+    solid labelled arcs, dashed numbered hyperarc legs, colour marks listed
+    under each vertex name, and each vertex's level and class as its
+    tooltip."""
     graph = expansion.graph
     colour_sets = graph.colour_sets()
-    out = ["digraph graph0 {", "  rankdir=LR;", '  node [shape=ellipse];']
+    yield from ("digraph graph0 {", "  rankdir=LR;", '  node [shape=ellipse];')
     for v in graph.vertices:
         label = str(v)
         cs = sorted(colour_sets.get(v, frozenset()))
         if cs:
             label += "\\n" + ",".join(cs)
-        out.append(f'  "{_esc(str(v))}" [label="{_esc(label)}", tooltip="level '
-                   f'{expansion.levels[v]}, from {expansion.classes[v]}"];')
+        yield (f'  "{_esc(str(v))}" [label="{_esc(label)}", tooltip="level '
+               f'{expansion.levels[v]}, from {expansion.classes[v]}"];')
     for arc in graph.arcs:
-        out.append(
-            f'  "{_esc(str(arc.source))}" -> "{_esc(str(arc.target))}" '
-            f'[label="{_esc(arc.label)}"];'
-        )
+        yield (f'  "{_esc(str(arc.source))}" -> "{_esc(str(arc.target))}" '
+               f'[label="{_esc(arc.label)}"];')
     for i, h in enumerate(graph.hyperarcs):
         hub = f"__hyperarc_{i}"
-        out.append(f'  "{hub}" [shape=box, style=dashed, label="{_esc(h.label)}"];')
+        yield f'  "{hub}" [shape=box, style=dashed, label="{_esc(h.label)}"];'
         for pos, v in enumerate(h.vertices, start=1):
-            out.append(
-                f'  "{hub}" -> "{_esc(str(v))}" [style=dashed, label="{pos}"];'
-            )
-    out.append("}")
-    return "\n".join(out) + "\n"
+            yield f'  "{hub}" -> "{_esc(str(v))}" [style=dashed, label="{pos}"];'
+    yield "}"

@@ -174,15 +174,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         elif not (type(start) is int and 0 <= start < len(trans)):
             return False  # until it resolves as FiniteMC.resolve will
         frontier = {v for _, vs in pending for v in vs}
-        phi1, phi2 = query.phi1, query.phi2
-
-        def won(s: int) -> bool:
-            return phi2 is None or not phi2.isdisjoint(colours[s])
-
-        def undecided(s: int) -> bool:
-            return not (s in frontier or won(s)) and (
-                phi1 is None or not phi1.isdisjoint(colours[s]))
-
+        won, undecided = _query_tests(query, colours, frontier)
         layers = _cone(trans, undecided, start, query.horizon)
         read += sum(map(len, layers))
         if _blocking(layers, frontier, won) is not None:
@@ -235,6 +227,24 @@ class PathQuery:
     horizon: int
 
 
+def _query_tests(query: PathQuery, colours: list[frozenset[str]],
+                 frontier: Collection[int],
+                 ) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
+    """The query's two tests on a state, reading only that state's colours:
+    won (it shows a phi2 colour) and undecided (alive, not won and not on
+    the frontier)."""
+    phi1, phi2 = query.phi1, query.phi2
+
+    def won(s: int) -> bool:
+        return phi2 is None or not phi2.isdisjoint(colours[s])
+
+    def undecided(s: int) -> bool:
+        return not (s in frontier or won(s)) and (
+            phi1 is None or not phi1.isdisjoint(colours[s]))
+
+    return won, undecided
+
+
 def _cone(trans: list[list[tuple[int, int]]], undecided: Callable[[int], bool],
           start: int, horizon: int) -> list[set[int]]:
     """The start's forward cone: layers[d] holds the states first reached in
@@ -279,14 +289,13 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     horizon - k steps of the start, since no other state's value reaches
     the start's in time. Values are integers over mc.den**k. Rejects the
     query when a frontier state that is not won lies in the cone, where the
-    truncation does not know its behaviour."""
-    win = _colour_mask(mc, query.phi2)
-    alive = _colour_mask(mc, query.phi1)
+    truncation does not know its behaviour. No state outside the cone is
+    read."""
+    won, undecided = _query_tests(query, mc.colours, mc.frontier)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    undecided = _undecided(mc, win, alive)
-    layers = _cone(mc.trans, undecided.__getitem__, start, horizon)
-    hit = _blocking(layers, mc.frontier, win.__getitem__)
+    layers = _cone(mc.trans, undecided, start, horizon)
+    hit = _blocking(layers, mc.frontier, won)
     if hit is not None:
         raise HorizonError(
             f"frontier vertex {mc.states[hit]}{mc.where(hit)} is within "
@@ -294,25 +303,25 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
         )
     # the cone in layer order: the states within d steps are a prefix
     order = [s for layer in layers for s in layer]
-    if not horizon or not undecided[start]:
+    if not horizon or not undecided(start):
         # no step is taken, so no den**horizon scale is needed
-        return Fraction(int(win[start]))
+        return Fraction(int(won(start)))
     pos = {s: i for i, s in enumerate(order)}
     within = list(accumulate(len(layer) for layer in layers))
     within += [len(order)] * (horizon + 1 - len(within))
     # steps start only within horizon - 1 steps of the start; won and dead
     # states keep empty rows, and the won ones are reset each step
     stepping = order[:within[horizon - 1]]
-    rows = [[(pos[t], w) for t, w in mc.trans[s]] if undecided[s] else []
+    rows = [[(pos[t], w) for t, w in mc.trans[s]] if undecided(s) else []
             for s in stepping]
-    prev = [int(win[s]) for s in order]
-    won = [i for i, v in enumerate(prev) if v]
+    prev = [int(won(s)) for s in order]
+    wins = [i for i, v in enumerate(prev) if v]
     scale = 1
     for k in range(1, horizon + 1):
         scale *= mc.den
         reach = within[horizon - k]
         cur = [sum(w * prev[j] for j, w in rows[i]) for i in range(reach)]
-        for i in won:
+        for i in wins:
             if i >= reach:
                 break
             cur[i] = scale

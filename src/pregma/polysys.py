@@ -526,8 +526,11 @@ def solve_enclosure(
             certify()
             if watched_width() <= eps:
                 break
-
-    if not exact:
+    else:
+        # the breaks leave lo exact or just certified: certification goes
+        # dependencies first and each component's first passing offset
+        # depends only on lo, its direction and the bounds below it, so a
+        # second run on the same lo would not change hi
         certify()
     converged = watched_width() <= eps
     return Enclosure(

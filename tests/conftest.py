@@ -1,8 +1,10 @@
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pregma.gio import load_grammar
+from pregma.gio import load_grammar, parse_grammar
 from pregma.pcp import load_pcp
 from pregma.pushdown import load_pds
 
@@ -54,6 +56,28 @@ def pcp_solvable():
 @pytest.fixture(scope="session")
 def pcp_unsolvable():
     return [load_pcp(CORPUS / f"pcp_u{i}.pcp") for i in (1, 2, 3)]
+
+
+@pytest.fixture(scope="session")
+def branching_walk():
+    """A seeded two-level walk: level i climbs from its input `lo` with u<i>
+    to two fresh vertices, each stepping back down with d<i> and carrying the
+    next level's hyperarc; the axiom's m0 steps down to the green base."""
+    rng = random.Random(7)
+    d = [Fraction(rng.randrange(17, 28, 2), 128) for _ in range(2)]
+    lines = ["nonterminal Z 0", "nonterminal W0 1", "nonterminal W1 1"]
+    lines += [f"terminal {lab}{i} 2" for i in range(2) for lab in "ud"]
+    lines += ["colour green", "absorbing green", "axiom Z"]
+    for i in range(2):
+        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / 2}"]
+    lines += ["rule Z", "  vertex base m0", "  colour green base",
+              "  arc d1 m0 base", "  hyperarc W0 m0"]
+    for i in range(2):
+        lines += [f"rule W{i} inputs lo", "  vertex h0 h1"]
+        for h in ("h0", "h1"):
+            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
+                      f"  hyperarc W{1 - i} {h}"]
+    return parse_grammar("\n".join(lines) + "\n")
 
 
 _DEEP_DEFECT = """\

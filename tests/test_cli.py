@@ -3,15 +3,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import pregma
+from pregma import cli
 from pregma.cli import _build_parser, main
-from pregma.gio import load_grammar
-from pregma.model import expand, validate_grammar
+from pregma.gio import emit_dot, load_grammar, serialize_grammar
+from pregma.model import expand, reachable_component, validate_grammar
+from pregma.pcp import encode, load_pcp
+from pregma.pushdown import load_pds, to_grammar
 
 F = Fraction
 
@@ -574,6 +578,37 @@ rule Wé"\ inputs s
 """
 
 
+def rendering(e, fmt):
+    """The lines `expand` prints for the expansion `e`, built here from its
+    graph: json-lines as sorted-key dumps of each record, text line by line,
+    and dot as `emit_dot` renders it."""
+    if fmt == "dot":
+        return list(emit_dot(e))
+    colours = e.graph.colour_sets()
+    if fmt == "text":
+        lines = [f"vertices={len(e.graph.vertices)} arcs={len(e.graph.arcs)} "
+                 f"hyperarcs={len(e.graph.hyperarcs)} frontier={len(e.frontier)}"]
+        for v in e.graph.vertices:
+            marks = ",".join(sorted(colours[v]))
+            lines.append(f"vertex {v} level={e.levels[v]} class={e.classes[v]}"
+                         + (f" colours={marks}" if marks else "")
+                         + (" frontier" if v in e.frontier else ""))
+        lines += [f"arc {a.label} {a.source} {a.target}" for a in e.graph.arcs]
+        lines += [f"hyperarc {h.label} " + " ".join(map(str, h.vertices))
+                  for h in e.graph.hyperarcs]
+        return lines
+    records = [{"kind": "vertex", "id": str(v), "level": e.levels[v],
+                "class": f"{e.classes[v].rule}:{e.classes[v].vertex}",
+                "colours": sorted(colours[v]), "frontier": v in e.frontier}
+               for v in e.graph.vertices]
+    records += [{"kind": "arc", "label": a.label, "source": str(a.source),
+                 "target": str(a.target)} for a in e.graph.arcs]
+    records += [{"kind": "hyperarc", "label": h.label,
+                 "vertices": [str(v) for v in h.vertices]}
+                for h in e.graph.hyperarcs]
+    return [json.dumps(r, sort_keys=True) for r in records]
+
+
 def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
     odd = tmp_path / "odd.gg"
     odd.write_text(ODD_NAMES, encoding="utf-8")
@@ -582,20 +617,112 @@ def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
             "expand", path, "--depth", str(depth), "--format", "json-lines"])
         assert code == 0
         e = expand(load_grammar(path), depth)
-        colours = e.graph.colour_sets()
-        records = [{"kind": "vertex", "id": str(v), "level": e.levels[v],
-                    "class": f"{e.classes[v].rule}:{e.classes[v].vertex}",
-                    "colours": sorted(colours[v]), "frontier": v in e.frontier}
-                   for v in e.graph.vertices]
-        records += [{"kind": "arc", "label": a.label, "source": str(a.source),
-                     "target": str(a.target)} for a in e.graph.arcs]
-        records += [{"kind": "hyperarc", "label": h.label,
-                     "vertices": [str(v) for v in h.vertices]}
-                    for h in e.graph.hyperarcs]
-        assert out.splitlines() == [json.dumps(r, sort_keys=True)
-                                    for r in records]
+        assert out.splitlines() == rendering(e, "json-lines")
     for escaped in ('\\u00e9', '\\"', '\\\\'):
         assert escaped in out
+
+
+def corpus_grammar_files(corpus_dir, tmp_path):
+    """Every corpus grammar: the .gg files, and each .pds and .pcp input
+    converted by `from-pds` and `gen-pcp`, whose stdout and -o file must
+    both be the serialised grammar."""
+    paths = sorted(corpus_dir.glob("*.gg"))
+    for pattern, command in (("*.pds", "from-pds"), ("*.pcp", "gen-pcp")):
+        for source in sorted(corpus_dir.glob(pattern)):
+            if command == "from-pds":
+                expected = serialize_grammar(to_grammar(load_pds(source)))
+            else:
+                g, formula = encode(load_pcp(source))
+                expected = (serialize_grammar(g)
+                            + f"\n# matching forks satisfy: {formula}\n")
+            path = tmp_path / f"{source.stem}.gg"
+            assert run([command, str(source)]) == (0, expected, "")
+            assert run([command, str(source), "-o", str(path)]) == (0, "", "")
+            assert path.read_bytes() == expected.encode()
+            paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "dot"])
+def test_expand_streams_the_joined_rendering(corpus_dir, tmp_path, monkeypatch,
+                                             fmt):
+    # three lines a chunk put chunk boundaries all through every output
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 3)
+    out_path = tmp_path / "out"
+    for path in corpus_grammar_files(corpus_dir, tmp_path):
+        g = load_grammar(path)
+        first = g.axiom_rule().rhs.vertices[0]
+        for depth in range(6):
+            for component in (None, first):
+                argv = ["expand", str(path), "--depth", str(depth),
+                        "--format", fmt]
+                if component is None:
+                    e = expand(g, depth)
+                else:
+                    argv += ["--component", first]
+                    e = reachable_component(g, first, depth)
+                expected = "\n".join(rendering(e, fmt)) + "\n"
+                assert run(argv) == (0, expected, ""), argv
+                assert run(argv + ["-o", str(out_path)]) == (0, "", ""), argv
+                assert out_path.read_bytes() == expected.encode(), argv
+
+
+@pytest.mark.parametrize("lines", [
+    [], [""], ["a"], ["a", "b", "c"], ["a", "b", "c", "d"],
+    ["a", "b", "c", "d", "e", "f"], ["a", "b", "c\n"], ["a", "b", "c", "d\n"],
+    ["a", "b", "c", ""], ["a", "b", "c", "", ""], ["a\n", "b"], ["é", "ü\n"],
+], ids=lambda lines: repr(lines))
+def test_write_out_chunks_give_the_joined_text(lines, tmp_path, capsys,
+                                               monkeypatch):
+    """Lines joined by newlines, with one newline added unless the text
+    already ends in one: 0 lines, one chunk exactly, one chunk plus a line,
+    and lines that bring their own newline across a chunk boundary."""
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 3)
+    text = "\n".join(lines)
+    expected = text if text.endswith("\n") else text + "\n"
+    cli._write_out(iter(lines), None)
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out"
+    cli._write_out(iter(lines), str(path))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_expand_output_of_no_lines_or_one_chunk(corpus_dir, tmp_path,
+                                                monkeypatch):
+    empty = tmp_path / "empty.gg"
+    empty.write_text("nonterminal Z 0\naxiom Z\n\nrule Z\n")
+    assert run(["expand", str(empty), "--depth", "0", "--format",
+                "json-lines"]) == (0, "\n", "")
+    argv = ["expand", gg(corpus_dir, "running.gg"), "--depth", "3"]
+    code, whole, _ = run(argv)
+    n = len(whole.splitlines())
+    for chunk in (n, n - 1, 1):  # one chunk, one chunk plus a line, per line
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+        assert run(argv) == (0, whole, "")
+
+
+def test_expand_memory_is_the_expansions_not_its_texts(branching_walk,
+                                                       tmp_path):
+    """Writing a depth-12 walk's json-lines adds less than 1.5 times the
+    written file to the peak that `expand` itself reaches: the text is
+    written as it is rendered, never held whole."""
+    path, out = tmp_path / "walk.gg", tmp_path / "walk.jsonl"
+    path.write_text(serialize_grammar(branching_walk))
+    argv = ["expand", str(path), "--depth", "12", "--format", "json-lines",
+            "-o", str(out)]
+    assert main(argv[:3] + ["1"] + argv[4:]) == 0  # build the parser first
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    expand_peak = peak(lambda: expand(branching_walk, 12))
+    cli_peak = peak(lambda: main(argv))
+    assert cli_peak - expand_peak < 1.5 * out.stat().st_size
 
 
 def test_expand_dot_and_component(corpus_dir):

@@ -184,7 +184,7 @@ def test_default_colour_expands_to_explicit_marks(running):
 
 def test_emit_dot_mentions_levels(running):
     e = expand(running, 2)
-    dot = emit_dot(e)
+    dot = "\n".join(emit_dot(e))
     assert dot.startswith("digraph")
     assert "level" in dot
     legs = sum(len(h.vertices) for h in e.graph.hyperarcs)

@@ -1,4 +1,3 @@
-import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +13,7 @@ from pregma.oracle import (
     PathQuery,
     TotalityError,
     _colour_mask,
+    _cone,
     _threshold_tables,
     bounded_until,
     integer_weights,
@@ -174,28 +174,6 @@ def full_sweep(mc, query):
     return prev[mc.resolve(query.start)]
 
 
-@pytest.fixture(scope="module")
-def branching_walk():
-    """A seeded two-level walk: level i climbs from its input `lo` with u<i>
-    to two fresh vertices, each stepping back down with d<i> and carrying the
-    next level's hyperarc; the axiom's m0 steps down to the green base."""
-    rng = random.Random(7)
-    d = [Fraction(rng.randrange(17, 28, 2), 128) for _ in range(2)]
-    lines = ["nonterminal Z 0", "nonterminal W0 1", "nonterminal W1 1"]
-    lines += [f"terminal {lab}{i} 2" for i in range(2) for lab in "ud"]
-    lines += ["colour green", "absorbing green", "axiom Z"]
-    for i in range(2):
-        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / 2}"]
-    lines += ["rule Z", "  vertex base m0", "  colour green base",
-              "  arc d1 m0 base", "  hyperarc W0 m0"]
-    for i in range(2):
-        lines += [f"rule W{i} inputs lo", "  vertex h0 h1"]
-        for h in ("h0", "h1"):
-            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
-                      f"  hyperarc W{1 - i} {h}"]
-    return parse_grammar("\n".join(lines) + "\n")
-
-
 def test_bounded_until_matches_the_full_sweep(running, dag, updrift,
                                                branching_walk, pds_prob):
     cases = [(truncate(g, 14), phi1, frozenset({phi2}), start)
@@ -258,6 +236,52 @@ def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
             trans[s] = Unreadable()
         assert bounded_until(replace(mc, trans=trans), query) \
             == full_sweep(mc, query)
+
+
+class Recording(list):
+    """A list that records the index of every item read, iteration
+    included."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
+                                                      branching_walk,
+                                                      corpus_dir):
+    gadget, _ = encode(load_pcp(corpus_dir / "pcp_s2.pcp"))
+    cases = [(running, V1, V2, "v0", 14, range(0, 14, 3)),
+             (updrift, None, frozenset({"green"}), "m0", 14, range(0, 14, 3)),
+             (branching_walk, None, frozenset({"green"}), "m0", 8, range(10)),
+             (gadget, None, frozenset({"green"}), "vgate", 10, range(9))]
+    for g, phi1, phi2, start, depth, horizons in cases:
+        mc = truncate(g, depth)
+        for h in horizons:
+            query = PathQuery(phi1, phi2, start, h)
+            colours = Recording(mc.colours)
+            try:
+                value = bounded_until(replace(mc, colours=colours), query)
+            except HorizonError:
+                value = None
+            else:
+                assert value == bounded_until(mc, query)
+
+            def undecided(s):
+                cs = mc.colours[s]
+                return s not in mc.frontier and not (phi2 & cs) and (
+                    phi1 is None or bool(phi1 & cs))
+
+            layers = _cone(mc.trans, undecided, mc.resolve(start), h)
+            assert colours.read <= set().union(*layers), (start, h, value)
 
 
 @pytest.fixture(scope="module")
