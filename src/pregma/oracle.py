@@ -12,11 +12,12 @@ guessing. Marked absorbing sinks get an explicit probability-1 self-loop so
 the truncation is a genuine Markov chain.
 
 Transition rows hold integer weights over one denominator, the lcm of mu's
-denominators. Both the exact bounded sweep and the sampler walk only the
+denominators. Both the exact bounded sweep and the sampler read only the
 start's horizon cone, the states a path can reach in time while undecided:
 the sweep runs in integers over powers of that denominator, and the sampler
-ends each trajectory as soon as it can no longer hit or escape. numpy
-serves the sampler alone and is imported only when it runs.
+gives each cone state one fate and takes each step as one lookup in a table
+of cut points, ending each trajectory as soon as it can no longer hit or
+escape. numpy serves the sampler alone and is imported only when it runs.
 
 Once the horizon cone holds no frontier state that is not won, deeper
 levels can no longer change the answer, so a truncation made for a query
@@ -51,23 +52,6 @@ class TotalityError(GrammarError):
 
 class HorizonError(ValueError):
     """The requested horizon can see past the truncation depth."""
-
-
-def _colour_mask(mc: FiniteMC, names: frozenset[str] | None) -> list[bool]:
-    """Boolean per state; names=None means "every state"."""
-    if names is None:
-        return [True] * len(mc.states)
-    # states share their colour sets, so test each distinct set once
-    meets = {cs: bool(cs & names) for cs in set(mc.colours)}
-    return [meets[cs] for cs in mc.colours]
-
-
-def _undecided(mc: FiniteMC, win: list[bool], alive: list[bool]) -> list[bool]:
-    """Per state: alive, not won and not on the frontier."""
-    undecided = [a and not w for a, w in zip(alive, win)]
-    for s in mc.frontier:
-        undecided[s] = False
-    return undecided
 
 
 def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int]]:
@@ -371,8 +355,12 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     on a state from which no win or frontier state can be reached inside
     the cone, so the loop ends once no trajectory can still hit or escape;
     draws are counter-based, so hits and escapes stay as if it walked on.
-    Cut tables are built only for the stepping states that can still hit
-    or escape.
+
+    Only the start's horizon cone is read, in positions of its own: each
+    cone state gets one fate (steps on, hit, miss or escape), and each
+    state a trajectory can step from gets one row of cut points, padded to
+    the widest row, so a step is one table lookup per trajectory. No state
+    outside the cone is read.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
@@ -382,74 +370,54 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
 
     from .rng import draw_array
 
-    win = _colour_mask(mc, query.phi2)
-    alive = _colour_mask(mc, query.phi1)
+    won, undecided = _query_tests(query, mc.colours, mc.frontier)
     start = mc.resolve(query.start)
-    undecided = _undecided(mc, win, alive)
-    layers = _cone(mc.trans, undecided.__getitem__, start, query.horizon)
-    stepping = [s for layer in layers[:query.horizon] for s in layer
-                if undecided[s]]
+    horizon = query.horizon
+    layers = _cone(mc.trans, undecided, start, horizon)
+    stepping = [s for layer in layers[:horizon] for s in layer if undecided(s)]
     # walk back from the cone's won and frontier states through the
     # stepping states: a trajectory anywhere else can only miss
     preds: dict[int, list[int]] = {}
     for s in stepping:
         for t, _ in mc.trans[s]:
             preds.setdefault(t, []).append(s)
-    hopeful = reach([s for layer in layers for s in layer
-                     if win[s] or s in mc.frontier],
+    # one fate per cone state: 0 steps on, 1 hit, 2 miss, 3 escape
+    fates = {s: 1 if won(s) else 3 if s in mc.frontier else 2
+             for layer in layers for s in layer}
+    hopeful = reach([s for s, f in fates.items() if f != 2],
                     lambda t: preds.get(t, ()))
-    misses = [not a for a in alive]
-    for s in stepping:
-        if s not in hopeful:
-            misses[s] = True
-    cuts, targets = _threshold_tables(
-        mc, [s for s in stepping if s in hopeful])
-    cuts = {s: np.array(c, dtype=np.uint64) for s, c in cuts.items()}
-    targets = {s: np.array(t, dtype=np.int64) for s, t in targets.items()}
-    fmask = np.zeros(len(mc.states), dtype=bool)
-    fmask[list(mc.frontier)] = True
-    win, misses = np.array(win), np.array(misses)
+    moving = [s for s in stepping if s in hopeful]
+    fates.update(dict.fromkeys(moving, 0))
+    # positions: the states that step on first, in the rows of the tables
+    order = moving + [s for s, f in fates.items() if f]
+    pos = {s: i for i, s in enumerate(order)}
+    fate = np.array([fates[s] for s in order], dtype=np.int8)
+    # row i: state i's cuts padded with 2^64 - 1 to the widest row, and its
+    # targets' positions; a padding cut counts only when the draw is
+    # 2^64 - 1, where every real cut counts too, so clamping to the last
+    # target gives what a search of the real cuts gives
+    cuts, targets = _threshold_tables(mc, moving)
+    width = max(map(len, cuts.values()), default=0)
+    cut = np.array([c + [(1 << 64) - 1] * (width - len(c))
+                    for c in cuts.values()], dtype=np.uint64)
+    to = np.array([[pos[t] for t in ts] + [0] * (width + 1 - len(ts))
+                   for ts in targets.values()], dtype=np.int64)
+    last = np.array([len(c) for c in cuts.values()], dtype=np.int64)
 
-    cur = np.full(n, start, dtype=np.int64)
-    # 0 active, 1 hit, 2 miss, 3 escape
     status = np.zeros(n, dtype=np.int8)
-
-    for step in range(query.horizon + 1):
-        active = status == 0
-        if not active.any():
+    traj = np.arange(n)  # the trajectories still walking, at positions cur
+    cur = np.full(n, pos[start], dtype=np.int64)
+    for step in range(horizon + 1):
+        here = fate[cur]
+        status[traj] = here
+        walking = here == 0
+        traj, cur = traj[walking], cur[walking]
+        if step == horizon or not len(traj):
             break
-        here = cur[active]
-        decided = np.zeros(len(here), dtype=np.int8)
-        decided[win[here]] = 1
-        esc = fmask[here] & (decided == 0)
-        decided[esc] = 3
-        dead = misses[here] & (decided == 0)
-        decided[dead] = 2
-        status[np.flatnonzero(active)] = decided
-        if step == query.horizon:
-            idx = np.flatnonzero(active)
-            status[idx[decided == 0]] = 2
-            break
-
-        moving = status == 0
-        if not moving.any():
-            break
-        traj = np.flatnonzero(moving)
         ks = np.uint64(step) * np.uint64(n) + traj.astype(np.uint64)
         rand = draw_array(seed, ks)
-        # group the moving trajectories by the state they step from
-        order = np.argsort(cur[traj])
-        traj, rand = traj[order], rand[order]
-        src = cur[traj]
-        sources, firsts = np.unique(src, return_index=True)
-        ends = [*firsts[1:].tolist(), len(traj)]
-        for s, a, b in zip(sources.tolist(), firsts.tolist(), ends):
-            slot = np.searchsorted(cuts[s], rand[a:b], side="right")
-            cur[traj[a:b]] = targets[s][slot]
-
-    return SampleResult(
-        hits=int((status == 1).sum()),
-        misses=int((status == 2).sum()),
-        escapes=int((status == 3).sum()),
-        n=n,
-    )
+        slot = np.minimum((cut[cur] <= rand[:, None]).sum(1), last[cur])
+        cur = to[cur, slot]
+    status[traj] = 2  # still walking at the horizon
+    _, hits, misses, escapes = np.bincount(status, minlength=4).tolist()
+    return SampleResult(hits=hits, misses=misses, escapes=escapes, n=n)

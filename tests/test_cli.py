@@ -509,6 +509,25 @@ def test_bad_files_give_one_diagnostic_and_exit_1(corpus_dir, tmp_path, argv, ki
     assert "Traceback" not in err
 
 
+ALLOCATION = ("Unable to allocate 7.28 TiB for an array with shape "
+              "(1000000000000,) and data type int64")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(ALLOCATION), f"out of memory: {ALLOCATION}"),
+    (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_1_with_one_line(corpus_dir, monkeypatch,
+                                                     exc, line):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr("pregma.cli.sample_until", exhausted)
+    code, out, err = run(["prob", gg(corpus_dir, "running.gg"), "--phi1", "V1",
+                          "--phi2", "V2", "--from", "v0", "--method", "sample",
+                          "--horizon", "6", "--n", "1000000000000"])
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 def test_check_at_is_validated_before_labelling(corpus_dir, monkeypatch):
     def no_labelling(*args, **kwargs):
         raise AssertionError("labelled before --at was checked")

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
+import numpy as np
 import pytest
 
 from pregma.gio import parse_grammar
@@ -12,7 +13,6 @@ from pregma.oracle import (
     HorizonError,
     PathQuery,
     TotalityError,
-    _colour_mask,
     _cone,
     _threshold_tables,
     bounded_until,
@@ -33,13 +33,18 @@ def q(h, phi1=V1, phi2=V2):
     return PathQuery(phi1, phi2, "v0", h)
 
 
+def mask(mc, names):
+    """Per state: whether it shows a colour of `names` (None: every state)."""
+    return [names is None or bool(cs & names) for cs in mc.colours]
+
+
 def test_truncate_state_count(running):
     mc = truncate(running, 8)
     # 2 axiom vertices plus 4 per level
     assert len(mc.states) == 34
     assert len(mc.trans) == 34
-    assert sum(_colour_mask(mc, V2)) == 8
-    assert all(_colour_mask(mc, None))
+    assert sum(mask(mc, V2)) == 8
+    assert all(mask(mc, None))
 
 
 def test_truncate_gives_sinks_self_loops(running):
@@ -163,9 +168,37 @@ def test_sample_until_ends_hopeless_trajectories(running, monkeypatch):
     assert runs[0][1] < 2000
 
 
+def test_sample_until_steps_on_the_cut_points(monkeypatch):
+    # s steps to x, y and z with 1/4, 1/4 and 1/2, so its cuts are c1 = 2^62
+    # and c2 = 2^63; p's one arc has no cut, and its row is padded to s's
+    # width. A draw r takes the first target whose cut exceeds r, and the
+    # draw 2^64 - 1 takes the last target of a row, padded or not
+    g = parse_grammar(
+        "nonterminal Z 0\nterminal a 2\nterminal b 2\nterminal c 2\n"
+        "terminal e 2\ncolour x\ncolour y\ncolour z\nabsorbing x\n"
+        "absorbing y\nabsorbing z\nprob a 1/4\nprob b 1/4\nprob c 1/2\n"
+        "prob e 1\naxiom Z\nrule Z\n  vertex p s u v w\n  arc e p s\n"
+        "  arc a s u\n  arc b s v\n  arc c s w\n  colour x u\n"
+        "  colour y v\n  colour z w\n")
+    c1, c2 = 1 << 62, 1 << 63
+    draws = np.array([0, c1 - 1, c1, c2 - 1, c2, (1 << 64) - 1], dtype=np.uint64)
+
+    def fixed(seed, ks):
+        assert len(ks) == len(draws)
+        return draws
+
+    monkeypatch.setattr("pregma.rng.draw_array", fixed)
+    mc = truncate(g, 0)
+    for start, h in [("s", 1), ("p", 2)]:
+        for colour in "xyz":
+            res = sample_until(mc, PathQuery(None, frozenset({colour}), start, h),
+                               len(draws), 0)
+            assert (res.hits, res.misses, res.escapes) == (2, 4, 0), (start, colour)
+
+
 def full_sweep(mc, query):
     """Reference: the plain Fraction sweep over every state at every step."""
-    win, alive = _colour_mask(mc, query.phi2), _colour_mask(mc, query.phi1)
+    win, alive = mask(mc, query.phi2), mask(mc, query.phi1)
     prev = [Fraction(int(w)) for w in win]
     for _ in range(query.horizon):
         prev = [Fraction(1) if win[s] else Fraction(0) if not alive[s] else
@@ -282,6 +315,12 @@ def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
 
             layers = _cone(mc.trans, undecided, mc.resolve(start), h)
             assert colours.read <= set().union(*layers), (start, h, value)
+            # the sampler reads the same colours, frontier or not
+            colours = Recording(mc.colours)
+            a = sample_until(replace(mc, colours=colours), query, 300, 5)
+            b = sample_until(mc, query, 300, 5)
+            assert (a.hits, a.misses, a.escapes) == (b.hits, b.misses, b.escapes)
+            assert colours.read <= set().union(*layers), (start, h)
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +475,7 @@ def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
                         (branching_walk, 8, 5), (branching_walk, 8, 11)]:
         mc = truncate(g, depth)
         query = PathQuery(None, frozenset({"green"}), "m0", h)
-        win = _colour_mask(mc, query.phi2)
+        win = mask(mc, query.phi2)
 
         def undecided(s):
             return not win[s] and s not in mc.frontier
