@@ -296,12 +296,11 @@ def _cmd_prob(args, parser: _Parser) -> int:
                 _report(args, {"kind": "pin", "variable": variable, "value": str(value)},
                         f"pin {variable} = {value}")
             system = assembly.system
-            if args.format == "json-lines":
-                for key in system.variables:
-                    _report(args, {"kind": "equation", "variable": render_key(key),
-                                   "rhs": system.render_rhs(key, render_key)})
-            else:
-                print(system.render(render_key))
+            for key in system.variables:
+                variable = render_key(key)
+                rhs = system.render_rhs(key, render_key)
+                _report(args, {"kind": "equation", "variable": variable, "rhs": rhs},
+                        f"{variable} = {rhs}")
         lo, hi = axiom_probability(enc, g, args.start)
         state = "exact" if enc.exact else (
             "converged" if enc.converged else "not converged"
@@ -361,7 +360,7 @@ def _cmd_check(args, parser: _Parser) -> int:
         parser.error("--qualitative requires every threshold to be 0 or 1")
     if args.at is not None:
         _axiom_vertex(g, args.at, parser)
-    labelling = label_formula(g, formula, eps=args.eps)
+    verdicts = label_formula(g, formula, eps=args.eps)
 
     def show(line: str, interval, record: dict) -> None:
         """One verdict, with its enclosure when it has one."""
@@ -371,19 +370,19 @@ def _cmd_check(args, parser: _Parser) -> int:
         _report(args, record, line)
 
     if args.emit_coloured:
-        for can, verdict in labelling.verdicts.items():
+        for can, verdict in verdicts.items():
             show(f"class={can} verdict={verdict.status}", verdict.interval,
                  {"kind": "class-verdict", "class": str(can),
                   "status": verdict.status})
 
     if args.at is not None:
         can = CanonicalVertex(g.axiom, args.at)
-        verdict = labelling.at(can)
+        verdict = verdicts[can]
         show(verdict.status, verdict.interval,
              {"kind": "verdict", "at": args.at, "status": verdict.status})
         return _EXIT_BY_STATUS[verdict.status]
 
-    statuses = {v.status for v in labelling.verdicts.values()}
+    statuses = {v.status for v in verdicts.values()}
     if statuses <= {"holds"}:
         overall = "holds"
     elif "fails" in statuses:

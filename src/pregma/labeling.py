@@ -38,14 +38,6 @@ class Verdict:
     interval: tuple[Fraction, Fraction] | None = None
 
 
-@dataclass
-class Labelling:
-    verdicts: dict[CanonicalVertex, Verdict]
-
-    def at(self, can: CanonicalVertex) -> Verdict:
-        return self.verdicts[can]
-
-
 def classes_for_colours(
     an: Analysis, names: frozenset[str] | None
 ) -> frozenset[CanonicalVertex]:
@@ -190,8 +182,7 @@ def label_formula(
     g: Grammar,
     formula: Formula,
     eps: Fraction = Fraction(1, 10**6),
-) -> Labelling:
+) -> dict[CanonicalVertex, Verdict]:
     ev = _Evaluator(analyse(g), eps)
     statuses, intervals = ev.eval(formula)
-    verdicts = {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
-    return Labelling(verdicts)
+    return {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}

@@ -308,20 +308,15 @@ class Expansion:
     axiom_ids: dict[VertexId, int]
     frontier: frozenset[int]
 
-    def axiom_vertex(self, name: VertexId) -> int:
-        return named_vertex(self.axiom_ids, name)
-
 
 @dataclass
 class FiniteMC:
-    """A finite Markov chain. trans[i] lists state i's steps as (target,
-    weight) int pairs: a step's probability is weight / den, den being the
-    lcm of mu's denominators. Frontier states have incomplete rows. A
-    truncation also gives each state's class and level, and maps the axiom
-    rule's vertex names to states."""
+    """A finite Markov chain on the states 0..n-1. trans[i] lists state i's
+    steps as (target, weight) int pairs: a step's probability is weight /
+    den, den being the lcm of mu's denominators. Frontier states have
+    incomplete rows. A truncation also gives each state's class and level,
+    and maps the axiom rule's vertex names to states."""
 
-    states: list[Any]
-    index: dict[Any, int]
     trans: list[list[tuple[int, int]]]
     den: int
     colours: list[frozenset[str]]
@@ -330,13 +325,17 @@ class FiniteMC:
     levels: list[int] | None = None
     axiom_ids: dict[VertexId, int] | None = None
 
+    @property
+    def states(self) -> range:
+        return range(len(self.trans))
+
     def resolve(self, start: Any) -> int:
         """Accept a state id or an axiom-rule vertex name."""
-        if start in self.index:
-            return self.index[start]
+        if type(start) is int and 0 <= start < len(self.trans):
+            return start
         if self.axiom_ids is None:
             raise KeyError(start)
-        return self.index[named_vertex(self.axiom_ids, start)]
+        return named_vertex(self.axiom_ids, start)
 
     def where(self, i: int) -> str:
         """The " (class C, level L)" that error messages give after a
@@ -446,7 +445,7 @@ def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
     the axiom-rule vertex named `start`: its vertices, arcs and colours, the
     hyperarcs lying wholly inside it, and its part of the frontier."""
     expansion = expand(g, depth)
-    ids = component_ids(expansion, expansion.axiom_vertex(start))
+    ids = component_ids(expansion, named_vertex(expansion.axiom_ids, start))
     graph = expansion.graph
     sub = Hypergraph(
         vertices=[v for v in graph.vertices if v in ids],

@@ -190,9 +190,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    states = list(range(len(trans)))
-    mc = FiniteMC(states, dict(zip(states, states)), trans, den, colours,
-                  frontier, classes, levels, axiom_ids)
+    mc = FiniteMC(trans, den, colours, frontier, classes, levels, axiom_ids)
     for i, row in enumerate(trans):
         if i not in frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
@@ -282,7 +280,7 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     hit = _blocking(layers, mc.frontier, won)
     if hit is not None:
         raise HorizonError(
-            f"frontier vertex {mc.states[hit]}{mc.where(hit)} is within "
+            f"frontier vertex {hit}{mc.where(hit)} is within "
             f"{horizon} steps of the start; deepen the truncation"
         )
     # the cone in layer order: the states within d steps are a prefix

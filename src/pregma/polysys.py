@@ -115,10 +115,6 @@ class PolySystem:
         self._positive = frozenset(pos)
         return self._positive
 
-    def render(self, name: Callable[[Key], str] = str) -> str:
-        return "\n".join(f"{name(key)} = {self.render_rhs(key, name)}"
-                         for key in self.variables)
-
     def render_rhs(self, key: Key, name: Callable[[Key], str] = str) -> str:
         terms = self.equations[key]
         if not terms:

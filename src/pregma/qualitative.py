@@ -64,16 +64,6 @@ def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, 
     return table
 
 
-def _membership3(an: Analysis, target: Binding,
-                 inside: frozenset[CanonicalVertex]) -> bool | None:
-    sites = _sites(an, target)
-    if sites <= inside:
-        return True
-    if not (sites & inside):
-        return False
-    return None
-
-
 def next_qualitative(
     an: Analysis,
     targets: frozenset[CanonicalVertex],
@@ -93,10 +83,11 @@ def next_qualitative(
         mass_lo = ZERO
         mass_hi = ZERO
         for p, target in succs:
-            if _membership3(an, target, targets) is True:
+            sites = _sites(an, target)
+            if sites <= targets:
                 mass_lo += p
                 mass_hi += p
-            elif _membership3(an, target, over) is not False:
+            elif sites & over:
                 mass_hi += p
         out[can] = decide_threshold((mass_lo, mass_hi), cmp, rho)
     return out

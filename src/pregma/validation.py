@@ -108,12 +108,7 @@ class DegreeProfile:
         """Σ μ(label) · count, or None when some label occurs infinitely."""
         if self.infinite:
             return None
-        out = Fraction(0)
-        for label, n in self.finite:
-            if label not in mu:
-                raise KeyError(label)
-            out += mu[label] * n
-        return out
+        return sum([mu[label] * n for label, n in self.finite], Fraction(0))
 
     def __str__(self) -> str:
         parts = [f"{label}:{n}" for label, n in self.finite]

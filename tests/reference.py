@@ -174,7 +174,10 @@ def successors(p: PushdownSystem, w: Word) -> list[tuple[str, Word]]:
 
 def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
     """Markov chain of configurations reachable from `start` in <= steps
-    rewritings, straight from the suffix rules (no grammar involved).
+    rewritings, straight from the suffix rules (no grammar involved). State
+    i is the i-th configuration discovered, breadth first; axiom_ids maps
+    each configuration's name to its state, so queries can start from a
+    name.
 
     States at exactly `steps` rewritings form the frontier. Sinks self-loop
     when a sink colour is declared, mirroring the absorbing convention."""
@@ -196,13 +199,11 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
                     nxt.append(target)
         layer = nxt
 
-    states = [name(w) for w in seen]
-    index = {s: i for i, s in enumerate(states)}
+    index = {name(w): i for i, w in enumerate(seen)}
     trans: list[list[tuple[int, int]]] = []
     colours: list[frozenset[str]] = []
     frontier: set[int] = set()
-    for w in seen:
-        i = index[name(w)]
+    for i, w in enumerate(seen):
         succ = successors(p, w)
         if seen[w] >= steps and succ:
             frontier.add(i)
@@ -221,8 +222,8 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
             )
         trans.append(row)
         colours.append(frozenset())
-    return FiniteMC(states=states, index=index, trans=trans, den=den,
-                    colours=colours, frontier=frozenset(frontier))
+    return FiniteMC(trans=trans, den=den, colours=colours,
+                    frontier=frozenset(frontier), axiom_ids=index)
 
 
 def mix64(z: int) -> int:

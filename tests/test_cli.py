@@ -217,13 +217,14 @@ def test_prob_emit_system_json_lines_is_one_record_per_line(corpus_dir, tmp_path
     assert run(["from-pds", gg(corpus_dir, "pds_example_prob.pds"),
                 "-o", str(converted)])[0] == 0
     running = gg(corpus_dir, "running.gg")
-    # the second query pins every variable, so its text run prints an empty
-    # system: one empty line between the pins and the enclosure
+    # the second query pins every variable: its text run prints the pins,
+    # no equation and no empty line
     for argv in (["prob", running, "--phi2", "V2", "--from", "v0"],
                  ["prob", running, "--phi2", "tt", "--from", "v0"],
                  ["prob", str(converted), "--phi2", "halt", "--from", "r"]):
         code, text, err = run([*argv, "--emit-system"])
         assert code == 0 and err == ""
+        assert "" not in text.splitlines()
         code, out, err = run([*argv, "--emit-system", "--format", "json-lines"])
         assert code == 0 and err == ""
         records = [json.loads(line) for line in out.splitlines()]
@@ -231,7 +232,7 @@ def test_prob_emit_system_json_lines_is_one_record_per_line(corpus_dir, tmp_path
         assert {r["kind"] for r in records[:-1]} <= {"pin", "equation"}
         assert [f"pin {r['variable']} = {r['value']}" if r["kind"] == "pin"
                 else f"{r['variable']} = {r['rhs']}" for r in records[:-1]] == \
-            [line for line in text.splitlines()[:-2] if line]
+            text.splitlines()[:-2]
 
 
 def test_prob_needs_arc_probabilities(corpus_dir, tmp_path):

@@ -14,7 +14,7 @@ F = Fraction
 
 
 def statuses(lab):
-    return {str(c): v.status for c, v in lab.verdicts.items()}
+    return {str(c): v.status for c, v in lab.items()}
 
 
 def test_classes_for_colours(running):
@@ -38,8 +38,8 @@ def test_colour_atom(running):
 
 def test_axiom_vertex_atom(running):
     lab = label_formula(running, parse_formula("v0"))
-    assert lab.at(CanonicalVertex("Z", "v0")).status == "holds"
-    rest = {v.status for c, v in lab.verdicts.items()
+    assert lab[CanonicalVertex("Z", "v0")].status == "holds"
+    rest = {v.status for c, v in lab.items()
             if c != CanonicalVertex("Z", "v0")}
     assert rest == {"fails"}
 
@@ -73,14 +73,14 @@ def test_quantitative_until_at_axiom(running):
         "Z:v0": "holds", "Z:t0": "fails", "A:win": "holds",
         "A:fork": "unknown", "A:next": "unknown", "A:dead": "fails",
     }
-    v0 = lab.at(CanonicalVertex("Z", "v0"))
+    v0 = lab[CanonicalVertex("Z", "v0")]
     lo, hi = v0.interval
     # certified window straddles (4*sqrt(3) - 6) / 3 and is eps-narrow
     assert (3 * lo + 6) ** 2 <= 48 <= (3 * hi + 6) ** 2
     assert hi - lo <= F(1, 10**6)
-    assert lab.at(CanonicalVertex("A", "win")) == Verdict("holds", (F(1), F(1)))
-    assert lab.at(CanonicalVertex("A", "dead")).interval == (F(0), F(0))
-    assert lab.at(CanonicalVertex("A", "fork")).interval is None
+    assert lab[CanonicalVertex("A", "win")] == Verdict("holds", (F(1), F(1)))
+    assert lab[CanonicalVertex("A", "dead")].interval == (F(0), F(0))
+    assert lab[CanonicalVertex("A", "fork")].interval is None
 
 
 def test_one_step_operator(running):
@@ -185,7 +185,7 @@ def test_one_solve_per_until(critical, monkeypatch):
     monkeypatch.setattr(quantitative, "solve_enclosure", counting_solve)
     monkeypatch.setattr(labeling, "until_almost_sure", counting_almost_sure)
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
-    assert lab.at(CanonicalVertex("Z", "m0")).status == "holds"
+    assert lab[CanonicalVertex("Z", "m0")].status == "holds"
     assert len(almost_sure) == 1
     assert solves == [F(1, 10**9)]
 
@@ -224,7 +224,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
                     lab = label_formula(g, parse_formula(until.replace(" U ", f" U[>={rho}] ")))
                     for c in axiom:
                         interval = shared.interval(win_key(c))
-                        assert lab.at(c) == Verdict(decide_threshold(interval, ">=", rho),
+                        assert lab[c] == Verdict(decide_threshold(interval, ">=", rho),
                                                     interval), f"{name}: {until} at {c}"
                 pairs += 1
     assert pairs >= 40

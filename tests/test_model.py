@@ -91,7 +91,7 @@ def test_expand_levels_and_classes(running):
     # the remaining hyperarc pins down the frontier
     assert len(e.graph.hyperarcs) == 1
     assert e.frontier == frozenset(e.graph.hyperarcs[0].vertices)
-    v0 = e.axiom_vertex("v0")
+    v0 = e.axiom_ids["v0"]
     assert e.classes[v0] == CanonicalVertex("Z", "v0")
 
 
@@ -111,9 +111,8 @@ def test_expand_rejects_negative_depth(running):
 
 
 def test_axiom_vertex_unknown_name(running):
-    e = expand(running, 1)
     with pytest.raises(GrammarError, match="not a vertex of the axiom rule"):
-        e.axiom_vertex("nope")
+        reachable_component(running, "nope", 1)
 
 
 def test_expand_one_round_replaces_the_axiom_hyperarc(running):
@@ -148,7 +147,7 @@ def test_expand_rejects_arity_mismatch():
 
 def test_component_ids_stays_inside_graph(running):
     e = expand(running, 3)
-    v0 = e.axiom_vertex("v0")
+    v0 = e.axiom_ids["v0"]
     ids = component_ids(e, v0)
     assert v0 in ids
     assert ids <= set(e.graph.vertices)
@@ -204,8 +203,8 @@ def test_reachable_component_keeps_the_frontier(running):
 def test_component_ids_refuses_ids_outside_a_component_view():
     g = parse_grammar(TWO_PARTS)
     chain = reachable_component(g, "y", 2)
-    x = chain.axiom_vertex("x")
+    x = chain.axiom_ids["x"]
     assert x == 0 and not chain.graph.has_vertex(x)
     with pytest.raises(GrammarError, match="unknown vertex id"):
         component_ids(chain, x)
-    assert component_ids(chain, chain.axiom_vertex("y")) == frozenset({1, 2, 3})
+    assert component_ids(chain, chain.axiom_ids["y"]) == frozenset({1, 2, 3})

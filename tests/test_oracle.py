@@ -360,7 +360,7 @@ def expanded_chain(g, depth):
             raise TotalityError(
                 f"vertex {states[i]} (class {classes[i]}, level "
                 f"{levels[i]}) has outgoing mass {Fraction(total, den)}")
-    return {"states": states, "index": index, "trans": trans, "den": den,
+    return {"states": states, "trans": trans, "den": den,
             "colours": colours, "frontier": frontier,
             "classes": classes, "levels": levels,
             "axiom_ids": {name: index[v] for name, v
@@ -391,6 +391,8 @@ def test_truncate_equals_the_chain_of_the_expansion(corpus_grammars,
             errors += 1
             assert mc == expected, (g.axiom, depth)
             continue
+        # a truncation's states are the expansion's vertex ids
+        assert list(mc.states) == expected.pop("states")
         assert {key: getattr(mc, key) for key in expected} == expected
     # the unpriced pushdown and the two broken mus fail at every depth but
     # 0, where no arc exists yet
@@ -455,7 +457,7 @@ def test_mixed_denominators_keep_values_and_cuts():
     # the cuts from mu's own fractions, row by row in arc order
     probs: dict[int, list[Fraction]] = {}
     for arc in expand(g, 10).graph.arcs:
-        probs.setdefault(mc.index[arc.source], []).append(g.mu[arc.label])
+        probs.setdefault(arc.source, []).append(g.mu[arc.label])
     cuts, _ = _threshold_tables(mc, list(probs))
     for s, ps in probs.items():
         assert cuts[s] == [(c.numerator << 64) // c.denominator

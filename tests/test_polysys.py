@@ -54,7 +54,8 @@ def test_render():
     s.add_term("x", F(1, 3))
     s.add_term("x", F(1, 2), "y")
     s.add_term("y", F(1, 4), "x", "y")
-    assert s.render() == "x = 1/3 + 1/2 * y\ny = 1/4 * x * y"
+    assert [f"{key} = {s.render_rhs(key)}" for key in s.variables] == [
+        "x = 1/3 + 1/2 * y", "y = 1/4 * x * y"]
 
 
 def test_positive_variables():

@@ -158,13 +158,13 @@ def test_config_words_name_the_configuration_graph(pds_prob):
 
 def test_config_chain_frontier_and_steps(pds_prob):
     mc = config_chain(pds_prob, ("r",), 2)
-    assert mc.states == ["r", "Br'", "BAr", "BAp"]
+    assert mc.axiom_ids == {"r": 0, "Br'": 1, "BAr": 2, "BAp": 3}
     assert mc.frontier == frozenset({2, 3})
     assert mc.den == 2
     assert mc.trans[0] == [(1, 2)]
     assert mc.trans[1] == [(2, 1), (3, 1)]
     zero = config_chain(pds_prob, ("r",), 0)
-    assert zero.states == ["r"] and zero.frontier == frozenset({0})
+    assert zero.axiom_ids == {"r": 0} and zero.frontier == frozenset({0})
     assert len(config_chain(pds_prob, ("r",), 50).states) == 77
 
 

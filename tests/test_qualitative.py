@@ -174,11 +174,10 @@ def test_until_through_a_pass_through_rule():
     v = CanonicalVertex("B", "v")
     for text, status in [("F[>0] goal", "holds"), ("F[>=1] goal", "holds"),
                          ("F[<=0] goal", "fails")]:
-        assert label_formula(g, parse_formula(text)).at(v).status == status, text
+        assert label_formula(g, parse_formula(text))[v].status == status, text
     mc = truncate(g, 3)
-    i = mc.classes.index(v)
-    assert mc.levels[i] == 2
-    start = mc.states[i]
+    start = mc.classes.index(v)
+    assert mc.levels[start] == 2
     assert bounded_until(mc, PathQuery(None, frozenset({"goal"}), start, 4)) == 1
 
 
@@ -193,8 +192,8 @@ def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
     for name, first in [("v1", F(1, 2)), ("fork", F(3, 4))]:
         c = CanonicalVertex("New1", name)
         assert out[c] == "fails"
-        assert label_formula(g, parse_formula("F[>=1] red")).at(c).status == "fails"
-        by_level = {level: mc.states[s] for s, (can, level)
+        assert label_formula(g, parse_formula("F[>=1] red"))[c].status == "fails"
+        by_level = {level: s for s, (can, level)
                     in enumerate(zip(mc.classes, mc.levels)) if can == c}
         values = [bounded_until(mc, PathQuery(None, red, by_level[level], 40))
                   for level in range(1, 5)]
