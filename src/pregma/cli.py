@@ -115,7 +115,10 @@ def _colour_names(g: Grammar, expr: str, parser: _Parser) -> frozenset[str] | No
 
 
 def _axiom_vertex(g: Grammar, name: str, parser: _Parser) -> str:
-    if not g.axiom_rule().rhs.has_vertex(name):
+    """name, if it is a vertex of the axiom rule. Otherwise a structurally
+    invalid grammar fails first, with its one diagnostic line."""
+    if g.axiom not in {r.lhs for r in g.rules} or not g.axiom_rule().rhs.has_vertex(name):
+        checked_rules(g)
         known = sorted(map(str, g.axiom_rule().rhs.vertices))
         parser.error(f"{name!r} is not an axiom-rule vertex (known: {known})")
     return name
@@ -215,7 +218,6 @@ class _Fragments(dict):
 
 def _cmd_expand(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    checked_rules(g)  # expand checks too, but only after --component is vetted
     if args.component is not None:
         _axiom_vertex(g, args.component, parser)
         expansion = reachable_component(g, args.component, args.depth)

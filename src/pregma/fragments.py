@@ -127,7 +127,6 @@ def local_rows(
     frag: Fragment,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
-    include_inputs: bool = False,
 ) -> dict[NodeKey, LocalRow]:
     """One LocalRow per start node (the fragment's own classes).
 
@@ -136,11 +135,6 @@ def local_rows(
     Boundary nodes absorb as themselves; colours there are the next level's
     business. A start that is itself a boundary node takes one explicit step
     first, so returning to it counts as a hit.
-
-    With include_inputs the rule's input vertices get rows as well. Their
-    colours belong to the level above, so no win/loss gate applies at the
-    start; the row just records where their first step inside this fragment
-    ends up.
 
     Every row comes from one integer system over the weights of the
     fragment's labels: one unknown per transient interior and one per
@@ -181,11 +175,8 @@ def local_rows(
             return dst
         return gate(node) or "loss"
 
-    starts = list(frag.starts)
-    if include_inputs:
-        starts += [n for n in frag.nodes.values() if n.kind == "input"]
-    stepped = [n.key for n in starts
-               if n.kind == "input" or (n.kind == "same" and gate(n) is None)]
+    starts = frag.starts
+    stepped = [n.key for n in starts if n.kind == "same" and gate(n) is None]
     unknowns = [*column, *stepped]
     n = len(unknowns)
     boundary = [k for k, node in frag.nodes.items() if node.kind != "interior"]

@@ -314,16 +314,17 @@ class FiniteMC:
     """A finite Markov chain on the states 0..n-1. trans[i] lists state i's
     steps as (target, weight) int pairs: a step's probability is weight /
     den, den being the lcm of mu's denominators. Frontier states have
-    incomplete rows. A truncation also gives each state's class and level,
-    and maps the axiom rule's vertex names to states."""
+    incomplete rows. axiom_ids maps the names a query may start from to
+    states (a truncation's are the axiom rule's vertex names). A truncation
+    also gives each state's class and level."""
 
     trans: list[list[tuple[int, int]]]
     den: int
     colours: list[frozenset[str]]
     frontier: frozenset[int]
+    axiom_ids: dict[VertexId, int]
     classes: list[CanonicalVertex] | None = None
     levels: list[int] | None = None
-    axiom_ids: dict[VertexId, int] | None = None
 
     @property
     def states(self) -> range:
@@ -333,8 +334,6 @@ class FiniteMC:
         """Accept a state id or an axiom-rule vertex name."""
         if type(start) is int and 0 <= start < len(self.trans):
             return start
-        if self.axiom_ids is None:
-            raise KeyError(start)
         return named_vertex(self.axiom_ids, start)
 
     def where(self, i: int) -> str:

@@ -190,7 +190,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    mc = FiniteMC(trans, den, colours, frontier, classes, levels, axiom_ids)
+    mc = FiniteMC(trans, den, colours, frontier, axiom_ids, classes, levels)
     for i, row in enumerate(trans):
         if i not in frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "

@@ -341,6 +341,45 @@ def test_check_emit_coloured(corpus_dir):
     assert lines[-1] == "fails"
 
 
+UNREACHABLE_HOST = """\
+nonterminal Z 0
+nonterminal A 1
+nonterminal U 0
+terminal a 2
+terminal b 2
+colour green
+colour red
+absorbing green
+prob a 1
+prob b 1
+axiom Z
+
+rule Z
+  vertex z
+  arc b z z
+  colour red z
+  hyperarc A z
+
+rule A inputs i
+  vertex w
+  arc a w i
+
+rule U
+  vertex u
+  colour green u
+  hyperarc A u
+"""
+
+
+def test_check_ignores_the_hyperarcs_of_unreachable_rules(tmp_path):
+    # U is unreachable from the axiom, so the green sink its hyperarc glues
+    # onto A's input never occurs: from w every run steps onto z and is red
+    path = tmp_path / "unreachable.gg"
+    path.write_text(UNREACHABLE_HOST)
+    assert run(["check", str(path), "--formula", "F[>=1] red", "--emit-coloured"]) == (
+        0, "class=Z:z verdict=holds\nclass=A:w verdict=holds\nholds\n", "")
+
+
 _EXIT = {"holds": 0, "fails": 1, "unknown": 2}
 _KLEENE_NOT = {"holds": "fails", "fails": "holds", "unknown": "unknown"}
 
@@ -787,6 +826,15 @@ INVALID = {
         "nonterminal Z 0\nnonterminal A 2\nterminal a 2\n{prob}axiom Z\n\n"
         "rule Z\n  vertex x\n  hyperarc A x x\n\nrule A inputs y w\n  arc a y w\n",
         ["hyperarc-repeat: rule Z: hyperarc A repeats a vertex"]),
+    "undeclared-arc-label-coloured": (
+        "nonterminal Z 0\ncolour g\nterminal a 2\n{prob}axiom Z\n\n"
+        "rule Z\n  vertex x\n  arc a x x\n  arc b x x\n",
+        ["arc-label: rule Z: b is not an arity-2 terminal"]),
+    "axiom-without-rule": (
+        "nonterminal Z 0\nnonterminal A 1\nterminal a 2\n{prob}axiom Z\n\n"
+        "rule A inputs x\n  arc b x x\n",
+        ["missing-rule: nonterminal Z has no rule",
+         "arc-label: rule A: b is not an arity-2 terminal"]),
 }
 INVALID_CASES = [(name, prob) for name in INVALID for prob in ("", "prob a 1\n")]
 
@@ -803,11 +851,17 @@ def test_structural_issues_stop_validate_and_expand(tmp_path, name, prob):
     code, out, err = run(["validate", str(path)])
     assert (code, out) == (1, "")
     assert err.splitlines() == issues
-    # expand: refuses with one diagnostic line instead of printing a graph
-    code, out, err = run(["expand", str(path), "--depth", "2"])
-    assert (code, out) == (1, "")
-    assert err == "; ".join(issues) + "\n"
-    assert "Traceback" not in err
+    # expand, and prob and check from a vertex name the axiom rule lacks:
+    # each refuses with one diagnostic line, the structure judged first
+    joined = "; ".join(issues)
+    refusal = joined if prob else "grammar declares no arc probabilities"
+    for argv, expected in [
+            (["expand", str(path), "--depth", "2"], joined),
+            (["expand", str(path), "--depth", "1", "--component", "y"], joined),
+            (["prob", str(path), "--phi2", "tt", "--from", "y"], refusal),
+            (["check", str(path), "--formula", "F[>0] g", "--at", "y"], refusal)]:
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", expected + "\n"), argv
 
 
 def test_from_pds_round_trips(corpus_dir, tmp_path):

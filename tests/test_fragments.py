@@ -15,7 +15,7 @@ def running_rows(running):
     phi1 = classes_for_colours(an, frozenset({"V1"}))
     phi2 = classes_for_colours(an, frozenset({"V2"}))
     frag = an.fragments["A"]
-    return frag, local_rows(an, frag, phi1, phi2, include_inputs=True)
+    return frag, local_rows(an, frag, phi1, phi2)
 
 
 def test_fragment_layout(running):
@@ -46,15 +46,19 @@ def test_first_hit_rows(running_rows):
     assert rows[("base", "dead")].loss == 1
 
 
-def test_rows_from_inputs(running_rows):
-    # rows for the rule's own inputs record the first step only, with no
-    # win/loss gate: their colours belong to the level above
-    _, rows = running_rows
-    s = rows[("base", "s")]
-    assert s.win == 0 and s.loss == 0
-    assert s.hits[("base", "t")] == F(1, 2)
-    assert s.hits[("base", "next")] == F(1, 2)
-    assert s.hits.get(("base", "fork"), 0) == 0
+def test_rows_from_inputs(running, running_rows):
+    # an input's colours belong to the level above, so its first-hit row
+    # in this fragment is where its first step ends up; every arc out of s
+    # ends on a boundary node (so win and loss are 0), and that step is the
+    # whole row
+    frag, _ = running_rows
+    step = frag.out[("base", "s")]
+    assert all(frag.nodes[dst].kind != "interior" for _, dst in step)
+    hits: dict = {}
+    for label, dst in step:
+        hits[dst] = hits.get(dst, 0) + running.mu[label]
+    # nothing on the fork
+    assert hits == {("base", "t"): F(1, 2), ("base", "next"): F(1, 2)}
 
 
 def test_input_rows_are_off_by_default(running):

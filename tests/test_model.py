@@ -65,6 +65,27 @@ def _broken_grammar() -> Grammar:
     )
 
 
+def _misnamed_grammar() -> Grammar:
+    """Names that are undeclared, declared twice or unknown to their rule;
+    the parser refuses several of these shapes, so it is built in code."""
+    rhs = Hypergraph()
+    rhs.add_vertex("x")
+    rhs.add_arc("a", "x", "x")
+    rhs.add_colour("blue", "x")  # undeclared colour
+    rhs.add_colour("green", "ghost")  # unknown vertex
+    rhs.add_hyperarc("B", ("x",))  # undeclared nonterminal
+    rhs.add_hyperarc("A", ("ghost",))  # unknown vertex
+    return Grammar(
+        terminals={"a": 2, "green": 1, "s": 2},  # s is a nonterminal too
+        nonterminals={"A": 1, "s": 0},
+        axiom="Q",  # undeclared
+        # input i is no vertex of its rhs; R is undeclared
+        rules=[Rule("A", ("i",), rhs), Rule("s", (), Hypergraph()), Rule("R", (), Hypergraph())],
+        mu={"a": Fraction(1), "green": Fraction(1)},  # green is a colour
+        absorbing={"purple"},  # undeclared colour
+    )
+
+
 def test_validate_reports_structural_issues():
     issues = validate_grammar(_broken_grammar())
     codes = {i.code for i in issues}
@@ -75,6 +96,11 @@ def test_validate_reports_structural_issues():
     assert "arc-endpoint" in codes
     assert "hyperarc-repeat" in codes
     assert "prob-range" in codes
+    assert [i.code for i in validate_grammar(_misnamed_grammar())] == [
+        "symbol-overlap", "axiom-undeclared", "input-unknown", "colour-label",
+        "colour-vertex", "hyperarc-label", "hyperarc-vertex", "rule-lhs", "prob-label",
+        "absorbing-label",
+    ]
 
 
 def test_reachable_nonterminals(running):

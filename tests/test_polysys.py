@@ -192,6 +192,53 @@ def test_newton_survives_a_wrong_float_solve(monkeypatch, factor):
     assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
 
 
+def test_newton_refuses_a_positive_direction_it_cannot_check(monkeypatch):
+    # the float solve proposes the positive direction (1, 1e-12), but
+    # (I - F')v is negative in y's row, so every step is refused exactly:
+    # Kleene alone moves lo, and certifying along that direction fails
+    import pregma.polysys as polysys
+
+    solve, newton = polysys._solve, polysys._newton
+    refused = []
+
+    def wrong(*args):
+        return [[row[0], d] for row, d in zip(solve(*args), [1.0, 1e-12])]
+
+    def watched(*args):
+        values, direction = newton(*args)
+        refused.append(values is None and direction is not None)
+        return values, direction
+
+    monkeypatch.setattr(polysys, "_solve", wrong)
+    monkeypatch.setattr(polysys, "_newton", watched)
+    s = system({"x": [(F(1, 4), ()), (F(1, 4), ("y",)), (F(1, 4), ("x", "x"))],
+                "y": [(F(1, 4), ()), (F(1, 2), ("x",))]})
+    enc = solve_enclosure(s, eps=F(1, 10**9), max_rounds=60)
+    assert refused and all(refused)
+    assert all(v <= enc.hi[k] for k, v in evaluate(s, enc.hi).items())
+    assert all(enc.lo[k] <= v for k, v in evaluate(s, enc.lo).items())
+
+    def below_root(x):
+        # x <= x* = (7 - sqrt 29) / 4, the least root of 4x^2 - 14x + 5
+        return x <= F(7, 4) and 4 * x * x - 14 * x + 5 >= 0
+
+    # y* = 1/4 + x*/2, so y <= y* exactly when 2y - 1/2 <= x*
+    assert below_root(enc.lo["x"]) and not below_root(enc.hi["x"])
+    assert below_root(2 * enc.lo["y"] - F(1, 2))
+    assert not below_root(2 * enc.hi["y"] - F(1, 2))
+
+
+def test_round_cap_certifies_the_upper_bound():
+    # one round never meets eps = 1e-12; the bound certified at the cap
+    # still brings hi well below 1
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), eps=F(1, 10**12), max_rounds=1)
+    assert enc.iterations == 1 and not enc.converged
+    lo, hi = enc.interval("x")
+    assert hi < F(26, 100)
+    assert F(1, 5) + F(4, 5) * hi * hi <= hi
+    assert lo <= F(1, 5) + F(4, 5) * lo * lo
+
+
 @st.composite
 def sparse_m_matrices(draw):
     """(I - B) D as float rows: B >= 0 with at most three entries per row and
