@@ -38,7 +38,7 @@ from .model import (
 from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
 from .pcp import encode, load_pcp
 from .pushdown import load_pds, to_grammar
-from .quantitative import axiom_probability, render_key, shared_assembly, solve_until
+from .quantitative import render_key, shared_assembly, solve_until, win_key
 from .validation import analyse, check_complete_outside, phr_check
 
 USAGE_EXIT = 3
@@ -275,7 +275,9 @@ def _text_lines(expansion: Expansion) -> Iterator[str]:
 
 
 def _require_mu(g: Grammar) -> None:
+    """Refuse a grammar without arc probabilities, once its structure passes."""
     if not g.mu:
+        checked_rules(g)
         raise _Failure("grammar declares no arc probabilities")
 
 
@@ -303,7 +305,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
                 rhs = system.render_rhs(key, render_key)
                 _report(args, {"kind": "equation", "variable": variable, "rhs": rhs},
                         f"{variable} = {rhs}")
-        lo, hi = axiom_probability(enc, g, args.start)
+        lo, hi = enc.interval(win_key(CanonicalVertex(g.axiom, args.start)))
         state = "exact" if enc.exact else (
             "converged" if enc.converged else "not converged"
         )

@@ -6,9 +6,10 @@ them, unknown covers both genuine mixtures and the engines' honest refusals.
 Boolean connectives run three-valued, which lets a decided conjunct mask an
 undecided one. Probabilistic operators dispatch on the threshold: one-step
 masses are exact rationals, untils with threshold 0 or 1 go to the
-qualitative engines, and everything else uses the until's one shared
-certified enclosure (which the almost-sure engine reads too), whose values
-are absolute probabilities exactly for the axiom rule's classes.
+qualitative engines, and everything else reads the until's one certified
+enclosure from `solve_until`, whose values are absolute probabilities
+exactly for the axiom rule's classes. That enclosure is solved at
+min(eps, 1e-9), so the almost-sure engine reads the same one.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ from typing import Mapping
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
-from .qualitative import next_qualitative, until_almost_sure, until_positive
-from .quantitative import shared_enclosure, win_key
+from .qualitative import (ALMOST_SURE_EPS, next_qualitative, until_almost_sure,
+                          until_positive)
+from .quantitative import solve_until, win_key
 from .validation import Analysis, analyse
 
 ZERO = Fraction(0)
@@ -51,7 +53,8 @@ class _Evaluator:
     def __init__(self, an: Analysis, eps: Fraction):
         self.an = an
         self.g = an.grammar
-        self.eps = eps
+        # one solve per until serves its thresholds and its almost-sure verdicts
+        self.eps = min(eps, ALMOST_SURE_EPS)
         self.cans = an.reachable
         self.colour_names = self.g.colour_names
         self.axiom_vertices = set(an.rules[self.g.axiom].rhs.vertices)
@@ -150,8 +153,8 @@ class _Evaluator:
         return out
 
     def _until_quantitative(self, f: Until, u1, o1, u2, o2):
-        lo_enc = shared_enclosure(self.an, u1, u2, self.eps)
-        hi_enc = shared_enclosure(self.an, o1, o2, self.eps)
+        lo_enc = solve_until(self.an, u1, u2, self.eps)
+        hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(self.an, o1, o2, self.eps)
         intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
         out: Verdicts = {}
         for c in self.cans:

@@ -402,21 +402,15 @@ def _newton(
 def solve_enclosure(
     system: PolySystem,
     eps: Fraction = Fraction(1, 10**6),
-    keys_of_interest: Sequence[Key] | None = None,
     max_rounds: int = 20000,
 ) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
-    converged means: hi - lo <= eps on every key of interest (all variables
-    when none are given). exact means lo is the least fixpoint itself, which
-    happens whenever the iteration closes, e.g. on systems with no cyclic
-    dependencies.
+    converged means: hi - lo <= eps on every variable. exact means lo is
+    the least fixpoint itself, which happens whenever the iteration closes,
+    e.g. on systems with no cyclic dependencies.
     """
     keys = list(system.variables)
-    watch = list(keys_of_interest) if keys_of_interest is not None else keys
-    for k in watch:
-        if k not in system.equations:
-            raise KeyError(k)
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
@@ -434,7 +428,6 @@ def solve_enclosure(
     m = len(rows)
     lo = [ZERO] * m
     hi = [ONE] * m
-    watched = [index[k] for k in watch if k in index]
     bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
     components = _components(rows, den)
     # The first positive offset lies far below eps: a component's slack above
@@ -479,8 +472,8 @@ def solve_enclosure(
             for k in comp.members:
                 point[k] = hi[k]
 
-    def watched_width() -> Fraction:
-        return max((hi[k] - lo[k] for k in watched), default=ZERO)
+    def width() -> Fraction:
+        return max((b - a for a, b in zip(lo, hi)), default=ZERO)
 
     exact = False
     rounds = 0
@@ -520,7 +513,7 @@ def solve_enclosure(
         lo = nxt
         if small or rounds % _CERTIFY_EVERY == 0:
             certify()
-            if watched_width() <= eps:
+            if width() <= eps:
                 break
     else:
         # the breaks leave lo exact or just certified: certification goes
@@ -528,7 +521,7 @@ def solve_enclosure(
         # depends only on lo, its direction and the bounds below it, so a
         # second run on the same lo would not change hi
         certify()
-    converged = watched_width() <= eps
+    converged = width() <= eps
     return Enclosure(
         {k: lo[index[k]] if k in index else ZERO for k in keys},
         {k: hi[index[k]] if k in index else ZERO for k in keys},

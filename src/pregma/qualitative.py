@@ -4,8 +4,8 @@ one, and exact one-step mass.
 Class-level answers here mean "for every concrete vertex of this class".
 Where a property genuinely depends on the surroundings above a vertex's
 level, the verdict degrades to unknown rather than guessing; each decided
-answer is backed either by exact rational arithmetic or by a certified
-enclosure from the quantitative solver.
+answer is backed either by exact rational arithmetic or by the until's one
+certified enclosure from `quantitative.solve_until`.
 
 The recurring subtlety is descending through an input: which vertex the walk
 lands on depends on where the class's context rule was instantiated. The
@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 from .model import CanonicalVertex
 from .polysys import Key, decide_threshold
-from .quantitative import dec_key, shared_assembly, shared_enclosure, win_key
+from .quantitative import dec_key, shared_assembly, solve_until, win_key
 from .validation import Analysis, Binding
 
 ZERO = Fraction(0)
@@ -171,6 +171,10 @@ def until_positive(
             for c in an.reachable}
 
 
+# the width of the enclosure whose bounds the almost-sure sums read
+ALMOST_SURE_EPS = Fraction(1, 10**9)
+
+
 def until_almost_sure(
     an: Analysis,
     phi1: frozenset[CanonicalVertex],
@@ -187,7 +191,7 @@ def until_almost_sure(
     one, each the tightest of its kind. In the gap (for example mass one in
     the limit but never certified) the answer stays unknown.
     """
-    enc = shared_enclosure(an, phi1, phi2)
+    enc = solve_until(an, phi1, phi2, ALMOST_SURE_EPS)
     pos, down = _positive(an, phi1, phi2)
 
     def mass(bound: dict[Key, Fraction], c: CanonicalVertex) -> Fraction:

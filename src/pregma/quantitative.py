@@ -10,7 +10,8 @@ descend behaviour with the vertices its copy was glued on.
 
 For classes of the axiom rule there is no level above, so the win variable
 is the absolute probability of the until objective; the CLI and the labeller
-read their answers there.
+read their answers there. Each until is solved once per analysis
+(`solve_until`), and every command reads that one enclosure.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fragments import local_rows
-from .model import CanonicalVertex, Grammar, GrammarError
+from .model import CanonicalVertex
 from .polysys import Enclosure, Key, PolySystem, solve_enclosure
 from .validation import Analysis
 
@@ -44,7 +45,7 @@ def render_key(key: Key) -> str:
 class Assembly:
     system: PolySystem  # the unpinned variables, pins folded into coefficients
     pins: dict[Key, Fraction]
-    shared: tuple[Fraction, Enclosure] | None = None  # shared_enclosure's eps and result
+    shared: tuple[Fraction, Enclosure] | None = None  # solve_until's eps and result
 
 
 def assemble_system(
@@ -138,71 +139,24 @@ def shared_assembly(
     return an.assemblies[key]
 
 
+# the solver's round cap for every until
+_ROUNDS = 4000
+
+
 def solve_until(
     an: Analysis,
     phi1: frozenset[CanonicalVertex],
     phi2: frozenset[CanonicalVertex],
     eps: Fraction = Fraction(1, 10**6),
-    watch: str = "axiom",
-    max_rounds: int = 20000,
 ) -> Enclosure:
-    """Assemble and solve; the enclosure covers every variable, pinned ones
-    exactly. watch picks the convergence criterion: "axiom" tracks the axiom
-    context's win variables (where absolute probabilities live), "all"
-    tracks everything."""
+    """The analysis's one enclosure of (phi1, phi2): every variable within
+    eps unless the round cap stops the solve first, pinned ones exact.
+    Solved on first use and reused for any eps at least the one it was
+    solved at. Callers read it and never change it."""
     assembly = shared_assembly(an, phi1, phi2)
-    system = assembly.system
-
-    if watch == "axiom":
-        keys = [win_key(node.can) for node in an.fragments[an.grammar.axiom].starts]
-    elif watch == "all":
-        keys = system.variables
-    else:
-        raise ValueError(f"watch must be 'axiom' or 'all', not {watch!r}")
-    watched = [k for k in keys if k in system.equations]
-
-    enc = solve_enclosure(
-        system,
-        eps=eps,
-        keys_of_interest=watched if watched else None,
-        max_rounds=max_rounds,
-    )
-    enc.lo.update(assembly.pins)
-    enc.hi.update(assembly.pins)
-    return enc
-
-
-# width bound and round budget of the enclosure behind the labeller's
-# thresholds and the almost-sure verdicts
-_SHARED_EPS = Fraction(1, 10**9)
-_SHARED_ROUNDS = 4000
-
-
-def shared_enclosure(
-    an: Analysis,
-    phi1: frozenset[CanonicalVertex],
-    phi2: frozenset[CanonicalVertex],
-    eps: Fraction = _SHARED_EPS,
-) -> Enclosure:
-    """The analysis's one enclosure of (phi1, phi2) watching every variable,
-    solved on first use at min(eps, 1e-9) and reused for any eps at least
-    the one it was solved at. Callers read it and never change it."""
-    assembly = shared_assembly(an, phi1, phi2)
-    eps = min(eps, _SHARED_EPS)
     if assembly.shared is None or assembly.shared[0] > eps:
-        assembly.shared = eps, solve_until(an, phi1, phi2, eps=eps, watch="all",
-                                           max_rounds=_SHARED_ROUNDS)
+        enc = solve_enclosure(assembly.system, eps=eps, max_rounds=_ROUNDS)
+        enc.lo.update(assembly.pins)
+        enc.hi.update(assembly.pins)
+        assembly.shared = eps, enc
     return assembly.shared[1]
-
-
-def axiom_probability(
-    enc: Enclosure, g: Grammar, vertex
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of P(until) from a named vertex of the axiom rule."""
-    rule = g.axiom_rule()
-    if not rule.rhs.has_vertex(vertex):
-        raise GrammarError(
-            f"{vertex!r} is not a vertex of the axiom rule "
-            f"(known: {sorted(map(str, rule.rhs.vertices))})"
-        )
-    return enc.interval(win_key(CanonicalVertex(g.axiom, vertex)))

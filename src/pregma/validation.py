@@ -286,7 +286,7 @@ class Analysis:
 
     Built by `analyse`, once per engine entry point; `assemblies` holds the
     equation system of each (phi1, phi2) pair once something assembled it,
-    and with it the pair's shared enclosure once something solved it.
+    and with it the pair's one enclosure once `solve_until` solved it.
     """
 
     grammar: Grammar

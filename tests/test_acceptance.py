@@ -22,7 +22,7 @@ from pregma.pcp import encode
 from pregma.polysys import decide_threshold
 from pregma.pushdown import to_grammar
 from pregma.qualitative import next_qualitative, until_almost_sure, until_positive
-from pregma.quantitative import axiom_probability, dec_key, solve_until
+from pregma.quantitative import dec_key, solve_until, win_key
 from pregma.validation import analyse, phr_check
 from reference import (config_chain, config_words, expansions_match, fork_sequences,
                        green_probability, sequence_grammar, split_word, successors)
@@ -46,6 +46,11 @@ def cls(an, name):
 def solve(g, phi1, phi2, **options):
     an = analyse(g)
     return solve_until(an, cls(an, phi1), cls(an, phi2), **options)
+
+
+def at(sol, g, vertex):
+    """The enclosure of P(until) from a vertex of the axiom rule."""
+    return sol.interval(win_key(CanonicalVertex(g.axiom, vertex)))
 
 
 def straddles(lo, hi, scale_lo, scale_hi, square):
@@ -151,7 +156,7 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
         if coeff:
             poly[power] = poly.get(power, F(0)) + coeff
 
-    enc = solve(running, "V1", "V2", eps=F(1, 10**9), watch="all")
+    enc = solve(running, "V1", "V2", eps=F(1, 10**9))
     lo, hi = enc.interval(dec_key(CanonicalVertex("A", "next"), 1))
     elapsed = time.perf_counter() - started
     gate(capfd, 3, "descent fixpoint", [
@@ -170,7 +175,7 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
 def test_gate_4_headline_enclosure(capfd, running):
     started = time.perf_counter()
     sol = solve(running, "V1", "V2")
-    lo, hi = axiom_probability(sol, running, "v0")
+    lo, hi = at(sol, running, "v0")
     elapsed = time.perf_counter() - started
     gate(capfd, 4, "headline reachability value", [
         ("width within 1e-6", hi - lo <= F(1, 10**6)),
@@ -202,7 +207,7 @@ def test_gate_5_bounded_oracle_coherence(capfd, running, dag, updrift,
     ]
     checks = []
     for name, mc, phi1, phi2, start, sol, g in rows:
-        lo, hi = axiom_probability(sol, g, start)
+        lo, hi = at(sol, g, start)
         values = [bounded_until(mc, PathQuery(phi1, phi2, start, k))
                   for k in (5, 10, 20, 40)]
         checks.append((f"{name}: monotone in the horizon",

@@ -23,7 +23,7 @@ LOWER = ("105283730727269265083205925805966334843/"
          "340282366920938463463374607431768211456")
 UPPER = ("1645058292618652869326005508324210794743379/"
          "5316911983139663491615228241121378304000000")
-# `check` reads the until's shared enclosure, of width at most 1e-9
+# `check` reads the until's one enclosure, solved at a width of at most 1e-9
 CHECK_LOWER = "392212460664176879051461864611/1267650600228229401496703205376"
 CHECK_UPPER = ("766039962234722828080627889140966223/"
                "2475880078570760549798248448000000000")
@@ -143,6 +143,34 @@ def test_prob_enclosure(corpus_dir):
         "decimal [0.309401076758, 0.309401076759] width=9.537e-13 (converged)"
     assert encloses_headline(LOWER, UPPER)
     assert F(UPPER) - F(LOWER) <= F(1, 10**6)
+    # at eps 1e-9, prob reads the one enclosure that `check --at v0` prints
+    code, out, err = run([
+        "prob", gg(corpus_dir, "running.gg"), "--phi1", "V1", "--phi2", "V2",
+        "--from", "v0", "--eps", "1/1000000000",
+    ])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"lower={CHECK_LOWER} upper={CHECK_UPPER}"
+
+
+def test_prob_solves_once_at_its_own_eps(corpus_dir, monkeypatch):
+    """prob solves its until once, at its own --eps: no floor, no second solve."""
+    import pregma.quantitative as quantitative
+
+    solves = []
+
+    def counting_solve(*args, **options):
+        solves.append(options.get("eps"))
+        return solve_enclosure(*args, **options)
+
+    solve_enclosure = quantitative.solve_enclosure
+    monkeypatch.setattr(quantitative, "solve_enclosure", counting_solve)
+    running = gg(corpus_dir, "running.gg")
+    for eps, extra in [(F(1, 10**6), []), (F(1, 20), ["--eps", "1/20"])]:
+        solves.clear()
+        code, _, err = run(["prob", running, "--phi1", "V1", "--phi2", "V2",
+                            "--from", "v0", *extra])
+        assert (code, err) == (0, "")
+        assert solves == [eps]
 
 
 def test_prob_emit_system(corpus_dir):
@@ -851,17 +879,16 @@ def test_structural_issues_stop_validate_and_expand(tmp_path, name, prob):
     code, out, err = run(["validate", str(path)])
     assert (code, out) == (1, "")
     assert err.splitlines() == issues
-    # expand, and prob and check from a vertex name the axiom rule lacks:
-    # each refuses with one diagnostic line, the structure judged first
+    # expand, and prob and check from a vertex name the axiom rule lacks,
+    # with or without prob lines: each refuses with one diagnostic line,
+    # the structure judged first
     joined = "; ".join(issues)
-    refusal = joined if prob else "grammar declares no arc probabilities"
-    for argv, expected in [
-            (["expand", str(path), "--depth", "2"], joined),
-            (["expand", str(path), "--depth", "1", "--component", "y"], joined),
-            (["prob", str(path), "--phi2", "tt", "--from", "y"], refusal),
-            (["check", str(path), "--formula", "F[>0] g", "--at", "y"], refusal)]:
+    for argv in [["expand", str(path), "--depth", "2"],
+                 ["expand", str(path), "--depth", "1", "--component", "y"],
+                 ["prob", str(path), "--phi2", "tt", "--from", "y"],
+                 ["check", str(path), "--formula", "F[>0] g", "--at", "y"]]:
         code, out, err = run(argv)
-        assert (code, out, err) == (1, "", expected + "\n"), argv
+        assert (code, out, err) == (1, "", joined + "\n"), argv
 
 
 def test_from_pds_round_trips(corpus_dir, tmp_path):

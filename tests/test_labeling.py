@@ -6,8 +6,8 @@ from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError
-from pregma.polysys import ONE, ZERO, decide_threshold
-from pregma.quantitative import shared_enclosure, solve_until, win_key
+from pregma.polysys import ONE, ZERO, decide_threshold, solve_enclosure
+from pregma.quantitative import shared_assembly, solve_until, win_key
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
@@ -192,7 +192,7 @@ def test_one_solve_per_until(critical, monkeypatch):
 
 def test_shared_enclosure_lies_inside_the_axiom_solve():
     """At every axiom class, the shared enclosure of each until lies inside
-    an independent solve that watches only the axiom at eps 1e-6, and the
+    an independent solve of its assembled system at eps 1e-6, and the
     labeller decides its thresholds from the shared interval."""
     from test_polysys import corpus_and_walk_grammars
 
@@ -210,8 +210,11 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
             for phi2 in colours:
                 u1 = classes_for_colours(an, None if phi1 is None else frozenset({phi1}))
                 u2 = classes_for_colours(an, frozenset({phi2}))
-                shared = shared_enclosure(an, u1, u2)
-                alone = solve_until(an, u1, u2, eps=F(1, 10**6))
+                shared = solve_until(an, u1, u2, F(1, 10**9))
+                assembly = shared_assembly(an, u1, u2)
+                alone = solve_enclosure(assembly.system, eps=F(1, 10**6))
+                alone.lo.update(assembly.pins)
+                alone.hi.update(assembly.pins)
                 until = f"{phi1 or 'tt'} U {phi2}"
                 assert shared.converged, f"{name}: {until}"
                 for c in axiom:

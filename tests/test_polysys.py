@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from pregma.polysys import (
     decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
-from pregma.quantitative import assemble_system, win_key
+from pregma.quantitative import assemble_system
 from pregma.validation import analyse
 from reference import evaluate, gauss_jordan, rhs_value
 
@@ -585,14 +585,9 @@ def _ref_newton(
 def fraction_solve(
     system: PolySystem,
     eps: Fraction = Fraction(1, 10**6),
-    keys_of_interest: Sequence[Key] | None = None,
     max_rounds: int = 20000,
 ) -> Enclosure:
     keys = list(system.variables)
-    watch = list(keys_of_interest) if keys_of_interest is not None else keys
-    for k in watch:
-        if k not in system.equations:
-            raise KeyError(k)
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
@@ -649,8 +644,8 @@ def fraction_solve(
             for k in comp:
                 point[k] = hi[k]
 
-    def watched_width() -> Fraction:
-        return max((hi[k] - lo[k] for k in watch if k in lo), default=ZERO)
+    def width() -> Fraction:
+        return max((hi[k] - lo[k] for k in lo), default=ZERO)
 
     exact = False
     rounds = 0
@@ -692,12 +687,12 @@ def fraction_solve(
         lo = nxt
         if small or rounds % _CERTIFY_EVERY == 0:
             certify()
-            if watched_width() <= eps:
+            if width() <= eps:
                 break
 
     if not exact:
         certify()
-    converged = watched_width() <= eps
+    converged = width() <= eps
     return Enclosure(
         {k: lo.get(k, ZERO) for k in keys},
         {k: hi.get(k, ZERO) for k in keys},
@@ -776,7 +771,7 @@ def corpus_and_walk_grammars():
 
 def assembled_systems():
     """Every assembly of every analysable grammar above, over its colour
-    pairs (phi1 tt or a colour, phi2 a colour), with its axiom keys."""
+    pairs (phi1 tt or a colour, phi2 a colour)."""
     for name, g, mu in corpus_and_walk_grammars():
         if not mu:
             continue
@@ -784,7 +779,6 @@ def assembled_systems():
             an = analyse(g)
         except GrammarError:  # outside the engines' fragment (PCP gadgets)
             continue
-        axiom = [win_key(node.can) for node in an.fragments[g.axiom].starts]
         colours = sorted(g.colour_names)
         for phi1 in [None, *colours]:
             for phi2 in colours:
@@ -793,8 +787,7 @@ def assembled_systems():
                     classes_for_colours(an, None if phi1 is None else frozenset({phi1})),
                     classes_for_colours(an, frozenset({phi2})),
                 )
-                watch = [k for k in axiom if k in asm.system.equations]
-                yield f"{name}: {phi1 or 'tt'} U {phi2}", asm.system, watch or None
+                yield f"{name}: {phi1 or 'tt'} U {phi2}", asm.system
 
 
 @st.composite
@@ -825,9 +818,8 @@ def same_enclosure(s, **kwargs):
 
 def test_solver_matches_the_fraction_reference():
     count = 0
-    for name, s, watch in assembled_systems():
-        for kwargs in [{"keys_of_interest": watch},
-                       {"eps": F(1, 10**9), "max_rounds": 4000}]:
+    for name, s in assembled_systems():
+        for kwargs in [{}, {"eps": F(1, 10**9), "max_rounds": 4000}]:
             try:
                 same_enclosure(s, **kwargs)
             except AssertionError as exc:

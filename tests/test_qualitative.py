@@ -133,7 +133,7 @@ def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):
     an = analyse(g)
     every, halt = cls(an, None), cls(an, "halt")
     assert set(until_almost_sure(an, every, halt).values()) == {"holds"}
-    enc = solve_until(an, every, halt, watch="all")
+    enc = solve_until(an, every, halt)
     for name in ("Ar", "Br'", "BAp"):
         c = CanonicalVertex("X", name)
         keys = [win_key(c)] + [dec_key(c, j) for j in range(1, 5)]

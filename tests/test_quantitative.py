@@ -1,18 +1,8 @@
 from fractions import Fraction
 
-import pytest
-
 from pregma.labeling import classes_for_colours
-from pregma.model import CanonicalVertex, GrammarError
-from pregma.quantitative import (
-    assemble_system,
-    axiom_probability,
-    dec_key,
-    render_key,
-    shared_enclosure,
-    solve_until,
-    win_key,
-)
+from pregma.model import CanonicalVertex
+from pregma.quantitative import assemble_system, dec_key, render_key, solve_until, win_key
 from pregma.validation import analyse
 
 F = Fraction
@@ -25,6 +15,11 @@ def classes(an, name):
 def until_args(g, phi1, phi2):
     an = analyse(g)
     return an, classes(an, phi1), classes(an, phi2)
+
+
+def at(sol, g, vertex):
+    """The enclosure of P(until) from a vertex of the axiom rule."""
+    return sol.interval(win_key(CanonicalVertex(g.axiom, vertex)))
 
 
 def straddles_sqrt3(lo, hi, scale_num, scale_den, shift):
@@ -96,16 +91,15 @@ def test_render_key_names():
 def test_running_enclosure(running):
     sol = solve_until(*until_args(running, "V1", "V2"))
     assert sol.converged and not sol.exact
-    lo, hi = axiom_probability(sol, running, "v0")
+    lo, hi = at(sol, running, "v0")
     assert hi - lo <= F(1, 10**6)
     # exact containment of (4*sqrt(3) - 6)/3
     assert straddles_sqrt3(lo, hi, 4, 3, F(-2))
-    assert axiom_probability(sol, running, "t0") == (F(0), F(0))
+    assert at(sol, running, "t0") == (F(0), F(0))
 
 
 def test_running_inner_variables(running):
-    sol = solve_until(*until_args(running, "V1", "V2"),
-                      eps=F(1, 10**9), watch="all")
+    sol = solve_until(*until_args(running, "V1", "V2"), eps=F(1, 10**9))
     nxt = CanonicalVertex("A", "next")
     # dec(A:next;1) = 1 - sqrt(3)/2, win(A:next) = 1/sqrt(3)
     lo, hi = sol.interval(dec_key(nxt, 1))
@@ -120,13 +114,13 @@ def test_running_inner_variables(running):
 def test_dag_is_exact(dag):
     sol = solve_until(*until_args(dag, None, "goal"))
     assert sol.exact
-    assert axiom_probability(sol, dag, "v0") == (F(1), F(1))
+    assert at(sol, dag, "v0") == (F(1), F(1))
 
 
 def test_updrift_encloses_one_quarter(updrift):
     sol = solve_until(*until_args(updrift, None, "green"))
     assert sol.converged
-    lo, hi = axiom_probability(sol, updrift, "m0")
+    lo, hi = at(sol, updrift, "m0")
     assert lo <= F(1, 4) <= hi
     assert hi - lo <= F(1, 10**6)
 
@@ -138,38 +132,32 @@ def test_critical_stays_undecided(critical):
     sol = solve_until(*until_args(critical, None, "green"))
     assert sol.converged and not sol.exact
     assert sol.iterations <= 30
-    lo, hi = axiom_probability(sol, critical, "m0")
+    lo, hi = at(sol, critical, "m0")
     assert hi == 1
     assert 1 - F(1, 10**6) <= lo < 1
 
 
 def test_critical_converges_everywhere(critical):
-    sol = solve_until(*until_args(critical, None, "green"),
-                      eps=F(1, 10**9), watch="all", max_rounds=4000)
+    sol = solve_until(*until_args(critical, None, "green"), eps=F(1, 10**9))
     assert sol.converged
     assert all(sol.hi[k] - sol.lo[k] <= F(1, 10**9) for k in sol.lo)
 
 
 def test_shared_enclosure_is_solved_once_per_width(running):
-    """One enclosure per until, watching every variable at min(eps, 1e-9):
-    a request it already meets reuses it, a finer one solves again."""
+    """One enclosure per until and analysis, every variable within eps: a
+    request it already meets reuses it, a finer one solves again."""
     args = until_args(running, "V1", "V2")
-    enc = shared_enclosure(*args, eps=F(1, 10**6))
+    enc = solve_until(*args, eps=F(1, 10**6))
     assert enc.converged
-    assert all(enc.hi[k] - enc.lo[k] <= F(1, 10**9) for k in enc.lo)
-    assert shared_enclosure(*args) is enc
-    fine = shared_enclosure(*args, eps=F(1, 10**15))
+    assert all(enc.hi[k] - enc.lo[k] <= F(1, 10**6) for k in enc.lo)
+    assert solve_until(*args) is enc
+    assert solve_until(*args, eps=F(1, 20)) is enc
+    fine = solve_until(*args, eps=F(1, 10**15))
     assert fine is not enc and fine.converged
     assert all(fine.hi[k] - fine.lo[k] <= F(1, 10**15) for k in fine.lo)
-    assert shared_enclosure(*args, eps=F(1, 10**12)) is fine
+    assert solve_until(*args, eps=F(1, 10**12)) is fine
     an, _, phi2 = args
-    assert shared_enclosure(an, classes(an, None), phi2) is not fine
-
-
-def test_axiom_probability_rejects_unknown_vertex(running):
-    sol = solve_until(*until_args(running, "V1", "V2"))
-    with pytest.raises(GrammarError, match="not a vertex of the axiom rule"):
-        axiom_probability(sol, running, "fork")
+    assert solve_until(an, classes(an, None), phi2) is not fine
 
 
 def test_trivial_phi2_saturates(running):
