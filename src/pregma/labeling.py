@@ -3,19 +3,22 @@
 A verdict at a class quantifies over every concrete vertex of that class:
 holds means the formula is true at all of them, fails means false at all of
 them, unknown covers both genuine mixtures and the engines' honest refusals.
-Boolean connectives run three-valued, which lets a decided conjunct mask an
-undecided one. Probabilistic operators dispatch on the threshold: one-step
-masses are exact rationals, untils with threshold 0 or 1 go to the
-qualitative engines, and everything else reads the until's one certified
-enclosure from `solve_until`, whose values are absolute probabilities
-exactly for the axiom rule's classes. That enclosure is solved at
-min(eps, 1e-9), so the almost-sure engine reads the same one.
+Every subformula is labelled by a pair of class sets, the classes where it
+surely holds and those where it possibly holds (the first within the
+second): holds is the first set, fails lies outside the second, unknown is
+the gap. Negation complements and swaps the pair and conjunction intersects
+it, so a decided conjunct masks an undecided one. Probabilistic operators
+read their operands' pairs and dispatch on the threshold: one-step masses
+are exact rationals, untils with threshold 0 or 1 go to the qualitative
+engines, and everything else reads the until's one certified enclosure from
+`solve_until`, whose values are absolute probabilities exactly for the axiom
+rule's classes. That enclosure is solved at min(eps, 1e-9), so the
+almost-sure engine reads the same one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
@@ -28,10 +31,9 @@ from .validation import Analysis, analyse
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# a verdict per class: "holds" | "fails" | "unknown"
-Verdicts = dict[CanonicalVertex, str]
-
-_NEGATED = {"holds": "fails", "fails": "holds", "unknown": "unknown"}
+# (surely, possibly): the classes where a formula holds at every vertex, and
+# the classes where it may hold at some vertex
+Pair = tuple[frozenset[CanonicalVertex], frozenset[CanonicalVertex]]
 
 
 @dataclass(frozen=True)
@@ -49,136 +51,86 @@ def classes_for_colours(
     return frozenset(c for c in an.reachable if an.classes[c].colours & names)
 
 
-class _Evaluator:
-    def __init__(self, an: Analysis, eps: Fraction):
-        self.an = an
-        self.g = an.grammar
-        # one solve per until serves its thresholds and its almost-sure verdicts
-        self.eps = min(eps, ALMOST_SURE_EPS)
-        self.cans = an.reachable
-        self.colour_names = self.g.colour_names
-        self.axiom_vertices = set(an.rules[self.g.axiom].rhs.vertices)
-
-    # each eval returns a verdict per class, plus per-class probability
-    # intervals when the node was solved quantitatively
-    def eval(self, f: Formula) -> tuple[Verdicts, dict]:
-        if isinstance(f, TT):
-            return {c: "holds" for c in self.cans}, {}
-        if isinstance(f, Atom):
-            return self._atom(f.name), {}
-        if isinstance(f, Not):
-            sub, _ = self.eval(f.sub)
-            return {c: _NEGATED[v] for c, v in sub.items()}, {}
-        if isinstance(f, And):
-            left, _ = self.eval(f.left)
-            right, _ = self.eval(f.right)
-            out: Verdicts = {}
-            for c in self.cans:
-                a, b = left[c], right[c]
-                if a == "fails" or b == "fails":
-                    out[c] = "fails"
-                elif a == "holds" and b == "holds":
-                    out[c] = "holds"
-                else:
-                    out[c] = "unknown"
-            return out, {}
-        if isinstance(f, Next):
-            return self._next(f), {}
-        if isinstance(f, Until):
-            return self._until(f)
-        raise TypeError(f)
-
-    def _atom(self, name: str) -> Verdicts:
-        is_colour = name in self.colour_names
-        is_vertex = name in self.axiom_vertices
-        if is_colour and is_vertex:
+def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
+    if isinstance(f, TT):
+        every = frozenset(an.reachable)
+        return every, every
+    if isinstance(f, Atom):
+        g = an.grammar
+        vertices = set(an.rules[g.axiom].rhs.vertices)
+        if f.name in g.colour_names and f.name in vertices:
             raise FormulaError(
-                f"atom {name} is both a colour and an axiom-rule vertex; rename one"
+                f"atom {f.name} is both a colour and an axiom-rule vertex; rename one"
             )
-        if is_colour:
-            members = classes_for_colours(self.an, frozenset({name}))
-        elif is_vertex:
-            members = frozenset({CanonicalVertex(self.g.axiom, name)})
+        if f.name in g.colour_names:
+            members = classes_for_colours(an, frozenset({f.name}))
+        elif f.name in vertices:
+            members = frozenset({CanonicalVertex(g.axiom, f.name)})
         else:
             raise FormulaError(
-                f"atom {name} is neither a colour ({sorted(self.colour_names)}) "
-                f"nor an axiom-rule vertex ({sorted(map(str, self.axiom_vertices))})"
+                f"atom {f.name} is neither a colour ({sorted(g.colour_names)}) "
+                f"nor an axiom-rule vertex ({sorted(map(str, vertices))})"
             )
-        return {c: "holds" if c in members else "fails" for c in self.cans}
+        return members, members
+    if isinstance(f, Not):
+        surely, possibly = _label(an, f.sub, eps)
+        every = frozenset(an.reachable)
+        return every - possibly, every - surely
+    if isinstance(f, And):
+        (u1, o1), (u2, o2) = _label(an, f.left, eps), _label(an, f.right, eps)
+        return u1 & u2, o1 & o2
+    if isinstance(f, Next):
+        surely, possibly = _label(an, f.sub, eps)
+        verdicts = next_qualitative(an, surely, f.cmp, f.rho, over=possibly)
+        return (frozenset(c for c, v in verdicts.items() if v == "holds"),
+                frozenset(c for c, v in verdicts.items() if v != "fails"))
+    if isinstance(f, Until):
+        return _until(an, f, eps)[0]
+    raise TypeError(f)
 
-    @staticmethod
-    def _split(verdicts: Mapping[CanonicalVertex, str]):
-        under = frozenset(c for c, v in verdicts.items() if v == "holds")
-        over = frozenset(c for c, v in verdicts.items() if v != "fails")
-        return under, over
 
-    def _next(self, f: Next) -> Verdicts:
-        sub, _ = self.eval(f.sub)
-        under, over = self._split(sub)
-        return next_qualitative(self.an, under, f.cmp, f.rho, over=over)
+def _until(
+    an: Analysis, f: Until, eps: Fraction
+) -> tuple[Pair, dict[CanonicalVertex, tuple[Fraction, Fraction]]]:
+    """The until's pair, and the probability interval of each class that the
+    enclosure or a certified 0 / 1 gave one."""
+    (u1, o1), (u2, o2) = _label(an, f.left, eps), _label(an, f.right, eps)
+    every = frozenset(an.reachable)
+    # a threshold every probability passes, or none does
+    trivial = decide_threshold((ZERO, ONE), f.cmp, f.rho)
+    if trivial != "unknown":
+        return (every, every) if trivial == "holds" else (frozenset(), frozenset()), {}
 
-    def _until(self, f: Until) -> tuple[Verdicts, dict]:
-        left, _ = self.eval(f.left)
-        right, _ = self.eval(f.right)
-        u1, o1 = self._split(left)
-        u2, o2 = self._split(right)
-        # a threshold every probability passes, or none does
-        trivial = decide_threshold((ZERO, ONE), f.cmp, f.rho)
-        if trivial != "unknown":
-            return {c: trivial for c in self.cans}, {}
+    if f.rho == 0 or f.rho == 1:
+        # > 0 and >= 1 ask the engine; <= 0 and < 1 are their negations
+        engine = until_positive if f.rho == 0 else until_almost_sure
+        lower = engine(an, u1, u2)
+        upper = lower if (u1, u2) == (o1, o2) else engine(an, o1, o2)
+        surely = frozenset(c for c, v in lower.items() if v == "holds")
+        possibly = frozenset(c for c, v in upper.items() if v != "fails")
+        if f.cmp in ("<=", "<"):
+            return (every - possibly, every - surely), {}
+        return (surely, possibly), {}
 
-        if f.rho == 0 or f.rho == 1:
-            return self._until_qualitative(f, u1, o1, u2, o2), {}
-        return self._until_quantitative(f, u1, o1, u2, o2)
-
-    def _until_qualitative(self, f: Until, u1, o1, u2, o2):
-        # remaining qualitative cases: > 0, <= 0, >= 1, < 1
-        if f.rho == 0:
-            engine = until_positive
-            negated = f.cmp == "<="
-        else:
-            engine = until_almost_sure
-            negated = f.cmp == "<"
-        lower = engine(self.an, u1, u2)
-        upper = lower if (u1, u2) == (o1, o2) else engine(self.an, o1, o2)
-        out: Verdicts = {}
-        for c in self.cans:
-            if lower[c] == "holds":
-                verdict = "holds"
-            elif upper[c] == "fails":
-                verdict = "fails"
-            else:
-                verdict = "unknown"
-            out[c] = _NEGATED[verdict] if negated else verdict
-        return out
-
-    def _until_quantitative(self, f: Until, u1, o1, u2, o2):
-        lo_enc = solve_until(self.an, u1, u2, self.eps)
-        hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(self.an, o1, o2, self.eps)
-        intervals: dict[CanonicalVertex, tuple[Fraction, Fraction]] = {}
-        out: Verdicts = {}
-        for c in self.cans:
-            if c.rule == self.g.axiom:
-                intervals[c] = (lo_enc.lo[win_key(c)], hi_enc.hi[win_key(c)])
-                out[c] = decide_threshold(intervals[c], f.cmp, f.rho)
-            else:
-                out[c] = "unknown"
-
-        # deeper classes: absolute probabilities depend on the instance's
-        # surroundings, but certified 0 / 1 still decide any threshold
-        zero_one_needed = [c for c in self.cans if c.rule != self.g.axiom]
-        if zero_one_needed:
-            pos = until_positive(self.an, o1, o2)
-            one = until_almost_sure(self.an, u1, u2)
-            for c in zero_one_needed:
-                if pos[c] == "fails":
-                    intervals[c] = (ZERO, ZERO)
-                elif one[c] == "holds":
-                    intervals[c] = (ONE, ONE)
-                else:
-                    continue
-                out[c] = decide_threshold(intervals[c], f.cmp, f.rho)
-        return out, intervals
+    lo_enc = solve_until(an, u1, u2, eps)
+    hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(an, o1, o2, eps)
+    axiom = an.grammar.axiom
+    intervals = {c: (lo_enc.lo[win_key(c)], hi_enc.hi[win_key(c)])
+                 for c in an.reachable if c.rule == axiom}
+    # deeper classes: absolute probabilities depend on the instance's
+    # surroundings, but certified 0 / 1 still decide any threshold
+    deeper = [c for c in an.reachable if c.rule != axiom]
+    if deeper:
+        pos = until_positive(an, o1, o2)
+        one = until_almost_sure(an, u1, u2)
+        for c in deeper:
+            if pos[c] == "fails":
+                intervals[c] = (ZERO, ZERO)
+            elif one[c] == "holds":
+                intervals[c] = (ONE, ONE)
+    verdicts = {c: decide_threshold(i, f.cmp, f.rho) for c, i in intervals.items()}
+    return (frozenset(c for c, v in verdicts.items() if v == "holds"),
+            every - {c for c, v in verdicts.items() if v == "fails"}), intervals
 
 
 def label_formula(
@@ -186,6 +138,14 @@ def label_formula(
     formula: Formula,
     eps: Fraction = Fraction(1, 10**6),
 ) -> dict[CanonicalVertex, Verdict]:
-    ev = _Evaluator(analyse(g), eps)
-    statuses, intervals = ev.eval(formula)
-    return {c: Verdict(statuses[c], intervals.get(c)) for c in ev.cans}
+    """One verdict per reachable class, in the analysis's order. Only a
+    top-level until's verdicts carry intervals."""
+    an = analyse(g)
+    # one solve per until serves its thresholds and its almost-sure verdicts
+    eps = min(eps, ALMOST_SURE_EPS)
+    if isinstance(formula, Until):
+        (surely, possibly), intervals = _until(an, formula, eps)
+    else:
+        (surely, possibly), intervals = _label(an, formula, eps), {}
+    return {c: Verdict("holds" if c in surely else "unknown" if c in possibly else "fails",
+                       intervals.get(c)) for c in an.reachable}

@@ -399,16 +399,20 @@ def _newton(
     return [Fraction(b, fine) for b in new], direction
 
 
+# the round cap of every solve
+_ROUNDS = 4000
+
+
 def solve_enclosure(
     system: PolySystem,
     eps: Fraction = Fraction(1, 10**6),
-    max_rounds: int = 20000,
 ) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
-    converged means: hi - lo <= eps on every variable. exact means lo is
-    the least fixpoint itself, which happens whenever the iteration closes,
-    e.g. on systems with no cyclic dependencies.
+    converged means: hi - lo <= eps on every variable, unless the round cap
+    `_ROUNDS` stops the solve first. exact means lo is the least fixpoint
+    itself, which happens whenever the iteration closes, e.g. on systems
+    with no cyclic dependencies.
     """
     keys = list(system.variables)
 
@@ -477,7 +481,7 @@ def solve_enclosure(
 
     exact = False
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < _ROUNDS:
         rounds += 1
         fx = _at(rows, den, lo)
         if fx == lo:

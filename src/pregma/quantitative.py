@@ -139,10 +139,6 @@ def shared_assembly(
     return an.assemblies[key]
 
 
-# the solver's round cap for every until
-_ROUNDS = 4000
-
-
 def solve_until(
     an: Analysis,
     phi1: frozenset[CanonicalVertex],
@@ -155,7 +151,7 @@ def solve_until(
     solved at. Callers read it and never change it."""
     assembly = shared_assembly(an, phi1, phi2)
     if assembly.shared is None or assembly.shared[0] > eps:
-        enc = solve_enclosure(assembly.system, eps=eps, max_rounds=_ROUNDS)
+        enc = solve_enclosure(assembly.system, eps=eps)
         enc.lo.update(assembly.pins)
         enc.hi.update(assembly.pins)
         assembly.shared = eps, enc

@@ -1,9 +1,10 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
 from pregma.formulas import FormulaError, parse_formula
-from pregma.gio import parse_grammar
+from pregma.gio import load_grammar, parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError
 from pregma.polysys import ONE, ZERO, decide_threshold, solve_enclosure
@@ -128,6 +129,56 @@ def test_threshold_shortcuts(running):
     ) == {"fails"}
 
 
+# the colour each corpus grammar's untils aim at
+GOALS = {"critical.gg": "green", "dag.gg": "goal", "running.gg": "V2", "updrift.gg": "green"}
+KLEENE_NOT = {"holds": "fails", "fails": "holds", "unknown": "unknown"}
+
+
+def test_negated_thresholds_are_kleene_negations(corpus_dir):
+    """Per class, F[<1] c negates F[>=1] c and F[<=0] c negates F[>0] c,
+    and !!phi and phi & tt keep the statuses of a quantitative until phi."""
+    labelled = 0
+    for path in sorted(corpus_dir.glob("*.gg")):
+        g = load_grammar(path)
+        try:
+            analyse(g)
+        except GrammarError:  # outside the engines' fragment
+            continue
+        c = GOALS[path.name]
+
+        def label(text):
+            return statuses(label_formula(g, parse_formula(text)))
+
+        for below, above in [(f"F[<1] {c}", f"F[>=1] {c}"), (f"F[<=0] {c}", f"F[>0] {c}")]:
+            negated = {k: KLEENE_NOT[v] for k, v in label(above).items()}
+            assert label(below) == negated, f"{path.name}: {below}"
+        phi = f"F[>=1/2] {c}"
+        assert label(f"!!({phi})") == label(f"({phi}) & tt") == label(phi), path.name
+        labelled += 1
+    assert labelled == len(GOALS)
+
+
+@pytest.mark.parametrize("formula", ["!(V1 U[>=1/4] V2)", "X[>0] (V1 U[>=1/4] V2)"])
+def test_intervals_come_from_a_top_level_until_only(running, formula):
+    assert {v.interval for v in label_formula(running, parse_formula(formula)).values()} \
+        == {None}
+    top = label_formula(running, parse_formula("V1 U[>=1/4] V2"))
+    assert top[CanonicalVertex("Z", "v0")].interval is not None
+
+
+def test_labelling_leaves_no_cyclic_garbage(running, critical):
+    """A labelling frees what it built by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g, text in [(running, "V1 U[>=1/4] V2"), (running, "X[>0] (V1 U[>=1/4] V2)"),
+                        (critical, "F[<1] green & !F[>0] green")]:
+            label_formula(g, parse_formula(text))
+            assert gc.collect() == 0, text
+    finally:
+        gc.enable()
+
+
 def test_one_analysis_per_labelling(running, monkeypatch):
     """One label_formula walks each class's role chain once, builds each
     context's fragment once and assembles each (phi1, phi2) pair once,
@@ -168,13 +219,14 @@ def test_one_solve_per_until(critical, monkeypatch):
     1 (a double root), and the enclosure's lower bound passes 99999/100000
     well inside a 200-round budget."""
     import pregma.labeling as labeling
+    import pregma.polysys as polysys
     import pregma.quantitative as quantitative
 
     solves, almost_sure = [], []
 
     def counting_solve(*args, **options):
         solves.append(options.get("eps"))
-        return solve_enclosure(*args, **{**options, "max_rounds": 200})
+        return solve_enclosure(*args, **options)
 
     def counting_almost_sure(*args):
         almost_sure.append(args[1:])
@@ -182,6 +234,7 @@ def test_one_solve_per_until(critical, monkeypatch):
 
     solve_enclosure = quantitative.solve_enclosure
     until_almost_sure = labeling.until_almost_sure
+    monkeypatch.setattr(polysys, "_ROUNDS", 200)
     monkeypatch.setattr(quantitative, "solve_enclosure", counting_solve)
     monkeypatch.setattr(labeling, "until_almost_sure", counting_almost_sure)
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))

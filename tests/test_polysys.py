@@ -15,8 +15,8 @@ from pregma.labeling import classes_for_colours
 from pregma.model import GrammarError
 from pregma.pcp import encode, load_pcp
 from pregma.polysys import (
-    _CERTIFY_EVERY, _DEN_CAP, ONE, ZERO, Enclosure, Key, PolySystem, _min_degree, _solve,
-    decide_threshold, solve_enclosure,
+    _CERTIFY_EVERY, _DEN_CAP, _ROUNDS, ONE, ZERO, Enclosure, Key, PolySystem, _min_degree,
+    _solve, decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system
@@ -166,8 +166,8 @@ def test_certificate_follows_the_newton_direction():
         "x1": [(F(3, 4), ()), (F(1, 16), ("x1", "x1")),
                (F(15, 128), ("x1", "x0"))],
     })
-    enc = solve_enclosure(s, eps=F(1, 10**6), max_rounds=3000)
-    assert enc.converged
+    enc = solve_enclosure(s, eps=F(1, 10**6))
+    assert enc.converged and enc.iterations <= 3000
     assert enc.hi["x0"] < 1 and enc.hi["x1"] < 1
     assert all(v <= enc.hi[k] for k, v in evaluate(s, enc.hi).items())
 
@@ -211,9 +211,10 @@ def test_newton_refuses_a_positive_direction_it_cannot_check(monkeypatch):
 
     monkeypatch.setattr(polysys, "_solve", wrong)
     monkeypatch.setattr(polysys, "_newton", watched)
+    monkeypatch.setattr(polysys, "_ROUNDS", 60)
     s = system({"x": [(F(1, 4), ()), (F(1, 4), ("y",)), (F(1, 4), ("x", "x"))],
                 "y": [(F(1, 4), ()), (F(1, 2), ("x",))]})
-    enc = solve_enclosure(s, eps=F(1, 10**9), max_rounds=60)
+    enc = solve_enclosure(s, eps=F(1, 10**9))
     assert refused and all(refused)
     assert all(v <= enc.hi[k] for k, v in evaluate(s, enc.hi).items())
     assert all(enc.lo[k] <= v for k, v in evaluate(s, enc.lo).items())
@@ -228,10 +229,13 @@ def test_newton_refuses_a_positive_direction_it_cannot_check(monkeypatch):
     assert not below_root(2 * enc.hi["y"] - F(1, 2))
 
 
-def test_round_cap_certifies_the_upper_bound():
+def test_round_cap_certifies_the_upper_bound(monkeypatch):
     # one round never meets eps = 1e-12; the bound certified at the cap
     # still brings hi well below 1
-    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), eps=F(1, 10**12), max_rounds=1)
+    import pregma.polysys as polysys
+
+    monkeypatch.setattr(polysys, "_ROUNDS", 1)
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), eps=F(1, 10**12))
     assert enc.iterations == 1 and not enc.converged
     lo, hi = enc.interval("x")
     assert hi < F(26, 100)
@@ -311,7 +315,8 @@ def test_solver_keeps_pinned_empty_equations():
 def test_scalar_quadratic_soundness(c, a):
     if a + c > 1:
         a = 1 - c
-    enc = solve_enclosure(scalar(c, a), eps=F(1, 10**4), max_rounds=400)
+    enc = solve_enclosure(scalar(c, a), eps=F(1, 10**4))
+    assert enc.iterations <= 400
     lo, hi = enc.interval("x")
     assert 0 <= lo <= hi <= 1
     # exact sandwich around the least root: the lower bound satisfies
@@ -342,7 +347,8 @@ def small_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_systems())
 def test_random_system_enclosures(s):
-    enc = solve_enclosure(s, eps=F(1, 10**6), max_rounds=500)
+    enc = solve_enclosure(s, eps=F(1, 10**6))
+    assert enc.iterations <= 500
     assert all(0 <= enc.lo[k] <= enc.hi[k] <= 1 for k in s.variables)
     # hi is a post-fixpoint and lo a pre-fixpoint, both checked exactly
     fhi, flo = evaluate(s, enc.hi), evaluate(s, enc.lo)
@@ -810,16 +816,17 @@ def non_dyadic_systems(draw):
 
 
 def same_enclosure(s, **kwargs):
-    new, ref = solve_enclosure(s, **kwargs), fraction_solve(s, **kwargs)
+    new, ref = solve_enclosure(s, **kwargs), fraction_solve(s, max_rounds=_ROUNDS, **kwargs)
     assert (new.lo, new.hi, new.converged, new.exact, new.iterations) == (
         ref.lo, ref.hi, ref.converged, ref.exact, ref.iterations)
     assert all(type(v) is Fraction for v in [*new.lo.values(), *new.hi.values()])
+    return new
 
 
 def test_solver_matches_the_fraction_reference():
     count = 0
     for name, s in assembled_systems():
-        for kwargs in [{}, {"eps": F(1, 10**9), "max_rounds": 4000}]:
+        for kwargs in [{}, {"eps": F(1, 10**9)}]:
             try:
                 same_enclosure(s, **kwargs)
             except AssertionError as exc:
@@ -839,4 +846,4 @@ def test_solver_matches_the_fraction_reference():
 @settings(max_examples=60, deadline=None)
 @given(non_dyadic_systems())
 def test_non_dyadic_systems_match_the_fraction_reference(s):
-    same_enclosure(s, eps=F(1, 10**6), max_rounds=500)
+    assert same_enclosure(s, eps=F(1, 10**6)).iterations <= 500
