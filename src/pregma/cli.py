@@ -477,6 +477,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # print exact answers of any length (Python 3.10.7 on limits ints to 4300 digits)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)

@@ -26,7 +26,6 @@ most it builds.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -44,6 +43,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
+from .validation import hyperarc_slots, vertex_classes
 
 
 class TotalityError(GrammarError):
@@ -63,54 +63,20 @@ def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int
     return [(s, t, weight[label]) for label, s, t in rule.arcs]
 
 
-def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
+def _may_raise(g: Grammar) -> bool:
     """Whether the truncation raises at some depth, read off the rules alone:
     a reachable rule has an arc label without a probability, or a reachable
-    class has a finite out-mass other than 1 and is not an absorbing sink.
-
-    A vertex gets arcs and colours in the rule that creates it and, for
-    every hyperarc it lies on, at that input of the hyperarc's rule, and so
-    on down; what each (rule, vertex) slot adds is worked out once. A
-    passing that comes back to a slot keeps the vertex on the frontier at
-    every depth, so the truncation never checks its mass."""
+    class whose passings end has an out-mass other than 1 and is not an
+    absorbing sink. A class whose passings never end keeps its vertices on
+    the frontier at every depth, so the truncation never checks its mass."""
     names = reachable_nonterminals(g)
-    rules = [rule for rule in g.rules if rule.lhs in names]
-    if any(arc.label not in weight for rule in rules for arc in rule.rhs.arcs):
+    if any(arc.label not in g.mu
+           for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
         return True
-    inputs = {rule.lhs: rule.inputs for rule in rules}
-    mass: Counter = Counter()
-    marks: dict[tuple[str, VertexId], set[str]] = {}
-    passed: dict[tuple[str, VertexId], list[tuple[str, VertexId]]] = {}
-    for rule in rules:
-        for label, source, _ in rule.rhs.arcs:
-            mass[rule.lhs, source] += weight[label]
-        for colour, v in rule.rhs.colours:
-            marks.setdefault((rule.lhs, v), set()).add(colour)
-        for label, vs in rule.rhs.hyperarcs:
-            for v, x in zip(vs, inputs[label]):
-                passed.setdefault((rule.lhs, v), []).append((label, x))
-    # per slot: (mass, colours) from there on down, None once it cycles
-    gains: dict[tuple[str, VertexId], tuple[int, frozenset[str]] | None] = {}
-    for rule in rules:
-        for v in rule.non_inputs:
-            todo = [(rule.lhs, v)]
-            while todo:
-                slot = todo[-1]
-                if slot not in gains:
-                    gains[slot] = None  # open: meeting it again is a cycle
-                    todo += [s for s in passed.get(slot, ()) if s not in gains]
-                    continue
-                todo.pop()
-                below = [gains[s] for s in passed.get(slot, ())]
-                if None not in below:
-                    gains[slot] = (
-                        mass[slot] + sum(m for m, _ in below),
-                        frozenset(marks.get(slot, ())).union(*(c for _, c in below)))
-            got = gains[rule.lhs, v]
-            if got is not None and got[0] != den and (
-                    got[0] or not got[1] & g.absorbing):
-                return True
-    return False
+    classes = vertex_classes(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
+    return any(can.rule in names and vc.terminates and vc.out.total(g.mu) != 1
+               and not (vc.is_sink and vc.colours & g.absorbing)
+               for can, vc in classes.items())
 
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
@@ -164,7 +130,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if _blocking(layers, frontier, won) is not None:
             return False
         if may_raise is None:
-            may_raise = _may_raise(g, den, weight)
+            may_raise = _may_raise(g)
         return not may_raise
 
     for level, rule, ids in _rewrite(g, depth, unexpanded,

@@ -409,10 +409,10 @@ def solve_enclosure(
 ) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
-    converged means: hi - lo <= eps on every variable, unless the round cap
-    `_ROUNDS` stops the solve first. exact means lo is the least fixpoint
-    itself, which happens whenever the iteration closes, e.g. on systems
-    with no cyclic dependencies.
+    converged means: hi - lo <= eps on every variable, for the eps > 0
+    given, unless the round cap `_ROUNDS` stops the solve first. exact
+    means lo is the least fixpoint itself, which happens whenever the
+    iteration closes, e.g. on systems with no cyclic dependencies.
     """
     keys = list(system.variables)
 
@@ -432,11 +432,11 @@ def solve_enclosure(
     m = len(rows)
     lo = [ZERO] * m
     hi = [ONE] * m
-    bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
+    bits = max(64, int(1 / eps).bit_length() + 16)
     components = _components(rows, den)
     # The first positive offset lies far below eps: a component's slack above
     # its lower bound reaches the components above it amplified.
-    base_delta = eps / 2**20 if eps > 0 else Fraction(1, 10**12)
+    base_delta = eps / 2**20
     # per cyclic component (by position): certification direction, and the
     # round of the next Newton attempt with the wait after a refusal
     directions: dict[int, list[Fraction]] = {}
@@ -509,7 +509,6 @@ def solve_enclosure(
             stepped = True
         if nxt == lo:
             bits += 32  # grid too coarse to see the strict increase
-            continue
         # Certify once Newton moves lo by at most eps: before that lo is far
         # from the fixpoint, and a certificate would either fail or stop the
         # solve at a width near eps that the next step shrinks far below it.

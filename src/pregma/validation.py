@@ -2,34 +2,34 @@
 analysis of a grammar that every engine reads.
 
 A concrete vertex picks up arcs in stages: some at its creation site, then
-some more each time it is glued onto the input of a deeper rule copy. The
-walker below follows that chain of roles purely syntactically, so the full
-out-degree (and colour set) of every vertex of the generated graph can be
-read off the grammar without expanding anything.
+more at each passing, the step from a site to the input of a hyperarc slot
+that holds it. One memoised walk of the passings from every creation site
+reads the full out-degree (and colour set) of every vertex of the generated
+graph off the grammar without expanding anything. A walk that comes back to
+a site on its open path has found a loop: no site on it terminates, and
+every arc label gained on it occurs infinitely often.
 
-The walk needs single membership: each vertex lies on at most one
-nonterminal hyperarc, so each role has at most one next role. Admission
-checks this before any chain is walked, and a grammar that breaks it is
-refused with one line per shared vertex. The chain then either terminates
-(the current role vertex lies on no nonterminal hyperarc) or revisits a role
-(the vertex keeps being re-glued forever, and any arcs gained inside the
-loop occur infinitely often).
+Admission walks only under single membership, each vertex on at most one
+nonterminal hyperarc, and refuses a grammar that breaks it with one line
+per shared vertex. At a shared vertex the walk sums what every branch
+gains, which is exact for the classes that terminate; the truncation
+oracle reads only those.
 
-`analyse` walks each class's chain once and keeps what the engines need: a
-rule lookup, the hyperarc occurrence table, each class's profiles and
-colours, the absorbing and reachable classes, the classes each rule input
-can be bound to, one local fragment per context (the source of every
-one-step fact), and the equation systems assembled so far. It refuses
-grammars outside what the engines handle. The analysis is a value the caller
-owns and passes along; nothing is cached on the grammar, which callers such
-as the pushdown converter still edit after reading its profiles.
+`analyse` keeps what the engines need: a rule lookup, the hyperarc
+occurrence table, each class's profiles and colours, the absorbing and
+reachable classes, the classes each rule input can be bound to, one local
+fragment per context (the source of every one-step fact), and the equation
+systems assembled so far. It refuses grammars outside what the engines
+handle. The analysis is a value the caller owns and passes along; nothing
+is cached on the grammar, which callers such as the pushdown converter
+still edit after reading its profiles.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .fragments import Fragment, build_fragment
 from .model import (
@@ -61,16 +61,6 @@ class EngineUnsupported(GrammarError):
     """The grammar is outside what the solving engines handle."""
 
 
-@dataclass(frozen=True)
-class RoleChain:
-    sites: tuple[Site, ...]
-    cycle_start: int | None  # index into sites, None when the chain terminates
-
-    @property
-    def terminates(self) -> bool:
-        return self.cycle_start is None
-
-
 def hyperarc_slots(g: Grammar) -> Slots:
     """The occurrence table: every hyperarc slot, indexed by the site in it."""
     slots: Slots = {}
@@ -79,24 +69,6 @@ def hyperarc_slots(g: Grammar) -> Slots:
             for pos, v in enumerate(h.vertices, start=1):
                 slots.setdefault((rule.lhs, v), []).append((h, pos))
     return slots
-
-
-def role_chain(
-    rules: Mapping[str, Rule], slots: Slots, rule_name: str, vertex: VertexId
-) -> RoleChain:
-    sites: list[Site] = []
-    seen: dict[Site, int] = {}
-    site: Site = (rule_name, vertex)
-    while True:
-        if site in seen:
-            return RoleChain(tuple(sites), seen[site])
-        seen[site] = len(sites)
-        sites.append(site)
-        occs = slots.get(site, [])
-        if not occs:
-            return RoleChain(tuple(sites), None)
-        h, pos = occs[0]
-        site = (h.label, rules[h.label].inputs[pos - 1])
 
 
 @dataclass(frozen=True)
@@ -116,27 +88,17 @@ class DegreeProfile:
         return "{" + ", ".join(parts) + "}"
 
 
-def _profile(chain: RoleChain, gains: Mapping[Site, Counter]) -> DegreeProfile:
-    finite: Counter = Counter()
-    infinite: set[str] = set()
-    for idx, site in enumerate(chain.sites):
-        got = gains.get(site, Counter())
-        if chain.cycle_start is not None and idx >= chain.cycle_start:
-            infinite.update(got)
-        else:
-            finite.update(got)
-    return DegreeProfile(tuple(sorted(finite.items())), frozenset(infinite))
-
-
 @dataclass(frozen=True)
 class VertexClass:
-    """What one class's role chain shows: every arc its vertices ever get,
-    in both directions, and every colour they carry."""
+    """What the passings from one class's creation site show: every arc its
+    vertices ever get, in both directions, every colour they carry, and
+    whether the passings end. Under a shared vertex only the profiles of a
+    class that terminates are exact."""
 
-    chain: RoleChain
     out: DegreeProfile
     into: DegreeProfile
     colours: frozenset[str]
+    terminates: bool
 
     @property
     def is_sink(self) -> bool:
@@ -152,31 +114,100 @@ def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
     return out
 
 
-def vertex_classes(
-    g: Grammar, rules: Mapping[str, Rule], slots: Slots
-) -> dict[CanonicalVertex, VertexClass]:
-    """Walk the role chain of every canonical vertex once.
+class _Down(NamedTuple):
+    """What a vertex gains at a site and at every site passed down from
+    there: finite counts of ("out" or "in", label), the pairs that recur
+    forever, its colours, and whether the passings end."""
 
-    Needs single membership: call it only on a grammar for which
-    check_complete_outside finds no violation.
-    """
-    out_gains: dict[Site, Counter] = {}
-    in_gains: dict[Site, Counter] = {}
+    counts: Counter
+    forever: frozenset[tuple[str, str]]
+    colours: frozenset[str]
+    terminates: bool
+
+
+def _join(arcs: list[tuple[str, str]], marks: set[str], below: list[_Down],
+          on_loop: bool) -> _Down:
+    """A site's own arcs and colours plus the gains of the sites it passes
+    to, all of them recurring forever when the site lies on a loop."""
+    counts, colours, forever = Counter(arcs), set(marks), set()
+    for d in below:
+        counts.update(d.counts)
+        forever |= d.forever
+        colours |= d.colours
+    if on_loop:
+        return _Down(Counter(), frozenset(forever | set(counts)), frozenset(colours), False)
+    return _Down(counts, frozenset(forever), frozenset(colours),
+                 all(d.terminates for d in below))
+
+
+def _degrees(d: _Down, way: str) -> DegreeProfile:
+    """The profile of one way, "out" or "in", of a walk entry."""
+    return DegreeProfile(tuple(sorted((label, n) for (w, label), n in d.counts.items()
+                                      if w == way)),
+                         frozenset(label for w, label in d.forever if w == way))
+
+
+def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]:
+    """The input sites a site is passed to, one per hyperarc slot holding it."""
+    return [(h.label, rules[h.label].inputs[pos - 1]) for h, pos in slots.get(site, ())]
+
+
+def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots,
+          ) -> tuple[dict[Site, _Down], dict[CanonicalVertex, VertexClass]]:
+    """One depth-first walk of the passings from every creation site: each
+    reached site's gains from there on down, and the class table. A loop's
+    sites are worked out deepest first; the site the walk came back to sees
+    all of the loop's gains, and every site on the loop takes its entry, as
+    under single membership they all gain the same."""
+    arcs: dict[Site, list[tuple[str, str]]] = {}
     marks: dict[Site, set[str]] = {}
     for rule in g.rules:
         for arc in rule.rhs.arcs:
-            out_gains.setdefault((rule.lhs, arc.source), Counter())[arc.label] += 1
-            in_gains.setdefault((rule.lhs, arc.target), Counter())[arc.label] += 1
+            arcs.setdefault((rule.lhs, arc.source), []).append(("out", arc.label))
+            arcs.setdefault((rule.lhs, arc.target), []).append(("in", arc.label))
         for colour, v in rule.rhs.colours:
             marks.setdefault((rule.lhs, v), set()).add(colour)
-    table: dict[CanonicalVertex, VertexClass] = {}
-    for can in canonical_vertices(g):
-        chain = role_chain(rules, slots, can.rule, can.vertex)
-        colours = frozenset(c for site in chain.sites for c in marks.get(site, ()))
-        table[can] = VertexClass(
-            chain, _profile(chain, out_gains), _profile(chain, in_gains), colours
-        )
-    return table
+
+    down: dict[Site, _Down] = {}
+    loops: dict[Site, list[Site]] = {}  # a site the walk came back to -> its loops
+    looped: set[Site] = set()
+    cans = canonical_vertices(g)
+    for can in cans:
+        start = (can.rule, can.vertex)
+        path, todo = [start], [_passings(rules, slots, start)]
+        while path:
+            if todo[-1]:
+                site = todo[-1].pop()
+                if site in path:
+                    loops.setdefault(site, []).extend(path[path.index(site):])
+                    looped.update(path[path.index(site):])
+                elif site not in down:
+                    path.append(site)
+                    todo.append(_passings(rules, slots, site))
+                continue
+            site = path.pop()
+            todo.pop()
+            down[site] = _join(arcs.get(site, []), marks.get(site, ()),
+                               [down[s] for s in _passings(rules, slots, site) if s in down],
+                               site in looped)
+            for s in loops.pop(site, ()):
+                down[s] = down[site]
+    classes = {}
+    for can in cans:
+        d = down[can.rule, can.vertex]
+        classes[can] = VertexClass(_degrees(d, "out"), _degrees(d, "in"), d.colours,
+                                   d.terminates)
+    return down, classes
+
+
+def vertex_classes(
+    g: Grammar, rules: Mapping[str, Rule], slots: Slots
+) -> dict[CanonicalVertex, VertexClass]:
+    """The class table of a structurally valid grammar, from one walk of
+    the passings. Exact for every class under single membership, which
+    check_complete_outside checks; otherwise exact for the classes that
+    terminate, whose profiles then sum what every branch gains."""
+    return _walk(g, rules, slots)[1]
 
 
 def check_complete_outside(g: Grammar) -> tuple[str, ...]:
@@ -233,15 +264,15 @@ class PhrReport:
         return "\n".join(lines)
 
 
-def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots,
+def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, _Down],
                                  dict[CanonicalVertex, VertexClass], PhrReport]:
     """The one admission of a grammar: the structural gate, the occurrence
-    table, single membership, then, only when no vertex is shared, the
-    role-chain walk and the mass report."""
+    table, single membership, then, only when no vertex is shared, the walk
+    of the passings and the mass report."""
     rules = checked_rules(g)
     slots = hyperarc_slots(g)
     violations = check_complete_outside(g)
-    classes = {} if violations else vertex_classes(g, rules, slots)
+    down, classes = ({}, {}) if violations else _walk(g, rules, slots)
     failures: list[PhrFailure] = []
     for can, vc in classes.items():
         profile = vc.out
@@ -264,8 +295,8 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots,
         if total != 1:
             failures.append(PhrFailure(can, profile, total, "total is not 1"))
     ok = not violations and not failures
-    return rules, slots, classes, PhrReport(ok, tuple(failures), violations,
-                                            len(canonical_vertices(g)))
+    return rules, slots, down, classes, PhrReport(ok, tuple(failures), violations,
+                                                  len(canonical_vertices(g)))
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -315,7 +346,7 @@ def analyse(g: Grammar) -> Analysis:
     one-step behaviour would depend on levels above the fragment under
     consideration.
     """
-    rules, slots, classes, report = _admit(g)
+    rules, slots, down, classes, report = _admit(g)
     if not report.ok:
         raise EngineUnsupported(str(report))
     for can, vc in classes.items():
@@ -323,16 +354,15 @@ def analyse(g: Grammar) -> Analysis:
             raise EngineUnsupported(
                 f"{can}: incoming arcs {sorted(vc.into.infinite)} repeat forever"
             )
-    for vc in classes.values():
-        # every site past the first is a rule input; from the second gluing
-        # on, the vertex has been passed down through an input on a hyperarc
-        chain = vc.chain
-        onward = chain.sites[2 if chain.terminates else min(2, chain.cycle_start):]
-        if any(arc.source == v for name, v in onward for arc in rules[name].rhs.arcs):
-            rule_name, vertex = chain.sites[1]
-            h, pos = slots[chain.sites[1]][0]
+    for can in classes:
+        # every passing leads to a rule input; from the second on, the
+        # vertex is passed down through an input on a hyperarc
+        first = _passings(rules, slots, (can.rule, can.vertex))
+        second = first and _passings(rules, slots, first[0])
+        if second and _degrees(down[second[0]], "out") != DegreeProfile((), frozenset()):
+            h, pos = slots[first[0]][0]
             raise EngineUnsupported(
-                f"rule {rule_name}: input {vertex} keeps gaining arcs "
+                f"rule {first[0][0]}: input {first[0][1]} keeps gaining arcs "
                 f"after being passed to {h.label} at position {pos}"
             )
 

@@ -108,6 +108,34 @@ rule B inputs x
 """
 
 
+# A's vertex y lies on two hyperarcs, and each child rule gives it a loop
+SHARED_DEFECT = """\
+nonterminal Z 0
+nonterminal A 1
+nonterminal B 1
+nonterminal C 1
+terminal go 2
+terminal green 1
+prob go 1
+absorbing green
+axiom Z
+rule Z
+  vertex v0 goal u
+  arc go v0 goal
+  colour green goal
+  arc go u u
+  hyperarc A u
+rule A inputs x
+  vertex y
+  hyperarc B y
+  hyperarc C y
+rule B inputs x
+  arc go x x
+rule C inputs x
+  arc go x x
+"""
+
+
 @pytest.fixture(scope="session")
 def deep_defects():
     """Grammar texts with a defect below v0's horizon-2 cone, which closes
@@ -115,8 +143,10 @@ def deep_defects():
 
     In the first, A's vertex y gets one `go` loop from rule A and another
     from rule B, so its out-mass is 2. In the second, that loop is gone and
-    `bad`, which rule B first uses at level 2, has no probability."""
+    `bad`, which rule B first uses at level 2, has no probability. In the
+    third, y lies on a B and a C hyperarc and gets a loop from each."""
     unpriced = _DEEP_DEFECT.replace("prob bad 1/2\n", "").replace(
         "  arc go x x\n", "")
     return [(_DEEP_DEFECT, "vertex 3 (class A:y, level 1) has outgoing mass 2"),
-            (unpriced, "no probability for arc label bad")]
+            (unpriced, "no probability for arc label bad"),
+            (SHARED_DEFECT, "vertex 3 (class A:y, level 1) has outgoing mass 2")]

@@ -271,6 +271,72 @@ def test_prob_needs_arc_probabilities(corpus_dir, tmp_path):
         1, "", "grammar declares no arc probabilities\n")
 
 
+# updrift's walk with tiny step probabilities, the rest of each vertex's
+# mass going to an absorbing red sink: every rounded Kleene iterate stalls
+TINY_WALK = """\
+nonterminal Z 0
+nonterminal Walk 1
+terminal down 2
+terminal up 2
+terminal off 2
+colour green
+colour red
+prob down 29/55282071780732213051372077056
+prob up 1/221128287122928852205488308223
+prob off {off}
+absorbing green
+absorbing red
+axiom Z
+rule Z
+  vertex base m0 dead
+  colour green base
+  colour red dead
+  arc down m0 base
+  arc off m0 dead
+  hyperarc Walk m0
+rule Walk inputs lo
+  vertex hi dead
+  colour red dead
+  arc up lo hi
+  arc down hi lo
+  arc off hi dead
+  hyperarc Walk hi
+"""
+
+
+def test_prob_converges_when_every_round_stalls(tmp_path):
+    path = tmp_path / "tiny.gg"
+    off = 1 - F(29, 55282071780732213051372077056) - F(1, 221128287122928852205488308223)
+    path.write_text(TINY_WALK.format(off=off))
+    assert run(["validate", str(path)]) == (0, "", "")
+    code, out, err = run(["prob", str(path), "--phi2", "green", "--from", "m0",
+                          "--format", "json-lines"])
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["converged"]
+    assert F(rec["upper"]) - F(rec["lower"]) <= F(1, 10**6)
+
+
+def test_prob_prints_exact_values_of_any_length(tmp_path):
+    """1 - (2/3)^9100 has more than 4300 digits, Python's default limit for
+    turning an int into text."""
+    path = tmp_path / "coin.gg"
+    path.write_text("nonterminal Z 0\nterminal hit 2\nterminal stay 2\n"
+                    "colour green\nprob hit 1/3\nprob stay 2/3\nabsorbing green\n"
+                    "axiom Z\nrule Z\n  vertex m0 goal\n  colour green goal\n"
+                    "  arc hit m0 goal\n  arc stay m0 m0\n")
+    argv = ["prob", str(path), "--phi2", "green", "--from", "m0",
+            "--method", "truncate", "--horizon", "9100"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    value = 1 - F(2, 3) ** 9100
+    assert len(str(value.denominator)) > 4300
+    assert out == f"bounded={value}\ndecimal 1.000000000000 (horizon 9100)\n"
+    code, out, err = run([*argv, "--format", "json-lines"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == str(value)
+
+
 def test_prob_truncate(corpus_dir):
     code, out, err = run([
         "prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0",
@@ -511,6 +577,10 @@ def test_check_at_json(corpus_dir):
     # every --n below 1 gets the bound the README states
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample",
       "--horizon", "3", "--n", "-5"], "argument --n: must be >= 1"),
+    (["prob", "{g}", "--phi2", ",", "--from", "v0"], "empty colour expression"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--eps", "abc"],
+     "not a rational"),
+    (["check", "{g}", "--formula", "F[>=1/2( V2"], "expected ']'"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]
@@ -901,6 +971,19 @@ def test_from_pds_round_trips(corpus_dir, tmp_path):
     assert g.nonterminals == {"Z": 0, "X": 4}
     assert validate_grammar(g) == []
     assert g.absorbing == {"halt"}
+
+
+def test_from_pds_renames_nonterminals_that_clash_with_labels(tmp_path):
+    pds = tmp_path / "clash.pds"
+    pds.write_text("stack A\nstate p q\nprob X 1\nprob Z 1\n"
+                   "absorb-sinks halt\nrule p X Aq\nrule Aq Z p\n")
+    out_path = tmp_path / "clash.gg"
+    assert run(["from-pds", str(pds), "-o", str(out_path)]) == (0, "", "")
+    g = load_grammar(out_path)
+    assert g.axiom == "_Z"
+    assert g.nonterminals == {"_Z": 0, "_X": 2}
+    assert set(g.mu) == {"X", "Z"}
+    assert validate_grammar(g) == []
 
 
 def test_from_pds_rejects_bad_input(tmp_path):

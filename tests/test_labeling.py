@@ -180,17 +180,17 @@ def test_labelling_leaves_no_cyclic_garbage(running, critical):
 
 
 def test_one_analysis_per_labelling(running, monkeypatch):
-    """One label_formula walks each class's role chain once, builds each
-    context's fragment once and assembles each (phi1, phi2) pair once,
-    however many untils, solves and qualitative passes the formula needs."""
+    """One label_formula walks the passings once, builds each context's
+    fragment once and assembles each (phi1, phi2) pair once, however many
+    untils, solves and qualitative passes the formula needs."""
     import pregma.quantitative as quantitative
     import pregma.validation as validation
 
     walks, built, pairs = [], [], []
 
-    def counting_chain(*args):
-        walks.append(args[-2:])
-        return role_chain(*args)
+    def counting_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
 
     def counting_fragment(*args):
         built.append(args[-1])
@@ -200,15 +200,15 @@ def test_one_analysis_per_labelling(running, monkeypatch):
         pairs.append(args[-2:])
         return assemble_system(*args)
 
-    role_chain = validation.role_chain
+    walk = validation._walk
     build_fragment = validation.build_fragment
     assemble_system = quantitative.assemble_system
-    monkeypatch.setattr(validation, "role_chain", counting_chain)
+    monkeypatch.setattr(validation, "_walk", counting_walk)
     monkeypatch.setattr(validation, "build_fragment", counting_fragment)
     monkeypatch.setattr(quantitative, "assemble_system", counting_assembly)
     label_formula(running, parse_formula("V1 U[>=1/4] V2 & F[>0] V2"))
-    assert sorted(walks) == sorted(
-        (c.rule, c.vertex) for c in canonical_vertices(running))
+    ((_, table),) = walks
+    assert list(table) == canonical_vertices(running)
     assert sorted(built) == ["A", "Z"]
     assert len(pairs) == len(set(pairs)) == 2
 

@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -23,6 +25,7 @@ from pregma.oracle import (
 from pregma.pcp import encode, load_pcp
 from pregma.pushdown import load_pds, to_grammar
 from pregma.rng import draw_array
+from pregma.validation import check_complete_outside, hyperarc_slots, vertex_classes
 from reference import config_chain
 
 V1 = frozenset({"V1"})
@@ -601,3 +604,103 @@ def test_a_huge_depth_is_not_built_once_the_cone_closes(updrift):
     mc = truncate(updrift, 100_000, query)
     assert max(mc.levels) <= 8
     assert bounded_until(mc, query) == bounded_until(truncate(updrift, 8), query)
+
+
+def test_a_closed_cone_stops_early_when_a_shared_vertex_sums_to_one(deep_defects):
+    # the third defect's y, with loops of mass 1/2 from both of its hyperarcs
+    text = deep_defects[2][0].replace("  arc go x x\n", "  arc h x x\n").replace(
+        "prob go 1\n", "prob go 1\nterminal h 2\nprob h 1/2\n")
+    g = parse_grammar(text)
+    query = PathQuery(None, frozenset({"green"}), "v0", 2)
+    mc = truncate(g, 4, query)
+    assert max(mc.levels) == 0
+    assert bounded_until(mc, query) == bounded_until(truncate(g, 4), query) == 1
+
+
+def random_grammar(rng):
+    """A small grammar text: an axiom Z and one to three nonterminals of
+    arity 1 or 2. A fresh vertex mostly gets mass 1 (one go arc or two h
+    arcs) or a green mark, an absorbing sink unless it gains arcs later; now
+    and then it gets a bad arc instead, and bad is priced only in half the
+    grammars. An input sometimes gains an arc after being passed down.
+    Hyperarcs pick their vertices freely, so they share vertices and pass
+    inputs round loops."""
+    arity = {f"N{i}": rng.randint(1, 2) for i in range(rng.randint(1, 3))}
+    lines = ["nonterminal Z 0", *(f"nonterminal {n} {k}" for n, k in arity.items()),
+             "terminal go 2", "terminal h 2", "terminal bad 2", "colour green",
+             "colour red", "prob go 1", "prob h 1/2", "absorbing green", "axiom Z"]
+    if rng.random() < 0.5:
+        lines.append("prob bad 1/2")
+    for name, k in [("Z", 0), *arity.items()]:
+        inputs = [f"x{j}" for j in range(k)]
+        fresh = [f"v{j}" for j in range(rng.randint(1, 3))]
+        vs = inputs + fresh
+        lines += [f"rule {name}" + (" inputs " + " ".join(inputs) if inputs else ""),
+                  "  vertex " + " ".join(fresh)]
+        for v in fresh:
+            kind = rng.random()
+            if kind < 0.45:
+                lines.append(f"  arc go {v} {rng.choice(vs)}")
+            elif kind < 0.75:
+                lines += [f"  arc h {v} {rng.choice(vs)}" for _ in range(2)]
+            elif kind < 0.95:
+                lines.append(f"  colour green {v}")
+            else:
+                lines.append(f"  arc bad {v} {rng.choice(vs)}")
+        for v in vs:
+            if v in inputs and rng.random() < 0.15:
+                lines.append(f"  arc h {v} {rng.choice(vs)}")
+            if rng.random() < 0.2:
+                lines.append(f"  colour red {v}")
+        for _ in range(rng.randint(0, 2)):
+            label = rng.choice(list(arity))
+            if arity[label] <= len(vs):
+                lines.append(f"  hyperarc {label} " + " ".join(rng.sample(vs, arity[label])))
+    return "\n".join(lines) + "\n"
+
+
+def test_random_grammars_truncate_and_expand_as_their_classes_say():
+    """On seeded random grammars: a query's truncation raises what the full
+    depth raises or is a prefix of it, and every vertex off the frontier of
+    an expansion has its class's out-arcs and colours whenever the class's
+    passings end; the vertices of the other classes never leave the
+    frontier."""
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(300):
+        g = parse_grammar(random_grammar(rng))
+        depth = rng.randint(1, 4)
+        start = rng.choice([str(v) for v in g.axiom_rule().rhs.vertices])
+        query = PathQuery(None, frozenset({"green"}), start, rng.randint(0, 3))
+        full = outcome(truncate, g, depth)
+        early = outcome(truncate, g, depth, query)
+        if isinstance(full, tuple):
+            seen["raises"] += 1
+            assert early == full
+        else:
+            n = len(early.states)
+            seen["stops early"] += n < len(full.states)
+            assert early.states == full.states[:n]
+            assert (early.classes, early.levels) == (full.classes[:n], full.levels[:n])
+            assert all(early.trans[s] == full.trans[s] and early.colours[s] == full.colours[s]
+                       for s in range(n) if s not in early.frontier)
+
+        classes = vertex_classes(g, checked_rules(g), hyperarc_slots(g))
+        e = expand(g, depth)
+        out = {v: Counter() for v in e.graph.vertices}
+        for label, source, _ in e.graph.arcs:
+            out[source][label] += 1
+        colour_sets = e.graph.colour_sets()
+        for v in e.graph.vertices:
+            vc = classes[e.classes[v]]
+            if v in e.frontier:
+                continue
+            assert vc.terminates
+            assert out[v] == dict(vc.out.finite)
+            assert colour_sets.get(v, frozenset()) == vc.colours
+        seen["shared"] += bool(check_complete_outside(g))
+        seen["loops"] += not all(vc.terminates for vc in classes.values())
+        seen["unpriced"] += "bad" not in g.mu
+        seen["absorbing sinks"] += any(vc.is_sink and vc.colours & g.absorbing
+                                       for vc in classes.values())
+    assert min(seen.values()) >= 30, seen

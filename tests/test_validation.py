@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from pregma.gio import parse_grammar
-from pregma.model import CanonicalVertex, GrammarError
+from pregma.model import CanonicalVertex, GrammarError, checked_rules
 from pregma.validation import (
+    DegreeProfile,
     EngineUnsupported,
+    _passings,
+    _walk,
     analyse,
     canonical_vertices,
     check_complete_outside,
@@ -69,20 +72,30 @@ def test_canonical_vertices_skip_inputs(running):
     assert len(cans) == 6
 
 
-def test_role_chain_follows_the_gluing(running):
-    table = analyse(running).classes
-    chain = table[cv("A", "next")].chain
-    assert chain.sites == (("A", "next"), ("A", "s"))
-    assert chain.terminates
-    assert table[cv("A", "fork")].chain.sites == (("A", "fork"), ("A", "t"))
-    assert table[cv("A", "win")].chain.sites == (("A", "win"),)
+def test_passings_follow_the_gluing(running):
+    rules, slots = checked_rules(running), hyperarc_slots(running)
+    assert _passings(rules, slots, ("A", "next")) == [("A", "s")]
+    assert _passings(rules, slots, ("A", "s")) == []
+    assert _passings(rules, slots, ("A", "fork")) == [("A", "t")]
+    assert _passings(rules, slots, ("A", "t")) == []
+    assert _passings(rules, slots, ("A", "win")) == []
+    down, table = _walk(running, rules, slots)
+    # the walk works out each creation site and each input it reaches once
+    assert set(down) == {(c.rule, c.vertex) for c in table} | {("A", "s"), ("A", "t")}
+    assert all(vc.terminates for vc in table.values())
 
 
-def test_role_chain_detects_cycles():
-    chain = classes(parse_grammar(GAINING_LOOP))[cv("Z", "r")].chain
-    assert chain.sites == (("Z", "r"), ("C", "x"))
-    assert chain.cycle_start == 1
-    assert not chain.terminates
+def test_walk_detects_loops():
+    g = parse_grammar(GAINING_LOOP)
+    rules, slots = checked_rules(g), hyperarc_slots(g)
+    assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
+    assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
+    down, table = _walk(g, rules, slots)
+    assert not down["C", "x"].terminates
+    assert not table[cv("Z", "r")].terminates
+    # the a arc gained on the loop is gained forever, and only there
+    assert table[cv("Z", "r")].out == DegreeProfile((), frozenset({"a"}))
+    assert table[cv("C", "y")].terminates
 
 
 def test_analyse_refuses_a_shared_vertex():
@@ -227,4 +240,11 @@ def test_engine_rejects_arcs_gained_past_an_input():
 
 def test_engine_accepts_quiet_input_loop():
     g = parse_grammar(QUIET_LOOP)
-    assert analyse(g).classes[cv("Z", "r")].chain.cycle_start == 1
+    rules, slots = checked_rules(g), hyperarc_slots(g)
+    # r is passed to C's input x, which is passed back to itself forever
+    assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
+    assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
+    r = analyse(g).classes[cv("Z", "r")]
+    assert not r.terminates
+    # the loop gains no arc either way, so no label is infinite
+    assert r.out == r.into == DegreeProfile((), frozenset())
