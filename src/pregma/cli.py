@@ -233,19 +233,18 @@ def _json_lines(expansion: Expansion) -> Iterator[str]:
     json.dumps(record, sort_keys=True); its pieces are encoded once per
     class, colour set and label, and ids are ints, so "<id>" is their JSON."""
     graph, frontier = expansion.graph, expansion.frontier
-    classes, levels = expansion.classes, expansion.levels
-    colour_sets = graph.colour_sets()
+    classes, levels, colours = expansion.classes, expansion.levels, expansion.colours
     head = _Fragments(
         lambda can: f'{{"class": {_json_str(str(can))}, "colours": ')
     marks = _Fragments(
         lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
     for v in graph.vertices:
-        yield (f'{head[classes[v]]}{marks[colour_sets[v]]}, "frontier": '
+        yield (f'{head[classes[v]]}{marks[colours[v]]}, "frontier": '
                f'{"true" if v in frontier else "false"}, "id": "{v}", '
                f'"kind": "vertex", "level": {levels[v]}}}')
     arc_head = _Fragments(
         lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, "source": ')
-    for label, source, target in graph.arcs:
+    for label, source, target in graph.arcs():
         yield f'{arc_head[label]}"{source}", "target": "{target}"}}'
     for label, hvs in graph.hyperarcs:
         ids = ", ".join([f'"{v}"' for v in hvs])
@@ -256,19 +255,18 @@ def _json_lines(expansion: Expansion) -> Iterator[str]:
 def _text_lines(expansion: Expansion) -> Iterator[str]:
     """A count line, then one line per vertex, arc and hyperarc."""
     graph, frontier = expansion.graph, expansion.frontier
-    classes, levels = expansion.classes, expansion.levels
-    colour_sets = graph.colour_sets()
-    yield (f"vertices={len(graph.vertices)} arcs={len(graph.arcs)} "
+    classes, levels, colours = expansion.classes, expansion.levels, expansion.colours
+    yield (f"vertices={len(graph.vertices)} arcs={sum(1 for _ in graph.arcs())} "
            f"hyperarcs={len(graph.hyperarcs)} frontier={len(frontier)}")
     for v in graph.vertices:
-        marks = ",".join(sorted(colour_sets.get(v, ())))
+        marks = ",".join(sorted(colours[v]))
         tag = " frontier" if v in frontier else ""
         yield (f"vertex {v} level={levels[v]} class={classes[v]}"
                + (f" colours={marks}" if marks else "") + tag)
-    for arc in graph.arcs:
-        yield f"arc {arc.label} {arc.source} {arc.target}"
-    for h in graph.hyperarcs:
-        yield f"hyperarc {h.label} " + " ".join(map(str, h.vertices))
+    for label, source, target in graph.arcs():
+        yield f"arc {label} {source} {target}"
+    for label, hvs in graph.hyperarcs:
+        yield f"hyperarc {label} " + " ".join(map(str, hvs))
 
 
 # -------------------------------------------------------------------- prob

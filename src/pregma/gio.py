@@ -260,21 +260,20 @@ def emit_dot(expansion: Expansion) -> Iterator[str]:
     under each vertex name, and each vertex's level and class as its
     tooltip."""
     graph = expansion.graph
-    colour_sets = graph.colour_sets()
     yield from ("digraph graph0 {", "  rankdir=LR;", '  node [shape=ellipse];')
     for v in graph.vertices:
         label = str(v)
-        cs = sorted(colour_sets.get(v, frozenset()))
+        cs = sorted(expansion.colours[v])
         if cs:
             label += "\\n" + ",".join(cs)
         yield (f'  "{_esc(str(v))}" [label="{_esc(label)}", tooltip="level '
                f'{expansion.levels[v]}, from {expansion.classes[v]}"];')
-    for arc in graph.arcs:
-        yield (f'  "{_esc(str(arc.source))}" -> "{_esc(str(arc.target))}" '
-               f'[label="{_esc(arc.label)}"];')
-    for i, h in enumerate(graph.hyperarcs):
+    for label, source, target in graph.arcs():
+        yield (f'  "{_esc(str(source))}" -> "{_esc(str(target))}" '
+               f'[label="{_esc(label)}"];')
+    for i, (label, hvs) in enumerate(graph.hyperarcs):
         hub = f"__hyperarc_{i}"
-        yield f'  "{hub}" [shape=box, style=dashed, label="{_esc(h.label)}"];'
-        for pos, v in enumerate(h.vertices, start=1):
+        yield f'  "{hub}" [shape=box, style=dashed, label="{_esc(label)}"];'
+        for pos, v in enumerate(hvs, start=1):
             yield f'  "{hub}" -> "{_esc(str(v))}" [style=dashed, label="{pos}"];'
     yield "}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 VertexId = Any
@@ -83,20 +84,6 @@ class Hypergraph:
 
     def add_hyperarc(self, label: str, vertices: tuple[VertexId, ...]) -> None:
         self.hyperarcs.append(Hyperarc(label, tuple(vertices)))
-
-    def colour_sets(self) -> dict[VertexId, frozenset[str]]:
-        """Each vertex's colours. Vertices with equal colours share one
-        frozenset object, the uncoloured ones a single empty set."""
-        marks: dict[VertexId, set[str]] = {}
-        for colour, v in self.colours:
-            marks.setdefault(v, set()).add(colour)
-        empty: frozenset[str] = frozenset()
-        shared = {empty: empty}
-        out = dict.fromkeys(self.vertices, empty)
-        for v, cs in marks.items():
-            key = frozenset(cs)
-            out[v] = shared.setdefault(key, key)
-        return out
 
 
 @dataclass
@@ -292,19 +279,45 @@ def _compile(rule: Rule) -> _Compiled:
     )
 
 
+@dataclass(frozen=True)
+class ExpandedGraph:
+    """An expansion's graph, kept as the rule applications that built it:
+    an application (rule, ids) puts concrete vertex ids[i] in the rule's
+    slot i, so each rule arc (label, s, t) is the arc (label, ids[s],
+    ids[t]). `vertices` holds the graph's ids in increasing order (all of
+    them, as a range, for a whole expansion) and `hyperarcs` the unexpanded
+    hyperarcs lying wholly inside it, as (label, ids) pairs."""
+
+    vertices: range | list[int]
+    applications: list[tuple[_Compiled, tuple[int, ...]]]
+    hyperarcs: list[tuple[str, tuple[int, ...]]]
+
+    def arcs(self) -> Iterator[tuple[str, int, int]]:
+        """The arcs as (label, source, target) triples, in order of
+        application and then of each rule's arcs."""
+        # an arc never leaves a component: its source decides
+        inside = None if type(self.vertices) is range else set(self.vertices)
+        for rule, ids in self.applications:
+            for label, s, t in rule.arcs:
+                if inside is None or ids[s] in inside:
+                    yield label, ids[s], ids[t]
+
+
 @dataclass
 class Expansion:
-    """A depth-d expansion: the graph after d rounds of rewriting, its
-    remaining hyperarcs included, with vertex ids 0..n-1 in order of
-    creation. classes[v] and levels[v] give vertex v's canonical vertex and
-    the round that created it, axiom_ids maps the axiom rule's vertex names
-    to ids, and the frontier holds the vertices that still lie on an
-    unexpanded hyperarc. A component view keeps these columns whole and
-    restricts only the graph and the frontier."""
+    """A depth-d expansion, with vertex ids 0..n-1 in order of creation: its
+    graph, remaining hyperarcs included, and per-id columns. classes[v],
+    levels[v] and colours[v] give vertex v's canonical vertex, the round
+    that created it and its colours (vertices with equal colours share one
+    frozenset). axiom_ids maps the axiom rule's vertex names to ids, and the
+    frontier holds the vertices that still lie on an unexpanded hyperarc. A
+    component view restricts the graph and the frontier to its ids and
+    keeps the columns whole."""
 
-    graph: Hypergraph
+    graph: ExpandedGraph
     classes: list[CanonicalVertex]
     levels: list[int]
+    colours: list[frozenset[str]]
     axiom_ids: dict[VertexId, int]
     frontier: frozenset[int]
 
@@ -355,20 +368,28 @@ def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexI
     return axiom_ids[name]
 
 
+def _slots_getter(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """ids -> the tuple of the ids in `slots`. itemgetter of one item
+    returns it bare, so one slot or none read a slice of the ids tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+
+
 def _rewrite(
     g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
     enough: Callable[[list[tuple[str, tuple[VertexId, ...]]]], bool] | None = None,
-) -> Iterator[tuple[int, _Compiled, list[VertexId]]]:
+) -> Iterator[tuple[int, _Compiled, tuple[VertexId, ...]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
     for a grammar that `checked_rules` accepts (GrammarError otherwise).
 
-    Yields (level, compiled rule, ids) once per rule application: ids holds
-    the concrete vertex in each of the rule's slots, the glued ones first,
-    then the fresh ones, numbered from 0 in order of creation. The order is
-    breadth first: the axiom's application alone at level 0, then the
-    hyperarcs each level leaves, in the order of the applications that
-    created them and each application's in its rule's rhs order. Once the
-    generator is exhausted, `unexpanded` holds the hyperarcs left
+    Yields (level, compiled rule, ids) once per rule application: the tuple
+    ids holds the concrete vertex in each of the rule's slots, the glued
+    ones first, then the fresh ones, numbered from 0 in order of creation.
+    The order is breadth first: the axiom's application alone at level 0,
+    then the hyperarcs each level leaves, in the order of the applications
+    that created them and each application's in its rule's rhs order. Once
+    the generator is exhausted, `unexpanded` holds the hyperarcs left
     unexpanded as (label, concrete vertices) pairs: filling a list instead
     of returning them lets callers use a plain `for`, where a `next` loop
     catching StopIteration costs a deep `expand` about 4%.
@@ -378,8 +399,14 @@ def _rewrite(
     leaves; if it returns true, rewriting stops there, as if `depth` had
     been that level.
     """
-    # each rule compiled once; its canonical vertices are shared by its copies
-    rules = {name: _compile(rule) for name, rule in checked_rules(g).items()}
+    # each rule compiled once, its canonical vertices shared by its copies,
+    # with its fresh-vertex count and a getter of each hyperarc's ids
+    plans = {}
+    for name, rule in checked_rules(g).items():
+        compiled = _compile(rule)
+        plans[name] = (compiled, len(compiled.cans),
+                       [(label, _slots_getter(slots))
+                        for label, slots in compiled.hyperarcs])
     if depth < 0:
         raise GrammarError("depth must be >= 0")
     created = 0
@@ -389,53 +416,55 @@ def _rewrite(
             break
         batch, pending = pending, []
         for label, glued in batch:
-            rule = rules[label]
+            rule, fresh, hyperarcs = plans[label]
             first = created
-            created += len(rule.cans)
-            ids = [*glued, *range(first, created)]
+            created += fresh
+            ids = (*glued, *range(first, created))
             yield level, rule, ids
-            for h_label, slots in rule.hyperarcs:
-                pending.append((h_label, tuple([ids[v] for v in slots])))
+            for h_label, getter in hyperarcs:
+                pending.append((h_label, getter(ids)))
     unexpanded += pending
 
 
 def expand(g: Grammar, depth: int) -> Expansion:
     """Apply `depth` rounds of parallel rewriting starting from the axiom.
 
-    Returns the resulting graph (remaining hyperarcs included) together with
-    each vertex's class and level, the axiom rule's vertex ids and the
-    frontier: vertices that still lie on an unexpanded hyperarc, whose
-    out-neighbourhood is therefore not final yet.
+    Returns the resulting graph as its rule applications and remaining
+    hyperarcs, together with each vertex's class, level and colours, the
+    axiom rule's vertex ids and the frontier: vertices that still lie on an
+    unexpanded hyperarc, whose out-neighbourhood is therefore not final yet.
     """
-    arcs: list[Arc] = []
-    colours: list[ColourMark] = []
+    applications: list[tuple[_Compiled, tuple[int, ...]]] = []
     classes: list[CanonicalVertex] = []
     levels: list[int] = []
+    colours: list[frozenset[str]] = []
+    empty: frozenset[str] = frozenset()
+    shared = {empty: empty}  # one object per distinct colour set
     unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
     for level, rule, ids in _rewrite(g, depth, unexpanded):
         if level == 0:
             axiom_ids = dict(zip(rule.names, ids))
+        applications.append((rule, ids))
         classes += rule.cans
         levels += [level] * len(rule.cans)
-        for arc_label, s, t in rule.arcs:
-            arcs.append(Arc(arc_label, ids[s], ids[t]))
+        colours += [empty] * len(rule.cans)
         for colour, v in rule.colours:
-            colours.append(ColourMark(colour, ids[v]))
-
-    graph = Hypergraph(list(range(len(classes))), arcs, colours,
-                       [Hyperarc(label, vs) for label, vs in unexpanded])
+            cs = colours[ids[v]] | {colour}
+            colours[ids[v]] = shared.setdefault(cs, cs)
+    graph = ExpandedGraph(range(len(classes)), applications, unexpanded)
     frontier = frozenset(v for _, vs in unexpanded for v in vs)
-    return Expansion(graph, classes, levels, axiom_ids, frontier)
+    return Expansion(graph, classes, levels, colours, axiom_ids, frontier)
 
 
 def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
     """Vertices connected to `start` by terminal arcs, ignoring direction."""
-    if not expansion.graph.has_vertex(start):
+    graph = expansion.graph
+    if start not in graph.vertices:
         raise GrammarError(f"unknown vertex id {start!r}")
-    adj: dict[VertexId, set[VertexId]] = {v: set() for v in expansion.graph.vertices}
-    for arc in expansion.graph.arcs:
-        adj[arc.source].add(arc.target)
-        adj[arc.target].add(arc.source)
+    adj: dict[VertexId, list[VertexId]] = {v: [] for v in graph.vertices}
+    for _, source, target in graph.arcs():
+        adj[source].append(target)
+        adj[target].append(source)
     return frozenset(reach([start], adj.__getitem__))
 
 
@@ -446,10 +475,6 @@ def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
     expansion = expand(g, depth)
     ids = component_ids(expansion, named_vertex(expansion.axiom_ids, start))
     graph = expansion.graph
-    sub = Hypergraph(
-        vertices=[v for v in graph.vertices if v in ids],
-        arcs=[a for a in graph.arcs if a.source in ids and a.target in ids],
-        colours=[m for m in graph.colours if m.vertex in ids],
-        hyperarcs=[h for h in graph.hyperarcs if all(v in ids for v in h.vertices)],
-    )
+    sub = replace(graph, vertices=sorted(ids), hyperarcs=[
+        h for h in graph.hyperarcs if all(v in ids for v in h[1])])
     return replace(expansion, graph=sub, frontier=expansion.frontier & ids)

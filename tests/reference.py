@@ -1,8 +1,9 @@
 """References the tests compare the library against; the CLI reaches none
-of them: the word-matching gadgets' closed forms (`pregma.pcp`), the
-configuration words and chains of a suffix rewriting system
-(`pregma.pushdown`), the scalar stream that `pregma.rng.draw_array`
-vectorises, and exact evaluation and solving over `Fraction`s.
+of them: the lines `expand` prints, the word-matching gadgets' closed
+forms (`pregma.pcp`), the configuration words and chains of a suffix
+rewriting system (`pregma.pushdown`), the scalar stream that
+`pregma.rng.draw_array` vectorises, and exact evaluation and solving over
+`Fraction`s.
 
 `model._rewrite` yields rule applications without their parents. The
 helpers that need them replay the order `_rewrite` documents, so every use
@@ -10,6 +11,7 @@ also checks that order.
 """
 from __future__ import annotations
 
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -35,6 +37,98 @@ def applications(g: Grammar, depth: int):
         yield rule, ids, parent, position
         queue.extend((number, i, h_label, tuple([ids[s] for s in slots]))
                      for i, (h_label, slots) in enumerate(rule.hyperarcs))
+
+
+def expand_rendering(g: Grammar, depth: int, fmt: str,
+                     component: str | None = None) -> list[str]:
+    """The lines `pregma expand` prints for g at `depth` in format `fmt`,
+    restricted to the undirected component of the axiom-rule vertex
+    `component` when one is given. Built from the `applications` replay and
+    the grammar's own rules: each application names its rule's vertices by
+    ids, a level is its parent's plus one, a vertex's colours are the union
+    of the marks on it, and the hyperarcs left are those that no application
+    replaced."""
+    rules = {rule.lhs: rule for rule in g.rules}
+    app_levels: list[int] = []
+    replaced: set[tuple[int, int]] = set()
+    made: dict[int, tuple[str, int]] = {}  # id -> (class, level)
+    marks: dict[int, set[str]] = {}
+    arcs: list[tuple[str, int, int]] = []
+    hyperarcs: list[tuple[tuple[int, int], str, tuple[int, ...]]] = []
+    for number, (compiled, ids, parent, position) in enumerate(applications(g, depth)):
+        rule = rules[compiled.lhs]
+        at = dict(zip(compiled.names, ids))
+        level = 0 if parent is None else app_levels[parent] + 1
+        app_levels.append(level)
+        if parent is None:
+            axiom_ids = at
+        else:
+            replaced.add((parent, position))
+        for name in rule.rhs.vertices:
+            if name not in rule.inputs:
+                made[at[name]] = (f"{rule.lhs}:{name}", level)
+        arcs += [(a.label, at[a.source], at[a.target]) for a in rule.rhs.arcs]
+        for colour, name in rule.rhs.colours:
+            marks.setdefault(at[name], set()).add(colour)
+        hyperarcs += [((number, i), h.label, tuple(at[v] for v in h.vertices))
+                      for i, h in enumerate(rule.rhs.hyperarcs)]
+    left = [(label, vs) for key, label, vs in hyperarcs if key not in replaced]
+    frontier = {v for _, vs in left for v in vs}
+    vertices = sorted(made)
+    assert vertices == list(range(len(made)))
+    if component is not None:
+        near: dict[int, list[int]] = {v: [] for v in vertices}
+        for _, s, t in arcs:
+            near[s].append(t)
+            near[t].append(s)
+        inside, todo = {axiom_ids[component]}, [axiom_ids[component]]
+        while todo:
+            for w in near[todo.pop()]:
+                if w not in inside:
+                    inside.add(w)
+                    todo.append(w)
+        vertices = [v for v in vertices if v in inside]
+        arcs = [a for a in arcs if a[1] in inside and a[2] in inside]
+        left = [(label, vs) for label, vs in left if set(vs) <= inside]
+        frontier &= inside
+    colours = {v: sorted(marks.get(v, ())) for v in vertices}
+
+    if fmt == "text":
+        lines = [f"vertices={len(vertices)} arcs={len(arcs)} "
+                 f"hyperarcs={len(left)} frontier={len(frontier)}"]
+        for v in vertices:
+            cls, level = made[v]
+            lines.append(f"vertex {v} level={level} class={cls}"
+                         + (f" colours={','.join(colours[v])}" if colours[v] else "")
+                         + (" frontier" if v in frontier else ""))
+        lines += [f"arc {label} {s} {t}" for label, s, t in arcs]
+        lines += [f"hyperarc {label} " + " ".join(map(str, vs)) for label, vs in left]
+        return lines
+    if fmt == "json-lines":
+        records = [{"kind": "vertex", "id": str(v), "level": made[v][1],
+                    "class": made[v][0], "colours": colours[v],
+                    "frontier": v in frontier} for v in vertices]
+        records += [{"kind": "arc", "label": label, "source": str(s),
+                     "target": str(t)} for label, s, t in arcs]
+        records += [{"kind": "hyperarc", "label": label,
+                     "vertices": [str(v) for v in vs]} for label, vs in left]
+        return [json.dumps(r, sort_keys=True) for r in records]
+    assert fmt == "dot", fmt
+
+    def esc(text) -> str:
+        return str(text).replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph graph0 {", "  rankdir=LR;", "  node [shape=ellipse];"]
+    for v in vertices:
+        label = f"{v}\\n{','.join(colours[v])}" if colours[v] else str(v)
+        lines.append(f'  "{v}" [label="{esc(label)}", tooltip="level '
+                     f'{made[v][1]}, from {made[v][0]}"];')
+    lines += [f'  "{s}" -> "{t}" [label="{esc(label)}"];' for label, s, t in arcs]
+    for i, (label, vs) in enumerate(left):
+        lines.append(f'  "__hyperarc_{i}" [shape=box, style=dashed, label="{esc(label)}"];')
+        lines += [f'  "__hyperarc_{i}" -> "{v}" [style=dashed, label="{pos}"];'
+                  for pos, v in enumerate(vs, start=1)]
+    return lines + ["}"]
 
 
 def _concat(p: PCPInstance, seq: tuple[int, ...] | list[int]) -> tuple[str, str]:

@@ -236,21 +236,21 @@ def test_gate_6_seeded_sampling(capfd, running):
     ])
 
 
-def _reach_witness(out_arcs, colour_sets, start, phi1, phi2):
-    if colour_sets.get(start, frozenset()) & phi2:
+def _reach_witness(out_arcs, colours, start, phi1, phi2):
+    if colours[start] & phi2:
         return True
-    if phi1 is not None and not (colour_sets.get(start, frozenset()) & phi1):
+    if phi1 is not None and not (colours[start] & phi1):
         return False
     seen, todo = {start}, [start]
     while todo:
         v = todo.pop()
-        for arc in out_arcs[v]:
-            cols = colour_sets.get(arc.target, frozenset())
+        for _, _, target in out_arcs[v]:
+            cols = colours[target]
             if cols & phi2:
                 return True
-            if arc.target not in seen and (phi1 is None or cols & phi1):
-                seen.add(arc.target)
-                todo.append(arc.target)
+            if target not in seen and (phi1 is None or cols & phi1):
+                seen.add(target)
+                todo.append(target)
     return False
 
 
@@ -268,10 +268,10 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
     checked = 0
     for fname, g in named:
         e = expand(g, 8)
-        colour_sets = e.graph.colour_sets()
+        colours = e.colours
         out_arcs = {v: [] for v in e.graph.vertices}
-        for arc in e.graph.arcs:
-            out_arcs[arc.source].append(arc)
+        for label, source, target in e.graph.arcs():
+            out_arcs[source].append((label, source, target))
         an = analyse(g)
         pairs = [(None, c) for c in sorted(g.colour_names)]
         if fname == "running.gg":
@@ -287,7 +287,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                 if e.levels[v] > 6:
                     continue
                 checked += 1
-                has = _reach_witness(out_arcs, colour_sets, v, p1cols, p2cols)
+                has = _reach_witness(out_arcs, colours, v, p1cols, p2cols)
                 verdict = positive[e.classes[v]]
                 if verdict == "holds" and not has:
                     agree = False
@@ -308,13 +308,11 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                     arcs = out_arcs[v]
                     if arcs:
                         mass = sum(
-                            (g.mu[a.label] for a in arcs
-                             if colour_sets.get(a.target, frozenset())
-                             & p2cols),
+                            (g.mu[label] for label, _, target in arcs
+                             if colours[target] & p2cols),
                             F(0))
                     else:
-                        mass = (F(1) if colour_sets.get(v, frozenset())
-                                & p2cols else F(0))
+                        mass = F(1) if colours[v] & p2cols else F(0)
                     sat = {"<": mass < rho, "<=": mass <= rho,
                            ">": mass > rho, ">=": mass >= rho}[cmp]
                     outcome.setdefault(e.classes[v], set()).add(sat)
@@ -406,8 +404,8 @@ def test_gate_9_configuration_graph_equality(capfd, pds_plain):
     keep = {cid for cid, w in words.items()
             if len(split_word(w, pds_plain.stack + pds_plain.states)) <= 5}
     adjacency = {cid: set() for cid in keep}
-    arcs = [(a.label, a.source, a.target) for a in e.graph.arcs
-            if a.source in keep and a.target in keep]
+    arcs = [(label, s, t) for label, s, t in e.graph.arcs()
+            if s in keep and t in keep]
     for _, s, t in arcs:
         adjacency[s].add(t)
         adjacency[t].add(s)

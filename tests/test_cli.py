@@ -12,10 +12,11 @@ import pytest
 import pregma
 from pregma import cli
 from pregma.cli import _build_parser, main
-from pregma.gio import emit_dot, load_grammar, serialize_grammar
-from pregma.model import expand, reachable_component, validate_grammar
+from pregma.gio import load_grammar, serialize_grammar
+from pregma.model import expand, validate_grammar
 from pregma.pcp import encode, load_pcp
 from pregma.pushdown import load_pds, to_grammar
+from reference import expand_rendering
 
 F = Fraction
 
@@ -684,7 +685,7 @@ def test_expand_text(corpus_dir, running):
     e = expand(running, 2)
     head = out.splitlines()[0]
     assert head == (
-        f"vertices={len(e.graph.vertices)} arcs={len(e.graph.arcs)} "
+        f"vertices={len(e.graph.vertices)} arcs={len(list(e.graph.arcs()))} "
         f"hyperarcs={len(e.graph.hyperarcs)} frontier={len(e.frontier)}"
     )
     assert sum(1 for line in out.splitlines() if line.endswith(" frontier")) \
@@ -735,37 +736,6 @@ rule Wé"\ inputs s
 """
 
 
-def rendering(e, fmt):
-    """The lines `expand` prints for the expansion `e`, built here from its
-    graph: json-lines as sorted-key dumps of each record, text line by line,
-    and dot as `emit_dot` renders it."""
-    if fmt == "dot":
-        return list(emit_dot(e))
-    colours = e.graph.colour_sets()
-    if fmt == "text":
-        lines = [f"vertices={len(e.graph.vertices)} arcs={len(e.graph.arcs)} "
-                 f"hyperarcs={len(e.graph.hyperarcs)} frontier={len(e.frontier)}"]
-        for v in e.graph.vertices:
-            marks = ",".join(sorted(colours[v]))
-            lines.append(f"vertex {v} level={e.levels[v]} class={e.classes[v]}"
-                         + (f" colours={marks}" if marks else "")
-                         + (" frontier" if v in e.frontier else ""))
-        lines += [f"arc {a.label} {a.source} {a.target}" for a in e.graph.arcs]
-        lines += [f"hyperarc {h.label} " + " ".join(map(str, h.vertices))
-                  for h in e.graph.hyperarcs]
-        return lines
-    records = [{"kind": "vertex", "id": str(v), "level": e.levels[v],
-                "class": f"{e.classes[v].rule}:{e.classes[v].vertex}",
-                "colours": sorted(colours[v]), "frontier": v in e.frontier}
-               for v in e.graph.vertices]
-    records += [{"kind": "arc", "label": a.label, "source": str(a.source),
-                 "target": str(a.target)} for a in e.graph.arcs]
-    records += [{"kind": "hyperarc", "label": h.label,
-                 "vertices": [str(v) for v in h.vertices]}
-                for h in e.graph.hyperarcs]
-    return [json.dumps(r, sort_keys=True) for r in records]
-
-
 def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
     odd = tmp_path / "odd.gg"
     odd.write_text(ODD_NAMES, encoding="utf-8")
@@ -773,8 +743,8 @@ def test_expand_json_lines_are_sorted_key_dumps(corpus_dir, tmp_path):
         code, out, _ = run([
             "expand", path, "--depth", str(depth), "--format", "json-lines"])
         assert code == 0
-        e = expand(load_grammar(path), depth)
-        assert out.splitlines() == rendering(e, "json-lines")
+        assert out.splitlines() == expand_rendering(load_grammar(path), depth,
+                                                    "json-lines")
     for escaped in ('\\u00e9', '\\"', '\\\\'):
         assert escaped in out
 
@@ -802,23 +772,23 @@ def corpus_grammar_files(corpus_dir, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines", "dot"])
 def test_expand_streams_the_joined_rendering(corpus_dir, tmp_path, monkeypatch,
-                                             fmt):
+                                             branching_walk, fmt):
     # three lines a chunk put chunk boundaries all through every output
     monkeypatch.setattr(cli, "_CHUNK_LINES", 3)
     out_path = tmp_path / "out"
-    for path in corpus_grammar_files(corpus_dir, tmp_path):
+    walk = tmp_path / "walk.gg"
+    walk.write_text(serialize_grammar(branching_walk))
+    cases = [(path, range(6)) for path in corpus_grammar_files(corpus_dir, tmp_path)]
+    for path, depths in cases + [(walk, [8])]:
         g = load_grammar(path)
         first = g.axiom_rule().rhs.vertices[0]
-        for depth in range(6):
+        for depth in depths:
             for component in (None, first):
                 argv = ["expand", str(path), "--depth", str(depth),
                         "--format", fmt]
-                if component is None:
-                    e = expand(g, depth)
-                else:
+                if component is not None:
                     argv += ["--component", first]
-                    e = reachable_component(g, first, depth)
-                expected = "\n".join(rendering(e, fmt)) + "\n"
+                expected = "\n".join(expand_rendering(g, depth, fmt, component)) + "\n"
                 assert run(argv) == (0, expected, ""), argv
                 assert run(argv + ["-o", str(out_path)]) == (0, "", ""), argv
                 assert out_path.read_bytes() == expected.encode(), argv

@@ -177,8 +177,8 @@ def test_default_colour_expands_to_explicit_marks(running):
     assert "default-colour" not in text
     g = parse_grammar(text)
     a = g.rule_for("A")
-    marks = a.rhs.colour_sets()
-    assert marks["dead"] == frozenset({"sink"})
+    marks = {v: {c for c, u in a.rhs.colours if u == v} for v in a.rhs.vertices}
+    assert marks["dead"] == {"sink"}
     assert "V1" in marks["next"]
 
 
@@ -187,8 +187,8 @@ def test_emit_dot_mentions_levels(running):
     dot = "\n".join(emit_dot(e))
     assert dot.startswith("digraph")
     assert "level" in dot
-    legs = sum(len(h.vertices) for h in e.graph.hyperarcs)
-    assert dot.count("->") == len(e.graph.arcs) + legs
+    legs = sum(len(vs) for _, vs in e.graph.hyperarcs)
+    assert dot.count("->") == len(list(e.graph.arcs())) + legs
 
 
 def test_readme_examples_parse(corpus_dir, running):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,22 +29,22 @@ def test_hypergraph_rejects_duplicate_vertex():
         Hypergraph(vertices=["a", "a"])
 
 
-def test_colour_sets_and_arc_indexes():
+def test_colour_marks_and_arc_indexes():
     h = Hypergraph()
     for v in ("a", "b"):
         h.add_vertex(v)
     h.add_arc("e", "a", "b")
     h.add_arc("e", "a", "a")
     h.add_colour("red", "b")
-    assert h.colour_sets() == {"a": frozenset(), "b": frozenset({"red"})}
+    assert h.colours == [("red", "b")]
     assert [arc.target for arc in h.arcs if arc.source == "a"] == ["b", "a"]
 
 
-def test_colour_sets_share_one_object_per_distinct_set(running, updrift, dag):
+def test_colours_share_one_object_per_distinct_set(running, updrift, dag):
     for g in (running, updrift, dag):
-        cs = expand(g, 8).graph.colour_sets()
-        assert len({id(s) for s in cs.values()}) == len(set(cs.values()))
-        assert len(cs) > 2 * len(set(cs.values()))
+        cs = expand(g, 8).colours
+        assert len({id(s) for s in cs}) == len(set(cs))
+        assert len(cs) > 2 * len(set(cs))
 
 
 def test_corpus_grammars_validate(running, dag, updrift, critical):
@@ -112,11 +113,11 @@ def test_expand_levels_and_classes(running):
     assert applied == [("Z", 0), ("A", 1), ("A", 2)]
     e = expand(running, 2)
     # axiom contributes 2 vertices, each copy of A four more
-    assert e.graph.vertices == list(range(10))
+    assert list(e.graph.vertices) == list(range(10))
     assert e.levels == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
     # the remaining hyperarc pins down the frontier
     assert len(e.graph.hyperarcs) == 1
-    assert e.frontier == frozenset(e.graph.hyperarcs[0].vertices)
+    assert e.frontier == frozenset(e.graph.hyperarcs[0][1])
     v0 = e.axiom_ids["v0"]
     assert e.classes[v0] == CanonicalVertex("Z", "v0")
 
@@ -129,6 +130,21 @@ def test_expand_instance_gluing(running):
     assert child_parent == 1
     assert child["s"] == parent["next"]
     assert child["t"] == parent["fork"]
+
+
+def test_expand_keeps_applications_and_columns(branching_walk):
+    """A depth-12 expansion of the walk, 8,192 vertices, peaks under 2.5 MiB
+    (about 320 bytes a vertex): it keeps each rule application's ids and one
+    column entry per vertex, and builds no object per arc or colour mark."""
+    expand(branching_walk, 2)  # compile and import outside the measurement
+    tracemalloc.start()
+    try:
+        e = expand(branching_walk, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(e.graph.vertices) == 8192
+    assert peak < 2.5 * 2**20
 
 
 def test_expand_rejects_negative_depth(running):
@@ -149,8 +165,8 @@ def test_expand_one_round_replaces_the_axiom_hyperarc(running):
     child = running.rule_for(h.label)
     e = expand(running, 1)
     assert len(e.graph.vertices) == len(start.vertices) + len(child.non_inputs)
-    assert len(e.graph.arcs) == len(start.arcs) + len(child.rhs.arcs)
-    assert sorted(h.label for h in e.graph.hyperarcs) == sorted(
+    assert len(list(e.graph.arcs())) == len(start.arcs) + len(child.rhs.arcs)
+    assert sorted(label for label, _ in e.graph.hyperarcs) == sorted(
         h.label for h in child.rhs.hyperarcs
     )
 
@@ -206,7 +222,8 @@ def test_reachable_component_keeps_the_frontier(running):
     sub = reachable_component(running, "v0", 3)
     # running's prefix is connected: the component is the whole prefix,
     # its remaining hyperarc and frontier included
-    assert sub.graph.vertices == whole.graph.vertices
+    assert list(sub.graph.vertices) == list(whole.graph.vertices)
+    assert list(sub.graph.arcs()) == list(whole.graph.arcs())
     assert sub.graph.hyperarcs == whole.graph.hyperarcs
     assert sub.frontier == whole.frontier and len(sub.frontier) == 2
 
@@ -214,23 +231,25 @@ def test_reachable_component_keeps_the_frontier(running):
     loop = reachable_component(g, "x", 2)
     assert loop.graph.vertices == [0]
     assert loop.graph.hyperarcs == [] and loop.frontier == frozenset()
+    assert list(loop.graph.arcs()) == [("a", 0, 0)]
     chain = reachable_component(g, "y", 2)
     assert chain.graph.vertices == [1, 2, 3]
-    assert [h.vertices for h in chain.graph.hyperarcs] == [(3,)]
+    assert [vs for _, vs in chain.graph.hyperarcs] == [(3,)]
     assert chain.frontier == frozenset({3})
-    assert all(chain.graph.has_vertex(a.source) and chain.graph.has_vertex(a.target)
-               for a in chain.graph.arcs)
+    assert all(s in chain.graph.vertices and t in chain.graph.vertices
+               for _, s, t in chain.graph.arcs())
+    assert list(chain.graph.arcs()) == [("a", 1, 2), ("a", 2, 3)]
     # the columns stay whole and indexed by id
     whole = expand(g, 2)
-    assert (chain.classes, chain.levels, chain.axiom_ids) == (
-        whole.classes, whole.levels, whole.axiom_ids)
+    assert (chain.classes, chain.levels, chain.colours, chain.axiom_ids) == (
+        whole.classes, whole.levels, whole.colours, whole.axiom_ids)
 
 
 def test_component_ids_refuses_ids_outside_a_component_view():
     g = parse_grammar(TWO_PARTS)
     chain = reachable_component(g, "y", 2)
     x = chain.axiom_ids["x"]
-    assert x == 0 and not chain.graph.has_vertex(x)
+    assert x == 0 and x not in chain.graph.vertices
     with pytest.raises(GrammarError, match="unknown vertex id"):
         component_ids(chain, x)
     assert component_ids(chain, chain.axiom_ids["y"]) == frozenset({1, 2, 3})

@@ -344,11 +344,10 @@ def expanded_chain(g, depth):
     graph = expansion.graph
     states = list(graph.vertices)
     index = {v: i for i, v in enumerate(states)}
-    colour_sets = graph.colour_sets()
-    colours = [colour_sets[v] for v in states]
+    colours = [expansion.colours[v] for v in states]
     frontier = frozenset(index[v] for v in expansion.frontier)
     trans = [[] for _ in states]
-    for label, source, target in graph.arcs:
+    for label, source, target in graph.arcs():
         if label not in weight:
             raise GrammarError(f"no probability for arc label {label}")
         trans[index[source]].append((index[target], weight[label]))
@@ -459,8 +458,8 @@ def test_mixed_denominators_keep_values_and_cuts():
     assert bounded_until(mc, query) == Fraction(713, 729)
     # the cuts from mu's own fractions, row by row in arc order
     probs: dict[int, list[Fraction]] = {}
-    for arc in expand(g, 10).graph.arcs:
-        probs.setdefault(arc.source, []).append(g.mu[arc.label])
+    for label, source, _ in expand(g, 10).graph.arcs():
+        probs.setdefault(source, []).append(g.mu[label])
     cuts, _ = _threshold_tables(mc, list(probs))
     for s, ps in probs.items():
         assert cuts[s] == [(c.numerator << 64) // c.denominator
@@ -688,16 +687,15 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
         classes = vertex_classes(g, checked_rules(g), hyperarc_slots(g))
         e = expand(g, depth)
         out = {v: Counter() for v in e.graph.vertices}
-        for label, source, _ in e.graph.arcs:
+        for label, source, _ in e.graph.arcs():
             out[source][label] += 1
-        colour_sets = e.graph.colour_sets()
         for v in e.graph.vertices:
             vc = classes[e.classes[v]]
             if v in e.frontier:
                 continue
             assert vc.terminates
             assert out[v] == dict(vc.out.finite)
-            assert colour_sets.get(v, frozenset()) == vc.colours
+            assert e.colours[v] == vc.colours
         seen["shared"] += bool(check_complete_outside(g))
         seen["loops"] += not all(vc.terminates for vc in classes.values())
         seen["unpriced"] += "bad" not in g.mu

@@ -144,12 +144,12 @@ def test_config_words_name_the_configuration_graph(pds_prob):
     succs = {w: {(label, "".join(t))
                  for label, t in successors(pds_prob, split_word(w, symbols))}
              for w in words.values()}
-    for arc in e.graph.arcs:
-        assert (arc.label, words[arc.target]) in succs[words[arc.source]]
+    for label, source, target in e.graph.arcs():
+        assert (label, words[target]) in succs[words[source]]
     # non-frontier vertices show every rewrite step of their word
     out = {cid: set() for cid in words}
-    for a in e.graph.arcs:
-        out[a.source].add((a.label, words[a.target]))
+    for label, source, target in e.graph.arcs():
+        out[source].add((label, words[target]))
     for cid, w in words.items():
         if cid in e.frontier:
             continue
