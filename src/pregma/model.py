@@ -279,7 +279,7 @@ def _compile(rule: Rule) -> _Compiled:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExpandedGraph:
     """An expansion's graph, kept as the rule applications that built it:
     an application (rule, ids) puts concrete vertex ids[i] in the rule's
@@ -288,9 +288,9 @@ class ExpandedGraph:
     them, as a range, for a whole expansion) and `hyperarcs` the unexpanded
     hyperarcs lying wholly inside it, as (label, ids) pairs."""
 
-    vertices: range | list[int]
-    applications: list[tuple[_Compiled, tuple[int, ...]]]
-    hyperarcs: list[tuple[str, tuple[int, ...]]]
+    vertices: range | list[int] = range(0)
+    applications: list[tuple[_Compiled, tuple[int, ...]]] = field(default_factory=list)
+    hyperarcs: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
     def arcs(self) -> Iterator[tuple[str, int, int]]:
         """The arcs as (label, source, target) triples, in order of
@@ -306,7 +306,8 @@ class ExpandedGraph:
 @dataclass
 class Expansion:
     """A depth-d expansion, with vertex ids 0..n-1 in order of creation: its
-    graph, remaining hyperarcs included, and per-id columns. classes[v],
+    graph, remaining hyperarcs included, and per-id columns, all of them
+    filled by `_rewrite` (a truncation reads the same ones). classes[v],
     levels[v] and colours[v] give vertex v's canonical vertex, the round
     that created it and its colours (vertices with equal colours share one
     frozenset). axiom_ids maps the axiom rule's vertex names to ids, and the
@@ -314,12 +315,12 @@ class Expansion:
     component view restricts the graph and the frontier to its ids and
     keeps the columns whole."""
 
-    graph: ExpandedGraph
-    classes: list[CanonicalVertex]
-    levels: list[int]
-    colours: list[frozenset[str]]
-    axiom_ids: dict[VertexId, int]
-    frontier: frozenset[int]
+    graph: ExpandedGraph = field(default_factory=ExpandedGraph)
+    classes: list[CanonicalVertex] = field(default_factory=list)
+    levels: list[int] = field(default_factory=list)
+    colours: list[frozenset[str]] = field(default_factory=list)
+    axiom_ids: dict[VertexId, int] = field(default_factory=dict)
+    frontier: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -377,22 +378,28 @@ def _slots_getter(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
 
 
 def _rewrite(
-    g: Grammar, depth: int, unexpanded: list[tuple[str, tuple[VertexId, ...]]],
+    g: Grammar, depth: int, out: Expansion,
     enough: Callable[[list[tuple[str, tuple[VertexId, ...]]]], bool] | None = None,
-) -> Iterator[tuple[int, _Compiled, tuple[VertexId, ...]]]:
+) -> Iterator[tuple[_Compiled, tuple[VertexId, ...]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
     for a grammar that `checked_rules` accepts (GrammarError otherwise).
 
-    Yields (level, compiled rule, ids) once per rule application: the tuple
-    ids holds the concrete vertex in each of the rule's slots, the glued
-    ones first, then the fresh ones, numbered from 0 in order of creation.
-    The order is breadth first: the axiom's application alone at level 0,
-    then the hyperarcs each level leaves, in the order of the applications
-    that created them and each application's in its rule's rhs order. Once
-    the generator is exhausted, `unexpanded` holds the hyperarcs left
-    unexpanded as (label, concrete vertices) pairs: filling a list instead
-    of returning them lets callers use a plain `for`, where a `next` loop
-    catching StopIteration costs a deep `expand` about 4%.
+    Yields (compiled rule, ids) once per rule application: the tuple ids
+    holds the concrete vertex in each of the rule's slots, the glued ones
+    first, then the fresh ones, numbered from 0 in order of creation. The
+    order is breadth first: the axiom's application alone at level 0, then
+    the hyperarcs each level leaves, in the order of the applications that
+    created them and each application's in its rule's rhs order.
+
+    This is the one routine that builds an expansion's columns, for
+    `expand` and the oracle's `truncate` alike: before it yields an
+    application, `out` holds the classes, levels and colours of every id
+    so far, and the axiom's vertex ids; once the generator is exhausted,
+    out.graph has its vertices and unexpanded hyperarcs and out.frontier
+    is set. The applications themselves are left to the caller. Filling
+    `out` in place, not returning it at the end, lets callers use a plain
+    `for`, where a `next` loop catching StopIteration costs a deep
+    `expand` about 4%.
 
     After each level below `depth`, once the caller has read its
     applications, `enough` (when given) sees the hyperarcs that level
@@ -409,7 +416,9 @@ def _rewrite(
                         for label, slots in compiled.hyperarcs])
     if depth < 0:
         raise GrammarError("depth must be >= 0")
-    created = 0
+    classes, levels, colours = out.classes, out.levels, out.colours
+    empty: frozenset[str] = frozenset()
+    shared = {empty: empty}  # one object per distinct colour set
     pending: list[tuple[str, tuple[VertexId, ...]]] = [(g.axiom, ())]
     for level in range(depth + 1):
         if level and enough is not None and enough(pending):
@@ -417,13 +426,22 @@ def _rewrite(
         batch, pending = pending, []
         for label, glued in batch:
             rule, fresh, hyperarcs = plans[label]
-            first = created
-            created += fresh
-            ids = (*glued, *range(first, created))
-            yield level, rule, ids
+            first = len(classes)
+            classes += rule.cans
+            levels += [level] * fresh
+            colours += [empty] * fresh
+            ids = (*glued, *range(first, first + fresh))
+            for colour, v in rule.colours:
+                cs = colours[ids[v]] | {colour}
+                colours[ids[v]] = shared.setdefault(cs, cs)
+            if not level:
+                out.axiom_ids.update(zip(rule.names, ids))
+            yield rule, ids
             for h_label, getter in hyperarcs:
                 pending.append((h_label, getter(ids)))
-    unexpanded += pending
+    out.graph.vertices = range(len(classes))
+    out.graph.hyperarcs = pending
+    out.frontier = frozenset(v for _, vs in pending for v in vs)
 
 
 def expand(g: Grammar, depth: int) -> Expansion:
@@ -434,26 +452,9 @@ def expand(g: Grammar, depth: int) -> Expansion:
     axiom rule's vertex ids and the frontier: vertices that still lie on an
     unexpanded hyperarc, whose out-neighbourhood is therefore not final yet.
     """
-    applications: list[tuple[_Compiled, tuple[int, ...]]] = []
-    classes: list[CanonicalVertex] = []
-    levels: list[int] = []
-    colours: list[frozenset[str]] = []
-    empty: frozenset[str] = frozenset()
-    shared = {empty: empty}  # one object per distinct colour set
-    unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
-    for level, rule, ids in _rewrite(g, depth, unexpanded):
-        if level == 0:
-            axiom_ids = dict(zip(rule.names, ids))
-        applications.append((rule, ids))
-        classes += rule.cans
-        levels += [level] * len(rule.cans)
-        colours += [empty] * len(rule.cans)
-        for colour, v in rule.colours:
-            cs = colours[ids[v]] | {colour}
-            colours[ids[v]] = shared.setdefault(cs, cs)
-    graph = ExpandedGraph(range(len(classes)), applications, unexpanded)
-    frontier = frozenset(v for _, vs in unexpanded for v in vs)
-    return Expansion(graph, classes, levels, colours, axiom_ids, frontier)
+    expansion = Expansion()
+    expansion.graph.applications.extend(_rewrite(g, depth, expansion))
+    return expansion
 
 
 def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:

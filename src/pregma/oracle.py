@@ -1,9 +1,11 @@
 """Ground-truth oracle on finite truncations.
 
 Expanding the grammar to a fixed depth gives a finite chunk of the generated
-graph. `truncate` builds that chunk's chain straight from the rule
-applications of the rewriting routine behind `model.expand`, without
-building the expanded graph; each state keeps only its class and level.
+graph. `truncate` takes the rule applications of `model._rewrite`, the
+rewriting routine behind `model.expand`, and only prices them into integer
+rows: that routine builds the per-vertex columns (class, level, colours,
+axiom ids, frontier) of an expansion and of a truncation alike, and no
+expanded graph is kept.
 Vertices still sitting on an unexpanded hyperarc (the frontier) have
 incomplete out-arcs and possibly missing colours, so the oracle refuses
 horizon/depth combinations whose answer could still be influenced by the
@@ -32,7 +34,7 @@ from itertools import accumulate
 from typing import Any, Callable, Collection
 
 from .model import (
-    CanonicalVertex,
+    Expansion,
     FiniteMC,
     Grammar,
     GrammarError,
@@ -43,7 +45,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import hyperarc_slots, vertex_classes
+from .validation import vertex_classes
 
 
 class TotalityError(GrammarError):
@@ -73,17 +75,19 @@ def _may_raise(g: Grammar) -> bool:
     if any(arc.label not in g.mu
            for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
         return True
-    classes = vertex_classes(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
     return any(can.rule in names and vc.terminates and vc.out.total(g.mu) != 1
                and not (vc.is_sink and vc.colours & g.absorbing)
-               for can, vc in classes.items())
+               for can, vc in vertex_classes(g).items())
 
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
     """The depth-`depth` expansion as a finite chain under the grammar's own
-    mu, built straight from the rule applications: state i is the concrete
-    vertex with id i. Raises GrammarError on a structurally invalid grammar
-    or an arc label without a probability, and TotalityError on a fully
+    mu: state i is the concrete vertex with id i. The rows are the rule
+    applications of `_rewrite` priced in integer weights; the colours,
+    classes, levels, axiom ids and frontier are the columns `_rewrite`
+    fills, the same ones `expand` returns. Raises GrammarError on a
+    structurally invalid grammar or an arc label without a probability (at
+    the first application that needs it), and TotalityError on a fully
     expanded vertex whose outgoing mass is not 1.
 
     Without a query every level up to `depth` is built. Given one, the
@@ -101,15 +105,9 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
       time the build takes to make one) by about one more build.
     """
     den, weight = integer_weights(g.mu)
-
     trans: list[list[tuple[int, int]]] = []
-    colours: list[frozenset[str]] = []
-    classes: list[CanonicalVertex] = []
-    levels: list[int] = []
-    empty: frozenset[str] = frozenset()
-    shared = {empty: empty}  # one object per distinct colour set
     priced: dict[str, list[tuple[int, int, int]]] = {}
-    unexpanded: list[tuple[str, tuple[VertexId, ...]]] = []
+    e = Expansion()
     read = 0  # states the cone tests have read
     may_raise: bool | None = None
 
@@ -119,12 +117,12 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if may_raise or read > 4 * len(trans):
             return False
         start = query.start
-        if isinstance(start, str) and start in axiom_ids:
-            start = axiom_ids[start]
+        if isinstance(start, str) and start in e.axiom_ids:
+            start = e.axiom_ids[start]
         elif not (type(start) is int and 0 <= start < len(trans)):
             return False  # until it resolves as FiniteMC.resolve will
         frontier = {v for _, vs in pending for v in vs}
-        won, undecided = _query_tests(query, colours, frontier)
+        won, undecided = _query_tests(query, e.colours, frontier)
         layers = _cone(trans, undecided, start, query.horizon)
         read += sum(map(len, layers))
         if _blocking(layers, frontier, won) is not None:
@@ -133,32 +131,22 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
             may_raise = _may_raise(g)
         return not may_raise
 
-    for level, rule, ids in _rewrite(g, depth, unexpanded,
-                                     None if query is None else closed):
-        if level == 0:
-            axiom_ids = dict(zip(rule.names, ids))
+    for rule, ids in _rewrite(g, depth, e, None if query is None else closed):
         arcs = priced.get(rule.lhs)
         if arcs is None:
             arcs = priced[rule.lhs] = _priced(rule, weight)
-        classes += rule.cans
-        levels += [level] * len(rule.cans)
-        colours += [empty] * len(rule.cans)
         for _ in rule.cans:
             trans.append([])
         for s, t, w in arcs:
             trans[ids[s]].append((ids[t], w))
-        for colour, v in rule.colours:
-            cs = colours[ids[v]] | {colour}
-            colours[ids[v]] = shared.setdefault(cs, cs)
-    frontier = frozenset(v for _, vs in unexpanded for v in vs)
 
-    for i, cs in enumerate(colours):
-        if not trans[i] and i not in frontier and cs & g.absorbing:
+    for i, cs in enumerate(e.colours):
+        if not trans[i] and i not in e.frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    mc = FiniteMC(trans, den, colours, frontier, axiom_ids, classes, levels)
+    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels)
     for i, row in enumerate(trans):
-        if i not in frontier and (total := sum([w for _, w in row])) != den:
+        if i not in e.frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
                                 f"{Fraction(total, den)}")
     return mc

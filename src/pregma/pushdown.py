@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .gio import ParseError, read_prob
 from .model import Grammar, GrammarError, Hypergraph, Rule
-from .validation import hyperarc_slots, vertex_classes
+from .validation import vertex_classes
 
 Word = tuple[str, ...]
 
@@ -226,6 +226,6 @@ def _mark_sinks(g: Grammar, colour: str) -> None:
     g.terminals[colour] = 1
     g.absorbing.add(colour)
     rules = {rule.lhs: rule for rule in g.rules}
-    for can, vc in vertex_classes(g, rules, hyperarc_slots(g)).items():
+    for can, vc in vertex_classes(g).items():
         if vc.is_sink:
             rules[can.rule].rhs.add_colour(colour, can.vertex)

@@ -9,14 +9,16 @@ certified enclosure from `quantitative.solve_until`.
 
 The recurring subtlety is descending through an input: which vertex the walk
 lands on depends on where the class's context rule was instantiated. The
-grammar's analysis lists what every occurrence binds to each input
-(`bindings`) and every class that can end up there (`refs`); "for all
+grammar's analysis gives every step's landing place as the set of classes
+it can be: per occurrence, the set for each input (`bindings`), and across
+occurrences, every class that can end up at an input (`refs`); "for all
 occurrences" arguments then give sound universal verdicts, "for some
 occurrence" sound existential ones. One-step successors are read from the
-analysis's per-context fragments. The until engines read which of the
-shared assembled system's variables are positive, and each of their class
-sets is one fixpoint (`_fixpoint`), whose soundness rests on one induction
-over the level of a concrete vertex.
+analysis's per-context fragments, each target a class set too. The until
+engines read which of the shared assembled system's variables are
+positive, and each of their class sets is one fixpoint (`_fixpoint`),
+whose soundness rests on one induction over the level of a concrete
+vertex.
 """
 from __future__ import annotations
 
@@ -26,40 +28,35 @@ from typing import Callable, Iterable
 from .model import CanonicalVertex
 from .polysys import Key, decide_threshold
 from .quantitative import dec_key, shared_assembly, solve_until, win_key
-from .validation import Analysis, Binding
+from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _sites(an: Analysis, target: Binding) -> frozenset[CanonicalVertex]:
-    """The classes a target can be: a class itself, or every class that can
-    sit at input j for ("ref", rule, j)."""
-    if isinstance(target, CanonicalVertex):
-        return frozenset({target})
-    return an.refs[target[1:]]
-
-
-def successor_table(an: Analysis) -> dict[CanonicalVertex, list[tuple[Fraction, Binding]]]:
+def successor_table(
+    an: Analysis,
+) -> dict[CanonicalVertex, list[tuple[Fraction, frozenset[CanonicalVertex]]]]:
     """One-step successors of each reachable class, with exact probabilities.
 
     Read off the class's node in its context's fragment, whose out-arcs
     already include those gained from the child copy the class is glued
-    onto. An arc into one of the context's own inputs becomes a ref
-    ("ref", rule, j) to whatever the context's parent glued there. An
-    absorbing sink is its own successor.
+    onto. Each target is the set of classes the vertex reached can be: a
+    class c is {c}, and an arc into the context's own input j reaches
+    `refs[(rule, j)]`, every class a parent can glue there. An absorbing
+    sink is its own successor.
     """
     mu = an.grammar.mu
-    table: dict[CanonicalVertex, list[tuple[Fraction, Binding]]] = {}
+    table: dict[CanonicalVertex, list[tuple[Fraction, frozenset[CanonicalVertex]]]] = {}
     for name, frag in an.fragments.items():
         for node in frag.starts:
-            succs: list[tuple[Fraction, Binding]] = []
+            succs = []
             for label, key in frag.out[node.key]:
                 hit = frag.nodes[key]
-                target = ("ref", name, hit.input_index) if hit.kind == "input" else hit.can
-                succs.append((mu[label], target))
+                succs.append((mu[label], an.refs[name, hit.input_index]
+                              if hit.kind == "input" else frozenset({hit.can})))
             if not succs and node.can in an.absorbing:
-                succs.append((ONE, node.can))
+                succs.append((ONE, frozenset({node.can})))
             table[node.can] = succs
     return table
 
@@ -82,8 +79,7 @@ def next_qualitative(
     for can, succs in successor_table(an).items():
         mass_lo = ZERO
         mass_hi = ZERO
-        for p, target in succs:
-            sites = _sites(an, target)
+        for p, sites in succs:
             if sites <= targets:
                 mass_lo += p
                 mass_hi += p
@@ -105,9 +101,9 @@ def _fixpoint(
     Every fixpoint S is sound, by induction over the level of a concrete
     vertex v of class c. A walk that leaves v's level does so through an
     input of v's rule copy and lands on a vertex created at a lower level;
-    the test sees that vertex only through the classes it can be (`_sites`,
-    `an.refs`), and the axiom's classes, on level 0, have no inputs. Two
-    kinds of test follow:
+    the test sees that vertex only through the classes it can be
+    (`an.bindings`, `an.refs`), and the axiom's classes, on level 0, have
+    no inputs. Two kinds of test follow:
     - "c passes and every class it reads in S has the property at every
       vertex, so c has it at every vertex": then every member of S has the
       property at every vertex; the greatest fixpoint is the tightest.
@@ -161,7 +157,7 @@ def until_positive(
     def can_be_zero(c: CanonicalVertex, s: set[CanonicalVertex]) -> bool:
         if win_key(c) in pos:
             return False
-        return not down[c] or any(all(_sites(an, b[j - 1]) & s for j in down[c])
+        return not down[c] or any(all(b[j - 1] & s for j in down[c])
                                   for b in an.bindings.get(c.rule, []))
 
     may = _fixpoint(an, (), lambda c, s: win_key(c) in pos or any(

@@ -15,14 +15,15 @@ per shared vertex. At a shared vertex the walk sums what every branch
 gains, which is exact for the classes that terminate; the truncation
 oracle reads only those.
 
-`analyse` keeps what the engines need: a rule lookup, the hyperarc
-occurrence table, each class's profiles and colours, the absorbing and
-reachable classes, the classes each rule input can be bound to, one local
-fragment per context (the source of every one-step fact), and the equation
-systems assembled so far. It refuses grammars outside what the engines
-handle. The analysis is a value the caller owns and passes along; nothing
-is cached on the grammar, which callers such as the pushdown converter
-still edit after reading its profiles.
+`analyse` keeps what the engines need: a rule lookup, each class's
+profiles and colours, the absorbing and reachable classes, where a step
+through a hyperarc occurrence lands, resolved once to the set of classes
+it can be (per occurrence and input, and per rule input across every
+occurrence), one local fragment per context (the source of every one-step
+fact), and the equation systems assembled so far. It refuses grammars
+outside what the engines handle. The analysis is a value the caller owns
+and passes along; nothing is cached on the grammar, which callers such as
+the pushdown converter still edit after reading its profiles.
 """
 from __future__ import annotations
 
@@ -50,11 +51,6 @@ Site = tuple[str, VertexId]
 
 # (rule, vertex) site -> every (hyperarc, 1-based position) slot holding it
 Slots = dict[Site, list[tuple[Hyperarc, int]]]
-
-# what a parent glues onto a rule input: a class, or ("ref", rule, j) for
-# whatever the parent's own parent glued onto the parent's input j
-Ref = tuple[str, str, int]
-Binding = CanonicalVertex | Ref
 
 
 class EngineUnsupported(GrammarError):
@@ -200,14 +196,12 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots,
     return down, classes
 
 
-def vertex_classes(
-    g: Grammar, rules: Mapping[str, Rule], slots: Slots
-) -> dict[CanonicalVertex, VertexClass]:
+def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
     """The class table of a structurally valid grammar, from one walk of
     the passings. Exact for every class under single membership, which
     check_complete_outside checks; otherwise exact for the classes that
     terminate, whose profiles then sum what every branch gains."""
-    return _walk(g, rules, slots)[1]
+    return _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))[1]
 
 
 def check_complete_outside(g: Grammar) -> tuple[str, ...]:
@@ -315,9 +309,12 @@ def phr_check(g: Grammar) -> PhrReport:
 class Analysis:
     """Everything the engines read off one grammar, its mu included.
 
-    Built by `analyse`, once per engine entry point; `assemblies` holds the
-    equation system of each (phi1, phi2) pair once something assembled it,
-    and with it the pair's one enclosure once `solve_until` solved it.
+    Built by `analyse`, once per engine entry point. Where a step through
+    an input lands is held one way, as the set of classes the vertex there
+    can be: `bindings` per occurrence, `refs` across all occurrences of a
+    rule. `assemblies` holds the equation system of each (phi1, phi2) pair
+    once something assembled it, and with it the pair's one enclosure once
+    `solve_until` solved it.
     """
 
     grammar: Grammar
@@ -327,8 +324,8 @@ class Analysis:
     fragments: dict[str, Fragment]  # one per context (reachable rule), axiom first
     reachable: list[CanonicalVertex]  # classes of the reachable rules
     # per nonterminal, one tuple per hyperarc occurrence in a reachable
-    # rule: what that occurrence glues onto each input
-    bindings: dict[str, list[tuple[Binding, ...]]]
+    # rule: the classes the vertex it glues onto each input can be
+    bindings: dict[str, list[tuple[frozenset[CanonicalVertex], ...]]]
     # (rule, j) -> every class that can sit at input j across occurrences
     refs: dict[tuple[str, int], frozenset[CanonicalVertex]]
     assemblies: dict
@@ -367,24 +364,25 @@ def analyse(g: Grammar) -> Analysis:
             )
 
     names = reachable_nonterminals(g)
-    bindings: dict[str, list[tuple[Binding, ...]]] = {}
+    # what each occurrence in a reachable rule glues onto each input: a
+    # class, or (rule, j) for whatever was glued onto that rule's input j
+    glued: dict[str, list[tuple]] = {}
     for host in g.rules:
-        if host.lhs not in names:
-            continue
-        for h in host.rhs.hyperarcs:
-            bindings.setdefault(h.label, []).append(tuple(
-                ("ref", host.lhs, host.input_index(v)) if host.is_input(v)
-                else CanonicalVertex(host.lhs, v)
-                for v in h.vertices
-            ))
+        if host.lhs in names:
+            for h in host.rhs.hyperarcs:
+                glued.setdefault(h.label, []).append(tuple(
+                    (host.lhs, host.input_index(v)) if host.is_input(v)
+                    else CanonicalVertex(host.lhs, v) for v in h.vertices))
 
-    def glued_on(b: Binding) -> list[Binding]:
-        """What the occurrences glue onto the input a ref names."""
+    def inward(b: CanonicalVertex | tuple[str, int]) -> list:
+        """What the occurrences glue onto the input (rule, j) names."""
         if isinstance(b, CanonicalVertex):
             return []
-        _, name, j = b
-        return [bound[j - 1] for bound in bindings.get(name, [])]
+        return [bound[b[1] - 1] for bound in glued.get(b[0], [])]
 
+    refs = {(r.lhs, j): frozenset(b for b in reach([(r.lhs, j)], inward)
+                                  if isinstance(b, CanonicalVertex))
+            for r in g.rules for j in range(1, len(r.inputs) + 1)}
     return Analysis(
         grammar=g,
         rules=rules,
@@ -395,9 +393,9 @@ def analyse(g: Grammar) -> Analysis:
         fragments={name: build_fragment(rules, slots, name)
                    for name in sorted(names, key=lambda n: (n != g.axiom, n))},
         reachable=[c for c in classes if c.rule in names],
-        bindings=bindings,
-        refs={(r.lhs, j): frozenset(b for b in reach([("ref", r.lhs, j)], glued_on)
-                                    if isinstance(b, CanonicalVertex))
-              for r in g.rules for j in range(1, len(r.inputs) + 1)},
+        bindings={name: [tuple(frozenset({b}) if isinstance(b, CanonicalVertex)
+                               else refs[b] for b in bound) for bound in occs]
+                  for name, occs in glued.items()},
+        refs=refs,
         assemblies={},
     )

@@ -15,7 +15,8 @@ import json
 from collections import deque
 from fractions import Fraction
 
-from pregma.model import FiniteMC, Grammar, GrammarError, Rule, _rewrite, integer_weights
+from pregma.model import (Expansion, FiniteMC, Grammar, GrammarError, Rule, _rewrite,
+                          integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
 from pregma.rng import GAMMA
@@ -25,13 +26,13 @@ _MASK = (1 << 64) - 1
 
 def applications(g: Grammar, depth: int):
     """(compiled rule, ids, parent, position) per rule application of
-    `_rewrite(g, depth, ...)`: parent is the number of the application whose
-    rhs held the replaced hyperarc (None for the axiom), position that
-    hyperarc's index in the rhs. Replays a FIFO of hyperarcs, each
+    `_rewrite(g, depth, Expansion())`: parent is the number of the
+    application whose rhs held the replaced hyperarc (None for the axiom),
+    position that hyperarc's index in the rhs. Replays a FIFO of hyperarcs, each
     application's queued in rhs order, and asserts that every application
     replaces the hyperarc at its head."""
     queue = deque([(None, None, g.axiom, ())])
-    for number, (_, rule, ids) in enumerate(_rewrite(g, depth, [])):
+    for number, (rule, ids) in enumerate(_rewrite(g, depth, Expansion())):
         parent, position, label, glued = queue.popleft()
         assert (rule.lhs, tuple(ids[:rule.arity])) == (label, glued)
         yield rule, ids, parent, position

@@ -21,6 +21,7 @@ F = Fraction
 
 def test_parse_basic_shapes():
     assert parse_formula("tt") == TT()
+    assert parse_formula("tt  ") == TT()  # trailing whitespace reads as nothing
     assert parse_formula("green") == Atom("green")
     assert parse_formula("!v0") == Not(Atom("v0"))
     assert parse_formula("a & b & c") == And(And(Atom("a"), Atom("b")),
@@ -67,6 +68,9 @@ def test_parenthesised_until_nests():
     ("X[1/2] a", "expected cmp"),
     ("(a", "unexpected end"),
     ("F[>=1/0] green", "divides by zero"),
+    ("1/2 a", "^unexpected '1/2' at offset 0$"),
+    (") a", "^unexpected '\\)' at offset 0$"),
+    (">= a", "^unexpected '>=' at offset 0$"),
 ])
 def test_parse_errors(text, needle):
     with pytest.raises(FormulaError, match=needle):

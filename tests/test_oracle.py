@@ -25,7 +25,7 @@ from pregma.oracle import (
 from pregma.pcp import encode, load_pcp
 from pregma.pushdown import load_pds, to_grammar
 from pregma.rng import draw_array
-from pregma.validation import check_complete_outside, hyperarc_slots, vertex_classes
+from pregma.validation import check_complete_outside, vertex_classes
 from reference import config_chain
 
 V1 = frozenset({"V1"})
@@ -232,7 +232,7 @@ def test_bounded_until_matches_the_full_sweep(running, dag, updrift,
             assert bounded_until(mc, query) == full_sweep(mc, query), (start, h)
 
 
-def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running):
+def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running, pds_prob):
     for depth in range(1, 7):
         mc = truncate(running, depth)
         for h in range(9):
@@ -245,6 +245,11 @@ def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running):
             r"^frontier vertex 13 \(class A:next, level 3\) is within 3 "
             r"steps of the start; deepen the truncation$")):
         bounded_until(truncate(running, 3), q(3))
+    # a chain that is no truncation names no class or level
+    with pytest.raises(HorizonError, match=(
+            r"^frontier vertex 2 is within 2 steps of the start; deepen the truncation$")):
+        bounded_until(config_chain(pds_prob, ("r",), 2),
+                      PathQuery(None, frozenset({"halt"}), "r", 2))
 
 
 class Unreadable:
@@ -684,7 +689,7 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
             assert all(early.trans[s] == full.trans[s] and early.colours[s] == full.colours[s]
                        for s in range(n) if s not in early.frontier)
 
-        classes = vertex_classes(g, checked_rules(g), hyperarc_slots(g))
+        classes = vertex_classes(g)
         e = expand(g, depth)
         out = {v: Counter() for v in e.graph.vertices}
         for label, source, _ in e.graph.arcs():

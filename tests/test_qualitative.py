@@ -28,22 +28,27 @@ def cls(an, name):
 def test_successor_table_running(running):
     tab = successor_table(analyse(running))
     fork = tab[CanonicalVertex("A", "fork")]
-    assert sorted(fork, key=repr) == sorted([
-        (F(1, 4), CanonicalVertex("A", "dead")),
-        (F(1, 4), ("ref", "A", 1)),
-        (F(1, 2), CanonicalVertex("A", "win")),
-    ], key=repr)
+
+    def key(succ):
+        return succ[0], sorted(map(str, succ[1]))
+
+    # s, input 1 of A, is v0 under the axiom's hyperarc and next under A's own
+    assert sorted(fork, key=key) == sorted([
+        (F(1, 4), {CanonicalVertex("A", "dead")}),
+        (F(1, 4), {CanonicalVertex("Z", "v0"), CanonicalVertex("A", "next")}),
+        (F(1, 2), {CanonicalVertex("A", "win")}),
+    ], key=key)
     assert tab[CanonicalVertex("A", "next")] == [
-        (F(1, 2), CanonicalVertex("A", "fork")),
-        (F(1, 2), CanonicalVertex("A", "next")),
+        (F(1, 2), {CanonicalVertex("A", "fork")}),
+        (F(1, 2), {CanonicalVertex("A", "next")}),
     ]
     # v0's second step target resolves through the axiom's hyperarc
     assert tab[CanonicalVertex("Z", "v0")] == [
-        (F(1, 2), CanonicalVertex("Z", "t0")),
-        (F(1, 2), CanonicalVertex("A", "next")),
+        (F(1, 2), {CanonicalVertex("Z", "t0")}),
+        (F(1, 2), {CanonicalVertex("A", "next")}),
     ]
-    assert tab[CanonicalVertex("Z", "t0")] == [(F(1), CanonicalVertex("Z", "t0"))]
-    assert tab[CanonicalVertex("A", "win")] == [(F(1), CanonicalVertex("A", "win"))]
+    assert tab[CanonicalVertex("Z", "t0")] == [(F(1), {CanonicalVertex("Z", "t0")})]
+    assert tab[CanonicalVertex("A", "win")] == [(F(1), {CanonicalVertex("A", "win")})]
 
 
 def test_successor_masses_sum_to_one(running, dag, updrift, critical):
@@ -60,6 +65,19 @@ def test_resolve_ref_running(running):
     assert refs[("A", 2)] == frozenset({
         CanonicalVertex("Z", "t0"), CanonicalVertex("A", "fork"),
     })
+
+
+def test_bindings_are_class_sets(running, pds_prob):
+    cv = CanonicalVertex
+    assert analyse(running).bindings["A"] == [
+        (frozenset({cv("Z", "v0")}), frozenset({cv("Z", "t0")})),
+        (frozenset({cv("A", "next")}), frozenset({cv("A", "fork")})),
+    ]
+    # X's second occurrence glues X's own input Ap onto its third input, so
+    # that input can be whatever any occurrence glues onto Ap
+    an = analyse(to_grammar(pds_prob))
+    assert an.bindings["X"][1][2] == an.refs[("X", 4)] == frozenset({
+        cv("Z", "Ap"), cv("X", "AAp"), cv("X", "BAp")})
 
 
 def test_next_qualitative_decides_plain_targets(running):

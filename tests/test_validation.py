@@ -56,11 +56,6 @@ PASSED_DOWN = HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 
 )
 
 
-def classes(g):
-    """The per-class table, for grammars the engines refuse."""
-    return vertex_classes(g, {r.lhs: r for r in g.rules}, hyperarc_slots(g))
-
-
 def cv(rule, vertex):
     return CanonicalVertex(rule, vertex)
 
@@ -124,7 +119,7 @@ def test_in_profiles_running(running):
 
 def test_infinite_profile():
     g = parse_grammar(GAINING_LOOP)
-    p = classes(g)[CanonicalVertex("Z", "r")].out
+    p = vertex_classes(g)[CanonicalVertex("Z", "r")].out
     assert p.infinite == frozenset({"a"})
     assert str(p) == "{a:inf}"
     assert p.total(g.mu) is None
