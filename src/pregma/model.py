@@ -462,11 +462,17 @@ def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
     graph = expansion.graph
     if start not in graph.vertices:
         raise GrammarError(f"unknown vertex id {start!r}")
-    adj: dict[VertexId, list[VertexId]] = {v: [] for v in graph.vertices}
+    parent = list(range(len(expansion.classes)))  # union-find over the ids
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for _, source, target in graph.arcs():
-        adj[source].append(target)
-        adj[target].append(source)
-    return frozenset(reach([start], adj.__getitem__))
+        parent[root(source)] = root(target)
+    mine = root(start)
+    return frozenset(v for v in graph.vertices if root(v) == mine)
 
 
 def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:

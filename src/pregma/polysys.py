@@ -29,13 +29,12 @@ falls below the identity near a fixpoint even where a row of F' sums above
 the enclosure simply stays wide and the caller sees converged=False.
 
 The solver compiles the cleaned system once: variables become indices and
-coefficients integers over their common denominator. Every exact check (the
-Kleene step, a component's post-fixpoint test, and (I - F')z) then runs as
-integer sums over the lcm of the denominators of the values it reads, with
-one reduced Fraction per row: the same rationals as term-by-term Fraction
-arithmetic, without a Fraction operation per term. A Newton step stays in
-integers throughout, on the bit grid its direction and step are rounded
-to, and builds one Fraction per variable only for the values it returns.
+coefficients integers over their common denominator. The solver's state
+stays in integers, and every comparison is a cross-multiplication. Every
+exact check (the Kleene step, a component's post-fixpoint test, and
+(I - F')z) runs as integer sums over a common denominator of the values it
+reads: the same rationals as Fraction arithmetic, which builds Fractions
+only for the enclosure it returns.
 """
 from __future__ import annotations
 
@@ -43,14 +42,13 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf, isfinite, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -135,11 +133,6 @@ class Enclosure:
         return self.lo[key], self.hi[key]
 
 
-def _floor_to_grid(v: Fraction, bits: int) -> Fraction:
-    scaled = v.numerator * (1 << bits) // v.denominator
-    return Fraction(scaled, 1 << bits)
-
-
 _DEN_CAP = 1 << 128  # keep exact values while their denominators stay modest
 _CERTIFY_EVERY = 50  # rounds between certification attempts, small Newton steps aside
 
@@ -150,17 +143,6 @@ Row = list[tuple[int, int, int]]
 def _sums(rows: list[Row], n: Sequence[int]) -> list[int]:
     """Each row's integer sum: a term (c, a, b) adds c * n[a] * n[b]."""
     return [sum(c * n[a] * n[b] for c, a, b in row) for row in rows]
-
-
-def _at(rows: list[Row], den: int, values: Sequence[Fraction]) -> list[Fraction]:
-    """rows at values, exactly. A term (c, a, b) reads c/den * values[a] *
-    values[b], index -1 reading 1. The values go to integers over the lcm L
-    of their denominators, so each row is one integer sum over den * L^2."""
-    scale = lcm(*{v.denominator for v in values})
-    n = [v.numerator * (scale // v.denominator) for v in values]
-    n.append(scale)
-    total = den * scale * scale
-    return [Fraction(s, total) for s in _sums(rows, n)]
 
 
 class _Component(NamedTuple):
@@ -330,35 +312,37 @@ def _min_degree(pattern: list[list[int]]) -> list[int]:
 def _newton(
     comp: _Component,
     den: int,
-    point: list[Fraction],
+    point: list[int],
+    scale: int,
     bits: int,
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """One Newton step on the cyclic component comp at point, the variables
-    outside it held at point: comp's new values (None when refused) and a
-    direction for certifying its upper bound (None when there is none).
+) -> tuple[list[int] | None, list[int] | None]:
+    """One Newton step on the cyclic component comp at point (numerators
+    over scale), the variables outside it held at point: the numerators of
+    comp's new values over 4^bits (None when refused) and of a direction
+    for certifying its upper bound over 2^bits (None when there is none).
 
     With A = F'(point) on comp and b = F(point) - point, one sparse float
     elimination of I - A (`_solve`, in the component's fill-reducing order)
     gives (I - A)^-1 b and (I - A)^-1 1, or refuses at a pivot that is not
-    positive. The second, scaled to a largest entry of 1 and rounded up
-    onto the grid of `bits` bits, is the direction v; the exact check
-    (I - A) v > 0 makes I - A a nonsingular M-matrix, whose inverse is
-    >= 0. The first, rounded down onto a grid twice as fine (near a double
-    root b is about the square of the distance to the fixpoint), is lowered
-    along v by the least t on the grid that makes (I - A) d <= b hold
-    exactly. Then d is at most the exact Newton step, so by convexity
-    point + d stays at or below the least fixpoint whenever point does, and
-    with d >= 0 also point + d <= F(point + d).
+    positive. The floats come from int/int divisions, which round
+    correctly whatever common denominator point is given over. The second
+    solution, scaled to a largest entry of 1 and rounded up onto the grid
+    of `bits` bits, is the direction v; the exact check (I - A) v > 0 makes
+    I - A a nonsingular M-matrix, whose inverse is >= 0. The first, rounded
+    down onto a grid twice as fine (near a double root b is about the
+    square of the distance to the fixpoint), is lowered along v by the
+    least t on the grid that makes (I - A) d <= b hold exactly. Then d is
+    at most the exact Newton step, so by convexity point + d stays at or
+    below the least fixpoint whenever point does, and with d >= 0 also
+    point + d <= F(point + d).
     """
     n = len(comp.members)
-    # Everything below is integers: point over S, the lcm of the
-    # denominators it reads; the residual over den S^2; v over 2^bits; the
-    # grid point g over 4^bits; d = g - point over S 4^bits.
-    at = [point[g] for g in comp.reads]
-    scale = lcm(*{y.denominator for y in at})
-    a = [y.numerator * (scale // y.denominator) for y in at]
+    # Everything below is integers: point over S = scale; the residual over
+    # den S^2; v over 2^bits; the grid point g over 4^bits; d = g - point
+    # over S 4^bits.
+    a = [point[g] for g in comp.reads]
     a.append(scale)  # index -1 reads 1
-    x = [point[g].numerator * (scale // point[g].denominator) for g in comp.members]
+    x = [point[g] for g in comp.members]
     residual = [s - y * den * scale for s, y in zip(_sums(comp.rows, a), x)]
     floats = [y / scale for y in a[:-1]]
     matrix = []
@@ -378,12 +362,11 @@ def _newton(
     for _, e in solution:
         p, q = (e / top).as_integer_ratio()
         v.append(-(-p * coarse // q))
-    direction = [Fraction(y, coarse) for y in v]
     # (I - A)z reads z and point, so its integers are over den * Z * S for
     # z over Z
     w = _sums(comp.i_minus_a, v + a)
     if min(w) <= 0:
-        return None, direction
+        return None, v
     g = []
     for y, (s, _) in zip(x, solution):
         p, q = s.as_integer_ratio()
@@ -395,8 +378,14 @@ def _newton(
     new = [b - t * y for b, y in zip(g, v)]  # point + d over 4^bits, d lowered by t v
     d = [b * scale - y * fine for b, y in zip(new, x)]
     if min(d) < 0 or max(d) == 0:
-        return None, direction
-    return [Fraction(b, fine) for b in new], direction
+        return None, v
+    return new, v
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums over den, with their common factor cancelled."""
+    g = gcd(den, *nums)
+    return ([y // g for y in nums], den // g) if g > 1 else (nums, den)
 
 
 # the round cap of every solve
@@ -413,6 +402,10 @@ def solve_enclosure(
     given, unless the round cap `_ROUNDS` stops the solve first. exact
     means lo is the least fixpoint itself, which happens whenever the
     iteration closes, e.g. on systems with no cyclic dependencies.
+
+    lo (the Kleene iterate, and Newton's values) is one numerator per
+    variable over a shared denominator; hi, which certification replaces a
+    component at a time, a numerator and a denominator per variable.
     """
     keys = list(system.variables)
 
@@ -430,93 +423,119 @@ def solve_enclosure(
               *(index[f] for f in factors), *(-1,) * (2 - len(factors)))
              for coeff, factors in row] for row in terms]
     m = len(rows)
-    lo = [ZERO] * m
-    hi = [ONE] * m
-    bits = max(64, int(1 / eps).bit_length() + 16)
+    lo, lo_den = [0] * m, 1
+    hi, hi_den = [1] * m, [1] * m
+    en, ed = eps.numerator, eps.denominator
+    bits = max(64, (ed // en).bit_length() + 16)
     components = _components(rows, den)
     # The first positive offset lies far below eps: a component's slack above
     # its lower bound reaches the components above it amplified.
-    base_delta = eps / 2**20
-    # per cyclic component (by position): certification direction, and the
-    # round of the next Newton attempt with the wait after a refusal
-    directions: dict[int, list[Fraction]] = {}
+    base_delta = (en, ed << 20)  # eps / 2^20
+    # per cyclic component (by position): certification direction and its bits,
+    # and the round of the next Newton attempt with the wait after a refusal
+    directions: dict[int, tuple[list[int], int]] = {}
     next_try = {i: 1 for i, comp in enumerate(components) if comp.cyclic}
     wait = dict.fromkeys(next_try, 1)
 
+    def at(comp: _Component) -> tuple[list[int], int]:
+        # comp's rows at hi, as integers over den * S^2, and S
+        scale = lcm(*[hi_den[g] for g in comp.reads])
+        a = [hi[g] * (scale // hi_den[g]) for g in comp.reads]
+        a.append(scale)
+        return _sums(comp.rows, a), scale
+
     def certify() -> None:
-        # Walk components dependencies-first; `point` carries the upper
-        # bounds certified so far, so each check is sound on its own.
-        point = list(hi)
+        # Walk components dependencies-first; hi carries the upper bounds
+        # certified so far, so each check is sound on its own. A cyclic
+        # component's trial point sits in hi while it is checked.
         for i, comp in enumerate(components):
+            members = comp.members
             if not comp.cyclic:
-                k = comp.members[0]
-                v = min(_at(comp.rows, den, [point[g] for g in comp.reads])[0], ONE)
-                if v < hi[k]:
-                    hi[k] = v
-                point[k] = hi[k]
+                k = members[0]
+                (s,), scale = at(comp)
+                total = den * scale * scale
+                if s * hi_den[k] < hi[k] * total:  # F < hi <= 1
+                    g = gcd(s, total)
+                    hi[k], hi_den[k] = s // g, total // g
                 continue
             # delta 0 first: a component whose lower bound has already
             # closed certifies itself and may admit no positive slack at all.
-            u = directions.get(i)
-            delta = ZERO
-            while True:
-                y = [min(lo[k] + delta * (u[j] if u else ONE), ONE)
-                     for j, k in enumerate(comp.members)]
-                for k, yk in zip(comp.members, y):
-                    point[k] = yk
-                fy = _at(comp.rows, den, [point[g] for g in comp.reads])
-                if all(a <= b for a, b in zip(fy, y)):
-                    for k, yk in zip(comp.members, y):
-                        if yk < hi[k]:
-                            hi[k] = yk
+            old = [(hi[k], hi_den[k]) for k in members]
+            u, ubits = directions.get(i, ([1] * len(members), 0))
+            dn, dd = 0, 1  # delta
+            while dn <= 2 * dd:
+                # y = min(lo + delta u, 1) over lo_den * dd * 2^ubits
+                y_den = lo_den * dd << ubits
+                y = [min((lo[k] * dd << ubits) + dn * uj * lo_den, y_den)
+                     for k, uj in zip(members, u)]
+                for k, yk in zip(members, y):
+                    hi[k], hi_den[k] = yk, y_den
+                fy, scale = at(comp)
+                f = den * scale * (scale // y_den)
+                if all(a <= b * f for a, b in zip(fy, y)):
+                    old = [(yk, y_den) if yk * d < n * y_den else (n, d)
+                           for yk, (n, d) in zip(y, old)]
                     break
-                delta = base_delta if delta == ZERO else delta * 4
-                if delta > 2:
-                    break
-            for k in comp.members:
-                point[k] = hi[k]
+                dn, dd = base_delta if dn == 0 else (dn * 4, dd)
+            for k, (n, d) in zip(members, old):
+                hi[k], hi_den[k] = n, d
 
-    def width() -> Fraction:
-        return max((b - a for a, b in zip(lo, hi)), default=ZERO)
+    def narrow() -> bool:  # hi - lo <= eps everywhere
+        return all((b * lo_den - a * d) * ed <= en * d * lo_den
+                   for a, b, d in zip(lo, hi, hi_den))
 
     exact = False
     rounds = 0
     while rounds < _ROUNDS:
         rounds += 1
-        fx = _at(rows, den, lo)
-        if fx == lo:
-            hi = list(lo)
+        # F(lo) is fx over den * lo_den^2, and equals lo exactly when
+        # fx = lo * den * lo_den
+        fx = _sums(rows, lo + [lo_den])
+        step = den * lo_den
+        if all(a == b * step for a, b in zip(fx, lo)):
+            hi, hi_den = list(lo), [lo_den] * m
             exact = True
             break
-        nxt = [max(_floor_to_grid(v, bits) if v.denominator > _DEN_CAP else v, old)
-               for v, old in zip(fx, lo)]
+        # F(lo), rounded down onto the bit grid where its reduced denominator
+        # passes _DEN_CAP, and never below lo: over the lcm of the three grids
+        total, coarse = step * lo_den, 1 << bits
+        scale = lcm(total, coarse)
+        exact_at, grid_at, lo_at = scale // total, scale // coarse, scale // lo_den
+        nxt, scale = _lowest(
+            [max(a * coarse // total * grid_at if total > _DEN_CAP * gcd(a, total)
+                 else a * exact_at, b * lo_at) for a, b in zip(fx, lo)], scale)
         # Newton steps on the Kleene iterate, dependencies first, so each
         # component starts from the values just found below it.
         stepped = False
         for i, when in next_try.items():
             if rounds < when:
                 continue
-            values, u = _newton(components[i], den, nxt, bits)
+            values, u = _newton(components[i], den, nxt, scale, bits)
             if u is not None:
-                directions[i] = u
+                directions[i] = (u, bits)
             if values is None:
                 wait[i] = min(2 * wait[i], _CERTIFY_EVERY)
                 next_try[i] = rounds + wait[i]
                 continue
             wait[i] = 1
+            scale, was = lcm(scale, 1 << 2 * bits), scale  # values are over 4^bits
+            nxt = [y * (scale // was) for y in nxt]
             for k, v in zip(components[i].members, values):
-                nxt[k] = v
+                nxt[k] = v * (scale >> 2 * bits)
             stepped = True
-        if nxt == lo:
+        if stepped:
+            nxt, scale = _lowest(nxt, scale)
+        if nxt == lo and scale == lo_den:
             bits += 32  # grid too coarse to see the strict increase
         # Certify once Newton moves lo by at most eps: before that lo is far
         # from the fixpoint, and a certificate would either fail or stop the
         # solve at a width near eps that the next step shrinks far below it.
-        small = stepped and max(a - b for a, b in zip(nxt, lo)) <= eps
-        lo = nxt
+        small = stepped and (max(a * lo_den - b * scale for a, b in zip(nxt, lo)) * ed
+                             <= en * scale * lo_den)
+        lo, lo_den = nxt, scale
         if small or rounds % _CERTIFY_EVERY == 0:
             certify()
-            if width() <= eps:
+            if narrow():
                 break
     else:
         # the breaks leave lo exact or just certified: certification goes
@@ -524,11 +543,10 @@ def solve_enclosure(
         # depends only on lo, its direction and the bounds below it, so a
         # second run on the same lo would not change hi
         certify()
-    converged = width() <= eps
     return Enclosure(
-        {k: lo[index[k]] if k in index else ZERO for k in keys},
-        {k: hi[index[k]] if k in index else ZERO for k in keys},
-        converged,
+        {k: Fraction(lo[index[k]], lo_den) if k in index else ZERO for k in keys},
+        {k: Fraction(hi[index[k]], hi_den[index[k]]) if k in index else ZERO for k in keys},
+        narrow(),
         exact,
         rounds,
     )

@@ -7,11 +7,12 @@ from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import load_grammar, parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError
-from pregma.polysys import ONE, ZERO, decide_threshold, solve_enclosure
+from pregma.polysys import ZERO, decide_threshold, solve_enclosure
 from pregma.quantitative import shared_assembly, solve_until, win_key
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
+ONE = F(1)
 
 
 def statuses(lab):

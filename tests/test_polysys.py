@@ -15,7 +15,7 @@ from pregma.labeling import classes_for_colours
 from pregma.model import GrammarError
 from pregma.pcp import encode, load_pcp
 from pregma.polysys import (
-    _CERTIFY_EVERY, _DEN_CAP, _ROUNDS, ONE, ZERO, Enclosure, Key, PolySystem, _min_degree,
+    _CERTIFY_EVERY, _DEN_CAP, _ROUNDS, ZERO, Enclosure, Key, PolySystem, _min_degree,
     _solve, decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
@@ -24,6 +24,7 @@ from pregma.validation import analyse
 from reference import evaluate, gauss_jordan, rhs_value
 
 F = Fraction
+ONE = F(1)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -845,6 +846,20 @@ def test_solver_matches_the_fraction_reference():
         "z": [],
         "w": [(F(1, 2), ("x", "z")), (F(1, 7), ("w",)), (F(2, 3), ("x",))],
     }))
+
+
+@pytest.mark.parametrize("shape", ["chain", "branching"])
+def test_solver_matches_the_fraction_reference_at_benchmark_size(shape):
+    # seeded K = 64 walks, the size of the largest systems the benchmark's
+    # families workload solves: 65 and 129 variables that stay positive
+    g = walk_grammar(shape, walk_levels(64, False, random.Random(64)))
+    an = analyse(g)
+    system = assemble_system(an, classes_for_colours(an, None),
+                             classes_for_colours(an, frozenset({"green"}))).system
+    for eps in (F(1, 10**6), F(1, 10**9)):
+        enc = same_enclosure(system, eps=eps)
+        assert enc.converged and not enc.exact
+    assert len(system.positive_variables()) == {"chain": 65, "branching": 129}[shape]
 
 
 @settings(max_examples=60, deadline=None)

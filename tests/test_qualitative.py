@@ -119,6 +119,44 @@ def test_until_positive_everywhere_on_critical(critical):
     assert set(out.values()) == {"holds"}
 
 
+PASSED_ON = """
+nonterminal Z 0
+nonterminal P 1
+nonterminal Q 1
+terminal go 2
+colour green
+colour red
+prob go 1
+absorbing green
+absorbing red
+axiom Z
+
+rule Z
+  vertex p q
+  colour green p
+  colour red q
+  hyperarc P p
+  hyperarc P q
+
+rule P inputs x
+  hyperarc Q x
+
+rule Q inputs y
+  vertex c
+  arc go c y
+"""
+
+
+def test_until_positive_reads_bindings_through_a_rule_input():
+    # Q's input is P's input passed on, so Q:c steps onto the green p in one
+    # instance and onto the red q in the other: positivity differs between
+    # instances, and only the bindings through P's input say so
+    an = analyse(parse_grammar(PASSED_ON))
+    out = until_positive(an, cls(an, None), cls(an, "green"))
+    assert {str(k): v for k, v in out.items()} == {
+        "Z:p": "holds", "Z:q": "fails", "Q:c": "unknown"}
+
+
 def test_until_almost_sure_running(running):
     an = analyse(running)
     out = until_almost_sure(an, cls(an, "V1"), cls(an, "V2"))
