@@ -38,7 +38,7 @@ from .model import (
 from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
 from .pcp import encode, load_pcp
 from .pushdown import load_pds, to_grammar
-from .quantitative import render_key, shared_assembly, solve_until, win_key
+from .quantitative import render_key, shared_assembly, solve_until
 from .validation import analyse, check_complete_outside, phr_check
 
 USAGE_EXIT = 3
@@ -294,16 +294,16 @@ def _cmd_prob(args, parser: _Parser) -> int:
         if args.emit_system:
             assembly = shared_assembly(an, phi1, phi2)
             for key, value in assembly.pins.items():
-                variable = render_key(key)
+                variable = render_key(an, key)
                 _report(args, {"kind": "pin", "variable": variable, "value": str(value)},
                         f"pin {variable} = {value}")
             system = assembly.system
             for key in system.variables:
-                variable = render_key(key)
-                rhs = system.render_rhs(key, render_key)
+                variable = render_key(an, key)
+                rhs = system.render_rhs(key, lambda k: render_key(an, k))
                 _report(args, {"kind": "equation", "variable": variable, "rhs": rhs},
                         f"{variable} = {rhs}")
-        lo, hi = enc.interval(win_key(CanonicalVertex(g.axiom, args.start)))
+        lo, hi = enc.interval(an.ids[g.axiom, args.start])
         state = "exact" if enc.exact else (
             "converged" if enc.converged else "not converged"
         )

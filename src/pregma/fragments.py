@@ -7,7 +7,8 @@ it is attached to), so first-hit probabilities towards the fragment's
 boundary are plain absorbing-chain algebra. They are computed in integers:
 the arcs' probabilities become integer weights over one denominator, and
 one fraction-free elimination (Bareiss's, in Gauss–Jordan form) solves the
-fragment's system; each row becomes `Fraction`s only at the end. The
+fragment's system; each row becomes `Fraction`s only at the end, and phi1,
+phi2 and every node's class are the analysis's class ids. The
 boundary consists of the rule's own inputs (the walk moves to the level
 above), the rule's hyperarc vertices (it stays on this level), and the
 copies' hyperarc vertices (it moves one level deeper).
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .model import CanonicalVertex, GrammarError, Rule, VertexId, integer_weights, reach
+from .model import GrammarError, Rule, VertexId, integer_weights, reach
 
 if TYPE_CHECKING:
-    from .validation import Analysis, Slots
+    from .validation import Analysis, Site, Slots
 
 NodeKey = tuple
 
@@ -29,11 +30,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FragmentNode:
+class FragmentNode(NamedTuple):
     key: NodeKey
     kind: str  # "input" | "same" | "child" | "interior"
-    can: CanonicalVertex | None  # None exactly for parent inputs
+    can: int | None  # the class id; None exactly for parent inputs
     input_index: int | None = None  # 1-based, kind == "input"
     arc_index: int | None = None  # hyperarc occurrence, kind == "child"
 
@@ -53,8 +53,10 @@ class Fragment:
                 if n.kind in ("same", "interior") and n.key[0] == "base"]
 
 
-def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fragment:
-    """The context rule's rhs with a child copy glued on every hyperarc."""
+def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
+                   ids: Mapping[Site, int]) -> Fragment:
+    """The context rule's rhs with a child copy glued on every hyperarc,
+    each node of a class holding that class's id."""
     rule = rules[context]
     frag = Fragment(rule)
 
@@ -67,9 +69,9 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fra
         if rule.is_input(v):
             add(FragmentNode(key, "input", None, input_index=rule.input_index(v)))
         elif (context, v) in slots:
-            add(FragmentNode(key, "same", CanonicalVertex(context, v)))
+            add(FragmentNode(key, "same", ids[context, v]))
         else:
-            add(FragmentNode(key, "interior", CanonicalVertex(context, v)))
+            add(FragmentNode(key, "interior", ids[context, v]))
 
     for arc in rule.rhs.arcs:
         frag.out[("base", arc.source)].append((arc.label, ("base", arc.target)))
@@ -84,7 +86,7 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str) -> Fra
             key = ("copy", arc_index, w)
             mapping[w] = key
             kind = "child" if (h.label, w) in slots else "interior"
-            add(FragmentNode(key, kind, CanonicalVertex(h.label, w), arc_index=arc_index))
+            add(FragmentNode(key, kind, ids[h.label, w], arc_index=arc_index))
         for carc in child.rhs.arcs:
             frag.out[mapping[carc.source]].append((carc.label, mapping[carc.target]))
 
@@ -122,12 +124,8 @@ def _eliminate(m: list[list[int]], n: int) -> int:
     return prev
 
 
-def local_rows(
-    an: Analysis,
-    frag: Fragment,
-    phi1: frozenset[CanonicalVertex],
-    phi2: frozenset[CanonicalVertex],
-) -> dict[NodeKey, LocalRow]:
+def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozenset[int],
+               ) -> dict[NodeKey, LocalRow]:
     """One LocalRow per start node (the fragment's own classes).
 
     Interiors inside phi2 win, interiors outside phi1 (or stuck on an

@@ -3,7 +3,7 @@
 A verdict at a class quantifies over every concrete vertex of that class:
 holds means the formula is true at all of them, fails means false at all of
 them, unknown covers both genuine mixtures and the engines' honest refusals.
-Every subformula is labelled by a pair of class sets, the classes where it
+Every subformula is labelled by a pair of class id sets, the classes where it
 surely holds and those where it possibly holds (the first within the
 second): holds is the first set, fails lies outside the second, unknown is
 the gap. Negation complements and swaps the pair and conjunction intersects
@@ -13,7 +13,8 @@ are exact rationals, untils with threshold 0 or 1 go to the qualitative
 engines, and everything else reads the until's one certified enclosure from
 `solve_until`, whose values are absolute probabilities exactly for the axiom
 rule's classes. That enclosure is solved at min(eps, 1e-9), so the
-almost-sure engine reads the same one.
+almost-sure engine reads the same one. `label_formula` keys its verdicts by
+creation site, through the analysis's `names`.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
 from .qualitative import (ALMOST_SURE_EPS, next_qualitative, until_almost_sure,
                           until_positive)
-from .quantitative import solve_until, win_key
+from .quantitative import solve_until
 from .validation import Analysis, analyse
 
 ZERO = Fraction(0)
@@ -33,7 +34,7 @@ ONE = Fraction(1)
 
 # (surely, possibly): the classes where a formula holds at every vertex, and
 # the classes where it may hold at some vertex
-Pair = tuple[frozenset[CanonicalVertex], frozenset[CanonicalVertex]]
+Pair = tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,11 @@ class Verdict:
     interval: tuple[Fraction, Fraction] | None = None
 
 
-def classes_for_colours(
-    an: Analysis, names: frozenset[str] | None
-) -> frozenset[CanonicalVertex]:
+def classes_for_colours(an: Analysis, names: frozenset[str] | None) -> frozenset[int]:
     """Reachable classes carrying at least one of the colours; None means all."""
     if names is None:
         return frozenset(an.reachable)
-    return frozenset(c for c in an.reachable if an.classes[c].colours & names)
+    return frozenset(c for c, vc in enumerate(an.classes) if vc.colours & names)
 
 
 def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
@@ -65,7 +64,7 @@ def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
         if f.name in g.colour_names:
             members = classes_for_colours(an, frozenset({f.name}))
         elif f.name in vertices:
-            members = frozenset({CanonicalVertex(g.axiom, f.name)})
+            members = frozenset({an.ids[g.axiom, f.name]})
         else:
             raise FormulaError(
                 f"atom {f.name} is neither a colour ({sorted(g.colour_names)}) "
@@ -89,9 +88,8 @@ def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
     raise TypeError(f)
 
 
-def _until(
-    an: Analysis, f: Until, eps: Fraction
-) -> tuple[Pair, dict[CanonicalVertex, tuple[Fraction, Fraction]]]:
+def _until(an: Analysis, f: Until, eps: Fraction
+           ) -> tuple[Pair, dict[int, tuple[Fraction, Fraction]]]:
     """The until's pair, and the probability interval of each class that the
     enclosure or a certified 0 / 1 gave one."""
     (u1, o1), (u2, o2) = _label(an, f.left, eps), _label(an, f.right, eps)
@@ -115,11 +113,11 @@ def _until(
     lo_enc = solve_until(an, u1, u2, eps)
     hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(an, o1, o2, eps)
     axiom = an.grammar.axiom
-    intervals = {c: (lo_enc.lo[win_key(c)], hi_enc.hi[win_key(c)])
-                 for c in an.reachable if c.rule == axiom}
+    intervals = {c: (lo_enc.lo[c], hi_enc.hi[c])
+                 for c in an.reachable if an.names[c].rule == axiom}
     # deeper classes: absolute probabilities depend on the instance's
     # surroundings, but certified 0 / 1 still decide any threshold
-    deeper = [c for c in an.reachable if c.rule != axiom]
+    deeper = [c for c in an.reachable if c not in intervals]
     if deeper:
         pos = until_positive(an, o1, o2)
         one = until_almost_sure(an, u1, u2)
@@ -133,19 +131,25 @@ def _until(
             every - {c for c, v in verdicts.items() if v == "fails"}), intervals
 
 
-def label_formula(
-    g: Grammar,
-    formula: Formula,
-    eps: Fraction = Fraction(1, 10**6),
-) -> dict[CanonicalVertex, Verdict]:
-    """One verdict per reachable class, in the analysis's order. Only a
-    top-level until's verdicts carry intervals."""
-    an = analyse(g)
+def _verdicts(an: Analysis, formula: Formula, eps: Fraction) -> list[Verdict]:
+    """One verdict per class id. Only a top-level until's verdicts carry
+    intervals."""
     # one solve per until serves its thresholds and its almost-sure verdicts
     eps = min(eps, ALMOST_SURE_EPS)
     if isinstance(formula, Until):
         (surely, possibly), intervals = _until(an, formula, eps)
     else:
         (surely, possibly), intervals = _label(an, formula, eps), {}
-    return {c: Verdict("holds" if c in surely else "unknown" if c in possibly else "fails",
-                       intervals.get(c)) for c in an.reachable}
+    return [Verdict("holds" if c in surely else "unknown" if c in possibly else "fails",
+                    intervals.get(c)) for c in an.reachable]
+
+
+def label_formula(
+    g: Grammar,
+    formula: Formula,
+    eps: Fraction = Fraction(1, 10**6),
+) -> dict[CanonicalVertex, Verdict]:
+    """One verdict per reachable class, keyed by its creation site in the
+    analysis's order."""
+    an = analyse(g)
+    return dict(zip(an.names, _verdicts(an, formula, eps)))

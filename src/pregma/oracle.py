@@ -45,7 +45,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import vertex_classes
+from .validation import _walk, hyperarc_slots
 
 
 class TotalityError(GrammarError):
@@ -65,19 +65,25 @@ def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int
     return [(s, t, weight[label]) for label, s, t in rule.arcs]
 
 
-def _may_raise(g: Grammar) -> bool:
+def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
     """Whether the truncation raises at some depth, read off the rules alone:
     a reachable rule has an arc label without a probability, or a reachable
-    class whose passings end has an out-mass other than 1 and is not an
-    absorbing sink. A class whose passings never end keeps its vertices on
-    the frontier at every depth, so the truncation never checks its mass."""
+    class whose passings end has an out-weight other than den (mu's weights
+    over den, `integer_weights`) and is not an absorbing sink. A class whose
+    passings never end keeps its vertices on the frontier at every depth,
+    so the truncation never checks its mass."""
     names = reachable_nonterminals(g)
     if any(arc.label not in g.mu
            for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
         return True
-    return any(can.rule in names and vc.terminates and vc.out.total(g.mu) != 1
-               and not (vc.is_sink and vc.colours & g.absorbing)
-               for can, vc in vertex_classes(g).items())
+    down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
+    for rule in g.rules:
+        for v in rule.non_inputs if rule.lhs in names else ():
+            d = down[rule.lhs, v]
+            out = [weight[label] * n for (way, label), n in d.counts.items() if way == "out"]
+            if d.terminates and sum(out) != den and (out or not d.colours & g.absorbing):
+                return True
+    return False
 
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
@@ -128,7 +134,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if _blocking(layers, frontier, won) is not None:
             return False
         if may_raise is None:
-            may_raise = _may_raise(g)
+            may_raise = _may_raise(g, den, weight)
         return not may_raise
 
     for rule, ids in _rewrite(g, depth, e, None if query is None else closed):

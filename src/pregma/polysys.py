@@ -74,17 +74,17 @@ class PolySystem:
     def add_term(self, key: Key, coeff: Fraction, *factors: Key) -> None:
         if len(factors) > 2:
             raise ValueError("degree above 2")
-        if coeff < 0:
-            raise ValueError("negative coefficient breaks monotonicity")
-        if coeff == 0:
+        if coeff.numerator <= 0:  # a rational's sign is its numerator's
+            if coeff.numerator < 0:
+                raise ValueError("negative coefficient breaks monotonicity")
             return
         self._positive = None
         self.equations[key].append((coeff, tuple(factors)))
 
     def positive_variables(self) -> frozenset[Key]:
         """Variables with a strictly positive least-fixpoint value: a
-        worklist in which each term counts its factors not yet positive,
-        run once per system."""
+        worklist in which each term (add_term keeps positive ones) counts
+        its factors not yet positive, run once per system."""
         if self._positive is not None:
             return self._positive
         missing: list[int] = []  # per term
@@ -92,14 +92,13 @@ class PolySystem:
         uses: dict[Key, list[int]] = {}  # per factor, its terms
         ready: list[Key] = []
         for key in self.variables:
-            for coeff, factors in self.equations[key]:
-                if coeff > 0:
-                    for f in factors:
-                        uses.setdefault(f, []).append(len(missing))
-                    missing.append(len(factors))
-                    heads.append(key)
-                    if not factors:
-                        ready.append(key)
+            for _, factors in self.equations[key]:
+                for f in factors:
+                    uses.setdefault(f, []).append(len(missing))
+                missing.append(len(factors))
+                heads.append(key)
+                if not factors:
+                    ready.append(key)
         pos: set[Key] = set()
         while ready:
             key = ready.pop()

@@ -7,7 +7,8 @@ level, the verdict degrades to unknown rather than guessing; each decided
 answer is backed either by exact rational arithmetic or by the until's one
 certified enclosure from `quantitative.solve_until`.
 
-The recurring subtlety is descending through an input: which vertex the walk
+Classes are the analysis's ids, and every class set is a set of ids. The
+recurring subtlety is descending through an input: which vertex the walk
 lands on depends on where the class's context rule was instantiated. The
 grammar's analysis gives every step's landing place as the set of classes
 it can be: per occurrence, the set for each input (`bindings`), and across
@@ -16,27 +17,24 @@ occurrences" arguments then give sound universal verdicts, "for some
 occurrence" sound existential ones. One-step successors are read from the
 analysis's per-context fragments, each target a class set too. The until
 engines read which of the shared assembled system's variables are
-positive, and each of their class sets is one fixpoint (`_fixpoint`),
-whose soundness rests on one induction over the level of a concrete
-vertex.
+positive, worked out once per assembly, and each of their class sets is
+one fixpoint (`_fixpoint`), whose soundness rests on one induction over
+the level of a concrete vertex.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .model import CanonicalVertex
-from .polysys import Key, decide_threshold
-from .quantitative import dec_key, shared_assembly, solve_until, win_key
+from .polysys import decide_threshold
+from .quantitative import shared_assembly, solve_until
 from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def successor_table(
-    an: Analysis,
-) -> dict[CanonicalVertex, list[tuple[Fraction, frozenset[CanonicalVertex]]]]:
+def successor_table(an: Analysis) -> dict[int, list[tuple[Fraction, frozenset[int]]]]:
     """One-step successors of each reachable class, with exact probabilities.
 
     Read off the class's node in its context's fragment, whose out-arcs
@@ -47,7 +45,7 @@ def successor_table(
     sink is its own successor.
     """
     mu = an.grammar.mu
-    table: dict[CanonicalVertex, list[tuple[Fraction, frozenset[CanonicalVertex]]]] = {}
+    table: dict[int, list[tuple[Fraction, frozenset[int]]]] = {}
     for name, frag in an.fragments.items():
         for node in frag.starts:
             succs = []
@@ -61,13 +59,8 @@ def successor_table(
     return table
 
 
-def next_qualitative(
-    an: Analysis,
-    targets: frozenset[CanonicalVertex],
-    cmp: str,
-    rho: Fraction,
-    over: frozenset[CanonicalVertex] | None = None,
-) -> dict[CanonicalVertex, str]:
+def next_qualitative(an: Analysis, targets: frozenset[int], cmp: str, rho: Fraction,
+                     over: frozenset[int] | None = None) -> dict[int, str]:
     """Per-class verdict for: one step lands in `targets` with mass cmp rho.
 
     One-step mass is a single exact rational per class, so any threshold is
@@ -75,8 +68,8 @@ def next_qualitative(
     target set known only up to bounds, `targets` is the classes surely in
     it and `over` (default: `targets`) the classes possibly in it."""
     over = targets if over is None else over
-    out: dict[CanonicalVertex, str] = {}
-    for can, succs in successor_table(an).items():
+    out: dict[int, str] = {}
+    for c, succs in successor_table(an).items():
         mass_lo = ZERO
         mass_hi = ZERO
         for p, sites in succs:
@@ -85,15 +78,12 @@ def next_qualitative(
                 mass_hi += p
             elif sites & over:
                 mass_hi += p
-        out[can] = decide_threshold((mass_lo, mass_hi), cmp, rho)
+        out[c] = decide_threshold((mass_lo, mass_hi), cmp, rho)
     return out
 
 
-def _fixpoint(
-    an: Analysis,
-    start: Iterable[CanonicalVertex],
-    member: Callable[[CanonicalVertex, set[CanonicalVertex]], bool],
-) -> set[CanonicalVertex]:
+def _fixpoint(an: Analysis, start: Iterable[int],
+              member: Callable[[int, set[int]], bool]) -> set[int]:
     """Re-test every reachable class against the set, updating it in place,
     until no class changes. For a monotone test this is the least fixpoint
     when started from no class and the greatest when started from all.
@@ -122,26 +112,22 @@ def _fixpoint(
     return s
 
 
-def _positive(
-    an: Analysis,
-    phi1: frozenset[CanonicalVertex],
-    phi2: frozenset[CanonicalVertex],
-) -> tuple[frozenset[Key], dict[CanonicalVertex, list[int]]]:
-    """The keys of the until's variables that are above 0, pins included,
-    and each reachable class's positive descents: the inputs its walks
-    leave the level through with positive probability."""
+def _positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
+              ) -> tuple[frozenset[int], list[list[int]]]:
+    """The until's variables that are above 0, pins included, and each
+    reachable class's positive descents: the inputs its walks leave the
+    level through with positive probability. Kept on the assembly."""
     assembly = shared_assembly(an, phi1, phi2)
-    pos = assembly.system.positive_variables() | {
-        k for k, v in assembly.pins.items() if v > 0}
-    return pos, {c: [j for j in range(1, len(an.rules[c.rule].inputs) + 1)
-                     if dec_key(c, j) in pos] for c in an.reachable}
+    if assembly.positive is None:
+        pos = assembly.system.positive_variables() | {
+            k for k, v in assembly.pins.items() if v}
+        dec = an.dec
+        assembly.positive = pos, [[k - dec[c] + 1 for k in range(dec[c], dec[c + 1])
+                                   if k in pos] for c in an.reachable]
+    return assembly.positive
 
 
-def until_positive(
-    an: Analysis,
-    phi1: frozenset[CanonicalVertex],
-    phi2: frozenset[CanonicalVertex],
-) -> dict[CanonicalVertex, str]:
+def until_positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> dict[int, str]:
     """Is P(phi1 until phi2) positive: holds (for every instance), fails (for
     none), or unknown.
 
@@ -153,15 +139,16 @@ def until_positive(
     fixpoints.
     """
     pos, down = _positive(an, phi1, phi2)
+    rule = [can.rule for can in an.names]
 
-    def can_be_zero(c: CanonicalVertex, s: set[CanonicalVertex]) -> bool:
-        if win_key(c) in pos:
+    def can_be_zero(c: int, s: set[int]) -> bool:
+        if c in pos:
             return False
         return not down[c] or any(all(b[j - 1] & s for j in down[c])
-                                  for b in an.bindings.get(c.rule, []))
+                                  for b in an.bindings.get(rule[c], []))
 
-    may = _fixpoint(an, (), lambda c, s: win_key(c) in pos or any(
-        an.refs[(c.rule, j)] & s for j in down[c]))
+    may = _fixpoint(an, (), lambda c, s: c in pos or any(
+        an.refs[rule[c], j] & s for j in down[c]))
     bad = _fixpoint(an, (), can_be_zero)
     return {c: "fails" if c not in may else "holds" if c not in bad else "unknown"
             for c in an.reachable}
@@ -171,11 +158,8 @@ def until_positive(
 ALMOST_SURE_EPS = Fraction(1, 10**9)
 
 
-def until_almost_sure(
-    an: Analysis,
-    phi1: frozenset[CanonicalVertex],
-    phi2: frozenset[CanonicalVertex],
-) -> dict[CanonicalVertex, str]:
+def until_almost_sure(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
+                      ) -> dict[int, str]:
     """Is P(phi1 until phi2) equal to one: holds / fails / unknown per class.
 
     `certain` holds classes with probability one at every vertex: the lower
@@ -189,16 +173,17 @@ def until_almost_sure(
     """
     enc = solve_until(an, phi1, phi2, ALMOST_SURE_EPS)
     pos, down = _positive(an, phi1, phi2)
+    rule, dec = [can.rule for can in an.names], an.dec
 
-    def mass(bound: dict[Key, Fraction], c: CanonicalVertex) -> Fraction:
-        keys = [win_key(c)] + [dec_key(c, j) for j in down[c]]
+    def mass(bound: dict[int, Fraction], c: int) -> Fraction:
+        keys = [c] + [dec[c] + j - 1 for j in down[c]]
         return sum((bound[k] for k in keys if k in pos), ZERO)
 
     sure = {c for c in an.reachable if mass(enc.lo, c) >= 1}
     maybe = {c for c in an.reachable if mass(enc.hi, c) >= 1}
     certain = _fixpoint(an, an.reachable, lambda c, s: c in sure and all(
-        an.refs[(c.rule, j)] <= s for j in down[c]))
+        an.refs[rule[c], j] <= s for j in down[c]))
     candidates = _fixpoint(an, (), lambda c, s: c in maybe and all(
-        not an.refs[(c.rule, j)] or an.refs[(c.rule, j)] & s for j in down[c]))
+        not an.refs[rule[c], j] or an.refs[rule[c], j] & s for j in down[c]))
     return {c: "holds" if c in certain else "unknown" if c in candidates else "fails"
             for c in an.reachable}

@@ -15,8 +15,10 @@ per shared vertex. At a shared vertex the walk sums what every branch
 gains, which is exact for the classes that terminate; the truncation
 oracle reads only those.
 
-`analyse` keeps what the engines need: a rule lookup, each class's
-profiles and colours, the absorbing and reachable classes, where a step
+`analyse` numbers the reachable classes 0..n-1, keeps `names` to turn an
+id back into its creation site for output, and holds ids or id sets in
+every table the engines read: a rule lookup, each class's
+profiles and colours, the absorbing classes, where a step
 through a hyperarc occurrence lands, resolved once to the set of classes
 it can be (per occurrence and input, and per rule input across every
 occurrence), one local fragment per context (the source of every one-step
@@ -28,6 +30,7 @@ the pushdown converter still edit after reading its profiles.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -41,6 +44,7 @@ from .model import (
     Rule,
     VertexId,
     checked_rules,
+    integer_weights,
     reach,
     reachable_nonterminals,
 )
@@ -148,13 +152,12 @@ def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]
     return [(h.label, rules[h.label].inputs[pos - 1]) for h, pos in slots.get(site, ())]
 
 
-def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots,
-          ) -> tuple[dict[Site, _Down], dict[CanonicalVertex, VertexClass]]:
+def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, _Down]:
     """One depth-first walk of the passings from every creation site: each
-    reached site's gains from there on down, and the class table. A loop's
-    sites are worked out deepest first; the site the walk came back to sees
-    all of the loop's gains, and every site on the loop takes its entry, as
-    under single membership they all gain the same."""
+    reached site's gains from there on down. A loop's sites are worked out
+    deepest first; the site the walk came back to sees all of the loop's
+    gains, and every site on the loop takes its entry, as under single
+    membership they all gain the same."""
     arcs: dict[Site, list[tuple[str, str]]] = {}
     marks: dict[Site, set[str]] = {}
     for rule in g.rules:
@@ -167,9 +170,7 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots,
     down: dict[Site, _Down] = {}
     loops: dict[Site, list[Site]] = {}  # a site the walk came back to -> its loops
     looped: set[Site] = set()
-    cans = canonical_vertices(g)
-    for can in cans:
-        start = (can.rule, can.vertex)
+    for start in [(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]:
         path, todo = [start], [_passings(rules, slots, start)]
         while path:
             if todo[-1]:
@@ -188,12 +189,14 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots,
                                site in looped)
             for s in loops.pop(site, ()):
                 down[s] = down[site]
-    classes = {}
-    for can in cans:
-        d = down[can.rule, can.vertex]
-        classes[can] = VertexClass(_degrees(d, "out"), _degrees(d, "in"), d.colours,
-                                   d.terminates)
-    return down, classes
+    return down
+
+
+def _classes(cans: list[CanonicalVertex], down: dict[Site, _Down],
+             ) -> list[tuple[CanonicalVertex, VertexClass]]:
+    """Each class with the entry of its creation site."""
+    return [(can, VertexClass(_degrees(d, "out"), _degrees(d, "in"), d.colours, d.terminates))
+            for can in cans for d in [down[can.rule, can.vertex]]]
 
 
 def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
@@ -201,7 +204,8 @@ def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
     the passings. Exact for every class under single membership, which
     check_complete_outside checks; otherwise exact for the classes that
     terminate, whose profiles then sum what every branch gains."""
-    return _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))[1]
+    rules = {rule.lhs: rule for rule in g.rules}
+    return dict(_classes(canonical_vertices(g), _walk(g, rules, hyperarc_slots(g))))
 
 
 def check_complete_outside(g: Grammar) -> tuple[str, ...]:
@@ -259,16 +263,19 @@ class PhrReport:
 
 
 def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, _Down],
-                                 dict[CanonicalVertex, VertexClass], PhrReport]:
+                                 list[tuple[CanonicalVertex, VertexClass]], PhrReport]:
     """The one admission of a grammar: the structural gate, the occurrence
     table, single membership, then, only when no vertex is shared, the walk
-    of the passings and the mass report."""
+    of the passings, the class table and the mass report."""
     rules = checked_rules(g)
     slots = hyperarc_slots(g)
     violations = check_complete_outside(g)
-    down, classes = ({}, {}) if violations else _walk(g, rules, slots)
+    cans = canonical_vertices(g)
+    down = {} if violations else _walk(g, rules, slots)
+    classes = [] if violations else _classes(cans, down)
+    den, weight = integer_weights(g.mu)
     failures: list[PhrFailure] = []
-    for can, vc in classes.items():
+    for can, vc in classes:
         profile = vc.out
         if profile.infinite:
             failures.append(PhrFailure(can, profile, None,
@@ -285,12 +292,10 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, _Down],
             failures.append(PhrFailure(can, profile, None,
                                        f"no probability for {', '.join(missing)}"))
             continue
-        total = profile.total(g.mu)
-        if total != 1:
-            failures.append(PhrFailure(can, profile, total, "total is not 1"))
+        if sum(weight[label] * n for label, n in profile.finite) != den:
+            failures.append(PhrFailure(can, profile, profile.total(g.mu), "total is not 1"))
     ok = not violations and not failures
-    return rules, slots, down, classes, PhrReport(ok, tuple(failures), violations,
-                                                  len(canonical_vertices(g)))
+    return rules, slots, down, classes, PhrReport(ok, tuple(failures), violations, len(cans))
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -309,26 +314,33 @@ def phr_check(g: Grammar) -> PhrReport:
 class Analysis:
     """Everything the engines read off one grammar, its mu included.
 
-    Built by `analyse`, once per engine entry point. Where a step through
-    an input lands is held one way, as the set of classes the vertex there
-    can be: `bindings` per occurrence, `refs` across all occurrences of a
-    rule. `assemblies` holds the equation system of each (phi1, phi2) pair
-    once something assembled it, and with it the pair's one enclosure once
-    `solve_until` solved it.
+    Built by `analyse`, once per engine entry point. The reachable classes
+    are numbered 0..n-1 in the order of `canonical_vertices`, and every
+    table holds these ids; `names` turns them back into creation sites for
+    output. Where a step through an input lands is held one way, as the set
+    of classes the vertex there can be: `bindings` per occurrence, `refs`
+    across all occurrences of a rule. `assemblies` holds the equation
+    system of each (phi1, phi2) pair once something assembled it, and with
+    it the pair's one enclosure once `solve_until` solved it.
     """
 
     grammar: Grammar
     rules: dict[str, Rule]
-    classes: dict[CanonicalVertex, VertexClass]
-    absorbing: frozenset[CanonicalVertex]
+    names: list[CanonicalVertex]  # id -> creation site
+    ids: dict[Site, int]  # (rule, vertex) -> id
+    classes: list[VertexClass]  # by id
+    # the until variables of class c: win is c, dec(c, j) is dec[c] + j - 1,
+    # so dec[c] .. dec[c + 1] - 1 are its descents; dec[0] is n
+    dec: list[int]
+    absorbing: frozenset[int]
     fragments: dict[str, Fragment]  # one per context (reachable rule), axiom first
-    reachable: list[CanonicalVertex]  # classes of the reachable rules
     # per nonterminal, one tuple per hyperarc occurrence in a reachable
     # rule: the classes the vertex it glues onto each input can be
-    bindings: dict[str, list[tuple[frozenset[CanonicalVertex], ...]]]
+    bindings: dict[str, list[tuple[frozenset[int], ...]]]
     # (rule, j) -> every class that can sit at input j across occurrences
-    refs: dict[tuple[str, int], frozenset[CanonicalVertex]]
+    refs: dict[tuple[str, int], frozenset[int]]
     assemblies: dict
+    reachable: range  # every id
 
 
 def analyse(g: Grammar) -> Analysis:
@@ -346,12 +358,12 @@ def analyse(g: Grammar) -> Analysis:
     rules, slots, down, classes, report = _admit(g)
     if not report.ok:
         raise EngineUnsupported(str(report))
-    for can, vc in classes.items():
+    for can, vc in classes:
         if vc.into.infinite:
             raise EngineUnsupported(
                 f"{can}: incoming arcs {sorted(vc.into.infinite)} repeat forever"
             )
-    for can in classes:
+    for can, _ in classes:
         # every passing leads to a rule input; from the second on, the
         # vertex is passed down through an input on a hyperarc
         first = _passings(rules, slots, (can.rule, can.vertex))
@@ -363,39 +375,44 @@ def analyse(g: Grammar) -> Analysis:
                 f"after being passed to {h.label} at position {pos}"
             )
 
-    names = reachable_nonterminals(g)
+    reached = reachable_nonterminals(g)
+    kept = [(can, vc) for can, vc in classes if can.rule in reached]
+    ids = {(can.rule, can.vertex): c for c, (can, _) in enumerate(kept)}
+    dec = list(accumulate((len(rules[can.rule].inputs) for can, _ in kept), initial=len(kept)))
     # what each occurrence in a reachable rule glues onto each input: a
     # class, or (rule, j) for whatever was glued onto that rule's input j
     glued: dict[str, list[tuple]] = {}
     for host in g.rules:
-        if host.lhs in names:
+        if host.lhs in reached:
             for h in host.rhs.hyperarcs:
                 glued.setdefault(h.label, []).append(tuple(
                     (host.lhs, host.input_index(v)) if host.is_input(v)
-                    else CanonicalVertex(host.lhs, v) for v in h.vertices))
+                    else ids[host.lhs, v] for v in h.vertices))
 
-    def inward(b: CanonicalVertex | tuple[str, int]) -> list:
+    def inward(b: int | tuple[str, int]) -> list:
         """What the occurrences glue onto the input (rule, j) names."""
-        if isinstance(b, CanonicalVertex):
+        if isinstance(b, int):
             return []
         return [bound[b[1] - 1] for bound in glued.get(b[0], [])]
 
     refs = {(r.lhs, j): frozenset(b for b in reach([(r.lhs, j)], inward)
-                                  if isinstance(b, CanonicalVertex))
+                                  if isinstance(b, int))
             for r in g.rules for j in range(1, len(r.inputs) + 1)}
     return Analysis(
         grammar=g,
         rules=rules,
-        classes=classes,
-        absorbing=frozenset(
-            c for c, vc in classes.items() if vc.is_sink and vc.colours & g.absorbing
-        ),
-        fragments={name: build_fragment(rules, slots, name)
-                   for name in sorted(names, key=lambda n: (n != g.axiom, n))},
-        reachable=[c for c in classes if c.rule in names],
-        bindings={name: [tuple(frozenset({b}) if isinstance(b, CanonicalVertex)
-                               else refs[b] for b in bound) for bound in occs]
+        names=[can for can, _ in kept],
+        ids=ids,
+        classes=[vc for _, vc in kept],
+        dec=dec,
+        absorbing=frozenset(c for c, (_, vc) in enumerate(kept)
+                            if vc.is_sink and vc.colours & g.absorbing),
+        fragments={name: build_fragment(rules, slots, name, ids)
+                   for name in sorted(reached, key=lambda n: (n != g.axiom, n))},
+        bindings={name: [tuple(frozenset({b}) if isinstance(b, int) else refs[b]
+                               for b in bound) for bound in occs]
                   for name, occs in glued.items()},
         refs=refs,
         assemblies={},
+        reachable=range(len(kept)),
     )

@@ -22,7 +22,7 @@ from pregma.pcp import encode
 from pregma.polysys import decide_threshold
 from pregma.pushdown import to_grammar
 from pregma.qualitative import next_qualitative, until_almost_sure, until_positive
-from pregma.quantitative import dec_key, solve_until, win_key
+from pregma.quantitative import solve_until
 from pregma.validation import analyse, phr_check
 from reference import (config_chain, config_words, expansions_match, fork_sequences,
                        green_probability, sequence_grammar, split_word, successors)
@@ -49,8 +49,9 @@ def solve(g, phi1, phi2, **options):
 
 
 def at(sol, g, vertex):
-    """The enclosure of P(until) from a vertex of the axiom rule."""
-    return sol.interval(win_key(CanonicalVertex(g.axiom, vertex)))
+    """The enclosure of P(until) from a vertex of the axiom rule (a class id
+    depends on the grammar alone, so a fresh analysis names the same one)."""
+    return sol.interval(analyse(g).ids[g.axiom, vertex])
 
 
 def straddles(lo, hi, scale_lo, scale_hi, square):
@@ -157,7 +158,8 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
             poly[power] = poly.get(power, F(0)) + coeff
 
     enc = solve(running, "V1", "V2", eps=F(1, 10**9))
-    lo, hi = enc.interval(dec_key(CanonicalVertex("A", "next"), 1))
+    nxt = analyse(running).ids["A", "next"]
+    lo, hi = enc.interval(analyse(running).dec[nxt])  # dec(A:next; 1)
     elapsed = time.perf_counter() - started
     gate(capfd, 3, "descent fixpoint", [
         ("solver exits cleanly", code == 0),
@@ -281,7 +283,8 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
             phi2 = cls(an, p2name)
             p1cols = frozenset({p1name}) if p1name else None
             p2cols = frozenset({p2name})
-            positive = until_positive(an, phi1, phi2)
+            positive = {an.names[c]: v
+                        for c, v in until_positive(an, phi1, phi2).items()}
             agree = True
             for v in e.graph.vertices:
                 if e.levels[v] > 6:
@@ -300,7 +303,8 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                  agree))
 
             for cmp, rho in ((">", F(0)), (">=", F(1, 2)), (">=", F(1))):
-                one_step = next_qualitative(an, phi2, cmp, rho)
+                one_step = {an.names[c]: v
+                            for c, v in next_qualitative(an, phi2, cmp, rho).items()}
                 outcome = {}
                 for v in e.graph.vertices:
                     if e.levels[v] > 6 or v in e.frontier:
@@ -337,7 +341,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
                    set(trivially.values()) == {"holds"}))
     headline = until_almost_sure(an, every, cls(an, "V2"))
     checks.append(("headline start is not almost sure",
-                   headline[CanonicalVertex("Z", "v0")] == "fails"))
+                   headline[an.ids["Z", "v0"]] == "fails"))
     designated = [
         ("running.gg", running, "V2"), ("dag.gg", dag, "goal"),
         ("updrift.gg", updrift, "green"), ("critical.gg", critical, "green"),

@@ -1,14 +1,19 @@
 import gc
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pregma.labeling as labeling
 from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import load_grammar, parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
-from pregma.model import CanonicalVertex, GrammarError
+from pregma.model import CanonicalVertex, GrammarError, reachable_nonterminals
 from pregma.polysys import ZERO, decide_threshold, solve_enclosure
-from pregma.quantitative import shared_assembly, solve_until, win_key
+from pregma.pushdown import to_grammar
+from pregma.qualitative import until_almost_sure, until_positive
+from pregma.quantitative import shared_assembly, solve_until
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
@@ -21,11 +26,9 @@ def statuses(lab):
 
 def test_classes_for_colours(running):
     an = analyse(running)
-    assert classes_for_colours(an, frozenset({"V2"})) == frozenset(
-        {CanonicalVertex("A", "win")})
+    assert classes_for_colours(an, frozenset({"V2"})) == frozenset({an.ids["A", "win"]})
     assert classes_for_colours(an, frozenset({"sink"})) == frozenset({
-        CanonicalVertex("Z", "t0"), CanonicalVertex("A", "win"),
-        CanonicalVertex("A", "dead"),
+        an.ids["Z", "t0"], an.ids["A", "win"], an.ids["A", "dead"],
     })
     assert len(classes_for_colours(an, None)) == 6
 
@@ -194,7 +197,7 @@ def test_one_analysis_per_labelling(running, monkeypatch):
         return walks[-1]
 
     def counting_fragment(*args):
-        built.append(args[-1])
+        built.append(args[2])  # the context
         return build_fragment(*args)
 
     def counting_assembly(*args):
@@ -208,8 +211,8 @@ def test_one_analysis_per_labelling(running, monkeypatch):
     monkeypatch.setattr(validation, "build_fragment", counting_fragment)
     monkeypatch.setattr(quantitative, "assemble_system", counting_assembly)
     label_formula(running, parse_formula("V1 U[>=1/4] V2 & F[>0] V2"))
-    ((_, table),) = walks
-    assert list(table) == canonical_vertices(running)
+    (down,) = walks
+    assert all((c.rule, c.vertex) in down for c in canonical_vertices(running))
     assert sorted(built) == ["A", "Z"]
     assert len(pairs) == len(set(pairs)) == 2
 
@@ -259,7 +262,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
         except GrammarError:  # outside the engines' fragment (PCP gadgets)
             continue
         axiom = [node.can for node in an.fragments[g.axiom].starts]
-        colours = sorted(g.colour_names - {str(c.vertex) for c in axiom})
+        colours = sorted(g.colour_names - {str(an.names[c].vertex) for c in axiom})
         for phi1 in [None, *colours]:
             for phi2 in colours:
                 u1 = classes_for_colours(an, None if phi1 is None else frozenset({phi1}))
@@ -272,16 +275,79 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
                 until = f"{phi1 or 'tt'} U {phi2}"
                 assert shared.converged, f"{name}: {until}"
                 for c in axiom:
-                    lo, hi = shared.interval(win_key(c))
-                    assert alone.lo[win_key(c)] <= lo <= hi <= alone.hi[win_key(c)], \
-                        f"{name}: {until} at {c}"
+                    lo, hi = shared.interval(c)
+                    assert alone.lo[c] <= lo <= hi <= alone.hi[c], \
+                        f"{name}: {until} at {an.names[c]}"
                     assert hi - lo <= F(1, 10**9)
-                first = shared.lo[win_key(axiom[0])]
+                first = shared.lo[axiom[0]]
                 for rho in {F(1, 2), first} - {ZERO, ONE}:
                     lab = label_formula(g, parse_formula(until.replace(" U ", f" U[>={rho}] ")))
                     for c in axiom:
-                        interval = shared.interval(win_key(c))
-                        assert lab[c] == Verdict(decide_threshold(interval, ">=", rho),
-                                                    interval), f"{name}: {until} at {c}"
+                        interval = shared.interval(c)
+                        assert lab[an.names[c]] == Verdict(
+                            decide_threshold(interval, ">=", rho), interval), \
+                            f"{name}: {until} at {an.names[c]}"
                 pairs += 1
     assert pairs >= 40
+
+
+# dag.gg with a rule that no right-hand side uses: its classes get no id
+UNREACHABLE = (Path(__file__).resolve().parent.parent / "corpus" / "dag.gg").read_text() + (
+    "nonterminal Spare 1\n"
+    "rule Spare inputs y\n  vertex s\n  arc go y s\n  arc go y s\n  colour goal s\n")
+
+
+def id_grammars(running, pds_prob):
+    from test_polysys import walk_grammar, walk_levels
+
+    return {"running": running, "pds": to_grammar(pds_prob),
+            "walk": walk_grammar("branching", walk_levels(64, False, random.Random(64)))}
+
+
+@pytest.mark.parametrize("name", ["running", "pds", "walk"])
+def test_engines_after_analyse_never_hash_a_creation_site(name, running, pds_prob,
+                                                          monkeypatch):
+    """Once `analyse` has numbered the classes, solving, the qualitative
+    engines and the labeller (everything of label_formula but its analysis
+    and the keying of its verdicts by creation site) read only the ids."""
+    g = id_grammars(running, pds_prob)[name]
+    an = analyse(g)
+    formulas = [f"X[>=1/2] {c} & !(tt U[>0] {c}) & !(tt U[>=1] {c}) & !(tt U[>=1/3] {c})"
+                for c in sorted(g.colour_names)]
+
+    def refuse(*args):
+        raise AssertionError("a CanonicalVertex was hashed or compared")
+
+    monkeypatch.setattr(CanonicalVertex, "__hash__", refuse)
+    monkeypatch.setattr(CanonicalVertex, "__eq__", refuse)
+    every = classes_for_colours(an, None)
+    for colour in sorted(g.colour_names):
+        target = classes_for_colours(an, frozenset({colour}))
+        solve_until(an, every, target)
+        until_positive(an, every, target)
+        until_almost_sure(an, every, target)
+    for text in formulas:
+        assert len(labeling._verdicts(an, parse_formula(text), F(1, 10**6))) == len(an.names)
+    with pytest.raises(AssertionError, match="hashed or compared"):
+        {an.names[0]}
+
+
+def test_class_ids_are_dense_and_named(running, pds_prob):
+    grammars = [*id_grammars(running, pds_prob).values(), parse_grammar(UNREACHABLE)]
+    for g in grammars:
+        an = analyse(g)
+        n = len(an.names)
+        reached = reachable_nonterminals(g)
+        assert an.names == [c for c in canonical_vertices(g) if c.rule in reached]
+        assert an.reachable == range(n) and len(an.classes) == n
+        assert [an.ids[c.rule, c.vertex] for c in an.names] == list(an.reachable)
+        assert sorted(an.ids.values()) == list(an.reachable)
+        # win c is c, and c's descents follow every win, one per input
+        assert an.dec[0] == n
+        assert [an.dec[c + 1] - an.dec[c] for c in an.reachable] == [
+            len(an.rules[c.rule].inputs) for c in an.names]
+        assert {node.can for f in an.fragments.values() for node in f.nodes.values()} \
+            <= {None, *an.reachable}
+        # label_formula keeps the analysis's order
+        assert list(label_formula(g, parse_formula("tt"))) == an.names
+    assert "Spare" not in {c.rule for c in analyse(grammars[-1]).names}

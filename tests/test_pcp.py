@@ -10,7 +10,7 @@ from pregma.labeling import classes_for_colours
 from pregma.model import CanonicalVertex, GrammarError, expand, validate_grammar
 from pregma.oracle import PathQuery, bounded_until, truncate
 from pregma.pcp import PCPInstance, encode, parse_pcp
-from pregma.quantitative import solve_until, win_key
+from pregma.quantitative import solve_until
 from pregma.validation import analyse, check_complete_outside
 from reference import (closed_form, dyadic_value, expansions_match, fork_sequences,
                        green_probability, sequence_grammar)
@@ -140,7 +140,7 @@ def test_sequence_grammar_engine_path(pcp_solvable, pcp_unsolvable):
         sol = solve_until(an, classes_for_colours(an, None),
                           classes_for_colours(an, frozenset({"green"})))
         assert sol.converged and sol.exact
-        assert sol.interval(win_key(CanonicalVertex(g.axiom, fork))) == (expected, expected)
+        assert sol.interval(an.ids[g.axiom, fork]) == (expected, expected)
 
 
 def test_unsolvable_trio_has_no_matching_fork(pcp_unsolvable):

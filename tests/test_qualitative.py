@@ -15,7 +15,7 @@ from pregma.qualitative import (
     until_almost_sure,
     until_positive,
 )
-from pregma.quantitative import dec_key, solve_until, win_key
+from pregma.quantitative import solve_until
 from pregma.validation import EngineUnsupported, analyse
 
 F = Fraction
@@ -25,88 +25,82 @@ def cls(an, name):
     return classes_for_colours(an, frozenset({name}) if name else None)
 
 
+def ids(an, *names):
+    """The ids of classes named "rule:vertex"."""
+    return frozenset(an.ids[tuple(name.split(":"))] for name in names)
+
+
 def test_successor_table_running(running):
-    tab = successor_table(analyse(running))
-    fork = tab[CanonicalVertex("A", "fork")]
+    an = analyse(running)
+    tab = successor_table(an)
+    [fork, nxt, v0, t0, win] = [an.ids[site] for site in [
+        ("A", "fork"), ("A", "next"), ("Z", "v0"), ("Z", "t0"), ("A", "win")]]
 
     def key(succ):
-        return succ[0], sorted(map(str, succ[1]))
+        return succ[0], sorted(succ[1])
 
     # s, input 1 of A, is v0 under the axiom's hyperarc and next under A's own
-    assert sorted(fork, key=key) == sorted([
-        (F(1, 4), {CanonicalVertex("A", "dead")}),
-        (F(1, 4), {CanonicalVertex("Z", "v0"), CanonicalVertex("A", "next")}),
-        (F(1, 2), {CanonicalVertex("A", "win")}),
+    assert sorted(tab[fork], key=key) == sorted([
+        (F(1, 4), ids(an, "A:dead")),
+        (F(1, 4), ids(an, "Z:v0", "A:next")),
+        (F(1, 2), ids(an, "A:win")),
     ], key=key)
-    assert tab[CanonicalVertex("A", "next")] == [
-        (F(1, 2), {CanonicalVertex("A", "fork")}),
-        (F(1, 2), {CanonicalVertex("A", "next")}),
-    ]
+    assert tab[nxt] == [(F(1, 2), {fork}), (F(1, 2), {nxt})]
     # v0's second step target resolves through the axiom's hyperarc
-    assert tab[CanonicalVertex("Z", "v0")] == [
-        (F(1, 2), {CanonicalVertex("Z", "t0")}),
-        (F(1, 2), {CanonicalVertex("A", "next")}),
-    ]
-    assert tab[CanonicalVertex("Z", "t0")] == [(F(1), {CanonicalVertex("Z", "t0")})]
-    assert tab[CanonicalVertex("A", "win")] == [(F(1), {CanonicalVertex("A", "win")})]
+    assert tab[v0] == [(F(1, 2), {t0}), (F(1, 2), {nxt})]
+    assert tab[t0] == [(F(1), {t0})]
+    assert tab[win] == [(F(1), {win})]
 
 
 def test_successor_masses_sum_to_one(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
-        for can, succs in successor_table(analyse(g)).items():
-            assert sum((p for p, _ in succs), F(0)) == 1, str(can)
+        an = analyse(g)
+        for c, succs in successor_table(an).items():
+            assert sum((p for p, _ in succs), F(0)) == 1, str(an.names[c])
 
 
 def test_resolve_ref_running(running):
-    refs = analyse(running).refs
-    assert refs[("A", 1)] == frozenset({
-        CanonicalVertex("Z", "v0"), CanonicalVertex("A", "next"),
-    })
-    assert refs[("A", 2)] == frozenset({
-        CanonicalVertex("Z", "t0"), CanonicalVertex("A", "fork"),
-    })
+    an = analyse(running)
+    assert an.refs[("A", 1)] == ids(an, "Z:v0", "A:next")
+    assert an.refs[("A", 2)] == ids(an, "Z:t0", "A:fork")
 
 
 def test_bindings_are_class_sets(running, pds_prob):
-    cv = CanonicalVertex
-    assert analyse(running).bindings["A"] == [
-        (frozenset({cv("Z", "v0")}), frozenset({cv("Z", "t0")})),
-        (frozenset({cv("A", "next")}), frozenset({cv("A", "fork")})),
+    an = analyse(running)
+    assert an.bindings["A"] == [
+        (ids(an, "Z:v0"), ids(an, "Z:t0")),
+        (ids(an, "A:next"), ids(an, "A:fork")),
     ]
     # X's second occurrence glues X's own input Ap onto its third input, so
     # that input can be whatever any occurrence glues onto Ap
     an = analyse(to_grammar(pds_prob))
-    assert an.bindings["X"][1][2] == an.refs[("X", 4)] == frozenset({
-        cv("Z", "Ap"), cv("X", "AAp"), cv("X", "BAp")})
+    assert an.bindings["X"][1][2] == an.refs[("X", 4)] == ids(an, "Z:Ap", "X:AAp", "X:BAp")
 
 
 def test_next_qualitative_decides_plain_targets(running):
-    win = frozenset({CanonicalVertex("A", "win")})
-    out = next_qualitative(analyse(running), win, ">=", F(1, 2))
-    assert out[CanonicalVertex("A", "fork")] == "holds"
-    assert out[CanonicalVertex("A", "next")] == "fails"
-    assert out[CanonicalVertex("A", "dead")] == "fails"
-    assert out[CanonicalVertex("A", "win")] == "holds"  # self loop
+    an = analyse(running)
+    out = next_qualitative(an, ids(an, "A:win"), ">=", F(1, 2))
+    assert out[an.ids["A", "fork"]] == "holds"
+    assert out[an.ids["A", "next"]] == "fails"
+    assert out[an.ids["A", "dead"]] == "fails"
+    assert out[an.ids["A", "win"]] == "holds"  # self loop
 
 
 def test_next_qualitative_mixed_ref_is_unknown(running):
     # fork's d-step onto input 1 may land on Z:v0 or A:next depending on the
     # instance, so a target set holding only one of them cannot be decided
-    target = frozenset({CanonicalVertex("Z", "v0")})
     an = analyse(running)
-    out = next_qualitative(an, target, ">", F(0))
-    assert out[CanonicalVertex("A", "fork")] == "unknown"
-    assert out[CanonicalVertex("A", "next")] == "fails"
-    covering = frozenset({CanonicalVertex("Z", "v0"),
-                          CanonicalVertex("A", "next")})
-    assert next_qualitative(an, covering, ">", F(0))[
-        CanonicalVertex("A", "fork")] == "holds"
+    out = next_qualitative(an, ids(an, "Z:v0"), ">", F(0))
+    assert out[an.ids["A", "fork"]] == "unknown"
+    assert out[an.ids["A", "next"]] == "fails"
+    covering = ids(an, "Z:v0", "A:next")
+    assert next_qualitative(an, covering, ">", F(0))[an.ids["A", "fork"]] == "holds"
 
 
 def test_until_positive_running(running):
     an = analyse(running)
     out = until_positive(an, cls(an, "V1"), cls(an, "V2"))
-    assert {str(k): v for k, v in out.items()} == {
+    assert {str(an.names[k]): v for k, v in out.items()} == {
         "Z:v0": "holds", "Z:t0": "fails",
         "A:win": "holds", "A:fork": "holds", "A:next": "holds",
         "A:dead": "fails",
@@ -153,14 +147,14 @@ def test_until_positive_reads_bindings_through_a_rule_input():
     # instances, and only the bindings through P's input say so
     an = analyse(parse_grammar(PASSED_ON))
     out = until_positive(an, cls(an, None), cls(an, "green"))
-    assert {str(k): v for k, v in out.items()} == {
+    assert {str(an.names[k]): v for k, v in out.items()} == {
         "Z:p": "holds", "Z:q": "fails", "Q:c": "unknown"}
 
 
 def test_until_almost_sure_running(running):
     an = analyse(running)
     out = until_almost_sure(an, cls(an, "V1"), cls(an, "V2"))
-    assert {str(k): v for k, v in out.items()} == {
+    assert {str(an.names[k]): v for k, v in out.items()} == {
         "Z:v0": "fails", "Z:t0": "fails",
         "A:win": "holds", "A:fork": "fails", "A:next": "fails",
         "A:dead": "fails",
@@ -176,9 +170,9 @@ def test_until_almost_sure_dag(dag):
 def test_until_almost_sure_critical_is_unknown(critical):
     an = analyse(critical)
     out = until_almost_sure(an, cls(an, None), cls(an, "green"))
-    assert out[CanonicalVertex("Z", "base")] == "holds"
-    assert out[CanonicalVertex("Z", "m0")] == "unknown"
-    assert out[CanonicalVertex("Walk", "hi")] == "unknown"
+    assert out[an.ids["Z", "base"]] == "holds"
+    assert out[an.ids["Z", "m0"]] == "unknown"
+    assert out[an.ids["Walk", "hi"]] == "unknown"
 
 
 def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):
@@ -191,8 +185,8 @@ def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):
     assert set(until_almost_sure(an, every, halt).values()) == {"holds"}
     enc = solve_until(an, every, halt)
     for name in ("Ar", "Br'", "BAp"):
-        c = CanonicalVertex("X", name)
-        keys = [win_key(c)] + [dec_key(c, j) for j in range(1, 5)]
+        c = an.ids["X", name]
+        keys = [c] + [an.dec[c] + j - 1 for j in range(1, 5)]
         assert sum(enc.lo[k] for k in keys) == sum(enc.hi[k] for k in keys) == 1
 
 
@@ -227,7 +221,7 @@ rule B inputs u w
 
 def test_until_through_a_pass_through_rule():
     g = parse_grammar(PASS_THROUGH)
-    v = CanonicalVertex("B", "v")
+    v = CanonicalVertex("B", "v")  # label_formula keys verdicts by creation site
     for text, status in [("F[>0] goal", "holds"), ("F[>=1] goal", "holds"),
                          ("F[<=0] goal", "fails")]:
         assert label_formula(g, parse_formula(text))[v].status == status, text
@@ -247,7 +241,7 @@ def test_until_almost_sure_fails_below_one_at_every_level(pcp_unsolvable):
     red = frozenset({"red"})
     for name, first in [("v1", F(1, 2)), ("fork", F(3, 4))]:
         c = CanonicalVertex("New1", name)
-        assert out[c] == "fails"
+        assert out[an.ids["New1", name]] == "fails"
         assert label_formula(g, parse_formula("F[>=1] red"))[c].status == "fails"
         by_level = {level: s for s, (can, level)
                     in enumerate(zip(mc.classes, mc.levels)) if can == c}

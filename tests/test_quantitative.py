@@ -1,8 +1,7 @@
 from fractions import Fraction
 
 from pregma.labeling import classes_for_colours
-from pregma.model import CanonicalVertex
-from pregma.quantitative import assemble_system, dec_key, render_key, solve_until, win_key
+from pregma.quantitative import assemble_system, render_key, solve_until
 from pregma.validation import analyse
 
 F = Fraction
@@ -17,9 +16,14 @@ def until_args(g, phi1, phi2):
     return an, classes(an, phi1), classes(an, phi2)
 
 
-def at(sol, g, vertex):
+def dec_key(an, c, j):
+    """The variable of dec(c; j)."""
+    return an.dec[c] + j - 1
+
+
+def at(sol, an, vertex):
     """The enclosure of P(until) from a vertex of the axiom rule."""
-    return sol.interval(win_key(CanonicalVertex(g.axiom, vertex)))
+    return sol.interval(an.ids[an.grammar.axiom, vertex])
 
 
 def straddles_sqrt3(lo, hi, scale_num, scale_den, shift):
@@ -35,92 +39,103 @@ def test_assembly_shape(running):
         ("Z", 0), ("A", 2)]
     # one win per class, one dec per input of A's classes
     assert len(asm.system.variables) + len(asm.pins) == 14
-    win = CanonicalVertex("A", "win")
-    dead = CanonicalVertex("A", "dead")
+    win = an.ids["A", "win"]
+    dead = an.ids["A", "dead"]
     assert asm.pins == {
-        win_key(win): F(1), dec_key(win, 1): F(0), dec_key(win, 2): F(0),
-        win_key(dead): F(0), dec_key(dead, 1): F(0), dec_key(dead, 2): F(0),
+        win: F(1), dec_key(an, win, 1): F(0), dec_key(an, win, 2): F(0),
+        dead: F(0), dec_key(an, dead, 1): F(0), dec_key(an, dead, 2): F(0),
     }
+    # ids are dense: n wins, then each class's descents in id order
+    assert an.dec == [6, 6, 6, 8, 10, 12, 14]
+    assert [str(an.names[c]) for c in an.reachable] == [
+        "Z:v0", "Z:t0", "A:win", "A:fork", "A:dead", "A:next"]
 
 
 def test_reduced_system_equations(running):
-    asm = assemble_system(*until_args(running, "V1", "V2"))
-    reduced = asm.system
-    nxt = CanonicalVertex("A", "next")
-    fork = CanonicalVertex("A", "fork")
-    v0 = CanonicalVertex("Z", "v0")
-    t0 = CanonicalVertex("Z", "t0")
+    an, phi1, phi2 = until_args(running, "V1", "V2")
+    reduced = assemble_system(an, phi1, phi2).system
+    nxt, fork, v0, t0 = (an.ids[site] for site in [
+        ("A", "next"), ("A", "fork"), ("Z", "v0"), ("Z", "t0")])
     # sinks keep empty equations rather than disappearing
-    assert reduced.equations[win_key(t0)] == []
-    assert reduced.equations[win_key(fork)] == [(F(1, 2), ())]
-    assert sorted(reduced.equations[win_key(nxt)], key=repr) == sorted([
-        (F(1, 2), (win_key(fork),)),
-        (F(1, 2), (win_key(nxt),)),
-        (F(1, 2), (dec_key(nxt, 1), win_key(nxt))),
-        (F(1, 2), (dec_key(nxt, 2), win_key(fork))),
+    assert reduced.equations[t0] == []
+    assert reduced.equations[fork] == [(F(1, 2), ())]
+    assert sorted(reduced.equations[nxt], key=repr) == sorted([
+        (F(1, 2), (fork,)),
+        (F(1, 2), (nxt,)),
+        (F(1, 2), (dec_key(an, nxt, 1), nxt)),
+        (F(1, 2), (dec_key(an, nxt, 2), fork)),
     ], key=repr)
-    assert sorted(reduced.equations[win_key(v0)], key=repr) == sorted([
-        (F(1, 2), (win_key(t0),)),
-        (F(1, 2), (win_key(nxt),)),
-        (F(1, 2), (dec_key(nxt, 1), win_key(v0))),
-        (F(1, 2), (dec_key(nxt, 2), win_key(t0))),
+    assert sorted(reduced.equations[v0], key=repr) == sorted([
+        (F(1, 2), (t0,)),
+        (F(1, 2), (nxt,)),
+        (F(1, 2), (dec_key(an, nxt, 1), v0)),
+        (F(1, 2), (dec_key(an, nxt, 2), t0)),
     ], key=repr)
     # the fork exits through input 1 with the d-step back onto s
-    assert reduced.equations[dec_key(fork, 1)] == [(F(1, 4), ())]
-    assert reduced.equations[dec_key(fork, 2)] == []
+    assert reduced.equations[dec_key(an, fork, 1)] == [(F(1, 4), ())]
+    assert reduced.equations[dec_key(an, fork, 2)] == []
 
 
 def test_descend_direction_two_is_dead_weight(running):
-    asm = assemble_system(*until_args(running, "V1", "V2"))
-    reduced = asm.system
-    nxt = CanonicalVertex("A", "next")
-    fork = CanonicalVertex("A", "fork")
+    an, phi1, phi2 = until_args(running, "V1", "V2")
+    reduced = assemble_system(an, phi1, phi2).system
+    nxt, fork = an.ids["A", "next"], an.ids["A", "fork"]
     pos = reduced.positive_variables()
-    assert dec_key(nxt, 1) in pos
-    assert dec_key(fork, 1) in pos
-    assert dec_key(nxt, 2) not in pos
-    assert dec_key(fork, 2) not in pos
+    assert dec_key(an, nxt, 1) in pos
+    assert dec_key(an, fork, 1) in pos
+    assert dec_key(an, nxt, 2) not in pos
+    assert dec_key(an, fork, 2) not in pos
 
 
-def test_render_key_names():
-    can = CanonicalVertex("A", "next")
-    assert render_key(win_key(can)) == "win(A:next)"
-    assert render_key(dec_key(can, 2)) == "dec(A:next; 2)"
+def test_render_key_names(running):
+    an = analyse(running)
+    nxt = an.ids["A", "next"]
+    assert render_key(an, nxt) == "win(A:next)"
+    assert render_key(an, dec_key(an, nxt, 2)) == "dec(A:next; 2)"
+    # every key names its own variable, classes without inputs included
+    assert [render_key(an, k) for k in range(an.dec[-1])] == [
+        "win(Z:v0)", "win(Z:t0)", "win(A:win)", "win(A:fork)", "win(A:dead)",
+        "win(A:next)"] + [f"dec({name}; {j})" for name in ("A:win", "A:fork", "A:dead",
+                                                           "A:next") for j in (1, 2)]
 
 
 def test_running_enclosure(running):
-    sol = solve_until(*until_args(running, "V1", "V2"))
+    args = until_args(running, "V1", "V2")
+    sol = solve_until(*args)
     assert sol.converged and not sol.exact
-    lo, hi = at(sol, running, "v0")
+    lo, hi = at(sol, args[0], "v0")
     assert hi - lo <= F(1, 10**6)
     # exact containment of (4*sqrt(3) - 6)/3
     assert straddles_sqrt3(lo, hi, 4, 3, F(-2))
-    assert at(sol, running, "t0") == (F(0), F(0))
+    assert at(sol, args[0], "t0") == (F(0), F(0))
 
 
 def test_running_inner_variables(running):
-    sol = solve_until(*until_args(running, "V1", "V2"), eps=F(1, 10**9))
-    nxt = CanonicalVertex("A", "next")
+    an, phi1, phi2 = until_args(running, "V1", "V2")
+    sol = solve_until(an, phi1, phi2, eps=F(1, 10**9))
+    nxt = an.ids["A", "next"]
     # dec(A:next;1) = 1 - sqrt(3)/2, win(A:next) = 1/sqrt(3)
-    lo, hi = sol.interval(dec_key(nxt, 1))
+    lo, hi = sol.interval(dec_key(an, nxt, 1))
     assert hi - lo <= F(1, 10**9)
     assert (1 - lo) ** 2 * 4 >= 3 >= (1 - hi) ** 2 * 4
-    lo, hi = sol.interval(win_key(nxt))
+    lo, hi = sol.interval(nxt)
     assert lo ** 2 * 3 <= 1 <= hi ** 2 * 3
     # pinned variables survive into the full enclosure, exactly
-    assert sol.interval(win_key(CanonicalVertex("A", "win"))) == (F(1), F(1))
+    assert sol.interval(an.ids["A", "win"]) == (F(1), F(1))
 
 
 def test_dag_is_exact(dag):
-    sol = solve_until(*until_args(dag, None, "goal"))
+    args = until_args(dag, None, "goal")
+    sol = solve_until(*args)
     assert sol.exact
-    assert at(sol, dag, "v0") == (F(1), F(1))
+    assert at(sol, args[0], "v0") == (F(1), F(1))
 
 
 def test_updrift_encloses_one_quarter(updrift):
-    sol = solve_until(*until_args(updrift, None, "green"))
+    args = until_args(updrift, None, "green")
+    sol = solve_until(*args)
     assert sol.converged
-    lo, hi = at(sol, updrift, "m0")
+    lo, hi = at(sol, args[0], "m0")
     assert lo <= F(1, 4) <= hi
     assert hi - lo <= F(1, 10**6)
 
@@ -129,10 +144,11 @@ def test_critical_stays_undecided(critical):
     # the value at m0 is 1, a double root: Newton gains a bit per step, so
     # the enclosure closes to eps in a few dozen rounds, yet lo never
     # reaches 1 and the almost-sure question stays open
-    sol = solve_until(*until_args(critical, None, "green"))
+    args = until_args(critical, None, "green")
+    sol = solve_until(*args)
     assert sol.converged and not sol.exact
     assert sol.iterations <= 30
-    lo, hi = at(sol, critical, "m0")
+    lo, hi = at(sol, args[0], "m0")
     assert hi == 1
     assert 1 - F(1, 10**6) <= lo < 1
 
@@ -165,5 +181,5 @@ def test_trivial_phi2_saturates(running):
     an = analyse(running)
     enc = solve_until(an, classes(an, None), classes(an, None))
     assert enc.exact
-    for can in classes(an, None):
-        assert enc.interval(win_key(can)) == (F(1), F(1))
+    for c in classes(an, None):
+        assert enc.interval(c) == (F(1), F(1))

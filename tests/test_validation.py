@@ -74,7 +74,7 @@ def test_passings_follow_the_gluing(running):
     assert _passings(rules, slots, ("A", "fork")) == [("A", "t")]
     assert _passings(rules, slots, ("A", "t")) == []
     assert _passings(rules, slots, ("A", "win")) == []
-    down, table = _walk(running, rules, slots)
+    down, table = _walk(running, rules, slots), vertex_classes(running)
     # the walk works out each creation site and each input it reaches once
     assert set(down) == {(c.rule, c.vertex) for c in table} | {("A", "s"), ("A", "t")}
     assert all(vc.terminates for vc in table.values())
@@ -85,7 +85,7 @@ def test_walk_detects_loops():
     rules, slots = checked_rules(g), hyperarc_slots(g)
     assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
     assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
-    down, table = _walk(g, rules, slots)
+    down, table = _walk(g, rules, slots), vertex_classes(g)
     assert not down["C", "x"].terminates
     assert not table[cv("Z", "r")].terminates
     # the a arc gained on the loop is gained forever, and only there
@@ -99,8 +99,8 @@ def test_analyse_refuses_a_shared_vertex():
 
 
 def test_out_profiles_running(running):
-    table = analyse(running).classes
-    prof = {can: vc.out for can, vc in table.items()}
+    an = analyse(running)
+    prof = {can: vc.out for can, vc in zip(an.names, an.classes)}
     next_p = prof[CanonicalVertex("A", "next")]
     assert next_p.finite == (("a", 2),)
     assert str(next_p) == "{a:2}"
@@ -111,7 +111,8 @@ def test_out_profiles_running(running):
 
 
 def test_in_profiles_running(running):
-    prof = {can: vc.into for can, vc in analyse(running).classes.items()}
+    an = analyse(running)
+    prof = {can: vc.into for can, vc in zip(an.names, an.classes)}
     assert prof[CanonicalVertex("A", "fork")].finite == (("a", 1),)
     # dead is only ever entered through the d arc
     assert prof[CanonicalVertex("A", "dead")].finite == (("d", 1),)
@@ -126,13 +127,15 @@ def test_infinite_profile():
 
 
 def test_profile_total_needs_every_label(running):
-    fork = analyse(running).classes[CanonicalVertex("A", "fork")]
+    an = analyse(running)
+    fork = an.classes[an.ids["A", "fork"]]
     with pytest.raises(KeyError):
         fork.out.total({"a": Fraction(1, 2)})
 
 
 def test_full_colours_walks_the_chain(running):
-    cols = {can: vc.colours for can, vc in analyse(running).classes.items()}
+    an = analyse(running)
+    cols = {can: vc.colours for can, vc in zip(an.names, an.classes)}
     assert cols[CanonicalVertex("A", "win")] == frozenset({"V2", "sink", "V1"})
     assert cols[CanonicalVertex("A", "dead")] == frozenset({"sink"})
     assert cols[CanonicalVertex("Z", "v0")] == frozenset({"V1"})
@@ -199,17 +202,18 @@ def test_phr_validates_first():
 
 
 def test_absorbing_classes(running):
-    assert analyse(running).absorbing == frozenset({
+    an = analyse(running)
+    assert {an.names[c] for c in an.absorbing} == {
         CanonicalVertex("Z", "t0"),
         CanonicalVertex("A", "win"),
         CanonicalVertex("A", "dead"),
-    })
+    }
 
 
 def test_engine_admissible_on_corpus(running, dag, updrift, critical):
     for g in (running, dag, updrift, critical):
         an = analyse(g)
-        assert set(an.classes) == set(canonical_vertices(g))
+        assert an.names == canonical_vertices(g)
 
 
 def test_engine_rejects_infinite_in_profile():
@@ -239,7 +243,8 @@ def test_engine_accepts_quiet_input_loop():
     # r is passed to C's input x, which is passed back to itself forever
     assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
     assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
-    r = analyse(g).classes[cv("Z", "r")]
+    an = analyse(g)
+    r = an.classes[an.ids["Z", "r"]]
     assert not r.terminates
     # the loop gains no arc either way, so no label is infinite
     assert r.out == r.into == DegreeProfile((), frozenset())
