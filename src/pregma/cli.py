@@ -167,14 +167,15 @@ def _report(args, record: dict, *lines: str) -> None:
 
 def _cmd_validate(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    issues = validate_grammar(g)
+    try:  # phr_check runs the structural check, once on a grammar that passes it
+        report = phr_check(g)
+    except GrammarError:
+        issues, violations, failures = validate_grammar(g), check_complete_outside(g), ()
+    else:
+        issues, violations = [], report.violations
+        failures = report.failures if g.mu else ()
     for issue in issues:
         print(issue, file=sys.stderr)
-    if issues or not g.mu:
-        violations, failures = check_complete_outside(g), ()
-    else:
-        report = phr_check(g)
-        violations, failures = report.violations, report.failures
     for line in violations:
         print(line, file=sys.stderr)
     for f in failures:

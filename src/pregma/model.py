@@ -37,13 +37,13 @@ class Hyperarc(NamedTuple):
     vertices: tuple[VertexId, ...]
 
 
-@dataclass(frozen=True)
-class CanonicalVertex:
+class CanonicalVertex(NamedTuple):
     """Creation site of a concrete vertex: a non-input vertex of one rule.
 
     Two concrete vertices with the same canonical vertex are indistinguishable
     locally (same out-arc labels, same colours) although their surroundings
-    above their own level may differ.
+    above their own level may differ. It is the (rule, vertex) tuple of its
+    site, so it hashes in C and equals that site.
     """
 
     rule: str

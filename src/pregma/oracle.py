@@ -45,7 +45,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import _walk, hyperarc_slots
+from .validation import _mass_fault, _walk, hyperarc_slots
 
 
 class TotalityError(GrammarError):
@@ -68,10 +68,11 @@ def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int
 def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
     """Whether the truncation raises at some depth, read off the rules alone:
     a reachable rule has an arc label without a probability, or a reachable
-    class whose passings end has an out-weight other than den (mu's weights
-    over den, `integer_weights`) and is not an absorbing sink. A class whose
-    passings never end keeps its vertices on the frontier at every depth,
-    so the truncation never checks its mass."""
+    class whose passings end fails admission's mass test (`_mass_fault`,
+    on mu's weights over den). A class whose passings never end keeps its
+    vertices on the frontier at every depth, so the truncation never checks
+    its mass. The walk is the one admission runs; at a shared vertex it
+    sums what every branch gains, which is what the truncation sees."""
     names = reachable_nonterminals(g)
     if any(arc.label not in g.mu
            for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
@@ -79,9 +80,8 @@ def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
     down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
     for rule in g.rules:
         for v in rule.non_inputs if rule.lhs in names else ():
-            d = down[rule.lhs, v]
-            out = [weight[label] * n for (way, label), n in d.counts.items() if way == "out"]
-            if d.terminates and sum(out) != den and (out or not d.colours & g.absorbing):
+            vc = down[rule.lhs, v]
+            if vc.terminates and _mass_fault(vc, g.absorbing, den, weight):
                 return True
     return False
 

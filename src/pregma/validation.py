@@ -7,7 +7,9 @@ that holds it. One memoised walk of the passings from every creation site
 reads the full out-degree (and colour set) of every vertex of the generated
 graph off the grammar without expanding anything. A walk that comes back to
 a site on its open path has found a loop: no site on it terminates, and
-every arc label gained on it occurs infinitely often.
+every arc label gained on it occurs infinitely often. The walk's entry at a
+creation site is the class record, and one mass test in integer weights
+(`_mass_fault`) serves admission and the truncation oracle.
 
 Admission walks only under single membership, each vertex on at most one
 nonterminal hyperarc, and refuses a grammar that breaks it with one line
@@ -17,12 +19,12 @@ oracle reads only those.
 
 `analyse` numbers the reachable classes 0..n-1, keeps `names` to turn an
 id back into its creation site for output, and holds ids or id sets in
-every table the engines read: a rule lookup, each class's
-profiles and colours, the absorbing classes, where a step
-through a hyperarc occurrence lands, resolved once to the set of classes
-it can be (per occurrence and input, and per rule input across every
-occurrence), one local fragment per context (the source of every one-step
-fact), and the equation systems assembled so far. It refuses grammars
+every table the engines read: a rule lookup, each class's walk entry, the
+absorbing classes, where a step through a hyperarc occurrence lands,
+resolved once to the set of classes it can be (per occurrence and input,
+and per rule input across every occurrence), one local fragment per
+context (the source of every one-step fact), and the equation systems
+assembled so far. It refuses grammars
 outside what the engines handle. The analysis is a value the caller owns
 and passes along; nothing is cached on the grammar, which callers such as
 the pushdown converter still edit after reading its profiles.
@@ -30,7 +32,7 @@ the pushdown converter still edit after reading its profiles.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -77,7 +79,8 @@ class DegreeProfile:
     infinite: frozenset[str]
 
     def total(self, mu: ProbabilityMap) -> Fraction | None:
-        """Σ μ(label) · count, or None when some label occurs infinitely."""
+        """Σ μ(label) · count, or None when some label occurs infinitely.
+        Raises KeyError on a label without a probability."""
         if self.infinite:
             return None
         return sum([mu[label] * n for label, n in self.finite], Fraction(0))
@@ -88,45 +91,44 @@ class DegreeProfile:
         return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    """What the passings from one class's creation site show: every arc its
-    vertices ever get, in both directions, every colour they carry, and
-    whether the passings end. Under a shared vertex only the profiles of a
-    class that terminates are exact."""
-
-    out: DegreeProfile
-    into: DegreeProfile
-    colours: frozenset[str]
-    terminates: bool
-
-    @property
-    def is_sink(self) -> bool:
-        return not self.out.finite and not self.out.infinite
-
-
-def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
-    """All creation sites: the non-input vertices of every rule."""
-    out = []
-    for rule in g.rules:
-        for v in rule.non_inputs:
-            out.append(CanonicalVertex(rule.lhs, v))
-    return out
-
-
-class _Down(NamedTuple):
+class VertexClass(NamedTuple):
     """What a vertex gains at a site and at every site passed down from
-    there: finite counts of ("out" or "in", label), the pairs that recur
-    forever, its colours, and whether the passings end."""
+    there, the walk's entry for that site: finite counts of ("out" or "in",
+    label), the pairs that recur forever, its colours, and whether the
+    passings end. At a creation site it is the class of the vertices made
+    there. Under a shared vertex only a class that terminates is exact."""
 
     counts: Counter
     forever: frozenset[tuple[str, str]]
     colours: frozenset[str]
     terminates: bool
 
+    def _profile(self, way: str) -> DegreeProfile:
+        """The degree profile of one way, "out" or "in"."""
+        return DegreeProfile(
+            tuple(sorted((label, n) for (w, label), n in self.counts.items() if w == way)),
+            frozenset(label for w, label in self.forever if w == way))
 
-def _join(arcs: list[tuple[str, str]], marks: set[str], below: list[_Down],
-          on_loop: bool) -> _Down:
+    @property
+    def out(self) -> DegreeProfile:
+        return self._profile("out")
+
+    @property
+    def into(self) -> DegreeProfile:
+        return self._profile("in")
+
+    @property
+    def is_sink(self) -> bool:
+        return all(way != "out" for way, _ in chain(self.counts, self.forever))
+
+
+def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
+    """All creation sites: the non-input vertices of every rule."""
+    return [CanonicalVertex(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]
+
+
+def _join(arcs: list[tuple[str, str]], marks: set[str], below: list[VertexClass],
+          on_loop: bool) -> VertexClass:
     """A site's own arcs and colours plus the gains of the sites it passes
     to, all of them recurring forever when the site lies on a loop."""
     counts, colours, forever = Counter(arcs), set(marks), set()
@@ -135,16 +137,9 @@ def _join(arcs: list[tuple[str, str]], marks: set[str], below: list[_Down],
         forever |= d.forever
         colours |= d.colours
     if on_loop:
-        return _Down(Counter(), frozenset(forever | set(counts)), frozenset(colours), False)
-    return _Down(counts, frozenset(forever), frozenset(colours),
-                 all(d.terminates for d in below))
-
-
-def _degrees(d: _Down, way: str) -> DegreeProfile:
-    """The profile of one way, "out" or "in", of a walk entry."""
-    return DegreeProfile(tuple(sorted((label, n) for (w, label), n in d.counts.items()
-                                      if w == way)),
-                         frozenset(label for w, label in d.forever if w == way))
+        counts, forever = Counter(), forever | set(counts)
+    return VertexClass(counts, frozenset(forever), frozenset(colours),
+                       not on_loop and all(d.terminates for d in below))
 
 
 def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]:
@@ -152,7 +147,7 @@ def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]
     return [(h.label, rules[h.label].inputs[pos - 1]) for h, pos in slots.get(site, ())]
 
 
-def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, _Down]:
+def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, VertexClass]:
     """One depth-first walk of the passings from every creation site: each
     reached site's gains from there on down. A loop's sites are worked out
     deepest first; the site the walk came back to sees all of the loop's
@@ -167,7 +162,7 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, _Do
         for colour, v in rule.rhs.colours:
             marks.setdefault((rule.lhs, v), set()).add(colour)
 
-    down: dict[Site, _Down] = {}
+    down: dict[Site, VertexClass] = {}
     loops: dict[Site, list[Site]] = {}  # a site the walk came back to -> its loops
     looped: set[Site] = set()
     for start in [(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]:
@@ -192,20 +187,13 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, _Do
     return down
 
 
-def _classes(cans: list[CanonicalVertex], down: dict[Site, _Down],
-             ) -> list[tuple[CanonicalVertex, VertexClass]]:
-    """Each class with the entry of its creation site."""
-    return [(can, VertexClass(_degrees(d, "out"), _degrees(d, "in"), d.colours, d.terminates))
-            for can in cans for d in [down[can.rule, can.vertex]]]
-
-
 def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
-    """The class table of a structurally valid grammar, from one walk of
-    the passings. Exact for every class under single membership, which
-    check_complete_outside checks; otherwise exact for the classes that
-    terminate, whose profiles then sum what every branch gains."""
-    rules = {rule.lhs: rule for rule in g.rules}
-    return dict(_classes(canonical_vertices(g), _walk(g, rules, hyperarc_slots(g))))
+    """The class table of a structurally valid grammar: the walk's entries
+    at the creation sites. Exact for every class under single membership,
+    which check_complete_outside checks; otherwise exact for the classes
+    that terminate, whose counts then sum what every branch gains."""
+    down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
+    return {can: down[can] for can in canonical_vertices(g)}
 
 
 def check_complete_outside(g: Grammar) -> tuple[str, ...]:
@@ -262,40 +250,42 @@ class PhrReport:
         return "\n".join(lines)
 
 
-def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, _Down],
-                                 list[tuple[CanonicalVertex, VertexClass]], PhrReport]:
+def _mass_fault(vc: VertexClass, absorbing: frozenset[str], den: int,
+                weight: Mapping[str, int]) -> str | None:
+    """Why a class's outgoing mass is not 1 under mu's weights over den
+    (`integer_weights`); None when it is, or when the class is a sink with
+    an absorbing colour."""
+    if vc.forever and any(way == "out" for way, _ in vc.forever):
+        return "arcs repeat forever, no mu can normalise this"
+    try:
+        out = [weight[label] * n for (way, label), n in vc.counts.items() if way == "out"]
+    except KeyError:
+        missing = sorted({label for way, label in vc.counts if way == "out"} - weight.keys())
+        return f"no probability for {', '.join(missing)}"
+    if not out:
+        return None if vc.colours & absorbing else "sink without an absorbing colour"
+    return None if sum(out) == den else "total is not 1"
+
+
+def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, VertexClass],
+                                 list[CanonicalVertex], PhrReport]:
     """The one admission of a grammar: the structural gate, the occurrence
     table, single membership, then, only when no vertex is shared, the walk
-    of the passings, the class table and the mass report."""
+    of the passings, whose entries are the class table, and the mass report."""
     rules = checked_rules(g)
     slots = hyperarc_slots(g)
     violations = check_complete_outside(g)
     cans = canonical_vertices(g)
     down = {} if violations else _walk(g, rules, slots)
-    classes = [] if violations else _classes(cans, down)
     den, weight = integer_weights(g.mu)
     failures: list[PhrFailure] = []
-    for can, vc in classes:
-        profile = vc.out
-        if profile.infinite:
-            failures.append(PhrFailure(can, profile, None,
-                                       "arcs repeat forever, no mu can normalise this"))
-            continue
-        if not profile.finite:
-            if vc.colours & g.absorbing:
-                continue
-            failures.append(PhrFailure(can, profile, Fraction(0),
-                                       "sink without an absorbing colour"))
-            continue
-        missing = [label for label, _ in profile.finite if label not in g.mu]
-        if missing:
-            failures.append(PhrFailure(can, profile, None,
-                                       f"no probability for {', '.join(missing)}"))
-            continue
-        if sum(weight[label] * n for label, n in profile.finite) != den:
-            failures.append(PhrFailure(can, profile, profile.total(g.mu), "total is not 1"))
+    for can in () if violations else cans:
+        if reason := _mass_fault(down[can], g.absorbing, den, weight):
+            profile = down[can].out
+            total = profile.total(g.mu) if dict(profile.finite).keys() <= g.mu.keys() else None
+            failures.append(PhrFailure(can, profile, total, reason))
     ok = not violations and not failures
-    return rules, slots, down, classes, PhrReport(ok, tuple(failures), violations, len(cans))
+    return rules, slots, down, cans, PhrReport(ok, tuple(failures), violations, len(cans))
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -355,20 +345,18 @@ def analyse(g: Grammar) -> Analysis:
     one-step behaviour would depend on levels above the fragment under
     consideration.
     """
-    rules, slots, down, classes, report = _admit(g)
+    rules, slots, down, cans, report = _admit(g)
     if not report.ok:
         raise EngineUnsupported(str(report))
-    for can, vc in classes:
-        if vc.into.infinite:
-            raise EngineUnsupported(
-                f"{can}: incoming arcs {sorted(vc.into.infinite)} repeat forever"
-            )
-    for can, _ in classes:
+    for can in cans:
+        if infinite := down[can].into.infinite:
+            raise EngineUnsupported(f"{can}: incoming arcs {sorted(infinite)} repeat forever")
+    for can in cans:
         # every passing leads to a rule input; from the second on, the
         # vertex is passed down through an input on a hyperarc
-        first = _passings(rules, slots, (can.rule, can.vertex))
+        first = _passings(rules, slots, can)
         second = first and _passings(rules, slots, first[0])
-        if second and _degrees(down[second[0]], "out") != DegreeProfile((), frozenset()):
+        if second and not down[second[0]].is_sink:
             h, pos = slots[first[0]][0]
             raise EngineUnsupported(
                 f"rule {first[0][0]}: input {first[0][1]} keeps gaining arcs "
@@ -376,9 +364,10 @@ def analyse(g: Grammar) -> Analysis:
             )
 
     reached = reachable_nonterminals(g)
-    kept = [(can, vc) for can, vc in classes if can.rule in reached]
-    ids = {(can.rule, can.vertex): c for c, (can, _) in enumerate(kept)}
-    dec = list(accumulate((len(rules[can.rule].inputs) for can, _ in kept), initial=len(kept)))
+    kept = [can for can in cans if can.rule in reached]
+    classes = [down[can] for can in kept]
+    ids = {(can.rule, can.vertex): c for c, can in enumerate(kept)}
+    dec = list(accumulate((len(rules[can.rule].inputs) for can in kept), initial=len(kept)))
     # what each occurrence in a reachable rule glues onto each input: a
     # class, or (rule, j) for whatever was glued onto that rule's input j
     glued: dict[str, list[tuple]] = {}
@@ -401,11 +390,11 @@ def analyse(g: Grammar) -> Analysis:
     return Analysis(
         grammar=g,
         rules=rules,
-        names=[can for can, _ in kept],
+        names=kept,
         ids=ids,
-        classes=[vc for _, vc in kept],
+        classes=classes,
         dec=dec,
-        absorbing=frozenset(c for c, (_, vc) in enumerate(kept)
+        absorbing=frozenset(c for c, vc in enumerate(classes)
                             if vc.is_sink and vc.colours & g.absorbing),
         fragments={name: build_fragment(rules, slots, name, ids)
                    for name in sorted(reached, key=lambda n: (n != g.axiom, n))},

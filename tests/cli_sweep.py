@@ -1,8 +1,9 @@
 """Byte-identity sweep of the command line.
 
 Runs a fixed list of `pregma` calls in-process, through `pregma.cli.main`,
-on the corpus grammars and on the grammars `from-pds` and `gen-pcp` make of
-the corpus's `.pds` and `.pcp` files, and prints one line per call: its
+on the corpus grammars, on the grammars `from-pds` and `gen-pcp` make of
+the corpus's `.pds` and `.pcp` files, and on a fixed set of defective
+grammars (the refusal paths), and prints one line per call: its
 argv, its exit code and a sha256 of its stdout, its stderr and its `-o`
 file. Two checkouts that print the same lines answer every call with the
 same bytes. The sweep exits 1 when a call's exit code lies outside 0-3 or
@@ -36,6 +37,53 @@ OUT = "out.txt"  # the -o file of the expand calls that write one
 
 PDS = ["pds_example", "pds_example_prob"]
 PCP = ["pcp_s1", "pcp_s2", "pcp_s3", "pcp_u1", "pcp_u2", "pcp_u3"]
+# defective grammars: name, text, the axiom vertex the queries start
+# from and the colour they aim at; each is refused somewhere
+_HEAD = ("nonterminal Z 0\nnonterminal C 1\nterminal a 2\ncolour stop\n"
+         "prob a 1\nabsorbing stop\naxiom Z\n")
+DEFECTS = [
+    # phr_check: an out-arc gained on every round of a loop
+    ("forever", _HEAD + "rule Z\n  vertex r\n  hyperarc C r\n"
+     "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n  hyperarc C x\n",
+     "r", "stop"),
+    # phr_check: s has no out-arc and stop is not absorbing
+    ("sink", "nonterminal Z 0\nterminal a 2\ncolour stop\nprob a 1\naxiom Z\n"
+     "rule Z\n  vertex r s\n  arc a r s\n  colour stop s\n", "r", "stop"),
+    # phr_check: s's b loop has no probability
+    ("unpriced", "nonterminal Z 0\nterminal a 2\nterminal b 2\ncolour stop\nprob a 1\n"
+     "axiom Z\nrule Z\n  vertex r s\n  arc a r s\n  arc b s s\n  colour stop s\n",
+     "r", "stop"),
+    # phr_check: r's mass is 1/2 and C's y's is 3/2
+    ("total", _HEAD.replace("prob a 1\n", "prob a 1/2\n") + "rule Z\n  vertex r\n"
+     "  hyperarc C r\nrule C inputs x\n  vertex y z\n  arc a x z\n  arc a y z\n"
+     "  arc a y y\n  arc a y z\n  colour stop z\n", "r", "stop"),
+    # analyse: arcs into r gained on every round of a loop
+    ("incoming", _HEAD + "rule Z\n  vertex r\n  colour stop r\n  hyperarc C r\n"
+     "rule C inputs x\n  vertex y\n  arc a y x\n  hyperarc C x\n", "r", "stop"),
+    # analyse: C's input gains its out-arc after it is passed on to D
+    ("passed-on", _HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 1\n")
+     + "rule Z\n  vertex r\n  hyperarc C r\nrule C inputs x\n  hyperarc D x\n"
+     "rule D inputs w\n  vertex z\n  arc a w z\n  colour stop z\n", "r", "stop"),
+    # single membership: r lies on two C hyperarcs
+    ("shared", _HEAD + "rule Z\n  vertex r s\n  hyperarc C r\n  hyperarc C r\n"
+     "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n", "r", "stop"),
+    # the structural check: an undeclared arc label, a missing rule and a
+    # hyperarc of the wrong arity
+    ("structure", _HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 2\n")
+     + "rule Z\n  vertex r\n  arc q r r\n  hyperarc C r\n  hyperarc D r\n"
+     "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n", "r", "stop"),
+    # no prob lines
+    ("plain", _HEAD.replace("prob a 1\n", "") + "rule Z\n  vertex r\n  hyperarc C r\n"
+     "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n", "r", "stop"),
+    # the deep defect of the tests' conftest: A's y gets a go loop from A and
+    # another from B, below v0's horizon-2 cone
+    ("deep", "nonterminal Z 0\nnonterminal A 1\nnonterminal B 1\nterminal go 2\n"
+     "terminal bad 2\nterminal green 1\nprob go 1\nprob bad 1/2\nabsorbing green\n"
+     "axiom Z\nrule Z\n  vertex v0 goal u\n  arc go v0 goal\n  colour green goal\n"
+     "  arc go u u\n  hyperarc A u\nrule A inputs x\n  vertex y\n  arc go y y\n"
+     "  hyperarc B y\nrule B inputs x\n  vertex w\n  arc bad w w\n  arc go x x\n",
+     "v0", "green"),
+]
 # grammar, axiom vertices the queries start from, colours the formulas use
 GRAMMARS = [
     ("corpus/running.gg", ["v0", "t0"], ["V1", "V2", "sink"]),
@@ -100,6 +148,13 @@ def _calls() -> list[list[str]]:
                       [*check, "--emit-coloured"]]
         calls.append(["check", path, "--formula", f"F[>0] {goals[-1]}", "--qualitative",
                       "--emit-coloured", "--format", "json-lines"])
+    for name, _, start, colour in DEFECTS:
+        path = f"bad/{name}.gg"
+        prob = ["prob", path, "--phi2", colour, "--from", start]
+        calls += [["validate", path], prob,
+                  [*prob, "--method", "truncate", "--horizon", "2", "--depth", "4"],
+                  ["check", path, "--formula", f"F[>0] {colour}", "--at", start],
+                  ["expand", path, "--depth", "3"]]
     # usage errors and refusals
     calls += [
         [],
@@ -150,6 +205,9 @@ def sweep() -> int:
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(ROOT / "corpus", Path(work, "corpus"))
         os.mkdir(Path(work, "gen"))
+        os.mkdir(Path(work, "bad"))
+        for name, text, _, _ in DEFECTS:
+            Path(work, "bad", f"{name}.gg").write_text(text, encoding="utf-8")
         cwd = os.getcwd()
         os.chdir(work)
         try:

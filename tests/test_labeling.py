@@ -314,6 +314,9 @@ def test_engines_after_analyse_never_hash_a_creation_site(name, running, pds_pro
     an = analyse(g)
     formulas = [f"X[>=1/2] {c} & !(tt U[>0] {c}) & !(tt U[>=1] {c}) & !(tt U[>=1/3] {c})"
                 for c in sorted(g.colour_names)]
+    # an axiom-vertex atom looks its class up in `an.ids` by (rule, vertex)
+    v = g.axiom_rule().rhs.vertices[-1]
+    formulas.append(f"X[>0] {v} & !{v}")
 
     def refuse(*args):
         raise AssertionError("a CanonicalVertex was hashed or compared")

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from pregma.gio import parse_grammar
-from pregma.model import GrammarError, checked_rules, expand
+from pregma.model import GrammarError, checked_rules, expand, reachable_nonterminals
 from pregma.oracle import (
     HorizonError,
     PathQuery,
     TotalityError,
     _cone,
+    _may_raise,
     _threshold_tables,
     bounded_until,
     integer_weights,
@@ -25,7 +26,7 @@ from pregma.oracle import (
 from pregma.pcp import encode, load_pcp
 from pregma.pushdown import load_pds, to_grammar
 from pregma.rng import draw_array
-from pregma.validation import check_complete_outside, vertex_classes
+from pregma.validation import check_complete_outside, phr_check, vertex_classes
 from reference import config_chain
 
 V1 = frozenset({"V1"})
@@ -668,9 +669,11 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
     depth raises or is a prefix of it, and every vertex off the frontier of
     an expansion has its class's out-arcs and colours whenever the class's
     passings end; the vertices of the other classes never leave the
-    frontier."""
+    frontier. Without a shared vertex or an unpriced reachable arc, the
+    truncation oracle expects a raise exactly when phr_check fails a
+    reachable class whose passings end."""
     rng = random.Random(29)
-    seen = Counter()
+    seen, pinned = Counter(), Counter()
     for _ in range(300):
         g = parse_grammar(random_grammar(rng))
         depth = rng.randint(1, 4)
@@ -701,9 +704,18 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
             assert vc.terminates
             assert out[v] == dict(vc.out.finite)
             assert e.colours[v] == vc.colours
+        reached = reachable_nonterminals(g)
+        if not check_complete_outside(g) and all(
+                arc.label in g.mu for rule in g.rules if rule.lhs in reached
+                for arc in rule.rhs.arcs):
+            fails = any(f.can.rule in reached and classes[f.can].terminates
+                        for f in phr_check(g).failures)
+            assert _may_raise(g, *integer_weights(g.mu)) == fails
+            pinned[fails] += 1
         seen["shared"] += bool(check_complete_outside(g))
         seen["loops"] += not all(vc.terminates for vc in classes.values())
         seen["unpriced"] += "bad" not in g.mu
         seen["absorbing sinks"] += any(vc.is_sink and vc.colours & g.absorbing
                                        for vc in classes.values())
     assert min(seen.values()) >= 30, seen
+    assert min(pinned[True], pinned[False]) >= 10, pinned
