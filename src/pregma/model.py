@@ -330,7 +330,7 @@ class FiniteMC:
     den, den being the lcm of mu's denominators. Frontier states have
     incomplete rows. axiom_ids maps the names a query may start from to
     states (a truncation's are the axiom rule's vertex names). A truncation
-    also gives each state's class and level."""
+    also gives each state's class and level, and the grammar it expands."""
 
     trans: list[list[tuple[int, int]]]
     den: int
@@ -339,6 +339,7 @@ class FiniteMC:
     axiom_ids: dict[VertexId, int]
     classes: list[CanonicalVertex] | None = None
     levels: list[int] | None = None
+    grammar: Grammar | None = None
 
     @property
     def states(self) -> range:

@@ -45,7 +45,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import _mass_fault, _walk, hyperarc_slots
+from .validation import _mass_fault, vertex_classes
 
 
 class TotalityError(GrammarError):
@@ -77,13 +77,8 @@ def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
     if any(arc.label not in g.mu
            for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
         return True
-    down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
-    for rule in g.rules:
-        for v in rule.non_inputs if rule.lhs in names else ():
-            vc = down[rule.lhs, v]
-            if vc.terminates and _mass_fault(vc, g.absorbing, den, weight):
-                return True
-    return False
+    return any(vc.terminates and _mass_fault(vc, g.absorbing, den, weight)
+               for can, vc in vertex_classes(g).items() if can.rule in names)
 
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
@@ -150,7 +145,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in e.frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels)
+    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g)
     for i, row in enumerate(trans):
         if i not in e.frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
@@ -239,10 +234,14 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     layers = _cone(mc.trans, undecided, start, horizon)
     hit = _blocking(layers, mc.frontier, won)
     if hit is not None:
+        # a class whose passings never end keeps its vertices on the
+        # frontier at every depth, where deepening cannot help
+        stuck = mc.grammar is not None and not vertex_classes(
+            mc.grammar)[mc.classes[hit]].terminates
         raise HorizonError(
-            f"frontier vertex {hit}{mc.where(hit)} is within "
-            f"{horizon} steps of the start; deepen the truncation"
-        )
+            f"frontier vertex {hit}{mc.where(hit)} is within {horizon} steps of the "
+            "start; " + ("its class's passings never end, so its vertices never leave "
+                         "the frontier" if stuck else "deepen the truncation"))
     # the cone in layer order: the states within d steps are a prefix
     order = [s for layer in layers for s in layer]
     if not horizon or not undecided(start):

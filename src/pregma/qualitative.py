@@ -16,10 +16,10 @@ occurrences, every class that can end up at an input (`refs`); "for all
 occurrences" arguments then give sound universal verdicts, "for some
 occurrence" sound existential ones. One-step successors are read from the
 analysis's per-context fragments, each target a class set too. The until
-engines read which of the shared assembled system's variables are
-positive, worked out once per assembly, and each of their class sets is
-one fixpoint (`_fixpoint`), whose soundness rests on one induction over
-the level of a concrete vertex.
+engines read the shared assembly's positive variables and each class's
+positive descents, (j, variable) pairs, and never compute a variable id;
+each of their class sets is one fixpoint (`_fixpoint`), whose soundness
+rests on one induction over the level of a concrete vertex.
 """
 from __future__ import annotations
 
@@ -112,21 +112,6 @@ def _fixpoint(an: Analysis, start: Iterable[int],
     return s
 
 
-def _positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
-              ) -> tuple[frozenset[int], list[list[int]]]:
-    """The until's variables that are above 0, pins included, and each
-    reachable class's positive descents: the inputs its walks leave the
-    level through with positive probability. Kept on the assembly."""
-    assembly = shared_assembly(an, phi1, phi2)
-    if assembly.positive is None:
-        pos = assembly.system.positive_variables() | {
-            k for k, v in assembly.pins.items() if v}
-        dec = an.dec
-        assembly.positive = pos, [[k - dec[c] + 1 for k in range(dec[c], dec[c + 1])
-                                   if k in pos] for c in an.reachable]
-    return assembly.positive
-
-
 def until_positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> dict[int, str]:
     """Is P(phi1 until phi2) positive: holds (for every instance), fails (for
     none), or unknown.
@@ -138,17 +123,18 @@ def until_positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> 
     member at the input of every positive descent. Both are least
     fixpoints.
     """
-    pos, down = _positive(an, phi1, phi2)
+    assembly = shared_assembly(an, phi1, phi2)
+    pos, down = assembly.positive, assembly.descents
     rule = [can.rule for can in an.names]
 
     def can_be_zero(c: int, s: set[int]) -> bool:
         if c in pos:
             return False
-        return not down[c] or any(all(b[j - 1] & s for j in down[c])
+        return not down[c] or any(all(b[j - 1] & s for j, _ in down[c])
                                   for b in an.bindings.get(rule[c], []))
 
     may = _fixpoint(an, (), lambda c, s: c in pos or any(
-        an.refs[rule[c], j] & s for j in down[c]))
+        an.refs[rule[c], j] & s for j, _ in down[c]))
     bad = _fixpoint(an, (), can_be_zero)
     return {c: "fails" if c not in may else "holds" if c not in bad else "unknown"
             for c in an.reachable}
@@ -172,18 +158,18 @@ def until_almost_sure(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
     the limit but never certified) the answer stays unknown.
     """
     enc = solve_until(an, phi1, phi2, ALMOST_SURE_EPS)
-    pos, down = _positive(an, phi1, phi2)
-    rule, dec = [can.rule for can in an.names], an.dec
+    assembly = shared_assembly(an, phi1, phi2)
+    pos, down = assembly.positive, assembly.descents
+    rule = [can.rule for can in an.names]
 
     def mass(bound: dict[int, Fraction], c: int) -> Fraction:
-        keys = [c] + [dec[c] + j - 1 for j in down[c]]
-        return sum((bound[k] for k in keys if k in pos), ZERO)
+        return sum((bound[k] for _, k in down[c]), bound[c] if c in pos else ZERO)
 
     sure = {c for c in an.reachable if mass(enc.lo, c) >= 1}
     maybe = {c for c in an.reachable if mass(enc.hi, c) >= 1}
     certain = _fixpoint(an, an.reachable, lambda c, s: c in sure and all(
-        an.refs[rule[c], j] <= s for j in down[c]))
+        an.refs[rule[c], j] <= s for j, _ in down[c]))
     candidates = _fixpoint(an, (), lambda c, s: c in maybe and all(
-        not an.refs[rule[c], j] or an.refs[rule[c], j] & s for j in down[c]))
+        not an.refs[rule[c], j] or an.refs[rule[c], j] & s for j, _ in down[c]))
     return {c: "holds" if c in certain else "unknown" if c in candidates else "fails"
             for c in an.reachable}

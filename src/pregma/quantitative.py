@@ -14,7 +14,9 @@ read their answers there. Each until is solved once per analysis
 (`solve_until`), and every command reads that one enclosure. The variables
 are the analysis's dense ids: win(c) is the class id c, and c's descend
 variables follow all n wins, dec(c; j) at `an.dec[c] + j - 1`; `render_key`
-names them through `an.names`.
+names them through `an.names`. This module alone knows that layout: the
+assembly also carries which variables are positive and each class's
+positive descents, which the qualitative engines read.
 """
 from __future__ import annotations
 
@@ -40,12 +42,16 @@ def render_key(an: Analysis, key: int) -> str:
 
 @dataclass
 class Assembly:
+    """One until's system, its pins, and its positivity facts, all filled by
+    `assemble_system`; `shared` is filled by `solve_until`."""
+
     system: PolySystem  # the unpinned variables, pins folded into coefficients
     pins: dict[int, Fraction]
+    positive: frozenset[int]  # the variables above 0, pins at 1 included
+    # per class id, its positive descents: the inputs j its walks leave the
+    # level through with positive probability, each with dec(c; j)
+    descents: list[list[tuple[int, int]]]
     shared: tuple[Fraction, Enclosure] | None = None  # solve_until's eps and result
-    # the variables above 0, pins included, and each class's positive
-    # descents (qualitative._positive), once computed
-    positive: tuple[frozenset[int], list[list[int]]] | None = None
 
 
 def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:
@@ -53,19 +59,18 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
     so a pinned factor either drops its term or drops out of it."""
     system = PolySystem()
     pins: dict[int, Fraction] = {}
-    dec = an.dec
+    # each class's variable row: win(c), then dec(c; 1), dec(c; 2), ...
+    rows = [(c, *range(an.dec[c], an.dec[c + 1])) for c in an.reachable]
 
     for frag in an.fragments.values():
         for node in frag.starts:
             c = node.can
             if c in phi2 or c not in phi1:
-                pins[c] = ONE if c in phi2 else ZERO
-                for k in range(dec[c], dec[c + 1]):
-                    pins[k] = ZERO
-                continue
-            system.add_variable(c)
-            for k in range(dec[c], dec[c + 1]):
-                system.add_variable(k)
+                for k in rows[c]:
+                    pins[k] = ONE if k in phi2 else ZERO  # phi2 holds wins only
+            else:
+                for k in rows[c]:
+                    system.add_variable(k)
 
     def add_term(key: int, coeff: Fraction, *factors: int) -> None:
         """Add a term without its pinned factors, or drop it at a pinned 0."""
@@ -79,49 +84,39 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
 
     for frag in an.fragments.values():
         local = local_rows(an, frag, phi1, phi2)
+        # the hits on the context's inputs go first, so that each descent's
+        # constant terms lead its equation
+        inputs = {key for key, node in frag.nodes.items() if node.kind == "input"}
         for node in frag.starts:
             c = node.can
             if c in pins:
                 continue
-            row = local[node.key]
+            row, own = local[node.key], rows[c]
             add_term(c, row.win)
-            dkeys = range(dec[c], dec[c + 1])
-            for bkey, p in row.hits.items():
-                hit = frag.nodes[bkey]
-                if hit.kind == "input":
-                    add_term(dkeys[hit.input_index - 1], p)
-
-            for bkey, p in row.hits.items():
-                hit = frag.nodes[bkey]
-                if hit.kind == "input":
-                    continue
-                if hit.kind == "same":
-                    d = hit.can
-                    add_term(c, p, d)
-                    for dkey, k in zip(dkeys, range(dec[d], dec[d + 1])):
-                        add_term(dkey, p, k)
-                    continue
-                # child attachment: compose the child's descend behaviour
-                # with whatever its copy was glued on
-                e = hit.can
-                o = hit.arc_index
-                assert e is not None and o is not None
-                add_term(c, p, e)
-                for ell, glued in enumerate(frag.glue[o]):
-                    base = frag.nodes[glued]
-                    de = dec[e] + ell
+            for bkey in sorted(row.hits, key=inputs.__contains__, reverse=True):
+                p, hit = row.hits[bkey], frag.nodes[bkey]
+                if hit.kind == "child":
+                    # the walk wins in the child copy, or leaves it through
+                    # dec(e; ell) onto the vertex glued at its input ell
+                    e = hit.can
+                    add_term(c, p, e)
+                    landings = [(frag.nodes[glued], (k,))
+                                for glued, k in zip(frag.glue[hit.arc_index], rows[e][1:])]
+                else:
+                    landings = [(hit, ())]
+                for base, via in landings:
                     if base.kind == "input":
-                        # descending onto a vertex the parent passed in:
-                        # the walk leaves this level through that input
-                        add_term(dkeys[base.input_index - 1], p, de)
-                        continue
-                    target = base.can
-                    assert target is not None
-                    add_term(c, p, de, target)
-                    for dkey, k in zip(dkeys, range(dec[target], dec[target + 1])):
-                        add_term(dkey, p, de, k)
+                        # on input j the walk leaves this level: dec(c; j)
+                        add_term(own[base.input_index], p, *via)
+                    else:
+                        # on a class t of this level it goes on as t: win(c)
+                        # through win(t), dec(c; j) through dec(t; j)
+                        for key, k in zip(own, rows[base.can]):
+                            add_term(key, p, *via, k)
 
-    return Assembly(system, pins)
+    positive = system.positive_variables() | {k for k, v in pins.items() if v}
+    descents = [[(j, k) for j, k in enumerate(row[1:], 1) if k in positive] for row in rows]
+    return Assembly(system, pins, positive, descents)
 
 
 def shared_assembly(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:

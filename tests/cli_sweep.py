@@ -83,6 +83,9 @@ DEFECTS = [
      "  arc go u u\n  hyperarc A u\nrule A inputs x\n  vertex y\n  arc go y y\n"
      "  hyperarc B y\nrule B inputs x\n  vertex w\n  arc bad w w\n  arc go x x\n",
      "v0", "green"),
+    # the labeller: the atom stop is both a colour and an axiom-rule vertex
+    ("clash", "nonterminal Z 0\nterminal a 2\ncolour stop\nprob a 1\nabsorbing stop\n"
+     "axiom Z\nrule Z\n  vertex r stop\n  arc a r stop\n  colour stop stop\n", "r", "stop"),
 ]
 # grammar, axiom vertices the queries start from, colours the formulas use
 GRAMMARS = [
@@ -155,6 +158,13 @@ def _calls() -> list[list[str]]:
                   [*prob, "--method", "truncate", "--horizon", "2", "--depth", "4"],
                   ["check", path, "--formula", f"F[>0] {colour}", "--at", start],
                   ["expand", path, "--depth", "3"]]
+    # atoms naming an axiom-rule vertex or nothing, thresholds every
+    # probability passes, G, and --qualitative through ! and X
+    check = ["check", "corpus/running.gg", "--formula"]
+    for formula in ["v0 & F[>0] V2", "F[>0] nowhere", "F[>=0] V2", "F[<=1] V2",
+                    "G[>=1/2] V1", "G[>0] V1"]:
+        calls += [[*check, formula, "--at", "v0"], [*check, formula, "--emit-coloured"]]
+    calls += [[*check, formula, "--qualitative"] for formula in ["!X[>0] V2", "X[>=1] !V1"]]
     # usage errors and refusals
     calls += [
         [],
@@ -172,6 +182,12 @@ def _calls() -> list[list[str]]:
         ["check", "corpus/running.gg", "--formula", "F[>0] V2", "--at", "nowhere"],
         ["validate", "corpus/pcp_s1.pcp"],
         ["from-pds", "corpus/running.gg"],
+        ["prob", "corpus/running.gg", "--phi2", "V9", "--from", "v0"],
+        ["prob", "corpus/running.gg", "--phi2", " , ", "--from", "v0"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--method", "truncate"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--eps", "1/x"],
+        ["expand", "corpus/running.gg", "--depth", "two"],
+        ["expand", "corpus/running.gg", "--depth", "2", "-o", "missing/out.txt"],
     ]
     return calls
 

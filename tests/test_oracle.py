@@ -251,6 +251,19 @@ def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running, pds_prob
             r"^frontier vertex 2 is within 2 steps of the start; deepen the truncation$")):
         bounded_until(config_chain(pds_prob, ("r",), 2),
                       PathQuery(None, frozenset({"halt"}), "r", 2))
+    # r is passed on to C's input on every level, so it lies on the frontier
+    # at every depth: deepening cannot help, and the error says so
+    forever = parse_grammar(
+        "nonterminal Z 0\nnonterminal C 1\nterminal a 2\ncolour stop\nprob a 1\n"
+        "absorbing stop\naxiom Z\nrule Z\n  vertex r\n  hyperarc C r\n"
+        "rule C inputs x\n  vertex y\n  arc a x y\n  colour stop y\n  hyperarc C x\n")
+    query = PathQuery(None, frozenset({"stop"}), "r", 2)
+    for depth in (4, 300):
+        with pytest.raises(HorizonError, match=(
+                r"^frontier vertex 0 \(class Z:r, level 0\) is within 2 steps of the "
+                r"start; its class's passings never end, so its vertices never leave "
+                r"the frontier$")):
+            bounded_until(truncate(forever, depth, query), query)
 
 
 class Unreadable:

@@ -78,13 +78,23 @@ def test_reduced_system_equations(running):
 
 def test_descend_direction_two_is_dead_weight(running):
     an, phi1, phi2 = until_args(running, "V1", "V2")
-    reduced = assemble_system(an, phi1, phi2).system
+    asm = assemble_system(an, phi1, phi2)
+    reduced = asm.system
     nxt, fork = an.ids["A", "next"], an.ids["A", "fork"]
     pos = reduced.positive_variables()
     assert dec_key(an, nxt, 1) in pos
     assert dec_key(an, fork, 1) in pos
     assert dec_key(an, nxt, 2) not in pos
     assert dec_key(an, fork, 2) not in pos
+    # the assembly carries the same facts: the positive variables with the
+    # pins at 1, and per class its positive descents with their variables
+    win = an.ids["A", "win"]
+    assert asm.positive == pos | {win}
+    assert asm.descents[nxt] == [(1, dec_key(an, nxt, 1))]
+    assert asm.descents[fork] == [(1, dec_key(an, fork, 1))]
+    for site in [("A", "win"), ("A", "dead"), ("Z", "v0"), ("Z", "t0")]:
+        assert asm.descents[an.ids[site]] == []
+    assert len(asm.descents) == len(an.names)
 
 
 def test_render_key_names(running):
