@@ -4,14 +4,16 @@ nonterminal hyperarc.
 Within such a fragment the one-step behaviour of every vertex created by the
 rule is complete (its creation arcs plus the arcs gained from the single copy
 it is attached to), so first-hit probabilities towards the fragment's
-boundary are plain absorbing-chain algebra. They are computed in integers:
+boundary are plain absorbing-chain algebra. The boundary consists of the
+rule's own inputs (the walk moves to the level above), the rule's hyperarc
+vertices (it stays on this level; copy i is glued on hyperarc i's), and the
+copies' hyperarc vertices (it moves one level deeper). A start's row is its
+probability of winning inside the fragment and each boundary node's of
+being hit first; a loss counts nowhere. The rows are computed in integers:
 the arcs' probabilities become integer weights over one denominator, and
 one fraction-free elimination (Bareiss's, in Gauss–Jordan form) solves the
 fragment's system; each row becomes `Fraction`s only at the end, and phi1,
-phi2 and every node's class are the analysis's class ids. The
-boundary consists of the rule's own inputs (the walk moves to the level
-above), the rule's hyperarc vertices (it stays on this level), and the
-copies' hyperarc vertices (it moves one level deeper).
+phi2 and every node's class are the analysis's class ids.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ class Fragment:
     nodes: dict[NodeKey, FragmentNode] = field(default_factory=dict)
     # every node's out-arcs as (label, target), in arc order
     out: dict[NodeKey, list[tuple[str, NodeKey]]] = field(default_factory=dict)
-    glue: dict[int, tuple[NodeKey, ...]] = field(default_factory=dict)
 
     @property
     def starts(self) -> list[FragmentNode]:
@@ -78,7 +79,6 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
 
     for arc_index, h in enumerate(rule.rhs.hyperarcs):
         child = rules[h.label]
-        frag.glue[arc_index] = tuple(("base", v) for v in h.vertices)
         mapping: dict[VertexId, NodeKey] = {}
         for i, v in enumerate(h.vertices):
             mapping[child.inputs[i]] = ("base", v)
@@ -93,14 +93,12 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
     return frag
 
 
-@dataclass
-class LocalRow:
-    """First-hit decomposition from one start: win and loss absorb inside the
-    fragment, every boundary node gets its own hit probability."""
+class LocalRow(NamedTuple):
+    """First-hit decomposition from one start: the win probability inside
+    the fragment, and each boundary node's hit probability (those above 0)."""
 
-    win: Fraction = ZERO
-    loss: Fraction = ZERO
-    hits: dict[NodeKey, Fraction] = field(default_factory=dict)
+    win: Fraction
+    hits: dict[NodeKey, Fraction]
 
 
 def _eliminate(m: list[list[int]], n: int) -> int:
@@ -178,7 +176,7 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
     unknowns = [*column, *stepped]
     n = len(unknowns)
     boundary = [k for k, node in frag.nodes.items() if node.kind != "interior"]
-    bucket = {b: n + i for i, b in enumerate(["win", "loss", *boundary])}
+    bucket = {b: n + i for i, b in enumerate(["win", *boundary])}
 
     m = []
     for i, key in enumerate(unknowns):
@@ -188,7 +186,7 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
             t = target(dst)
             if t in column:
                 row[column[t]] -= weight[label]
-            else:
+            elif t in bucket:
                 row[bucket[t]] += weight[label]
         m.append(row)
     det = _eliminate(m, n)
@@ -209,10 +207,9 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
                      else [b for _, dst in frag.out[key] for b in reached(target(dst))])
             values = solved[key]
             rows[key] = LocalRow(
-                Fraction(values[n], det), Fraction(values[n + 1], det),
+                Fraction(values[n], det),
                 {b: Fraction(values[bucket[b]], det) for b in order if values[bucket[b]]})
-        elif key not in open_keys and gate(node) == "win":
-            rows[key] = LocalRow(win=ONE)
         else:
-            rows[key] = LocalRow(loss=ONE)
+            # it wins or loses at once, or is a pocket that never leaves
+            rows[key] = LocalRow(ONE if node.can in phi2 else ZERO, {})
     return rows

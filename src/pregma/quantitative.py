@@ -100,8 +100,8 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
                     # dec(e; ell) onto the vertex glued at its input ell
                     e = hit.can
                     add_term(c, p, e)
-                    landings = [(frag.nodes[glued], (k,))
-                                for glued, k in zip(frag.glue[hit.arc_index], rows[e][1:])]
+                    landings = [(frag.nodes["base", v], (k,)) for v, k in zip(
+                        frag.rule.rhs.hyperarcs[hit.arc_index].vertices, rows[e][1:])]
                 else:
                     landings = [(hit, ())]
                 for base, via in landings:

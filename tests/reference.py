@@ -2,8 +2,9 @@
 of them: the lines `expand` prints, the word-matching gadgets' closed
 forms (`pregma.pcp`), the configuration words and chains of a suffix
 rewriting system (`pregma.pushdown`), the scalar stream that
-`pregma.rng.draw_array` vectorises, and exact evaluation and solving over
-`Fraction`s.
+`pregma.rng.draw_array` vectorises, exact evaluation and solving over
+`Fraction`s, a fragment's first-hit rows (`pregma.fragments`), and a check
+that an enclosure proves its own bounds (`pregma.polysys`).
 
 `model._rewrite` yields rule applications without their parents. The
 helpers that need them replay the order `_rewrite` documents, so every use
@@ -366,3 +367,116 @@ def gauss_jordan(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]
+
+
+def fragment_rows(an, frag, phi1: frozenset[int], phi2: frozenset[int]) -> dict:
+    """(win, loss, hits) per start node of a `fragments.Fragment`, from an
+    absorbing chain over the fragment's nodes solved by `gauss_jordan`:
+    the reference for `fragments.local_rows`.
+
+    A node of a class in phi2 wins, one of a class outside phi1 or absorbing
+    loses, and every other interior node is transient; a transient node that
+    reaches no other kind of node keeps the walk for ever, and loses too.
+    Every node that is not interior absorbs as itself, and `hits` holds its
+    probability when that is above 0; a start that is such a node, and
+    neither wins nor loses, takes its first step before it absorbs. loss is
+    solved for like every other column, so win + loss + sum(hits) = 1 is
+    the fragment's mass, not an identity."""
+    mu = an.grammar.mu
+    ends = ["win", "loss", *(k for k, node in frag.nodes.items() if node.kind != "interior")]
+
+    def gate(node):
+        if node.can in phi2:
+            return "win"
+        return "loss" if node.can not in phi1 or node.can in an.absorbing else None
+
+    def unit(end) -> list[Fraction]:
+        return [Fraction(e == end) for e in ends]
+
+    transient = {k for k, node in frag.nodes.items()
+                 if node.kind == "interior" and gate(node) is None}
+    leaves = set(frag.nodes) - transient
+    while grown := {k for k in transient - leaves if any(d in leaves for _, d in frag.out[k])}:
+        leaves |= grown
+    live = [k for k in frag.nodes if k in transient and k in leaves]
+    index = {k: i for i, k in enumerate(live)}
+
+    def fixed(key) -> list[Fraction]:
+        """Where a walk on a node that is not live ends."""
+        node = frag.nodes[key]
+        if node.kind != "interior":
+            return unit(key)
+        return unit("loss" if key in transient else gate(node))
+
+    a = [[Fraction(i == j) for j in range(len(live))] for i in range(len(live))]
+    b = [[Fraction(0)] * len(ends) for _ in live]
+    for i, key in enumerate(live):
+        for label, dst in frag.out[key]:
+            if dst in index:
+                a[i][index[dst]] -= mu[label]
+            else:
+                b[i] = [x + mu[label] * y for x, y in zip(b[i], fixed(dst))]
+    value = dict(zip(live, gauss_jordan(a, b))) if live else {}
+
+    rows = {}
+    for node in frag.starts:
+        key = node.key
+        if node.kind == "interior":
+            x = value[key] if key in value else fixed(key)
+        elif gate(node):
+            x = unit(gate(node))
+        else:
+            x = [Fraction(0)] * len(ends)
+            for label, dst in frag.out[key]:
+                x = [s + mu[label] * y
+                     for s, y in zip(x, value[dst] if dst in value else fixed(dst))]
+        rows[key] = (x[0], x[1], {e: p for e, p in zip(ends[2:], x[2:]) if p})
+    return rows
+
+
+def enclosure_fault(system, enc) -> str | None:
+    """Why `enc` is not a proof that [lo, hi] holds the least fixpoint μF
+    of a `PolySystem`'s equations, or None when it is. Reads only the
+    equations and the two vectors.
+
+    A variable is positive when one of its terms has only positive factors;
+    every other one has value 0, so its lo must be 0.
+    - hi: for every positive k, F(hi)ₖ ≤ hiₖ or hiₖ = 1. By induction every
+      Kleene iterate from 0 stays ≤ hi: where hiₖ = 1 because the values
+      are probabilities, elsewhere by monotonicity.
+    - lo: lo ≤ F(lo), and I − F′(lo) over the positive variables is a
+      nonsingular M-matrix: an exact elimination without row swaps has
+      every pivot > 0. With d = lo − μF, convexity gives d⁺ ≤ F′(lo)d⁺, and
+      ρ(F′(lo)) < 1 forces d⁺ = 0.
+    """
+    eqs, lo, hi = system.equations, enc.lo, enc.hi
+    pos: set = set()
+    while grown := {k for k, terms in eqs.items() if k not in pos
+                    and any(all(f in pos for f in fs) for _, fs in terms)}:
+        pos |= grown
+    for k in eqs:
+        if not 0 <= lo[k] <= hi[k] <= 1:
+            return f"{k}: not 0 <= lo <= hi <= 1"
+        if k not in pos and lo[k]:
+            return f"{k}: lo above the value 0"
+        if k in pos and hi[k] != 1 and rhs_value(system, k, hi) > hi[k]:
+            return f"{k}: F(hi) above hi"
+        if k in pos and rhs_value(system, k, lo) < lo[k]:
+            return f"{k}: F(lo) below lo"
+    order = [k for k in eqs if k in pos]
+    m = {k: {k: Fraction(1)} for k in order}  # I − F′(lo), sparse rows
+    for k in order:
+        for coeff, fs in eqs[k]:
+            for i, f in enumerate(fs):
+                if f in pos:
+                    m[k][f] = m[k].get(f, 0) - (coeff * lo[fs[1 - i]] if len(fs) == 2 else coeff)
+    for i, k in enumerate(order):
+        pivot = m[k].get(k, 0)
+        if pivot <= 0:
+            return f"{k}: pivot {pivot} of I - F'(lo) is not > 0"
+        for r in order[i + 1:]:
+            if m[r].get(k):
+                factor = m[r][k] / pivot
+                for col, x in m[k].items():
+                    m[r][col] = m[r].get(col, 0) - factor * x
+    return None

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from pregma.fragments import local_rows
+from pregma.fragments import LocalRow, local_rows
+from pregma.gio import load_grammar
 from pregma.labeling import classes_for_colours
 from pregma.validation import analyse
+from reference import fragment_rows
 
 F = Fraction
 
@@ -23,8 +25,12 @@ def test_fragment_layout(running):
     assert sorted(n.key for n in frag.starts) == [
         ("base", "dead"), ("base", "fork"), ("base", "next"), ("base", "win"),
     ]
-    # one child copy, glued onto (next, fork)
-    assert frag.glue == {0: (("base", "next"), ("base", "fork"))}
+    # one child copy, glued onto (next, fork): its rule hyperarc's vertices,
+    # each a node of this level's own classes
+    (h,) = frag.rule.rhs.hyperarcs
+    assert h.vertices == ("next", "fork")
+    assert [frag.nodes["base", v].kind for v in h.vertices] == ["same", "same"]
+    assert {n.arc_index for n in frag.nodes.values() if n.key[0] == "copy"} == {0}
     kinds = {k: n.kind for k, n in frag.nodes.items()}
     assert kinds[("base", "s")] == "input"
     assert kinds[("copy", 0, "next")] == "child"
@@ -34,16 +40,13 @@ def test_fragment_layout(running):
 
 def test_first_hit_rows(running_rows):
     _, rows = running_rows
-    fork = rows[("base", "fork")]
-    assert fork.win == F(1, 2)
-    assert fork.loss == F(1, 4)
-    assert fork.hits[("base", "s")] == F(1, 4)
-    nxt = rows[("base", "next")]
-    assert nxt.win == 0
-    assert nxt.hits[("base", "fork")] == F(1, 2)
-    assert nxt.hits[("copy", 0, "next")] == F(1, 2)
-    assert rows[("base", "win")].win == 1
-    assert rows[("base", "dead")].loss == 1
+    # fork wins 1/2, hits s 1/4 and loses the other 1/4
+    assert rows[("base", "fork")] == LocalRow(F(1, 2), {("base", "s"): F(1, 4)})
+    assert rows[("base", "next")] == LocalRow(
+        0, {("base", "fork"): F(1, 2), ("copy", 0, "next"): F(1, 2)})
+    assert rows[("base", "win")] == LocalRow(1, {})
+    # dead loses with probability 1
+    assert rows[("base", "dead")] == LocalRow(0, {})
 
 
 def test_rows_from_inputs(running, running_rows):
@@ -77,10 +80,30 @@ def test_axiom_fragment_rows(running):
     phi2 = classes_for_colours(an, frozenset({"V2"}))
     frag = an.fragments["Z"]
     rows = local_rows(an, frag, phi1, phi2)
-    v0 = rows[("base", "v0")]
-    assert v0.hits[("base", "t0")] == F(1, 2)
-    assert v0.hits[("copy", 0, "next")] == F(1, 2)
-    assert rows[("base", "t0")].loss == 1
+    assert rows[("base", "v0")] == LocalRow(
+        0, {("base", "t0"): F(1, 2), ("copy", 0, "next"): F(1, 2)})
+    # t0 loses with probability 1
+    assert rows[("base", "t0")] == LocalRow(0, {})
+
+
+def match_the_reference(an, phi1, phi2) -> int:
+    """Asserts that every fragment's rows have the reference's win and hits,
+    and that the reference's own win, loss and hits have mass 1 (the rows
+    carry no loss, so 1 - win - sum(hits) would check nothing). Returns the
+    number of rows."""
+    count = 0
+    for name, frag in an.fragments.items():
+        rows = local_rows(an, frag, phi1, phi2)
+        ref = fragment_rows(an, frag, phi1, phi2)
+        assert rows.keys() == ref.keys()
+        for key, row in rows.items():
+            win, loss, hits = ref[key]
+            assert (row.win, row.hits) == (win, hits), (name, key)
+            assert win + loss + sum(hits.values()) == 1, (name, key)
+            assert win >= 0 and loss >= 0
+            assert all(p > 0 for p in row.hits.values())
+        count += len(rows)
+    return count
 
 
 @pytest.mark.parametrize("colour_pair", [("V1", "V2"), (None, "sink")])
@@ -95,9 +118,19 @@ def test_rows_partition_unit_mass(running, dag, updrift, critical, colour_pair):
             an, frozenset({phi1_name}) if phi1_name in names else None
         )
         phi2 = classes_for_colours(an, frozenset({phi2_name}))
-        for name, frag in an.fragments.items():
-            rows = local_rows(an, frag, phi1, phi2)
-            for key, row in rows.items():
-                assert row.win + row.loss + sum(row.hits.values()) == 1, (g.axiom, name, key)
-                assert row.win >= 0 and row.loss >= 0
-                assert all(p > 0 for p in row.hits.values())
+        match_the_reference(an, phi1, phi2)
+
+
+def test_rows_match_the_reference_on_every_colour_pair(corpus_dir, branching_walk):
+    # every corpus grammar and a seeded walk, phi1 true or a colour and phi2
+    # a colour: the pairs above reach only running.gg
+    count = 0
+    for g in [*map(load_grammar, sorted(corpus_dir.glob("*.gg"))), branching_walk]:
+        an = analyse(g)
+        names = sorted(g.colour_names)
+        for phi1 in [None, *names]:
+            for phi2 in names:
+                count += match_the_reference(
+                    an, *(classes_for_colours(an, None if c is None else frozenset({c}))
+                          for c in (phi1, phi2)))
+    assert count >= 100

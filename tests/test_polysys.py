@@ -19,9 +19,9 @@ from pregma.polysys import (
     _solve, decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
-from pregma.quantitative import assemble_system
+from pregma.quantitative import assemble_system, shared_assembly, solve_until
 from pregma.validation import analyse
-from reference import evaluate, gauss_jordan, rhs_value
+from reference import enclosure_fault, evaluate, gauss_jordan, rhs_value
 
 F = Fraction
 ONE = F(1)
@@ -874,3 +874,50 @@ def test_a_stalled_round_goes_on_to_certification_in_the_reference_too(eps):
 @given(non_dyadic_systems())
 def test_non_dyadic_systems_match_the_fraction_reference(s):
     assert same_enclosure(s, eps=F(1, 10**6)).iterations <= 500
+
+
+def until_enclosures():
+    """(name, system, enclosure) for every `solve_until` enclosure, at eps
+    1e-6 and 1e-9, of every corpus `.gg` colour (phi1 tt or a colour),
+    `pds_example_prob`'s halt, and the seeded chain and branching walks at
+    K = 2 to 64, critical and not."""
+    cases = []
+    for path in sorted(CORPUS.glob("*.gg")):
+        g = load_grammar(path)
+        names = sorted(g.colour_names)
+        cases += [(path.name, g, phi1, phi2) for phi1 in [None, *names] for phi2 in names]
+    cases.append(("pds_example_prob", to_grammar(load_pds(CORPUS / "pds_example_prob.pds")),
+                  None, "halt"))
+    rng = random.Random(64)
+    cases += [(f"{shape}{k}{' critical' * critical}",
+               walk_grammar(shape, walk_levels(k, critical, rng)), None, "green")
+              for shape in ("chain", "branching") for k in (2, 8, 32, 64)
+              for critical in (False, True)]
+    for name, g, phi1, phi2 in cases:
+        an = analyse(g)
+        sets = [classes_for_colours(an, None if c is None else frozenset({c}))
+                for c in (phi1, phi2)]
+        for eps in (F(1, 10**6), F(1, 10**9)):
+            enc = solve_until(an, *sets, eps=eps)
+            yield f"{name}: {phi1 or 'tt'} U {phi2} at {eps}", \
+                shared_assembly(an, *sets).system, enc
+
+
+def test_every_until_enclosure_carries_its_proof():
+    count = 0
+    for name, system, enc in until_enclosures():
+        assert enclosure_fault(system, enc) is None, name
+        count += bool(system.variables)
+    assert count >= 50
+
+
+def test_the_proof_check_refuses_a_wrong_lo_and_a_low_hi():
+    # x = 1/4 + 3/4 x^2 has the value 1/3 and a second fixpoint at 1
+    s = scalar(F(1, 4), F(3, 4))
+    assert enclosure_fault(s, Enclosure({"x": F(1, 3)}, {"x": F(1, 3)}, True, True, 0)) is None
+    assert enclosure_fault(s, Enclosure({"x": F(0)}, {"x": ONE}, False, False, 0)) is None
+    # lo = 1 is a fixpoint, so lo <= F(lo), but F'(1) = 3/2
+    assert "pivot -1/2" in enclosure_fault(
+        s, Enclosure({"x": ONE}, {"x": ONE}, True, False, 0))
+    assert "F(hi) above hi" in enclosure_fault(
+        s, Enclosure({"x": F(0)}, {"x": F(1, 4)}, False, False, 0))
