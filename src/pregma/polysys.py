@@ -4,6 +4,15 @@ The solver encloses the least fixpoint from below and above. Variables
 whose least fixpoint is 0 (no chain of terms feeds them a constant) are
 set to 0 and dropped first, together with every term they appear in.
 
+Then the strongly connected components of the dependency graph are walked
+dependencies first, and each one whose inputs from below are exact closes
+exactly where it can (`_close`): a linear one by an exact solve, a
+quadratic one at 1, critical points included, both tested by the pivot
+test of the elimination that gives Newton directions (`_solve`), run over
+Fractions. Closed values become pins folded into the terms that read them,
+as in the until's assembly, and the rest iterates as below; when no cyclic
+component closes, the solve runs as if the walk had not happened.
+
 The lower bound starts at zero. Each round takes a Kleene step, rounded
 down onto a bit grid, and then one Newton step on every strongly connected
 component of the dependency graph, dependencies first (decomposed Newton,
@@ -42,7 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, isfinite, lcm
+from math import gcd, inf, lcm, prod
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 Key = Hashable
@@ -231,18 +240,21 @@ def _components(rows: list[Row], den: int) -> list[_Component]:
     return out
 
 
-def _solve(matrix: list[dict[int, float]], rhs: list[list[float]],
-           order: Sequence[int]) -> list[list[float]] | None:
+def _solve(matrix: list[dict[int, float | Fraction]], rhs: list[list[float | Fraction]],
+           order: Sequence[int], singular: bool = False) -> list[list[float | Fraction]] | None:
     """matrix^-1 rhs by sparse Gaussian elimination without row swaps,
     pivoting on the diagonal in `order`; None once a pivot is not a
-    positive finite float, or a solution entry is not finite.
+    positive finite number, or a solution entry is not finite. With
+    `singular`, a last pivot of exactly 0 passes too, and then the matrix
+    has no inverse and the result is [].
 
-    The rows map column to entry and rhs holds each row's right-hand sides.
+    The rows map column to entry and rhs holds each row's right-hand sides,
+    floats for a Newton direction and Fractions for an exact closure.
     Without row swaps the k-th pivot is the ratio of the k-th and (k-1)-th
     leading principal minors of the matrix permuted symmetrically by
     `order`, and a Z-matrix is a nonsingular M-matrix exactly when all of
-    them are positive: for I - A the pivot test is the M-matrix test, up to
-    float rounding.
+    them are positive: for I - A the pivot test is the M-matrix test, exact
+    over Fractions and up to rounding over floats.
     """
     rows = [dict(row) for row in matrix]
     rhs = [list(b) for b in rhs]
@@ -257,7 +269,7 @@ def _solve(matrix: list[dict[int, float]], rhs: list[list[float]],
             below[j].discard(k)
         p = row.pop(k, 0.0)
         if not 0 < p < inf:
-            return None
+            return [] if singular and p == 0 and k == order[-1] else None
         pivots[k] = p
         b = rhs[k]
         for i in below[k]:
@@ -270,11 +282,11 @@ def _solve(matrix: list[dict[int, float]], rhs: list[list[float]],
                     other[j] = -f * v
                     below[j].add(i)
             rhs[i] = [y - f * z for y, z in zip(rhs[i], b)]
-    x: list[list[float]] = [[]] * len(rows)
+    x: list[list[float | Fraction]] = [[]] * len(rows)
     for k in reversed(order):
         x[k] = [(y - sum(v * x[j][c] for j, v in rows[k].items())) / pivots[k]
                 for c, y in enumerate(rhs[k])]
-    if not all(isfinite(y) for col in x for y in col):
+    if not all(abs(y) < inf for col in x for y in col):  # a nan fails too
         return None
     return x
 
@@ -381,10 +393,98 @@ def _newton(
     return new, v
 
 
+def _close(components: list[_Component], den: int) -> dict[int, Fraction]:
+    """The exact values of the variables that close, dependencies first,
+    or {} when no cyclic component closes.
+
+    A variable closes once every variable it reads from below has: an
+    acyclic one takes its right-hand side's value, and a cyclic component,
+    with G its map at those exact inputs, closes in one of two ways.
+    - Linear (no term with both factors inside): G(x) = Ax + b. When I - A
+      passes `_solve`'s exact pivot test it is a nonsingular M-matrix, so
+      rho(A) < 1 and (I - A)^-1 b is G's one fixpoint.
+    - Quadratic: at 1, when G(1) = 1 exactly and the pivots of I - G'(1)
+      are all > 0, or all > 0 but a last 0. Let d = 1 - muG >= 0; convexity
+      gives d <= G'(1)d. All pivots > 0 make rho(G'(1)) < 1, so d = 0.
+      Otherwise rho(G'(1)) = 1, and G'(1) is irreducible (the component is
+      strongly connected, and every value it is read at is positive); if
+      d != 0, Perron-Frobenius makes d > 0 and G'(1)d = d. Expanding G
+      exactly, 1 - d = G(1 - d) = 1 - G'(1)d + Q(d), with Q(d) the sum of
+      c d_a d_b over the terms whose factors a, b both lie inside: Q(d) = 0,
+      yet such a term makes it positive. So muG = 1.
+    Both refuse before any elimination where G'(1)1 > 1 in every row, since
+    then rho(G'(1)) > 1 (Collatz-Wielandt), and the quadratic case where
+    G(1) != 1. A value above 1 or with a denominator above _DEN_CAP is not
+    kept: the values are probabilities, and pins stay cheap to fold in.
+    """
+    value: dict[int, Fraction] = {}
+    closed = False
+    # no acyclic variable above the last cyclic component helps a closure
+    last = max((i for i, comp in enumerate(components) if comp.cyclic), default=-1)
+    for comp in components[:last + 1]:
+        inside = set(comp.members)
+        lower = [g for g in comp.reads if g not in inside]
+        if not all(g in value for g in lower):
+            continue
+        # the reads over S: inside at 1, below at their values
+        scale = lcm(*[value[g].denominator for g in lower])
+        a = [scale if g in inside else value[g].numerator * (scale // value[g].denominator)
+             for g in comp.reads]
+        a.append(scale)
+        total = den * scale * scale
+        at_one = _sums(comp.rows, a)  # G(1) over total
+        if not comp.cyclic:
+            v = Fraction(at_one[0], total)
+            if v.denominator <= _DEN_CAP:
+                value[comp.members[0]] = v
+            continue
+        n = len(comp.members)
+        quadratic = any(y >= 0 and comp.reads[x] in inside and comp.reads[y] in inside
+                        for row in comp.rows for _, x, y in row)
+        if quadratic and any(y != total for y in at_one):
+            continue
+        w = _sums(comp.i_minus_a, [scale] * n + a)  # (I - G'(1))1 over total
+        if all(y < 0 for y in w):
+            continue
+        matrix = []  # I - G'(1), its entries over den * S
+        for terms in comp.i_minus_a:
+            row: dict[int, int] = {}
+            for c, f, o in terms:
+                row[f] = row.get(f, 0) + c * a[o - n if o >= 0 else -1]
+            matrix.append({f: Fraction(y, den * scale) for f, y in row.items()})
+        if quadratic:
+            if _solve(matrix, [[] for _ in range(n)], comp.order, singular=True) is None:
+                continue
+            values = [Fraction(1)] * n
+        else:
+            # b = G(1) - G'(1)1, as G is linear
+            x = _solve(matrix, [[Fraction(g - total + y, total)] for g, y in zip(at_one, w)],
+                       comp.order)
+            if x is None:
+                continue
+            values = [y for y, in x]
+            if any(y > 1 or y.denominator > _DEN_CAP for y in values):
+                continue
+        value.update(zip(comp.members, values))
+        closed = True
+    return value if closed else {}
+
+
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     """nums over den, with their common factor cancelled."""
     g = gcd(den, *nums)
     return ([y // g for y in nums], den // g) if g > 1 else (nums, den)
+
+
+def _compile(names: list[Key], terms: list[list[Term]]) -> tuple[dict[Key, int], int, list[Row]]:
+    """names become 0..m-1 and each row's coefficients integers over the
+    common denominator den: (index, den, rows)."""
+    index = {k: i for i, k in enumerate(names)}
+    den = lcm(*{coeff.denominator for row in terms for coeff, _ in row})
+    rows = [[(coeff.numerator * (den // coeff.denominator),
+              *(index[f] for f in factors), *(-1,) * (2 - len(factors)))
+             for coeff, factors in row] for row in terms]
+    return index, den, rows
 
 
 # the round cap of every solve
@@ -400,7 +500,8 @@ def solve_enclosure(
     converged means: hi - lo <= eps on every variable, for the eps > 0
     given, unless the round cap `_ROUNDS` stops the solve first. exact
     means lo is the least fixpoint itself, which happens whenever the
-    iteration closes, e.g. on systems with no cyclic dependencies.
+    iteration closes, e.g. on systems with no cyclic dependencies, or when
+    `_close` pins every variable.
 
     lo (the Kleene iterate, and Newton's values) is one numerator per
     variable over a shared denominator; hi, which certification replaces a
@@ -410,23 +511,29 @@ def solve_enclosure(
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
-    # variables whose value is positive. The rest become 0..m-1, their
-    # coefficients integers over the common denominator den.
+    # variables whose value is positive.
     positive = system.positive_variables()
     names = [k for k in keys if k in positive]
-    index = {k: i for i, k in enumerate(names)}
     terms = [[t for t in system.equations[k] if all(f in positive for f in t[1])]
              for k in names]
-    den = lcm(*{coeff.denominator for row in terms for coeff, _ in row})
-    rows = [[(coeff.numerator * (den // coeff.denominator),
-              *(index[f] for f in factors), *(-1,) * (2 - len(factors)))
-             for coeff, factors in row] for row in terms]
+    index, den, rows = _compile(names, terms)
+    components = _components(rows, den)
+    # Components that close exactly become pins, folded into the rows that
+    # read them; the rest iterate.
+    pins = {names[i]: v for i, v in _close(components, den).items()}
+    if pins:
+        kept = [i for i, k in enumerate(names) if k not in pins]
+        names = [names[i] for i in kept]
+        terms = [[(coeff * prod(pins[f] for f in fs if f in pins),
+                   tuple(f for f in fs if f not in pins)) for coeff, fs in terms[i]]
+                 for i in kept]
+        index, den, rows = _compile(names, terms)
+        components = _components(rows, den)
     m = len(rows)
     lo, lo_den = [0] * m, 1
     hi, hi_den = [1] * m, [1] * m
     en, ed = eps.numerator, eps.denominator
     bits = max(64, (ed // en).bit_length() + 16)
-    components = _components(rows, den)
     # The first positive offset lies far below eps: a component's slack above
     # its lower bound reaches the components above it amplified.
     base_delta = (en, ed << 20)  # eps / 2^20
@@ -543,8 +650,9 @@ def solve_enclosure(
         # second run on the same lo would not change hi
         certify()
     return Enclosure(
-        {k: Fraction(lo[index[k]], lo_den) if k in index else ZERO for k in keys},
-        {k: Fraction(hi[index[k]], hi_den[index[k]]) if k in index else ZERO for k in keys},
+        {k: Fraction(lo[index[k]], lo_den) if k in index else pins.get(k, ZERO) for k in keys},
+        {k: Fraction(hi[index[k]], hi_den[index[k]]) if k in index else pins.get(k, ZERO)
+         for k in keys},
         narrow(),
         exact,
         rounds,

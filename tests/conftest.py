@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pregma.gio import load_grammar, parse_grammar
+from pregma.oracle import PathQuery, bounded_until, truncate
 from pregma.pcp import load_pcp
 from pregma.pushdown import load_pds
 
@@ -34,8 +35,20 @@ def updrift():
 
 @pytest.fixture(scope="session")
 def critical():
-    """Fair walk with a double root at 1; almost-sure queries stay unknown."""
+    """Fair walk with a double root at 1, which the solver closes exactly."""
     return load_grammar(CORPUS / "critical.gg")
+
+
+@pytest.fixture(scope="session")
+def critical_bounded(critical):
+    """Exact P(F<=h green) on critical.gg at h = 0, 4, ..., 24 from m0 and
+    from the Walk:hi vertex on level 1, keyed by class name: a value of
+    exactly 1 must lie above all of them, and they must rise with h."""
+    green = frozenset({"green"})
+    mc = truncate(critical, 28, PathQuery(None, green, "m0", 26))
+    starts = {"Z:m0": "m0", "Walk:hi": mc.levels.index(1)}
+    return {name: [bounded_until(mc, PathQuery(None, green, s, h)) for h in range(0, 25, 4)]
+            for name, s in starts.items()}
 
 
 @pytest.fixture(scope="session")

@@ -434,6 +434,32 @@ def fragment_rows(an, frag, phi1: frozenset[int], phi2: frozenset[int]) -> dict:
     return rows
 
 
+def pivots(rows: dict, order: list) -> list[Fraction]:
+    """The pivots of an exact elimination of a sparse matrix (rows: key ->
+    {key: entry}) without row swaps, in `order`, up to and including the
+    first that is not > 0. A Z-matrix is a nonsingular M-matrix exactly when
+    every pivot is > 0."""
+    m = {k: dict(rows[k]) for k in order}
+    out = []
+    for i, k in enumerate(order):
+        pivot = m[k].get(k, Fraction(0))
+        out.append(pivot)
+        if pivot <= 0:
+            break
+        for r in order[i + 1:]:
+            if m[r].get(k):
+                factor = m[r][k] / pivot
+                for col, x in m[k].items():
+                    m[r][col] = m[r].get(col, 0) - factor * x
+    return out
+
+
+def closes_singular(ps: list[Fraction], n: int) -> bool:
+    """Pivots all > 0 but a last 0: an irreducible Z-matrix I - A with them
+    has rho(A) = 1."""
+    return len(ps) == n and ps[-1] == 0 and all(p > 0 for p in ps[:-1])
+
+
 def enclosure_fault(system, enc) -> str | None:
     """Why `enc` is not a proof that [lo, hi] holds the least fixpoint μF
     of a `PolySystem`'s equations, or None when it is. Reads only the
@@ -444,10 +470,24 @@ def enclosure_fault(system, enc) -> str | None:
     - hi: for every positive k, F(hi)ₖ ≤ hiₖ or hiₖ = 1. By induction every
       Kleene iterate from 0 stays ≤ hi: where hiₖ = 1 because the values
       are probabilities, elsewhere by monotonicity.
-    - lo: lo ≤ F(lo), and I − F′(lo) over the positive variables is a
-      nonsingular M-matrix: an exact elimination without row swaps has
-      every pivot > 0. With d = lo − μF, convexity gives d⁺ ≤ F′(lo)d⁺, and
-      ρ(F′(lo)) < 1 forces d⁺ = 0.
+    - lo: lo ≤ F(lo), and on every component C of A = F′(lo) over the
+      positive variables (strongly connected in its nonzero entries), an
+      exact elimination of I − A on C without row swaps has every pivot
+      > 0, or lo is an exact fixpoint on C, the pivots are all > 0 but a
+      last 0, and some term of C has both factors in C.
+
+    Proof for lo, with d = lo − μF: convexity gives d ≤ Ad, so d⁺ ≤ Ad⁺.
+    Go through the components dependencies first, with d ≤ 0 on those
+    below C: then d⁺ ≤ A_CC d⁺ on C. Every pivot > 0 makes ρ(A_CC) < 1, so
+    d ≤ 0 on C. Otherwise ρ(A_CC) = 1 and A_CC is irreducible: if d⁺ ≠ 0
+    on C, Perron–Frobenius gives d > 0 and A_CC d = d on C. F is quadratic,
+    so F(lo − d) = F(lo) − Ad + Q(d) exactly, with Q(d)ₖ = Σ c·d_a·d_b over
+    k's quadratic terms; lo and μF are fixpoints on C, so there Q(d) equals
+    Σ_{f∉C} Aₖf·d_f. Split by term, Q(d) minus that sum is c·d_a·d_b > 0
+    for a, b in C; −c·μ_a·d_b ≥ 0 for a in C and b outside (lo_a > 0, so b
+    is below C); c·(μ_a·μ_b − lo_a·lo_b) ≥ 0 for a, b outside (each is
+    below C or the other's lo is 0); and −c·d_b ≥ 0 for a linear term in a
+    b below C. So a term with both factors in C rules d⁺ ≠ 0 out.
     """
     eqs, lo, hi = system.equations, enc.lo, enc.hi
     pos: set = set()
@@ -464,19 +504,39 @@ def enclosure_fault(system, enc) -> str | None:
         if k in pos and rhs_value(system, k, lo) < lo[k]:
             return f"{k}: F(lo) below lo"
     order = [k for k in eqs if k in pos]
-    m = {k: {k: Fraction(1)} for k in order}  # I − F′(lo), sparse rows
+    jac: dict = {k: {} for k in order}  # A = F′(lo), its nonzero entries
     for k in order:
         for coeff, fs in eqs[k]:
             for i, f in enumerate(fs):
                 if f in pos:
-                    m[k][f] = m[k].get(f, 0) - (coeff * lo[fs[1 - i]] if len(fs) == 2 else coeff)
-    for i, k in enumerate(order):
-        pivot = m[k].get(k, 0)
-        if pivot <= 0:
-            return f"{k}: pivot {pivot} of I - F'(lo) is not > 0"
-        for r in order[i + 1:]:
-            if m[r].get(k):
-                factor = m[r][k] / pivot
-                for col, x in m[k].items():
-                    m[r][col] = m[r].get(col, 0) - factor * x
+                    jac[k][f] = jac[k].get(f, 0) + (coeff * lo[fs[1 - i]] if len(fs) == 2
+                                                    else coeff)
+        jac[k] = {f: x for f, x in jac[k].items() if x}
+    reach = {}
+    for k in order:
+        seen, todo = {k}, [k]
+        while todo:
+            for f in jac[todo.pop()]:
+                if f not in seen:
+                    seen.add(f)
+                    todo.append(f)
+        reach[k] = seen
+    done: set = set()
+    for k in order:
+        if k in done:
+            continue
+        comp = [f for f in order if f in reach[k] and k in reach[f]]
+        done.update(comp)
+        inside = set(comp)
+        rows = {r: {f: -x for f, x in jac[r].items() if f in inside} for r in comp}
+        for r in comp:
+            rows[r][r] = 1 + rows[r].get(r, 0)
+        ps = pivots(rows, comp)
+        if ps[-1] > 0:
+            continue
+        if (closes_singular(ps, len(comp))
+                and all(rhs_value(system, r, lo) == lo[r] for r in comp)
+                and any(len(fs) == 2 and set(fs) <= inside for r in comp for _, fs in eqs[r])):
+            continue
+        return f"{comp[len(ps) - 1]}: pivot {ps[-1]} of I - F'(lo) is not > 0"
     return None

@@ -418,7 +418,15 @@ def test_check_exit_codes_follow_verdicts(corpus_dir):
         "check", gg(corpus_dir, "critical.gg"),
         "--formula", "tt U[>=1] green", "--at", "m0",
     ])
-    assert (code, out) == (2, "unknown\n")
+    assert (code, out) == (0, "holds\n")
+
+    # the value at m0 is exactly 1/4, which no enclosure decides
+    code, out, _ = run([
+        "check", gg(corpus_dir, "updrift.gg"),
+        "--formula", "F[>=1/4] green", "--at", "m0",
+    ])
+    assert code == 2
+    assert out.startswith("unknown enclosure=[")
 
 
 def test_check_emit_coloured(corpus_dir):
@@ -516,10 +524,11 @@ def test_connectives_are_kleene_per_class(corpus_dir, name, a, b):
 
 def test_check_without_at_prints_the_conjunction(corpus_dir):
     """On critical.gg, F[>=1] green meets a double root at 1 that the
-    engines leave undecided below the axiom, so the run prints unknown and
-    exits 2 for as long as some class stays unknown."""
+    solver closes exactly, so every class holds: the run prints holds and
+    exits 0, the Kleene conjunction of the per-class verdicts."""
     path = gg(corpus_dir, "critical.gg")
     overall = _kleene_and(*_class_verdicts(path, "F[>=1] green").values())
+    assert overall == "holds"
     assert run(["check", path, "--formula", "F[>=1] green"]) == (
         _EXIT[overall], f"{overall}\n", "")
 

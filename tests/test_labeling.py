@@ -112,15 +112,22 @@ def test_one_step_over_undecided_subformula(running, formula, expected):
     assert statuses(label_formula(running, parse_formula(formula))) == expected
 
 
-def test_almost_sure_until_leaves_hard_classes_open(critical):
+def test_almost_sure_until_closes_critical_classes(critical, critical_bounded):
+    # the double root at 1 closes exactly, so every class holds; the
+    # bounded values from m0 and Walk:hi stay at most 1 and rise
     lab = label_formula(critical, parse_formula("tt U[>=1] green"))
     assert statuses(lab) == {
-        "Z:base": "holds", "Z:m0": "unknown", "Walk:hi": "unknown",
+        "Z:base": "holds", "Z:m0": "holds", "Walk:hi": "holds",
     }
+    for values in critical_bounded.values():
+        assert all(a <= b <= 1 for a, b in zip(values, values[1:])), values
 
 
-def test_decided_conjunct_masks_undecided(critical):
-    lab = label_formula(critical, parse_formula("!tt & (tt U[>=1] green)"))
+def test_decided_conjunct_masks_undecided(updrift):
+    # updrift's value at m0 is exactly 1/4, which no enclosure decides
+    until = parse_formula("F[>=1/4] green")
+    assert "unknown" in statuses(label_formula(updrift, until)).values()
+    lab = label_formula(updrift, parse_formula("!tt & (F[>=1/4] green)"))
     assert set(statuses(lab).values()) == {"fails"}
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,8 @@ from pregma.polysys import (
 from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system, shared_assembly, solve_until
 from pregma.validation import analyse
-from reference import enclosure_fault, evaluate, gauss_jordan, rhs_value
+from reference import (closes_singular, enclosure_fault, evaluate, gauss_jordan, pivots,
+                       rhs_value)
 
 F = Fraction
 ONE = F(1)
@@ -82,8 +84,8 @@ def test_solve_exact_acyclic():
 
 
 def test_solve_linear_contraction():
-    # x = 1/2 + x/2: Newton's step on a linear equation lands on the
-    # fixpoint 1, and the next round finds it closed
+    # x = 1/2 + x/2: a linear component with 1 - F' = 1/2 > 0 closes
+    # exactly, (1 - 1/2) x = 1/2, and leaves nothing to iterate
     s = PolySystem()
     s.add_variable("x")
     s.add_term("x", F(1, 2))
@@ -112,14 +114,13 @@ def test_solve_balanced_cycle_certifies_zero():
 
 def test_solve_double_root_stays_sound():
     # x = 1/2 + x^2/2 has its least fixpoint at the double root 1, where
-    # Kleene iteration crawls like 1/n; Newton still halves the distance each
-    # step, and the upper certificate fires only at 1
-    eps = F(1, 10**6)
-    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)), eps=eps)
-    assert enc.converged and not enc.exact
-    assert enc.iterations <= 25
-    assert enc.hi["x"] == 1
-    assert 1 - eps <= enc.lo["x"] < 1
+    # Kleene iteration crawls like 1/n and Newton gains a bit per step; the
+    # closure certifies it instead: F(1) = 1, the one pivot of 1 - F'(1) is
+    # 0, and x*x has both factors inside
+    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)), eps=F(1, 10**6))
+    assert enc.converged and enc.exact
+    assert enc.iterations == 1
+    assert enc.lo["x"] == enc.hi["x"] == 1
 
 
 def test_solve_quadratic_with_gap():
@@ -593,6 +594,58 @@ def _ref_newton(
     return {k: point[k] + d[k] for k in comp}, v
 
 
+def _ref_close(system: PolySystem, components: list[tuple[list[Key], bool]]
+               ) -> dict[Key, Fraction]:
+    """The values that close exactly, dependencies first, or {} when no
+    cyclic component does: an acyclic variable once its inputs have, a
+    cyclic component at exact inputs when it is linear and I - F' has every
+    pivot > 0 (the value solves (I - F')x = F(0) on it), or quadratic with
+    F(1) = 1 on it and every pivot of I - F'(1) > 0, or all > 0 but a last
+    0. A value above 1 or with a denominator above _DEN_CAP is not kept.
+    Pivots run in the component's own order, not the solver's: for a Z-matrix
+    whose A is irreducible, either pattern holds in every order or in none."""
+    value: dict[Key, Fraction] = {}
+    closed = False
+    while components and not components[-1][1]:
+        components = components[:-1]  # acyclic above every cyclic component
+    for comp, cyclic in components:
+        inside = set(comp) if cyclic else set()
+        terms = [t for k in comp for t in system.equations[k]]
+        if not all(f in value or f in inside for _, fs in terms for f in fs):
+            continue
+        if not cyclic:
+            v = rhs_value(system, comp[0], value)
+            if v.denominator <= _DEN_CAP:
+                value[comp[0]] = v
+            continue
+        point = {**value, **dict.fromkeys(comp, ONE)}
+        rows = {k: {k: ONE} for k in comp}  # I - F'(point) on comp
+        for k in comp:
+            for coeff, fs in system.equations[k]:
+                for i, f in enumerate(fs):
+                    if f in inside:
+                        other = point[fs[1 - i]] if len(fs) == 2 else ONE
+                        rows[k][f] = rows[k].get(f, ZERO) - coeff * other
+        ps = pivots(rows, comp)
+        if any(len(fs) == 2 and set(fs) <= inside for _, fs in terms):
+            if any(rhs_value(system, k, point) != 1 for k in comp):
+                continue
+            if not (ps[-1] > 0 or closes_singular(ps, len(comp))):
+                continue
+            values = [ONE] * len(comp)
+        else:
+            if ps[-1] <= 0:
+                continue
+            b = [rhs_value(system, k, {**value, **dict.fromkeys(comp, ZERO)}) for k in comp]
+            values = [x for x, in gauss_jordan(
+                [[rows[k].get(j, ZERO) for j in comp] for k in comp], [[y] for y in b])]
+            if any(x > 1 or x.denominator > _DEN_CAP for x in values):
+                continue
+        value.update(zip(comp, values))
+        closed = True
+    return value if closed else {}
+
+
 def fraction_solve(
     system: PolySystem,
     eps: Fraction = Fraction(1, 10**6),
@@ -612,6 +665,16 @@ def fraction_solve(
             if k in positive
         },
     )
+    # components that close exactly become pins, folded into the terms
+    # that read them
+    pins = _ref_close(clean, _ref_scc_order(clean))
+    if pins:
+        clean = PolySystem(
+            [k for k in clean.variables if k not in pins],
+            {k: [(coeff * math.prod(pins[f] for f in fs if f in pins),
+                  tuple(f for f in fs if f not in pins)) for coeff, fs in terms]
+             for k, terms in clean.equations.items() if k not in pins},
+        )
     lo: dict[Key, Fraction] = {k: ZERO for k in clean.variables}
     hi: dict[Key, Fraction] = {k: ONE for k in clean.variables}
     bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
@@ -704,8 +767,8 @@ def fraction_solve(
         certify()
     converged = width() <= eps
     return Enclosure(
-        {k: lo.get(k, ZERO) for k in keys},
-        {k: hi.get(k, ZERO) for k in keys},
+        {k: lo.get(k, pins.get(k, ZERO)) for k in keys},
+        {k: hi.get(k, pins.get(k, ZERO)) for k in keys},
         converged,
         exact,
         rounds,
@@ -921,3 +984,113 @@ def test_the_proof_check_refuses_a_wrong_lo_and_a_low_hi():
         s, Enclosure({"x": ONE}, {"x": ONE}, True, False, 0))
     assert "F(hi) above hi" in enclosure_fault(
         s, Enclosure({"x": F(0)}, {"x": F(1, 4)}, False, False, 0))
+
+
+def test_the_proof_check_takes_a_critical_point_only_with_a_quadratic_term():
+    # x = 1/2 + x^2/2: lo = 1 is a fixpoint with 1 - F'(1) = 0, and x * x
+    # has both factors inside, so lo = 1 is the value
+    assert enclosure_fault(scalar(F(1, 2), F(1, 2)),
+                           Enclosure({"x": ONE}, {"x": ONE}, True, True, 0)) is None
+    # x = y, y = x + z/4, z = 1/2: with lo_z = 0 (below z's value), any
+    # x = y is a fixpoint on {x, y}, where I - F' is singular; with no term
+    # inside there is no proof (and the system has no finite fixpoint)
+    s = system({"x": [(1, ("y",))], "y": [(1, ("x",)), (F(1, 4), ("z",))],
+                "z": [(F(1, 2), ())]})
+    lo = {"x": F(1, 2), "y": F(1, 2), "z": F(0)}
+    assert all(lo[k] <= v for k, v in evaluate(s, lo).items())
+    assert "y: pivot 0" in enclosure_fault(s, Enclosure(lo, dict.fromkeys(lo, ONE), False,
+                                                        False, 0))
+
+
+def exact_solves(monkeypatch) -> list[bool]:
+    """Watch `_solve`: one entry per exact elimination (Fraction entries),
+    True when it refused."""
+    import pregma.polysys as polysys
+
+    solve, calls = polysys._solve, []
+
+    def watched(matrix, rhs, order, *args, **kwargs):
+        out = solve(matrix, rhs, order, *args, **kwargs)
+        if type(next(iter(matrix[0].values()))) is Fraction:
+            calls.append(out is None)
+        return out
+
+    monkeypatch.setattr(polysys, "_solve", watched)
+    return calls
+
+
+def test_closure_takes_no_fixpoint_but_the_least(monkeypatch):
+    # x = 1/4 + 3/4 x^2 has the fixpoint 1, but F'(1) = 3/2: the row sum
+    # refuses it before any elimination, and the enclosure holds 1/3
+    calls = exact_solves(monkeypatch)
+    enc = solve_enclosure(scalar(F(1, 4), F(3, 4)))
+    assert calls == [] and enc.converged and not enc.exact
+    assert enc.lo["x"] < F(1, 3) <= enc.hi["x"]
+    # x = 1/5 + 4/5 x^2: F(1) = 1 and F'(1) = 8/5, refused the same way
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)))
+    assert calls == [] and not enc.exact
+    assert enc.lo["x"] < F(1, 4) <= enc.hi["x"]
+
+
+def test_closure_refuses_a_singular_linear_component(monkeypatch):
+    # x = y, y = x + z/4, z = 1/2: no row of F' sums above 1, so the exact
+    # pivot test runs, and its last pivot is 0; without a quadratic term a
+    # singular I - F' closes nothing (x = y has no finite value here)
+    import pregma.polysys as polysys
+
+    calls = exact_solves(monkeypatch)
+    monkeypatch.setattr(polysys, "_ROUNDS", 3)
+    enc = solve_enclosure(system({"x": [(1, ("y",))], "y": [(1, ("x",)), (F(1, 4), ("z",))],
+                                  "z": [(F(1, 2), ())]}))
+    assert calls == [True]
+    assert not enc.exact and enc.lo == {"x": F(1, 8), "y": F(1, 8), "z": F(1, 2)}
+
+
+def test_closure_pins_a_seeded_critical_chain_at_one(monkeypatch):
+    # K = 32 levels of (a, 1 - a) pairs: the descents form one quadratic
+    # component with F(1) = 1 and a singular I - F'(1), which one exact
+    # elimination certifies; the wins above it then solve linearly
+    calls = exact_solves(monkeypatch)
+    g = walk_grammar("chain", walk_levels(32, True, random.Random(32)))
+    an = analyse(g)
+    phi1, phi2 = classes_for_colours(an, None), classes_for_colours(an, frozenset({"green"}))
+    system = assemble_system(an, phi1, phi2).system
+    enc = solve_enclosure(system)
+    assert enc.exact and enc.iterations == 1
+    assert enc.lo == enc.hi
+    assert enc.lo[an.ids["Z", "m0"]] == 1
+    assert calls and not any(calls)
+    assert enclosure_fault(system, enc) is None
+
+
+# sha256 prefixes of (lo, hi, converged, exact, iterations) as the solver
+# gave them before components closed exactly: the closure refuses each of
+# these systems, so they must not move
+UNCLOSED = {
+    ("running", F(1, 10**6)): "c6bfb22f74783685",
+    ("running", F(1, 10**9)): "746ff7edbca372f8",
+    ("chain", F(1, 10**6)): "bbea9469c4711d57",
+    ("chain", F(1, 10**9)): "c8c314ad6b4a2bb1",
+    ("branching", F(1, 10**6)): "dd79f85cda637990",
+    ("branching", F(1, 10**9)): "976b92d47d95595e",
+}
+
+
+def test_refused_closures_keep_their_enclosures(monkeypatch):
+    # running.gg (its descent's F(1) is 5/8) and the seeded K = 64 walks
+    # (every row of F'(1) sums above 1) refuse before any elimination
+    calls = exact_solves(monkeypatch)
+    cases = [("running", load_grammar(CORPUS / "running.gg"), "V1", "V2")]
+    cases += [(shape, walk_grammar(shape, walk_levels(64, False, random.Random(64))), None,
+               "green") for shape in ("chain", "branching")]
+    for name, g, phi1, phi2 in cases:
+        an = analyse(g)
+        system = assemble_system(an, *[classes_for_colours(
+            an, None if c is None else frozenset({c})) for c in (phi1, phi2)]).system
+        for eps in (F(1, 10**6), F(1, 10**9)):
+            enc = solve_enclosure(system, eps=eps)
+            digest = hashlib.sha256(repr((
+                sorted(enc.lo.items()), sorted(enc.hi.items()), enc.converged, enc.exact,
+                enc.iterations)).encode()).hexdigest()[:16]
+            assert digest == UNCLOSED[name, eps], (name, eps)
+    assert calls == []

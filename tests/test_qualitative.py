@@ -167,12 +167,18 @@ def test_until_almost_sure_dag(dag):
     assert set(out.values()) == {"holds"}
 
 
-def test_until_almost_sure_critical_is_unknown(critical):
+def test_until_almost_sure_critical_holds(critical, critical_bounded):
+    # the descent closes exactly at its double root 1, and m0's win then
+    # at 1 too, so every class reaches green almost surely; the bounded
+    # values from m0 and from Walk:hi stay at most 1 and rise with the
+    # horizon
     an = analyse(critical)
     out = until_almost_sure(an, cls(an, None), cls(an, "green"))
-    assert out[an.ids["Z", "base"]] == "holds"
-    assert out[an.ids["Z", "m0"]] == "unknown"
-    assert out[an.ids["Walk", "hi"]] == "unknown"
+    assert set(out.values()) == {"holds"}
+    enc = solve_until(an, cls(an, None), cls(an, "green"))
+    assert enc.interval(an.ids["Z", "m0"]) == (1, 1)
+    for values in critical_bounded.values():
+        assert all(a <= b <= 1 for a, b in zip(values, values[1:])), values
 
 
 def test_until_almost_sure_closes_classes_descending_onto_themselves(pds_prob):

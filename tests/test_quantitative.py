@@ -150,17 +150,18 @@ def test_updrift_encloses_one_quarter(updrift):
     assert hi - lo <= F(1, 10**6)
 
 
-def test_critical_stays_undecided(critical):
-    # the value at m0 is 1, a double root: Newton gains a bit per step, so
-    # the enclosure closes to eps in a few dozen rounds, yet lo never
-    # reaches 1 and the almost-sure question stays open
+def test_critical_closes_exactly(critical, critical_bounded):
+    # the value at m0 is 1, a double root, where Newton only gains a bit
+    # per step: the descent closes exactly at 1 instead (1 - F'(1) = 0 and
+    # a term dec * dec), and m0's linear win equation then solves to 1.
+    # The bounded values from m0 stay at most 1 and rise with the horizon.
     args = until_args(critical, None, "green")
     sol = solve_until(*args)
-    assert sol.converged and not sol.exact
-    assert sol.iterations <= 30
-    lo, hi = at(sol, args[0], "m0")
-    assert hi == 1
-    assert 1 - F(1, 10**6) <= lo < 1
+    assert sol.converged and sol.exact
+    assert sol.iterations == 1
+    assert at(sol, args[0], "m0") == (1, 1)
+    values = critical_bounded["Z:m0"]
+    assert all(a <= b <= 1 for a, b in zip(values, values[1:])), values
 
 
 def test_critical_converges_everywhere(critical):
