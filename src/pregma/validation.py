@@ -8,8 +8,10 @@ reads the full out-degree (and colour set) of every vertex of the generated
 graph off the grammar without expanding anything. A walk that comes back to
 a site on its open path has found a loop: no site on it terminates, and
 every arc label gained on it occurs infinitely often. The walk's entry at a
-creation site is the class record, and one mass test in integer weights
-(`_mass_fault`) serves admission and the truncation oracle.
+creation site is the class record, the only form of a class's degrees:
+one mass test in integer weights (`_mass_fault`) reads it for admission
+and for the truncation oracle, and the profile in a failure is message
+text rendered from it.
 
 Admission walks only under single membership, each vertex on at most one
 nonterminal hyperarc, and refuses a grammar that breaks it with one line
@@ -27,7 +29,7 @@ context (the source of every one-step fact), and the equation systems
 assembled so far. It refuses grammars
 outside what the engines handle. The analysis is a value the caller owns
 and passes along; nothing is cached on the grammar, which callers such as
-the pushdown converter still edit after reading its profiles.
+the pushdown converter still edit after reading its class table.
 """
 from __future__ import annotations
 
@@ -51,8 +53,6 @@ from .model import (
     reachable_nonterminals,
 )
 
-ProbabilityMap = Mapping[str, Fraction]
-
 Site = tuple[str, VertexId]
 
 # (rule, vertex) site -> every (hyperarc, 1-based position) slot holding it
@@ -73,49 +73,18 @@ def hyperarc_slots(g: Grammar) -> Slots:
     return slots
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    finite: tuple[tuple[str, int], ...]  # sorted (label, count), counts > 0
-    infinite: frozenset[str]
-
-    def total(self, mu: ProbabilityMap) -> Fraction | None:
-        """Σ μ(label) · count, or None when some label occurs infinitely.
-        Raises KeyError on a label without a probability."""
-        if self.infinite:
-            return None
-        return sum([mu[label] * n for label, n in self.finite], Fraction(0))
-
-    def __str__(self) -> str:
-        parts = [f"{label}:{n}" for label, n in self.finite]
-        parts += [f"{label}:inf" for label in sorted(self.infinite)]
-        return "{" + ", ".join(parts) + "}"
-
-
 class VertexClass(NamedTuple):
     """What a vertex gains at a site and at every site passed down from
     there, the walk's entry for that site: finite counts of ("out" or "in",
     label), the pairs that recur forever, its colours, and whether the
     passings end. At a creation site it is the class of the vertices made
-    there. Under a shared vertex only a class that terminates is exact."""
+    there, and the only record of that class. Under a shared vertex only a
+    class that terminates is exact."""
 
     counts: Counter
     forever: frozenset[tuple[str, str]]
     colours: frozenset[str]
     terminates: bool
-
-    def _profile(self, way: str) -> DegreeProfile:
-        """The degree profile of one way, "out" or "in"."""
-        return DegreeProfile(
-            tuple(sorted((label, n) for (w, label), n in self.counts.items() if w == way)),
-            frozenset(label for w, label in self.forever if w == way))
-
-    @property
-    def out(self) -> DegreeProfile:
-        return self._profile("out")
-
-    @property
-    def into(self) -> DegreeProfile:
-        return self._profile("in")
 
     @property
     def is_sink(self) -> bool:
@@ -216,14 +185,12 @@ def check_complete_outside(g: Grammar) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class PhrFailure:
     can: CanonicalVertex
-    profile: DegreeProfile | None
+    profile: str  # the class's out-degree, as `_out_text` renders it
     total: Fraction | None
     reason: str
 
     def __str__(self) -> str:
-        bits = [f"{self.can}"]
-        if self.profile is not None:
-            bits.append(f"profile {self.profile}")
+        bits = [f"{self.can}", f"profile {self.profile}"]
         if self.total is not None:
             bits.append(f"total {self.total}")
         bits.append(self.reason)
@@ -250,21 +217,32 @@ class PhrReport:
         return "\n".join(lines)
 
 
+def _out_text(vc: VertexClass) -> str:
+    """A class's out-degree for messages: {label:count, ...}, labels
+    sorted, then label:inf for each label that recurs forever."""
+    parts = [f"{label}:{n}" for (way, label), n in sorted(vc.counts.items()) if way == "out"]
+    parts += [f"{label}:inf" for way, label in sorted(vc.forever) if way == "out"]
+    return "{" + ", ".join(parts) + "}"
+
+
 def _mass_fault(vc: VertexClass, absorbing: frozenset[str], den: int,
-                weight: Mapping[str, int]) -> str | None:
+                weight: Mapping[str, int]) -> tuple[str, Fraction | None] | None:
     """Why a class's outgoing mass is not 1 under mu's weights over den
-    (`integer_weights`); None when it is, or when the class is a sink with
-    an absorbing colour."""
-    if vc.forever and any(way == "out" for way, _ in vc.forever):
-        return "arcs repeat forever, no mu can normalise this"
+    (`integer_weights`), with that mass exactly (None when arcs repeat
+    forever or a label has no probability); None when the mass is 1, or
+    when the class is a sink with an absorbing colour."""
+    if any(way == "out" for way, _ in vc.forever):
+        return "arcs repeat forever, no mu can normalise this", None
     try:
         out = [weight[label] * n for (way, label), n in vc.counts.items() if way == "out"]
     except KeyError:
         missing = sorted({label for way, label in vc.counts if way == "out"} - weight.keys())
-        return f"no probability for {', '.join(missing)}"
-    if not out:
-        return None if vc.colours & absorbing else "sink without an absorbing colour"
-    return None if sum(out) == den else "total is not 1"
+        return f"no probability for {', '.join(missing)}", None
+    if not out and vc.colours & absorbing:
+        return None
+    mass = sum(out)
+    reason = "total is not 1" if out else "sink without an absorbing colour"
+    return None if mass == den else (reason, Fraction(mass, den))
 
 
 def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, VertexClass],
@@ -280,10 +258,9 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, VertexClass],
     den, weight = integer_weights(g.mu)
     failures: list[PhrFailure] = []
     for can in () if violations else cans:
-        if reason := _mass_fault(down[can], g.absorbing, den, weight):
-            profile = down[can].out
-            total = profile.total(g.mu) if dict(profile.finite).keys() <= g.mu.keys() else None
-            failures.append(PhrFailure(can, profile, total, reason))
+        if fault := _mass_fault(down[can], g.absorbing, den, weight):
+            reason, total = fault
+            failures.append(PhrFailure(can, _out_text(down[can]), total, reason))
     ok = not violations and not failures
     return rules, slots, down, cans, PhrReport(ok, tuple(failures), violations, len(cans))
 
@@ -349,8 +326,8 @@ def analyse(g: Grammar) -> Analysis:
     if not report.ok:
         raise EngineUnsupported(str(report))
     for can in cans:
-        if infinite := down[can].into.infinite:
-            raise EngineUnsupported(f"{can}: incoming arcs {sorted(infinite)} repeat forever")
+        if infinite := sorted(label for way, label in down[can].forever if way == "in"):
+            raise EngineUnsupported(f"{can}: incoming arcs {infinite} repeat forever")
     for can in cans:
         # every passing leads to a rule input; from the second on, the
         # vertex is passed down through an input on a hyperarc

@@ -159,6 +159,39 @@ def test_solve_drops_zero_variables():
     assert enc.lo["x"] == enc.hi["x"] == 1
 
 
+def test_close_refuses_a_quadratic_component_with_a_negative_pivot():
+    # G(1) = 1 and the rows of G'(1)1 are 9/5 and 1/2, so no row-sum test
+    # refuses; I - G'(1) = [[1/10, -9/10], [-1/2, 1]] then has a negative
+    # pivot in either order, and the iteration finds the least fixpoint
+    # x = 2/9, y = 11/18 below the fixpoint at 1
+    s = system({
+        "x": [(F(1, 10), ()), (F(9, 10), ("x", "y"))],
+        "y": [(F(1, 2), ()), (F(1, 2), ("x",))],
+    })
+    enc = solve_enclosure(s)
+    assert not enc.exact
+    assert enc.lo["x"] <= F(2, 9) <= enc.hi["x"]
+    assert enc.lo["y"] <= F(11, 18) <= enc.hi["y"]
+    assert enclosure_fault(s, enc) is None
+
+
+def test_close_drops_a_linear_value_past_the_denominator_cap():
+    # c = 1/_DEN_CAP closes; the linear component {a, b} then solves to
+    # a = 1/8 + 3/(8 _DEN_CAP), whose denominator is past the cap, so it
+    # is not kept and the component iterates
+    s = system({
+        "c": [(F(1, _DEN_CAP), ())],
+        "a": [(F(1, 3), ("b",)), (F(1, 3), ("c",))],
+        "b": [(F(1, 3), ("a",)), (F(1, 3), ())],
+    })
+    enc = solve_enclosure(s)
+    assert not enc.exact
+    a = F(1, 8) + F(3, 8 * _DEN_CAP)
+    assert enc.lo["a"] <= a <= enc.hi["a"]
+    assert enc.lo["b"] <= (a + 1) / 3 <= enc.hi["b"]
+    assert enclosure_fault(s, enc) is None
+
+
 def test_certificate_follows_the_newton_direction():
     # at the fixpoint a row of F' sums above 1, so raising both variables by
     # one shared offset never certifies; raising them along (I - F')^-1 1 does

@@ -1,13 +1,14 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pregma.gio import parse_grammar
-from pregma.model import CanonicalVertex, GrammarError, checked_rules
+from pregma.model import CanonicalVertex, GrammarError, checked_rules, integer_weights
 from pregma.validation import (
-    DegreeProfile,
     EngineUnsupported,
+    _mass_fault,
     _passings,
     _walk,
     analyse,
@@ -89,7 +90,8 @@ def test_walk_detects_loops():
     assert not down["C", "x"].terminates
     assert not table[cv("Z", "r")].terminates
     # the a arc gained on the loop is gained forever, and only there
-    assert table[cv("Z", "r")].out == DegreeProfile((), frozenset({"a"}))
+    r = table[cv("Z", "r")]
+    assert (r.counts, r.forever) == (Counter(), frozenset({("out", "a")}))
     assert table[cv("C", "y")].terminates
 
 
@@ -98,39 +100,61 @@ def test_analyse_refuses_a_shared_vertex():
         analyse(parse_grammar(AMBIGUOUS))
 
 
+def out_counts(vc):
+    return {label: n for (way, label), n in vc.counts.items() if way == "out"}
+
+
+def in_counts(vc):
+    return {label: n for (way, label), n in vc.counts.items() if way == "in"}
+
+
 def test_out_profiles_running(running):
     an = analyse(running)
-    prof = {can: vc.out for can, vc in zip(an.names, an.classes)}
-    next_p = prof[CanonicalVertex("A", "next")]
-    assert next_p.finite == (("a", 2),)
-    assert str(next_p) == "{a:2}"
-    fork_p = prof[CanonicalVertex("A", "fork")]
-    assert fork_p.finite == (("a", 1), ("d", 2))
-    assert fork_p.total(running.mu) == 1
-    assert prof[CanonicalVertex("Z", "t0")].finite == ()
+    table = dict(zip(an.names, an.classes))
+    assert out_counts(table[cv("A", "next")]) == {"a": 2}
+    fork = table[cv("A", "fork")]
+    assert out_counts(fork) == {"a": 1, "d": 2}
+    assert _mass_fault(fork, running.absorbing, *integer_weights(running.mu)) is None
+    assert out_counts(table[cv("Z", "t0")]) == {}
+    # the profile text: finite labels sorted, each with its count
+    report = phr_check(replace(running, mu={"a": Fraction(1, 3), "d": Fraction(1, 3)}))
+    assert str(report) == (
+        "phr_check: FAILED (2 of 6 classes)\n"
+        "  Z:v0; profile {a:2}; total 2/3; total is not 1\n"
+        "  A:next; profile {a:2}; total 2/3; total is not 1")
 
 
 def test_in_profiles_running(running):
     an = analyse(running)
-    prof = {can: vc.into for can, vc in zip(an.names, an.classes)}
-    assert prof[CanonicalVertex("A", "fork")].finite == (("a", 1),)
+    table = dict(zip(an.names, an.classes))
+    assert in_counts(table[cv("A", "fork")]) == {"a": 1}
     # dead is only ever entered through the d arc
-    assert prof[CanonicalVertex("A", "dead")].finite == (("d", 1),)
+    assert in_counts(table[cv("A", "dead")]) == {"d": 1}
+    assert all(vc.forever == frozenset() for vc in an.classes)
 
 
 def test_infinite_profile():
     g = parse_grammar(GAINING_LOOP)
-    p = vertex_classes(g)[CanonicalVertex("Z", "r")].out
-    assert p.infinite == frozenset({"a"})
-    assert str(p) == "{a:inf}"
-    assert p.total(g.mu) is None
+    r = vertex_classes(g)[cv("Z", "r")]
+    assert out_counts(r) == {}
+    assert {label for way, label in r.forever if way == "out"} == {"a"}
+    report = phr_check(g)
+    (failure,) = report.failures
+    assert failure.total is None
+    assert str(report) == (
+        "phr_check: FAILED (1 of 2 classes)\n"
+        "  Z:r; profile {a:inf}; arcs repeat forever, no mu can normalise this")
+    # the profile is the out-degree alone: labels gained forever inward stay out of it
+    sink = phr_check(parse_grammar(INCOMING_LOOP.replace("  colour stop r\n", "")))
+    assert [str(f) for f in sink.failures] == [
+        "Z:r; profile {}; total 0; sink without an absorbing colour"]
 
 
 def test_profile_total_needs_every_label(running):
     an = analyse(running)
     fork = an.classes[an.ids["A", "fork"]]
-    with pytest.raises(KeyError):
-        fork.out.total({"a": Fraction(1, 2)})
+    weights = integer_weights({"a": Fraction(1, 2)})
+    assert _mass_fault(fork, running.absorbing, *weights) == ("no probability for d", None)
 
 
 def test_full_colours_walks_the_chain(running):
@@ -163,7 +187,7 @@ def test_phr_rejects_wrong_mu(running):
     (failure,) = report.failures
     assert failure.can == CanonicalVertex("A", "fork")
     assert failure.total == Fraction(7, 6)
-    assert "total is not 1" in str(failure)
+    assert str(failure) == "A:fork; profile {a:1, d:2}; total 7/6; total is not 1"
 
 
 def test_phr_requires_absorbing_marks_on_sinks(running, corpus_dir):
@@ -171,14 +195,16 @@ def test_phr_requires_absorbing_marks_on_sinks(running, corpus_dir):
     g = parse_grammar(text)
     report = phr_check(g)
     assert not report.ok
-    reasons = {str(f.can): f.reason for f in report.failures}
-    assert reasons["Z:t0"] == "sink without an absorbing colour"
+    reasons = {str(f.can): (f.reason, f.total) for f in report.failures}
+    assert reasons["Z:t0"] == ("sink without an absorbing colour", Fraction(0))
 
 
 def test_phr_reports_missing_probability(running):
     report = phr_check(replace(running, mu={"a": Fraction(1, 2)}))
     assert not report.ok
-    assert any("no probability for d" in f.reason for f in report.failures)
+    (failure,) = report.failures
+    assert (failure.can, failure.total) == (cv("A", "fork"), None)
+    assert str(failure) == "A:fork; profile {a:1, d:2}; no probability for d"
 
 
 def test_phr_rejects_infinite_profiles():
@@ -219,7 +245,7 @@ def test_engine_admissible_on_corpus(running, dag, updrift, critical):
 def test_engine_rejects_infinite_in_profile():
     g = parse_grammar(INCOMING_LOOP)
     assert phr_check(g).ok
-    with pytest.raises(EngineUnsupported, match="incoming arcs .* repeat forever"):
+    with pytest.raises(EngineUnsupported, match=r"^Z:r: incoming arcs \['a'\] repeat forever$"):
         analyse(g)
 
 
@@ -247,4 +273,4 @@ def test_engine_accepts_quiet_input_loop():
     r = an.classes[an.ids["Z", "r"]]
     assert not r.terminates
     # the loop gains no arc either way, so no label is infinite
-    assert r.out == r.into == DegreeProfile((), frozenset())
+    assert (r.counts, r.forever) == (Counter(), frozenset())
