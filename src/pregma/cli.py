@@ -33,7 +33,6 @@ from .model import (
     checked_rules,
     expand,
     reachable_component,
-    validate_grammar,
 )
 from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
 from .pcp import encode, load_pcp
@@ -167,10 +166,10 @@ def _report(args, record: dict, *lines: str) -> None:
 
 def _cmd_validate(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    try:  # phr_check runs the structural check, once on a grammar that passes it
+    try:  # phr_check runs the structural check once, and its refusal holds the issues
         report = phr_check(g)
-    except GrammarError:
-        issues, violations, failures = validate_grammar(g), check_complete_outside(g), ()
+    except GrammarError as exc:
+        issues, violations, failures = exc.issues, check_complete_outside(g), ()
     else:
         issues, violations = [], report.violations
         failures = report.failures if g.mu else ()
@@ -294,7 +293,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
         enc = solve_until(an, phi1, phi2, eps=args.eps)
         if args.emit_system:
             assembly = shared_assembly(an, phi1, phi2)
-            for key, value in assembly.pins.items():
+            for key, value in assembly.system.pins.items():
                 variable = render_key(an, key)
                 _report(args, {"kind": "pin", "variable": variable, "value": str(value)},
                         f"pin {variable} = {value}")

@@ -18,7 +18,12 @@ VertexId = Any
 
 
 class GrammarError(ValueError):
-    """An operation was handed a grammar (or graph) it cannot work with."""
+    """An operation was handed a grammar (or graph) it cannot work with;
+    `issues` holds a structurally invalid grammar's issues."""
+
+    def __init__(self, message: str, issues: list[Issue] | None = None) -> None:
+        super().__init__(message)
+        self.issues = issues or []
 
 
 class Arc(NamedTuple):
@@ -225,10 +230,10 @@ def validate_grammar(g: Grammar) -> list[Issue]:
 
 def checked_rules(g: Grammar) -> dict[str, Rule]:
     """The rule of each nonterminal, for a grammar that `validate_grammar`
-    accepts; otherwise one GrammarError naming every issue."""
+    accepts; otherwise one GrammarError naming and holding every issue."""
     issues = validate_grammar(g)
     if issues:
-        raise GrammarError("; ".join(map(str, issues)))
+        raise GrammarError("; ".join(map(str, issues)), issues)
     return {rule.lhs: rule for rule in g.rules}
 
 
@@ -258,7 +263,6 @@ class _Compiled(NamedTuple):
 
     lhs: str
     names: tuple[VertexId, ...]  # the rule vertex in each slot
-    arity: int  # slots glued onto the replaced hyperarc's vertices
     cans: tuple[CanonicalVertex, ...]  # one per fresh slot
     arcs: tuple[tuple[str, int, int], ...]
     colours: tuple[tuple[str, int], ...]
@@ -270,7 +274,7 @@ def _compile(rule: Rule) -> _Compiled:
     names = (*rule.inputs, *own)
     slot = {v: i for i, v in enumerate(names)}
     return _Compiled(
-        rule.lhs, names, len(rule.inputs),
+        rule.lhs, names,
         tuple(CanonicalVertex(rule.lhs, v) for v in own),
         tuple((a.label, slot[a.source], slot[a.target]) for a in rule.rhs.arcs),
         tuple((colour, slot[v]) for colour, v in rule.rhs.colours),

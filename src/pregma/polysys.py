@@ -1,17 +1,19 @@
 """Monotone quadratic fixpoint systems over exact rationals.
 
-The solver encloses the least fixpoint from below and above. Variables
-whose least fixpoint is 0 (no chain of terms feeds them a constant) are
-set to 0 and dropped first, together with every term they appear in.
+The solver encloses the least fixpoint from below and above; a pin, a key
+fixed at an exact value that `add_term` folds into the terms reading it,
+is its own lower and upper bound. Variables whose least fixpoint is 0 (no
+chain of terms feeds them a constant) are set to 0 and dropped first,
+together with every term they appear in.
 
 Then the strongly connected components of the dependency graph are walked
 dependencies first, and each one whose inputs from below are exact closes
 exactly where it can (`_close`): a linear one by an exact solve, a
 quadratic one at 1, critical points included, both tested by the pivot
 test of the elimination that gives Newton directions (`_solve`), run over
-Fractions. Closed values become pins folded into the terms that read them,
-as in the until's assembly, and the rest iterates as below; when no cyclic
-component closes, the solve runs as if the walk had not happened.
+Fractions. Closed values become pins of a copy of the system, and the
+rest iterates as below; when no cyclic component closes, the solve runs as
+if the walk had not happened.
 
 The lower bound starts at zero. Each round takes a Kleene step, rounded
 down onto a bit grid, and then one Newton step on every strongly connected
@@ -51,7 +53,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 Key = Hashable
@@ -70,6 +72,7 @@ class PolySystem:
 
     variables: list[Key] = field(default_factory=list)
     equations: dict[Key, list[Term]] = field(default_factory=dict)
+    pins: dict[Key, Fraction] = field(default_factory=dict)  # never variables
     # positive_variables, once computed; adding a variable or term clears it
     _positive: frozenset[Key] | None = field(default=None, init=False, repr=False,
                                              compare=False)
@@ -81,19 +84,29 @@ class PolySystem:
             self.equations[key] = []
 
     def add_term(self, key: Key, coeff: Fraction, *factors: Key) -> None:
+        """Add coeff * factors to key's rhs, pinned factors folded in: a pin
+        at 0 drops the term, at 1 the factor. Set a pin before any term reading it."""
         if len(factors) > 2:
             raise ValueError("degree above 2")
         if coeff.numerator <= 0:  # a rational's sign is its numerator's
             if coeff.numerator < 0:
                 raise ValueError("negative coefficient breaks monotonicity")
             return
+        kept = []
+        for f in factors:
+            if f not in self.pins:
+                kept.append(f)
+            elif not self.pins[f]:
+                return
+            elif self.pins[f] != 1:
+                coeff *= self.pins[f]
         self._positive = None
-        self.equations[key].append((coeff, tuple(factors)))
+        self.equations[key].append((coeff, tuple(kept)))
 
     def positive_variables(self) -> frozenset[Key]:
-        """Variables with a strictly positive least-fixpoint value: a
-        worklist in which each term (add_term keeps positive ones) counts
-        its factors not yet positive, run once per system."""
+        """Variables with a strictly positive least-fixpoint value, and the
+        pins above 0: a worklist in which each term (add_term keeps positive
+        ones) counts its factors not yet positive, run once per system."""
         if self._positive is not None:
             return self._positive
         missing: list[int] = []  # per term
@@ -108,7 +121,7 @@ class PolySystem:
                 heads.append(key)
                 if not factors:
                     ready.append(key)
-        pos: set[Key] = set()
+        pos = {k for k, v in self.pins.items() if v}
         while ready:
             key = ready.pop()
             if key in pos:
@@ -518,15 +531,16 @@ def solve_enclosure(
              for k in names]
     index, den, rows = _compile(names, terms)
     components = _components(rows, den)
-    # Components that close exactly become pins, folded into the rows that
-    # read them; the rest iterate.
-    pins = {names[i]: v for i, v in _close(components, den).items()}
-    if pins:
-        kept = [i for i, k in enumerate(names) if k not in pins]
-        names = [names[i] for i in kept]
-        terms = [[(coeff * prod(pins[f] for f in fs if f in pins),
-                   tuple(f for f in fs if f not in pins)) for coeff, fs in terms[i]]
-                 for i in kept]
+    # Components that close exactly become pins of a copy; the rest iterate.
+    closed = {names[i]: v for i, v in _close(components, den).items()}
+    if closed:
+        system = PolySystem(pins=system.pins | closed)
+        for k, row in zip(names, terms):
+            if k not in closed:
+                system.add_variable(k)
+                for coeff, factors in row:
+                    system.add_term(k, coeff, *factors)
+        names, terms = system.variables, list(system.equations.values())
         index, den, rows = _compile(names, terms)
         components = _components(rows, den)
     m = len(rows)
@@ -650,9 +664,9 @@ def solve_enclosure(
         # second run on the same lo would not change hi
         certify()
     return Enclosure(
-        {k: Fraction(lo[index[k]], lo_den) if k in index else pins.get(k, ZERO) for k in keys},
-        {k: Fraction(hi[index[k]], hi_den[index[k]]) if k in index else pins.get(k, ZERO)
-         for k in keys},
+        {k: Fraction(lo[index[k]], lo_den) if k in index else ZERO for k in keys} | system.pins,
+        {k: Fraction(hi[index[k]], hi_den[index[k]]) if k in index else ZERO
+         for k in keys} | system.pins,
         narrow(),
         exact,
         rounds,

@@ -51,8 +51,6 @@ def _split_word(lineno: int, text: str, symbols: list[str]) -> Word:
         splits[i] = any(text.startswith(s, i) and splits[i + len(s)] for s in ordered)
     if not splits[0]:
         raise ParseError(lineno, f"cannot split {text!r} into declared symbols")
-    if not n:
-        raise ParseError(lineno, "empty configuration word")
     out: list[str] = []
     i = 0
     while i < n:

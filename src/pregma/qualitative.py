@@ -16,10 +16,10 @@ occurrences, every class that can end up at an input (`refs`); "for all
 occurrences" arguments then give sound universal verdicts, "for some
 occurrence" sound existential ones. One-step successors are read from the
 analysis's per-context fragments, each target a class set too. The until
-engines read the shared assembly's positive variables and each class's
-positive descents, (j, variable) pairs, and never compute a variable id;
-each of their class sets is one fixpoint (`_fixpoint`), whose soundness
-rests on one induction over the level of a concrete vertex.
+engines read the shared assembly's positive keys (pins at 1 included) and
+each class's positive descents, (j, variable) pairs, and never compute a
+variable id; each of their class sets is one fixpoint (`_fixpoint`), whose
+soundness rests on one induction over the level of a concrete vertex.
 """
 from __future__ import annotations
 
@@ -124,7 +124,7 @@ def until_positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> 
     fixpoints.
     """
     assembly = shared_assembly(an, phi1, phi2)
-    pos, down = assembly.positive, assembly.descents
+    pos, down = assembly.system.positive_variables(), assembly.descents
     rule = [can.rule for can in an.names]
 
     def can_be_zero(c: int, s: set[int]) -> bool:
@@ -159,7 +159,7 @@ def until_almost_sure(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
     """
     enc = solve_until(an, phi1, phi2, ALMOST_SURE_EPS)
     assembly = shared_assembly(an, phi1, phi2)
-    pos, down = assembly.positive, assembly.descents
+    pos, down = assembly.system.positive_variables(), assembly.descents
     rule = [can.rule for can in an.names]
 
     def mass(bound: dict[int, Fraction], c: int) -> Fraction:

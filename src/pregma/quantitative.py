@@ -14,9 +14,9 @@ read their answers there. Each until is solved once per analysis
 (`solve_until`), and every command reads that one enclosure. The variables
 are the analysis's dense ids: win(c) is the class id c, and c's descend
 variables follow all n wins, dec(c; j) at `an.dec[c] + j - 1`; `render_key`
-names them through `an.names`. This module alone knows that layout: the
-assembly also carries which variables are positive and each class's
-positive descents, which the qualitative engines read.
+names them through `an.names`; the rows of classes phi1 and phi2 fix are
+pins at 0 or 1. This module alone knows that layout: the assembly also
+carries each class's positive descents, for the qualitative engines.
 """
 from __future__ import annotations
 
@@ -42,12 +42,10 @@ def render_key(an: Analysis, key: int) -> str:
 
 @dataclass
 class Assembly:
-    """One until's system, its pins, and its positivity facts, all filled by
+    """One until's system and its positive descents, filled by
     `assemble_system`; `shared` is filled by `solve_until`."""
 
-    system: PolySystem  # the unpinned variables, pins folded into coefficients
-    pins: dict[int, Fraction]
-    positive: frozenset[int]  # the variables above 0, pins at 1 included
+    system: PolySystem  # pinned at 0 or 1 where phi1 and phi2 fix a class
     # per class id, its positive descents: the inputs j its walks leave the
     # level through with positive probability, each with dec(c; j)
     descents: list[list[tuple[int, int]]]
@@ -55,10 +53,9 @@ class Assembly:
 
 
 def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:
-    """The until's system over the analysis's variable ids. Pins are 0 or 1,
-    so a pinned factor either drops its term or drops out of it."""
+    """The until's system over the analysis's variable ids, its pins set
+    before any term reads them."""
     system = PolySystem()
-    pins: dict[int, Fraction] = {}
     # each class's variable row: win(c), then dec(c; 1), dec(c; 2), ...
     rows = [(c, *range(an.dec[c], an.dec[c + 1])) for c in an.reachable]
 
@@ -67,20 +64,10 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
             c = node.can
             if c in phi2 or c not in phi1:
                 for k in rows[c]:
-                    pins[k] = ONE if k in phi2 else ZERO  # phi2 holds wins only
+                    system.pins[k] = ONE if k in phi2 else ZERO  # phi2 holds wins only
             else:
                 for k in rows[c]:
                     system.add_variable(k)
-
-    def add_term(key: int, coeff: Fraction, *factors: int) -> None:
-        """Add a term without its pinned factors, or drop it at a pinned 0."""
-        kept = []
-        for f in factors:
-            if f not in pins:
-                kept.append(f)
-            elif not pins[f]:
-                return
-        system.add_term(key, coeff, *kept)
 
     for frag in an.fragments.values():
         local = local_rows(an, frag, phi1, phi2)
@@ -89,17 +76,17 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
         inputs = {key for key, node in frag.nodes.items() if node.kind == "input"}
         for node in frag.starts:
             c = node.can
-            if c in pins:
+            if c in system.pins:
                 continue
             row, own = local[node.key], rows[c]
-            add_term(c, row.win)
+            system.add_term(c, row.win)
             for bkey in sorted(row.hits, key=inputs.__contains__, reverse=True):
                 p, hit = row.hits[bkey], frag.nodes[bkey]
                 if hit.kind == "child":
                     # the walk wins in the child copy, or leaves it through
                     # dec(e; ell) onto the vertex glued at its input ell
                     e = hit.can
-                    add_term(c, p, e)
+                    system.add_term(c, p, e)
                     landings = [(frag.nodes["base", v], (k,)) for v, k in zip(
                         frag.rule.rhs.hyperarcs[hit.arc_index].vertices, rows[e][1:])]
                 else:
@@ -107,16 +94,16 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
                 for base, via in landings:
                     if base.kind == "input":
                         # on input j the walk leaves this level: dec(c; j)
-                        add_term(own[base.input_index], p, *via)
+                        system.add_term(own[base.input_index], p, *via)
                     else:
                         # on a class t of this level it goes on as t: win(c)
                         # through win(t), dec(c; j) through dec(t; j)
                         for key, k in zip(own, rows[base.can]):
-                            add_term(key, p, *via, k)
+                            system.add_term(key, p, *via, k)
 
-    positive = system.positive_variables() | {k for k, v in pins.items() if v}
+    positive = system.positive_variables()
     descents = [[(j, k) for j, k in enumerate(row[1:], 1) if k in positive] for row in rows]
-    return Assembly(system, pins, positive, descents)
+    return Assembly(system, descents)
 
 
 def shared_assembly(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:
@@ -135,8 +122,5 @@ def solve_until(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
     solved at. Callers read it and never change it."""
     assembly = shared_assembly(an, phi1, phi2)
     if assembly.shared is None or assembly.shared[0] > eps:
-        enc = solve_enclosure(assembly.system, eps=eps)
-        enc.lo.update(assembly.pins)
-        enc.hi.update(assembly.pins)
-        assembly.shared = eps, enc
+        assembly.shared = eps, solve_enclosure(assembly.system, eps=eps)
     return assembly.shared[1]

@@ -14,7 +14,7 @@ an exception escapes `main`, and 0 otherwise.
 `pregma` is imported from the `src/` next to this directory. The calls run
 in a temporary directory holding a copy of `corpus/`, so every path in the
 output, and in the messages the calls print, is relative. pytest does not
-collect this file.
+collect this file; `test_cli_sweep.py` runs its `sweep` as a test.
 """
 from __future__ import annotations
 

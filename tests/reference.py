@@ -35,7 +35,8 @@ def applications(g: Grammar, depth: int):
     queue = deque([(None, None, g.axiom, ())])
     for number, (rule, ids) in enumerate(_rewrite(g, depth, Expansion())):
         parent, position, label, glued = queue.popleft()
-        assert (rule.lhs, tuple(ids[:rule.arity])) == (label, glued)
+        arity = len(rule.names) - len(rule.cans)  # the slots glued on
+        assert (rule.lhs, tuple(ids[:arity])) == (label, glued)
         yield rule, ids, parent, position
         queue.extend((number, i, h_label, tuple([ids[s] for s in slots]))
                      for i, (h_label, slots) in enumerate(rule.hyperarcs))
@@ -238,7 +239,8 @@ def config_words(p: PushdownSystem, g: Grammar, depth: int) -> dict[int, str]:
         else:
             prefix = applied[parent][1] + p.stack[position]
         applied.append((rule.lhs, prefix))
-        for v, cid in zip(rule.names[rule.arity:], ids[rule.arity:]):
+        arity = len(rule.names) - len(rule.cans)
+        for v, cid in zip(rule.names[arity:], ids[arity:]):
             words[cid] = prefix + str(v)
     return words
 

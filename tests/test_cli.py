@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import pregma
-from pregma import cli
+from pregma import cli, model
 from pregma.cli import _build_parser, main
 from pregma.gio import load_grammar, serialize_grammar
 from pregma.model import expand, validate_grammar
@@ -938,6 +938,37 @@ def test_structural_issues_stop_validate_and_expand(tmp_path, name, prob):
                  ["check", str(path), "--formula", "F[>0] g", "--at", "y"]]:
         code, out, err = run(argv)
         assert (code, out, err) == (1, "", joined + "\n"), argv
+
+
+def test_validate_runs_the_structural_check_once(corpus_dir, tmp_path, monkeypatch):
+    # phr_check's refusal holds the issues that validate lists
+    from cli_sweep import DEFECTS
+
+    real, calls = model.validate_grammar, []
+    monkeypatch.setattr(model, "validate_grammar", lambda g: calls.append(g) or real(g))
+    bad = tmp_path / "structure.gg"
+    bad.write_text(next(text for name, text, _, _ in DEFECTS if name == "structure"))
+    issues = [str(i) for i in real(load_grammar(bad))]
+    assert len(issues) == 3
+    shared = ["rule Z: vertex r lies on 2 hyperarcs"]
+    for path, want in [(bad, (1, "", issues + shared)),
+                       (corpus_dir / "running.gg", (0, "", []))]:
+        calls.clear()
+        code, out, err = run(["validate", str(path)])
+        assert (code, out, err.splitlines()) == want
+        assert len(calls) == 1, path
+
+
+def test_a_closed_stdout_ends_the_command_with_0(corpus_dir, monkeypatch):
+    # a reader that went away (`pregma ... | head`) is no failure; unpiped,
+    # this check prints an unknown verdict and exits 2
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["check", gg(corpus_dir, "updrift.gg"), "--formula", "F[>=1/4] green",
+                 "--at", "m0"]) == 0
 
 
 def test_from_pds_round_trips(corpus_dir, tmp_path):

@@ -277,8 +277,6 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
                 shared = solve_until(an, u1, u2, F(1, 10**9))
                 assembly = shared_assembly(an, u1, u2)
                 alone = solve_enclosure(assembly.system, eps=F(1, 10**6))
-                alone.lo.update(assembly.pins)
-                alone.hi.update(assembly.pins)
                 until = f"{phi1 or 'tt'} U {phi2}"
                 assert shared.converged, f"{name}: {until}"
                 for c in axiom:

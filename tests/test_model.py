@@ -104,6 +104,11 @@ def test_validate_reports_structural_issues():
     ]
 
 
+def test_rule_for_an_unknown_nonterminal(running):
+    with pytest.raises(GrammarError, match="no rule for nonterminal 'Q'"):
+        running.rule_for("Q")
+
+
 def test_reachable_nonterminals(running):
     assert reachable_nonterminals(running) == frozenset({"Z", "A"})
 

@@ -71,6 +71,47 @@ def test_positive_variables():
     assert s.positive_variables() == frozenset({"x", "y"})
 
 
+def pinned():
+    """x = 1/3 + 3/8 x + 1/8 once its pins are folded in."""
+    s = PolySystem(pins={"zero": F(0), "one": F(1), "p": F(3, 4)})
+    s.add_variable("x")
+    s.add_term("x", F(1, 2), "zero", "x")  # a pin at 0 drops the term
+    s.add_term("x", F(1, 3), "one")  # a pin at 1 drops the factor
+    s.add_term("x", F(1, 2), "p", "x")  # any other value scales the coefficient
+    s.add_term("x", F(1, 6), "one", "p")  # two pinned factors
+    return s
+
+
+def test_pins_fold_into_the_terms_that_read_them():
+    s = pinned()
+    assert s.variables == ["x"]
+    assert s.equations == {"x": [(F(1, 3), ()), (F(3, 8), ("x",)), (F(1, 8), ())]}
+    # the pins above 0 count as positive
+    assert s.positive_variables() == frozenset({"x", "one", "p"})
+    with pytest.raises(ValueError, match="negative"):
+        s.add_term("x", F(-1, 2), "zero")
+
+
+def test_the_enclosure_holds_every_pin():
+    # x closes exactly at (1/3 + 1/8) / (5/8); the pins follow the
+    # variables, each its own lo and hi
+    enc = solve_enclosure(pinned())
+    assert enc.exact and enc.converged
+    assert list(enc.lo.items()) == list(enc.hi.items()) == [
+        ("x", F(11, 15)), ("zero", 0), ("one", 1), ("p", F(3, 4))]
+    # a solve that iterates lifts them too, next to its zero variables
+    s = PolySystem(pins={"h": F(1, 2)})
+    for k in ("x", "z"):
+        s.add_variable(k)
+    s.add_term("x", F(1, 4), "h")
+    s.add_term("x", F(1, 2), "x", "x")
+    s.add_term("z", F(1, 2), "z", "h")
+    enc = same_enclosure(s, eps=F(1, 10**9))
+    assert not enc.exact
+    assert enc.interval("h") == (F(1, 2), F(1, 2))
+    assert enc.interval("z") == (0, 0)
+
+
 def test_solve_exact_acyclic():
     s = PolySystem()
     for k in ("x", "y"):
@@ -916,9 +957,11 @@ def non_dyadic_systems(draw):
 
 
 def same_enclosure(s, **kwargs):
+    """The solver's enclosure is the reference's, with every pin of s lifted
+    in as its own lo and hi."""
     new, ref = solve_enclosure(s, **kwargs), fraction_solve(s, **kwargs)
     assert (new.lo, new.hi, new.converged, new.exact, new.iterations) == (
-        ref.lo, ref.hi, ref.converged, ref.exact, ref.iterations)
+        ref.lo | s.pins, ref.hi | s.pins, ref.converged, ref.exact, ref.iterations)
     assert all(type(v) is Fraction for v in [*new.lo.values(), *new.hi.values()])
     return new
 
@@ -954,7 +997,8 @@ def test_solver_matches_the_fraction_reference_at_benchmark_size(shape):
     for eps in (F(1, 10**6), F(1, 10**9)):
         enc = same_enclosure(system, eps=eps)
         assert enc.converged and not enc.exact
-    assert len(system.positive_variables()) == {"chain": 65, "branching": 129}[shape]
+    positive = system.positive_variables() - system.pins.keys()
+    assert len(positive) == {"chain": 65, "branching": 129}[shape]
 
 
 @pytest.mark.parametrize("eps", [F(1, 10**4), F(1, 10**6), F(1, 10**9)])
@@ -1122,8 +1166,12 @@ def test_refused_closures_keep_their_enclosures(monkeypatch):
             an, None if c is None else frozenset({c})) for c in (phi1, phi2)]).system
         for eps in (F(1, 10**6), F(1, 10**9)):
             enc = solve_enclosure(system, eps=eps)
+            # the digests cover the variables; the pins come on top, exact
+            lo, hi = ({k: v for k, v in bound.items() if k not in system.pins}
+                      for bound in (enc.lo, enc.hi))
+            assert lo | system.pins == enc.lo and hi | system.pins == enc.hi
             digest = hashlib.sha256(repr((
-                sorted(enc.lo.items()), sorted(enc.hi.items()), enc.converged, enc.exact,
+                sorted(lo.items()), sorted(hi.items()), enc.converged, enc.exact,
                 enc.iterations)).encode()).hexdigest()[:16]
             assert digest == UNCLOSED[name, eps], (name, eps)
     assert calls == []

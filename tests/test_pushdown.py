@@ -6,7 +6,7 @@ import pytest
 from pregma.gio import ParseError, parse_grammar, serialize_grammar
 from pregma.model import GrammarError, expand, validate_grammar
 from pregma.oracle import FiniteMC, PathQuery, bounded_until, truncate
-from pregma.pushdown import base_suffixes, parse_pds, to_grammar
+from pregma.pushdown import PushdownSystem, SuffixRule, base_suffixes, parse_pds, to_grammar
 from pregma.validation import analyse
 from reference import config_chain, config_words, split_word, successors
 
@@ -117,6 +117,13 @@ def test_ambiguous_rendering_is_refused():
 def test_unrepresentable_side_is_refused():
     p = parse_pds("stack A\nstate s r\nrule r a sr\n")
     with pytest.raises(GrammarError, match="not representable"):
+        to_grammar(p)
+
+
+def test_empty_rule_sides_are_refused():
+    # parse_pds never reads an empty side; a system built in code can hold one
+    p = PushdownSystem(["A"], ["p"], [SuffixRule((), "a", ())])
+    with pytest.raises(GrammarError, match="no rule side has a nonempty strict suffix"):
         to_grammar(p)
 
 

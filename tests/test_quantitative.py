@@ -38,10 +38,10 @@ def test_assembly_shape(running):
     assert [(n, len(f.rule.inputs)) for n, f in an.fragments.items()] == [
         ("Z", 0), ("A", 2)]
     # one win per class, one dec per input of A's classes
-    assert len(asm.system.variables) + len(asm.pins) == 14
+    assert len(asm.system.variables) + len(asm.system.pins) == 14
     win = an.ids["A", "win"]
     dead = an.ids["A", "dead"]
-    assert asm.pins == {
+    assert asm.system.pins == {
         win: F(1), dec_key(an, win, 1): F(0), dec_key(an, win, 2): F(0),
         dead: F(0), dec_key(an, dead, 1): F(0), dec_key(an, dead, 2): F(0),
     }
@@ -86,10 +86,10 @@ def test_descend_direction_two_is_dead_weight(running):
     assert dec_key(an, fork, 1) in pos
     assert dec_key(an, nxt, 2) not in pos
     assert dec_key(an, fork, 2) not in pos
-    # the assembly carries the same facts: the positive variables with the
-    # pins at 1, and per class its positive descents with their variables
-    win = an.ids["A", "win"]
-    assert asm.positive == pos | {win}
+    # the positive keys are the positive variables and the pin at 1, and
+    # the assembly carries per class its positive descents with their variables
+    win, v0 = an.ids["A", "win"], an.ids["Z", "v0"]
+    assert pos == {v0, nxt, fork, dec_key(an, nxt, 1), dec_key(an, fork, 1), win}
     assert asm.descents[nxt] == [(1, dec_key(an, nxt, 1))]
     assert asm.descents[fork] == [(1, dec_key(an, fork, 1))]
     for site in [("A", "win"), ("A", "dead"), ("Z", "v0"), ("Z", "t0")]:
