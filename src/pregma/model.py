@@ -314,10 +314,10 @@ class Expansion:
     filled by `_rewrite` (a truncation reads the same ones). classes[v],
     levels[v] and colours[v] give vertex v's canonical vertex, the round
     that created it and its colours (vertices with equal colours share one
-    frozenset). axiom_ids maps the axiom rule's vertex names to ids, and the
-    frontier holds the vertices that still lie on an unexpanded hyperarc. A
-    component view restricts the graph and the frontier to its ids and
-    keeps the columns whole."""
+    frozenset, the one colour_sets holds). axiom_ids maps the axiom rule's
+    vertex names to ids, and the frontier holds the vertices that still lie
+    on an unexpanded hyperarc. A component view restricts the graph and the
+    frontier to its ids and keeps the columns whole."""
 
     graph: ExpandedGraph = field(default_factory=ExpandedGraph)
     classes: list[CanonicalVertex] = field(default_factory=list)
@@ -325,6 +325,7 @@ class Expansion:
     colours: list[frozenset[str]] = field(default_factory=list)
     axiom_ids: dict[VertexId, int] = field(default_factory=dict)
     frontier: frozenset[int] = frozenset()
+    colour_sets: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -332,9 +333,11 @@ class FiniteMC:
     """A finite Markov chain on the states 0..n-1. trans[i] lists state i's
     steps as (target, weight) int pairs: a step's probability is weight /
     den, den being the lcm of mu's denominators. Frontier states have
-    incomplete rows. axiom_ids maps the names a query may start from to
-    states (a truncation's are the axiom rule's vertex names). A truncation
-    also gives each state's class and level, and the grammar it expands."""
+    incomplete rows, but their colours are final ones, those they will end
+    with, except for the `unsettled` states, whose colours may still grow.
+    axiom_ids maps the names a query may start from to states (a
+    truncation's are the axiom rule's vertex names). A truncation also
+    gives each state's class and level, and the grammar it expands."""
 
     trans: list[list[tuple[int, int]]]
     den: int
@@ -344,6 +347,7 @@ class FiniteMC:
     classes: list[CanonicalVertex] | None = None
     levels: list[int] | None = None
     grammar: Grammar | None = None
+    unsettled: frozenset[int] = frozenset()
 
     @property
     def states(self) -> range:
@@ -422,8 +426,8 @@ def _rewrite(
     if depth < 0:
         raise GrammarError("depth must be >= 0")
     classes, levels, colours = out.classes, out.levels, out.colours
-    empty: frozenset[str] = frozenset()
-    shared = {empty: empty}  # one object per distinct colour set
+    shared = out.colour_sets  # one object per distinct colour set
+    empty: frozenset[str] = shared.setdefault(frozenset(), frozenset())
     pending: list[tuple[str, tuple[VertexId, ...]]] = [(g.axiom, ())]
     for level in range(depth + 1):
         if level and enough is not None and enough(pending):

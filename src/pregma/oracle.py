@@ -7,11 +7,15 @@ rows: that routine builds the per-vertex columns (class, level, colours,
 axiom ids, frontier) of an expansion and of a truncation alike, and no
 expanded graph is kept.
 Vertices still sitting on an unexpanded hyperarc (the frontier) have
-incomplete out-arcs and possibly missing colours, so the oracle refuses
-horizon/depth combinations whose answer could still be influenced by the
-frontier, and the sampler reports frontier contacts separately instead of
-guessing. Marked absorbing sinks get an explicit probability-1 self-loop so
-the truncation is a genuine Markov chain.
+incomplete out-arcs, but the class record of the walk of the passings
+(`validation.vertex_classes`) already holds every colour they will carry,
+and a truncation gives them those final colours. A frontier state is then
+read only through its colours unless a path could step on from it in time:
+it lies fewer than `horizon` steps from the start, is not won and shows
+phi1. The oracle refuses a query whose horizon cone holds such a state,
+and the sampler counts a trajectory that reaches one as an escape instead
+of guessing. Marked absorbing sinks get an explicit probability-1
+self-loop so the truncation is a genuine Markov chain.
 
 Transition rows hold integer weights over one denominator, the lcm of mu's
 denominators. Both the exact bounded sweep and the sampler read only the
@@ -21,19 +25,20 @@ gives each cone state one fate and takes each step as one lookup in a table
 of cut points, ending each trajectory as soon as it can no longer hit or
 escape. numpy serves the sampler alone and is imported only when it runs.
 
-Once the horizon cone holds no frontier state that is not won, deeper
-levels can no longer change the answer, so a truncation made for a query
-stops at the first level whose cone is closed: the requested depth is the
-most it builds.
+Once the horizon cone holds no frontier state that a path could step on
+from in time, deeper levels can no longer change the answer, so a
+truncation made for a query stops at the first level whose cone is closed:
+the requested depth is the most it builds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Iterable
 
 from .model import (
+    CanonicalVertex,
     Expansion,
     FiniteMC,
     Grammar,
@@ -45,7 +50,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import _mass_fault, vertex_classes
+from .validation import VertexClass, _mass_fault, check_complete_outside, vertex_classes
 
 
 class TotalityError(GrammarError):
@@ -65,20 +70,22 @@ def _priced(rule: _Compiled, weight: dict[str, int]) -> list[tuple[int, int, int
     return [(s, t, weight[label]) for label, s, t in rule.arcs]
 
 
-def _may_raise(g: Grammar, den: int, weight: dict[str, int]) -> bool:
-    """Whether the truncation raises at some depth, read off the rules alone:
-    a reachable rule has an arc label without a probability, or a reachable
-    class whose passings end fails admission's mass test (`_mass_fault`,
-    on mu's weights over den). A class whose passings never end keeps its
-    vertices on the frontier at every depth, so the truncation never checks
-    its mass. The walk is the one admission runs; at a shared vertex it
-    sums what every branch gains, which is what the truncation sees."""
+def _may_raise(g: Grammar, den: int, weight: dict[str, int],
+               classes: dict[CanonicalVertex, VertexClass]) -> bool:
+    """Whether the truncation raises at some depth, read off the rules and
+    their class table (`vertex_classes(g)`) alone: a reachable rule has an
+    arc label without a probability, or a reachable class whose passings
+    end fails admission's mass test (`_mass_fault`, on mu's weights over
+    den). A class whose passings never end keeps its vertices on the
+    frontier at every depth, so the truncation never checks its mass. The
+    walk is the one admission runs; at a shared vertex it sums what every
+    branch gains, which is what the truncation sees."""
     names = reachable_nonterminals(g)
     if any(arc.label not in g.mu
            for rule in g.rules if rule.lhs in names for arc in rule.rhs.arcs):
         return True
     return any(vc.terminates and _mass_fault(vc, g.absorbing, den, weight)
-               for can, vc in vertex_classes(g).items() if can.rule in names)
+               for can, vc in classes.items() if can.rule in names)
 
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
@@ -86,18 +93,25 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     mu: state i is the concrete vertex with id i. The rows are the rule
     applications of `_rewrite` priced in integer weights; the colours,
     classes, levels, axiom ids and frontier are the columns `_rewrite`
-    fills, the same ones `expand` returns. Raises GrammarError on a
-    structurally invalid grammar or an arc label without a probability (at
-    the first application that needs it), and TotalityError on a fully
+    fills, the same ones `expand` returns, except that each frontier state
+    carries its final colours: those of its class record
+    (`VertexClass.colours`, from one `vertex_classes` walk per truncation),
+    which holds every colour a vertex of the class gains at any depth.
+    Under a shared vertex the record of a class whose passings never end
+    is not exact; the frontier states of such a class keep the colours
+    they have and are the chain's unsettled states. Raises GrammarError on
+    a structurally invalid grammar or an arc label without a probability
+    (at the first application that needs it), and TotalityError on a fully
     expanded vertex whose outgoing mass is not 1.
 
     Without a query every level up to `depth` is built. Given one, the
     truncation stops at the first level whose horizon cone from the query's
-    start is closed (see `_blocking`), so `depth` is the most it builds.
-    State ids go breadth first, so the shallower chain's ids are a prefix
-    of the full one's, and `bounded_until` and `sample_until` give the
-    query the same answers, errors included, on both. Two things keep it
-    building:
+    start is closed (see `_blocking`), so `depth` is the most it builds;
+    the states exactly `horizon` steps from the start may stay on the
+    frontier, since they never step. State ids go breadth first, so the
+    shallower chain's ids are a prefix of the full one's, and
+    `bounded_until` and `sample_until` give the query the same answers,
+    errors included, on both. Two things keep it building:
     - some depth's truncation would raise (`_may_raise`): then every level
       is built, so that the error is the full depth's;
     - the cone tests so far have read more than four states per state
@@ -111,6 +125,27 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     e = Expansion()
     read = 0  # states the cone tests have read
     may_raise: bool | None = None
+    classes: dict[CanonicalVertex, VertexClass] | None = None
+    final: dict[CanonicalVertex, frozenset[str]] = {}  # the exact records' colours
+
+    def settle(frontier: Iterable[int]) -> set[int]:
+        """Give frontier states their final colours; return those whose
+        class record is not exact."""
+        nonlocal classes
+        if classes is None:  # `_rewrite` has checked the grammar by now
+            classes = vertex_classes(g)
+            shared = bool(check_complete_outside(g))
+            for can, vc in classes.items():
+                if vc.terminates or not shared:
+                    final[can] = e.colour_sets.setdefault(vc.colours, vc.colours)
+        unsettled = set()
+        for v in frontier:
+            cs = final.get(e.classes[v])
+            if cs is None:
+                unsettled.add(v)
+            else:
+                e.colours[v] = cs
+        return unsettled
 
     def closed(pending: list[tuple[str, tuple[VertexId, ...]]]) -> bool:
         """Whether the query's horizon cone is closed on the levels so far."""
@@ -123,13 +158,13 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         elif not (type(start) is int and 0 <= start < len(trans)):
             return False  # until it resolves as FiniteMC.resolve will
         frontier = {v for _, vs in pending for v in vs}
-        won, undecided = _query_tests(query, e.colours, frontier)
+        _, undecided, blocks = _query_tests(query, e.colours, frontier, settle(frontier))
         layers = _cone(trans, undecided, start, query.horizon)
         read += sum(map(len, layers))
-        if _blocking(layers, frontier, won) is not None:
+        if _blocking(layers, frontier, blocks) is not None:
             return False
         if may_raise is None:
-            may_raise = _may_raise(g, den, weight)
+            may_raise = _may_raise(g, den, weight, classes)
         return not may_raise
 
     for rule, ids in _rewrite(g, depth, e, None if query is None else closed):
@@ -145,7 +180,9 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in e.frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g)
+    unsettled = frozenset(settle(e.frontier))
+    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g,
+                  unsettled)
     for i, row in enumerate(trans):
         if i not in e.frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
@@ -164,13 +201,15 @@ class PathQuery:
     horizon: int
 
 
-def _query_tests(query: PathQuery, colours: list[frozenset[str]],
-                 frontier: Collection[int],
-                 ) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
-    """The query's two tests on a state, reading only that state's colours:
-    won (it shows a phi2 colour) and undecided (alive, not won and not on
-    the frontier)."""
-    phi1, phi2 = query.phi1, query.phi2
+def _query_tests(
+    query: PathQuery, colours: list[frozenset[str]], frontier: Collection[int],
+    unsettled: Collection[int],
+) -> tuple[Callable[[int], bool], Callable[[int], bool], Callable[[int, int], bool]]:
+    """The query's tests on a state, reading only that state's colours:
+    won (it shows a phi2 colour), undecided (alive, not won and not on the
+    frontier, so it steps on) and, for a frontier state d steps from the
+    start, blocks (see `_blocking`)."""
+    phi1, phi2, horizon = query.phi1, query.phi2, query.horizon
 
     def won(s: int) -> bool:
         return phi2 is None or not phi2.isdisjoint(colours[s])
@@ -179,7 +218,13 @@ def _query_tests(query: PathQuery, colours: list[frozenset[str]],
         return not (s in frontier or won(s)) and (
             phi1 is None or not phi1.isdisjoint(colours[s]))
 
-    return won, undecided
+    def blocks(s: int, d: int) -> bool:
+        if s in unsettled:
+            return not won(s)
+        return d < horizon and not won(s) and (
+            phi1 is None or not phi1.isdisjoint(colours[s]))
+
+    return won, undecided, blocks
 
 
 def _cone(trans: list[list[tuple[int, int]]], undecided: Callable[[int], bool],
@@ -204,17 +249,21 @@ def _cone(trans: list[list[tuple[int, int]]], undecided: Callable[[int], bool],
 
 
 def _blocking(layers: list[set[int]], frontier: Collection[int],
-              won: Callable[[int], bool]) -> int | None:
-    """The cone's first state, in layer order, that lies on the frontier
-    without being won; None when there is none, and the cone is closed.
+              blocks: Callable[[int, int], bool]) -> int | None:
+    """The cone's first frontier state, in layer order, whose missing row
+    the answer may need; None when there is none, and the cone is closed.
 
-    A frontier state that already shows the goal colour is fine: colours
-    only ever accumulate, so it wins no matter what comes later. Every
-    other state of a closed cone is off the frontier, so its row and its
-    colours are final, and deeper truncations hold the same cone."""
-    for layer in layers:
+    A frontier state in layers[d] blocks when d < horizon and it would step
+    on: it is not won and it shows phi1. Its colours are final, so a state
+    that is won, outside phi1 or at the horizon is read only through them,
+    as a deeper truncation reads it where it has the row. An unsettled
+    state, whose colours may still grow, blocks anywhere in the cone
+    unless it is won already (colours only accumulate). Every state that
+    steps in a closed cone is off the frontier, so its row and its colours
+    are final, and deeper truncations hold the same cone."""
+    for d, layer in enumerate(layers):
         for s in layer:
-            if s in frontier and not won(s):
+            if s in frontier and blocks(s, d):
                 return s
     return None
 
@@ -225,14 +274,14 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     Only the start's horizon cone is swept: step k reads the states within
     horizon - k steps of the start, since no other state's value reaches
     the start's in time. Values are integers over mc.den**k. Rejects the
-    query when a frontier state that is not won lies in the cone, where the
-    truncation does not know its behaviour. No state outside the cone is
+    query when the cone holds a frontier state that blocks (`_blocking`),
+    whose row the truncation does not know. No state outside the cone is
     read."""
-    won, undecided = _query_tests(query, mc.colours, mc.frontier)
+    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier, mc.unsettled)
     start = mc.resolve(query.start)
     horizon = query.horizon
     layers = _cone(mc.trans, undecided, start, horizon)
-    hit = _blocking(layers, mc.frontier, won)
+    hit = _blocking(layers, mc.frontier, blocks)
     if hit is not None:
         # a class whose passings never end keeps its vertices on the
         # frontier at every depth, where deepening cannot help
@@ -306,12 +355,14 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     """Monte Carlo estimate of the same query, deterministic in the seed.
 
     Trajectory i uses draw number step * n + i, so the result is a pure
-    function of (seed, n, horizon). A trajectory touching the frontier while
-    still undecided counts as an escape: the truth then lies between
-    hits/n and (hits+escapes)/n. A trajectory misses as soon as it stands
-    on a state from which no win or frontier state can be reached inside
-    the cone, so the loop ends once no trajectory can still hit or escape;
-    draws are counter-based, so hits and escapes stay as if it walked on.
+    function of (seed, n, horizon). A trajectory that reaches a frontier
+    state that blocks (`_blocking`) counts as an escape: the truth then
+    lies between hits/n and (hits+escapes)/n. Any other frontier state is
+    a hit or a miss by its final colours. A trajectory misses as soon as
+    it stands on a state from which no win or blocking state can be
+    reached inside the cone, so the loop ends once no trajectory can still
+    hit or escape; draws are counter-based, so hits and escapes stay as if
+    it walked on.
 
     Only the start's horizon cone is read, in positions of its own: each
     cone state gets one fate (steps on, hit, miss or escape), and each
@@ -327,20 +378,20 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
 
     from .rng import draw_array
 
-    won, undecided = _query_tests(query, mc.colours, mc.frontier)
+    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier, mc.unsettled)
     start = mc.resolve(query.start)
     horizon = query.horizon
     layers = _cone(mc.trans, undecided, start, horizon)
     stepping = [s for layer in layers[:horizon] for s in layer if undecided(s)]
-    # walk back from the cone's won and frontier states through the
+    # walk back from the cone's won and blocking states through the
     # stepping states: a trajectory anywhere else can only miss
     preds: dict[int, list[int]] = {}
     for s in stepping:
         for t, _ in mc.trans[s]:
             preds.setdefault(t, []).append(s)
     # one fate per cone state: 0 steps on, 1 hit, 2 miss, 3 escape
-    fates = {s: 1 if won(s) else 3 if s in mc.frontier else 2
-             for layer in layers for s in layer}
+    fates = {s: 1 if won(s) else 3 if s in mc.frontier and blocks(s, d) else 2
+             for d, layer in enumerate(layers) for s in layer}
     hopeful = reach([s for s, f in fates.items() if f != 2],
                     lambda t: preds.get(t, ()))
     moving = [s for s in stepping if s in hopeful]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -1131,3 +1132,74 @@ def test_only_sampling_loads_numpy(corpus_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "import False", *["0 False"] * 4, "1 False", *["0 False"] * 2, "0 True"]
+
+
+def test_the_largest_commands_leave_no_reference_cycle(corpus_dir, tmp_path,
+                                                       branching_walk):
+    # main pauses the cyclic collector because the tables a command builds
+    # hold no cycle, so refcounting frees them all: with the collector
+    # paused, a collection after each command finds nothing. numpy's first
+    # import and argparse's formatters, made once while the one parser is
+    # built, leave cycles of their own, so both come first
+    import numpy  # noqa: F401
+
+    _build_parser()
+
+    walk = tmp_path / "walk.gg"
+    walk.write_text(serialize_grammar(branching_walk))
+    head = ["prob", str(walk), "--phi2", "green", "--from", "m0", "--horizon", "8",
+            "--depth", "10"]
+    calls = [head + ["--method", "truncate"], head + ["--method", "sample", "--n", "500"],
+             ["expand", str(walk), "--depth", "10", "--format", "json-lines",
+              "-o", str(tmp_path / "walk.jsonl")]]
+    for name, phi1, phi2, start in [("running.gg", "V1", "V2", "v0"),
+                                    ("dag.gg", "tt", "goal", "v0"),
+                                    ("updrift.gg", "tt", "green", "m0"),
+                                    ("critical.gg", "tt", "green", "m0")]:
+        path = gg(corpus_dir, name)
+        calls += [["prob", path, "--phi1", phi1, "--phi2", phi2, "--from", start],
+                  ["check", path, "--formula", f"{phi1} U[>=1/2] {phi2}", "--at", start],
+                  ["check", path, "--formula", f"F[>0] {phi2}", "--emit-coloured"]]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            code, _, err = run(argv)
+            assert code in (0, 1, 2) and not err, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, collecting):
+    seen = []
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return real_truncate(*args)
+
+    def raising(*args):
+        raise RuntimeError("a command that raises")
+
+    real_truncate = cli.truncate
+    prob = ["prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0"]
+    truncating = prob + ["--method", "truncate", "--horizon", "3"]
+    found = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        monkeypatch.setattr(cli, "truncate", watched)
+        assert run(truncating)[:2] == (0, "bounded=1/8\ndecimal 0.125000000000 (horizon 3)\n")
+        assert seen == [False] and gc.isenabled() is collecting
+        for usage_error in (prob + ["--eps", "0"], prob + ["--no-such-option"],
+                            ["check", prob[1], "--formula", "F[>0"]):
+            assert run(usage_error)[0] == 3
+            assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "truncate", raising)
+        with pytest.raises(RuntimeError, match="a command that raises"):
+            run(truncating)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if found else gc.disable)()

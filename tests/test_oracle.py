@@ -104,10 +104,13 @@ def test_truncate_needs_every_label_priced(running):
 
 def test_frontier_guard(running):
     mc = truncate(running, 3)
-    # the frontier sits 3 steps from v0, so horizon 2 is fine and 3 is not
+    # the frontier sits 3 steps from v0: horizon 3 reads it only through
+    # its final colours, as a deeper truncation does, and 4 needs its row
     assert bounded_until(mc, q(2)) == 0
+    assert bounded_until(mc, q(3)) == bounded_until(truncate(running, 5), q(3)) \
+        == Fraction(1, 8)
     with pytest.raises(HorizonError, match="deepen the truncation"):
-        bounded_until(mc, q(3))
+        bounded_until(mc, q(4))
     # the cone walk ends with the cone, not with the horizon
     with pytest.raises(HorizonError, match="within 1000000 steps"):
         bounded_until(mc, q(10**6))
@@ -118,6 +121,32 @@ def test_frontier_guard_spares_winning_frontiers(running):
     mc = truncate(running, 3)
     assert bounded_until(mc, PathQuery(None, V1, "v0", 10)) == 1
     assert bounded_until(mc, PathQuery(None, V1, "v0", 10**6)) == 1
+
+
+def test_frontier_states_are_read_through_their_final_colours():
+    # C colours its own input goal, so x and w show goal only once their
+    # C hyperarcs are expanded; at depth 0 they, and y, lie on the frontier.
+    # x lies exactly at the horizon, w one step inside it (won only by its
+    # final colours) and y one step inside it too, dead: its final colours
+    # lack ok. None of them steps, so depth 0 answers as depth 2 does
+    g = parse_grammar(
+        "nonterminal Z 0\nnonterminal C 1\nnonterminal D 1\nterminal a 2\n"
+        "terminal b 2\nterminal c 2\nterminal e 2\ncolour ok\ncolour goal\n"
+        "colour stop\nprob a 1/2\nprob b 1/4\nprob c 1/4\nprob e 1\n"
+        "absorbing goal\nabsorbing stop\naxiom Z\n"
+        "rule Z\n  vertex s m x y w\n  colour ok s\n  colour ok m\n  arc a s m\n"
+        "  arc e m x\n  arc b s y\n  arc c s w\n  hyperarc C x\n  hyperarc D y\n"
+        "  hyperarc C w\nrule C inputs i\n  colour goal i\n"
+        "rule D inputs i\n  vertex z\n  arc e i z\n  colour stop z\n")
+    query = PathQuery(frozenset({"ok"}), frozenset({"goal"}), "s", 2)
+    shallow, deeper = truncate(g, 0), truncate(g, 2)
+    assert len(shallow.frontier) == 3
+    assert truncate(g, 2, query).states == shallow.states
+    assert bounded_until(shallow, query) == bounded_until(deeper, query) == Fraction(3, 4)
+    counts = [sample_until(mc, query, 400, 5) for mc in (shallow, deeper)]
+    assert [(r.hits, r.misses, r.escapes) for r in counts] == [
+        (counts[1].hits, 400 - counts[1].hits, 0)] * 2
+    assert abs(counts[0].misses - 100) < 30  # the trajectories through y
 
 
 def test_sample_until_frozen_run(running):
@@ -229,32 +258,42 @@ def test_bounded_until_matches_the_full_sweep(running, dag, updrift,
     for mc, phi1, phi2, start in cases:
         for h in range(13):
             query = PathQuery(phi1, phi2, start, h)
-            if mc is walk and h >= 8:
+            if mc is walk and h >= 9:
                 # the walk's frontier is 8 climbs above m0
                 with pytest.raises(HorizonError):
                     bounded_until(mc, query)
                 continue
+            if mc is walk and h == 8:
+                # the frontier at the horizon is read only through its colours
+                assert bounded_until(mc, query) == full_sweep(truncate(branching_walk, 10),
+                                                              query)
             assert bounded_until(mc, query) == full_sweep(mc, query), (start, h)
 
 
 def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running, pds_prob):
+    # the frontier of depth d lies d steps from v0 and would step on from
+    # there, so horizons up to d read it only through its colours
     for depth in range(1, 7):
         mc = truncate(running, depth)
+        deeper = truncate(running, depth + 2)
         for h in range(9):
-            if h < depth:
-                assert bounded_until(mc, q(h)) == full_sweep(mc, q(h))
+            if h <= depth:
+                assert bounded_until(mc, q(h)) == full_sweep(mc, q(h)) \
+                    == full_sweep(deeper, q(h))
             else:
                 with pytest.raises(HorizonError):
                     bounded_until(mc, q(h))
     with pytest.raises(HorizonError, match=(
-            r"^frontier vertex 13 \(class A:next, level 3\) is within 3 "
+            r"^frontier vertex 13 \(class A:next, level 3\) is within 4 "
             r"steps of the start; deepen the truncation$")):
-        bounded_until(truncate(running, 3), q(3))
+        bounded_until(truncate(running, 3), q(4))
     # a chain that is no truncation names no class or level
+    halt = PathQuery(None, frozenset({"halt"}), "r", 3)
+    assert bounded_until(config_chain(pds_prob, ("r",), 3), halt) == \
+        bounded_until(config_chain(pds_prob, ("r",), 5), halt) == Fraction(1, 2)
     with pytest.raises(HorizonError, match=(
-            r"^frontier vertex 2 is within 2 steps of the start; deepen the truncation$")):
-        bounded_until(config_chain(pds_prob, ("r",), 2),
-                      PathQuery(None, frozenset({"halt"}), "r", 2))
+            r"^frontier vertex 2 is within 3 steps of the start; deepen the truncation$")):
+        bounded_until(config_chain(pds_prob, ("r",), 2), halt)
     # r is passed on to C's input on every level, so it lies on the frontier
     # at every depth: deepening cannot help, and the error says so
     forever = parse_grammar(
@@ -616,7 +655,7 @@ def test_vertices_passed_on_for_ever_never_keep_a_truncation_building():
         "  arc t g g\n  hyperarc C n g\n")
     query = PathQuery(None, frozenset({"goal"}), "v0", 3)
     mc = truncate(g, 12, query)
-    assert max(mc.levels) == 4
+    assert max(mc.levels) == 3
     assert bounded_until(mc, query) == bounded_until(truncate(g, 12), query) \
         == Fraction(7, 8)
 
@@ -681,21 +720,34 @@ def random_grammar(rng):
     return "\n".join(lines) + "\n"
 
 
+def settled_colours(g, depth):
+    """The colours of every vertex of the depth-`depth` expansion once it
+    gains no more: those of an expansion deeper by the number of rule
+    inputs, the sites a passing leads to, after which no passing reaches a
+    site it has not reached yet."""
+    return expand(g, depth + sum(len(rule.inputs) for rule in g.rules)).colours
+
+
 def test_random_grammars_truncate_and_expand_as_their_classes_say():
     """On seeded random grammars: a query's truncation raises what the full
-    depth raises or is a prefix of it, and every vertex off the frontier of
-    an expansion has its class's out-arcs and colours whenever the class's
-    passings end; the vertices of the other classes never leave the
-    frontier. Without a shared vertex or an unpriced reachable arc, the
-    truncation oracle expects a raise exactly when phr_check fails a
-    reachable class whose passings end."""
+    depth raises or is a prefix of it, on which bounded_until and
+    sample_until give the full depth's answers, and every vertex off the
+    frontier of an expansion has its class's out-arcs and colours whenever
+    the class's passings end; the vertices of the other classes never
+    leave the frontier. A truncation's frontier state carries its class's
+    colours, which are the colours it settles on, also when the class's
+    passings never end; only under a shared vertex is such a class's record
+    not exact, and its states stay unsettled. Without a shared vertex or an
+    unpriced reachable arc, the truncation oracle expects a raise exactly
+    when phr_check fails a reachable class whose passings end."""
     rng = random.Random(29)
     seen, pinned = Counter(), Counter()
-    for _ in range(300):
+    for _ in range(600):
         g = parse_grammar(random_grammar(rng))
         depth = rng.randint(1, 4)
         start = rng.choice([str(v) for v in g.axiom_rule().rhs.vertices])
-        query = PathQuery(None, frozenset({"green"}), start, rng.randint(0, 3))
+        query = PathQuery(rng.choice([None, frozenset({"red"})]), frozenset({"green"}),
+                          start, rng.randint(0, 5))
         full = outcome(truncate, g, depth)
         early = outcome(truncate, g, depth, query)
         if isinstance(full, tuple):
@@ -708,9 +760,24 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
             assert (early.classes, early.levels) == (full.classes[:n], full.levels[:n])
             assert all(early.trans[s] == full.trans[s] and early.colours[s] == full.colours[s]
                        for s in range(n) if s not in early.frontier)
+            assert outcome(bounded_until, early, query) == outcome(bounded_until, full, query)
+            a, b = (sample_until(mc, query, 50, 3) for mc in (early, full))
+            assert (a.hits, a.misses, a.escapes) == (b.hits, b.misses, b.escapes)
+            seen["escapes"] += a.escapes > 0
 
         classes = vertex_classes(g)
         e = expand(g, depth)
+        if not isinstance(full, tuple):
+            settled = settled_colours(g, depth)
+            shared = bool(check_complete_outside(g))
+            for v in full.frontier:
+                vc = classes[full.classes[v]]
+                assert (v in full.unsettled) == (shared and not vc.terminates)
+                if v in full.unsettled:
+                    assert full.colours[v] == e.colours[v]
+                else:
+                    assert full.colours[v] == settled[v] == vc.colours
+                    seen["settles for ever"] += not vc.terminates
         out = {v: Counter() for v in e.graph.vertices}
         for label, source, _ in e.graph.arcs():
             out[source][label] += 1
@@ -727,7 +794,7 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
                 for arc in rule.rhs.arcs):
             fails = any(f.can.rule in reached and classes[f.can].terminates
                         for f in phr_check(g).failures)
-            assert _may_raise(g, *integer_weights(g.mu)) == fails
+            assert _may_raise(g, *integer_weights(g.mu), classes) == fails
             pinned[fails] += 1
         seen["shared"] += bool(check_complete_outside(g))
         seen["loops"] += not all(vc.terminates for vc in classes.values())
