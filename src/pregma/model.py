@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -250,6 +250,48 @@ def reach(seeds: Iterable[Hashable],
     return seen
 
 
+def components(nodes: Iterable[Hashable],
+               step: Callable[[Any], Iterable[Hashable]]) -> list[list]:
+    """The strongly connected components of what `step` reaches from
+    `nodes` (Tarjan, SIAM J. Comput. 1972, without recursion), each after
+    every component its members step to. Roots are taken in the order of
+    `nodes` and successors in the order `step` gives them; a component
+    lists its members in the order they leave Tarjan's stack, its root
+    last."""
+    index: dict = {}  # a node's visit number, inf once its component is out
+    low: dict = {}
+    stack: list = []
+    comps: list[list] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(step(root)))]
+        while work:
+            node, todo = work[-1]
+            for nxt in todo:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(step(nxt))))
+                    break
+                if index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = inf
+                    comps.append(comp)
+                elif low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    return comps
+
+
 def reachable_nonterminals(g: Grammar) -> frozenset[str]:
     """Nonterminals reachable from the axiom through right-hand sides."""
     succ = {rule.lhs: [h.label for h in rule.rhs.hyperarcs] for rule in g.rules}
@@ -334,8 +376,7 @@ class FiniteMC:
     steps as (target, weight) int pairs: a step's probability is weight /
     den, den being the lcm of mu's denominators. Frontier states have
     incomplete rows, but their colours are final ones, those they will end
-    with, except for the `unsettled` states, whose colours may still grow.
-    axiom_ids maps the names a query may start from to states (a
+    with. axiom_ids maps the names a query may start from to states (a
     truncation's are the axiom rule's vertex names). A truncation also
     gives each state's class and level, and the grammar it expands."""
 
@@ -347,7 +388,6 @@ class FiniteMC:
     classes: list[CanonicalVertex] | None = None
     levels: list[int] | None = None
     grammar: Grammar | None = None
-    unsettled: frozenset[int] = frozenset()
 
     @property
     def states(self) -> range:

@@ -50,7 +50,7 @@ from .model import (
     reach,
     reachable_nonterminals,
 )
-from .validation import VertexClass, _mass_fault, check_complete_outside, vertex_classes
+from .validation import VertexClass, _mass_fault, vertex_classes
 
 
 class TotalityError(GrammarError):
@@ -97,12 +97,9 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     carries its final colours: those of its class record
     (`VertexClass.colours`, from one `vertex_classes` walk per truncation),
     which holds every colour a vertex of the class gains at any depth.
-    Under a shared vertex the record of a class whose passings never end
-    is not exact; the frontier states of such a class keep the colours
-    they have and are the chain's unsettled states. Raises GrammarError on
-    a structurally invalid grammar or an arc label without a probability
-    (at the first application that needs it), and TotalityError on a fully
-    expanded vertex whose outgoing mass is not 1.
+    Raises GrammarError on a structurally invalid grammar or an arc label
+    without a probability (at the first application that needs it), and
+    TotalityError on a fully expanded vertex whose outgoing mass is not 1.
 
     Without a query every level up to `depth` is built. Given one, the
     truncation stops at the first level whose horizon cone from the query's
@@ -126,26 +123,17 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     read = 0  # states the cone tests have read
     may_raise: bool | None = None
     classes: dict[CanonicalVertex, VertexClass] | None = None
-    final: dict[CanonicalVertex, frozenset[str]] = {}  # the exact records' colours
+    final: dict[CanonicalVertex, frozenset[str]] = {}  # the records' colours
 
-    def settle(frontier: Iterable[int]) -> set[int]:
-        """Give frontier states their final colours; return those whose
-        class record is not exact."""
+    def settle(frontier: Iterable[int]) -> None:
+        """Give frontier states their final colours."""
         nonlocal classes
         if classes is None:  # `_rewrite` has checked the grammar by now
             classes = vertex_classes(g)
-            shared = bool(check_complete_outside(g))
             for can, vc in classes.items():
-                if vc.terminates or not shared:
-                    final[can] = e.colour_sets.setdefault(vc.colours, vc.colours)
-        unsettled = set()
+                final[can] = e.colour_sets.setdefault(vc.colours, vc.colours)
         for v in frontier:
-            cs = final.get(e.classes[v])
-            if cs is None:
-                unsettled.add(v)
-            else:
-                e.colours[v] = cs
-        return unsettled
+            e.colours[v] = final[e.classes[v]]
 
     def closed(pending: list[tuple[str, tuple[VertexId, ...]]]) -> bool:
         """Whether the query's horizon cone is closed on the levels so far."""
@@ -158,7 +146,8 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         elif not (type(start) is int and 0 <= start < len(trans)):
             return False  # until it resolves as FiniteMC.resolve will
         frontier = {v for _, vs in pending for v in vs}
-        _, undecided, blocks = _query_tests(query, e.colours, frontier, settle(frontier))
+        settle(frontier)
+        _, undecided, blocks = _query_tests(query, e.colours, frontier)
         layers = _cone(trans, undecided, start, query.horizon)
         read += sum(map(len, layers))
         if _blocking(layers, frontier, blocks) is not None:
@@ -180,9 +169,8 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in e.frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    unsettled = frozenset(settle(e.frontier))
-    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g,
-                  unsettled)
+    settle(e.frontier)
+    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g)
     for i, row in enumerate(trans):
         if i not in e.frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
@@ -203,7 +191,6 @@ class PathQuery:
 
 def _query_tests(
     query: PathQuery, colours: list[frozenset[str]], frontier: Collection[int],
-    unsettled: Collection[int],
 ) -> tuple[Callable[[int], bool], Callable[[int], bool], Callable[[int, int], bool]]:
     """The query's tests on a state, reading only that state's colours:
     won (it shows a phi2 colour), undecided (alive, not won and not on the
@@ -219,8 +206,6 @@ def _query_tests(
             phi1 is None or not phi1.isdisjoint(colours[s]))
 
     def blocks(s: int, d: int) -> bool:
-        if s in unsettled:
-            return not won(s)
         return d < horizon and not won(s) and (
             phi1 is None or not phi1.isdisjoint(colours[s]))
 
@@ -256,9 +241,7 @@ def _blocking(layers: list[set[int]], frontier: Collection[int],
     A frontier state in layers[d] blocks when d < horizon and it would step
     on: it is not won and it shows phi1. Its colours are final, so a state
     that is won, outside phi1 or at the horizon is read only through them,
-    as a deeper truncation reads it where it has the row. An unsettled
-    state, whose colours may still grow, blocks anywhere in the cone
-    unless it is won already (colours only accumulate). Every state that
+    as a deeper truncation reads it where it has the row. Every state that
     steps in a closed cone is off the frontier, so its row and its colours
     are final, and deeper truncations hold the same cone."""
     for d, layer in enumerate(layers):
@@ -277,7 +260,7 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     query when the cone holds a frontier state that blocks (`_blocking`),
     whose row the truncation does not know. No state outside the cone is
     read."""
-    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier, mc.unsettled)
+    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier)
     start = mc.resolve(query.start)
     horizon = query.horizon
     layers = _cone(mc.trans, undecided, start, horizon)
@@ -378,7 +361,7 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
 
     from .rng import draw_array
 
-    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier, mc.unsettled)
+    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier)
     start = mc.resolve(query.start)
     horizon = query.horizon
     layers = _cone(mc.trans, undecided, start, horizon)

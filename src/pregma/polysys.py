@@ -56,6 +56,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
+from .model import components
+
 Key = Hashable
 Term = tuple[Fraction, tuple[Key, ...]]
 
@@ -181,55 +183,8 @@ def _components(rows: list[Row], den: int) -> list[_Component]:
     pivot order its Newton steps eliminate in."""
     deps = [list(dict.fromkeys(f for _, a, b in row for f in (a, b) if f >= 0))
             for row in rows]
-    index = [-1] * len(rows)
-    low = [0] * len(rows)
-    onstack = [False] * len(rows)
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    def connect(root: int) -> None:
-        nonlocal counter
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                onstack[node] = True
-            descended = False
-            ds = deps[node]
-            for i in range(pos, len(ds)):
-                d = ds[i]
-                if index[d] < 0:
-                    work.append((node, i + 1))
-                    work.append((d, 0))
-                    descended = True
-                    break
-                if onstack[d]:
-                    low[node] = min(low[node], index[d])
-            if descended:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for k in range(len(rows)):
-        if index[k] < 0:
-            connect(k)
-
     out = []
-    for comp in comps:
+    for comp in components(range(len(rows)), deps.__getitem__):
         pos = {g: i for i, g in enumerate(comp)}
         reads = list(dict.fromkeys(f for g in comp for f in deps[g]))
         at = {g: i for i, g in enumerate(reads)}

@@ -3,21 +3,20 @@ analysis of a grammar that every engine reads.
 
 A concrete vertex picks up arcs in stages: some at its creation site, then
 more at each passing, the step from a site to the input of a hyperarc slot
-that holds it. One memoised walk of the passings from every creation site
-reads the full out-degree (and colour set) of every vertex of the generated
-graph off the grammar without expanding anything. A walk that comes back to
-a site on its open path has found a loop: no site on it terminates, and
-every arc label gained on it occurs infinitely often. The walk's entry at a
-creation site is the class record, the only form of a class's degrees:
-one mass test in integer weights (`_mass_fault`) reads it for admission
-and for the truncation oracle, and the profile in a failure is message
-text rendered from it.
+that holds it. The walk of the passings, the condensation of the passing
+graph from every creation site (`model.components`), reads the full
+out-degree (and colour set) of every vertex of the generated graph off the
+grammar without expanding anything. A component with a cycle is a loop: no
+site on it terminates, and every arc label gained on it or below it occurs
+infinitely often. The walk's entry at a creation site is the class record,
+the only form of a class's degrees: one mass test in integer weights
+(`_mass_fault`) reads it for admission and for the truncation oracle, and
+the profile in a failure is message text rendered from it.
 
 Admission walks only under single membership, each vertex on at most one
 nonterminal hyperarc, and refuses a grammar that breaks it with one line
 per shared vertex. At a shared vertex the walk sums what every branch
-gains, which is exact for the classes that terminate; the truncation
-oracle reads only those.
+gains; the truncation oracle reads those records too, and each is exact.
 
 `analyse` numbers the reachable classes 0..n-1, keeps `names` to turn an
 id back into its creation site for output, and holds ids or id sets in
@@ -33,7 +32,7 @@ the pushdown converter still edit after reading its class table.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import accumulate, chain
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +47,7 @@ from .model import (
     Rule,
     VertexId,
     checked_rules,
+    components,
     integer_weights,
     reach,
     reachable_nonterminals,
@@ -75,11 +75,11 @@ def hyperarc_slots(g: Grammar) -> Slots:
 
 class VertexClass(NamedTuple):
     """What a vertex gains at a site and at every site passed down from
-    there, the walk's entry for that site: finite counts of ("out" or "in",
-    label), the pairs that recur forever, its colours, and whether the
-    passings end. At a creation site it is the class of the vertices made
-    there, and the only record of that class. Under a shared vertex only a
-    class that terminates is exact."""
+    there, the walk's entry for that site: counts of ("out" or "in", label)
+    once per path of passings that meets no loop, the pairs that recur
+    forever, its colours, and whether the passings end. At a creation site
+    it is the class of the vertices made there, and the only record of
+    that class."""
 
     counts: Counter
     forever: frozenset[tuple[str, str]]
@@ -96,10 +96,10 @@ def canonical_vertices(g: Grammar) -> list[CanonicalVertex]:
     return [CanonicalVertex(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]
 
 
-def _join(arcs: list[tuple[str, str]], marks: set[str], below: list[VertexClass],
+def _join(arcs: list[tuple[str, str]], marks: list[str], below: list[VertexClass],
           on_loop: bool) -> VertexClass:
-    """A site's own arcs and colours plus the gains of the sites it passes
-    to, all of them recurring forever when the site lies on a loop."""
+    """Sites' own arcs and colours plus the gains of the sites they pass
+    to, all of them recurring forever when the sites lie on a loop."""
     counts, colours, forever = Counter(arcs), set(marks), set()
     for d in below:
         counts.update(d.counts)
@@ -117,11 +117,12 @@ def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]
 
 
 def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, VertexClass]:
-    """One depth-first walk of the passings from every creation site: each
-    reached site's gains from there on down. A loop's sites are worked out
-    deepest first; the site the walk came back to sees all of the loop's
-    gains, and every site on the loop takes its entry, as under single
-    membership they all gain the same."""
+    """Each site that the passings reach from a creation site, with its
+    gains from there on down: the condensation of the passing graph. The
+    sites of one strongly connected component reach the same sites, so
+    they share one entry, joined from every member's own arcs and marks and
+    the entry below each passing that leaves the component, once per
+    passing; the component is a loop when a passing stays inside it."""
     arcs: dict[Site, list[tuple[str, str]]] = {}
     marks: dict[Site, set[str]] = {}
     for rule in g.rules:
@@ -130,37 +131,30 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, Ver
             arcs.setdefault((rule.lhs, arc.target), []).append(("in", arc.label))
         for colour, v in rule.rhs.colours:
             marks.setdefault((rule.lhs, v), set()).add(colour)
+    passed = defaultdict(list, {site: _passings(rules, slots, site) for site in slots})
 
     down: dict[Site, VertexClass] = {}
-    loops: dict[Site, list[Site]] = {}  # a site the walk came back to -> its loops
-    looped: set[Site] = set()
-    for start in [(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]:
-        path, todo = [start], [_passings(rules, slots, start)]
-        while path:
-            if todo[-1]:
-                site = todo[-1].pop()
-                if site in path:
-                    loops.setdefault(site, []).extend(path[path.index(site):])
-                    looped.update(path[path.index(site):])
-                elif site not in down:
-                    path.append(site)
-                    todo.append(_passings(rules, slots, site))
-                continue
-            site = path.pop()
-            todo.pop()
-            down[site] = _join(arcs.get(site, []), marks.get(site, ()),
-                               [down[s] for s in _passings(rules, slots, site) if s in down],
-                               site in looped)
-            for s in loops.pop(site, ()):
-                down[s] = down[site]
+    starts = [(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]
+    for comp in components(starts, passed.__getitem__):
+        own: list[tuple[str, str]] = []
+        marked: list[str] = []
+        out: list[Site] = []
+        for s in comp:
+            own += arcs.get(s, ())
+            marked += marks.get(s, ())
+            out += passed[s]
+        below = [down[t] for t in out if t not in comp]
+        # a passing that stays inside the component closes a cycle
+        entry = _join(own, marked, below, len(below) < len(out))
+        for s in comp:
+            down[s] = entry
     return down
 
 
 def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
     """The class table of a structurally valid grammar: the walk's entries
-    at the creation sites. Exact for every class under single membership,
-    which check_complete_outside checks; otherwise exact for the classes
-    that terminate, whose counts then sum what every branch gains."""
+    at the creation sites, exact for every class. Under a shared vertex a
+    class whose passings end sums what every branch gains."""
     down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
     return {can: down[can] for can in canonical_vertices(g)}
 

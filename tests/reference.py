@@ -13,14 +13,19 @@ also checks that order.
 from __future__ import annotations
 
 import json
-from collections import deque
+import random
+from collections import Counter, deque
 from fractions import Fraction
+from typing import Iterable
+
+from pregma.gio import parse_grammar
 
 from pregma.model import (Expansion, FiniteMC, Grammar, GrammarError, Rule, _rewrite,
                           integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
 from pregma.rng import GAMMA
+from pregma.validation import vertex_classes
 
 _MASK = (1 << 64) - 1
 
@@ -542,3 +547,119 @@ def enclosure_fault(system, enc) -> str | None:
             continue
         return f"{comp[len(ps) - 1]}: pivot {ps[-1]} of I - F'(lo) is not > 0"
     return None
+
+
+def random_grammar(rng: random.Random) -> str:
+    """A small grammar text: an axiom Z and one to three nonterminals of
+    arity 1 or 2. A fresh vertex mostly gets mass 1 (one go arc or two h
+    arcs) or a green mark, an absorbing sink unless it gains arcs later; now
+    and then it gets a bad arc instead, and bad is priced only in half the
+    grammars. An input sometimes gains an arc after being passed down.
+    Hyperarcs pick their vertices freely, so they share vertices and pass
+    inputs round loops."""
+    arity = {f"N{i}": rng.randint(1, 2) for i in range(rng.randint(1, 3))}
+    lines = ["nonterminal Z 0", *(f"nonterminal {n} {k}" for n, k in arity.items()),
+             "terminal go 2", "terminal h 2", "terminal bad 2", "colour green",
+             "colour red", "prob go 1", "prob h 1/2", "absorbing green", "axiom Z"]
+    if rng.random() < 0.5:
+        lines.append("prob bad 1/2")
+    for name, k in [("Z", 0), *arity.items()]:
+        inputs = [f"x{j}" for j in range(k)]
+        fresh = [f"v{j}" for j in range(rng.randint(1, 3))]
+        vs = inputs + fresh
+        lines += [f"rule {name}" + (" inputs " + " ".join(inputs) if inputs else ""),
+                  "  vertex " + " ".join(fresh)]
+        for v in fresh:
+            kind = rng.random()
+            if kind < 0.45:
+                lines.append(f"  arc go {v} {rng.choice(vs)}")
+            elif kind < 0.75:
+                lines += [f"  arc h {v} {rng.choice(vs)}" for _ in range(2)]
+            elif kind < 0.95:
+                lines.append(f"  colour green {v}")
+            else:
+                lines.append(f"  arc bad {v} {rng.choice(vs)}")
+        for v in vs:
+            if v in inputs and rng.random() < 0.15:
+                lines.append(f"  arc h {v} {rng.choice(vs)}")
+            if rng.random() < 0.2:
+                lines.append(f"  colour red {v}")
+        for _ in range(rng.randint(0, 2)):
+            label = rng.choice(list(arity))
+            if arity[label] <= len(vs):
+                lines.append(f"  hyperarc {label} " + " ".join(rng.sample(vs, arity[label])))
+    return "\n".join(lines) + "\n"
+
+
+def closure_fault(g: Grammar) -> str | None:
+    """Why some class record of `g` (`vertex_classes`) is not the
+    reachability closure of its passings, or None when every record is.
+    Reads the rules alone, not the walk.
+
+    A passing leads from a rule vertex in a hyperarc slot to the input of
+    that slot's rule; a class reaches its creation site and every site that
+    passings lead to from there. Its colours are the reached sites' marks.
+    A reached site on a cycle of passings, and every site below it, is
+    reached forever: `forever` holds every (way, label) of their arcs, and
+    the class terminates when there is no such site. `counts` sums, once
+    per path of passings from the creation site that meets no cycle, the
+    arcs of the site the path ends at. A creation site is never an input,
+    so it lies on no cycle.
+    """
+    inputs = {rule.lhs: rule.inputs for rule in g.rules}
+    step: dict = {}
+    arcs: dict = {}
+    marks: dict = {}
+    for rule in g.rules:
+        for label, vs in rule.rhs.hyperarcs:
+            for v, x in zip(vs, inputs[label]):
+                step.setdefault((rule.lhs, v), []).append((label, x))
+        for label, source, target in rule.rhs.arcs:
+            arcs.setdefault((rule.lhs, source), []).append(("out", label))
+            arcs.setdefault((rule.lhs, target), []).append(("in", label))
+        for colour, v in rule.rhs.colours:
+            marks.setdefault((rule.lhs, v), set()).add(colour)
+
+    def beyond(sites) -> set:
+        """The sites one or more passings lead to from `sites`."""
+        seen, todo = set(), [t for s in sites for t in step.get(s, ())]
+        while todo:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                todo += step.get(t, ())
+        return seen
+
+    for can, vc in vertex_classes(g).items():
+        reached = beyond([can]) | {can}
+        cycles = {s for s in reached if s in beyond([s])}
+        below = cycles | beyond(cycles)
+
+        def paths(site) -> Counter:
+            return sum((paths(t) for t in step.get(site, ()) if t not in cycles),
+                       Counter(arcs.get(site, ())))
+
+        want = (frozenset().union(*(marks.get(s, ()) for s in reached)), not cycles,
+                paths(can), frozenset(a for s in below for a in arcs.get(s, ())))
+        got = (vc.colours, vc.terminates, vc.counts, vc.forever)
+        if got != want:
+            return (f"{can}: colours, terminates, counts, forever {_shown(got)}; "
+                    f"the closure has {_shown(want)}")
+    return None
+
+
+def _shown(record: tuple) -> str:
+    colours, terminates, counts, forever = record
+    return f"{sorted(colours)}, {terminates}, {sorted(counts.items())}, {sorted(forever)}"
+
+
+def record_faults(seeds: Iterable[int]) -> list[str]:
+    """`closure_fault` on `random_grammar(random.Random(seed))` for each
+    seed: one line per grammar with a class record that is not the
+    closure of its passings."""
+    faults = []
+    for seed in seeds:
+        fault = closure_fault(parse_grammar(random_grammar(random.Random(seed))))
+        if fault:
+            faults.append(f"seed {seed}: {fault}")
+    return faults

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from pregma.gio import ParseError, emit_dot, parse_grammar, serialize_grammar
 from pregma.model import expand, validate_grammar
 from pregma.pcp import parse_pcp
 from pregma.pushdown import parse_pds
+from reference import random_grammar
 
 
 SMALL = """
@@ -42,10 +44,16 @@ def test_parse_small_grammar():
 
 
 @pytest.mark.parametrize(
-    "name", ["running.gg", "dag.gg", "updrift.gg", "critical.gg"]
+    "name", ["running.gg", "dag.gg", "updrift.gg", "critical.gg",
+             *(f"random{seed}" for seed in range(200))]
 )
 def test_corpus_round_trip(corpus_dir, name):
-    text = (corpus_dir / name).read_text()
+    """A corpus grammar, or `random_grammar` from a seed (shared vertices
+    included), written out and read back."""
+    if name.startswith("random"):
+        text = random_grammar(random.Random(int(name.removeprefix("random"))))
+    else:
+        text = (corpus_dir / name).read_text()
     g = parse_grammar(text)
     once = serialize_grammar(g)
     again = serialize_grammar(parse_grammar(once))

@@ -11,6 +11,7 @@ from pregma.model import (
     Hypergraph,
     Rule,
     component_ids,
+    components,
     expand,
     reachable_component,
     reachable_nonterminals,
@@ -111,6 +112,15 @@ def test_rule_for_an_unknown_nonterminal(running):
 
 def test_reachable_nonterminals(running):
     assert reachable_nonterminals(running) == frozenset({"Z", "A"})
+
+
+def test_components_come_dependencies_first():
+    """Tarjan's components of 0..6: each after the components its members
+    step to, roots in the order given, members in the order they leave the
+    stack (root last); 5 is never reached from the roots."""
+    step = {0: [1], 1: [2, 4], 2: [0, 3], 3: [3], 4: [], 5: [0], 6: [4, 6]}
+    assert components([0, 6], step.__getitem__) == [[3], [4], [2, 1, 0], [6]]
+    assert components([4, 3], step.__getitem__) == [[4], [3]]
 
 
 def test_expand_levels_and_classes(running):
