@@ -1,4 +1,4 @@
-"""Local fragments: one rule's rhs with a child copy glued on every
+"""Local fragments: one rule's rhs with a child copy attached to every
 nonterminal hyperarc.
 
 Within such a fragment the one-step behaviour of every vertex created by the
@@ -6,7 +6,7 @@ rule is complete (its creation arcs plus the arcs gained from the single copy
 it is attached to), so first-hit probabilities towards the fragment's
 boundary are plain absorbing-chain algebra. The boundary consists of the
 rule's own inputs (the walk moves to the level above), the rule's hyperarc
-vertices (it stays on this level; copy i is glued on hyperarc i's), and the
+vertices (it stays on this level; copy i sits on hyperarc i's), and the
 copies' hyperarc vertices (it moves one level deeper). A start's row is its
 probability of winning inside the fragment and each boundary node's of
 being hit first; a loss counts nowhere. The rows are computed in integers:
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from .model import GrammarError, Rule, VertexId, integer_weights, reach
 
 if TYPE_CHECKING:
-    from .validation import Analysis, Site, Slots
+    from .validation import Analysis, Passings, Site
 
 NodeKey = tuple
 
@@ -54,10 +54,11 @@ class Fragment:
                 if n.kind in ("same", "interior") and n.key[0] == "base"]
 
 
-def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
+def build_fragment(rules: Mapping[str, Rule], passed: Passings, context: str,
                    ids: Mapping[Site, int]) -> Fragment:
-    """The context rule's rhs with a child copy glued on every hyperarc,
-    each node of a class holding that class's id."""
+    """The context rule's rhs with a child copy attached to every hyperarc,
+    each node of a class holding that class's id: "same" or "child" when
+    the passing table `passed` passes its site on, else "interior"."""
     rule = rules[context]
     frag = Fragment(rule)
 
@@ -69,7 +70,7 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
         key = ("base", v)
         if rule.is_input(v):
             add(FragmentNode(key, "input", None, input_index=rule.input_index(v)))
-        elif (context, v) in slots:
+        elif (context, v) in passed:
             add(FragmentNode(key, "same", ids[context, v]))
         else:
             add(FragmentNode(key, "interior", ids[context, v]))
@@ -85,7 +86,7 @@ def build_fragment(rules: Mapping[str, Rule], slots: Slots, context: str,
         for w in child.non_inputs:
             key = ("copy", arc_index, w)
             mapping[w] = key
-            kind = "child" if (h.label, w) in slots else "interior"
+            kind = "child" if (h.label, w) in passed else "interior"
             add(FragmentNode(key, kind, ids[h.label, w], arc_index=arc_index))
         for carc in child.rhs.arcs:
             frag.out[mapping[carc.source]].append((carc.label, mapping[carc.target]))

@@ -378,7 +378,8 @@ class FiniteMC:
     incomplete rows, but their colours are final ones, those they will end
     with. axiom_ids maps the names a query may start from to states (a
     truncation's are the axiom rule's vertex names). A truncation also
-    gives each state's class and level, and the grammar it expands."""
+    gives each state's class and level, and, from the class walk that gave
+    its frontier its colours, the classes whose passings never end."""
 
     trans: list[list[tuple[int, int]]]
     den: int
@@ -387,7 +388,7 @@ class FiniteMC:
     axiom_ids: dict[VertexId, int]
     classes: list[CanonicalVertex] | None = None
     levels: list[int] | None = None
-    grammar: Grammar | None = None
+    endless: frozenset[CanonicalVertex] = frozenset()
 
     @property
     def states(self) -> range:
@@ -434,7 +435,7 @@ def _rewrite(
     for a grammar that `checked_rules` accepts (GrammarError otherwise).
 
     Yields (compiled rule, ids) once per rule application: the tuple ids
-    holds the concrete vertex in each of the rule's slots, the glued ones
+    holds the concrete vertex in each of the rule's slots, the attached ones
     first, then the fresh ones, numbered from 0 in order of creation. The
     order is breadth first: the axiom's application alone at level 0, then
     the hyperarcs each level leaves, in the order of the applications that
@@ -473,13 +474,13 @@ def _rewrite(
         if level and enough is not None and enough(pending):
             break
         batch, pending = pending, []
-        for label, glued in batch:
+        for label, attached in batch:
             rule, fresh, hyperarcs = plans[label]
             first = len(classes)
             classes += rule.cans
             levels += [level] * fresh
             colours += [empty] * fresh
-            ids = (*glued, *range(first, first + fresh))
+            ids = (*attached, *range(first, first + fresh))
             for colour, v in rule.colours:
                 cs = colours[ids[v]] | {colour}
                 colours[ids[v]] = shared.setdefault(cs, cs)

@@ -96,10 +96,11 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     fills, the same ones `expand` returns, except that each frontier state
     carries its final colours: those of its class record
     (`VertexClass.colours`, from one `vertex_classes` walk per truncation),
-    which holds every colour a vertex of the class gains at any depth.
-    Raises GrammarError on a structurally invalid grammar or an arc label
-    without a probability (at the first application that needs it), and
-    TotalityError on a fully expanded vertex whose outgoing mass is not 1.
+    which holds every colour a vertex of the class gains at any depth; the
+    same walk gives the chain's `endless` classes. Raises GrammarError on
+    a structurally invalid grammar or an arc label without a probability
+    (at the first application that needs it), and TotalityError on a fully
+    expanded vertex whose outgoing mass is not 1.
 
     Without a query every level up to `depth` is built. Given one, the
     truncation stops at the first level whose horizon cone from the query's
@@ -170,7 +171,8 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
             trans[i].append((i, den))
 
     settle(e.frontier)
-    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels, g)
+    mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels,
+                  frozenset(can for can, vc in classes.items() if not vc.terminates))
     for i, row in enumerate(trans):
         if i not in e.frontier and (total := sum([w for _, w in row])) != den:
             raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
@@ -258,8 +260,8 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     horizon - k steps of the start, since no other state's value reaches
     the start's in time. Values are integers over mc.den**k. Rejects the
     query when the cone holds a frontier state that blocks (`_blocking`),
-    whose row the truncation does not know. No state outside the cone is
-    read."""
+    whose row a deeper truncation knows unless its class is in `mc.endless`.
+    No state outside the cone is read."""
     won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier)
     start = mc.resolve(query.start)
     horizon = query.horizon
@@ -268,8 +270,7 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     if hit is not None:
         # a class whose passings never end keeps its vertices on the
         # frontier at every depth, where deepening cannot help
-        stuck = mc.grammar is not None and not vertex_classes(
-            mc.grammar)[mc.classes[hit]].terminates
+        stuck = mc.classes is not None and mc.classes[hit] in mc.endless
         raise HorizonError(
             f"frontier vertex {hit}{mc.where(hit)} is within {horizon} steps of the "
             "start; " + ("its class's passings never end, so its vertices never leave "

@@ -38,8 +38,8 @@ def successor_table(an: Analysis) -> dict[int, list[tuple[Fraction, frozenset[in
     """One-step successors of each reachable class, with exact probabilities.
 
     Read off the class's node in its context's fragment, whose out-arcs
-    already include those gained from the child copy the class is glued
-    onto. Each target is the set of classes the vertex reached can be: a
+    already include those gained from the child copy the class is attached
+    to. Each target is the set of classes the vertex reached can be: a
     class c is {c}, and an arc into the context's own input j reaches
     `refs[(rule, j)]`, every class a parent can glue there. An absorbing
     sink is its own successor.

@@ -6,7 +6,7 @@ variable per input of its context rule (probability of first leaving the
 level through that input, with the objective still open). The local
 first-hit rows stitch these together: staying on the level composes with the
 same level's variables, moving one level down composes a child class's
-descend behaviour with the vertices its copy was glued on.
+descend behaviour with the vertices its copy was attached to.
 
 For classes of the axiom rule there is no level above, so the win variable
 is the absolute probability of the until objective; the CLI and the labeller
@@ -84,7 +84,7 @@ def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
                 p, hit = row.hits[bkey], frag.nodes[bkey]
                 if hit.kind == "child":
                     # the walk wins in the child copy, or leaves it through
-                    # dec(e; ell) onto the vertex glued at its input ell
+                    # dec(e; ell) onto the vertex attached at its input ell
                     e = hit.can
                     system.add_term(c, p, e)
                     landings = [(frag.nodes["base", v], (k,)) for v, k in zip(

@@ -3,15 +3,17 @@ analysis of a grammar that every engine reads.
 
 A concrete vertex picks up arcs in stages: some at its creation site, then
 more at each passing, the step from a site to the input of a hyperarc slot
-that holds it. The walk of the passings, the condensation of the passing
-graph from every creation site (`model.components`), reads the full
-out-degree (and colour set) of every vertex of the generated graph off the
-grammar without expanding anything. A component with a cycle is a loop: no
-site on it terminates, and every arc label gained on it or below it occurs
-infinitely often. The walk's entry at a creation site is the class record,
-the only form of a class's degrees: one mass test in integer weights
-(`_mass_fault`) reads it for admission and for the truncation oracle, and
-the profile in a failure is message text rendered from it.
+that holds it, all in one table (`passing_table`), the only occurrence
+structure read here and in the fragments. The walk of the passings, the
+condensation of the passing graph from every creation site
+(`model.components`), reads the full out-degree (and colour set) of every
+vertex of the generated graph off the grammar without expanding anything.
+A component with a cycle is a loop: no site on it terminates, and every
+arc label gained on it or below it occurs infinitely often. The walk's
+entry at a creation site is the class record, the only form of a class's
+degrees: one mass test in integer weights (`_mass_fault`) reads it for
+admission and for the truncation oracle, and the profile in a failure is
+message text rendered from it.
 
 Admission walks only under single membership, each vertex on at most one
 nonterminal hyperarc, and refuses a grammar that breaks it with one line
@@ -22,8 +24,9 @@ gains; the truncation oracle reads those records too, and each is exact.
 id back into its creation site for output, and holds ids or id sets in
 every table the engines read: a rule lookup, each class's walk entry, the
 absorbing classes, where a step through a hyperarc occurrence lands,
-resolved once to the set of classes it can be (per occurrence and input,
-and per rule input across every occurrence), one local fragment per
+resolved once to the set of classes it can be, the classes whose passings
+reach that site (per occurrence and input, and per rule input across every
+occurrence), one local fragment per
 context (the source of every one-step fact), and the equation systems
 assembled so far. It refuses grammars
 outside what the engines handle. The analysis is a value the caller owns
@@ -32,7 +35,7 @@ the pushdown converter still edit after reading its class table.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import accumulate, chain
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +46,6 @@ from .model import (
     CanonicalVertex,
     Grammar,
     GrammarError,
-    Hyperarc,
     Rule,
     VertexId,
     checked_rules,
@@ -55,22 +57,25 @@ from .model import (
 
 Site = tuple[str, VertexId]
 
-# (rule, vertex) site -> every (hyperarc, 1-based position) slot holding it
-Slots = dict[Site, list[tuple[Hyperarc, int]]]
+# the passing graph: a site -> the input site of every hyperarc slot holding
+# it, in rule, hyperarc and slot order
+Passings = dict[Site, list[Site]]
 
 
 class EngineUnsupported(GrammarError):
     """The grammar is outside what the solving engines handle."""
 
 
-def hyperarc_slots(g: Grammar) -> Slots:
-    """The occurrence table: every hyperarc slot, indexed by the site in it."""
-    slots: Slots = {}
+def passing_table(g: Grammar) -> Passings:
+    """The one occurrence table: each site in a hyperarc slot, with the
+    input of that slot's rule it is passed to, once per slot holding it."""
+    inputs = {rule.lhs: rule.inputs for rule in g.rules}
+    passed: Passings = {}
     for rule in g.rules:
         for h in rule.rhs.hyperarcs:
-            for pos, v in enumerate(h.vertices, start=1):
-                slots.setdefault((rule.lhs, v), []).append((h, pos))
-    return slots
+            for v, x in zip(h.vertices, inputs[h.label]):
+                passed.setdefault((rule.lhs, v), []).append((h.label, x))
+    return passed
 
 
 class VertexClass(NamedTuple):
@@ -111,18 +116,15 @@ def _join(arcs: list[tuple[str, str]], marks: list[str], below: list[VertexClass
                        not on_loop and all(d.terminates for d in below))
 
 
-def _passings(rules: Mapping[str, Rule], slots: Slots, site: Site) -> list[Site]:
-    """The input sites a site is passed to, one per hyperarc slot holding it."""
-    return [(h.label, rules[h.label].inputs[pos - 1]) for h, pos in slots.get(site, ())]
-
-
-def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, VertexClass]:
+def _walk(g: Grammar, passed: Passings) -> dict[Site, VertexClass]:
     """Each site that the passings reach from a creation site, with its
-    gains from there on down: the condensation of the passing graph. The
-    sites of one strongly connected component reach the same sites, so
-    they share one entry, joined from every member's own arcs and marks and
-    the entry below each passing that leaves the component, once per
-    passing; the component is a loop when a passing stays inside it."""
+    gains from there on down: the condensation of the passing graph, read
+    off its table `passed` (`passing_table`), successors in the table's
+    order. The sites of one strongly connected component reach the same
+    sites, so they share one entry, joined from every member's own arcs
+    and marks and the entry below each passing that leaves the component,
+    once per passing; the component is a loop when a passing stays inside
+    it."""
     arcs: dict[Site, list[tuple[str, str]]] = {}
     marks: dict[Site, set[str]] = {}
     for rule in g.rules:
@@ -131,18 +133,17 @@ def _walk(g: Grammar, rules: Mapping[str, Rule], slots: Slots) -> dict[Site, Ver
             arcs.setdefault((rule.lhs, arc.target), []).append(("in", arc.label))
         for colour, v in rule.rhs.colours:
             marks.setdefault((rule.lhs, v), set()).add(colour)
-    passed = defaultdict(list, {site: _passings(rules, slots, site) for site in slots})
 
     down: dict[Site, VertexClass] = {}
     starts = [(rule.lhs, v) for rule in g.rules for v in rule.non_inputs]
-    for comp in components(starts, passed.__getitem__):
+    for comp in components(starts, lambda s: passed.get(s, ())):
         own: list[tuple[str, str]] = []
         marked: list[str] = []
         out: list[Site] = []
         for s in comp:
             own += arcs.get(s, ())
             marked += marks.get(s, ())
-            out += passed[s]
+            out += passed.get(s, ())
         below = [down[t] for t in out if t not in comp]
         # a passing that stays inside the component closes a cycle
         entry = _join(own, marked, below, len(below) < len(out))
@@ -155,7 +156,7 @@ def vertex_classes(g: Grammar) -> dict[CanonicalVertex, VertexClass]:
     """The class table of a structurally valid grammar: the walk's entries
     at the creation sites, exact for every class. Under a shared vertex a
     class whose passings end sums what every branch gains."""
-    down = _walk(g, {rule.lhs: rule for rule in g.rules}, hyperarc_slots(g))
+    down = _walk(g, passing_table(g))
     return {can: down[can] for can in canonical_vertices(g)}
 
 
@@ -239,16 +240,16 @@ def _mass_fault(vc: VertexClass, absorbing: frozenset[str], den: int,
     return None if mass == den else (reason, Fraction(mass, den))
 
 
-def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, VertexClass],
+def _admit(g: Grammar) -> tuple[dict[str, Rule], Passings, dict[Site, VertexClass],
                                  list[CanonicalVertex], PhrReport]:
-    """The one admission of a grammar: the structural gate, the occurrence
+    """The one admission of a grammar: the structural gate, the passing
     table, single membership, then, only when no vertex is shared, the walk
     of the passings, whose entries are the class table, and the mass report."""
     rules = checked_rules(g)
-    slots = hyperarc_slots(g)
+    passed = passing_table(g)
     violations = check_complete_outside(g)
     cans = canonical_vertices(g)
-    down = {} if violations else _walk(g, rules, slots)
+    down = {} if violations else _walk(g, passed)
     den, weight = integer_weights(g.mu)
     failures: list[PhrFailure] = []
     for can in () if violations else cans:
@@ -256,7 +257,7 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Slots, dict[Site, VertexClass],
             reason, total = fault
             failures.append(PhrFailure(can, _out_text(down[can]), total, reason))
     ok = not violations and not failures
-    return rules, slots, down, cans, PhrReport(ok, tuple(failures), violations, len(cans))
+    return rules, passed, down, cans, PhrReport(ok, tuple(failures), violations, len(cans))
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -279,8 +280,9 @@ class Analysis:
     are numbered 0..n-1 in the order of `canonical_vertices`, and every
     table holds these ids; `names` turns them back into creation sites for
     output. Where a step through an input lands is held one way, as the set
-    of classes the vertex there can be: `bindings` per occurrence, `refs`
-    across all occurrences of a rule. `assemblies` holds the equation
+    of classes the vertex there can be, those whose passings reach the
+    site: `bindings` per occurrence, `refs` across all occurrences of a
+    rule. `assemblies` holds the equation
     system of each (phi1, phi2) pair once something assembled it, and with
     it the pair's one enclosure once `solve_until` solved it.
     """
@@ -296,9 +298,9 @@ class Analysis:
     absorbing: frozenset[int]
     fragments: dict[str, Fragment]  # one per context (reachable rule), axiom first
     # per nonterminal, one tuple per hyperarc occurrence in a reachable
-    # rule: the classes the vertex it glues onto each input can be
+    # rule: the classes the vertex in each of its slots can be
     bindings: dict[str, list[tuple[frozenset[int], ...]]]
-    # (rule, j) -> every class that can sit at input j across occurrences
+    # (rule, j) -> the classes whose passings reach input j, across occurrences
     refs: dict[tuple[str, int], frozenset[int]]
     assemblies: dict
     reachable: range  # every id
@@ -311,12 +313,12 @@ def analyse(g: Grammar) -> Analysis:
     fragment picture breaks down.
 
     Beyond phr_check this refuses (a) classes whose incoming arcs repeat
-    forever and (b) vertices that, glued onto an input lying on a hyperarc,
+    forever and (b) vertices that, passed to an input lying on a hyperarc,
     keep gaining outgoing arcs further down: in both cases a vertex's
     one-step behaviour would depend on levels above the fragment under
-    consideration.
+    consideration. All of it reads the one passing table `_admit` builds.
     """
-    rules, slots, down, cans, report = _admit(g)
+    rules, passed, down, cans, report = _admit(g)
     if not report.ok:
         raise EngineUnsupported(str(report))
     for can in cans:
@@ -325,39 +327,32 @@ def analyse(g: Grammar) -> Analysis:
     for can in cans:
         # every passing leads to a rule input; from the second on, the
         # vertex is passed down through an input on a hyperarc
-        first = _passings(rules, slots, can)
-        second = first and _passings(rules, slots, first[0])
+        first = passed.get(can)
+        second = first and passed.get(first[0])
         if second and not down[second[0]].is_sink:
-            h, pos = slots[first[0]][0]
+            (rule, x), (label, y) = first[0], second[0]
             raise EngineUnsupported(
-                f"rule {first[0][0]}: input {first[0][1]} keeps gaining arcs "
-                f"after being passed to {h.label} at position {pos}"
-            )
+                f"rule {rule}: input {x} keeps gaining arcs after being passed "
+                f"to {label} at position {rules[label].input_index(y)}")
 
     reached = reachable_nonterminals(g)
     kept = [can for can in cans if can.rule in reached]
     classes = [down[can] for can in kept]
     ids = {(can.rule, can.vertex): c for c, can in enumerate(kept)}
     dec = list(accumulate((len(rules[can.rule].inputs) for can in kept), initial=len(kept)))
-    # what each occurrence in a reachable rule glues onto each input: a
-    # class, or (rule, j) for whatever was glued onto that rule's input j
-    glued: dict[str, list[tuple]] = {}
+    # the classes a vertex at each site can be: every class whose passings
+    # reach it (a reachable class passes only into reachable rules)
+    held: dict[Site, set[int]] = {}
+    for site, c in ids.items():
+        for t in reach([site], lambda s: passed.get(s, ())):
+            held.setdefault(t, set()).add(c)
+    at = {site: frozenset(cs) for site, cs in held.items()}
+    bindings: dict[str, list[tuple[frozenset[int], ...]]] = {}
     for host in g.rules:
         if host.lhs in reached:
             for h in host.rhs.hyperarcs:
-                glued.setdefault(h.label, []).append(tuple(
-                    (host.lhs, host.input_index(v)) if host.is_input(v)
-                    else ids[host.lhs, v] for v in h.vertices))
-
-    def inward(b: int | tuple[str, int]) -> list:
-        """What the occurrences glue onto the input (rule, j) names."""
-        if isinstance(b, int):
-            return []
-        return [bound[b[1] - 1] for bound in glued.get(b[0], [])]
-
-    refs = {(r.lhs, j): frozenset(b for b in reach([(r.lhs, j)], inward)
-                                  if isinstance(b, int))
-            for r in g.rules for j in range(1, len(r.inputs) + 1)}
+                bindings.setdefault(h.label, []).append(
+                    tuple(at[host.lhs, v] for v in h.vertices))
     return Analysis(
         grammar=g,
         rules=rules,
@@ -367,12 +362,11 @@ def analyse(g: Grammar) -> Analysis:
         dec=dec,
         absorbing=frozenset(c for c, vc in enumerate(classes)
                             if vc.is_sink and vc.colours & g.absorbing),
-        fragments={name: build_fragment(rules, slots, name, ids)
+        fragments={name: build_fragment(rules, passed, name, ids)
                    for name in sorted(reached, key=lambda n: (n != g.axiom, n))},
-        bindings={name: [tuple(frozenset({b}) if isinstance(b, int) else refs[b]
-                               for b in bound) for bound in occs]
-                  for name, occs in glued.items()},
-        refs=refs,
+        bindings=bindings,
+        refs={(r.lhs, j): at.get((r.lhs, x), frozenset())
+              for r in g.rules for j, x in enumerate(r.inputs, start=1)},
         assemblies={},
         reachable=range(len(kept)),
     )

@@ -3,8 +3,10 @@ of them: the lines `expand` prints, the word-matching gadgets' closed
 forms (`pregma.pcp`), the configuration words and chains of a suffix
 rewriting system (`pregma.pushdown`), the scalar stream that
 `pregma.rng.draw_array` vectorises, exact evaluation and solving over
-`Fraction`s, a fragment's first-hit rows (`pregma.fragments`), and a check
-that an enclosure proves its own bounds (`pregma.polysys`).
+`Fraction`s, a fragment's first-hit rows (`pregma.fragments`), a check
+that an enclosure proves its own bounds (`pregma.polysys`), and the class
+records and class sets of `pregma.validation` read off the rules and off
+an expansion.
 
 `model._rewrite` yields rule applications without their parents. The
 helpers that need them replay the order `_rewrite` documents, so every use
@@ -20,12 +22,12 @@ from typing import Iterable
 
 from pregma.gio import parse_grammar
 
-from pregma.model import (Expansion, FiniteMC, Grammar, GrammarError, Rule, _rewrite,
-                          integer_weights)
+from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
+                          Rule, _rewrite, integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
 from pregma.rng import GAMMA
-from pregma.validation import vertex_classes
+from pregma.validation import Analysis, analyse, vertex_classes
 
 _MASK = (1 << 64) - 1
 
@@ -663,3 +665,70 @@ def record_faults(seeds: Iterable[int]) -> list[str]:
         if fault:
             faults.append(f"seed {seed}: {fault}")
     return faults
+
+
+def occurrence_fault(an: Analysis) -> str | None:
+    """Why the analysis's `refs` or `bindings` are not the classes an
+    expansion glues on, or None when they are. Reads the `applications`
+    replay, not the passing table.
+
+    The replay runs to depth len(rules) + the sum of the rules' arities.
+    Every reachable rule is first applied within len(rules) - 1 levels. A
+    vertex reaches each input it can sit at along a simple path of
+    passings from its creation, one level per passing and each landing on
+    a different input, so along at most the sum of the arities; the
+    occurrence that passes it on lies one level deeper still. Each input
+    of each application holds the class of the vertex glued there: `refs`
+    groups them by (rule, input), and `bindings` by occurrence (the host
+    rule and the hyperarc's index in it, hosts that the replay applies
+    only), in the order of the hosts' rules and hyperarcs.
+    """
+    g = an.grammar
+    depth = len(g.rules) + sum(len(rule.inputs) for rule in g.rules)
+    made: dict[int, CanonicalVertex] = {}
+    hosts: list[str] = []  # the rule of each application
+    refs = {(rule.lhs, j): set() for rule in g.rules for j in range(1, len(rule.inputs) + 1)}
+    slots: dict[tuple[str, int], list[set]] = {}  # occurrence -> classes per input
+    for compiled, ids, parent, position in applications(g, depth):
+        arity = len(ids) - len(compiled.cans)
+        made.update(zip(ids[arity:], compiled.cans))
+        hosts.append(compiled.lhs)
+        if parent is not None:
+            held = slots.setdefault((hosts[parent], position), [set() for _ in range(arity)])
+            for j, v in enumerate(ids[:arity], start=1):
+                refs[compiled.lhs, j].add(made[v])
+                held[j - 1].add(made[v])
+    bindings: dict[str, list[tuple[frozenset, ...]]] = {}
+    applied = set(hosts)
+    for rule in g.rules:
+        if rule.lhs in applied:
+            for i, (label, _) in enumerate(rule.rhs.hyperarcs):
+                bindings.setdefault(label, []).append(tuple(map(frozenset, slots[rule.lhs, i])))
+    got_refs = {key: {an.names[c] for c in cs} for key, cs in an.refs.items()}
+    got_bindings = {label: [tuple(frozenset(an.names[c] for c in s) for s in occ)
+                            for occ in occs] for label, occs in an.bindings.items()}
+    for key in sorted(refs.keys() | got_refs.keys()):
+        if refs.get(key) != got_refs.get(key):
+            return (f"refs{key}: {sorted(got_refs.get(key, ()))}; "
+                    f"the expansion has {sorted(refs.get(key, ()))}")
+    for label in sorted(bindings.keys() | got_bindings.keys()):
+        if bindings.get(label) != got_bindings.get(label):
+            return (f"bindings[{label}]: {got_bindings.get(label)}; "
+                    f"the expansion has {bindings.get(label)}")
+    return None
+
+
+def occurrence_faults(seeds: Iterable[int]) -> tuple[int, list[str]]:
+    """`occurrence_fault` on each `random_grammar(random.Random(seed))`
+    that `analyse` accepts: how many it accepts, and one line per grammar
+    whose `refs` or `bindings` are not the expansion's."""
+    checked, faults = 0, []
+    for seed in seeds:
+        try:
+            an = analyse(parse_grammar(random_grammar(random.Random(seed))))
+        except GrammarError:
+            continue
+        checked += 1
+        if fault := occurrence_fault(an):
+            faults.append(f"seed {seed}: {fault}")
+    return checked, faults

@@ -4,21 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from pregma.gio import parse_grammar
-from pregma.model import CanonicalVertex, GrammarError, checked_rules, integer_weights
+from pregma.gio import load_grammar, parse_grammar
+from pregma.model import CanonicalVertex, GrammarError, integer_weights
+from pregma.pcp import encode, load_pcp
+from pregma.pushdown import to_grammar
 from pregma.validation import (
     EngineUnsupported,
     _mass_fault,
-    _passings,
     _walk,
     analyse,
     canonical_vertices,
     check_complete_outside,
-    hyperarc_slots,
+    passing_table,
     phr_check,
     vertex_classes,
 )
-from reference import record_faults
+from reference import occurrence_fault, occurrence_faults, record_faults
 
 HEAD = (
     "nonterminal Z 0\nnonterminal C 1\nterminal a 2\ncolour stop\n"
@@ -57,6 +58,13 @@ PASSED_DOWN = HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 
     "rule D inputs w\n  vertex z\n  arc a w z\n  colour stop z\n"
 )
 
+# the same, but C passes x on as D's second input; D's first holds C's p
+PASSED_DOWN_SECOND = HEAD.replace("nonterminal C 1\n", "nonterminal C 1\nnonterminal D 2\n") + (
+    "rule Z\n  vertex r\n  hyperarc C r\n"
+    "rule C inputs x\n  vertex p\n  colour stop p\n  hyperarc D p x\n"
+    "rule D inputs u w\n  vertex z\n  arc a w z\n  colour stop z\n"
+)
+
 
 def cv(rule, vertex):
     return CanonicalVertex(rule, vertex)
@@ -70,13 +78,13 @@ def test_canonical_vertices_skip_inputs(running):
 
 
 def test_passings_follow_the_gluing(running):
-    rules, slots = checked_rules(running), hyperarc_slots(running)
-    assert _passings(rules, slots, ("A", "next")) == [("A", "s")]
-    assert _passings(rules, slots, ("A", "s")) == []
-    assert _passings(rules, slots, ("A", "fork")) == [("A", "t")]
-    assert _passings(rules, slots, ("A", "t")) == []
-    assert _passings(rules, slots, ("A", "win")) == []
-    down, table = _walk(running, rules, slots), vertex_classes(running)
+    passed = passing_table(running)
+    assert passed.get(("A", "next")) == [("A", "s")]
+    assert passed.get(("A", "s")) is None
+    assert passed.get(("A", "fork")) == [("A", "t")]
+    assert passed.get(("A", "t")) is None
+    assert passed.get(("A", "win")) is None
+    down, table = _walk(running, passed), vertex_classes(running)
     # the walk works out each creation site and each input it reaches once
     assert set(down) == {(c.rule, c.vertex) for c in table} | {("A", "s"), ("A", "t")}
     assert all(vc.terminates for vc in table.values())
@@ -84,10 +92,10 @@ def test_passings_follow_the_gluing(running):
 
 def test_walk_detects_loops():
     g = parse_grammar(GAINING_LOOP)
-    rules, slots = checked_rules(g), hyperarc_slots(g)
-    assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
-    assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
-    down, table = _walk(g, rules, slots), vertex_classes(g)
+    passed = passing_table(g)
+    assert passed[("Z", "r")] == [("C", "x")]
+    assert passed[("C", "x")] == [("C", "x")]
+    down, table = _walk(g, passed), vertex_classes(g)
     assert not down["C", "x"].terminates
     assert not table[cv("Z", "r")].terminates
     # the a arc gained on the loop is gained forever, and only there
@@ -103,6 +111,26 @@ def test_records_are_the_closure_of_the_passings():
     passings never end and that a depth-first walk memoising sites gave
     only part of its colours."""
     assert record_faults([*range(2000), 9029]) == []
+
+
+def test_class_sets_are_the_classes_an_expansion_glues_on(corpus_dir, pds_prob):
+    """`refs` and `bindings` hold the classes an expansion glues on each
+    input (`occurrence_fault`), on every corpus grammar that `analyse`
+    accepts and on the random grammars of seeds 0-1999 that it accepts
+    (592 of them)."""
+    grammars = [load_grammar(p) for p in sorted(corpus_dir.glob("*.gg"))]
+    grammars += [encode(load_pcp(p))[0] for p in sorted(corpus_dir.glob("*.pcp"))]
+    grammars.append(to_grammar(pds_prob))
+    accepted = []
+    for g in grammars:
+        try:
+            accepted.append(analyse(g))
+        except EngineUnsupported:
+            pass
+    assert len(accepted) == 9
+    assert [occurrence_fault(an) for an in accepted] == [None] * 9
+    checked, faults = occurrence_faults(range(2000))
+    assert (checked, faults) == (592, [])
 
 
 def test_analyse_refuses_a_shared_vertex():
@@ -266,19 +294,21 @@ def test_engine_rejects_gaining_inputs():
 
 
 def test_engine_rejects_arcs_gained_past_an_input():
-    g = parse_grammar(PASSED_DOWN)
-    assert phr_check(g).ok
-    with pytest.raises(EngineUnsupported, match=(
-            "rule C: input x keeps gaining arcs after being passed to D at position 1")):
-        analyse(g)
+    for text, position in [(PASSED_DOWN, 1), (PASSED_DOWN_SECOND, 2)]:
+        g = parse_grammar(text)
+        assert phr_check(g).ok
+        with pytest.raises(EngineUnsupported, match=(
+                "^rule C: input x keeps gaining arcs after being passed to D at "
+                f"position {position}$")):
+            analyse(g)
 
 
 def test_engine_accepts_quiet_input_loop():
     g = parse_grammar(QUIET_LOOP)
-    rules, slots = checked_rules(g), hyperarc_slots(g)
+    passed = passing_table(g)
     # r is passed to C's input x, which is passed back to itself forever
-    assert _passings(rules, slots, ("Z", "r")) == [("C", "x")]
-    assert _passings(rules, slots, ("C", "x")) == [("C", "x")]
+    assert passed[("Z", "r")] == [("C", "x")]
+    assert passed[("C", "x")] == [("C", "x")]
     an = analyse(g)
     r = an.classes[an.ids["Z", "r"]]
     assert not r.terminates
