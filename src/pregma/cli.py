@@ -477,7 +477,9 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     # print exact answers of any length (Python 3.10.7 on limits ints to 4300 digits)
+    digits = None
     if hasattr(sys, "set_int_max_str_digits"):
+        digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     # The tables a command builds hold no reference cycle, so refcounting
     # frees them, and the cyclic collector only rescans them as they grow:
@@ -487,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     # tests/cli_sweep.py leave 560 cyclic objects in all: 322 from numpy's
     # first import, the rest from building the parser and from usage
     # errors. So each command runs with the collector paused, and main
-    # restores the state it found.
+    # restores the state it found, and the digit limit too.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -495,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def _run(argv: list[str] | None) -> int:

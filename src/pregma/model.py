@@ -428,11 +428,12 @@ def _slots_getter(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
 
 
 def _rewrite(
-    g: Grammar, depth: int, out: Expansion,
+    rules: dict[str, Rule], axiom: str, depth: int, out: Expansion,
     enough: Callable[[list[tuple[str, tuple[VertexId, ...]]]], bool] | None = None,
 ) -> Iterator[tuple[_Compiled, tuple[VertexId, ...]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
-    for a grammar that `checked_rules` accepts (GrammarError otherwise).
+    on the rule table that `checked_rules` returned for the grammar: its
+    callers run the structural check, and this routine runs none.
 
     Yields (compiled rule, ids) once per rule application: the tuple ids
     holds the concrete vertex in each of the rule's slots, the attached ones
@@ -459,7 +460,7 @@ def _rewrite(
     # each rule compiled once, its canonical vertices shared by its copies,
     # with its fresh-vertex count and a getter of each hyperarc's ids
     plans = {}
-    for name, rule in checked_rules(g).items():
+    for name, rule in rules.items():
         compiled = _compile(rule)
         plans[name] = (compiled, len(compiled.cans),
                        [(label, _slots_getter(slots))
@@ -469,7 +470,7 @@ def _rewrite(
     classes, levels, colours = out.classes, out.levels, out.colours
     shared = out.colour_sets  # one object per distinct colour set
     empty: frozenset[str] = shared.setdefault(frozenset(), frozenset())
-    pending: list[tuple[str, tuple[VertexId, ...]]] = [(g.axiom, ())]
+    pending: list[tuple[str, tuple[VertexId, ...]]] = [(axiom, ())]
     for level in range(depth + 1):
         if level and enough is not None and enough(pending):
             break
@@ -501,9 +502,12 @@ def expand(g: Grammar, depth: int) -> Expansion:
     hyperarcs, together with each vertex's class, level and colours, the
     axiom rule's vertex ids and the frontier: vertices that still lie on an
     unexpanded hyperarc, whose out-neighbourhood is therefore not final yet.
+    Opens with `checked_rules` (GrammarError on a structurally invalid
+    grammar), whose rule table `_rewrite` rewrites.
     """
+    rules = checked_rules(g)
     expansion = Expansion()
-    expansion.graph.applications.extend(_rewrite(g, depth, expansion))
+    expansion.graph.applications.extend(_rewrite(rules, g.axiom, depth, expansion))
     return expansion
 
 

@@ -5,15 +5,17 @@ graph. `truncate` takes the rule applications of `model._rewrite`, the
 rewriting routine behind `model.expand`, and only prices them into integer
 rows: that routine builds the per-vertex columns (class, level, colours,
 axiom ids, frontier) of an expansion and of a truncation alike, and no
-expanded graph is kept.
+expanded graph is kept. A truncation checks the grammar and walks its
+classes once, before it builds (`_rewrite` takes the checked rules).
 Vertices still sitting on an unexpanded hyperarc (the frontier) have
 incomplete out-arcs, but the class record of the walk of the passings
 (`validation.vertex_classes`) already holds every colour they will carry,
 and a truncation gives them those final colours. A frontier state is then
 read only through its colours unless a path could step on from it in time:
 it lies fewer than `horizon` steps from the start, is not won and shows
-phi1. The oracle refuses a query whose horizon cone holds such a state,
-and the sampler counts a trajectory that reaches one as an escape instead
+phi1. One pass over the horizon cone (`_cone`) gives its layers and the
+first such state; the oracle refuses a query whose cone holds one, and
+the sampler counts a trajectory that reaches one as an escape instead
 of guessing. Marked absorbing sinks get an explicit probability-1
 self-loop so the truncation is a genuine Markov chain.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Collection, Iterable
+from typing import Any, Callable, Collection
 
 from .model import (
     CanonicalVertex,
@@ -46,6 +48,7 @@ from .model import (
     VertexId,
     _Compiled,
     _rewrite,
+    checked_rules,
     integer_weights,
     reach,
     reachable_nonterminals,
@@ -95,51 +98,44 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     classes, levels, axiom ids and frontier are the columns `_rewrite`
     fills, the same ones `expand` returns, except that each frontier state
     carries its final colours: those of its class record
-    (`VertexClass.colours`, from one `vertex_classes` walk per truncation),
-    which holds every colour a vertex of the class gains at any depth; the
-    same walk gives the chain's `endless` classes. Raises GrammarError on
-    a structurally invalid grammar or an arc label without a probability
-    (at the first application that needs it), and TotalityError on a fully
-    expanded vertex whose outgoing mass is not 1.
+    (`VertexClass.colours`, from one `vertex_classes` walk taken before
+    the build), which holds every colour a vertex of the class gains at any
+    depth; the same walk gives the chain's `endless` classes. Raises
+    GrammarError on a structurally invalid grammar (`checked_rules`, before
+    anything else) or an arc label without a probability (at the first
+    application that needs it), and TotalityError on a fully expanded
+    vertex whose outgoing mass is not 1.
 
     Without a query every level up to `depth` is built. Given one, the
     truncation stops at the first level whose horizon cone from the query's
-    start is closed (see `_blocking`), so `depth` is the most it builds;
-    the states exactly `horizon` steps from the start may stay on the
-    frontier, since they never step. State ids go breadth first, so the
-    shallower chain's ids are a prefix of the full one's, and
+    start is closed (`_cone` finds no blocking state), so `depth` is the
+    most it builds; the states exactly `horizon` steps from the start may
+    stay on the frontier, since they never step. State ids go breadth
+    first, so the shallower chain's ids are a prefix of the full one's, and
     `bounded_until` and `sample_until` give the query the same answers,
     errors included, on both. Two things keep it building:
-    - some depth's truncation would raise (`_may_raise`): then every level
-      is built, so that the error is the full depth's;
+    - some depth's truncation would raise (`_may_raise`, read once before
+      the build): then no stop test runs and every level is built, so that
+      the error is the full depth's;
     - the cone tests so far have read more than four states per state
       built: a level's test is then skipped, which bounds the tests of a
       cone that never closes (one reads a state in about a quarter of the
       time the build takes to make one) by about one more build.
     """
+    rules = checked_rules(g)
+    classes = vertex_classes(g)
     den, weight = integer_weights(g.mu)
     trans: list[list[tuple[int, int]]] = []
     priced: dict[str, list[tuple[int, int, int]]] = {}
     e = Expansion()
+    final = {can: e.colour_sets.setdefault(vc.colours, vc.colours)
+             for can, vc in classes.items()}  # the records' colours
     read = 0  # states the cone tests have read
-    may_raise: bool | None = None
-    classes: dict[CanonicalVertex, VertexClass] | None = None
-    final: dict[CanonicalVertex, frozenset[str]] = {}  # the records' colours
-
-    def settle(frontier: Iterable[int]) -> None:
-        """Give frontier states their final colours."""
-        nonlocal classes
-        if classes is None:  # `_rewrite` has checked the grammar by now
-            classes = vertex_classes(g)
-            for can, vc in classes.items():
-                final[can] = e.colour_sets.setdefault(vc.colours, vc.colours)
-        for v in frontier:
-            e.colours[v] = final[e.classes[v]]
 
     def closed(pending: list[tuple[str, tuple[VertexId, ...]]]) -> bool:
         """Whether the query's horizon cone is closed on the levels so far."""
-        nonlocal read, may_raise
-        if may_raise or read > 4 * len(trans):
+        nonlocal read
+        if read > 4 * len(trans):
             return False
         start = query.start
         if isinstance(start, str) and start in e.axiom_ids:
@@ -147,17 +143,15 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         elif not (type(start) is int and 0 <= start < len(trans)):
             return False  # until it resolves as FiniteMC.resolve will
         frontier = {v for _, vs in pending for v in vs}
-        settle(frontier)
-        _, undecided, blocks = _query_tests(query, e.colours, frontier)
-        layers = _cone(trans, undecided, start, query.horizon)
+        for v in frontier:
+            e.colours[v] = final[e.classes[v]]
+        layers, hit = _cone(trans, frontier, _query_tests(query, e.colours)[1],
+                            start, query.horizon)
         read += sum(map(len, layers))
-        if _blocking(layers, frontier, blocks) is not None:
-            return False
-        if may_raise is None:
-            may_raise = _may_raise(g, den, weight, classes)
-        return not may_raise
+        return hit is None
 
-    for rule, ids in _rewrite(g, depth, e, None if query is None else closed):
+    stop = None if query is None or _may_raise(g, den, weight, classes) else closed
+    for rule, ids in _rewrite(rules, g.axiom, depth, e, stop):
         arcs = priced.get(rule.lhs)
         if arcs is None:
             arcs = priced[rule.lhs] = _priced(rule, weight)
@@ -170,7 +164,8 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if not trans[i] and i not in e.frontier and cs & g.absorbing:
             trans[i].append((i, den))
 
-    settle(e.frontier)
+    for v in e.frontier:
+        e.colours[v] = final[e.classes[v]]
     mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels,
                   frozenset(can for can, vc in classes.items() if not vc.terminates))
     for i, row in enumerate(trans):
@@ -192,65 +187,57 @@ class PathQuery:
 
 
 def _query_tests(
-    query: PathQuery, colours: list[frozenset[str]], frontier: Collection[int],
-) -> tuple[Callable[[int], bool], Callable[[int], bool], Callable[[int, int], bool]]:
+    query: PathQuery, colours: list[frozenset[str]],
+) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
     """The query's tests on a state, reading only that state's colours:
-    won (it shows a phi2 colour), undecided (alive, not won and not on the
-    frontier, so it steps on) and, for a frontier state d steps from the
-    start, blocks (see `_blocking`)."""
-    phi1, phi2, horizon = query.phi1, query.phi2, query.horizon
+    won (it shows a phi2 colour) and steps (it is not won and shows phi1,
+    so a path goes on from it)."""
+    phi1, phi2 = query.phi1, query.phi2
 
     def won(s: int) -> bool:
         return phi2 is None or not phi2.isdisjoint(colours[s])
 
-    def undecided(s: int) -> bool:
-        return not (s in frontier or won(s)) and (
-            phi1 is None or not phi1.isdisjoint(colours[s]))
+    def steps(s: int) -> bool:
+        return not won(s) and (phi1 is None or not phi1.isdisjoint(colours[s]))
 
-    def blocks(s: int, d: int) -> bool:
-        return d < horizon and not won(s) and (
-            phi1 is None or not phi1.isdisjoint(colours[s]))
-
-    return won, undecided, blocks
+    return won, steps
 
 
-def _cone(trans: list[list[tuple[int, int]]], undecided: Callable[[int], bool],
-          start: int, horizon: int) -> list[set[int]]:
-    """The start's forward cone: layers[d] holds the states first reached in
-    d <= horizon steps, stepping on only from undecided states (alive, not
-    won, not on the frontier). The list ends before the first empty layer."""
+def _cone(trans: list[list[tuple[int, int]]], frontier: Collection[int],
+          steps: Callable[[int], bool], start: int,
+          horizon: int) -> tuple[list[set[int]], int | None]:
+    """The start's forward cone and the state that blocks it.
+
+    layers[d] holds the states first reached in d <= horizon steps,
+    stepping on only from states that step and are off the frontier; the
+    list ends before the first empty layer. The blocking state is the first
+    frontier state, in the order the layers are walked, that lies fewer
+    than `horizon` steps out and steps: its missing row the answer may
+    need. It is None when there is none, and the cone is closed. A frontier
+    state's colours are final, so one that is won, outside phi1 or at the
+    horizon is read only through them, as a deeper truncation reads it
+    where it has the row. Every state that steps in a closed cone is off
+    the frontier, so its row and its colours are final, and deeper
+    truncations hold the same cone."""
     seen = {start}
     layers = [{start}]
+    hit = None
     for _ in range(horizon):
         nxt: set[int] = set()
         for s in layers[-1]:
-            if undecided(s):
+            if not steps(s):
+                continue
+            if s not in frontier:
                 for t, _ in trans[s]:
                     if t not in seen:
                         seen.add(t)
                         nxt.add(t)
+            elif hit is None:
+                hit = s
         if not nxt:
             break
         layers.append(nxt)
-    return layers
-
-
-def _blocking(layers: list[set[int]], frontier: Collection[int],
-              blocks: Callable[[int, int], bool]) -> int | None:
-    """The cone's first frontier state, in layer order, whose missing row
-    the answer may need; None when there is none, and the cone is closed.
-
-    A frontier state in layers[d] blocks when d < horizon and it would step
-    on: it is not won and it shows phi1. Its colours are final, so a state
-    that is won, outside phi1 or at the horizon is read only through them,
-    as a deeper truncation reads it where it has the row. Every state that
-    steps in a closed cone is off the frontier, so its row and its colours
-    are final, and deeper truncations hold the same cone."""
-    for d, layer in enumerate(layers):
-        for s in layer:
-            if s in frontier and blocks(s, d):
-                return s
-    return None
+    return layers, hit
 
 
 def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
@@ -259,14 +246,13 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     Only the start's horizon cone is swept: step k reads the states within
     horizon - k steps of the start, since no other state's value reaches
     the start's in time. Values are integers over mc.den**k. Rejects the
-    query when the cone holds a frontier state that blocks (`_blocking`),
-    whose row a deeper truncation knows unless its class is in `mc.endless`.
+    query when `_cone` finds a frontier state that blocks the cone, whose
+    row a deeper truncation knows unless its class is in `mc.endless`.
     No state outside the cone is read."""
-    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier)
+    won, steps = _query_tests(query, mc.colours)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    layers = _cone(mc.trans, undecided, start, horizon)
-    hit = _blocking(layers, mc.frontier, blocks)
+    layers, hit = _cone(mc.trans, mc.frontier, steps, start, horizon)
     if hit is not None:
         # a class whose passings never end keeps its vertices on the
         # frontier at every depth, where deepening cannot help
@@ -277,16 +263,17 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
                          "the frontier" if stuck else "deepen the truncation"))
     # the cone in layer order: the states within d steps are a prefix
     order = [s for layer in layers for s in layer]
-    if not horizon or not undecided(start):
+    if not horizon or not steps(start):
         # no step is taken, so no den**horizon scale is needed
         return Fraction(int(won(start)))
     pos = {s: i for i, s in enumerate(order)}
     within = list(accumulate(len(layer) for layer in layers))
     within += [len(order)] * (horizon + 1 - len(within))
-    # steps start only within horizon - 1 steps of the start; won and dead
-    # states keep empty rows, and the won ones are reset each step
+    # steps start only within horizon - 1 steps of the start, where no
+    # frontier state steps; won and dead states keep empty rows, and the
+    # won ones are reset each step
     stepping = order[:within[horizon - 1]]
-    rows = [[(pos[t], w) for t, w in mc.trans[s]] if undecided(s) else []
+    rows = [[(pos[t], w) for t, w in mc.trans[s]] if steps(s) else []
             for s in stepping]
     prev = [int(won(s)) for s in order]
     wins = [i for i, v in enumerate(prev) if v]
@@ -340,7 +327,7 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
 
     Trajectory i uses draw number step * n + i, so the result is a pure
     function of (seed, n, horizon). A trajectory that reaches a frontier
-    state that blocks (`_blocking`) counts as an escape: the truth then
+    state that blocks the cone (see `_cone`) counts as an escape: the truth then
     lies between hits/n and (hits+escapes)/n. Any other frontier state is
     a hit or a miss by its final colours. A trajectory misses as soon as
     it stands on a state from which no win or blocking state can be
@@ -362,11 +349,12 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
 
     from .rng import draw_array
 
-    won, undecided, blocks = _query_tests(query, mc.colours, mc.frontier)
+    won, steps = _query_tests(query, mc.colours)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    layers = _cone(mc.trans, undecided, start, horizon)
-    stepping = [s for layer in layers[:horizon] for s in layer if undecided(s)]
+    layers, _ = _cone(mc.trans, mc.frontier, steps, start, horizon)
+    stepping = [s for layer in layers[:horizon] for s in layer
+                if s not in mc.frontier and steps(s)]
     # walk back from the cone's won and blocking states through the
     # stepping states: a trajectory anywhere else can only miss
     preds: dict[int, list[int]] = {}
@@ -374,8 +362,8 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
         for t, _ in mc.trans[s]:
             preds.setdefault(t, []).append(s)
     # one fate per cone state: 0 steps on, 1 hit, 2 miss, 3 escape
-    fates = {s: 1 if won(s) else 3 if s in mc.frontier and blocks(s, d) else 2
-             for d, layer in enumerate(layers) for s in layer}
+    fates = {s: 1 if won(s) else 3 if d < horizon and s in mc.frontier and steps(s)
+             else 2 for d, layer in enumerate(layers) for s in layer}
     hopeful = reach([s for s, f in fates.items() if f != 2],
                     lambda t: preds.get(t, ()))
     moving = [s for s in stepping if s in hopeful]

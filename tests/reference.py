@@ -23,7 +23,7 @@ from typing import Iterable
 from pregma.gio import parse_grammar
 
 from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
-                          Rule, _rewrite, integer_weights)
+                          Rule, _rewrite, checked_rules, integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
 from pregma.rng import GAMMA
@@ -34,13 +34,14 @@ _MASK = (1 << 64) - 1
 
 def applications(g: Grammar, depth: int):
     """(compiled rule, ids, parent, position) per rule application of
-    `_rewrite(g, depth, Expansion())`: parent is the number of the
+    `_rewrite` on g's checked rules to `depth`: parent is the number of the
     application whose rhs held the replaced hyperarc (None for the axiom),
     position that hyperarc's index in the rhs. Replays a FIFO of hyperarcs, each
     application's queued in rhs order, and asserts that every application
     replaces the hyperarc at its head."""
     queue = deque([(None, None, g.axiom, ())])
-    for number, (rule, ids) in enumerate(_rewrite(g, depth, Expansion())):
+    rewriting = _rewrite(checked_rules(g), g.axiom, depth, Expansion())
+    for number, (rule, ids) in enumerate(rewriting):
         parent, position, label, glued = queue.popleft()
         arity = len(rule.names) - len(rule.cans)  # the slots glued on
         assert (rule.lhs, tuple(ids[:arity])) == (label, glued)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -66,6 +66,21 @@ def run(argv):
 
 def gg(corpus_dir, name):
     return str(corpus_dir / name)
+
+
+@contextmanager
+def any_int_length():
+    """Turn ints of any length into text inside the block, as main does,
+    and restore the limit after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(found)
 
 
 def test_validate_ok(corpus_dir):
@@ -332,11 +347,13 @@ def test_prob_prints_exact_values_of_any_length(tmp_path):
     code, out, err = run(argv)
     assert (code, err) == (0, "")
     value = 1 - F(2, 3) ** 9100
-    assert len(str(value.denominator)) > 4300
-    assert out == f"bounded={value}\ndecimal 1.000000000000 (horizon 9100)\n"
+    with any_int_length():
+        assert len(str(value.denominator)) > 4300
+        assert out == f"bounded={value}\ndecimal 1.000000000000 (horizon 9100)\n"
     code, out, err = run([*argv, "--format", "json-lines"])
     assert (code, err) == (0, "")
-    assert json.loads(out)["value"] == str(value)
+    with any_int_length():
+        assert json.loads(out)["value"] == str(value)
 
 
 def test_prob_truncate(corpus_dir):
@@ -532,6 +549,21 @@ def test_check_without_at_prints_the_conjunction(corpus_dir):
     assert overall == "holds"
     assert run(["check", path, "--formula", "F[>=1] green"]) == (
         _EXIT[overall], f"{overall}\n", "")
+
+
+def test_check_without_at_is_unknown_when_no_class_fails(corpus_dir):
+    """On updrift.gg, F[>=1/4] green holds at base and is undecided at m0,
+    whose value is exactly 1/4: no class fails, so the run prints unknown
+    and exits 2, in text and in json-lines. Once an exact argument decides
+    m0, this pin moves with the CI step that expects exit 2 there."""
+    path = gg(corpus_dir, "updrift.gg")
+    verdicts = _class_verdicts(path, "F[>=1/4] green")
+    assert verdicts["class=Z:base"] == "holds" and verdicts["class=Z:m0"] == "unknown"
+    assert run(["check", path, "--formula", "F[>=1/4] green"]) == (2, "unknown\n", "")
+    code, out, err = run(["check", path, "--formula", "F[>=1/4] green",
+                          "--format", "json-lines"])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"at": None, "kind": "verdict", "status": "unknown"}
 
 
 def test_check_qualitative_accepts_nested_zero_one_thresholds(corpus_dir):
@@ -1175,11 +1207,19 @@ def test_the_largest_commands_leave_no_reference_cycle(corpus_dir, tmp_path,
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, collecting):
+    """And the limit on turning ints into text, which main lifts as it
+    pauses the collector: a caller's str(10**5000) still fails after it."""
+    limits = hasattr(sys, "set_int_max_str_digits")  # from Python 3.10.7
+    limit = 4300 if collecting else 640  # the default and the least allowed
     seen = []
 
     def watched(*args):
-        seen.append(gc.isenabled())
+        seen.append((gc.isenabled(), limits and sys.get_int_max_str_digits()))
         return real_truncate(*args)
+
+    def left_alone():
+        return gc.isenabled() is collecting and (
+            not limits or sys.get_int_max_str_digits() == limit)
 
     def raising(*args):
         raise RuntimeError("a command that raises")
@@ -1188,18 +1228,26 @@ def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, colle
     prob = ["prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0"]
     truncating = prob + ["--method", "truncate", "--horizon", "3"]
     found = gc.isenabled()
+    found_limit = limits and sys.get_int_max_str_digits()
     (gc.enable if collecting else gc.disable)()
+    if limits:
+        sys.set_int_max_str_digits(limit)
     try:
         monkeypatch.setattr(cli, "truncate", watched)
         assert run(truncating)[:2] == (0, "bounded=1/8\ndecimal 0.125000000000 (horizon 3)\n")
-        assert seen == [False] and gc.isenabled() is collecting
+        assert seen == [(False, limits and 0)] and left_alone()
+        if limits:
+            with pytest.raises(ValueError, match="limit"):
+                str(10**5000)
         for usage_error in (prob + ["--eps", "0"], prob + ["--no-such-option"],
                             ["check", prob[1], "--formula", "F[>0"]):
             assert run(usage_error)[0] == 3
-            assert gc.isenabled() is collecting
+            assert left_alone()
         monkeypatch.setattr(cli, "truncate", raising)
         with pytest.raises(RuntimeError, match="a command that raises"):
             run(truncating)
-        assert gc.isenabled() is collecting
+        assert left_alone()
     finally:
         (gc.enable if found else gc.disable)()
+        if limits:
+            sys.set_int_max_str_digits(found_limit)

@@ -17,7 +17,8 @@ from pregma.model import (
     reachable_nonterminals,
     validate_grammar,
 )
-from pregma.oracle import truncate
+from pregma import oracle
+from pregma.oracle import PathQuery, truncate
 from reference import applications
 
 
@@ -103,6 +104,25 @@ def test_validate_reports_structural_issues():
         "colour-vertex", "hyperarc-label", "hyperarc-vertex", "rule-lhs", "prob-label",
         "absorbing-label",
     ]
+
+
+@pytest.mark.parametrize("make", [_broken_grammar, _misnamed_grammar])
+def test_expand_and_truncate_open_with_the_structural_check(make, monkeypatch):
+    """Each refuses a structurally invalid grammar with the issues that
+    validate_grammar lists, before a truncation walks any class."""
+    def walk(g):
+        raise AssertionError("a class walk ran before the structural check")
+
+    monkeypatch.setattr(oracle, "vertex_classes", walk)
+    g = make()
+    issues = validate_grammar(g)
+    query = PathQuery(None, frozenset({"green"}), "x", 2)
+    for build in (lambda: expand(g, 2), lambda: truncate(g, 2),
+                  lambda: truncate(g, 3, query)):
+        with pytest.raises(GrammarError) as refused:
+            build()
+        assert refused.value.issues == issues
+        assert str(refused.value) == "; ".join(map(str, issues))
 
 
 def test_rule_for_an_unknown_nonterminal(running):

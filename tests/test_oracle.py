@@ -373,12 +373,11 @@ def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
             else:
                 assert value == bounded_until(mc, query)
 
-            def undecided(s):
+            def steps(s):
                 cs = mc.colours[s]
-                return s not in mc.frontier and not (phi2 & cs) and (
-                    phi1 is None or bool(phi1 & cs))
+                return not (phi2 & cs) and (phi1 is None or bool(phi1 & cs))
 
-            layers = _cone(mc.trans, undecided, mc.resolve(start), h)
+            layers, _ = _cone(mc.trans, mc.frontier, steps, mc.resolve(start), h)
             assert colours.read <= set().union(*layers), (start, h, value)
             # the sampler reads the same colours, frontier or not
             colours = Recording(mc.colours)
