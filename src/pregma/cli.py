@@ -100,7 +100,8 @@ def _load(path: str, load=load_grammar):
 
 
 def _colour_names(g: Grammar, expr: str, parser: _Parser) -> frozenset[str] | None:
-    """Comma-separated colour names, or "tt" for no restriction."""
+    """Comma-separated colour names, or "tt" for no restriction. A
+    structurally invalid grammar fails before an unknown colour is refused."""
     if expr == "tt":
         return None
     names = frozenset(n.strip() for n in expr.split(",") if n.strip())
@@ -108,6 +109,7 @@ def _colour_names(g: Grammar, expr: str, parser: _Parser) -> frozenset[str] | No
         parser.error(f"empty colour expression {expr!r}")
     unknown = names - set(g.colour_names)
     if unknown:
+        checked_rules(g)
         parser.error(
             f"unknown colours {sorted(unknown)}; grammar has {sorted(g.colour_names)}"
         )
@@ -363,7 +365,7 @@ def _cmd_check(args, parser: _Parser) -> int:
         parser.error("--qualitative requires every threshold to be 0 or 1")
     if args.at is not None:
         _axiom_vertex(g, args.at, parser)
-    verdicts = label_formula(g, formula, eps=args.eps)
+    verdicts = label_formula(g, formula)
 
     def show(line: str, interval, record: dict) -> None:
         """One verdict, with its enclosure when it has one."""
@@ -461,10 +463,6 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar")
     p.add_argument("--formula", required=True)
     p.add_argument("--at", default=None, metavar="VERTEX")
-    p.add_argument("--eps", type=_positive_fraction,
-                   default=Fraction(1, 10**6),
-                   help="each until is solved once, aiming at a width of at "
-                        "most min(EPS, 1e-9) on every variable")
     p.add_argument("--qualitative", action="store_true",
                    help="reject formulas with thresholds other than 0 and 1")
     p.add_argument("--emit-coloured", action="store_true",
@@ -503,7 +501,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     """Parse argv and run its command under the exit-code contract."""
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args, args.parser)
     except FormulaError as exc:

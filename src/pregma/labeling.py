@@ -12,9 +12,9 @@ read their operands' pairs and dispatch on the threshold: one-step masses
 are exact rationals, untils with threshold 0 or 1 go to the qualitative
 engines, and everything else reads the until's one certified enclosure from
 `solve_until`, whose values are absolute probabilities exactly for the axiom
-rule's classes. That enclosure is solved at min(eps, 1e-9), so the
-almost-sure engine reads the same one. `label_formula` keys its verdicts by
-creation site, through the analysis's `names`.
+rule's classes. That enclosure is solved at the almost-sure engine's width,
+ALMOST_SURE_EPS (1e-9), so that engine reads the same one. `label_formula`
+keys its verdicts by creation site, through the analysis's `names`.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def classes_for_colours(an: Analysis, names: frozenset[str] | None) -> frozenset
     return frozenset(c for c, vc in enumerate(an.classes) if vc.colours & names)
 
 
-def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
+def _label(an: Analysis, f: Formula) -> Pair:
     if isinstance(f, TT):
         every = frozenset(an.reachable)
         return every, every
@@ -72,27 +72,26 @@ def _label(an: Analysis, f: Formula, eps: Fraction) -> Pair:
             )
         return members, members
     if isinstance(f, Not):
-        surely, possibly = _label(an, f.sub, eps)
+        surely, possibly = _label(an, f.sub)
         every = frozenset(an.reachable)
         return every - possibly, every - surely
     if isinstance(f, And):
-        (u1, o1), (u2, o2) = _label(an, f.left, eps), _label(an, f.right, eps)
+        (u1, o1), (u2, o2) = _label(an, f.left), _label(an, f.right)
         return u1 & u2, o1 & o2
     if isinstance(f, Next):
-        surely, possibly = _label(an, f.sub, eps)
+        surely, possibly = _label(an, f.sub)
         verdicts = next_qualitative(an, surely, f.cmp, f.rho, over=possibly)
         return (frozenset(c for c, v in verdicts.items() if v == "holds"),
                 frozenset(c for c, v in verdicts.items() if v != "fails"))
     if isinstance(f, Until):
-        return _until(an, f, eps)[0]
+        return _until(an, f)[0]
     raise TypeError(f)
 
 
-def _until(an: Analysis, f: Until, eps: Fraction
-           ) -> tuple[Pair, dict[int, tuple[Fraction, Fraction]]]:
+def _until(an: Analysis, f: Until) -> tuple[Pair, dict[int, tuple[Fraction, Fraction]]]:
     """The until's pair, and the probability interval of each class that the
     enclosure or a certified 0 / 1 gave one."""
-    (u1, o1), (u2, o2) = _label(an, f.left, eps), _label(an, f.right, eps)
+    (u1, o1), (u2, o2) = _label(an, f.left), _label(an, f.right)
     every = frozenset(an.reachable)
     # a threshold every probability passes, or none does
     trivial = decide_threshold((ZERO, ONE), f.cmp, f.rho)
@@ -110,8 +109,8 @@ def _until(an: Analysis, f: Until, eps: Fraction
             return (every - possibly, every - surely), {}
         return (surely, possibly), {}
 
-    lo_enc = solve_until(an, u1, u2, eps)
-    hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(an, o1, o2, eps)
+    lo_enc = solve_until(an, u1, u2, ALMOST_SURE_EPS)
+    hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(an, o1, o2, ALMOST_SURE_EPS)
     axiom = an.grammar.axiom
     intervals = {c: (lo_enc.lo[c], hi_enc.hi[c])
                  for c in an.reachable if an.names[c].rule == axiom}
@@ -131,25 +130,19 @@ def _until(an: Analysis, f: Until, eps: Fraction
             every - {c for c, v in verdicts.items() if v == "fails"}), intervals
 
 
-def _verdicts(an: Analysis, formula: Formula, eps: Fraction) -> list[Verdict]:
+def _verdicts(an: Analysis, formula: Formula) -> list[Verdict]:
     """One verdict per class id. Only a top-level until's verdicts carry
     intervals."""
-    # one solve per until serves its thresholds and its almost-sure verdicts
-    eps = min(eps, ALMOST_SURE_EPS)
     if isinstance(formula, Until):
-        (surely, possibly), intervals = _until(an, formula, eps)
+        (surely, possibly), intervals = _until(an, formula)
     else:
-        (surely, possibly), intervals = _label(an, formula, eps), {}
+        (surely, possibly), intervals = _label(an, formula), {}
     return [Verdict("holds" if c in surely else "unknown" if c in possibly else "fails",
                     intervals.get(c)) for c in an.reachable]
 
 
-def label_formula(
-    g: Grammar,
-    formula: Formula,
-    eps: Fraction = Fraction(1, 10**6),
-) -> dict[CanonicalVertex, Verdict]:
+def label_formula(g: Grammar, formula: Formula) -> dict[CanonicalVertex, Verdict]:
     """One verdict per reachable class, keyed by its creation site in the
     analysis's order."""
     an = analyse(g)
-    return dict(zip(an.names, _verdicts(an, formula, eps)))
+    return dict(zip(an.names, _verdicts(an, formula)))

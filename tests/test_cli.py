@@ -624,6 +624,11 @@ def test_check_at_json(corpus_dir):
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--eps", "abc"],
      "not a rational"),
     (["check", "{g}", "--formula", "F[>=1/2( V2"], "expected ']'"),
+    # an unknown option is reported by the subcommand it follows
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--no-such-option"],
+     "error: unrecognized arguments: --no-such-option"),
+    (["check", "{g}", "--formula", "F[>0] V2", "--eps", "1/10"],
+     "error: unrecognized arguments: --eps 1/10"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]
@@ -971,6 +976,20 @@ def test_structural_issues_stop_validate_and_expand(tmp_path, name, prob):
                  ["check", str(path), "--formula", "F[>0] g", "--at", "y"]]:
         code, out, err = run(argv)
         assert (code, out, err) == (1, "", joined + "\n"), argv
+
+
+@pytest.mark.parametrize("name, start", [("undeclared-arc-label", "v"),
+                                         ("undeclared-arc-label-coloured", "x")])
+def test_prob_judges_the_structure_before_the_colours(tmp_path, name, start):
+    text, issues = INVALID[name]
+    path = tmp_path / "bad.gg"
+    path.write_text(text.format(prob="prob a 1\n"))
+    for colours in (["--phi2", "nope"], ["--phi1", "nope", "--phi2", "tt"]):
+        code, out, err = run(["prob", str(path), *colours, "--from", start])
+        assert (code, out, err) == (1, "", "; ".join(issues) + "\n"), colours
+    # an empty expression names no colour: it is refused before the structure
+    code, _, err = run(["prob", str(path), "--phi2", " , ", "--from", start])
+    assert code == 3 and "empty colour expression" in err
 
 
 def test_validate_runs_the_structural_check_once(corpus_dir, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError, reachable_nonterminals
 from pregma.polysys import ZERO, decide_threshold, solve_enclosure
 from pregma.pushdown import to_grammar
-from pregma.qualitative import until_almost_sure, until_positive
+from pregma.qualitative import ALMOST_SURE_EPS, until_almost_sure, until_positive
 from pregma.quantitative import shared_assembly, solve_until
 from pregma.validation import analyse, canonical_vertices
 
@@ -254,6 +254,35 @@ def test_one_solve_per_until(critical, monkeypatch):
     assert solves == [F(1, 10**9)]
 
 
+def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
+    """A quantitative until, a qualitative until over the same pair and a
+    quantitative until over an until's classes: each pair's enclosure is
+    solved once, at the almost-sure engine's width."""
+    import pregma.quantitative as quantitative
+
+    assembled, solved = [], []
+
+    def recording_assembly(*args):
+        assembled.append((assemble_system(*args), args[-2:]))
+        return assembled[-1][0]
+
+    def recording_solve(system, **options):
+        pair = next(pair for a, pair in assembled if a.system is system)
+        solved.append((pair, options["eps"]))
+        return solve_enclosure(system, **options)
+
+    assemble_system = quantitative.assemble_system
+    solve_enclosure = quantitative.solve_enclosure
+    monkeypatch.setattr(quantitative, "assemble_system", recording_assembly)
+    monkeypatch.setattr(quantitative, "solve_enclosure", recording_solve)
+    label_formula(running, parse_formula(
+        "(V1 U[>=1/4] V2) & (V1 U[>=1] V2) & F[>=1/2] (V1 U[>=1/4] V2)"))
+    pairs = [pair for pair, _ in solved]
+    # (V1, V2), then (tt, surely) and (tt, possibly) of the nested until
+    assert len(pairs) == len(set(pairs)) == 3
+    assert {eps for _, eps in solved} == {ALMOST_SURE_EPS}
+
+
 def test_shared_enclosure_lies_inside_the_axiom_solve():
     """At every axiom class, the shared enclosure of each until lies inside
     an independent solve of its assembled system at eps 1e-6, and the
@@ -335,7 +364,7 @@ def test_engines_after_analyse_never_hash_a_creation_site(name, running, pds_pro
         until_positive(an, every, target)
         until_almost_sure(an, every, target)
     for text in formulas:
-        assert len(labeling._verdicts(an, parse_formula(text), F(1, 10**6))) == len(an.names)
+        assert len(labeling._verdicts(an, parse_formula(text))) == len(an.names)
     with pytest.raises(AssertionError, match="hashed or compared"):
         {an.names[0]}
 
