@@ -127,7 +127,7 @@ def _axiom_vertex(g: Grammar, name: str, parser: _Parser) -> str:
 
 
 # lines `_write_out` joins and writes at a time
-_CHUNK_LINES = 4096
+_CHUNK_LINES = 1024
 
 
 def _write_out(lines: Iterable[str], path: str | None) -> None:
@@ -169,13 +169,16 @@ def _report(args, record: dict, *lines: str) -> None:
 
 def _cmd_validate(args, parser: _Parser) -> int:
     g = _load(args.grammar)
-    try:  # phr_check runs the structural check once, and its refusal holds the issues
-        report = phr_check(g)
+    issues, failures = [], ()
+    try:  # the structural check runs once, and its refusal holds the issues
+        if g.mu:
+            report = phr_check(g)
+            violations, failures = report.violations, report.failures
+        else:  # no probabilities, so no mass to test
+            checked_rules(g)
+            violations = check_complete_outside(g)
     except GrammarError as exc:
-        issues, violations, failures = exc.issues, check_complete_outside(g), ()
-    else:
-        issues, violations = [], report.violations
-        failures = report.failures if g.mu else ()
+        issues, violations = exc.issues, check_complete_outside(g)
     for issue in issues:
         print(issue, file=sys.stderr)
     for line in violations:
@@ -234,22 +237,24 @@ def _cmd_expand(args, parser: _Parser) -> int:
 def _json_lines(expansion: Expansion) -> Iterator[str]:
     """One record per vertex, arc and hyperarc. Each line equals
     json.dumps(record, sort_keys=True); its pieces are encoded once per
-    class, colour set and label, and ids are ints, so "<id>" is their JSON."""
+    class, colour set, level and label, and ids are ints, so "<id>" is
+    their JSON."""
     graph, frontier = expansion.graph, expansion.frontier
     classes, levels, colours = expansion.classes, expansion.levels, expansion.colours
     head = _Fragments(
         lambda can: f'{{"class": {_json_str(str(can))}, "colours": ')
     marks = _Fragments(
         lambda cs: "[" + ", ".join(map(_json_str, sorted(cs))) + "]")
+    tail = _Fragments(lambda level: f'", "kind": "vertex", "level": {level}}}')
     for v in graph.vertices:
         yield (f'{head[classes[v]]}{marks[colours[v]]}, "frontier": '
-               f'{"true" if v in frontier else "false"}, "id": "{v}", '
-               f'"kind": "vertex", "level": {levels[v]}}}')
+               f'{"true" if v in frontier else "false"}, "id": "{v}{tail[levels[v]]}')
     arc_head = _Fragments(
-        lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, "source": ')
-    for label, source, target in graph.arcs():
-        yield f'{arc_head[label]}"{source}", "target": "{target}"}}'
-    for label, hvs in graph.hyperarcs:
+        lambda label: f'{{"kind": "arc", "label": {_json_str(label)}, "source": "')
+    for rule, slots in graph.slots():
+        for label, s, t in rule.arcs:
+            yield f'{arc_head[label]}{slots[s]}", "target": "{slots[t]}"}}'
+    for label, hvs in graph.legs():
         ids = ", ".join([f'"{v}"' for v in hvs])
         yield (f'{{"kind": "hyperarc", "label": {_json_str(label)}, '
                f'"vertices": [{ids}]}}')
@@ -259,16 +264,18 @@ def _text_lines(expansion: Expansion) -> Iterator[str]:
     """A count line, then one line per vertex, arc and hyperarc."""
     graph, frontier = expansion.graph, expansion.frontier
     classes, levels, colours = expansion.classes, expansion.levels, expansion.colours
-    yield (f"vertices={len(graph.vertices)} arcs={sum(1 for _ in graph.arcs())} "
+    yield (f"vertices={len(graph.vertices)} "
+           f"arcs={sum(len(rule.arcs) for rule in graph.applications)} "
            f"hyperarcs={len(graph.hyperarcs)} frontier={len(frontier)}")
     for v in graph.vertices:
         marks = ",".join(sorted(colours[v]))
         tag = " frontier" if v in frontier else ""
         yield (f"vertex {v} level={levels[v]} class={classes[v]}"
                + (f" colours={marks}" if marks else "") + tag)
-    for label, source, target in graph.arcs():
-        yield f"arc {label} {source} {target}"
-    for label, hvs in graph.hyperarcs:
+    for rule, slots in graph.slots():
+        for label, s, t in rule.arcs:
+            yield f"arc {label} {slots[s]} {slots[t]}"
+    for label, hvs in graph.legs():
         yield f"hyperarc {label} " + " ".join(map(str, hvs))
 
 

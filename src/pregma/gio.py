@@ -271,7 +271,7 @@ def emit_dot(expansion: Expansion) -> Iterator[str]:
     for label, source, target in graph.arcs():
         yield (f'  "{_esc(str(source))}" -> "{_esc(str(target))}" '
                f'[label="{_esc(label)}"];')
-    for i, (label, hvs) in enumerate(graph.hyperarcs):
+    for i, (label, hvs) in enumerate(graph.legs()):
         hub = f"__hyperarc_{i}"
         yield f'  "{hub}" [shape=box, style=dashed, label="{_esc(label)}"];'
         for pos, v in enumerate(hvs, start=1):

@@ -8,6 +8,7 @@ round that created it (its level).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import inf, lcm
@@ -306,6 +307,7 @@ class _Compiled(NamedTuple):
     lhs: str
     names: tuple[VertexId, ...]  # the rule vertex in each slot
     cans: tuple[CanonicalVertex, ...]  # one per fresh slot
+    arity: int  # the input slots, which come first
     arcs: tuple[tuple[str, int, int], ...]
     colours: tuple[tuple[str, int], ...]
     hyperarcs: tuple[tuple[str, tuple[int, ...]], ...]
@@ -318,6 +320,7 @@ def _compile(rule: Rule) -> _Compiled:
     return _Compiled(
         rule.lhs, names,
         tuple(CanonicalVertex(rule.lhs, v) for v in own),
+        len(rule.inputs),
         tuple((a.label, slot[a.source], slot[a.target]) for a in rule.rhs.arcs),
         tuple((colour, slot[v]) for colour, v in rule.rhs.colours),
         tuple((h.label, tuple(slot[v] for v in h.vertices))
@@ -327,26 +330,40 @@ def _compile(rule: Rule) -> _Compiled:
 
 @dataclass
 class ExpandedGraph:
-    """An expansion's graph, kept as the rule applications that built it:
-    an application (rule, ids) puts concrete vertex ids[i] in the rule's
-    slot i, so each rule arc (label, s, t) is the arc (label, ids[s],
-    ids[t]). `vertices` holds the graph's ids in increasing order (all of
-    them, as a range, for a whole expansion) and `hyperarcs` the unexpanded
-    hyperarcs lying wholly inside it, as (label, ids) pairs."""
+    """An expansion's graph, kept flat as the rule applications that built
+    it: application k puts the next len(rule.names) entries of `ids` in the
+    slots of rule applications[k], whose arcs (label, s, t) join slots.
+    `vertices` holds the graph's ids in increasing order (all of them, as a
+    range, for a whole expansion); hyperarc k of those left wholly inside
+    it awaits rule hyperarcs[k] on the next rule.arity ids of `attached`."""
 
     vertices: range | list[int] = range(0)
-    applications: list[tuple[_Compiled, tuple[int, ...]]] = field(default_factory=list)
-    hyperarcs: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    applications: list[_Compiled] = field(default_factory=list)
+    ids: array = field(default_factory=lambda: array("q"))
+    hyperarcs: list[_Compiled] = field(default_factory=list)
+    attached: array = field(default_factory=lambda: array("q"))
+
+    def slots(self) -> Iterator[tuple[_Compiled, list[int]]]:
+        """Each application as (rule, the ids in its slots), in order."""
+        ids, at = self.ids, 0
+        for rule in self.applications:
+            slots = ids[at:at + len(rule.names)].tolist()
+            at += len(slots)
+            yield rule, slots
 
     def arcs(self) -> Iterator[tuple[str, int, int]]:
         """The arcs as (label, source, target) triples, in order of
         application and then of each rule's arcs."""
-        # an arc never leaves a component: its source decides
-        inside = None if type(self.vertices) is range else set(self.vertices)
-        for rule, ids in self.applications:
+        for rule, slots in self.slots():
             for label, s, t in rule.arcs:
-                if inside is None or ids[s] in inside:
-                    yield label, ids[s], ids[t]
+                yield label, slots[s], slots[t]
+
+    def legs(self) -> Iterator[tuple[str, array]]:
+        """The unexpanded hyperarcs as (label, vertex ids) pairs, in order."""
+        attached, at = self.attached, 0
+        for rule in self.hyperarcs:
+            yield rule.lhs, attached[at:at + rule.arity]
+            at += rule.arity
 
 
 @dataclass
@@ -370,18 +387,27 @@ class Expansion:
     colour_sets: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
 
 
+class Rows(NamedTuple):
+    """A chain's steps, one row per state in state order: state i steps to
+    targets[k] with integer weight weights[k] for starts[i] <= k < starts[i + 1]."""
+
+    starts: array  # one more than the states
+    targets: array
+    weights: list[int]
+
+
 @dataclass
 class FiniteMC:
-    """A finite Markov chain on the states 0..n-1. trans[i] lists state i's
-    steps as (target, weight) int pairs: a step's probability is weight /
-    den, den being the lcm of mu's denominators. Frontier states have
-    incomplete rows, but their colours are final ones, those they will end
-    with. axiom_ids maps the names a query may start from to states (a
-    truncation's are the axiom rule's vertex names). A truncation also
-    gives each state's class and level, and, from the class walk that gave
-    its frontier its colours, the classes whose passings never end."""
+    """A finite Markov chain on the states 0..n-1, its steps in one row
+    table: a step's probability is weight / den, den being the lcm of mu's
+    denominators. Frontier states have incomplete rows, but their colours
+    are final ones, those they will end with. axiom_ids maps the names a
+    query may start from to states (a truncation's are the axiom rule's
+    vertex names). A truncation also gives each state's class and level,
+    and, from the class walk that gave its frontier its colours, the
+    classes whose passings never end."""
 
-    trans: list[list[tuple[int, int]]]
+    trans: Rows
     den: int
     colours: list[frozenset[str]]
     frontier: frozenset[int]
@@ -392,11 +418,11 @@ class FiniteMC:
 
     @property
     def states(self) -> range:
-        return range(len(self.trans))
+        return range(len(self.trans.starts) - 1)
 
     def resolve(self, start: Any) -> int:
         """Accept a state id or an axiom-rule vertex name."""
-        if type(start) is int and 0 <= start < len(self.trans):
+        if type(start) is int and 0 <= start < len(self.trans.starts) - 1:
             return start
         return named_vertex(self.axiom_ids, start)
 
@@ -419,9 +445,9 @@ def named_vertex(axiom_ids: dict[VertexId, VertexId], name: VertexId) -> VertexI
     return axiom_ids[name]
 
 
-def _slots_getter(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """ids -> the tuple of the ids in `slots`. itemgetter of one item
-    returns it bare, so one slot or none read a slice of the ids tuple."""
+def _slots_getter(slots: list[int]) -> Callable[[list[int]], Iterable[int]]:
+    """ids -> the ids in `slots`, in order. itemgetter of one item returns
+    it bare, so one slot or none read a slice of the ids."""
     if len(slots) > 1:
         return itemgetter(*slots)
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
@@ -429,13 +455,13 @@ def _slots_getter(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
 
 def _rewrite(
     rules: dict[str, Rule], axiom: str, depth: int, out: Expansion,
-    enough: Callable[[list[tuple[str, tuple[VertexId, ...]]]], bool] | None = None,
-) -> Iterator[tuple[_Compiled, tuple[VertexId, ...]]]:
+    enough: Callable[[list[int]], bool] | None = None,
+) -> Iterator[tuple[_Compiled, list[int]]]:
     """Apply `depth` rounds of parallel rewriting starting from the axiom,
     on the rule table that `checked_rules` returned for the grammar: its
     callers run the structural check, and this routine runs none.
 
-    Yields (compiled rule, ids) once per rule application: the tuple ids
+    Yields (compiled rule, ids) once per rule application: the list ids
     holds the concrete vertex in each of the rule's slots, the attached ones
     first, then the fresh ones, numbered from 0 in order of creation. The
     order is breadth first: the axiom's application alone at level 0, then
@@ -453,46 +479,46 @@ def _rewrite(
     `expand` about 4%.
 
     After each level below `depth`, once the caller has read its
-    applications, `enough` (when given) sees the hyperarcs that level
-    leaves; if it returns true, rewriting stops there, as if `depth` had
-    been that level.
+    applications, `enough` (when given) sees the ids of the hyperarcs that
+    level leaves, all in one list; if it returns true, rewriting stops
+    there, as if `depth` had been that level.
     """
     # each rule compiled once, its canonical vertices shared by its copies,
-    # with its fresh-vertex count and a getter of each hyperarc's ids
-    plans = {}
-    for name, rule in rules.items():
-        compiled = _compile(rule)
-        plans[name] = (compiled, len(compiled.cans),
-                       [(label, _slots_getter(slots))
-                        for label, slots in compiled.hyperarcs])
+    # with its fresh-vertex count, its hyperarcs' rules and their ids' getter
+    compiled = {name: _compile(rule) for name, rule in rules.items()}
+    plans = {name: (len(rule.cans), [compiled[label] for label, _ in rule.hyperarcs],
+                    _slots_getter([s for _, slots in rule.hyperarcs for s in slots]))
+             for name, rule in compiled.items()}
     if depth < 0:
         raise GrammarError("depth must be >= 0")
     classes, levels, colours = out.classes, out.levels, out.colours
     shared = out.colour_sets  # one object per distinct colour set
     empty: frozenset[str] = shared.setdefault(frozenset(), frozenset())
-    pending: list[tuple[str, tuple[VertexId, ...]]] = [(axiom, ())]
+    pending, attached = [compiled[axiom]], []
     for level in range(depth + 1):
-        if level and enough is not None and enough(pending):
+        if level and enough is not None and enough(attached):
             break
-        batch, pending = pending, []
-        for label, attached in batch:
-            rule, fresh, hyperarcs = plans[label]
+        batch, held, at = pending, attached, 0
+        pending, attached = [], []
+        for rule in batch:
+            fresh, hyperarcs, legs = plans[rule.lhs]
             first = len(classes)
             classes += rule.cans
             levels += [level] * fresh
             colours += [empty] * fresh
-            ids = (*attached, *range(first, first + fresh))
+            ids = [*held[at:at + rule.arity], *range(first, first + fresh)]
+            at += rule.arity
             for colour, v in rule.colours:
                 cs = colours[ids[v]] | {colour}
                 colours[ids[v]] = shared.setdefault(cs, cs)
             if not level:
                 out.axiom_ids.update(zip(rule.names, ids))
             yield rule, ids
-            for h_label, getter in hyperarcs:
-                pending.append((h_label, getter(ids)))
+            pending += hyperarcs
+            attached += legs(ids)
     out.graph.vertices = range(len(classes))
-    out.graph.hyperarcs = pending
-    out.frontier = frozenset(v for _, vs in pending for v in vs)
+    out.graph.hyperarcs, out.graph.attached = pending, array("q", attached)
+    out.frontier = frozenset(attached)
 
 
 def expand(g: Grammar, depth: int) -> Expansion:
@@ -507,7 +533,10 @@ def expand(g: Grammar, depth: int) -> Expansion:
     """
     rules = checked_rules(g)
     expansion = Expansion()
-    expansion.graph.applications.extend(_rewrite(rules, g.axiom, depth, expansion))
+    applications, ids = expansion.graph.applications, expansion.graph.ids
+    for rule, slots in _rewrite(rules, g.axiom, depth, expansion):
+        applications.append(rule)
+        ids.fromlist(slots)
     return expansion
 
 
@@ -532,10 +561,19 @@ def component_ids(expansion: Expansion, start: VertexId) -> frozenset[VertexId]:
 def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
     """The depth-`depth` expansion restricted to the undirected component of
     the axiom-rule vertex named `start`: its vertices, arcs and colours, the
-    hyperarcs lying wholly inside it, and its part of the frontier."""
+    hyperarcs lying wholly inside it, and its part of the frontier (an arc
+    is inside when its source is)."""
     expansion = expand(g, depth)
     ids = component_ids(expansion, named_vertex(expansion.axiom_ids, start))
     graph = expansion.graph
-    sub = replace(graph, vertices=sorted(ids), hyperarcs=[
-        h for h in graph.hyperarcs if all(v in ids for v in h[1])])
+    sub = ExpandedGraph(sorted(ids))
+    for rule, slots in graph.slots():
+        arcs = tuple(arc for arc in rule.arcs if slots[arc[1]] in ids)
+        if arcs:
+            sub.applications.append(rule if arcs == rule.arcs else rule._replace(arcs=arcs))
+            sub.ids.fromlist(slots)
+    for rule, (_, vs) in zip(graph.hyperarcs, graph.legs()):
+        if all(v in ids for v in vs):
+            sub.hyperarcs.append(rule)
+            sub.attached.extend(vs)
     return replace(expansion, graph=sub, frontier=expansion.frontier & ids)

@@ -20,7 +20,8 @@ of guessing. Marked absorbing sinks get an explicit probability-1
 self-loop so the truncation is a genuine Markov chain.
 
 Transition rows hold integer weights over one denominator, the lcm of mu's
-denominators. Both the exact bounded sweep and the sampler read only the
+denominators, in one flat table that every reader reads in place. Both the
+exact bounded sweep and the sampler read only the
 start's horizon cone, the states a path can reach in time while undecided:
 the sweep runs in integers over powers of that denominator, and the sampler
 gives each cone state one fate and takes each step as one lookup in a table
@@ -34,10 +35,12 @@ the requested depth is the most it builds.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Any, Callable, Collection
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import floordiv, lshift, mul, not_, rshift, sub
+from typing import Any, Callable, Collection, Iterable
 
 from .model import (
     CanonicalVertex,
@@ -45,12 +48,11 @@ from .model import (
     FiniteMC,
     Grammar,
     GrammarError,
-    VertexId,
+    Rows,
     _Compiled,
     _rewrite,
     checked_rules,
     integer_weights,
-    reach,
     reachable_nonterminals,
 )
 from .validation import VertexClass, _mass_fault, vertex_classes
@@ -93,7 +95,7 @@ def _may_raise(g: Grammar, den: int, weight: dict[str, int],
 
 def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC:
     """The depth-`depth` expansion as a finite chain under the grammar's own
-    mu: state i is the concrete vertex with id i. The rows are the rule
+    mu: state i is the concrete vertex with id i. The row table is the rule
     applications of `_rewrite` priced in integer weights; the colours,
     classes, levels, axiom ids and frontier are the columns `_rewrite`
     fills, the same ones `expand` returns, except that each frontier state
@@ -105,6 +107,10 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     anything else) or an arc label without a probability (at the first
     application that needs it), and TotalityError on a fully expanded
     vertex whose outgoing mass is not 1.
+
+    While the levels are built, each state's row is a list of its steps'
+    targets and weights in turn, the cheapest way to gather steps that
+    several applications add; the build ends by joining them into one table.
 
     Without a query every level up to `depth` is built. Given one, the
     truncation stops at the first level whose horizon cone from the query's
@@ -125,28 +131,28 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     rules = checked_rules(g)
     classes = vertex_classes(g)
     den, weight = integer_weights(g.mu)
-    trans: list[list[tuple[int, int]]] = []
+    rows: list[list[int]] = []  # state i's steps' targets and weights in turn
     priced: dict[str, list[tuple[int, int, int]]] = {}
     e = Expansion()
     final = {can: e.colour_sets.setdefault(vc.colours, vc.colours)
              for can, vc in classes.items()}  # the records' colours
     read = 0  # states the cone tests have read
 
-    def closed(pending: list[tuple[str, tuple[VertexId, ...]]]) -> bool:
+    def closed(attached: list[int]) -> bool:
         """Whether the query's horizon cone is closed on the levels so far."""
         nonlocal read
-        if read > 4 * len(trans):
+        if read > 4 * len(rows):
             return False
         start = query.start
         if isinstance(start, str) and start in e.axiom_ids:
             start = e.axiom_ids[start]
-        elif not (type(start) is int and 0 <= start < len(trans)):
+        elif not (type(start) is int and 0 <= start < len(rows)):
             return False  # until it resolves as FiniteMC.resolve will
-        frontier = {v for _, vs in pending for v in vs}
+        frontier = set(attached)
         for v in frontier:
             e.colours[v] = final[e.classes[v]]
-        layers, hit = _cone(trans, frontier, _query_tests(query, e.colours)[1],
-                            start, query.horizon)
+        layers, hit = _cone(lambda s: rows[s][0::2], len(rows), frontier,
+                            _query_tests(query, e.colours)[1], start, query.horizon)
         read += sum(map(len, layers))
         return hit is None
 
@@ -156,22 +162,31 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
         if arcs is None:
             arcs = priced[rule.lhs] = _priced(rule, weight)
         for _ in rule.cans:
-            trans.append([])
+            rows.append([])
         for s, t, w in arcs:
-            trans[ids[s]].append((ids[t], w))
+            row = rows[ids[s]]
+            row.append(ids[t])
+            row.append(w)
 
-    for i, cs in enumerate(e.colours):
-        if not trans[i] and i not in e.frontier and cs & g.absorbing:
-            trans[i].append((i, den))
-
+    for i in compress(count(), map(not_, rows)):
+        if i not in e.frontier and e.colours[i] & g.absorbing:
+            rows[i] += i, den  # a marked sink: an explicit probability-1 self-loop
     for v in e.frontier:
         e.colours[v] = final[e.classes[v]]
+    # the first state off the frontier whose steps' weights miss den
+    bad = next((i for i, row in enumerate(rows)
+                if i not in e.frontier and sum(row[1::2]) != den), None)
+    flat = list(chain.from_iterable(rows))
+    starts = array("q", map(rshift, accumulate(map(len, rows), initial=0), repeat(1)))
+    del rows  # the per-state lists, before the table's columns are made
+    trans = Rows(starts, array("q", flat[0::2]), flat[1::2])
+    del flat
     mc = FiniteMC(trans, den, e.colours, e.frontier, e.axiom_ids, e.classes, e.levels,
                   frozenset(can for can, vc in classes.items() if not vc.terminates))
-    for i, row in enumerate(trans):
-        if i not in e.frontier and (total := sum([w for _, w in row])) != den:
-            raise TotalityError(f"vertex {i}{mc.where(i)} has outgoing mass "
-                                f"{Fraction(total, den)}")
+    if bad is not None:
+        total = sum(trans.weights[starts[bad]:starts[bad + 1]])
+        raise TotalityError(f"vertex {bad}{mc.where(bad)} has outgoing mass "
+                            f"{Fraction(total, den)}")
     return mc
 
 
@@ -203,14 +218,22 @@ def _query_tests(
     return won, steps
 
 
-def _cone(trans: list[list[tuple[int, int]]], frontier: Collection[int],
-          steps: Callable[[int], bool], start: int,
-          horizon: int) -> tuple[list[set[int]], int | None]:
-    """The start's forward cone and the state that blocks it.
+def _targets_of(trans: Rows) -> Callable[[int], array]:
+    """state -> the targets of its row, read in place."""
+    starts, targets = trans.starts, trans.targets
+    return lambda s: targets[starts[s]:starts[s + 1]]
+
+
+def _cone(targets_of: Callable[[int], Iterable[int]], size: int,
+          frontier: Collection[int], steps: Callable[[int], bool], start: int,
+          horizon: int) -> tuple[list[list[int]], int | None]:
+    """The start's forward cone and the state that blocks it, on the states
+    0..size-1 whose rows' targets `targets_of` gives.
 
     layers[d] holds the states first reached in d <= horizon steps,
     stepping on only from states that step and are off the frontier; the
-    list ends before the first empty layer. The blocking state is the first
+    list ends before the first empty layer, and each layer is listed in the
+    order of the set that collects it. The blocking state is the first
     frontier state, in the order the layers are walked, that lies fewer
     than `horizon` steps out and steps: its missing row the answer may
     need. It is None when there is none, and the cone is closed. A frontier
@@ -219,8 +242,9 @@ def _cone(trans: list[list[tuple[int, int]]], frontier: Collection[int],
     where it has the row. Every state that steps in a closed cone is off
     the frontier, so its row and its colours are final, and deeper
     truncations hold the same cone."""
-    seen = {start}
-    layers = [{start}]
+    seen = bytearray(size)
+    seen[start] = 1
+    layers = [[start]]
     hit = None
     for _ in range(horizon):
         nxt: set[int] = set()
@@ -228,15 +252,15 @@ def _cone(trans: list[list[tuple[int, int]]], frontier: Collection[int],
             if not steps(s):
                 continue
             if s not in frontier:
-                for t, _ in trans[s]:
-                    if t not in seen:
-                        seen.add(t)
+                for t in targets_of(s):
+                    if not seen[t]:
+                        seen[t] = 1
                         nxt.add(t)
             elif hit is None:
                 hit = s
         if not nxt:
             break
-        layers.append(nxt)
+        layers.append(list(nxt))
     return layers, hit
 
 
@@ -245,14 +269,16 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
 
     Only the start's horizon cone is swept: step k reads the states within
     horizon - k steps of the start, since no other state's value reaches
-    the start's in time. Values are integers over mc.den**k. Rejects the
-    query when `_cone` finds a frontier state that blocks the cone, whose
-    row a deeper truncation knows unless its class is in `mc.endless`.
-    No state outside the cone is read."""
+    the start's in time. Values are integers over mc.den**k, in two lists
+    indexed by state that the steps take in turn. Rejects the query when
+    `_cone` finds a frontier state that blocks the cone, whose row a deeper
+    truncation knows unless its class is in `mc.endless`. No state outside
+    the cone is read."""
     won, steps = _query_tests(query, mc.colours)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    layers, hit = _cone(mc.trans, mc.frontier, steps, start, horizon)
+    layers, hit = _cone(_targets_of(mc.trans), len(mc.states), mc.frontier, steps,
+                        start, horizon)
     if hit is not None:
         # a class whose passings never end keeps its vertices on the
         # frontier at every depth, where deepening cannot help
@@ -261,33 +287,32 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
             f"frontier vertex {hit}{mc.where(hit)} is within {horizon} steps of the "
             "start; " + ("its class's passings never end, so its vertices never leave "
                          "the frontier" if stuck else "deepen the truncation"))
-    # the cone in layer order: the states within d steps are a prefix
-    order = [s for layer in layers for s in layer]
     if not horizon or not steps(start):
         # no step is taken, so no den**horizon scale is needed
         return Fraction(int(won(start)))
-    pos = {s: i for i, s in enumerate(order)}
-    within = list(accumulate(len(layer) for layer in layers))
-    within += [len(order)] * (horizon + 1 - len(within))
     # steps start only within horizon - 1 steps of the start, where no
-    # frontier state steps; won and dead states keep empty rows, and the
-    # won ones are reset each step
-    stepping = order[:within[horizon - 1]]
-    rows = [[(pos[t], w) for t, w in mc.trans[s]] if steps(s) else []
-            for s in stepping]
-    prev = [int(won(s)) for s in order]
-    wins = [i for i, v in enumerate(prev) if v]
+    # frontier state steps; won and dead states have no value to sweep, and
+    # the won ones are reset each step
+    movers = [[s for s in layer if steps(s)] for layer in layers[:horizon]]
+    wins = [s for layer in layers for s in layer if won(s)]
+    starts, targets, weights = mc.trans
+    prev, cur = [0] * len(mc.states), [0] * len(mc.states)
+    for s in wins:
+        prev[s] = 1
     scale = 1
     for k in range(1, horizon + 1):
         scale *= mc.den
-        reach = within[horizon - k]
-        cur = [sum(w * prev[j] for j, w in rows[i]) for i in range(reach)]
-        for i in wins:
-            if i >= reach:
-                break
-            cur[i] = scale
-        prev = cur
-    return Fraction(prev[0], scale)
+        value = prev.__getitem__
+        for layer in movers[:horizon + 1 - k]:
+            for s in layer:
+                a, b = starts[s], starts[s + 1]
+                cur[s] = sum(map(mul, weights[a:b], map(value, targets[a:b])))
+        for s in wins:
+            cur[s] = scale
+        # cur's other entries are older values of states further out than
+        # this step's movers reach, so the next step reads none of them
+        prev, cur = cur, prev
+    return Fraction(prev[start], scale)
 
 
 @dataclass
@@ -306,20 +331,42 @@ class SampleResult:
         return Fraction(self.hits + self.escapes, self.n)
 
 
-def _threshold_tables(
-    mc: FiniteMC, states: list[int],
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """For each of `states`: sorted 64-bit cut points (first k-1 cumulative
-    probabilities scaled by 2^64, rounded down) and the k target indices.
-    A cut is floor(P * 2^64) whatever denominator P is written over, so the
-    draws depend only on the probabilities."""
-    cuts: dict[int, list[int]] = {}
-    targets: dict[int, list[int]] = {}
-    for s in states:
-        row = mc.trans[s]
-        cuts[s] = [(c << 64) // mc.den for c in accumulate(w for _, w in row[:-1])]
-        targets[s] = [t for t, _ in row]
-    return cuts, targets
+def _row_arcs(starts: array, rows):
+    """The arcs of the rows `rows` (a numpy array of states), row after row:
+    each row's size, and for arc j its row's index in `rows`, its column
+    and its position in the table whose offsets are `starts`."""
+    import numpy as np
+
+    offsets = np.frombuffer(starts, dtype=np.int64)
+    lo = offsets[rows]
+    size = offsets[rows + 1] - lo
+    of = np.repeat(np.arange(len(size)), size)
+    col = np.arange(len(of)) - (np.cumsum(size) - size)[of]
+    return size, of, col, lo[of] + col
+
+
+def _threshold_tables(mc: FiniteMC, moving):
+    """Row i of the tables serves state moving[i]: its sorted 64-bit cut
+    points (first k-1 cumulative probabilities scaled by 2^64, rounded
+    down) padded with 2^64 - 1 to the widest row, its k targets padded
+    with 0, and k - 1. A cut is floor(P * 2^64) whatever denominator P is
+    written over, so the draws depend only on the probabilities."""
+    import numpy as np
+
+    starts, targets, weights = mc.trans
+    size, of, col, arcs = _row_arcs(starts, moving)
+    to = np.zeros((len(size), size.max(initial=1)), dtype=np.int64)
+    to[of, col] = np.frombuffer(targets, dtype=np.int64)[arcs]
+    # a running total of the weights, less its value where each row starts
+    total = list(accumulate(map(weights.__getitem__, arcs.tolist()), initial=0))
+    first = np.arange(len(col)) - col  # where each arc's row starts among them
+    sums = map(sub, islice(total, 1, None), map(total.__getitem__, first.tolist()))
+    inner = col < size[of] - 1  # every arc but each row's last has a cut
+    cut = np.full((len(size), to.shape[1] - 1), (1 << 64) - 1, dtype=np.uint64)
+    cut[of[inner], col[inner]] = np.fromiter(
+        map(floordiv, map(lshift, compress(sums, inner.tolist()), repeat(64)),
+            repeat(mc.den)), dtype=np.uint64, count=int(inner.sum()))
+    return cut, to, size - 1
 
 
 def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleResult:
@@ -335,11 +382,11 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     hit or escape; draws are counter-based, so hits and escapes stay as if
     it walked on.
 
-    Only the start's horizon cone is read, in positions of its own: each
-    cone state gets one fate (steps on, hit, miss or escape), and each
-    state a trajectory can step from gets one row of cut points, padded to
-    the widest row, so a step is one table lookup per trajectory. No state
-    outside the cone is read.
+    Only the start's horizon cone is read, its rows in place. Each cone
+    state gets one fate (steps on, hit, miss or escape) in an array indexed
+    by state, and each state a trajectory can step from gets one row of
+    cut points, padded to the widest row, so a step is one table lookup
+    per trajectory. No state outside the cone is read.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
@@ -352,37 +399,40 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     won, steps = _query_tests(query, mc.colours)
     start = mc.resolve(query.start)
     horizon = query.horizon
-    layers, _ = _cone(mc.trans, mc.frontier, steps, start, horizon)
-    stepping = [s for layer in layers[:horizon] for s in layer
-                if s not in mc.frontier and steps(s)]
-    # walk back from the cone's won and blocking states through the
-    # stepping states: a trajectory anywhere else can only miss
-    preds: dict[int, list[int]] = {}
-    for s in stepping:
-        for t, _ in mc.trans[s]:
-            preds.setdefault(t, []).append(s)
-    # one fate per cone state: 0 steps on, 1 hit, 2 miss, 3 escape
-    fates = {s: 1 if won(s) else 3 if d < horizon and s in mc.frontier and steps(s)
-             else 2 for d, layer in enumerate(layers) for s in layer}
-    hopeful = reach([s for s, f in fates.items() if f != 2],
-                    lambda t: preds.get(t, ()))
-    moving = [s for s in stepping if s in hopeful]
-    fates.update(dict.fromkeys(moving, 0))
-    # positions: the states that step on first, in the rows of the tables
-    order = moving + [s for s, f in fates.items() if f]
-    pos = {s: i for i, s in enumerate(order)}
-    fate = np.array([fates[s] for s in order], dtype=np.int8)
-    # row i: state i's cuts padded with 2^64 - 1 to the widest row, and its
-    # targets' positions; a padding cut counts only when the draw is
-    # 2^64 - 1, where every real cut counts too, so clamping to the last
+    layers, _ = _cone(_targets_of(mc.trans), len(mc.states), mc.frontier, steps,
+                      start, horizon)
+    # one fate per state: 0 steps on, 1 hit, 2 miss (all states outside the
+    # cone too), 3 escape
+    fates: tuple[list[int], ...] = ([], [], [], [])  # the cone's states by fate
+    for d, layer in enumerate(layers):
+        for s in layer:
+            fates[1 if won(s) else 2 if d == horizon or not steps(s)
+                  else 3 if s in mc.frontier else 0].append(s)
+    fate = np.full(len(mc.states), 2, dtype=np.int8)
+    fate[fates[1]], fate[fates[3]] = 1, 3
+    # each state that steps gets a row in the tables; walk back from the
+    # cone's won and blocking states through the targets of those rows, a
+    # round per step, each reading the arcs whose source is unmarked: a
+    # trajectory anywhere else can only miss
+    stepping = np.array(fates[0], dtype=np.int64)
+    cut, to, last = _threshold_tables(mc, stepping)
+    into = to[np.arange(to.shape[1]) <= last[:, None]]
+    out_of = np.repeat(stepping, last + 1)
+    hopeful = fate != 2
+    while len(back := out_of[hopeful[into]]):
+        hopeful[back] = True
+        unmarked = ~hopeful[out_of]
+        into, out_of = into[unmarked], out_of[unmarked]
+    fate[stepping[hopeful[stepping]]] = 0
+    # positions: the states that step first, in the rows of the tables,
+    # then the cone's other states; a padding cut counts only when the draw
+    # is 2^64 - 1, where every real cut counts too, so clamping to the last
     # target gives what a search of the real cuts gives
-    cuts, targets = _threshold_tables(mc, moving)
-    width = max(map(len, cuts.values()), default=0)
-    cut = np.array([c + [(1 << 64) - 1] * (width - len(c))
-                    for c in cuts.values()], dtype=np.uint64)
-    to = np.array([[pos[t] for t in ts] + [0] * (width + 1 - len(ts))
-                   for ts in targets.values()], dtype=np.int64)
-    last = np.array([len(c) for c in cuts.values()], dtype=np.int64)
+    order = np.concatenate((stepping, np.array(fates[1] + fates[2] + fates[3],
+                                               dtype=np.int64)))
+    pos = np.zeros(len(fate), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    fate, to = fate[order], pos[to]
 
     status = np.zeros(n, dtype=np.int8)
     traj = np.arange(n)  # the trajectories still walking, at positions cur

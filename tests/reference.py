@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable
@@ -23,13 +24,31 @@ from typing import Iterable
 from pregma.gio import parse_grammar
 
 from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
-                          Rule, _rewrite, checked_rules, integer_weights)
+                          Rows, Rule, _rewrite, checked_rules, integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
 from pregma.rng import GAMMA
 from pregma.validation import Analysis, analyse, vertex_classes
 
 _MASK = (1 << 64) - 1
+
+
+def row_table(rows: list[list[tuple[int, int]]]) -> Rows:
+    """The row table of a chain whose state i steps as rows[i] lists, in
+    (target, weight) pairs."""
+    table = Rows(array("q", [0]), array("q"), [])
+    for row in rows:
+        for t, w in row:
+            table.targets.append(t)
+            table.weights.append(w)
+        table.starts.append(len(table.targets))
+    return table
+
+
+def rows(mc: FiniteMC) -> list[list[tuple[int, int]]]:
+    """Each state's row of mc's row table as (target, weight) pairs."""
+    starts, targets, weights = mc.trans
+    return [list(zip(targets[a:b], weights[a:b])) for a, b in zip(starts, starts[1:])]
 
 
 def applications(g: Grammar, depth: int):
@@ -328,7 +347,7 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
             )
         trans.append(row)
         colours.append(frozenset())
-    return FiniteMC(trans=trans, den=den, colours=colours,
+    return FiniteMC(trans=row_table(trans), den=den, colours=colours,
                     frontier=frozenset(frontier), axiom_ids=index)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import pregma
-from pregma import cli, model
+from pregma import cli, model, validation
 from pregma.cli import _build_parser, main
 from pregma.gio import load_grammar, serialize_grammar
 from pregma.model import expand, validate_grammar
@@ -877,9 +877,10 @@ def test_expand_output_of_no_lines_or_one_chunk(corpus_dir, tmp_path,
 
 def test_expand_memory_is_the_expansions_not_its_texts(branching_walk,
                                                        tmp_path):
-    """Writing a depth-12 walk's json-lines adds less than 1.5 times the
-    written file to the peak that `expand` itself reaches: the text is
-    written as it is rendered, never held whole."""
+    """Writing a depth-12 walk's json-lines adds less than a quarter of the
+    written file to the peak that `expand` itself reaches (0.15 of it on
+    Python 3.11): the text is written as it is rendered, a chunk of lines
+    at a time, never held whole."""
     path, out = tmp_path / "walk.gg", tmp_path / "walk.jsonl"
     path.write_text(serialize_grammar(branching_walk))
     argv = ["expand", str(path), "--depth", "12", "--format", "json-lines",
@@ -896,7 +897,7 @@ def test_expand_memory_is_the_expansions_not_its_texts(branching_walk,
 
     expand_peak = peak(lambda: expand(branching_walk, 12))
     cli_peak = peak(lambda: main(argv))
-    assert cli_peak - expand_peak < 1.5 * out.stat().st_size
+    assert cli_peak - expand_peak < 0.25 * out.stat().st_size
 
 
 def test_expand_dot_and_component(corpus_dir):
@@ -1009,6 +1010,21 @@ def test_validate_runs_the_structural_check_once(corpus_dir, tmp_path, monkeypat
         code, out, err = run(["validate", str(path)])
         assert (code, out, err.splitlines()) == want
         assert len(calls) == 1, path
+
+
+def test_validate_without_probabilities_tests_no_mass(corpus_dir, tmp_path,
+                                                       monkeypatch):
+    # a grammar without prob lines is judged by its structure and by single
+    # membership alone: the walk behind the mass test never runs
+    path = tmp_path / "pds_example.gg"
+    path.write_text(serialize_grammar(to_grammar(load_pds(corpus_dir / "pds_example.pds"))))
+    assert not load_grammar(path).mu
+
+    def walk(*args):
+        raise AssertionError("validate walked the passings")
+
+    monkeypatch.setattr(validation, "_walk", walk)
+    assert run(["validate", str(path)]) == (0, "", "")
 
 
 def test_a_closed_stdout_ends_the_command_with_0(corpus_dir, monkeypatch):

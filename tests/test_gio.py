@@ -195,7 +195,7 @@ def test_emit_dot_mentions_levels(running):
     dot = "\n".join(emit_dot(e))
     assert dot.startswith("digraph")
     assert "level" in dot
-    legs = sum(len(vs) for _, vs in e.graph.hyperarcs)
+    legs = sum(len(vs) for _, vs in e.graph.legs())
     assert dot.count("->") == len(list(e.graph.arcs())) + legs
 
 

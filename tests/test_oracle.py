@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from pregma.oracle import (
     TotalityError,
     _cone,
     _may_raise,
+    _targets_of,
     _threshold_tables,
     bounded_until,
     integer_weights,
@@ -30,7 +32,7 @@ from pregma.qualitative import ALMOST_SURE_EPS, until_almost_sure, until_positiv
 from pregma.quantitative import shared_assembly, solve_until
 from pregma.rng import draw_array
 from pregma.validation import analyse, check_complete_outside, phr_check, vertex_classes
-from reference import config_chain, enclosure_fault, random_grammar
+from reference import config_chain, enclosure_fault, random_grammar, row_table, rows
 
 V1 = frozenset({"V1"})
 V2 = frozenset({"V2"})
@@ -50,7 +52,7 @@ def test_truncate_state_count(running):
     mc = truncate(running, 8)
     # 2 axiom vertices plus 4 per level
     assert len(mc.states) == 34
-    assert len(mc.trans) == 34
+    assert len(mc.trans.starts) == 35
     assert sum(mask(mc, V2)) == 8
     assert all(mask(mc, None))
 
@@ -59,7 +61,7 @@ def test_truncate_gives_sinks_self_loops(running):
     mc = truncate(running, 3)
     t0 = mc.resolve("t0")
     assert mc.den == 4
-    assert mc.trans[t0] == [(t0, 4)]
+    assert rows(mc)[t0] == [(t0, 4)]
 
 
 def test_resolve_accepts_names_and_ids(running):
@@ -157,6 +159,55 @@ def test_sample_until_frozen_run(running):
     assert res.estimate_hi == Fraction(1569, 5000)
 
 
+def test_two_arc_rows_keep_their_order(branching_walk):
+    # each walk state steps on two or three arcs, so the sampler's cut
+    # points, and with them these hits, move if a row's arcs are reordered
+    query = PathQuery(None, GREEN, "m0", 12)
+    mc = truncate(branching_walk, 14, query)
+    assert bounded_until(mc, query) == Fraction(13402228906523274493919,
+                                                75557863725914323419136)
+    res = sample_until(mc, query, 20000, 11)
+    assert (res.hits, res.escapes) == (3628, 0)
+
+
+def peak_mib(call) -> float:
+    """The tracemalloc peak of `call`, in MiB, once a first call has
+    imported and compiled what it needs."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# The tracemalloc peaks of the truncation path on the walk's 8,192 states at
+# depth 14 and horizon 12, each bound 20-30% above its peak on Python 3.11
+# (in the comments): the rows are one flat table, read in place.
+
+
+@pytest.fixture(scope="module")
+def walk_chain(branching_walk):
+    query = PathQuery(None, GREEN, "m0", 12)
+    mc = truncate(branching_walk, 14, query)
+    assert len(mc.states) == 8192
+    return mc, query
+
+
+def test_truncate_memory(branching_walk, walk_chain):
+    _, query = walk_chain
+    assert peak_mib(lambda: truncate(branching_walk, 14, query)) < 2.2  # 1.83
+
+
+def test_bounded_until_memory(walk_chain):
+    assert peak_mib(lambda: bounded_until(*walk_chain)) < 0.6  # 0.47
+
+
+def test_sample_until_memory(walk_chain):
+    assert peak_mib(lambda: sample_until(*walk_chain, 20000, 11)) < 2.6  # 2.11
+
+
 def test_sample_until_is_deterministic_per_seed(running):
     mc = truncate(running, 12)
     a = sample_until(mc, q(8), 400, 7)
@@ -240,7 +291,7 @@ def full_sweep(mc, query):
     for _ in range(query.horizon):
         prev = [Fraction(1) if win[s] else Fraction(0) if not alive[s] else
                 sum((Fraction(w, mc.den) * prev[t] for t, w in row), Fraction(0))
-                for s, row in enumerate(mc.trans)]
+                for s, row in enumerate(rows(mc))]
     return prev[mc.resolve(query.start)]
 
 
@@ -309,11 +360,14 @@ def test_horizon_errors_exactly_where_the_frontier_is_in_reach(running, pds_prob
             bounded_until(truncate(forever, depth, query), query)
 
 
-class Unreadable:
-    def _refuse(self, *args):
-        raise AssertionError("read a row outside the horizon cone")
-
-    __iter__ = __getitem__ = __len__ = _refuse
+def poisoned(mc, far):
+    """mc with the row of each state in `far` replaced by one step to a
+    state that does not exist, weighted None: a reader that takes such a
+    row fails on the target or on the weight."""
+    table = rows(mc)
+    for s in far:
+        table[s] = [(len(mc.states), None)]
+    return replace(mc, trans=row_table(table))
 
 
 def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
@@ -323,17 +377,13 @@ def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
         dist = {mc.resolve(start): 0}
         todo = [mc.resolve(start)]
         for s in todo:
-            for t, _ in mc.trans[s]:
+            for t, _ in rows(mc)[s]:
                 if t not in dist:
                     dist[t] = dist[s] + 1
                     todo.append(t)
         far = [s for s in range(len(mc.states)) if dist.get(s, h + 1) > h]
         assert far
-        trans = list(mc.trans)
-        for s in far:
-            trans[s] = Unreadable()
-        assert bounded_until(replace(mc, trans=trans), query) \
-            == full_sweep(mc, query)
+        assert bounded_until(poisoned(mc, far), query) == full_sweep(mc, query)
 
 
 class Recording(list):
@@ -377,7 +427,8 @@ def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
                 cs = mc.colours[s]
                 return not (phi2 & cs) and (phi1 is None or bool(phi1 & cs))
 
-            layers, _ = _cone(mc.trans, mc.frontier, steps, mc.resolve(start), h)
+            layers, _ = _cone(_targets_of(mc.trans), len(mc.states), mc.frontier, steps,
+                              mc.resolve(start), h)
             assert colours.read <= set().union(*layers), (start, h, value)
             # the sampler reads the same colours, frontier or not
             colours = Recording(mc.colours)
@@ -456,17 +507,36 @@ def test_truncate_equals_the_chain_of_the_expansion(corpus_grammars,
             continue
         # a truncation's states are the expansion's vertex ids
         assert list(mc.states) == expected.pop("states")
-        assert {key: getattr(mc, key) for key in expected} == expected
+        assert {key: rows(mc) if key == "trans" else getattr(mc, key)
+                for key in expected} == expected
     # the unpriced pushdown and the two broken mus fail at every depth but
     # 0, where no arc exists yet
     assert errors == 3 * 8
 
 
+def tables(mc, states):
+    """Each state's cuts and targets in the sampler's tables for `states`,
+    checked to be padded with 2^64 - 1 and with 0 to the widest row."""
+    cut, to, last = _threshold_tables(mc, np.array(states, dtype=np.int64))
+    cuts, targets = {}, {}
+    for i, s in enumerate(states):
+        k = int(last[i])
+        assert set(cut[i, k:].tolist()) <= {(1 << 64) - 1}
+        assert set(to[i, k + 1:].tolist()) <= {0}
+        cuts[s], targets[s] = cut[i, :k].tolist(), to[i, :k + 1].tolist()
+    return cuts, targets
+
+
 def test_threshold_tables_match_the_fraction_cuts(corpus_grammars):
     for g in corpus_grammars:
         mc = truncate(g, 8)
-        cuts, targets = _threshold_tables(mc, list(range(len(mc.trans))))
-        for s, row in enumerate(mc.trans):
+        # every state with a row, in a shuffled order
+        table = rows(mc)
+        states = [s for s, row in enumerate(table) if row]
+        random.Random(len(states)).shuffle(states)
+        cuts, targets = tables(mc, states)
+        for s in states:
+            row = table[s]
             cum = Fraction(0)
             expected = []
             for _, w in row[:-1]:
@@ -475,8 +545,8 @@ def test_threshold_tables_match_the_fraction_cuts(corpus_grammars):
             assert cuts[s] == expected
             assert targets[s] == [t for t, _ in row]
         # tables for a subset of the states agree
-        some = list(range(0, len(mc.trans), 3))
-        part, _ = _threshold_tables(mc, some)
+        some = states[::3]
+        part, _ = tables(mc, some)
         assert all(part[s] == cuts[s] for s in some)
 
 
@@ -487,7 +557,7 @@ def test_rows_are_integer_weights_over_the_lcm_of_mu(corpus_grammars, pds_prob):
     for mc, mu, absorbing in chains:
         assert mc.den == lcm(*(p.denominator for p in mu.values()))
         loops = 0
-        for i, row in enumerate(mc.trans):
+        for i, row in enumerate(rows(mc)):
             if i in mc.frontier:
                 continue
             assert sum(w for _, w in row) == mc.den
@@ -521,7 +591,7 @@ def test_mixed_denominators_keep_values_and_cuts():
     probs: dict[int, list[Fraction]] = {}
     for label, source, _ in expand(g, 10).graph.arcs():
         probs.setdefault(source, []).append(g.mu[label])
-    cuts, _ = _threshold_tables(mc, list(probs))
+    cuts, _ = tables(mc, list(probs))
     for s, ps in probs.items():
         assert cuts[s] == [(c.numerator << 64) // c.denominator
                                     for c in accumulate(ps[:-1])]
@@ -550,20 +620,17 @@ def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
         todo = [start]
         for s in todo:
             if dist[s] < h and undecided(s):
-                for t, _ in mc.trans[s]:
+                for t, _ in rows(mc)[s]:
                     if t not in dist:
                         dist[t] = dist[s] + 1
                         todo.append(t)
         stepping = {s for s, d in dist.items() if d < h and undecided(s)}
         far = [s for s in range(len(mc.states)) if s not in stepping]
         assert far
-        trans = list(mc.trans)
-        for s in far:
-            trans[s] = Unreadable()
         escapes = 0
         for seed in (0, 11):
             a = sample_until(mc, query, 2000, seed)
-            b = sample_until(replace(mc, trans=trans), query, 2000, seed)
+            b = sample_until(poisoned(mc, far), query, 2000, seed)
             assert (a.hits, a.misses, a.escapes) == (b.hits, b.misses, b.escapes)
             escapes += a.escapes
         assert (escapes > 0) == (h > 8)
@@ -617,9 +684,10 @@ def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
                         assert early.classes == full.classes[:n]
                         assert early.levels == full.levels[:n]
                         assert early.axiom_ids == full.axiom_ids
+                        early_rows, full_rows = rows(early), rows(full)
                         for s in range(n):
                             if s not in early.frontier:
-                                assert early.trans[s] == full.trans[s]
+                                assert early_rows[s] == full_rows[s]
                                 assert early.colours[s] == full.colours[s]
                         assert outcome(bounded_until, early, query) == \
                             outcome(bounded_until, full, query), (g.axiom, query)
@@ -714,7 +782,8 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
             seen["stops early"] += n < len(full.states)
             assert early.states == full.states[:n]
             assert (early.classes, early.levels) == (full.classes[:n], full.levels[:n])
-            assert all(early.trans[s] == full.trans[s] and early.colours[s] == full.colours[s]
+            early_rows, full_rows = rows(early), rows(full)
+            assert all(early_rows[s] == full_rows[s] and early.colours[s] == full.colours[s]
                        for s in range(n) if s not in early.frontier)
             assert outcome(bounded_until, early, query) == outcome(bounded_until, full, query)
             a, b = (sample_until(mc, query, 50, 3) for mc in (early, full))

@@ -8,7 +8,7 @@ from pregma.model import GrammarError, expand, validate_grammar
 from pregma.oracle import FiniteMC, PathQuery, bounded_until, truncate
 from pregma.pushdown import PushdownSystem, SuffixRule, base_suffixes, parse_pds, to_grammar
 from pregma.validation import analyse
-from reference import config_chain, config_words, split_word, successors
+from reference import config_chain, config_words, rows, split_word, successors
 
 F = Fraction
 
@@ -168,8 +168,7 @@ def test_config_chain_frontier_and_steps(pds_prob):
     assert mc.axiom_ids == {"r": 0, "Br'": 1, "BAr": 2, "BAp": 3}
     assert mc.frontier == frozenset({2, 3})
     assert mc.den == 2
-    assert mc.trans[0] == [(1, 2)]
-    assert mc.trans[1] == [(2, 1), (3, 1)]
+    assert rows(mc)[:2] == [[(1, 2)], [(2, 1), (3, 1)]]
     zero = config_chain(pds_prob, ("r",), 0)
     assert zero.axiom_ids == {"r": 0} and zero.frontier == frozenset({0})
     assert len(config_chain(pds_prob, ("r",), 50).states) == 77
