@@ -35,9 +35,6 @@ from .model import (
     expand,
     reachable_component,
 )
-from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
-from .pcp import encode, load_pcp
-from .pushdown import load_pds, to_grammar
 from .quantitative import render_key, shared_assembly, solve_until
 from .validation import analyse, check_complete_outside, phr_check
 
@@ -195,12 +192,16 @@ def _cmd_validate(args, parser: _Parser) -> int:
 
 
 def _cmd_from_pds(args, parser: _Parser) -> int:
+    from .pushdown import load_pds, to_grammar
+
     g = _load(args.input, lambda path: to_grammar(load_pds(path)))
     _write_out([serialize_grammar(g)], args.output)
     return 0
 
 
 def _cmd_gen_pcp(args, parser: _Parser) -> int:
+    from .pcp import encode, load_pcp
+
     g, formula = encode(_load(args.input, load_pcp))
     _write_out([serialize_grammar(g), f"# matching forks satisfy: {formula}"],
                args.output)
@@ -290,6 +291,15 @@ def _require_mu(g: Grammar) -> None:
 
 
 def _cmd_prob(args, parser: _Parser) -> int:
+    # an option the method never reads is refused, not silently ignored
+    if args.method == "enclosure":
+        unread = [("--horizon", args.horizon is not None),
+                  ("--depth", args.depth is not None)]
+    else:
+        unread = [("--emit-system", args.emit_system)]
+    for option, given in unread:
+        if given:
+            parser.error(f"{option} does not apply to --method {args.method}")
     g = _load(args.grammar)
     _require_mu(g)
     _axiom_vertex(g, args.start, parser)
@@ -324,6 +334,10 @@ def _cmd_prob(args, parser: _Parser) -> int:
                 f"width={float(hi - lo):.3e} ({state})")
         return 0
 
+    # the oracle serves truncate and sample alone: imported here, the other
+    # commands never pay for loading it
+    from .oracle import HorizonError, PathQuery, bounded_until, sample_until, truncate
+
     horizon = args.horizon
     if horizon is None:
         parser.error(f"--horizon is required with --method {args.method}")
@@ -331,7 +345,10 @@ def _cmd_prob(args, parser: _Parser) -> int:
     query = PathQuery(phi1_names, phi2_names, args.start, horizon)
     mc = truncate(g, depth, query)
     if args.method == "truncate":
-        value = bounded_until(mc, query)
+        try:
+            value = bounded_until(mc, query)
+        except HorizonError as exc:
+            raise _Failure(str(exc))
         _report(args, {"kind": "bounded", "horizon": horizon, "depth": depth,
                        "value": str(value)},
                 f"bounded={value}",
@@ -515,7 +532,7 @@ def _run(argv: list[str] | None) -> int:
         return args.func(args, args.parser)
     except FormulaError as exc:
         args.parser.error(f"bad formula: {exc}")
-    except (_Failure, GrammarError, HorizonError) as exc:
+    except (_Failure, GrammarError) as exc:
         print(exc, file=sys.stderr)
         return 1
     except MemoryError as exc:

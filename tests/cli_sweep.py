@@ -186,6 +186,13 @@ def _calls() -> list[list[str]]:
         ["prob", "corpus/running.gg", "--phi2", " , ", "--from", "v0"],
         ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--method", "truncate"],
         ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--eps", "1/x"],
+        ["prob", "corpus/running.gg", "--phi1", "V1", "--phi2", "V2", "--from", "v0",
+         "--method", "truncate", "--horizon", "3", "--emit-system"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--method", "sample",
+         "--horizon", "3", "--emit-system"],
+        ["prob", "corpus/running.gg", "--phi1", "V1", "--phi2", "V2", "--from", "v0",
+         "--horizon", "3"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--depth", "2"],
         ["expand", "corpus/running.gg", "--depth", "two"],
         ["expand", "corpus/running.gg", "--depth", "2", "-o", "missing/out.txt"],
     ]

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import pregma
-from pregma import cli, model, validation
+from pregma import cli, model, oracle, validation
 from pregma.cli import _build_parser, main
 from pregma.gio import load_grammar, serialize_grammar
 from pregma.model import expand, validate_grammar
@@ -389,6 +389,13 @@ def test_prob_keeps_the_errors_of_the_full_depth(tmp_path, deep_defects, method)
             1, "", line + "\n")
 
 
+def test_a_truncation_too_shallow_for_the_horizon_exits_1_with_one_line(corpus_dir):
+    assert run(["prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0",
+                "--method", "truncate", "--horizon", "5", "--depth", "3"]) == (
+        1, "", "frontier vertex 13 (class A:next, level 3) is within 5 steps of the "
+               "start; deepen the truncation\n")
+
+
 def test_prob_json_lines(corpus_dir):
     code, out, _ = run([
         "prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0",
@@ -629,6 +636,15 @@ def test_check_at_json(corpus_dir):
      "error: unrecognized arguments: --no-such-option"),
     (["check", "{g}", "--formula", "F[>0] V2", "--eps", "1/10"],
      "error: unrecognized arguments: --eps 1/10"),
+    # an option the method never reads is refused, not ignored
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "truncate",
+      "--horizon", "3", "--emit-system"], "--emit-system does not apply to --method truncate"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample",
+      "--horizon", "3", "--emit-system"], "--emit-system does not apply to --method sample"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--horizon", "3"],
+     "--horizon does not apply to --method enclosure"),
+    (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--depth", "0"],
+     "--depth does not apply to --method enclosure"),
 ])
 def test_usage_errors_exit_3(corpus_dir, argv, needle):
     argv = [a.format(g=gg(corpus_dir, "running.gg")) for a in argv]
@@ -707,7 +723,7 @@ def test_running_out_of_memory_exits_1_with_one_line(corpus_dir, monkeypatch,
     def exhausted(*args):
         raise exc
 
-    monkeypatch.setattr("pregma.cli.sample_until", exhausted)
+    monkeypatch.setattr("pregma.oracle.sample_until", exhausted)
     code, out, err = run(["prob", gg(corpus_dir, "running.gg"), "--phi1", "V1",
                           "--phi2", "V2", "--from", "v0", "--method", "sample",
                           "--horizon", "6", "--n", "1000000000000"])
@@ -1201,6 +1217,44 @@ def test_only_sampling_loads_numpy(corpus_dir, tmp_path):
         "import False", *["0 False"] * 4, "1 False", *["0 False"] * 2, "0 True"]
 
 
+def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path):
+    # the engines load with pregma.cli; the oracle, the PCP encoder, the
+    # pushdown converter and numpy load in the one command that runs each
+    src = os.path.dirname(os.path.dirname(pregma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    running = gg(corpus_dir, "running.gg")
+    prob = ["prob", running, "--phi1", "V1", "--phi2", "V2", "--from", "v0"]
+    runs = [
+        ["validate", running],
+        ["expand", running, "--depth", "3"],
+        prob,
+        ["check", running, "--formula", "V1 U[>=1/4] V2"],
+        prob + ["--method", "truncate", "--depth", "8", "--horizon", "6"],
+        ["from-pds", gg(corpus_dir, "pds_example_prob.pds"), "-o", str(tmp_path / "pds.gg")],
+        ["gen-pcp", gg(corpus_dir, "pcp_s1.pcp"), "-o", str(tmp_path / "pcp.gg")],
+    ]
+    lazy = ("pregma.oracle", "pregma.pcp", "pregma.pushdown", "numpy")
+    code = ("import contextlib, io, sys\n"
+            f"lazy = {lazy!r}\n"
+            "def loaded():\n"
+            "    return [m for m in lazy if m in sys.modules]\n"
+            "import pregma.cli\n"
+            "print('import', loaded())\n"
+            f"for argv in {runs!r}:\n"
+            "    before = loaded()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = pregma.cli.main(argv)\n"
+            "    print(argv[0], code, [m for m in loaded() if m not in before])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import []", "validate 0 []", "expand 0 []", "prob 0 []", "check 1 []",
+        "prob 0 ['pregma.oracle']", "from-pds 0 ['pregma.pushdown']",
+        "gen-pcp 0 ['pregma.pcp']"]
+
+
 def test_the_largest_commands_leave_no_reference_cycle(corpus_dir, tmp_path,
                                                        branching_walk):
     # main pauses the cyclic collector because the tables a command builds
@@ -1259,7 +1313,7 @@ def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, colle
     def raising(*args):
         raise RuntimeError("a command that raises")
 
-    real_truncate = cli.truncate
+    real_truncate = oracle.truncate
     prob = ["prob", gg(corpus_dir, "running.gg"), "--phi2", "V2", "--from", "v0"]
     truncating = prob + ["--method", "truncate", "--horizon", "3"]
     found = gc.isenabled()
@@ -1268,7 +1322,7 @@ def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, colle
     if limits:
         sys.set_int_max_str_digits(limit)
     try:
-        monkeypatch.setattr(cli, "truncate", watched)
+        monkeypatch.setattr(oracle, "truncate", watched)
         assert run(truncating)[:2] == (0, "bounded=1/8\ndecimal 0.125000000000 (horizon 3)\n")
         assert seen == [(False, limits and 0)] and left_alone()
         if limits:
@@ -1278,7 +1332,7 @@ def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, colle
                             ["check", prob[1], "--formula", "F[>0"]):
             assert run(usage_error)[0] == 3
             assert left_alone()
-        monkeypatch.setattr(cli, "truncate", raising)
+        monkeypatch.setattr(oracle, "truncate", raising)
         with pytest.raises(RuntimeError, match="a command that raises"):
             run(truncating)
         assert left_alone()

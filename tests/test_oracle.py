@@ -667,6 +667,7 @@ def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
         targets = [frozenset({c}) for c in sorted(g.colour_names)] or [None]
         for depth in (1, 4, 8):
             full = outcome(truncate, g, depth)
+            full_rows = None if isinstance(full, tuple) else rows(full)
             for start in starts:
                 for phi2 in targets:
                     for h in range(13):
@@ -684,7 +685,7 @@ def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
                         assert early.classes == full.classes[:n]
                         assert early.levels == full.levels[:n]
                         assert early.axiom_ids == full.axiom_ids
-                        early_rows, full_rows = rows(early), rows(full)
+                        early_rows = rows(early)
                         for s in range(n):
                             if s not in early.frontier:
                                 assert early_rows[s] == full_rows[s]
