@@ -49,21 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
-    return value
-
-
-def _positive_fraction(text: str) -> Fraction:
-    value = _fraction(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
 def _at_least(text: str, least: int) -> int:
     try:
         value = int(text)
@@ -310,7 +295,7 @@ def _cmd_prob(args, parser: _Parser) -> int:
         an = analyse(g)
         phi1 = classes_for_colours(an, phi1_names)
         phi2 = classes_for_colours(an, phi2_names)
-        enc = solve_until(an, phi1, phi2, eps=args.eps)
+        enc = solve_until(an, phi1, phi2)
         if args.emit_system:
             assembly = shared_assembly(an, phi1, phi2)
             for key, value in assembly.system.pins.items():
@@ -470,8 +455,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi2", required=True)
     p.add_argument("--from", dest="start", required=True,
                    metavar="VERTEX", help="axiom-rule vertex to start from")
-    p.add_argument("--eps", type=_positive_fraction,
-                   default=Fraction(1, 10**6))
     p.add_argument("--method", choices=("enclosure", "truncate", "sample"),
                    default="enclosure")
     p.add_argument("--horizon", type=_natural, default=None)

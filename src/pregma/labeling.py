@@ -12,8 +12,7 @@ read their operands' pairs and dispatch on the threshold: one-step masses
 are exact rationals, untils with threshold 0 or 1 go to the qualitative
 engines, and everything else reads the until's one certified enclosure from
 `solve_until`, whose values are absolute probabilities exactly for the axiom
-rule's classes. That enclosure is solved at the almost-sure engine's width,
-ALMOST_SURE_EPS (1e-9), so that engine reads the same one. `label_formula`
+rule's classes; the almost-sure engine reads the same one. `label_formula`
 keys its verdicts by creation site, through the analysis's `names`.
 """
 from __future__ import annotations
@@ -24,8 +23,7 @@ from fractions import Fraction
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
 from .polysys import decide_threshold
-from .qualitative import (ALMOST_SURE_EPS, next_qualitative, until_almost_sure,
-                          until_positive)
+from .qualitative import next_qualitative, until_almost_sure, until_positive
 from .quantitative import solve_until
 from .validation import Analysis, analyse
 
@@ -109,8 +107,7 @@ def _until(an: Analysis, f: Until) -> tuple[Pair, dict[int, tuple[Fraction, Frac
             return (every - possibly, every - surely), {}
         return (surely, possibly), {}
 
-    lo_enc = solve_until(an, u1, u2, ALMOST_SURE_EPS)
-    hi_enc = lo_enc if (u1, u2) == (o1, o2) else solve_until(an, o1, o2, ALMOST_SURE_EPS)
+    lo_enc, hi_enc = solve_until(an, u1, u2), solve_until(an, o1, o2)
     axiom = an.grammar.axiom
     intervals = {c: (lo_enc.lo[c], hi_enc.hi[c])
                  for c in an.reachable if an.names[c].rule == axiom}

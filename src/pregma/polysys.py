@@ -459,10 +459,7 @@ def _compile(names: list[Key], terms: list[list[Term]]) -> tuple[dict[Key, int],
 _ROUNDS = 4000
 
 
-def solve_enclosure(
-    system: PolySystem,
-    eps: Fraction = Fraction(1, 10**6),
-) -> Enclosure:
+def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
     converged means: hi - lo <= eps on every variable, for the eps > 0

@@ -140,10 +140,6 @@ def until_positive(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> 
             for c in an.reachable}
 
 
-# the width of the enclosure whose bounds the almost-sure sums read
-ALMOST_SURE_EPS = Fraction(1, 10**9)
-
-
 def until_almost_sure(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
                       ) -> dict[int, str]:
     """Is P(phi1 until phi2) equal to one: holds / fails / unknown per class.
@@ -157,7 +153,7 @@ def until_almost_sure(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
     one, each the tightest of its kind. In the gap (for example mass one in
     the limit but never certified) the answer stays unknown.
     """
-    enc = solve_until(an, phi1, phi2, ALMOST_SURE_EPS)
+    enc = solve_until(an, phi1, phi2)
     assembly = shared_assembly(an, phi1, phi2)
     pos, down = assembly.system.positive_variables(), assembly.descents
     rule = [can.rule for can in an.names]

@@ -10,13 +10,14 @@ descend behaviour with the vertices its copy was attached to.
 
 For classes of the axiom rule there is no level above, so the win variable
 is the absolute probability of the until objective; the CLI and the labeller
-read their answers there. Each until is solved once per analysis
-(`solve_until`), and every command reads that one enclosure. The variables
-are the analysis's dense ids: win(c) is the class id c, and c's descend
-variables follow all n wins, dec(c; j) at `an.dec[c] + j - 1`; `render_key`
-names them through `an.names`; the rows of classes phi1 and phi2 fix are
-pins at 0 or 1. This module alone knows that layout: the assembly also
-carries each class's positive descents, for the qualitative engines.
+read their answers there. Each until is solved once per analysis, to the
+one width WIDTH (`solve_until`), and every command reads that enclosure.
+The variables are the analysis's dense ids: win(c) is the class id c, and
+c's descend variables follow all n wins, dec(c; j) at `an.dec[c] + j - 1`;
+`render_key` names them through `an.names`; the rows of classes phi1 and
+phi2 fix are pins at 0 or 1. This module alone knows that layout: the
+assembly also carries each class's positive descents, for the qualitative
+engines.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the width every until's enclosure is solved to
+WIDTH = Fraction(1, 10**9)
 
 
 def render_key(an: Analysis, key: int) -> str:
@@ -43,13 +46,13 @@ def render_key(an: Analysis, key: int) -> str:
 @dataclass
 class Assembly:
     """One until's system and its positive descents, filled by
-    `assemble_system`; `shared` is filled by `solve_until`."""
+    `assemble_system`; `enclosure` is filled by `solve_until`."""
 
     system: PolySystem  # pinned at 0 or 1 where phi1 and phi2 fix a class
     # per class id, its positive descents: the inputs j its walks leave the
     # level through with positive probability, each with dec(c; j)
     descents: list[list[tuple[int, int]]]
-    shared: tuple[Fraction, Enclosure] | None = None  # solve_until's eps and result
+    enclosure: Enclosure | None = None
 
 
 def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:
@@ -114,13 +117,11 @@ def shared_assembly(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
     return an.assemblies[key]
 
 
-def solve_until(an: Analysis, phi1: frozenset[int], phi2: frozenset[int],
-                eps: Fraction = Fraction(1, 10**6)) -> Enclosure:
+def solve_until(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Enclosure:
     """The analysis's one enclosure of (phi1, phi2): every variable within
-    eps unless the round cap stops the solve first, pinned ones exact.
-    Solved on first use and reused for any eps at least the one it was
-    solved at. Callers read it and never change it."""
+    WIDTH unless the round cap stops the solve first, pinned ones exact.
+    Solved on first use; callers read it and never change it."""
     assembly = shared_assembly(an, phi1, phi2)
-    if assembly.shared is None or assembly.shared[0] > eps:
-        assembly.shared = eps, solve_enclosure(assembly.system, eps=eps)
-    return assembly.shared[1]
+    if assembly.enclosure is None:
+        assembly.enclosure = solve_enclosure(assembly.system, WIDTH)
+    return assembly.enclosure

@@ -132,8 +132,7 @@ def _calls() -> list[list[str]]:
                     prob = ["prob", path, *phi1, "--phi2", goal, "--from", start]
                     calls += [prob, [*prob, "--format", "json-lines"],
                               [*prob, "--emit-system"],
-                              [*prob, "--emit-system", "--format", "json-lines"],
-                              [*prob, "--eps", "1/1000"]]
+                              [*prob, "--emit-system", "--format", "json-lines"]]
                     for horizon in range(7):
                         calls.append([*prob, "--method", "truncate", "--horizon", str(horizon)])
                     calls += [

@@ -43,9 +43,9 @@ def cls(an, name):
     return classes_for_colours(an, frozenset({name}) if name else None)
 
 
-def solve(g, phi1, phi2, **options):
+def solve(g, phi1, phi2):
     an = analyse(g)
-    return solve_until(an, cls(an, phi1), cls(an, phi2), **options)
+    return solve_until(an, cls(an, phi1), cls(an, phi2))
 
 
 def at(sol, g, vertex):
@@ -157,7 +157,7 @@ def test_gate_3_descent_equation_and_root(capfd, corpus_dir, running):
         if coeff:
             poly[power] = poly.get(power, F(0)) + coeff
 
-    enc = solve(running, "V1", "V2", eps=F(1, 10**9))
+    enc = solve(running, "V1", "V2")
     nxt = analyse(running).ids["A", "next"]
     lo, hi = enc.interval(analyse(running).dec[nxt])  # dec(A:next; 1)
     elapsed = time.perf_counter() - started

@@ -21,14 +21,11 @@ from reference import expand_rendering
 
 F = Fraction
 
-LOWER = ("105283730727269265083205925805966334843/"
-         "340282366920938463463374607431768211456")
-UPPER = ("1645058292618652869326005508324210794743379/"
-         "5316911983139663491615228241121378304000000")
-# `check` reads the until's one enclosure, solved at a width of at most 1e-9
-CHECK_LOWER = "392212460664176879051461864611/1267650600228229401496703205376"
-CHECK_UPPER = ("766039962234722828080627889140966223/"
-               "2475880078570760549798248448000000000")
+# `prob` and `check --at` read the until's one enclosure, solved at a width
+# of at most 1e-9
+LOWER = "392212460664176879051461864611/1267650600228229401496703205376"
+UPPER = ("766039962234722828080627889140966223/"
+         "2475880078570760549798248448000000000")
 
 
 def encloses_headline(lower, upper):
@@ -151,43 +148,46 @@ def test_validate_missing_file():
 def test_prob_enclosure(corpus_dir):
     code, out, err = run([
         "prob", gg(corpus_dir, "running.gg"), "--phi1", "V1", "--phi2", "V2",
-        "--from", "v0", "--eps", "1/1000000",
+        "--from", "v0",
     ])
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == f"lower={LOWER} upper={UPPER}"
     assert lines[1] == \
-        "decimal [0.309401076758, 0.309401076759] width=9.537e-13 (converged)"
+        "decimal [0.309401076759, 0.309401076759] width=9.537e-16 (converged)"
     assert encloses_headline(LOWER, UPPER)
-    assert F(UPPER) - F(LOWER) <= F(1, 10**6)
-    # at eps 1e-9, prob reads the one enclosure that `check --at v0` prints
-    code, out, err = run([
-        "prob", gg(corpus_dir, "running.gg"), "--phi1", "V1", "--phi2", "V2",
-        "--from", "v0", "--eps", "1/1000000000",
-    ])
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == f"lower={CHECK_LOWER} upper={CHECK_UPPER}"
+    assert F(UPPER) - F(LOWER) <= F(1, 10**9)
+    # prob prints the one enclosure that `check --at` reads, inexact or exact
+    for grammar, phi1, phi2, start, formula in [
+            ("running.gg", ["--phi1", "V1"], "V2", "v0", "V1 U[>=1/4] V2"),
+            ("updrift.gg", [], "green", "m0", "F[>=1/5] green"),
+            ("dag.gg", [], "goal", "v0", "F[>=1/2] goal")]:
+        path = gg(corpus_dir, grammar)
+        prob = run(["prob", path, *phi1, "--phi2", phi2, "--from", start,
+                    "--format", "json-lines"])
+        check = run(["check", path, "--formula", formula, "--at", start,
+                     "--format", "json-lines"])
+        assert prob[0] == check[0] == 0 and prob[2] == check[2] == ""
+        a, b = json.loads(prob[1]), json.loads(check[1])
+        assert (a["lower"], a["upper"]) == (b["lower"], b["upper"]), grammar
 
 
-def test_prob_solves_once_at_its_own_eps(corpus_dir, monkeypatch):
-    """prob solves its until once, at its own --eps: no floor, no second solve."""
+def test_prob_solves_once_at_the_one_width(corpus_dir, monkeypatch):
+    """prob solves its until once, at the one width: no second solve."""
     import pregma.quantitative as quantitative
 
     solves = []
 
-    def counting_solve(*args, **options):
-        solves.append(options.get("eps"))
-        return solve_enclosure(*args, **options)
+    def counting_solve(system, eps):
+        solves.append(eps)
+        return solve_enclosure(system, eps)
 
     solve_enclosure = quantitative.solve_enclosure
     monkeypatch.setattr(quantitative, "solve_enclosure", counting_solve)
-    running = gg(corpus_dir, "running.gg")
-    for eps, extra in [(F(1, 10**6), []), (F(1, 20), ["--eps", "1/20"])]:
-        solves.clear()
-        code, _, err = run(["prob", running, "--phi1", "V1", "--phi2", "V2",
-                            "--from", "v0", *extra])
-        assert (code, err) == (0, "")
-        assert solves == [eps]
+    code, _, err = run(["prob", gg(corpus_dir, "running.gg"), "--phi1", "V1",
+                        "--phi2", "V2", "--from", "v0"])
+    assert (code, err) == (0, "")
+    assert solves == [quantitative.WIDTH]
 
 
 def test_prob_emit_system(corpus_dir):
@@ -464,8 +464,8 @@ def test_check_emit_coloured(corpus_dir):
     assert "class=Z:t0 verdict=fails enclosure=[0, 0]" in lines
     assert "class=A:win verdict=holds enclosure=[1, 1]" in lines
     assert "class=A:fork verdict=unknown" in lines
-    assert lines[0] == f"class=Z:v0 verdict=holds enclosure=[{CHECK_LOWER}, {CHECK_UPPER}]"
-    assert encloses_headline(CHECK_LOWER, CHECK_UPPER)
+    assert lines[0] == f"class=Z:v0 verdict=holds enclosure=[{LOWER}, {UPPER}]"
+    assert encloses_headline(LOWER, UPPER)
     assert lines[-1] == "fails"
 
 
@@ -594,8 +594,8 @@ def test_check_at_json(corpus_dir):
     assert code == 0
     rec = json.loads(out)
     assert rec["kind"] == "verdict" and rec["status"] == "holds"
-    assert rec["at"] == "v0" and rec["lower"] == CHECK_LOWER
-    assert rec["upper"] == CHECK_UPPER
+    assert rec["at"] == "v0" and rec["lower"] == LOWER
+    assert rec["upper"] == UPPER
     assert encloses_headline(rec["lower"], rec["upper"])
     assert F(rec["upper"]) - F(rec["lower"]) <= F(1, 10**9)
 
@@ -608,7 +608,7 @@ def test_check_at_json(corpus_dir):
     (["prob", "{g}", "--phi2", "V2", "--from", "zz"],
      "not an axiom-rule vertex"),
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--eps", "0"],
-     "must be > 0"),
+     "error: unrecognized arguments: --eps 0"),
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--method", "sample"],
      "--horizon is required"),
     (["frobnicate"], "invalid choice"),
@@ -629,7 +629,7 @@ def test_check_at_json(corpus_dir):
       "--horizon", "3", "--n", "-5"], "argument --n: must be >= 1"),
     (["prob", "{g}", "--phi2", ",", "--from", "v0"], "empty colour expression"),
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--eps", "abc"],
-     "not a rational"),
+     "error: unrecognized arguments: --eps abc"),
     (["check", "{g}", "--formula", "F[>=1/2( V2"], "expected ']'"),
     # an unknown option is reported by the subcommand it follows
     (["prob", "{g}", "--phi2", "V2", "--from", "v0", "--no-such-option"],
@@ -1145,9 +1145,9 @@ def test_repeated_calls_share_no_state(corpus_dir):
 
     # a usage error, raised by argparse or by the command, leaves nothing behind
     for bad in (["prob", running, "--phi2", "V2", "--from", "v0",
-                 "--format", "json-lines", "--eps", "0"],
+                 "--format", "json-lines", "--n", "0"],
                 ["prob", running, "--phi2", "nope", "--from", "v0",
-                 "--format", "json-lines", "--eps", "1/2"]):
+                 "--format", "json-lines"]):
         assert run(bad)[0] == 3
         assert run(enclosure) == enclosure_alone
 
@@ -1328,7 +1328,7 @@ def test_main_leaves_the_collector_as_it_found_it(corpus_dir, monkeypatch, colle
         if limits:
             with pytest.raises(ValueError, match="limit"):
                 str(10**5000)
-        for usage_error in (prob + ["--eps", "0"], prob + ["--no-such-option"],
+        for usage_error in (prob + ["--n", "0"], prob + ["--no-such-option"],
                             ["check", prob[1], "--formula", "F[>0"]):
             assert run(usage_error)[0] == 3
             assert left_alone()

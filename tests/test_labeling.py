@@ -12,8 +12,8 @@ from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError, reachable_nonterminals
 from pregma.polysys import ZERO, decide_threshold, solve_enclosure
 from pregma.pushdown import to_grammar
-from pregma.qualitative import ALMOST_SURE_EPS, until_almost_sure, until_positive
-from pregma.quantitative import shared_assembly, solve_until
+from pregma.qualitative import until_almost_sure, until_positive
+from pregma.quantitative import WIDTH, shared_assembly, solve_until
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
@@ -235,9 +235,9 @@ def test_one_solve_per_until(critical, monkeypatch):
 
     solves, almost_sure = [], []
 
-    def counting_solve(*args, **options):
-        solves.append(options.get("eps"))
-        return solve_enclosure(*args, **options)
+    def counting_solve(system, eps):
+        solves.append(eps)
+        return solve_enclosure(system, eps)
 
     def counting_almost_sure(*args):
         almost_sure.append(args[1:])
@@ -251,13 +251,13 @@ def test_one_solve_per_until(critical, monkeypatch):
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
     assert lab[CanonicalVertex("Z", "m0")].status == "holds"
     assert len(almost_sure) == 1
-    assert solves == [F(1, 10**9)]
+    assert solves == [WIDTH]
 
 
 def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
     """A quantitative until, a qualitative until over the same pair and a
     quantitative until over an until's classes: each pair's enclosure is
-    solved once, at the almost-sure engine's width."""
+    solved once, at the one width."""
     import pregma.quantitative as quantitative
 
     assembled, solved = [], []
@@ -266,10 +266,10 @@ def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
         assembled.append((assemble_system(*args), args[-2:]))
         return assembled[-1][0]
 
-    def recording_solve(system, **options):
+    def recording_solve(system, eps):
         pair = next(pair for a, pair in assembled if a.system is system)
-        solved.append((pair, options["eps"]))
-        return solve_enclosure(system, **options)
+        solved.append((pair, eps))
+        return solve_enclosure(system, eps)
 
     assemble_system = quantitative.assemble_system
     solve_enclosure = quantitative.solve_enclosure
@@ -280,7 +280,7 @@ def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
     pairs = [pair for pair, _ in solved]
     # (V1, V2), then (tt, surely) and (tt, possibly) of the nested until
     assert len(pairs) == len(set(pairs)) == 3
-    assert {eps for _, eps in solved} == {ALMOST_SURE_EPS}
+    assert {eps for _, eps in solved} == {WIDTH}
 
 
 def test_shared_enclosure_lies_inside_the_axiom_solve():
@@ -303,7 +303,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
             for phi2 in colours:
                 u1 = classes_for_colours(an, None if phi1 is None else frozenset({phi1}))
                 u2 = classes_for_colours(an, frozenset({phi2}))
-                shared = solve_until(an, u1, u2, F(1, 10**9))
+                shared = solve_until(an, u1, u2)
                 assembly = shared_assembly(an, u1, u2)
                 alone = solve_enclosure(assembly.system, eps=F(1, 10**6))
                 until = f"{phi1 or 'tt'} U {phi2}"
@@ -312,7 +312,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
                     lo, hi = shared.interval(c)
                     assert alone.lo[c] <= lo <= hi <= alone.hi[c], \
                         f"{name}: {until} at {an.names[c]}"
-                    assert hi - lo <= F(1, 10**9)
+                    assert hi - lo <= WIDTH
                 first = shared.lo[axiom[0]]
                 for rho in {F(1, 2), first} - {ZERO, ONE}:
                     lab = label_formula(g, parse_formula(until.replace(" U ", f" U[>={rho}] ")))

@@ -95,7 +95,7 @@ def test_pins_fold_into_the_terms_that_read_them():
 def test_the_enclosure_holds_every_pin():
     # x closes exactly at (1/3 + 1/8) / (5/8); the pins follow the
     # variables, each its own lo and hi
-    enc = solve_enclosure(pinned())
+    enc = solve_enclosure(pinned(), F(1, 10**6))
     assert enc.exact and enc.converged
     assert list(enc.lo.items()) == list(enc.hi.items()) == [
         ("x", F(11, 15)), ("zero", 0), ("one", 1), ("p", F(3, 4))]
@@ -119,7 +119,7 @@ def test_solve_exact_acyclic():
     s.add_term("x", F(1, 2))
     s.add_term("y", F(1, 4))
     s.add_term("y", F(1, 2), "x")
-    enc = solve_enclosure(s)
+    enc = solve_enclosure(s, F(1, 10**6))
     assert enc.exact and enc.converged
     assert enc.lo == enc.hi == {"x": F(1, 2), "y": F(1, 2)}
 
@@ -209,7 +209,7 @@ def test_close_refuses_a_quadratic_component_with_a_negative_pivot():
         "x": [(F(1, 10), ()), (F(9, 10), ("x", "y"))],
         "y": [(F(1, 2), ()), (F(1, 2), ("x",))],
     })
-    enc = solve_enclosure(s)
+    enc = solve_enclosure(s, F(1, 10**6))
     assert not enc.exact
     assert enc.lo["x"] <= F(2, 9) <= enc.hi["x"]
     assert enc.lo["y"] <= F(11, 18) <= enc.hi["y"]
@@ -225,7 +225,7 @@ def test_close_drops_a_linear_value_past_the_denominator_cap():
         "a": [(F(1, 3), ("b",)), (F(1, 3), ("c",))],
         "b": [(F(1, 3), ("a",)), (F(1, 3), ())],
     })
-    enc = solve_enclosure(s)
+    enc = solve_enclosure(s, F(1, 10**6))
     assert not enc.exact
     a = F(1, 8) + F(3, 8 * _DEN_CAP)
     assert enc.lo["a"] <= a <= enc.hi["a"]
@@ -378,7 +378,7 @@ def test_min_degree_eliminates_a_star_from_its_leaves():
 def test_solver_keeps_pinned_empty_equations():
     s = PolySystem()
     s.add_variable("x")
-    enc = solve_enclosure(s)
+    enc = solve_enclosure(s, F(1, 10**6))
     assert enc.exact
     assert enc.lo["x"] == enc.hi["x"] == 0
 
@@ -722,7 +722,7 @@ def _ref_close(system: PolySystem, components: list[tuple[list[Key], bool]]
 
 def fraction_solve(
     system: PolySystem,
-    eps: Fraction = Fraction(1, 10**6),
+    eps: Fraction,
     max_rounds: int = _ROUNDS,
 ) -> Enclosure:
     keys = list(system.variables)
@@ -956,10 +956,10 @@ def non_dyadic_systems(draw):
     return system(equations)
 
 
-def same_enclosure(s, **kwargs):
+def same_enclosure(s, eps):
     """The solver's enclosure is the reference's, with every pin of s lifted
     in as its own lo and hi."""
-    new, ref = solve_enclosure(s, **kwargs), fraction_solve(s, **kwargs)
+    new, ref = solve_enclosure(s, eps), fraction_solve(s, eps)
     assert (new.lo, new.hi, new.converged, new.exact, new.iterations) == (
         ref.lo | s.pins, ref.hi | s.pins, ref.converged, ref.exact, ref.iterations)
     assert all(type(v) is Fraction for v in [*new.lo.values(), *new.hi.values()])
@@ -969,11 +969,11 @@ def same_enclosure(s, **kwargs):
 def test_solver_matches_the_fraction_reference():
     count = 0
     for name, s in assembled_systems():
-        for kwargs in [{}, {"eps": F(1, 10**9)}]:
+        for eps in (F(1, 10**6), F(1, 10**9)):
             try:
-                same_enclosure(s, **kwargs)
+                same_enclosure(s, eps)
             except AssertionError as exc:
-                raise AssertionError(f"{name} {kwargs}") from exc
+                raise AssertionError(f"{name} at {eps}") from exc
         count += 1
     assert count >= 40
     # x*x, a cross term whose y lies outside x's component, an empty row
@@ -983,7 +983,7 @@ def test_solver_matches_the_fraction_reference():
         "y": [(F(1, 5), ()), (F(2, 7), ("y",))],
         "z": [],
         "w": [(F(1, 2), ("x", "z")), (F(1, 7), ("w",)), (F(2, 3), ("x",))],
-    }))
+    }), F(1, 10**6))
 
 
 @pytest.mark.parametrize("shape", ["chain", "branching"])
@@ -1017,10 +1017,10 @@ def test_non_dyadic_systems_match_the_fraction_reference(s):
 
 
 def until_enclosures():
-    """(name, system, enclosure) for every `solve_until` enclosure, at eps
-    1e-6 and 1e-9, of every corpus `.gg` colour (phi1 tt or a colour),
-    `pds_example_prob`'s halt, and the seeded chain and branching walks at
-    K = 2 to 64, critical and not."""
+    """(name, system, enclosure) for every `solve_until` enclosure (width
+    1e-9), and for its system's solve at eps 1e-6, of every corpus `.gg`
+    colour (phi1 tt or a colour), `pds_example_prob`'s halt, and the seeded
+    chain and branching walks at K = 2 to 64, critical and not."""
     cases = []
     for path in sorted(CORPUS.glob("*.gg")):
         g = load_grammar(path)
@@ -1037,10 +1037,10 @@ def until_enclosures():
         an = analyse(g)
         sets = [classes_for_colours(an, None if c is None else frozenset({c}))
                 for c in (phi1, phi2)]
-        for eps in (F(1, 10**6), F(1, 10**9)):
-            enc = solve_until(an, *sets, eps=eps)
-            yield f"{name}: {phi1 or 'tt'} U {phi2} at {eps}", \
-                shared_assembly(an, *sets).system, enc
+        enc, system = solve_until(an, *sets), shared_assembly(an, *sets).system
+        yield f"{name}: {phi1 or 'tt'} U {phi2}", system, enc
+        yield f"{name}: {phi1 or 'tt'} U {phi2} at 1/1000000", system, \
+            solve_enclosure(system, F(1, 10**6))
 
 
 def test_every_until_enclosure_carries_its_proof():
@@ -1100,11 +1100,11 @@ def test_closure_takes_no_fixpoint_but_the_least(monkeypatch):
     # x = 1/4 + 3/4 x^2 has the fixpoint 1, but F'(1) = 3/2: the row sum
     # refuses it before any elimination, and the enclosure holds 1/3
     calls = exact_solves(monkeypatch)
-    enc = solve_enclosure(scalar(F(1, 4), F(3, 4)))
+    enc = solve_enclosure(scalar(F(1, 4), F(3, 4)), F(1, 10**6))
     assert calls == [] and enc.converged and not enc.exact
     assert enc.lo["x"] < F(1, 3) <= enc.hi["x"]
     # x = 1/5 + 4/5 x^2: F(1) = 1 and F'(1) = 8/5, refused the same way
-    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)))
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), F(1, 10**6))
     assert calls == [] and not enc.exact
     assert enc.lo["x"] < F(1, 4) <= enc.hi["x"]
 
@@ -1118,7 +1118,7 @@ def test_closure_refuses_a_singular_linear_component(monkeypatch):
     calls = exact_solves(monkeypatch)
     monkeypatch.setattr(polysys, "_ROUNDS", 3)
     enc = solve_enclosure(system({"x": [(1, ("y",))], "y": [(1, ("x",)), (F(1, 4), ("z",))],
-                                  "z": [(F(1, 2), ())]}))
+                                  "z": [(F(1, 2), ())]}), F(1, 10**6))
     assert calls == [True]
     assert not enc.exact and enc.lo == {"x": F(1, 8), "y": F(1, 8), "z": F(1, 2)}
 
@@ -1132,7 +1132,7 @@ def test_closure_pins_a_seeded_critical_chain_at_one(monkeypatch):
     an = analyse(g)
     phi1, phi2 = classes_for_colours(an, None), classes_for_colours(an, frozenset({"green"}))
     system = assemble_system(an, phi1, phi2).system
-    enc = solve_enclosure(system)
+    enc = solve_enclosure(system, F(1, 10**6))
     assert enc.exact and enc.iterations == 1
     assert enc.lo == enc.hi
     assert enc.lo[an.ids["Z", "m0"]] == 1

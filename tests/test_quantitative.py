@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import pregma.quantitative as quantitative
 from pregma.labeling import classes_for_colours
-from pregma.quantitative import assemble_system, render_key, solve_until
+from pregma.quantitative import WIDTH, assemble_system, render_key, solve_until
 from pregma.validation import analyse
 
 F = Fraction
@@ -114,7 +115,7 @@ def test_running_enclosure(running):
     sol = solve_until(*args)
     assert sol.converged and not sol.exact
     lo, hi = at(sol, args[0], "v0")
-    assert hi - lo <= F(1, 10**6)
+    assert hi - lo <= WIDTH
     # exact containment of (4*sqrt(3) - 6)/3
     assert straddles_sqrt3(lo, hi, 4, 3, F(-2))
     assert at(sol, args[0], "t0") == (F(0), F(0))
@@ -122,7 +123,7 @@ def test_running_enclosure(running):
 
 def test_running_inner_variables(running):
     an, phi1, phi2 = until_args(running, "V1", "V2")
-    sol = solve_until(an, phi1, phi2, eps=F(1, 10**9))
+    sol = solve_until(an, phi1, phi2)
     nxt = an.ids["A", "next"]
     # dec(A:next;1) = 1 - sqrt(3)/2, win(A:next) = 1/sqrt(3)
     lo, hi = sol.interval(dec_key(an, nxt, 1))
@@ -147,7 +148,7 @@ def test_updrift_encloses_one_quarter(updrift):
     assert sol.converged
     lo, hi = at(sol, args[0], "m0")
     assert lo <= F(1, 4) <= hi
-    assert hi - lo <= F(1, 10**6)
+    assert hi - lo <= WIDTH
 
 
 def test_critical_closes_exactly(critical, critical_bounded):
@@ -165,26 +166,34 @@ def test_critical_closes_exactly(critical, critical_bounded):
 
 
 def test_critical_converges_everywhere(critical):
-    sol = solve_until(*until_args(critical, None, "green"), eps=F(1, 10**9))
+    sol = solve_until(*until_args(critical, None, "green"))
     assert sol.converged
     assert all(sol.hi[k] - sol.lo[k] <= F(1, 10**9) for k in sol.lo)
 
 
-def test_shared_enclosure_is_solved_once_per_width(running):
-    """One enclosure per until and analysis, every variable within eps: a
-    request it already meets reuses it, a finer one solves again."""
+def test_shared_enclosure_is_solved_once_per_until(running, monkeypatch):
+    """One enclosure per (phi1, phi2) and analysis, solved once at WIDTH,
+    every variable within it; a second request reuses it."""
+    solve, widths = quantitative.solve_enclosure, []
+
+    def watched(system, eps):
+        widths.append(eps)
+        return solve(system, eps)
+
+    monkeypatch.setattr(quantitative, "solve_enclosure", watched)
     args = until_args(running, "V1", "V2")
-    enc = solve_until(*args, eps=F(1, 10**6))
+    enc = solve_until(*args)
     assert enc.converged
-    assert all(enc.hi[k] - enc.lo[k] <= F(1, 10**6) for k in enc.lo)
+    assert all(enc.hi[k] - enc.lo[k] <= WIDTH for k in enc.lo)
     assert solve_until(*args) is enc
-    assert solve_until(*args, eps=F(1, 20)) is enc
-    fine = solve_until(*args, eps=F(1, 10**15))
-    assert fine is not enc and fine.converged
-    assert all(fine.hi[k] - fine.lo[k] <= F(1, 10**15) for k in fine.lo)
-    assert solve_until(*args, eps=F(1, 10**12)) is fine
+    assert widths == [WIDTH]
     an, _, phi2 = args
-    assert solve_until(an, classes(an, None), phi2) is not fine
+    other = solve_until(an, classes(an, None), phi2)
+    assert other is not enc and solve_until(an, classes(an, None), phi2) is other
+    assert widths == [WIDTH, WIDTH]
+    # the solver still meets a finer width on the same system
+    fine = solve(quantitative.shared_assembly(*args).system, F(1, 10**15))
+    assert fine.converged and all(fine.hi[k] - fine.lo[k] <= F(1, 10**15) for k in fine.lo)
 
 
 def test_trivial_phi2_saturates(running):
