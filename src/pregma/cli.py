@@ -4,11 +4,11 @@ Exit codes are part of the contract: 0 for success (and `holds` verdicts),
 1 for validation failures and `fails` verdicts, 2 for `unknown` verdicts,
 3 for usage errors. Exit 1 also covers an input file that cannot be read
 or is not UTF-8, an `-o` path that cannot be written and a command that
-runs out of memory (say, `prob --method sample` with a huge `--n`), each
-with one diagnostic line on stderr. Results go to stdout, diagnostics to
-stderr. With `--format json-lines` every result is one self-describing
-JSON object per line and rationals stay exact as "p/q" strings; the
-default text format adds rounded decimals for reading.
+runs out of memory (a `MemoryError`), each with one diagnostic line on
+stderr. Results go to stdout, diagnostics to stderr. With `--format
+json-lines` every result is one self-describing JSON object per line and
+rationals stay exact as "p/q" strings; the default text format adds
+rounded decimals for reading.
 """
 from __future__ import annotations
 

@@ -19,8 +19,8 @@ limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 MAX_NESTING = 100
@@ -30,30 +30,26 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TT:
+class TT(NamedTuple):
     def __str__(self) -> str:
         return "tt"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     sub: "Formula"
 
     def __str__(self) -> str:
         return f"!{_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "Formula"
     right: "Formula"
 
@@ -61,8 +57,7 @@ class And:
         return f"{_wrap(self.left)} & {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
-class Next:
+class Next(NamedTuple):
     cmp: str
     rho: Fraction
     sub: "Formula"
@@ -71,8 +66,7 @@ class Next:
         return f"X[{self.cmp}{self.rho}] {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class Until:
+class Until(NamedTuple):
     cmp: str
     rho: Fraction
     left: "Formula"

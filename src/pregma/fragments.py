@@ -17,7 +17,6 @@ phi2 and every node's class are the analysis's class ids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -40,12 +39,11 @@ class FragmentNode(NamedTuple):
     arc_index: int | None = None  # hyperarc occurrence, kind == "child"
 
 
-@dataclass
-class Fragment:
+class Fragment(NamedTuple):
     rule: Rule
-    nodes: dict[NodeKey, FragmentNode] = field(default_factory=dict)
+    nodes: dict[NodeKey, FragmentNode]
     # every node's out-arcs as (label, target), in arc order
-    out: dict[NodeKey, list[tuple[str, NodeKey]]] = field(default_factory=dict)
+    out: dict[NodeKey, list[tuple[str, NodeKey]]]
 
     @property
     def starts(self) -> list[FragmentNode]:
@@ -60,7 +58,7 @@ def build_fragment(rules: Mapping[str, Rule], passed: Passings, context: str,
     each node of a class holding that class's id: "same" or "child" when
     the passing table `passed` passes its site on, else "interior"."""
     rule = rules[context]
-    frag = Fragment(rule)
+    frag = Fragment(rule, {}, {})
 
     def add(node: FragmentNode) -> None:
         frag.nodes[node.key] = node

@@ -17,8 +17,8 @@ keys its verdicts by creation site, through the analysis's `names`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .formulas import And, Atom, Formula, FormulaError, Next, Not, TT, Until
 from .model import CanonicalVertex, Grammar
@@ -35,8 +35,7 @@ ONE = Fraction(1)
 Pair = tuple[frozenset[int], frozenset[int]]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "holds" | "fails" | "unknown"
     interval: tuple[Fraction, Fraction] | None = None
 

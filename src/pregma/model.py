@@ -9,7 +9,6 @@ round that created it (its level).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import inf, lcm
 from operator import itemgetter
@@ -59,16 +58,16 @@ class CanonicalVertex(NamedTuple):
         return f"{self.rule}:{self.vertex}"
 
 
-@dataclass
 class Hypergraph:
     """Vertices, labelled binary arcs, colour marks, nonterminal hyperarcs."""
 
-    vertices: list[VertexId] = field(default_factory=list)
-    arcs: list[Arc] = field(default_factory=list)
-    colours: list[ColourMark] = field(default_factory=list)
-    hyperarcs: list[Hyperarc] = field(default_factory=list)
+    __slots__ = ("vertices", "arcs", "colours", "hyperarcs", "_vset")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: list[VertexId] | None = None) -> None:
+        self.vertices: list[VertexId] = [] if vertices is None else vertices
+        self.arcs: list[Arc] = []
+        self.colours: list[ColourMark] = []
+        self.hyperarcs: list[Hyperarc] = []
         self._vset = set(self.vertices)
         if len(self._vset) != len(self.vertices):
             raise GrammarError("repeated vertex in hypergraph")
@@ -92,8 +91,7 @@ class Hypergraph:
         self.hyperarcs.append(Hyperarc(label, tuple(vertices)))
 
 
-@dataclass
-class Rule:
+class Rule(NamedTuple):
     lhs: str
     inputs: tuple[VertexId, ...]
     rhs: Hypergraph
@@ -111,16 +109,15 @@ class Rule:
         return self.inputs.index(v) + 1
 
 
-@dataclass
-class Grammar:
+class Grammar(NamedTuple):
     """One rule per nonterminal; mu gives each arc label its probability."""
 
     terminals: dict[str, int]
     nonterminals: dict[str, int]
     axiom: str
-    rules: list[Rule] = field(default_factory=list)
-    mu: dict[str, Fraction] = field(default_factory=dict)
-    absorbing: set[str] = field(default_factory=set)
+    rules: list[Rule]
+    mu: dict[str, Fraction]
+    absorbing: set[str]
 
     @property
     def colour_names(self) -> frozenset[str]:
@@ -144,8 +141,7 @@ def integer_weights(mu: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
                  for label, p in mu.items()}
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     code: str
     detail: str
 
@@ -328,7 +324,6 @@ def _compile(rule: Rule) -> _Compiled:
     )
 
 
-@dataclass
 class ExpandedGraph:
     """An expansion's graph, kept flat as the rule applications that built
     it: application k puts the next len(rule.names) entries of `ids` in the
@@ -337,11 +332,14 @@ class ExpandedGraph:
     range, for a whole expansion); hyperarc k of those left wholly inside
     it awaits rule hyperarcs[k] on the next rule.arity ids of `attached`."""
 
-    vertices: range | list[int] = range(0)
-    applications: list[_Compiled] = field(default_factory=list)
-    ids: array = field(default_factory=lambda: array("q"))
-    hyperarcs: list[_Compiled] = field(default_factory=list)
-    attached: array = field(default_factory=lambda: array("q"))
+    __slots__ = ("vertices", "applications", "ids", "hyperarcs", "attached")
+
+    def __init__(self, vertices: range | list[int] = range(0)) -> None:
+        self.vertices = vertices
+        self.applications: list[_Compiled] = []
+        self.ids = array("q")
+        self.hyperarcs: list[_Compiled] = []
+        self.attached = array("q")
 
     def slots(self) -> Iterator[tuple[_Compiled, list[int]]]:
         """Each application as (rule, the ids in its slots), in order."""
@@ -366,7 +364,6 @@ class ExpandedGraph:
             at += rule.arity
 
 
-@dataclass
 class Expansion:
     """A depth-d expansion, with vertex ids 0..n-1 in order of creation: its
     graph, remaining hyperarcs included, and per-id columns, all of them
@@ -378,13 +375,17 @@ class Expansion:
     on an unexpanded hyperarc. A component view restricts the graph and the
     frontier to its ids and keeps the columns whole."""
 
-    graph: ExpandedGraph = field(default_factory=ExpandedGraph)
-    classes: list[CanonicalVertex] = field(default_factory=list)
-    levels: list[int] = field(default_factory=list)
-    colours: list[frozenset[str]] = field(default_factory=list)
-    axiom_ids: dict[VertexId, int] = field(default_factory=dict)
-    frontier: frozenset[int] = frozenset()
-    colour_sets: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
+    __slots__ = ("graph", "classes", "levels", "colours", "axiom_ids", "frontier",
+                 "colour_sets")
+
+    def __init__(self) -> None:
+        self.graph = ExpandedGraph()
+        self.classes: list[CanonicalVertex] = []
+        self.levels: list[int] = []
+        self.colours: list[frozenset[str]] = []
+        self.axiom_ids: dict[VertexId, int] = {}
+        self.frontier: frozenset[int] = frozenset()
+        self.colour_sets: dict[frozenset[str], frozenset[str]] = {}
 
 
 class Rows(NamedTuple):
@@ -396,8 +397,7 @@ class Rows(NamedTuple):
     weights: list[int]
 
 
-@dataclass
-class FiniteMC:
+class FiniteMC(NamedTuple):
     """A finite Markov chain on the states 0..n-1, its steps in one row
     table: a step's probability is weight / den, den being the lcm of mu's
     denominators. Frontier states have incomplete rows, but their colours
@@ -576,4 +576,5 @@ def reachable_component(g: Grammar, start: VertexId, depth: int) -> Expansion:
         if all(v in ids for v in vs):
             sub.hyperarcs.append(rule)
             sub.attached.extend(vs)
-    return replace(expansion, graph=sub, frontier=expansion.frontier & ids)
+    expansion.graph, expansion.frontier = sub, expansion.frontier & ids
+    return expansion

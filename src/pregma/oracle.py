@@ -36,11 +36,10 @@ the requested depth is the most it builds.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import floordiv, lshift, mul, not_, rshift, sub
-from typing import Any, Callable, Collection, Iterable
+from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 from .model import (
     CanonicalVertex,
@@ -190,8 +189,7 @@ def truncate(g: Grammar, depth: int, query: PathQuery | None = None) -> FiniteMC
     return mc
 
 
-@dataclass(frozen=True)
-class PathQuery:
+class PathQuery(NamedTuple):
     """Bounded until: phi1/phi2 are unions of colour names, None meaning
     "true". start is a state id or an axiom-rule vertex name."""
 
@@ -315,8 +313,7 @@ def bounded_until(mc: FiniteMC, query: PathQuery) -> Fraction:
     return Fraction(prev[start], scale)
 
 
-@dataclass
-class SampleResult:
+class SampleResult(NamedTuple):
     hits: int
     misses: int
     escapes: int
@@ -369,12 +366,18 @@ def _threshold_tables(mc: FiniteMC, moving):
     return cut, to, size - 1
 
 
+# trajectories walked at once, so that the arrays a call holds grow with the
+# widest row of the cone but not with the sample count
+SAMPLE_BATCH = 1 << 16
+
+
 def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleResult:
     """Monte Carlo estimate of the same query, deterministic in the seed.
 
     Trajectory i uses draw number step * n + i, so the result is a pure
-    function of (seed, n, horizon). A trajectory that reaches a frontier
-    state that blocks the cone (see `_cone`) counts as an escape: the truth then
+    function of (seed, n, horizon), whatever batches of SAMPLE_BATCH the
+    trajectories are walked in. A trajectory that reaches a frontier state
+    that blocks the cone (see `_cone`) counts as an escape: the truth then
     lies between hits/n and (hits+escapes)/n. Any other frontier state is
     a hit or a miss by its final colours. A trajectory misses as soon as
     it stands on a state from which no win or blocking state can be
@@ -434,20 +437,23 @@ def sample_until(mc: FiniteMC, query: PathQuery, n: int, seed: int) -> SampleRes
     pos[order] = np.arange(len(order))
     fate, to = fate[order], pos[to]
 
-    status = np.zeros(n, dtype=np.int8)
-    traj = np.arange(n)  # the trajectories still walking, at positions cur
-    cur = np.full(n, pos[start], dtype=np.int64)
-    for step in range(horizon + 1):
-        here = fate[cur]
-        status[traj] = here
-        walking = here == 0
-        traj, cur = traj[walking], cur[walking]
-        if step == horizon or not len(traj):
-            break
-        ks = np.uint64(step) * np.uint64(n) + traj.astype(np.uint64)
-        rand = draw_array(seed, ks)
-        slot = np.minimum((cut[cur] <= rand[:, None]).sum(1), last[cur])
-        cur = to[cur, slot]
-    status[traj] = 2  # still walking at the horizon
-    _, hits, misses, escapes = np.bincount(status, minlength=4).tolist()
+    tally = np.zeros(4, dtype=np.int64)  # trajectories by final fate
+    for first in range(0, n, SAMPLE_BATCH):
+        status = np.zeros(min(SAMPLE_BATCH, n - first), dtype=np.int8)
+        traj = np.arange(len(status))  # the batch's walkers, at positions cur
+        cur = np.full(len(status), pos[start], dtype=np.int64)
+        for step in range(horizon + 1):
+            here = fate[cur]
+            status[traj] = here
+            walking = here == 0
+            traj, cur = traj[walking], cur[walking]
+            if step == horizon or not len(traj):
+                break
+            ks = np.uint64(step) * np.uint64(n) + (traj + first).astype(np.uint64)
+            rand = draw_array(seed, ks)
+            slot = np.minimum((cut[cur] <= rand[:, None]).sum(1), last[cur])
+            cur = to[cur, slot]
+        status[traj] = 2  # still walking at the horizon
+        tally += np.bincount(status, minlength=4)
+    _, hits, misses, escapes = tally.tolist()
     return SampleResult(hits=hits, misses=misses, escapes=escapes, n=n)

@@ -16,7 +16,6 @@ the tools that still run there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .formulas import And, Atom, Formula, TT, Until
@@ -26,14 +25,14 @@ from .model import Grammar, GrammarError, Hypergraph, Rule
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class PCPInstance:
-    pairs: tuple[tuple[str, str], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[str, str], ...]) -> None:
+        self.pairs = pairs
+        if not pairs:
             raise GrammarError("instance needs at least one pair")
-        for u, v in self.pairs:
+        for u, v in pairs:
             for w in (u, v):
                 if not w or set(w) - {"0", "1"}:
                     raise GrammarError(

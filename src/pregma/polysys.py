@@ -50,7 +50,6 @@ only for the enclosure it returns.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
@@ -64,7 +63,6 @@ Term = tuple[Fraction, tuple[Key, ...]]
 ZERO = Fraction(0)
 
 
-@dataclass
 class PolySystem:
     """x_k = rhs_k(x), one polynomial of degree <= 2 per variable.
 
@@ -72,12 +70,16 @@ class PolySystem:
     probabilities, which keeps every rhs monotone on [0, 1]^n.
     """
 
-    variables: list[Key] = field(default_factory=list)
-    equations: dict[Key, list[Term]] = field(default_factory=dict)
-    pins: dict[Key, Fraction] = field(default_factory=dict)  # never variables
-    # positive_variables, once computed; adding a variable or term clears it
-    _positive: frozenset[Key] | None = field(default=None, init=False, repr=False,
-                                             compare=False)
+    __slots__ = ("variables", "equations", "pins", "_positive")
+
+    def __init__(self, variables: list[Key] | None = None,
+                 equations: dict[Key, list[Term]] | None = None,
+                 pins: dict[Key, Fraction] | None = None) -> None:
+        self.variables = [] if variables is None else variables
+        self.equations = {} if equations is None else equations
+        self.pins = {} if pins is None else pins  # never variables
+        # positive_variables, once computed; adding a variable or term clears it
+        self._positive: frozenset[Key] | None = None
 
     def add_variable(self, key: Key) -> None:
         if key not in self.equations:
@@ -144,8 +146,7 @@ class PolySystem:
                           for coeff, factors in terms)
 
 
-@dataclass
-class Enclosure:
+class Enclosure(NamedTuple):
     lo: dict[Key, Fraction]
     hi: dict[Key, Fraction]
     converged: bool

@@ -10,8 +10,8 @@ rule. Words are kept as vertex names so the correspondence stays auditable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gio import ParseError, read_prob
 from .model import Grammar, GrammarError, Hypergraph, Rule
@@ -20,20 +20,19 @@ from .validation import vertex_classes
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SuffixRule:
+class SuffixRule(NamedTuple):
     lhs: Word
     label: str
     rhs: Word
 
 
-@dataclass
 class PushdownSystem:
-    stack: list[str]
-    states: list[str]
-    rules: list[SuffixRule] = field(default_factory=list)
-    mu: dict[str, Fraction] = field(default_factory=dict)
-    sink_colour: str | None = None
+    __slots__ = ("stack", "states", "rules", "mu", "sink_colour")
+
+    def __init__(self, stack: list[str], states: list[str], rules: list[SuffixRule],
+                 mu: dict[str, Fraction], sink_colour: str | None) -> None:
+        self.stack, self.states, self.rules = stack, states, rules
+        self.mu, self.sink_colour = mu, sink_colour
 
     def word_name(self, w: Word) -> str:
         return "".join(w)
@@ -212,6 +211,7 @@ def to_grammar(p: PushdownSystem) -> Grammar:
             Rule(conf, tuple(name(b) for b in bases), rhs),
         ],
         mu=dict(p.mu),
+        absorbing=set(),
     )
     if p.sink_colour is not None:
         _mark_sinks(g, p.sink_colour)

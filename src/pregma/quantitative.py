@@ -22,7 +22,6 @@ engines.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fragments import local_rows
@@ -43,16 +42,19 @@ def render_key(an: Analysis, key: int) -> str:
     return f"dec({an.names[c]}; {key - an.dec[c] + 1})"
 
 
-@dataclass
 class Assembly:
     """One until's system and its positive descents, filled by
     `assemble_system`; `enclosure` is filled by `solve_until`."""
 
-    system: PolySystem  # pinned at 0 or 1 where phi1 and phi2 fix a class
-    # per class id, its positive descents: the inputs j its walks leave the
-    # level through with positive probability, each with dec(c; j)
-    descents: list[list[tuple[int, int]]]
-    enclosure: Enclosure | None = None
+    __slots__ = ("system", "descents", "enclosure")
+
+    def __init__(self, system: PolySystem,
+                 descents: list[list[tuple[int, int]]]) -> None:
+        self.system = system  # pinned at 0 or 1 where phi1 and phi2 fix a class
+        # per class id, its positive descents: the inputs j its walks leave
+        # the level through with positive probability, each with dec(c; j)
+        self.descents = descents
+        self.enclosure: Enclosure | None = None
 
 
 def assemble_system(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Assembly:

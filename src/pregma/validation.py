@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -177,8 +176,7 @@ def check_complete_outside(g: Grammar) -> tuple[str, ...]:
     return tuple(lines)
 
 
-@dataclass(frozen=True)
-class PhrFailure:
+class PhrFailure(NamedTuple):
     can: CanonicalVertex
     profile: str  # the class's out-degree, as `_out_text` renders it
     total: Fraction | None
@@ -192,8 +190,7 @@ class PhrFailure:
         return "; ".join(bits)
 
 
-@dataclass(frozen=True)
-class PhrReport:
+class PhrReport(NamedTuple):
     ok: bool
     failures: tuple[PhrFailure, ...]
     violations: tuple[str, ...]  # vertices on several hyperarcs
@@ -272,8 +269,7 @@ def phr_check(g: Grammar) -> PhrReport:
     return _admit(g)[-1]
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     """Everything the engines read off one grammar, its mu included.
 
     Built by `analyse`, once per engine entry point. The reachable classes

@@ -1219,7 +1219,10 @@ def test_only_sampling_loads_numpy(corpus_dir, tmp_path):
 
 def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path):
     # the engines load with pregma.cli; the oracle, the PCP encoder, the
-    # pushdown converter and numpy load in the one command that runs each
+    # pushdown converter and numpy load in the one command that runs each;
+    # the records are NamedTuples or slotted classes, so neither the import
+    # nor any command loads dataclasses (numpy loads inspect, so that one is
+    # not listed)
     src = os.path.dirname(os.path.dirname(pregma.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -1234,7 +1237,7 @@ def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path):
         ["from-pds", gg(corpus_dir, "pds_example_prob.pds"), "-o", str(tmp_path / "pds.gg")],
         ["gen-pcp", gg(corpus_dir, "pcp_s1.pcp"), "-o", str(tmp_path / "pcp.gg")],
     ]
-    lazy = ("pregma.oracle", "pregma.pcp", "pregma.pushdown", "numpy")
+    lazy = ("pregma.oracle", "pregma.pcp", "pregma.pushdown", "numpy", "dataclasses")
     code = ("import contextlib, io, sys\n"
             f"lazy = {lazy!r}\n"
             "def loaded():\n"

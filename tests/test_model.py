@@ -6,6 +6,7 @@ import pytest
 from pregma.gio import parse_grammar
 from pregma.model import (
     CanonicalVertex,
+    Expansion,
     Grammar,
     GrammarError,
     Hypergraph,
@@ -19,7 +20,30 @@ from pregma.model import (
 )
 from pregma import oracle
 from pregma.oracle import PathQuery, truncate
+from pregma.polysys import PolySystem
 from reference import applications
+
+
+def test_fresh_records_share_no_container():
+    # every list, dict, set and array a record starts with is its own, so
+    # filling one record leaves the next one empty
+    def disjoint(a, b, fields):
+        return all(getattr(a, f) is not getattr(b, f) for f in fields)
+
+    a, b = Hypergraph(), Hypergraph()
+    assert disjoint(a, b, ("vertices", "arcs", "colours", "hyperarcs"))
+    a.add_vertex("x")
+    a.add_hyperarc("A", ("x",))
+    assert not b.has_vertex("x") and not b.hyperarcs
+    assert disjoint(PolySystem(), PolySystem(), ("variables", "equations", "pins"))
+    e, f = Expansion(), Expansion()
+    assert disjoint(e, f, ("graph", "classes", "levels", "colours", "axiom_ids",
+                           "colour_sets"))
+    assert disjoint(e.graph, f.graph, ("applications", "ids", "hyperarcs", "attached"))
+    text = "nonterminal Z 0\naxiom Z\nrule Z\n"
+    g, h = parse_grammar(text), parse_grammar(text)
+    assert disjoint(g, h, ("terminals", "nonterminals", "rules", "mu", "absorbing"))
+    assert (g.mu, g.absorbing) == ({}, set())
 
 
 def test_hypergraph_rejects_duplicate_vertex():
@@ -65,6 +89,7 @@ def _broken_grammar() -> Grammar:
         axiom="Z",
         rules=[Rule("Z", ("x", "x"), rhs)],
         mu={"a": Fraction(3, 2)},
+        absorbing=set(),
     )
 
 
@@ -218,6 +243,8 @@ def test_expand_rejects_arity_mismatch():
         nonterminals={"Z": 0, "A": 2},
         axiom="Z",
         rules=[Rule("Z", (), rhs), Rule("A", ("p", "q"), child)],
+        mu={},
+        absorbing=set(),
     )
     # the structural gate refuses it before anything is rewritten
     with pytest.raises(GrammarError, match="hyperarc-arity"):

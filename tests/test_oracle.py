@@ -2,10 +2,10 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from pregma.labeling import classes_for_colours
 from pregma.model import GrammarError, checked_rules, expand, reachable_nonterminals
 from pregma.oracle import (
     HorizonError,
+    SAMPLE_BATCH,
     PathQuery,
     TotalityError,
     _cone,
@@ -97,12 +98,12 @@ def test_bounded_until_is_monotone_in_horizon(running, dag, updrift):
 
 def test_truncate_rejects_unnormalised_mu(running):
     with pytest.raises(TotalityError, match="outgoing mass 7/6"):
-        truncate(replace(running, mu={"a": Fraction(1, 2), "d": Fraction(1, 3)}), 4)
+        truncate(running._replace(mu={"a": Fraction(1, 2), "d": Fraction(1, 3)}), 4)
 
 
 def test_truncate_needs_every_label_priced(running):
     with pytest.raises(Exception, match="no probability for arc label d"):
-        truncate(replace(running, mu={"a": Fraction(1, 2)}), 4)
+        truncate(running._replace(mu={"a": Fraction(1, 2)}), 4)
 
 
 def test_frontier_guard(running):
@@ -207,6 +208,25 @@ def test_bounded_until_memory(walk_chain):
 
 def test_sample_until_memory(walk_chain):
     assert peak_mib(lambda: sample_until(*walk_chain, 20000, 11)) < 2.6  # 2.11
+
+
+def test_sample_until_walks_in_batches(running):
+    # trajectory i draws number step * n + i in whichever batch it walks,
+    # so these are the hits of one walk over all n trajectories at once;
+    # the peak is that of one batch, whatever n is (3.76 MiB on Python 3.11
+    # at both 10^6 and 4 * 10^6)
+    query = PathQuery(None, frozenset({"V2"}), "v0", 5)
+    mc = truncate(running, 7, query)
+    hits = [sample_until(mc, query, n, 0).hits for n in (SAMPLE_BATCH, SAMPLE_BATCH + 1)]
+    assert hits == [14188, 14318]
+    tracemalloc.start()
+    try:
+        res = sample_until(mc, query, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert (res.hits, res.escapes) == (218527, 0)
+    assert peak < 5
 
 
 def test_sample_until_is_deterministic_per_seed(running):
@@ -368,7 +388,7 @@ def poisoned(mc, far):
     table = rows(mc)
     for s in far:
         table[s] = [(len(mc.states), None)]
-    return replace(mc, trans=row_table(table))
+    return mc._replace(trans=row_table(table))
 
 
 def test_bounded_until_reads_only_the_horizon_cone(updrift, branching_walk):
@@ -418,7 +438,7 @@ def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
             query = PathQuery(phi1, phi2, start, h)
             colours = Recording(mc.colours)
             try:
-                value = bounded_until(replace(mc, colours=colours), query)
+                value = bounded_until(mc._replace(colours=colours), query)
             except HorizonError:
                 value = None
             else:
@@ -433,7 +453,7 @@ def test_bounded_until_reads_colours_only_in_the_cone(running, updrift,
             assert colours.read <= set().union(*layers), (start, h, value)
             # the sampler reads the same colours, frontier or not
             colours = Recording(mc.colours)
-            a = sample_until(replace(mc, colours=colours), query, 300, 5)
+            a = sample_until(mc._replace(colours=colours), query, 300, 5)
             b = sample_until(mc, query, 300, 5)
             assert (a.hits, a.misses, a.escapes) == (b.hits, b.misses, b.escapes)
             assert colours.read <= set().union(*layers), (start, h)
@@ -482,11 +502,19 @@ def expanded_chain(g, depth):
                           in expansion.axiom_ids.items()}}
 
 
-def chain_or_error(build, g, depth):
+class Refusal(NamedTuple):
+    """What `outcome` gives in place of a raised error; the records under
+    test are NamedTuples as well, so tests tell the two apart by type."""
+
+    kind: type
+    message: str
+
+
+def outcome(answer, *args):
     try:
-        return build(g, depth)
-    except GrammarError as exc:
-        return type(exc), str(exc)
+        return answer(*args)
+    except (HorizonError, GrammarError) as exc:
+        return Refusal(type(exc), str(exc))
 
 
 def test_truncate_equals_the_chain_of_the_expansion(corpus_grammars,
@@ -494,15 +522,15 @@ def test_truncate_equals_the_chain_of_the_expansion(corpus_grammars,
                                                     branching_walk):
     grammars = [*corpus_grammars,
                 to_grammar(load_pds(corpus_dir / "pds_example.pds")),
-                replace(running, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}),
-                replace(running, mu={"a": Fraction(1, 2)})]
+                running._replace(mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}),
+                running._replace(mu={"a": Fraction(1, 2)})]
     cases = [(g, depth) for g in grammars for depth in range(9)]
     cases.append((branching_walk, 14))
     errors = 0
     for g, depth in cases:
-        expected = chain_or_error(expanded_chain, g, depth)
-        mc = chain_or_error(truncate, g, depth)
-        if isinstance(expected, tuple):
+        expected = outcome(expanded_chain, g, depth)
+        mc = outcome(truncate, g, depth)
+        if isinstance(expected, Refusal):
             errors += 1
             assert mc == expected, (g.axiom, depth)
             continue
@@ -602,7 +630,7 @@ def test_mixed_denominators_keep_values_and_cuts():
 def test_truncate_rejects_mass_below_one(running):
     with pytest.raises(TotalityError, match=(
             r"^vertex 0 \(class Z:v0, level 0\) has outgoing mass 1/2$")):
-        truncate(replace(running, mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}), 4)
+        truncate(running._replace(mu={"a": Fraction(1, 4), "d": Fraction(1, 4)}), 4)
 
 
 def test_sample_until_reads_only_the_stepping_cone(updrift, branching_walk):
@@ -645,14 +673,7 @@ def test_missing_probability_names_the_first_label_in_arc_order():
     with pytest.raises(GrammarError, match="^no probability for arc label zz$"):
         truncate(g, 0)
     with pytest.raises(GrammarError, match="^no probability for arc label aa$"):
-        truncate(replace(g, mu={"b": Fraction(1), "zz": Fraction(1, 2)}), 0)
-
-
-def outcome(answer, *args):
-    try:
-        return answer(*args)
-    except (HorizonError, GrammarError) as exc:
-        return type(exc), str(exc)
+        truncate(g._replace(mu={"b": Fraction(1), "zz": Fraction(1, 2)}), 0)
 
 
 def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
@@ -668,13 +689,13 @@ def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
         targets = [frozenset({c}) for c in sorted(g.colour_names)] or [None]
         for depth in (1, 4, 8):
             full = outcome(truncate, g, depth)
-            full_rows = None if isinstance(full, tuple) else rows(full)
+            full_rows = None if isinstance(full, Refusal) else rows(full)
             for start in starts:
                 for phi2 in targets:
                     for h in range(13):
                         query = PathQuery(None, phi2, start, h)
                         early = outcome(truncate, g, depth, query)
-                        if isinstance(full, tuple):
+                        if isinstance(full, Refusal):
                             assert early == full
                             continue
                         n = len(early.states)
@@ -696,7 +717,7 @@ def test_closed_cones_give_the_answers_of_the_full_depth(corpus_grammars,
                         for seed in (0, 11):
                             a = outcome(sample_until, early, query, 60, seed)
                             b = outcome(sample_until, full, query, 60, seed)
-                            if not isinstance(a, tuple):
+                            if not isinstance(a, Refusal):
                                 a = (a.hits, a.misses, a.escapes)
                                 b = (b.hits, b.misses, b.escapes)
                             assert a == b, (g.axiom, query, seed)
@@ -776,7 +797,7 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
                           start, rng.randint(0, 5))
         full = outcome(truncate, g, depth)
         early = outcome(truncate, g, depth, query)
-        if isinstance(full, tuple):
+        if isinstance(full, Refusal):
             seen["raises"] += 1
             assert early == full
         else:
@@ -794,7 +815,7 @@ def test_random_grammars_truncate_and_expand_as_their_classes_say():
 
         classes = vertex_classes(g)
         e = expand(g, depth)
-        if not isinstance(full, tuple):
+        if not isinstance(full, Refusal):
             settled = settled_colours(g, depth)
             shared = bool(check_complete_outside(g))
             for v in full.frontier:
@@ -867,23 +888,32 @@ def test_engines_agree_with_the_oracle_on_random_grammars():
     assert min(seen["holds", "holds"], seen["fails", "fails"], seen["holds", "fails"]) >= 3, seen
 
 
-def test_next_verdicts_hold_at_every_settled_instance(corpus_grammars):
-    """X[>0], X[>=1/2], X[>=1] and X[<1/2] of each colour, on the corpus and
-    on every seeded random grammar that `analyse` accepts: at every state
-    off the frontier of the depth-5 truncation whose class is decided, the
-    state's exact one-step mass into the colour passes the threshold where
-    the class holds and misses it where the class fails. A frontier target
-    carries its final colours, so the mass is the vertex's at any depth."""
+@pytest.fixture(scope="module")
+def settled_cases(corpus_grammars):
+    """(name, grammar, analysis, depth-5 truncation) for the corpus and for
+    every seeded random grammar that `analyse` accepts."""
     grammars = [(f"seed {seed}", parse_grammar(random_grammar(random.Random(seed))))
                 for seed in range(2000)]
     grammars += [(f"corpus {i}", g) for i, g in enumerate(corpus_grammars)]
-    seen = Counter()
+    cases = []
     for name, g in grammars:
         try:
             an = analyse(g)
         except GrammarError:
             continue
-        mc = truncate(g, 5)
+        cases.append((name, g, an, truncate(g, 5)))
+    return cases
+
+
+def test_next_verdicts_hold_at_every_settled_instance(settled_cases):
+    """X[>0], X[>=1/2], X[>=1] and X[<1/2] of each colour, on every settled
+    case: at every state off the frontier of the truncation whose class is
+    decided, the state's exact one-step mass into the colour passes the
+    threshold where the class holds and misses it where the class fails. A
+    frontier target carries its final colours, so the mass is the vertex's
+    at any depth."""
+    seen = Counter()
+    for name, g, an, mc in settled_cases:
         steps = [(s, row) for s, row in enumerate(rows(mc)) if s not in mc.frontier]
         for colour in sorted(g.colour_names):
             target = classes_for_colours(an, frozenset({colour}))
@@ -899,3 +929,30 @@ def test_next_verdicts_hold_at_every_settled_instance(corpus_grammars):
                         (name, s, f"X[{cmp}{rho}] {colour}", mass)
     # 601 grammars: 11,476 holds and 17,709 fails decided, 1,439 unknown
     assert min(seen["holds"], seen["fails"]) >= 10000, seen
+
+
+def test_failing_positive_untils_are_zero_at_every_instance(settled_cases):
+    """phi1 U[>0] phi2 for every ordered pair of colours, on every settled
+    case: at every state of the truncation whose class fails, the bounded
+    value at horizons 1-3 is 0 wherever `bounded_until` answers (it refuses
+    where the frontier blocks the cone)."""
+    seen = Counter()
+    for name, g, an, mc in settled_cases:
+        colours = [frozenset({c}) for c in sorted(g.colour_names)]
+        for phi1 in colours:
+            for phi2 in colours:
+                verdicts = until_positive(an, classes_for_colours(an, phi1),
+                                          classes_for_colours(an, phi2))
+                for s in mc.states:
+                    if verdicts[an.ids[mc.classes[s]]] != "fails":
+                        continue
+                    for h in (1, 2, 3):
+                        try:
+                            value = bounded_until(mc, PathQuery(phi1, phi2, s, h))
+                        except HorizonError:
+                            seen["refused"] += 1
+                            continue
+                        seen["decided"] += 1
+                        assert value == 0, (name, s, f"{set(phi1)} U[>0] {set(phi2)}", h)
+    # 45,699 decided, 0 contradicted, and 1,206 refused
+    assert seen["decided"] >= 40000, seen

@@ -122,7 +122,7 @@ def test_unrepresentable_side_is_refused():
 
 def test_empty_rule_sides_are_refused():
     # parse_pds never reads an empty side; a system built in code can hold one
-    p = PushdownSystem(["A"], ["p"], [SuffixRule((), "a", ())])
+    p = PushdownSystem(["A"], ["p"], [SuffixRule((), "a", ())], {}, None)
     with pytest.raises(GrammarError, match="no rule side has a nonempty strict suffix"):
         to_grammar(p)
 
