@@ -10,10 +10,11 @@ vertices (it stays on this level; copy i sits on hyperarc i's), and the
 copies' hyperarc vertices (it moves one level deeper). A start's row is its
 probability of winning inside the fragment and each boundary node's of
 being hit first; a loss counts nowhere. The rows are computed in integers:
-the arcs' probabilities become integer weights over one denominator, and
-one fraction-free elimination (Bareiss's, in Gauss–Jordan form) solves the
-fragment's system; each row becomes `Fraction`s only at the end, and phi1,
-phi2 and every node's class are the analysis's class ids.
+the arcs' probabilities become integer weights over one denominator, one
+fraction-free elimination (Bareiss's, in Gauss–Jordan form) solves for the
+transient interiors alone, and a boundary start's row is its first step
+over their solutions; each row becomes `Fraction`s only at the end, and
+phi1, phi2 and every node's class are the analysis's class ids.
 """
 from __future__ import annotations
 
@@ -26,9 +27,6 @@ if TYPE_CHECKING:
     from .validation import Analysis, Passings, Site
 
 NodeKey = tuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class FragmentNode(NamedTuple):
@@ -131,10 +129,10 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
     business. A start that is itself a boundary node takes one explicit step
     first, so returning to it counts as a hit.
 
-    Every row comes from one integer system over the weights of the
-    fragment's labels: one unknown per transient interior and one per
-    boundary start, whose equation is its first step and which no other
-    unknown reads.
+    The transient interiors that reach the boundary are the only unknowns of
+    one integer system over the labels' weights. A boundary start's row is
+    its first step over their solutions, with its hits in the order its
+    arcs first reach them.
     """
     mu = an.grammar.mu
     den, weight = integer_weights(
@@ -170,16 +168,13 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
             return dst
         return gate(node) or "loss"
 
-    starts = frag.starts
-    stepped = [n.key for n in starts if n.kind == "same" and gate(n) is None]
-    unknowns = [*column, *stepped]
-    n = len(unknowns)
-    boundary = [k for k, node in frag.nodes.items() if node.kind != "interior"]
-    bucket = {b: n + i for i, b in enumerate(["win", *boundary])}
+    n = len(column)
+    ends = ["win", *(k for k, node in frag.nodes.items() if node.kind != "interior")]
+    bucket = {end: n + i for i, end in enumerate(ends)}
 
     m = []
-    for i, key in enumerate(unknowns):
-        row = [0] * (n + len(bucket))
+    for key, i in column.items():
+        row = [0] * (n + len(ends))
         row[i] = den
         for label, dst in frag.out[key]:
             t = target(dst)
@@ -189,26 +184,27 @@ def local_rows(an: Analysis, frag: Fragment, phi1: frozenset[int], phi2: frozens
                 row[bucket[t]] += weight[label]
         m.append(row)
     det = _eliminate(m, n)
-    solved = dict(zip(unknowns, m))
-
-    def reached(t: NodeKey | str) -> list[NodeKey]:
-        """The boundary nodes a step ending at t hits, in bucket order."""
-        if t in column:
-            return [b for b in boundary if solved[t][bucket[b]]]
-        return [] if t in ("win", "loss") else [t]
+    solved = {key: m[i][n:] for key, i in column.items()}
 
     rows: dict[NodeKey, LocalRow] = {}
-    for node in starts:
+    for node in frag.starts:
         key = node.key
         if key in solved:
-            # hits in the order the start's out-arcs first reach them
-            order = (boundary if key in column
-                     else [b for _, dst in frag.out[key] for b in reached(target(dst))])
-            values = solved[key]
-            rows[key] = LocalRow(
-                Fraction(values[n], det),
-                {b: Fraction(values[bucket[b]], det) for b in order if values[bucket[b]]})
+            sums, scale = dict(zip(ends, solved[key])), det
+        elif node.kind == "same" and gate(node) is None:
+            # its first step, in integers over den·det
+            sums, scale = {}, den * det
+            for label, dst in frag.out[key]:
+                t, w = target(dst), weight[label]
+                if t in solved:
+                    for end, x in zip(ends, solved[t]):
+                        if x:
+                            sums[end] = sums.get(end, 0) + w * x
+                elif t != "loss":
+                    sums[t] = sums.get(t, 0) + w * det
         else:
             # it wins or loses at once, or is a pocket that never leaves
-            rows[key] = LocalRow(ONE if node.can in phi2 else ZERO, {})
+            sums, scale = {"win": int(node.can in phi2)}, 1
+        rows[key] = LocalRow(Fraction(sums.pop("win", 0), scale),
+                             {b: Fraction(x, scale) for b, x in sums.items() if x})
     return rows

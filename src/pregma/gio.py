@@ -6,7 +6,7 @@ The format is line-based:
     nonterminal NAME ARITY
     terminal NAME ARITY
     colour NAME              # shorthand for an arity-1 terminal
-    prob LABEL P             # P is an integer or p/q
+    prob LABEL P             # P is N or N/M, in ASCII digits
     axiom NAME
     default-colour NAME      # attach NAME to every rhs vertex (see nocolour)
     absorbing NAME           # colour marking deliberate sinks
@@ -45,9 +45,12 @@ def read_prob(lineno: int, args: list[str], mu: dict[str, Fraction]) -> None:
     label, text = args
     if label in mu:
         raise ParseError(lineno, f"probability for {label} given twice")
+    # N or N/M only: Fraction also reads exponents, and for 1e-k computes 10^k
+    if not all(part.isascii() and part.isdigit() for part in text.split("/", 1)):
+        raise ParseError(lineno, f"bad probability {text!r}: not N or N/M")
     try:
         mu[label] = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(lineno, f"bad probability {text!r}: {exc}") from None
 
 

@@ -21,8 +21,9 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable
 
+from pregma.fragments import local_rows
 from pregma.gio import parse_grammar
-
+from pregma.labeling import classes_for_colours
 from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
                           Rows, Rule, _rewrite, checked_rules, integer_weights)
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
@@ -398,6 +399,26 @@ def gauss_jordan(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
     return [row[n:] for row in m]
 
 
+def _gate(an, phi1: frozenset[int], phi2: frozenset[int], node) -> str | None:
+    """"win" for a fragment node of a class in phi2, "loss" for one of a
+    class outside phi1 or absorbing, None for any other."""
+    if node.can in phi2:
+        return "win"
+    return "loss" if node.can not in phi1 or node.can in an.absorbing else None
+
+
+def live_transients(an, frag, phi1: frozenset[int], phi2: frozenset[int]) -> list:
+    """The interior nodes of a `fragments.Fragment` that neither win nor
+    lose and reach a node of another kind, in node order: the unknowns of
+    `fragment_rows`."""
+    transient = {k for k, node in frag.nodes.items()
+                 if node.kind == "interior" and _gate(an, phi1, phi2, node) is None}
+    leaves = set(frag.nodes) - transient
+    while grown := {k for k in transient - leaves if any(d in leaves for _, d in frag.out[k])}:
+        leaves |= grown
+    return [k for k in frag.nodes if k in transient and k in leaves]
+
+
 def fragment_rows(an, frag, phi1: frozenset[int], phi2: frozenset[int]) -> dict:
     """(win, loss, hits) per start node of a `fragments.Fragment`, from an
     absorbing chain over the fragment's nodes solved by `gauss_jordan`:
@@ -407,35 +428,26 @@ def fragment_rows(an, frag, phi1: frozenset[int], phi2: frozenset[int]) -> dict:
     loses, and every other interior node is transient; a transient node that
     reaches no other kind of node keeps the walk for ever, and loses too.
     Every node that is not interior absorbs as itself, and `hits` holds its
-    probability when that is above 0; a start that is such a node, and
-    neither wins nor loses, takes its first step before it absorbs. loss is
-    solved for like every other column, so win + loss + sum(hits) = 1 is
-    the fragment's mass, not an identity."""
+    probability when that is above 0, in node order; a start that is such a
+    node, and neither wins nor loses, takes its first step before it
+    absorbs. loss is solved for like every other column, so win + loss +
+    sum(hits) = 1 is the fragment's mass, not an identity."""
     mu = an.grammar.mu
     ends = ["win", "loss", *(k for k, node in frag.nodes.items() if node.kind != "interior")]
 
     def gate(node):
-        if node.can in phi2:
-            return "win"
-        return "loss" if node.can not in phi1 or node.can in an.absorbing else None
+        return _gate(an, phi1, phi2, node)
 
     def unit(end) -> list[Fraction]:
         return [Fraction(e == end) for e in ends]
 
-    transient = {k for k, node in frag.nodes.items()
-                 if node.kind == "interior" and gate(node) is None}
-    leaves = set(frag.nodes) - transient
-    while grown := {k for k in transient - leaves if any(d in leaves for _, d in frag.out[k])}:
-        leaves |= grown
-    live = [k for k in frag.nodes if k in transient and k in leaves]
+    live = live_transients(an, frag, phi1, phi2)
     index = {k: i for i, k in enumerate(live)}
 
     def fixed(key) -> list[Fraction]:
         """Where a walk on a node that is not live ends."""
         node = frag.nodes[key]
-        if node.kind != "interior":
-            return unit(key)
-        return unit("loss" if key in transient else gate(node))
+        return unit(key) if node.kind != "interior" else unit(gate(node) or "loss")
 
     a = [[Fraction(i == j) for j in range(len(live))] for i in range(len(live))]
     b = [[Fraction(0)] * len(ends) for _ in live]
@@ -569,6 +581,30 @@ def enclosure_fault(system, enc) -> str | None:
             continue
         return f"{comp[len(ps) - 1]}: pivot {ps[-1]} of I - F'(lo) is not > 0"
     return None
+
+
+def walk(b: int, d: list[Fraction]) -> str:
+    """The text of the families walk of `perfbench/families.py` with b tops
+    per rule: level i's rule W<i> climbs from its input `lo` to b fresh
+    vertices with u<i>, each stepping back down with d<i> and carrying level
+    i+1's hyperarc (indices mod K = len(d)), and the axiom's m0 steps down
+    to the green base. b = 1 gives the chain, b = 2 the branching walk, and
+    a larger b a width walk."""
+    k = len(d)
+    lines = ["nonterminal Z 0", *(f"nonterminal W{i} 1" for i in range(k))]
+    lines += [f"terminal {lab}{i} 2" for i in range(k) for lab in "ud"]
+    lines += ["colour green", "absorbing green", "axiom Z"]
+    for i in range(k):
+        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / b}"]
+    lines += ["", "rule Z", "  vertex base m0", "  colour green base",
+              f"  arc d{k - 1} m0 base", "  hyperarc W0 m0"]
+    for i in range(k):
+        tops = [f"h{j}" for j in range(b)]
+        lines += ["", f"rule W{i} inputs lo", "  vertex " + " ".join(tops)]
+        for h in tops:
+            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
+                      f"  hyperarc W{(i + 1) % k} {h}"]
+    return "\n".join(lines) + "\n"
 
 
 def random_grammar(rng: random.Random) -> str:
@@ -752,3 +788,44 @@ def occurrence_faults(seeds: Iterable[int]) -> tuple[int, list[str]]:
         if fault := occurrence_fault(an):
             faults.append(f"seed {seed}: {fault}")
     return checked, faults
+
+
+def colour_pairs(an: Analysis) -> list[tuple]:
+    """(c1, c2, phi1, phi2) for every colour c2 and c1 None or a colour:
+    phi1 holds the classes of c1 (every class for None), phi2 those of c2."""
+    names = sorted(an.grammar.colour_names)
+    return [(c1, c2, *(classes_for_colours(an, None if c is None else frozenset({c}))
+                       for c in (c1, c2)))
+            for c1 in [None, *names] for c2 in names]
+
+
+def fragment_faults(seeds: Iterable[int]) -> tuple[Counter, list[str]]:
+    """`fragments.local_rows` against `fragment_rows` on each
+    `random_grammar(random.Random(seed))` that `analyse` accepts, for every
+    fragment and every pair of phi1 (true or a colour) and phi2 (a colour):
+    the counts of grammars, rows, calls and calls with live transients, and
+    one line per grammar where some row's win or hits differ from the
+    reference's."""
+    counts, faults = Counter(), []
+    for seed in seeds:
+        try:
+            an = analyse(parse_grammar(random_grammar(random.Random(seed))))
+        except GrammarError:
+            continue
+        counts["grammars"] += 1
+        fault = None
+        for c1, c2, phi1, phi2 in colour_pairs(an):
+            for name, frag in an.fragments.items():
+                rows = local_rows(an, frag, phi1, phi2)
+                ref = fragment_rows(an, frag, phi1, phi2)
+                counts["calls"] += 1
+                counts["rows"] += len(rows)
+                counts["calls with transients"] += bool(live_transients(an, frag, phi1, phi2))
+                if fault is None:
+                    got = {k: (row.win, row.hits) for k, row in rows.items()}
+                    want = {k: (win, hits) for k, (win, _, hits) in ref.items()}
+                    if got != want:
+                        fault = f"fragment {name}, phi1 {c1}, phi2 {c2}: {got} against {want}"
+        if fault:
+            faults.append(f"seed {seed}: {fault}")
+    return counts, faults

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -137,6 +138,19 @@ def test_malformed_gg_names_its_line(tmp_path, text, lineno, message):
     path.write_text(text, encoding="utf-8")
     assert run(["validate", str(path)]) == (
         1, "", f"{path}: line {lineno}: {message}\n")
+
+
+def test_an_exponent_probability_exits_1_at_once(tmp_path):
+    # Fraction reads 1e-10000000 by computing 10^10000000
+    gg, pds = tmp_path / "exp.gg", tmp_path / "exp.pds"
+    gg.write_text("terminal a 2\nprob a 1e-10000000\n")
+    pds.write_text("stack A\nstate s\nprob a 1e-10000000\nrule s a As\n")
+    start = time.perf_counter()
+    assert run(["validate", str(gg)]) == (
+        1, "", f"{gg}: line 2: bad probability '1e-10000000': not N or N/M\n")
+    assert run(["from-pds", str(pds)]) == (
+        1, "", f"{pds}: line 3: bad probability '1e-10000000': not N or N/M\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_validate_missing_file():

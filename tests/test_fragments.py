@@ -2,13 +2,36 @@ from fractions import Fraction
 
 import pytest
 
+from pregma import fragments
 from pregma.fragments import LocalRow, local_rows
-from pregma.gio import load_grammar
+from pregma.gio import load_grammar, parse_grammar
 from pregma.labeling import classes_for_colours
+from pregma.model import GrammarError
+from pregma.pcp import encode
 from pregma.validation import analyse
-from reference import fragment_rows
+from reference import colour_pairs, fragment_faults, fragment_rows, live_transients, walk
 
 F = Fraction
+
+
+@pytest.fixture(scope="module")
+def width_walk():
+    """The uniform width walk at K = 4 with b = 16 tops per rule."""
+    return parse_grammar(walk(16, [F(1, 5)] * 4))
+
+
+@pytest.fixture()
+def eliminated(monkeypatch) -> list[int]:
+    """The n of every `fragments._eliminate` call the test makes."""
+    sizes: list[int] = []
+    eliminate = fragments._eliminate
+
+    def recording(m, n):
+        sizes.append(n)
+        return eliminate(m, n)
+
+    monkeypatch.setattr(fragments, "_eliminate", recording)
+    return sizes
 
 
 @pytest.fixture()
@@ -121,16 +144,51 @@ def test_rows_partition_unit_mass(running, dag, updrift, critical, colour_pair):
         match_the_reference(an, phi1, phi2)
 
 
-def test_rows_match_the_reference_on_every_colour_pair(corpus_dir, branching_walk):
-    # every corpus grammar and a seeded walk, phi1 true or a colour and phi2
-    # a colour: the pairs above reach only running.gg
+def test_rows_match_the_reference_on_every_colour_pair(corpus_dir, branching_walk,
+                                                       width_walk):
+    # every corpus grammar, a seeded walk and a width walk, phi1 true or a
+    # colour and phi2 a colour: the pairs above reach only running.gg
     count = 0
-    for g in [*map(load_grammar, sorted(corpus_dir.glob("*.gg"))), branching_walk]:
+    for g in [*map(load_grammar, sorted(corpus_dir.glob("*.gg"))), branching_walk,
+              width_walk]:
         an = analyse(g)
-        names = sorted(g.colour_names)
-        for phi1 in [None, *names]:
-            for phi2 in names:
-                count += match_the_reference(
-                    an, *(classes_for_colours(an, None if c is None else frozenset({c}))
-                          for c in (phi1, phi2)))
+        for *_, phi1, phi2 in colour_pairs(an):
+            count += match_the_reference(an, phi1, phi2)
     assert count >= 100
+
+
+def test_rows_match_the_reference_on_generated_grammars():
+    # every fragment of every generated grammar that analyse accepts, on
+    # every colour pair; the floors keep the check from passing on nothing
+    counts, faults = fragment_faults(range(2000))
+    assert faults == []
+    assert counts["grammars"] >= 500
+    assert counts["calls with transients"] >= 500
+
+
+def test_a_boundary_start_is_no_unknown(width_walk, eliminated):
+    # the width walk has no interior node: each of its 4·16 tops and m0 is
+    # a boundary start that reads its first step, so nothing is eliminated
+    an = analyse(width_walk)
+    for *_, phi1, phi2 in colour_pairs(an):
+        for frag in an.fragments.values():
+            local_rows(an, frag, phi1, phi2)
+    assert eliminated == [0] * (2 * len(an.fragments))
+
+
+def test_only_the_live_transients_are_unknowns(running, pcp_solvable, pcp_unsolvable,
+                                               eliminated):
+    # running.gg and the word-matching gadgets that analyse accepts: each
+    # call eliminates exactly the interiors the reference solves for
+    live = 0
+    for g in [running, *(encode(p)[0] for p in pcp_solvable + pcp_unsolvable)]:
+        try:
+            an = analyse(g)
+        except GrammarError:  # the two-tile gadgets share vertices
+            continue
+        for *_, phi1, phi2 in colour_pairs(an):
+            for frag in an.fragments.values():
+                local_rows(an, frag, phi1, phi2)
+                assert eliminated[-1] == len(live_transients(an, frag, phi1, phi2))
+                live += eliminated[-1]
+    assert live >= 50

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,26 @@ def test_parse_rejects_bad_lines(text, needle):
     with pytest.raises(ParseError) as err:
         parse_grammar(text)
     assert needle in str(err.value)
+
+
+# Fraction would read all of these, and an exponent costs it 10^k
+@pytest.mark.parametrize("value", ["1e-10000000", "1E-1000000", "0.5", "-1/2", "+1",
+                                   "1/2/3", "1/", "1_0", "\u00bd", "\u0661"])
+def test_prob_reads_only_n_and_n_over_m(value):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="line 2: bad probability .*: not N or N/M"):
+        parse_grammar(f"terminal a 2\nprob a {value}\n")
+    with pytest.raises(ParseError, match="line 3: bad probability .*: not N or N/M"):
+        parse_pds(f"stack A\nstate s\nprob a {value}\nrule s a As\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_out_of_range_probabilities_parse_and_fail_validation():
+    for value in ("0", "3/2"):
+        g = parse_grammar("terminal a 2\nnonterminal Z 0\naxiom Z\n"
+                          f"prob a {value}\nrule Z\n  vertex v\n  arc a v v\n")
+        assert g.mu["a"] == Fraction(value)
+        assert "prob-range" in {issue.code for issue in validate_grammar(g)}
 
 
 def test_vertices_register_on_first_mention():

@@ -23,7 +23,7 @@ from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system, shared_assembly, solve_until
 from pregma.validation import analyse
 from reference import (closes_singular, enclosure_fault, evaluate, gauss_jordan, pivots,
-                       rhs_value)
+                       rhs_value, walk)
 
 F = Fraction
 ONE = F(1)
@@ -872,25 +872,8 @@ def walk_levels(k, critical, rng):
 
 
 def walk_grammar(shape, d):
-    """Level i's rule W<i> climbs from its input `lo` to b fresh vertices
-    (b = 1 for a chain, 2 for branching) with u<i>; each steps back down
-    with d<i> and carries level i+1's hyperarc (indices mod K)."""
-    b = {"chain": 1, "branching": 2}[shape]
-    k = len(d)
-    lines = ["nonterminal Z 0", *(f"nonterminal W{i} 1" for i in range(k))]
-    lines += [f"terminal {lab}{i} 2" for i in range(k) for lab in "ud"]
-    lines += ["colour green", "absorbing green", "axiom Z"]
-    for i in range(k):
-        lines += [f"prob d{i} {d[i]}", f"prob u{i} {(1 - d[i - 1]) / b}"]
-    lines += ["", "rule Z", "  vertex base m0", "  colour green base",
-              f"  arc d{k - 1} m0 base", "  hyperarc W0 m0"]
-    for i in range(k):
-        tops = [f"h{j}" for j in range(b)]
-        lines += ["", f"rule W{i} inputs lo", "  vertex " + " ".join(tops)]
-        for h in tops:
-            lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
-                      f"  hyperarc W{(i + 1) % k} {h}"]
-    return parse_grammar("\n".join(lines) + "\n")
+    """The chain (b = 1) or branching (b = 2) walk of `reference.walk`."""
+    return parse_grammar(walk({"chain": 1, "branching": 2}[shape], d))
 
 
 def corpus_and_walk_grammars():
