@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator
+from math import inf
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .formulas import Formula, FormulaError, Next, Not, And, Until, parse_formula
@@ -49,22 +50,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(text: str, least: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}")
-    return value
+def _whole(least: float) -> Callable[[str], int]:
+    """The option type of a whole number >= least, in ASCII digits after an
+    optional "-": int alone also reads other scripts' digits, "_" and spaces."""
 
+    def parse(text: str) -> int:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        return int(text)
 
-def _natural(text: str) -> int:
-    return _at_least(text, 0)
-
-
-def _positive_int(text: str) -> int:
-    return _at_least(text, 1)
+    return parse
 
 
 class _Failure(Exception):
@@ -440,7 +438,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("expand", help="materialize a finite prefix")
     p.add_argument("grammar")
-    p.add_argument("--depth", type=_natural, required=True)
+    p.add_argument("--depth", type=_whole(0), required=True)
     p.add_argument("--format", choices=("text", "dot", "json-lines"),
                    default="text")
     p.add_argument("--component", default=None, metavar="VERTEX",
@@ -457,10 +455,10 @@ def _build_parser() -> _Parser:
                    metavar="VERTEX", help="axiom-rule vertex to start from")
     p.add_argument("--method", choices=("enclosure", "truncate", "sample"),
                    default="enclosure")
-    p.add_argument("--horizon", type=_natural, default=None)
-    p.add_argument("--depth", type=_natural, default=None)
-    p.add_argument("--n", dest="trajectories", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--horizon", type=_whole(0), default=None)
+    p.add_argument("--depth", type=_whole(0), default=None)
+    p.add_argument("--n", dest="trajectories", type=_whole(1), default=10000)
+    p.add_argument("--seed", type=_whole(-inf), default=0)
     p.add_argument("--emit-system", action="store_true",
                    help="print the polynomial system before solving")
     p.add_argument("--format", choices=("text", "json-lines"), default="text")

@@ -99,7 +99,7 @@ def _depth(f: Formula) -> int:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)"  # not \d, which reads any script's digits
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<cmp><=|>=|<|>)"
     r"|(?P<sym>[!&()\[\]]))"

@@ -37,7 +37,7 @@ Pair = tuple[frozenset[int], frozenset[int]]
 
 class Verdict(NamedTuple):
     status: str  # "holds" | "fails" | "unknown"
-    interval: tuple[Fraction, Fraction] | None = None
+    interval: tuple[Fraction, Fraction] | None
 
 
 def classes_for_colours(an: Analysis, names: frozenset[str] | None) -> frozenset[int]:

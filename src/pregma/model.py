@@ -63,14 +63,12 @@ class Hypergraph:
 
     __slots__ = ("vertices", "arcs", "colours", "hyperarcs", "_vset")
 
-    def __init__(self, vertices: list[VertexId] | None = None) -> None:
-        self.vertices: list[VertexId] = [] if vertices is None else vertices
+    def __init__(self) -> None:
+        self.vertices: list[VertexId] = []
         self.arcs: list[Arc] = []
         self.colours: list[ColourMark] = []
         self.hyperarcs: list[Hyperarc] = []
-        self._vset = set(self.vertices)
-        if len(self._vset) != len(self.vertices):
-            raise GrammarError("repeated vertex in hypergraph")
+        self._vset: set[VertexId] = set()
 
     def add_vertex(self, v: VertexId) -> None:
         if v in self._vset:
@@ -412,9 +410,9 @@ class FiniteMC(NamedTuple):
     colours: list[frozenset[str]]
     frontier: frozenset[int]
     axiom_ids: dict[VertexId, int]
-    classes: list[CanonicalVertex] | None = None
-    levels: list[int] | None = None
-    endless: frozenset[CanonicalVertex] = frozenset()
+    classes: list[CanonicalVertex] | None
+    levels: list[int] | None
+    endless: frozenset[CanonicalVertex]
 
     @property
     def states(self) -> range:

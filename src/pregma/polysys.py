@@ -16,7 +16,8 @@ rest iterates as below; when no cyclic component closes, the solve runs as
 if the walk had not happened.
 
 The lower bound starts at zero. Each round takes a Kleene step, rounded
-down onto a bit grid, and then one Newton step on every strongly connected
+down onto a bit grid (64 bits at first, 32 more whenever a round cannot
+see the increase), and then one Newton step on every strongly connected
 component of the dependency graph, dependencies first (decomposed Newton,
 Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010). Kleene
 iteration converges like 1/n at a double root; Newton gains at least a bit
@@ -36,8 +37,9 @@ cyclic component is raised above its lower bound along the direction
 offset, until the post-fixpoint inequality holds. Along that direction F
 falls below the identity near a fixpoint even where a row of F' sums above
 1, which no shared offset survives. Component values are probabilities, so
-1 is always a sound upper bound when no certificate is found; in that case
-the enclosure simply stays wide and the caller sees converged=False.
+1 is always a sound upper bound when no certificate is found; then the
+enclosure stays wider than WIDTH and the caller sees converged=False.
+WIDTH (1e-9) is the solver's one width: no caller chooses another.
 
 The solver compiles the cleaned system once: variables become indices and
 coefficients integers over their common denominator. The solver's state
@@ -70,21 +72,21 @@ class PolySystem:
     probabilities, which keeps every rhs monotone on [0, 1]^n.
     """
 
-    __slots__ = ("variables", "equations", "pins", "_positive")
+    __slots__ = ("equations", "pins", "_positive")
 
-    def __init__(self, variables: list[Key] | None = None,
-                 equations: dict[Key, list[Term]] | None = None,
-                 pins: dict[Key, Fraction] | None = None) -> None:
-        self.variables = [] if variables is None else variables
-        self.equations = {} if equations is None else equations
+    def __init__(self, pins: dict[Key, Fraction] | None = None) -> None:
+        self.equations: dict[Key, list[Term]] = {}  # in the order variables were added
         self.pins = {} if pins is None else pins  # never variables
         # positive_variables, once computed; adding a variable or term clears it
         self._positive: frozenset[Key] | None = None
 
+    @property
+    def variables(self) -> list[Key]:
+        return list(self.equations)
+
     def add_variable(self, key: Key) -> None:
         if key not in self.equations:
             self._positive = None
-            self.variables.append(key)
             self.equations[key] = []
 
     def add_term(self, key: Key, coeff: Fraction, *factors: Key) -> None:
@@ -117,8 +119,8 @@ class PolySystem:
         heads: list[Key] = []  # per term, the variable it feeds
         uses: dict[Key, list[int]] = {}  # per factor, its terms
         ready: list[Key] = []
-        for key in self.variables:
-            for _, factors in self.equations[key]:
+        for key, terms in self.equations.items():
+            for _, factors in terms:
                 for f in factors:
                     uses.setdefault(f, []).append(len(missing))
                 missing.append(len(factors))
@@ -138,7 +140,7 @@ class PolySystem:
         self._positive = frozenset(pos)
         return self._positive
 
-    def render_rhs(self, key: Key, name: Callable[[Key], str] = str) -> str:
+    def render_rhs(self, key: Key, name: Callable[[Key], str]) -> str:
         terms = self.equations[key]
         if not terms:
             return "0"
@@ -458,13 +460,14 @@ def _compile(names: list[Key], terms: list[list[Term]]) -> tuple[dict[Key, int],
 
 # the round cap of every solve
 _ROUNDS = 4000
+WIDTH = Fraction(1, 10**9)  # the one width every solve encloses the least fixpoint to
 
 
-def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
+def solve_enclosure(system: PolySystem) -> Enclosure:
     """Certified enclosure of the least fixpoint on [0, 1]^n.
 
-    converged means: hi - lo <= eps on every variable, for the eps > 0
-    given, unless the round cap `_ROUNDS` stops the solve first. exact
+    converged means: hi - lo <= WIDTH on every variable, unless the round
+    cap `_ROUNDS` stops the solve first. exact
     means lo is the least fixpoint itself, which happens whenever the
     iteration closes, e.g. on systems with no cyclic dependencies, or when
     `_close` pins every variable.
@@ -473,7 +476,7 @@ def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
     variable over a shared denominator; hi, which certification replaces a
     component at a time, a numerator and a denominator per variable.
     """
-    keys = list(system.variables)
+    keys = system.variables
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
@@ -499,11 +502,11 @@ def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
     m = len(rows)
     lo, lo_den = [0] * m, 1
     hi, hi_den = [1] * m, [1] * m
-    en, ed = eps.numerator, eps.denominator
-    bits = max(64, (ed // en).bit_length() + 16)
-    # The first positive offset lies far below eps: a component's slack above
-    # its lower bound reaches the components above it amplified.
-    base_delta = (en, ed << 20)  # eps / 2^20
+    en, ed = WIDTH.numerator, WIDTH.denominator
+    bits = 64  # the bit grid starts 34 bits finer than WIDTH
+    # The first positive offset lies far below WIDTH: a component's slack
+    # above its lower bound reaches the components above it amplified.
+    base_delta = (en, ed << 20)  # WIDTH / 2^20
     # per cyclic component (by position): certification direction and its bits,
     # and the round of the next Newton attempt with the wait after a refusal
     directions: dict[int, tuple[list[int], int]] = {}
@@ -553,7 +556,7 @@ def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
             for k, (n, d) in zip(members, old):
                 hi[k], hi_den[k] = n, d
 
-    def narrow() -> bool:  # hi - lo <= eps everywhere
+    def narrow() -> bool:  # hi - lo <= WIDTH everywhere
         return all((b * lo_den - a * d) * ed <= en * d * lo_den
                    for a, b, d in zip(lo, hi, hi_den))
 
@@ -600,9 +603,9 @@ def solve_enclosure(system: PolySystem, eps: Fraction) -> Enclosure:
             nxt, scale = _lowest(nxt, scale)
         if nxt == lo and scale == lo_den:
             bits += 32  # grid too coarse to see the strict increase
-        # Certify once Newton moves lo by at most eps: before that lo is far
+        # Certify once Newton moves lo by at most WIDTH: before that lo is far
         # from the fixpoint, and a certificate would either fail or stop the
-        # solve at a width near eps that the next step shrinks far below it.
+        # solve at a width near WIDTH that the next step shrinks far below it.
         small = stepped and (max(a * lo_den - b * scale for a, b in zip(nxt, lo)) * ed
                              <= en * scale * lo_den)
         lo, lo_den = nxt, scale

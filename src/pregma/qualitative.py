@@ -60,14 +60,13 @@ def successor_table(an: Analysis) -> dict[int, list[tuple[Fraction, frozenset[in
 
 
 def next_qualitative(an: Analysis, targets: frozenset[int], cmp: str, rho: Fraction,
-                     over: frozenset[int] | None = None) -> dict[int, str]:
+                     over: frozenset[int]) -> dict[int, str]:
     """Per-class verdict for: one step lands in `targets` with mass cmp rho.
 
     One-step mass is a single exact rational per class, so any threshold is
-    decidable here up to ref targets whose occurrences disagree. For a
-    target set known only up to bounds, `targets` is the classes surely in
-    it and `over` (default: `targets`) the classes possibly in it."""
-    over = targets if over is None else over
+    decidable here up to ref targets whose occurrences disagree. The target
+    set is known up to bounds: `targets` is the classes surely in it and
+    `over` the classes possibly in it."""
     out: dict[int, str] = {}
     for c, succs in successor_table(an).items():
         mass_lo = ZERO

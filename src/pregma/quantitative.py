@@ -10,8 +10,8 @@ descend behaviour with the vertices its copy was attached to.
 
 For classes of the axiom rule there is no level above, so the win variable
 is the absolute probability of the until objective; the CLI and the labeller
-read their answers there. Each until is solved once per analysis, to the
-one width WIDTH (`solve_until`), and every command reads that enclosure.
+read their answers there. Each until is solved once per analysis, to
+`polysys.WIDTH` (`solve_until`), and every command reads that enclosure.
 The variables are the analysis's dense ids: win(c) is the class id c, and
 c's descend variables follow all n wins, dec(c; j) at `an.dec[c] + j - 1`;
 `render_key` names them through `an.names`; the rows of classes phi1 and
@@ -30,8 +30,6 @@ from .validation import Analysis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# the width every until's enclosure is solved to
-WIDTH = Fraction(1, 10**9)
 
 
 def render_key(an: Analysis, key: int) -> str:
@@ -121,9 +119,9 @@ def shared_assembly(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) ->
 
 def solve_until(an: Analysis, phi1: frozenset[int], phi2: frozenset[int]) -> Enclosure:
     """The analysis's one enclosure of (phi1, phi2): every variable within
-    WIDTH unless the round cap stops the solve first, pinned ones exact.
+    polysys.WIDTH unless the round cap stops the solve first, pinned ones exact.
     Solved on first use; callers read it and never change it."""
     assembly = shared_assembly(an, phi1, phi2)
     if assembly.enclosure is None:
-        assembly.enclosure = solve_enclosure(assembly.system, WIDTH)
+        assembly.enclosure = solve_enclosure(assembly.system)
     return assembly.enclosure

@@ -194,6 +194,13 @@ def _calls() -> list[list[str]]:
         ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--depth", "2"],
         ["expand", "corpus/running.gg", "--depth", "two"],
         ["expand", "corpus/running.gg", "--depth", "2", "-o", "missing/out.txt"],
+        # numbers in other scripts' digits, or with "_" and spaces, are refused
+        ["check", "corpus/running.gg", "--formula", "F[>=\u0661/\u0665] V2", "--at", "v0"],
+        ["check", "corpus/running.gg", "--formula", "F[>=\uff11/\uff15] V2", "--at", "v0"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--method", "truncate",
+         "--horizon", "\u0661\u0662"],
+        ["prob", "corpus/running.gg", "--phi2", "V2", "--from", "v0", "--method", "sample",
+         "--horizon", "3", "--n", " 1_0 "],
     ]
     return calls
 

@@ -6,7 +6,8 @@ rewriting system (`pregma.pushdown`), the scalar stream that
 `Fraction`s, a fragment's first-hit rows (`pregma.fragments`), a check
 that an enclosure proves its own bounds (`pregma.polysys`), and the class
 records and class sets of `pregma.validation` read off the rules and off
-an expansion.
+an expansion; and the generated inputs of the differential checks, random
+grammars and seeded walks whose systems are quadratic.
 
 `model._rewrite` yields rule applications without their parents. The
 helpers that need them replay the order `_rewrite` documents, so every use
@@ -26,8 +27,10 @@ from pregma.gio import parse_grammar
 from pregma.labeling import classes_for_colours
 from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
                           Rows, Rule, _rewrite, checked_rules, integer_weights)
+from pregma.oracle import PathQuery, bounded_until, truncate
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
 from pregma.pushdown import PushdownSystem, Word
+from pregma.quantitative import shared_assembly, solve_until
 from pregma.rng import GAMMA
 from pregma.validation import Analysis, analyse, vertex_classes
 
@@ -349,7 +352,8 @@ def config_chain(p: PushdownSystem, start: Word, steps: int) -> FiniteMC:
         trans.append(row)
         colours.append(frozenset())
     return FiniteMC(trans=row_table(trans), den=den, colours=colours,
-                    frontier=frozenset(frontier), axiom_ids=index)
+                    frontier=frozenset(frontier), axiom_ids=index, classes=None, levels=None,
+                    endless=frozenset())
 
 
 def mix64(z: int) -> int:
@@ -605,6 +609,76 @@ def walk(b: int, d: list[Fraction]) -> str:
             lines += [f"  arc u{i} lo {h}", f"  arc d{i} {h} lo",
                       f"  hyperarc W{(i + 1) % k} {h}"]
     return "\n".join(lines) + "\n"
+
+
+# A copy of the benchmark's walk levels (perfbench/families.py), so that
+# the tests build the same chain and branching walks on their own.
+
+
+def _odd_128ths(rng, lo, hi):
+    return Fraction(rng.randrange(lo, hi + 1, 2), 128)
+
+
+def walk_levels(k, critical, rng):
+    """Per-level down probabilities; rng None gives the uniform walk."""
+    if rng is None:
+        return [Fraction(1, 2) if critical else Fraction(1, 5)] * k
+    if not critical:
+        return [_odd_128ths(rng, 17, 27) for _ in range(k)]
+    out = []
+    for _ in range(k // 2):
+        a = _odd_128ths(rng, 39, 63)
+        out += [a, 1 - a]
+    return out
+
+
+def random_walk(rng: random.Random) -> tuple[str, int, list[Fraction]]:
+    """A seeded `walk`: its regime, b and per-level down probabilities d.
+
+    From a top the walk steps down with d or up with 1 - d, and each step
+    up owes one more step down, so the descents it owes branch with mean
+    2(1 - d) and it comes down with probability 1 exactly when they die
+    out. Subcritical walks draw every d above 1/2 and supercritical ones
+    below it, each with b in 1-3 and K in 1-4 levels. A critical walk is
+    the chain (b = 1) on an even K in (a, 1 - a) pairs, as `walk_levels`
+    draws them, whose descents form a double root at 1; a near-critical
+    one moves one level's d of such a walk by 10^-k either way."""
+    regime = rng.choice(["subcritical", "supercritical", "critical", "near-critical"])
+    if regime in ("critical", "near-critical"):
+        d = walk_levels(2 * rng.randint(1, 2), True, rng)
+        if regime == "near-critical":
+            shift = Fraction(rng.choice([-1, 1]), 10 ** rng.randint(1, 12))
+            d[rng.randrange(len(d))] += shift
+        return regime, 1, d
+    lo, hi = (65, 127) if regime == "subcritical" else (1, 63)
+    return regime, rng.randint(1, 3), [_odd_128ths(rng, lo, hi) for _ in range(rng.randint(1, 4))]
+
+
+def walk_faults(seeds: Iterable[int]) -> tuple[Counter, list[str]]:
+    """The certified solver on `random_walk(random.Random(seed))` for each
+    seed, its until tt U green: `enclosure_fault` of the `solve_until`
+    enclosure, and the bounded until at horizon 8 on the depth-10
+    truncation from m0, which may not pass hi at m0. The counts of walks,
+    of quadratic systems and of exact, converged (not exact) and
+    unconverged enclosures, and one line per walk where a check fails."""
+    counts, faults = Counter(), []
+    for seed in seeds:
+        regime, b, d = random_walk(random.Random(seed))
+        g = parse_grammar(walk(b, d))
+        an = analyse(g)
+        phi1, phi2 = (classes_for_colours(an, c) for c in (None, frozenset({"green"})))
+        enc, system = solve_until(an, phi1, phi2), shared_assembly(an, phi1, phi2).system
+        counts["walks"] += 1
+        counts["quadratic"] += any(len(fs) == 2 for terms in system.equations.values()
+                                   for _, fs in terms)
+        counts["exact" if enc.exact else "converged" if enc.converged else "unconverged"] += 1
+        query = PathQuery(None, frozenset({"green"}), "m0", 8)
+        bounded, hi = bounded_until(truncate(g, 10, query), query), enc.hi[an.ids["Z", "m0"]]
+        fault = enclosure_fault(system, enc) or (
+            f"bounded {bounded} above hi {hi}" if bounded > hi else None)
+        if fault:
+            faults.append(f"seed {seed} ({regime}, b = {b}, d = {[str(x) for x in d]}): {fault}")
+    return counts, faults
 
 
 def random_grammar(rng: random.Random) -> str:

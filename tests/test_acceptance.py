@@ -303,7 +303,7 @@ def test_gate_7_qualitative_against_oracle(capfd, corpus_dir, running, dag,
 
             for cmp, rho in ((">", F(0)), (">=", F(1, 2)), (">=", F(1))):
                 one_step = {an.names[c]: v
-                            for c, v in next_qualitative(an, phi2, cmp, rho).items()}
+                            for c, v in next_qualitative(an, phi2, cmp, rho, phi2).items()}
                 outcome = {}
                 for v in e.graph.vertices:
                     if e.levels[v] > 6 or v in e.frontier:

@@ -10,10 +10,10 @@ from pregma.formulas import FormulaError, parse_formula
 from pregma.gio import load_grammar, parse_grammar
 from pregma.labeling import Verdict, classes_for_colours, label_formula
 from pregma.model import CanonicalVertex, GrammarError, reachable_nonterminals
-from pregma.polysys import ZERO, decide_threshold, solve_enclosure
+from pregma.polysys import WIDTH, ZERO, decide_threshold, solve_enclosure
 from pregma.pushdown import to_grammar
 from pregma.qualitative import until_almost_sure, until_positive
-from pregma.quantitative import WIDTH, shared_assembly, solve_until
+from pregma.quantitative import shared_assembly, solve_until
 from pregma.validation import analyse, canonical_vertices
 
 F = Fraction
@@ -80,7 +80,7 @@ def test_quantitative_until_at_axiom(running):
     }
     v0 = lab[CanonicalVertex("Z", "v0")]
     lo, hi = v0.interval
-    # certified window straddles (4*sqrt(3) - 6) / 3 and is eps-narrow
+    # certified window straddles (4*sqrt(3) - 6) / 3 and is narrow
     assert (3 * lo + 6) ** 2 <= 48 <= (3 * hi + 6) ** 2
     assert hi - lo <= F(1, 10**6)
     assert lab[CanonicalVertex("A", "win")] == Verdict("holds", (F(1), F(1)))
@@ -235,9 +235,9 @@ def test_one_solve_per_until(critical, monkeypatch):
 
     solves, almost_sure = [], []
 
-    def counting_solve(system, eps):
-        solves.append(eps)
-        return solve_enclosure(system, eps)
+    def counting_solve(system):
+        solves.append(system)
+        return solve_enclosure(system)
 
     def counting_almost_sure(*args):
         almost_sure.append(args[1:])
@@ -251,13 +251,13 @@ def test_one_solve_per_until(critical, monkeypatch):
     lab = label_formula(critical, parse_formula("F[>=99999/100000] green"))
     assert lab[CanonicalVertex("Z", "m0")].status == "holds"
     assert len(almost_sure) == 1
-    assert solves == [WIDTH]
+    assert len(solves) == 1
 
 
 def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
     """A quantitative until, a qualitative until over the same pair and a
     quantitative until over an until's classes: each pair's enclosure is
-    solved once, at the one width."""
+    solved once."""
     import pregma.quantitative as quantitative
 
     assembled, solved = [], []
@@ -266,10 +266,9 @@ def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
         assembled.append((assemble_system(*args), args[-2:]))
         return assembled[-1][0]
 
-    def recording_solve(system, eps):
-        pair = next(pair for a, pair in assembled if a.system is system)
-        solved.append((pair, eps))
-        return solve_enclosure(system, eps)
+    def recording_solve(system):
+        solved.append(next(pair for a, pair in assembled if a.system is system))
+        return solve_enclosure(system)
 
     assemble_system = quantitative.assemble_system
     solve_enclosure = quantitative.solve_enclosure
@@ -277,15 +276,13 @@ def test_every_until_is_solved_once_at_one_width(running, monkeypatch):
     monkeypatch.setattr(quantitative, "solve_enclosure", recording_solve)
     label_formula(running, parse_formula(
         "(V1 U[>=1/4] V2) & (V1 U[>=1] V2) & F[>=1/2] (V1 U[>=1/4] V2)"))
-    pairs = [pair for pair, _ in solved]
     # (V1, V2), then (tt, surely) and (tt, possibly) of the nested until
-    assert len(pairs) == len(set(pairs)) == 3
-    assert {eps for _, eps in solved} == {WIDTH}
+    assert len(solved) == len(set(solved)) == 3
 
 
 def test_shared_enclosure_lies_inside_the_axiom_solve():
     """At every axiom class, the shared enclosure of each until lies inside
-    an independent solve of its assembled system at eps 1e-6, and the
+    an independent solve of its assembled system, and the
     labeller decides its thresholds from the shared interval."""
     from test_polysys import corpus_and_walk_grammars
 
@@ -305,7 +302,7 @@ def test_shared_enclosure_lies_inside_the_axiom_solve():
                 u2 = classes_for_colours(an, frozenset({phi2}))
                 shared = solve_until(an, u1, u2)
                 assembly = shared_assembly(an, u1, u2)
-                alone = solve_enclosure(assembly.system, eps=F(1, 10**6))
+                alone = solve_enclosure(assembly.system)
                 until = f"{phi1 or 'tt'} U {phi2}"
                 assert shared.converged, f"{name}: {until}"
                 for c in axiom:

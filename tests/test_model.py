@@ -35,7 +35,7 @@ def test_fresh_records_share_no_container():
     a.add_vertex("x")
     a.add_hyperarc("A", ("x",))
     assert not b.has_vertex("x") and not b.hyperarcs
-    assert disjoint(PolySystem(), PolySystem(), ("variables", "equations", "pins"))
+    assert disjoint(PolySystem(), PolySystem(), ("equations", "pins"))
     e, f = Expansion(), Expansion()
     assert disjoint(e, f, ("graph", "classes", "levels", "colours", "axiom_ids",
                            "colour_sets"))
@@ -51,8 +51,6 @@ def test_hypergraph_rejects_duplicate_vertex():
     h.add_vertex("a")
     with pytest.raises(GrammarError):
         h.add_vertex("a")
-    with pytest.raises(GrammarError):
-        Hypergraph(vertices=["a", "a"])
 
 
 def test_colour_marks_and_arc_indexes():
@@ -237,7 +235,9 @@ def test_expand_rejects_arity_mismatch():
     rhs = Hypergraph()
     rhs.add_vertex("x")
     rhs.add_hyperarc("A", ("x",))
-    child = Hypergraph(vertices=["p", "q"])
+    child = Hypergraph()
+    for v in ("p", "q"):
+        child.add_vertex(v)
     g = Grammar(
         terminals={},
         nonterminals={"Z": 0, "A": 2},

@@ -918,7 +918,7 @@ def test_next_verdicts_hold_at_every_settled_instance(settled_cases):
         for colour in sorted(g.colour_names):
             target = classes_for_colours(an, frozenset({colour}))
             for cmp, rho in [(">", 0), (">=", Fraction(1, 2)), (">=", 1), ("<", Fraction(1, 2))]:
-                verdicts = next_qualitative(an, target, cmp, rho)
+                verdicts = next_qualitative(an, target, cmp, rho, target)
                 for s, row in steps:
                     verdict = verdicts[an.ids[mc.classes[s]]]
                     seen[verdict] += 1

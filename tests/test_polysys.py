@@ -16,14 +16,14 @@ from pregma.labeling import classes_for_colours
 from pregma.model import GrammarError
 from pregma.pcp import encode, load_pcp
 from pregma.polysys import (
-    _CERTIFY_EVERY, _DEN_CAP, _ROUNDS, ZERO, Enclosure, Key, PolySystem, _min_degree,
-    _solve, decide_threshold, solve_enclosure,
+    _CERTIFY_EVERY, _DEN_CAP, _ROUNDS, WIDTH, ZERO, Enclosure, Key, PolySystem,
+    _min_degree, _solve, decide_threshold, solve_enclosure,
 )
 from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system, shared_assembly, solve_until
 from pregma.validation import analyse
 from reference import (closes_singular, enclosure_fault, evaluate, gauss_jordan, pivots,
-                       rhs_value, walk)
+                       rhs_value, walk, walk_faults, walk_levels)
 
 F = Fraction
 ONE = F(1)
@@ -57,7 +57,7 @@ def test_render():
     s.add_term("x", F(1, 3))
     s.add_term("x", F(1, 2), "y")
     s.add_term("y", F(1, 4), "x", "y")
-    assert [f"{key} = {s.render_rhs(key)}" for key in s.variables] == [
+    assert [f"{key} = {s.render_rhs(key, str)}" for key in s.variables] == [
         "x = 1/3 + 1/2 * y", "y = 1/4 * x * y"]
 
 
@@ -95,7 +95,7 @@ def test_pins_fold_into_the_terms_that_read_them():
 def test_the_enclosure_holds_every_pin():
     # x closes exactly at (1/3 + 1/8) / (5/8); the pins follow the
     # variables, each its own lo and hi
-    enc = solve_enclosure(pinned(), F(1, 10**6))
+    enc = solve_enclosure(pinned())
     assert enc.exact and enc.converged
     assert list(enc.lo.items()) == list(enc.hi.items()) == [
         ("x", F(11, 15)), ("zero", 0), ("one", 1), ("p", F(3, 4))]
@@ -106,7 +106,7 @@ def test_the_enclosure_holds_every_pin():
     s.add_term("x", F(1, 4), "h")
     s.add_term("x", F(1, 2), "x", "x")
     s.add_term("z", F(1, 2), "z", "h")
-    enc = same_enclosure(s, eps=F(1, 10**9))
+    enc = same_enclosure(s)
     assert not enc.exact
     assert enc.interval("h") == (F(1, 2), F(1, 2))
     assert enc.interval("z") == (0, 0)
@@ -119,7 +119,7 @@ def test_solve_exact_acyclic():
     s.add_term("x", F(1, 2))
     s.add_term("y", F(1, 4))
     s.add_term("y", F(1, 2), "x")
-    enc = solve_enclosure(s, F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.exact and enc.converged
     assert enc.lo == enc.hi == {"x": F(1, 2), "y": F(1, 2)}
 
@@ -131,7 +131,7 @@ def test_solve_linear_contraction():
     s.add_variable("x")
     s.add_term("x", F(1, 2))
     s.add_term("x", F(1, 2), "x")
-    enc = solve_enclosure(s, eps=F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.converged and enc.exact
     assert enc.lo["x"] == enc.hi["x"] == 1
 
@@ -146,11 +146,11 @@ def test_solve_balanced_cycle_certifies_zero():
     s.add_term("x", F(1, 2), "x")
     s.add_term("y", F(4, 5), "y")
     s.add_term("y", F(4, 5), "x", "y")
-    enc = solve_enclosure(s, eps=F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.converged
     assert enc.lo["y"] == enc.hi["y"] == 0
     assert enc.lo["x"] <= F(1, 4) <= enc.hi["x"]
-    assert enc.hi["x"] - enc.lo["x"] <= F(1, 10**6)
+    assert enc.hi["x"] - enc.lo["x"] <= WIDTH
 
 
 def test_solve_double_root_stays_sound():
@@ -158,7 +158,7 @@ def test_solve_double_root_stays_sound():
     # Kleene iteration crawls like 1/n and Newton gains a bit per step; the
     # closure certifies it instead: F(1) = 1, the one pivot of 1 - F'(1) is
     # 0, and x*x has both factors inside
-    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)), eps=F(1, 10**6))
+    enc = solve_enclosure(scalar(F(1, 2), F(1, 2)))
     assert enc.converged and enc.exact
     assert enc.iterations == 1
     assert enc.lo["x"] == enc.hi["x"] == 1
@@ -167,9 +167,9 @@ def test_solve_double_root_stays_sound():
 def test_solve_quadratic_with_gap():
     # x = 1/8 + x^2/2: fixpoint 1 - sqrt(3)/2, comfortably below the greater
     # root, so the enclosure closes fast
-    enc = solve_enclosure(scalar(F(1, 8), F(1, 2)), eps=F(1, 10**9))
+    enc = solve_enclosure(scalar(F(1, 8), F(1, 2)))
     assert enc.converged
-    assert enc.hi["x"] - enc.lo["x"] <= F(1, 10**9)
+    assert enc.hi["x"] - enc.lo["x"] <= WIDTH
     lo, hi = enc.interval("x")
     # 1 - sqrt(3)/2 lies inside iff (1 - q)^2 straddles 3/4
     assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
@@ -194,7 +194,7 @@ def test_solve_drops_zero_variables():
         "x": [(F(1, 2), ()), (F(1, 2), ("x",)), (F(1, 4), ("z",))],
         "z": [(1, ("x", "z"))],
     })
-    enc = solve_enclosure(s, eps=F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.converged
     assert enc.lo["z"] == enc.hi["z"] == 0
     assert enc.lo["x"] == enc.hi["x"] == 1
@@ -209,7 +209,7 @@ def test_close_refuses_a_quadratic_component_with_a_negative_pivot():
         "x": [(F(1, 10), ()), (F(9, 10), ("x", "y"))],
         "y": [(F(1, 2), ()), (F(1, 2), ("x",))],
     })
-    enc = solve_enclosure(s, F(1, 10**6))
+    enc = solve_enclosure(s)
     assert not enc.exact
     assert enc.lo["x"] <= F(2, 9) <= enc.hi["x"]
     assert enc.lo["y"] <= F(11, 18) <= enc.hi["y"]
@@ -225,7 +225,7 @@ def test_close_drops_a_linear_value_past_the_denominator_cap():
         "a": [(F(1, 3), ("b",)), (F(1, 3), ("c",))],
         "b": [(F(1, 3), ("a",)), (F(1, 3), ())],
     })
-    enc = solve_enclosure(s, F(1, 10**6))
+    enc = solve_enclosure(s)
     assert not enc.exact
     a = F(1, 8) + F(3, 8 * _DEN_CAP)
     assert enc.lo["a"] <= a <= enc.hi["a"]
@@ -242,7 +242,7 @@ def test_certificate_follows_the_newton_direction():
         "x1": [(F(3, 4), ()), (F(1, 16), ("x1", "x1")),
                (F(15, 128), ("x1", "x0"))],
     })
-    enc = solve_enclosure(s, eps=F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.converged and enc.iterations <= 3000
     assert enc.hi["x0"] < 1 and enc.hi["x1"] < 1
     assert all(v <= enc.hi[k] for k, v in evaluate(s, enc.hi).items())
@@ -262,7 +262,7 @@ def test_newton_survives_a_wrong_float_solve(monkeypatch, factor):
         return None if solution is None else [[factor * y for y in row] for row in solution]
 
     monkeypatch.setattr(polysys, "_solve", wrong)
-    enc = solve_enclosure(scalar(F(1, 8), F(1, 2)), eps=F(1, 10**9))
+    enc = solve_enclosure(scalar(F(1, 8), F(1, 2)))
     assert enc.converged
     lo, hi = enc.interval("x")
     assert (1 - lo) ** 2 >= F(3, 4) >= (1 - hi) ** 2
@@ -290,7 +290,7 @@ def test_newton_refuses_a_positive_direction_it_cannot_check(monkeypatch):
     monkeypatch.setattr(polysys, "_ROUNDS", 60)
     s = system({"x": [(F(1, 4), ()), (F(1, 4), ("y",)), (F(1, 4), ("x", "x"))],
                 "y": [(F(1, 4), ()), (F(1, 2), ("x",))]})
-    enc = solve_enclosure(s, eps=F(1, 10**9))
+    enc = solve_enclosure(s)
     assert refused and all(refused)
     assert all(v <= enc.hi[k] for k, v in evaluate(s, enc.hi).items())
     assert all(enc.lo[k] <= v for k, v in evaluate(s, enc.lo).items())
@@ -306,12 +306,12 @@ def test_newton_refuses_a_positive_direction_it_cannot_check(monkeypatch):
 
 
 def test_round_cap_certifies_the_upper_bound(monkeypatch):
-    # one round never meets eps = 1e-12; the bound certified at the cap
+    # one round never meets WIDTH; the bound certified at the cap
     # still brings hi well below 1
     import pregma.polysys as polysys
 
     monkeypatch.setattr(polysys, "_ROUNDS", 1)
-    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), eps=F(1, 10**12))
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)))
     assert enc.iterations == 1 and not enc.converged
     lo, hi = enc.interval("x")
     assert hi < F(26, 100)
@@ -378,7 +378,7 @@ def test_min_degree_eliminates_a_star_from_its_leaves():
 def test_solver_keeps_pinned_empty_equations():
     s = PolySystem()
     s.add_variable("x")
-    enc = solve_enclosure(s, F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.exact
     assert enc.lo["x"] == enc.hi["x"] == 0
 
@@ -395,7 +395,7 @@ def test_solver_keeps_pinned_empty_equations():
 def test_scalar_quadratic_soundness(c, a):
     if a + c > 1:
         a = 1 - c
-    enc = solve_enclosure(scalar(c, a), eps=F(1, 10**4))
+    enc = solve_enclosure(scalar(c, a))
     assert enc.iterations <= 400
     lo, hi = enc.interval("x")
     assert 0 <= lo <= hi <= 1
@@ -404,7 +404,7 @@ def test_scalar_quadratic_soundness(c, a):
     assert c + a * lo * lo >= lo
     assert c + a * hi * hi <= hi
     if enc.converged:
-        assert hi - lo <= F(1, 10**4)
+        assert hi - lo <= WIDTH
 
 
 @st.composite
@@ -427,7 +427,7 @@ def small_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_systems())
 def test_random_system_enclosures(s):
-    enc = solve_enclosure(s, eps=F(1, 10**6))
+    enc = solve_enclosure(s)
     assert enc.iterations <= 500
     assert all(0 <= enc.lo[k] <= enc.hi[k] <= 1 for k in s.variables)
     # hi is a post-fixpoint and lo a pre-fixpoint, both checked exactly
@@ -720,42 +720,36 @@ def _ref_close(system: PolySystem, components: list[tuple[list[Key], bool]]
     return value if closed else {}
 
 
-def fraction_solve(
-    system: PolySystem,
-    eps: Fraction,
-    max_rounds: int = _ROUNDS,
-) -> Enclosure:
+def fraction_solve(system: PolySystem) -> Enclosure:
     keys = list(system.variables)
 
     # Variables outside `positive` have least fixpoint exactly 0: drop them
     # and every term they appear in, so no component mixes them with
     # variables whose value is positive.
     positive = _ref_positive(system)
-    clean = PolySystem(
-        [k for k in keys if k in positive],
-        {
-            k: [t for t in system.equations[k] if all(f in positive for f in t[1])]
-            for k in keys
-            if k in positive
-        },
-    )
+    clean = PolySystem()
+    clean.equations.update({
+        k: [t for t in system.equations[k] if all(f in positive for f in t[1])]
+        for k in keys
+        if k in positive
+    })
     # components that close exactly become pins, folded into the terms
     # that read them
     pins = _ref_close(clean, _ref_scc_order(clean))
     if pins:
-        clean = PolySystem(
-            [k for k in clean.variables if k not in pins],
-            {k: [(coeff * math.prod(pins[f] for f in fs if f in pins),
-                  tuple(f for f in fs if f not in pins)) for coeff, fs in terms]
-             for k, terms in clean.equations.items() if k not in pins},
-        )
+        folded = PolySystem()
+        folded.equations.update({
+            k: [(coeff * math.prod(pins[f] for f in fs if f in pins),
+                 tuple(f for f in fs if f not in pins)) for coeff, fs in terms]
+            for k, terms in clean.equations.items() if k not in pins})
+        clean = folded
     lo: dict[Key, Fraction] = {k: ZERO for k in clean.variables}
     hi: dict[Key, Fraction] = {k: ONE for k in clean.variables}
-    bits = max(64, (10**6 if eps == 0 else int(1 / eps)).bit_length() + 16)
+    bits = 64
     components = _ref_scc_order(clean)
-    # The first positive offset lies far below eps: a component's slack above
-    # its lower bound reaches the components above it amplified.
-    base_delta = eps / 2**20 if eps > 0 else Fraction(1, 10**12)
+    # The first positive offset lies far below WIDTH: a component's slack
+    # above its lower bound reaches the components above it amplified.
+    base_delta = WIDTH / 2**20
     # per cyclic component (by position): certification direction, and the
     # round of the next Newton attempt with the wait after a refusal
     directions: dict[int, dict[Key, Fraction]] = {}
@@ -797,7 +791,7 @@ def fraction_solve(
 
     exact = False
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < _ROUNDS:
         rounds += 1
         fx = {k: rhs_value(clean, k, lo) for k in clean.variables}
         if fx == lo:
@@ -827,19 +821,19 @@ def fraction_solve(
             stepped = True
         if nxt == lo:
             bits += 32  # grid too coarse to see the strict increase
-        # Certify once Newton moves lo by at most eps: before that lo is far
+        # Certify once Newton moves lo by at most WIDTH: before that lo is far
         # from the fixpoint, and a certificate would either fail or stop the
-        # solve at a width near eps that the next step shrinks far below it.
-        small = stepped and max(nxt[k] - lo[k] for k in nxt) <= eps
+        # solve at a width near WIDTH that the next step shrinks far below it.
+        small = stepped and max(nxt[k] - lo[k] for k in nxt) <= WIDTH
         lo = nxt
         if small or rounds % _CERTIFY_EVERY == 0:
             certify()
-            if width() <= eps:
+            if width() <= WIDTH:
                 break
 
     if not exact:
         certify()
-    converged = width() <= eps
+    converged = width() <= WIDTH
     return Enclosure(
         {k: lo.get(k, pins.get(k, ZERO)) for k in keys},
         {k: hi.get(k, pins.get(k, ZERO)) for k in keys},
@@ -847,28 +841,6 @@ def fraction_solve(
         exact,
         rounds,
     )
-
-
-# ------------------------------------------------ inputs for the reference
-# A copy of the benchmark's walk generator (perfbench/families.py), so that
-# the test builds the same chain and branching walks on its own.
-
-
-def _odd_128ths(rng, lo, hi):
-    return Fraction(rng.randrange(lo, hi + 1, 2), 128)
-
-
-def walk_levels(k, critical, rng):
-    """Per-level down probabilities; rng None gives the uniform walk."""
-    if rng is None:
-        return [Fraction(1, 2) if critical else Fraction(1, 5)] * k
-    if not critical:
-        return [_odd_128ths(rng, 17, 27) for _ in range(k)]
-    out = []
-    for _ in range(k // 2):
-        a = _odd_128ths(rng, 39, 63)
-        out += [a, 1 - a]
-    return out
 
 
 def walk_grammar(shape, d):
@@ -939,10 +911,10 @@ def non_dyadic_systems(draw):
     return system(equations)
 
 
-def same_enclosure(s, eps):
+def same_enclosure(s):
     """The solver's enclosure is the reference's, with every pin of s lifted
     in as its own lo and hi."""
-    new, ref = solve_enclosure(s, eps), fraction_solve(s, eps)
+    new, ref = solve_enclosure(s), fraction_solve(s)
     assert (new.lo, new.hi, new.converged, new.exact, new.iterations) == (
         ref.lo | s.pins, ref.hi | s.pins, ref.converged, ref.exact, ref.iterations)
     assert all(type(v) is Fraction for v in [*new.lo.values(), *new.hi.values()])
@@ -952,11 +924,10 @@ def same_enclosure(s, eps):
 def test_solver_matches_the_fraction_reference():
     count = 0
     for name, s in assembled_systems():
-        for eps in (F(1, 10**6), F(1, 10**9)):
-            try:
-                same_enclosure(s, eps)
-            except AssertionError as exc:
-                raise AssertionError(f"{name} at {eps}") from exc
+        try:
+            same_enclosure(s)
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
         count += 1
     assert count >= 40
     # x*x, a cross term whose y lies outside x's component, an empty row
@@ -966,7 +937,7 @@ def test_solver_matches_the_fraction_reference():
         "y": [(F(1, 5), ()), (F(2, 7), ("y",))],
         "z": [],
         "w": [(F(1, 2), ("x", "z")), (F(1, 7), ("w",)), (F(2, 3), ("x",))],
-    }), F(1, 10**6))
+    }))
 
 
 @pytest.mark.parametrize("shape", ["chain", "branching"])
@@ -977,31 +948,29 @@ def test_solver_matches_the_fraction_reference_at_benchmark_size(shape):
     an = analyse(g)
     system = assemble_system(an, classes_for_colours(an, None),
                              classes_for_colours(an, frozenset({"green"}))).system
-    for eps in (F(1, 10**6), F(1, 10**9)):
-        enc = same_enclosure(system, eps=eps)
-        assert enc.converged and not enc.exact
+    enc = same_enclosure(system)
+    assert enc.converged and not enc.exact
     positive = system.positive_variables() - system.pins.keys()
     assert len(positive) == {"chain": 65, "branching": 129}[shape]
 
 
-@pytest.mark.parametrize("eps", [F(1, 10**4), F(1, 10**6), F(1, 10**9)])
-def test_a_stalled_round_goes_on_to_certification_in_the_reference_too(eps):
+def test_a_stalled_round_goes_on_to_certification_in_the_reference_too():
     # test_scalar_quadratic_soundness's tiny example: every rounded Kleene
     # iterate stalls on the grid, so each round refines the grid and still
     # reaches the certification schedule, in the solver and the reference
     same_enclosure(scalar(F(29, 55282071780732213051372077056),
-                          F(1, 221128287122928852205488308223)), eps=eps)
+                          F(1, 221128287122928852205488308223)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(non_dyadic_systems())
 def test_non_dyadic_systems_match_the_fraction_reference(s):
-    assert same_enclosure(s, eps=F(1, 10**6)).iterations <= 500
+    assert same_enclosure(s).iterations <= 500
 
 
 def until_enclosures():
-    """(name, system, enclosure) for every `solve_until` enclosure (width
-    1e-9), and for its system's solve at eps 1e-6, of every corpus `.gg`
+    """(name, system, enclosure) for every `solve_until` enclosure of every
+    corpus `.gg`
     colour (phi1 tt or a colour), `pds_example_prob`'s halt, and the seeded
     chain and branching walks at K = 2 to 64, critical and not."""
     cases = []
@@ -1022,8 +991,6 @@ def until_enclosures():
                 for c in (phi1, phi2)]
         enc, system = solve_until(an, *sets), shared_assembly(an, *sets).system
         yield f"{name}: {phi1 or 'tt'} U {phi2}", system, enc
-        yield f"{name}: {phi1 or 'tt'} U {phi2} at 1/1000000", system, \
-            solve_enclosure(system, F(1, 10**6))
 
 
 def test_every_until_enclosure_carries_its_proof():
@@ -1031,7 +998,19 @@ def test_every_until_enclosure_carries_its_proof():
     for name, system, enc in until_enclosures():
         assert enclosure_fault(system, enc) is None, name
         count += bool(system.variables)
-    assert count >= 50
+    assert count >= 25  # of the 27 systems, one enclosure each
+
+
+def test_generated_walks_reach_the_nonlinear_solver():
+    """Seeded sub-, super-, near- and critical walks (`reference.random_walk`),
+    every one a quadratic system: each enclosure of tt U green carries its
+    proof and lies above the bounded until at horizon 8. CI runs ten times
+    the seeds."""
+    counts, faults = walk_faults(range(300))
+    assert faults == []
+    assert counts["quadratic"] == counts["walks"] == 300
+    # 194 exact (closed at 1) and 106 converged but not exact
+    assert counts["exact"] >= 150 and counts["converged"] >= 80
 
 
 def test_the_proof_check_refuses_a_wrong_lo_and_a_low_hi():
@@ -1083,11 +1062,11 @@ def test_closure_takes_no_fixpoint_but_the_least(monkeypatch):
     # x = 1/4 + 3/4 x^2 has the fixpoint 1, but F'(1) = 3/2: the row sum
     # refuses it before any elimination, and the enclosure holds 1/3
     calls = exact_solves(monkeypatch)
-    enc = solve_enclosure(scalar(F(1, 4), F(3, 4)), F(1, 10**6))
+    enc = solve_enclosure(scalar(F(1, 4), F(3, 4)))
     assert calls == [] and enc.converged and not enc.exact
     assert enc.lo["x"] < F(1, 3) <= enc.hi["x"]
     # x = 1/5 + 4/5 x^2: F(1) = 1 and F'(1) = 8/5, refused the same way
-    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)), F(1, 10**6))
+    enc = solve_enclosure(scalar(F(1, 5), F(4, 5)))
     assert calls == [] and not enc.exact
     assert enc.lo["x"] < F(1, 4) <= enc.hi["x"]
 
@@ -1101,7 +1080,7 @@ def test_closure_refuses_a_singular_linear_component(monkeypatch):
     calls = exact_solves(monkeypatch)
     monkeypatch.setattr(polysys, "_ROUNDS", 3)
     enc = solve_enclosure(system({"x": [(1, ("y",))], "y": [(1, ("x",)), (F(1, 4), ("z",))],
-                                  "z": [(F(1, 2), ())]}), F(1, 10**6))
+                                  "z": [(F(1, 2), ())]}))
     assert calls == [True]
     assert not enc.exact and enc.lo == {"x": F(1, 8), "y": F(1, 8), "z": F(1, 2)}
 
@@ -1115,7 +1094,7 @@ def test_closure_pins_a_seeded_critical_chain_at_one(monkeypatch):
     an = analyse(g)
     phi1, phi2 = classes_for_colours(an, None), classes_for_colours(an, frozenset({"green"}))
     system = assemble_system(an, phi1, phi2).system
-    enc = solve_enclosure(system, F(1, 10**6))
+    enc = solve_enclosure(system)
     assert enc.exact and enc.iterations == 1
     assert enc.lo == enc.hi
     assert enc.lo[an.ids["Z", "m0"]] == 1
@@ -1127,12 +1106,9 @@ def test_closure_pins_a_seeded_critical_chain_at_one(monkeypatch):
 # gave them before components closed exactly: the closure refuses each of
 # these systems, so they must not move
 UNCLOSED = {
-    ("running", F(1, 10**6)): "c6bfb22f74783685",
-    ("running", F(1, 10**9)): "746ff7edbca372f8",
-    ("chain", F(1, 10**6)): "bbea9469c4711d57",
-    ("chain", F(1, 10**9)): "c8c314ad6b4a2bb1",
-    ("branching", F(1, 10**6)): "dd79f85cda637990",
-    ("branching", F(1, 10**9)): "976b92d47d95595e",
+    "running": "746ff7edbca372f8",
+    "chain": "c8c314ad6b4a2bb1",
+    "branching": "976b92d47d95595e",
 }
 
 
@@ -1147,14 +1123,13 @@ def test_refused_closures_keep_their_enclosures(monkeypatch):
         an = analyse(g)
         system = assemble_system(an, *[classes_for_colours(
             an, None if c is None else frozenset({c})) for c in (phi1, phi2)]).system
-        for eps in (F(1, 10**6), F(1, 10**9)):
-            enc = solve_enclosure(system, eps=eps)
-            # the digests cover the variables; the pins come on top, exact
-            lo, hi = ({k: v for k, v in bound.items() if k not in system.pins}
-                      for bound in (enc.lo, enc.hi))
-            assert lo | system.pins == enc.lo and hi | system.pins == enc.hi
-            digest = hashlib.sha256(repr((
-                sorted(lo.items()), sorted(hi.items()), enc.converged, enc.exact,
-                enc.iterations)).encode()).hexdigest()[:16]
-            assert digest == UNCLOSED[name, eps], (name, eps)
+        enc = solve_enclosure(system)
+        # the digests cover the variables; the pins come on top, exact
+        lo, hi = ({k: v for k, v in bound.items() if k not in system.pins}
+                  for bound in (enc.lo, enc.hi))
+        assert lo | system.pins == enc.lo and hi | system.pins == enc.hi
+        digest = hashlib.sha256(repr((
+            sorted(lo.items()), sorted(hi.items()), enc.converged, enc.exact,
+            enc.iterations)).encode()).hexdigest()[:16]
+        assert digest == UNCLOSED[name], name
     assert calls == []

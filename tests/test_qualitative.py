@@ -79,7 +79,8 @@ def test_bindings_are_class_sets(running, pds_prob):
 
 def test_next_qualitative_decides_plain_targets(running):
     an = analyse(running)
-    out = next_qualitative(an, ids(an, "A:win"), ">=", F(1, 2))
+    win = ids(an, "A:win")
+    out = next_qualitative(an, win, ">=", F(1, 2), win)
     assert out[an.ids["A", "fork"]] == "holds"
     assert out[an.ids["A", "next"]] == "fails"
     assert out[an.ids["A", "dead"]] == "fails"
@@ -90,11 +91,12 @@ def test_next_qualitative_mixed_ref_is_unknown(running):
     # fork's d-step onto input 1 may land on Z:v0 or A:next depending on the
     # instance, so a target set holding only one of them cannot be decided
     an = analyse(running)
-    out = next_qualitative(an, ids(an, "Z:v0"), ">", F(0))
+    v0 = ids(an, "Z:v0")
+    out = next_qualitative(an, v0, ">", F(0), v0)
     assert out[an.ids["A", "fork"]] == "unknown"
     assert out[an.ids["A", "next"]] == "fails"
     covering = ids(an, "Z:v0", "A:next")
-    assert next_qualitative(an, covering, ">", F(0))[an.ids["A", "fork"]] == "holds"
+    assert next_qualitative(an, covering, ">", F(0), covering)[an.ids["A", "fork"]] == "holds"
 
 
 def test_until_positive_running(running):
