@@ -13,7 +13,9 @@ are exact rationals, untils with threshold 0 or 1 go to the qualitative
 engines, and everything else reads the until's one certified enclosure from
 `solve_until`, whose values are absolute probabilities exactly for the axiom
 rule's classes; the almost-sure engine reads the same one. `label_formula`
-keys its verdicts by creation site, through the analysis's `names`.
+keys its verdicts by creation site, one per class of the grammar as given,
+through the analysis's `ids`: a class that the quotient collapsed shares
+its representative's verdict.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ def _label(an: Analysis, f: Formula) -> Pair:
         return every, every
     if isinstance(f, Atom):
         g = an.grammar
-        vertices = set(an.rules[g.axiom].rhs.vertices)
+        vertices = {v for rule, v in an.ids if rule == g.axiom}
         if f.name in g.colour_names and f.name in vertices:
             raise FormulaError(
                 f"atom {f.name} is both a colour and an axiom-rule vertex; rename one"
@@ -137,8 +139,22 @@ def _verdicts(an: Analysis, formula: Formula) -> list[Verdict]:
                     intervals.get(c)) for c in an.reachable]
 
 
+def _atoms(f: Formula) -> frozenset[str]:
+    """The names a formula reads as atoms."""
+    if isinstance(f, Atom):
+        return frozenset({f.name})
+    if isinstance(f, (Not, Next)):
+        return _atoms(f.sub)
+    if isinstance(f, (And, Until)):
+        return _atoms(f.left) | _atoms(f.right)
+    return frozenset()
+
+
 def label_formula(g: Grammar, formula: Formula) -> dict[CanonicalVertex, Verdict]:
-    """One verdict per reachable class, keyed by its creation site in the
-    analysis's order."""
-    an = analyse(g)
-    return dict(zip(an.names, _verdicts(an, formula)))
+    """One verdict per reachable class of g, keyed by its creation site in
+    the order of `canonical_vertices`: a class that the analysis collapsed
+    into a representative gets the representative's verdict, read through
+    `an.ids`. The axiom vertices the formula names stay apart."""
+    an = analyse(g, _atoms(formula))
+    verdicts = _verdicts(an, formula)
+    return {CanonicalVertex(*site): verdicts[c] for site, c in an.ids.items()}

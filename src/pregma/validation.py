@@ -20,9 +20,13 @@ nonterminal hyperarc, and refuses a grammar that breaks it with one line
 per shared vertex. At a shared vertex the walk sums what every branch
 gains; the truncation oracle reads those records too, and each is exact.
 
-`analyse` numbers the reachable classes 0..n-1, keeps `names` to turn an
-id back into its creation site for output, and holds ids or id sets in
-every table the engines read: a rule lookup, each class's walk entry, the
+`analyse` admits the grammar as given, then collapses the rule vertices
+that a swap maps onto each other (`_quotient`, a bisimulation quotient)
+and reads that quotient from there on. It numbers the quotient's
+reachable classes 0..n-1, keeps `names` to turn an id back into its
+creation site for output and `ids` to take every creation site of the
+grammar as given to its id, and holds ids or id sets in every table the
+engines read: a rule lookup, each class's walk entry, the
 absorbing classes, where a step through a hyperarc occurrence lands,
 resolved once to the set of classes it can be, the classes whose passings
 reach that site (per occurrence and input, and per rule input across every
@@ -45,6 +49,7 @@ from .model import (
     CanonicalVertex,
     Grammar,
     GrammarError,
+    Hypergraph,
     Rule,
     VertexId,
     checked_rules,
@@ -257,6 +262,103 @@ def _admit(g: Grammar) -> tuple[dict[str, Rule], Passings, dict[Site, VertexClas
     return rules, passed, down, cans, PhrReport(ok, tuple(failures), violations, len(cans))
 
 
+_ITSELF = object()  # a vertex's own place in its signature's entries
+
+
+def _quotient(g: Grammar, reached: frozenset[str],
+              named: frozenset[str]) -> tuple[Grammar, dict[Site, Site]]:
+    """The grammar with its interchangeable rule vertices collapsed, and
+    each collapsed site's representative site; g itself when none collapse.
+    Run on an admitted grammar only.
+
+    A non-input vertex's signature is the multiset of the arcs, colours
+    and hyperarcs of its rule that hold it, with its own places marked.
+    Two vertices of a reachable rule with one signature lie on no arc or
+    hyperarc together (the other's entry would name it unmarked), so
+    swapping them maps the rule's arcs, colours and hyperarcs onto
+    themselves, and every copy of the rule, with the subtrees below it,
+    onto itself: their instances are probabilistically bisimilar. Under
+    single membership such a vertex lies on no hyperarc with another
+    vertex, so its subtree meets the rest of the graph at it alone. An
+    axiom vertex in `named` (a formula's atoms) stays apart.
+
+    The first of each signature group in rhs order represents the group.
+    The others go, with their colours, out-arcs and hyperarcs, and the
+    arcs from one source with one label into the group become one arc to
+    the representative. When that arc stands for n > 1 arcs, its label is
+    a fresh terminal of n times the label's probability."""
+    terminals, mu = dict(g.terminals), dict(g.mu)
+    fresh: dict[tuple[str, int], str] = {}
+    merged: dict[Site, Site] = {}
+    quotient: list[Rule] = []
+    for rule in g.rules:
+        apart = named if rule.lhs == g.axiom else ()
+        own = {v: [] for v in rule.non_inputs if v not in apart}
+        if rule.lhs not in reached or len(own) < 2:
+            quotient.append(rule)
+            continue
+        for label, s, t in rule.rhs.arcs:
+            if s in own:
+                own[s].append(("arc", label, _ITSELF, _ITSELF if t == s else t))
+            if t in own and t != s:
+                own[t].append(("arc", label, s, _ITSELF))
+        for colour, v in rule.rhs.colours:
+            if v in own:
+                own[v].append(("colour", colour))
+        for label, vs in rule.rhs.hyperarcs:
+            for v in vs:
+                if v in own:
+                    own[v].append(("hyperarc", label, *(_ITSELF if w == v else w for w in vs)))
+        groups: dict[frozenset, list] = {}
+        for v, entries in own.items():
+            # the set of entries, or their counts when one repeats: an entry
+            # starts with a kind, a count pair with an entry, so the two
+            # forms never meet
+            key = frozenset(entries)
+            if len(key) < len(entries):
+                key = frozenset(Counter(entries).items())
+            groups.setdefault(key, []).append(v)
+        rep = {v: vs[0] for vs in groups.values() for v in vs[1:]}
+        if not rep:
+            quotient.append(rule)
+            continue
+        merged.update(((rule.lhs, v), (rule.lhs, r)) for v, r in rep.items())
+        heads = set(rep.values())
+        rhs = Hypergraph()
+        for v in rule.rhs.vertices:
+            if v not in rep:
+                rhs.add_vertex(v)
+        # the arcs from one source with one label into each group
+        into = Counter((label, s, rep.get(t, t)) for label, s, t in rule.rhs.arcs
+                       if s not in rep and rep.get(t, t) in heads)
+        for label, s, t in rule.rhs.arcs:
+            t = rep.get(t, t)
+            if s in rep:
+                continue
+            if t in heads:
+                n = into.pop((label, s, t), 0)
+                if not n:  # joined into the first of these arcs
+                    continue
+                if n > 1:
+                    if (label, n) not in fresh:
+                        name = f"{label}*{n}"
+                        while name in terminals:
+                            name += "'"
+                        fresh[label, n], terminals[name], mu[name] = name, 2, n * g.mu[label]
+                    label = fresh[label, n]
+            rhs.add_arc(label, s, t)
+        for colour, v in rule.rhs.colours:
+            if v not in rep:
+                rhs.add_colour(colour, v)
+        for label, vs in rule.rhs.hyperarcs:
+            if rep.keys().isdisjoint(vs):
+                rhs.add_hyperarc(label, vs)
+        quotient.append(Rule(rule.lhs, rule.inputs, rhs))
+    if not merged:
+        return g, merged
+    return g._replace(terminals=terminals, rules=quotient, mu=mu), merged
+
+
 def phr_check(g: Grammar) -> PhrReport:
     """Does every vertex class have total outgoing probability exactly 1
     under the grammar's own mu?
@@ -272,21 +374,25 @@ def phr_check(g: Grammar) -> PhrReport:
 class Analysis(NamedTuple):
     """Everything the engines read off one grammar, its mu included.
 
-    Built by `analyse`, once per engine entry point. The reachable classes
-    are numbered 0..n-1 in the order of `canonical_vertices`, and every
-    table holds these ids; `names` turns them back into creation sites for
-    output. Where a step through an input lands is held one way, as the set
-    of classes the vertex there can be, those whose passings reach the
-    site: `bindings` per occurrence, `refs` across all occurrences of a
-    rule. `assemblies` holds the equation
-    system of each (phi1, phi2) pair once something assembled it, and with
-    it the pair's one enclosure once `solve_until` solved it.
+    Built by `analyse`, once per engine entry point, on the grammar's
+    quotient (`_quotient`), which is the grammar itself when no rule has
+    interchangeable vertices. The reachable classes of the quotient are
+    numbered 0..n-1 in the order of `canonical_vertices`, and every table
+    holds these ids; `names` turns them back into creation sites for
+    output, and `ids` maps every reachable creation site of the grammar,
+    a collapsed one to its representative's id. Where a step through an
+    input lands is held one way, as the set of classes the vertex there
+    can be, those whose passings reach the site: `bindings` per
+    occurrence, `refs` across all occurrences of a rule. `assemblies`
+    holds the equation system of each (phi1, phi2) pair once something
+    assembled it, and with it the pair's one enclosure once `solve_until`
+    solved it.
     """
 
-    grammar: Grammar
-    rules: dict[str, Rule]
-    names: list[CanonicalVertex]  # id -> creation site
-    ids: dict[Site, int]  # (rule, vertex) -> id
+    grammar: Grammar  # the quotient
+    rules: dict[str, Rule]  # the quotient's
+    names: list[CanonicalVertex]  # id -> creation site, a representative
+    ids: dict[Site, int]  # (rule, vertex) -> id, for every reachable creation site
     classes: list[VertexClass]  # by id
     # the until variables of class c: win is c, dec(c, j) is dec[c] + j - 1,
     # so dec[c] .. dec[c + 1] - 1 are its descents; dec[0] is n
@@ -302,17 +408,20 @@ class Analysis(NamedTuple):
     reachable: range  # every id
 
 
-def analyse(g: Grammar) -> Analysis:
+def analyse(g: Grammar, named: frozenset[str] = frozenset()) -> Analysis:
     """The analysis the solving engines run on, under the grammar's own mu.
     Raises GrammarError when the grammar is structurally invalid, and
     EngineUnsupported when phr_check fails (with its report) or the local
-    fragment picture breaks down.
+    fragment picture breaks down. `named` holds the axiom vertices a
+    formula reads as atoms, which the quotient keeps apart.
 
     Beyond phr_check this refuses (a) classes whose incoming arcs repeat
     forever and (b) vertices that, passed to an input lying on a hyperarc,
     keep gaining outgoing arcs further down: in both cases a vertex's
     one-step behaviour would depend on levels above the fragment under
     consideration. All of it reads the one passing table `_admit` builds.
+    Admission runs on the grammar; everything after it, but the class
+    records, which a representative keeps, reads the quotient.
     """
     rules, passed, down, cans, report = _admit(g)
     if not report.ok:
@@ -332,27 +441,33 @@ def analyse(g: Grammar) -> Analysis:
                 f"to {label} at position {rules[label].input_index(y)}")
 
     reached = reachable_nonterminals(g)
-    kept = [can for can in cans if can.rule in reached]
-    classes = [down[can] for can in kept]
-    ids = {(can.rule, can.vertex): c for c, can in enumerate(kept)}
-    dec = list(accumulate((len(rules[can.rule].inputs) for can in kept), initial=len(kept)))
+    q, merged = _quotient(g, reached, named)
+    if merged:
+        rules, passed = {rule.lhs: rule for rule in q.rules}, passing_table(q)
+    names = [can for can in cans if can.rule in reached and can not in merged]
+    first = {can: c for c, can in enumerate(names)}
+    # a collapsed site takes its representative's id
+    ids = {(can.rule, can.vertex): first[merged.get(can, can)]
+           for can in cans if can.rule in reached}
+    classes = [down[can] for can in names]
+    dec = list(accumulate((len(rules[can.rule].inputs) for can in names), initial=len(names)))
     # the classes a vertex at each site can be: every class whose passings
     # reach it (a reachable class passes only into reachable rules)
     held: dict[Site, set[int]] = {}
-    for site, c in ids.items():
-        for t in reach([site], lambda s: passed.get(s, ())):
+    for c, can in enumerate(names):
+        for t in reach([can], lambda s: passed.get(s, ())):
             held.setdefault(t, set()).add(c)
     at = {site: frozenset(cs) for site, cs in held.items()}
     bindings: dict[str, list[tuple[frozenset[int], ...]]] = {}
-    for host in g.rules:
+    for host in q.rules:
         if host.lhs in reached:
             for h in host.rhs.hyperarcs:
                 bindings.setdefault(h.label, []).append(
                     tuple(at[host.lhs, v] for v in h.vertices))
     return Analysis(
-        grammar=g,
+        grammar=q,
         rules=rules,
-        names=kept,
+        names=names,
         ids=ids,
         classes=classes,
         dec=dec,
@@ -362,7 +477,7 @@ def analyse(g: Grammar) -> Analysis:
                    for name in sorted(reached, key=lambda n: (n != g.axiom, n))},
         bindings=bindings,
         refs={(r.lhs, j): at.get((r.lhs, x), frozenset())
-              for r in g.rules for j, x in enumerate(r.inputs, start=1)},
+              for r in q.rules for j, x in enumerate(r.inputs, start=1)},
         assemblies={},
-        reachable=range(len(kept)),
+        reachable=range(len(names)),
     )

@@ -6,8 +6,10 @@ rewriting system (`pregma.pushdown`), the scalar stream that
 `Fraction`s, a fragment's first-hit rows (`pregma.fragments`), a check
 that an enclosure proves its own bounds (`pregma.polysys`), and the class
 records and class sets of `pregma.validation` read off the rules and off
-an expansion; and the generated inputs of the differential checks, random
-grammars and seeded walks whose systems are quadratic.
+an expansion; the engines on a grammar without its quotient; and the
+generated inputs of the differential checks, random grammars, random
+grammars with a copied vertex, and seeded walks whose systems are
+quadratic.
 
 `model._rewrite` yields rule applications without their parents. The
 helpers that need them replay the order `_rewrite` documents, so every use
@@ -18,17 +20,22 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from bisect import bisect_right
 from collections import Counter, deque
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
+import pregma.validation as validation
+from pregma.formulas import parse_formula
 from pregma.fragments import local_rows
-from pregma.gio import parse_grammar
-from pregma.labeling import classes_for_colours
+from pregma.gio import parse_grammar, serialize_grammar
+from pregma.labeling import classes_for_colours, label_formula
 from pregma.model import (CanonicalVertex, Expansion, FiniteMC, Grammar, GrammarError,
-                          Rows, Rule, _rewrite, checked_rules, integer_weights)
+                          Hypergraph, Rows, Rule, _rewrite, checked_rules, integer_weights)
 from pregma.oracle import PathQuery, bounded_until, truncate
 from pregma.pcp import HALF, PCPInstance, _gadget, _gates, _rail
+from pregma.polysys import Enclosure
 from pregma.pushdown import PushdownSystem, Word
 from pregma.quantitative import shared_assembly, solve_until
 from pregma.rng import GAMMA
@@ -901,5 +908,118 @@ def fragment_faults(seeds: Iterable[int]) -> tuple[Counter, list[str]]:
                     if got != want:
                         fault = f"fragment {name}, phi1 {c1}, phi2 {c2}: {got} against {want}"
         if fault:
+            faults.append(f"seed {seed}: {fault}")
+    return counts, faults
+
+
+@contextmanager
+def unquotiented() -> Iterator[None]:
+    """`analyse`, and every engine entry point through it, without the
+    quotient: each rule keeps every vertex, as if none were
+    interchangeable."""
+    quotient = validation._quotient
+    validation._quotient = lambda g, reached, named: (g, {})
+    try:
+        yield
+    finally:
+        validation._quotient = quotient
+
+
+# an arc's label into a copied vertex and its copy: half the probability
+_HALVED = {"go": "h", "h": "q", "bad": "bad"}
+
+
+def symmetric_grammar(rng: random.Random) -> str:
+    """A `random_grammar` in which a random non-input vertex v of a random
+    rule gets a copy v': v' carries v's colours, out-arcs (a loop on v
+    becomes one on v') and hyperarcs (v' in v's slot), and each arc into v
+    from another vertex becomes one into v and one into v', each with half
+    its probability (go 1 to h 1/2, h 1/2 to q 1/4; bad stays bad). So v and
+    v' are interchangeable; a hyperarc that also holds another vertex then
+    shares it, which `analyse` refuses."""
+    g = parse_grammar(random_grammar(rng))
+    i = rng.randrange(len(g.rules))
+    rule = g.rules[i]
+    v = rng.choice(rule.non_inputs)
+    copy = f"{v}'"
+    rhs = Hypergraph()
+    for w in [*rule.rhs.vertices, copy]:
+        rhs.add_vertex(w)
+    for label, s, t in rule.rhs.arcs:
+        if t == v and s != v:
+            rhs.add_arc(_HALVED[label], s, v)
+            rhs.add_arc(_HALVED[label], s, copy)
+            continue
+        rhs.add_arc(label, s, t)
+        if s == v:
+            rhs.add_arc(label, copy, copy if t == v else t)
+    for colour, w in rule.rhs.colours:
+        rhs.add_colour(colour, w)
+        if w == v:
+            rhs.add_colour(colour, copy)
+    for label, vs in rule.rhs.hyperarcs:
+        rhs.add_hyperarc(label, vs)
+        if v in vs:
+            rhs.add_hyperarc(label, tuple(copy if w == v else w for w in vs))
+    g.rules[i] = Rule(rule.lhs, rule.inputs, rhs)
+    g.terminals["q"], g.mu["q"] = 2, Fraction(1, 4)
+    return serialize_grammar(g)
+
+
+QUOTIENT_FORMULAS = ["F[>0] green", "F[>=1] green", "F[>=1/3] green", "X[>=1/2] green"]
+
+
+def quotient_fault(g: Grammar) -> str | None:
+    """Why the quotient of g, which `analyse` accepts, disagrees with g
+    itself (`unquotiented`), or None when it does not:
+    - `label_formula` gives some class of g another verdict on one of
+      QUOTIENT_FORMULAS;
+    - for some colour pair (`colour_pairs`), the quotient's enclosure,
+      copied onto every class of each orbit, is no proof (`enclosure_fault`)
+      on the system of g."""
+    for text in QUOTIENT_FORMULAS:
+        f = parse_formula(text)
+        got = {can: v.status for can, v in label_formula(g, f).items()}
+        with unquotiented():
+            want = {can: v.status for can, v in label_formula(g, f).items()}
+        if got != want:
+            return f"{text}: {got} against {want}"
+    an = analyse(g)
+    with unquotiented():
+        full = analyse(g)
+
+    def key(k: int) -> int:
+        """g's until variable k as the quotient's variable."""
+        c = k if k < len(full.names) else bisect_right(full.dec, k) - 1
+        q = an.ids[full.names[c]]
+        return q if k == c else an.dec[q] + k - full.dec[c]
+
+    for c1, c2, phi1, phi2 in colour_pairs(full):
+        enc = solve_until(an, *(classes_for_colours(an, None if c is None else frozenset({c}))
+                                for c in (c1, c2)))
+        system = shared_assembly(full, phi1, phi2).system
+        copied = Enclosure({k: enc.lo[key(k)] for k in system.equations},
+                           {k: enc.hi[key(k)] for k in system.equations},
+                           enc.converged, enc.exact, enc.iterations)
+        if fault := enclosure_fault(system, copied):
+            return f"{c1 or 'tt'} U {c2}: {fault}"
+    return None
+
+
+def quotient_faults(seeds: Iterable[int]) -> tuple[Counter, list[str]]:
+    """`quotient_fault` on each `symmetric_grammar(random.Random(seed))`
+    that `analyse` accepts: the counts of grammars and of those whose
+    quotient collapses a vertex, and one line per grammar where a check
+    fails."""
+    counts, faults = Counter(), []
+    for seed in seeds:
+        g = parse_grammar(symmetric_grammar(random.Random(seed)))
+        try:
+            an = analyse(g)
+        except GrammarError:
+            continue
+        counts["grammars"] += 1
+        counts["collapsed"] += len(an.ids) > len(an.names)
+        if fault := quotient_fault(g):
             faults.append(f"seed {seed}: {fault}")
     return counts, faults

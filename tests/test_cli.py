@@ -483,6 +483,62 @@ def test_check_emit_coloured(corpus_dir):
     assert lines[-1] == "fails"
 
 
+def test_emit_coloured_prints_both_classes_of_a_collapsed_pair(corpus_dir):
+    # dag.gg's heads and tails are interchangeable, so the engines solve
+    # heads alone; tails still gets its line, right after heads, with the
+    # same verdict
+    code, out, _ = run(["check", gg(corpus_dir, "dag.gg"), "--formula", "F[>=1/2] goal",
+                        "--emit-coloured"])
+    assert code == 0
+    assert out.splitlines() == [
+        "class=Z:v0 verdict=holds enclosure=[1, 1]",
+        "class=Split:heads verdict=holds enclosure=[1, 1]",
+        "class=Split:tails verdict=holds enclosure=[1, 1]",
+        "class=Split:deep verdict=holds enclosure=[1, 1]",
+        "holds",
+    ]
+
+
+# two interchangeable axiom vertices: a and b each step to the goal or to a
+# stop with 1/2, and v0 steps to each with 1/2
+TWINS = """\
+nonterminal Z 0
+terminal go 2
+colour goal
+colour stop
+prob go 1/2
+absorbing goal
+absorbing stop
+axiom Z
+
+rule Z
+  vertex v0 a b g s
+  arc go v0 a
+  arc go v0 b
+  arc go a g
+  arc go a s
+  arc go b g
+  arc go b s
+  colour goal g
+  colour stop s
+"""
+
+
+def test_a_collapsed_axiom_vertex_answers_with_its_representative(tmp_path):
+    path = tmp_path / "twins.gg"
+    path.write_text(TWINS)
+    ids = validation.analyse(load_grammar(path)).ids
+    assert ids["Z", "b"] == ids["Z", "a"]
+    for vertex in ("a", "b"):
+        code, out, _ = run(["prob", str(path), "--phi2", "goal", "--from", vertex])
+        assert (code, out.splitlines()[0]) == (0, "lower=1/2 upper=1/2")
+        code, out, _ = run(["check", str(path), "--formula", "F[>=1/2] goal", "--at", vertex])
+        assert (code, out) == (0, "holds enclosure=[1/2, 1/2]\n")
+    # an atom naming b keeps b apart from a: v0 reaches b with 1/2, not 1
+    code, out, _ = run(["check", str(path), "--formula", "F[>=1/2] b", "--at", "v0"])
+    assert (code, out) == (0, "holds enclosure=[1/2, 1/2]\n")
+
+
 UNREACHABLE_HOST = """\
 nonterminal Z 0
 nonterminal A 1

@@ -372,16 +372,22 @@ def test_class_ids_are_dense_and_named(running, pds_prob):
         an = analyse(g)
         n = len(an.names)
         reached = reachable_nonterminals(g)
-        assert an.names == [c for c in canonical_vertices(g) if c.rule in reached]
+        # ids maps every reachable creation site; names holds the
+        # representatives, each the first site of its id
+        assert list(an.ids) == [c for c in canonical_vertices(g) if c.rule in reached]
+        assert an.names == [c for c in an.ids if an.names[an.ids[c]] == c]
         assert an.reachable == range(n) and len(an.classes) == n
         assert [an.ids[c.rule, c.vertex] for c in an.names] == list(an.reachable)
-        assert sorted(an.ids.values()) == list(an.reachable)
+        assert sorted(set(an.ids.values())) == list(an.reachable)
         # win c is c, and c's descents follow every win, one per input
         assert an.dec[0] == n
         assert [an.dec[c + 1] - an.dec[c] for c in an.reachable] == [
             len(an.rules[c.rule].inputs) for c in an.names]
         assert {node.can for f in an.fragments.values() for node in f.nodes.values()} \
             <= {None, *an.reachable}
-        # label_formula keeps the analysis's order
-        assert list(label_formula(g, parse_formula("tt"))) == an.names
+        # label_formula keys every reachable class in the order of ids
+        assert list(label_formula(g, parse_formula("tt"))) == list(an.ids)
     assert "Spare" not in {c.rule for c in analyse(grammars[-1]).names}
+    # the branching walk's tops collapse, one per level, and so do dag's
+    # heads and tails
+    assert [len(an.ids) - len(an.names) for an in map(analyse, grammars)] == [0, 0, 64, 1]

@@ -23,7 +23,7 @@ from pregma.pushdown import load_pds, to_grammar
 from pregma.quantitative import assemble_system, shared_assembly, solve_until
 from pregma.validation import analyse
 from reference import (closes_singular, enclosure_fault, evaluate, gauss_jordan, pivots,
-                       rhs_value, walk, walk_faults, walk_levels)
+                       rhs_value, unquotiented, walk, walk_faults, walk_levels)
 
 F = Fraction
 ONE = F(1)
@@ -943,9 +943,11 @@ def test_solver_matches_the_fraction_reference():
 @pytest.mark.parametrize("shape", ["chain", "branching"])
 def test_solver_matches_the_fraction_reference_at_benchmark_size(shape):
     # seeded K = 64 walks, the size of the largest systems the benchmark's
-    # families workload solves: 65 and 129 variables that stay positive
+    # families workload solved before their tops collapsed: 65 and 129
+    # variables that stay positive
     g = walk_grammar(shape, walk_levels(64, False, random.Random(64)))
-    an = analyse(g)
+    with unquotiented():
+        an = analyse(g)
     system = assemble_system(an, classes_for_colours(an, None),
                              classes_for_colours(an, frozenset({"green"}))).system
     enc = same_enclosure(system)
@@ -1114,13 +1116,15 @@ UNCLOSED = {
 
 def test_refused_closures_keep_their_enclosures(monkeypatch):
     # running.gg (its descent's F(1) is 5/8) and the seeded K = 64 walks
-    # (every row of F'(1) sums above 1) refuse before any elimination
+    # (every row of F'(1) sums above 1) refuse before any elimination; the
+    # branching walk's digest is of its system before its tops collapsed
     calls = exact_solves(monkeypatch)
     cases = [("running", load_grammar(CORPUS / "running.gg"), "V1", "V2")]
     cases += [(shape, walk_grammar(shape, walk_levels(64, False, random.Random(64))), None,
                "green") for shape in ("chain", "branching")]
     for name, g, phi1, phi2 in cases:
-        an = analyse(g)
+        with unquotiented():
+            an = analyse(g)
         system = assemble_system(an, *[classes_for_colours(
             an, None if c is None else frozenset({c})) for c in (phi1, phi2)]).system
         enc = solve_enclosure(system)

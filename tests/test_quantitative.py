@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pregma.quantitative as quantitative
-from pregma.labeling import classes_for_colours
+from pregma.formulas import parse_formula
+from pregma.gio import parse_grammar
+from pregma.labeling import classes_for_colours, label_formula
+from pregma.model import CanonicalVertex
 from pregma.polysys import WIDTH
-from pregma.quantitative import assemble_system, render_key, solve_until
+from pregma.quantitative import assemble_system, render_key, shared_assembly, solve_until
 from pregma.validation import analyse
+from reference import unquotiented, walk
 
 F = Fraction
 
@@ -201,3 +205,20 @@ def test_trivial_phi2_saturates(running):
     assert enc.exact
     for c in classes(an, None):
         assert enc.interval(c) == (F(1), F(1))
+
+
+def test_the_width_walk_solves_one_top_per_level():
+    # the uniform width walk at K = 4 with b = 64 tops per rule: the tops
+    # of a rule are interchangeable and collapse into one, so the system of
+    # F green holds 2K + 1 = 9 variables, not 513, with the same verdict
+    g = parse_grammar(walk(64, [F(1, 5)] * 4))
+    formula, m0 = parse_formula("F[>=1/5] green"), CanonicalVertex("Z", "m0")
+
+    def size_and_verdict():
+        an, phi1, phi2 = until_args(g, None, "green")
+        return (len(shared_assembly(an, phi1, phi2).system.variables),
+                label_formula(g, formula)[m0].status)
+
+    assert size_and_verdict() == (9, "holds")
+    with unquotiented():
+        assert size_and_verdict() == (513, "holds")
