@@ -283,12 +283,11 @@ def _quotient(g: Grammar, reached: frozenset[str],
     axiom vertex in `named` (a formula's atoms) stays apart.
 
     The first of each signature group in rhs order represents the group.
-    The others go, with their colours, out-arcs and hyperarcs, and the
-    arcs from one source with one label into the group become one arc to
-    the representative. When that arc stands for n > 1 arcs, its label is
-    a fresh terminal of n times the label's probability."""
-    terminals, mu = dict(g.terminals), dict(g.mu)
-    fresh: dict[tuple[str, int], str] = {}
+    The others go, with their colours, out-arcs and hyperarcs, and every
+    other arc into one of them keeps its label and leads to the
+    representative instead: the arcs into a group stay parallel, and every
+    engine sums parallel arcs, so the quotient keeps the grammar's
+    terminals and mu."""
     merged: dict[Site, Site] = {}
     quotient: list[Rule] = []
     for rule in g.rules:
@@ -323,30 +322,13 @@ def _quotient(g: Grammar, reached: frozenset[str],
             quotient.append(rule)
             continue
         merged.update(((rule.lhs, v), (rule.lhs, r)) for v, r in rep.items())
-        heads = set(rep.values())
         rhs = Hypergraph()
         for v in rule.rhs.vertices:
             if v not in rep:
                 rhs.add_vertex(v)
-        # the arcs from one source with one label into each group
-        into = Counter((label, s, rep.get(t, t)) for label, s, t in rule.rhs.arcs
-                       if s not in rep and rep.get(t, t) in heads)
         for label, s, t in rule.rhs.arcs:
-            t = rep.get(t, t)
-            if s in rep:
-                continue
-            if t in heads:
-                n = into.pop((label, s, t), 0)
-                if not n:  # joined into the first of these arcs
-                    continue
-                if n > 1:
-                    if (label, n) not in fresh:
-                        name = f"{label}*{n}"
-                        while name in terminals:
-                            name += "'"
-                        fresh[label, n], terminals[name], mu[name] = name, 2, n * g.mu[label]
-                    label = fresh[label, n]
-            rhs.add_arc(label, s, t)
+            if s not in rep:
+                rhs.add_arc(label, s, rep.get(t, t))
         for colour, v in rule.rhs.colours:
             if v not in rep:
                 rhs.add_colour(colour, v)
@@ -354,9 +336,7 @@ def _quotient(g: Grammar, reached: frozenset[str],
             if rep.keys().isdisjoint(vs):
                 rhs.add_hyperarc(label, vs)
         quotient.append(Rule(rule.lhs, rule.inputs, rhs))
-    if not merged:
-        return g, merged
-    return g._replace(terminals=terminals, rules=quotient, mu=mu), merged
+    return (g._replace(rules=quotient) if merged else g), merged
 
 
 def phr_check(g: Grammar) -> PhrReport:
@@ -376,7 +356,8 @@ class Analysis(NamedTuple):
 
     Built by `analyse`, once per engine entry point, on the grammar's
     quotient (`_quotient`), which is the grammar itself when no rule has
-    interchangeable vertices. The reachable classes of the quotient are
+    interchangeable vertices and otherwise differs from it in its rules
+    alone. The reachable classes of the quotient are
     numbered 0..n-1 in the order of `canonical_vertices`, and every table
     holds these ids; `names` turns them back into creation sites for
     output, and `ids` maps every reachable creation site of the grammar,
@@ -390,7 +371,6 @@ class Analysis(NamedTuple):
     """
 
     grammar: Grammar  # the quotient
-    rules: dict[str, Rule]  # the quotient's
     names: list[CanonicalVertex]  # id -> creation site, a representative
     ids: dict[Site, int]  # (rule, vertex) -> id, for every reachable creation site
     classes: list[VertexClass]  # by id
@@ -466,7 +446,6 @@ def analyse(g: Grammar, named: frozenset[str] = frozenset()) -> Analysis:
                     tuple(at[host.lhs, v] for v in h.vertices))
     return Analysis(
         grammar=q,
-        rules=rules,
         names=names,
         ids=ids,
         classes=classes,

@@ -2,8 +2,9 @@
 
 Runs a fixed list of `pregma` calls in-process, through `pregma.cli.main`,
 on the corpus grammars, on the grammars `from-pds` and `gen-pcp` make of
-the corpus's `.pds` and `.pcp` files, and on a fixed set of defective
-grammars (the refusal paths), and prints one line per call: its
+the corpus's `.pds` and `.pcp` files, on one inline grammar whose rules
+the quotient narrows (`WIDE`), and on a fixed set of defective grammars
+(the refusal paths), and prints one line per call: its
 argv, its exit code and a sha256 of its stdout, its stderr and its `-o`
 file. Two checkouts that print the same lines answer every call with the
 same bytes. The sweep exits 1 when a call's exit code lies outside 0-3 or
@@ -12,9 +13,10 @@ an exception escapes `main`, and 0 otherwise.
     python3 tests/cli_sweep.py > sweep.txt
 
 `pregma` is imported from the `src/` next to this directory. The calls run
-in a temporary directory holding a copy of `corpus/`, so every path in the
-output, and in the messages the calls print, is relative. pytest does not
-collect this file; `test_cli_sweep.py` runs its `sweep` as a test.
+in a temporary directory holding a copy of `corpus/` and `WIDE`, so every
+path in the output, and in the messages the calls print, is relative.
+pytest does not collect this file; `test_cli_sweep.py` runs its `sweep` as
+a test.
 """
 from __future__ import annotations
 
@@ -87,12 +89,30 @@ DEFECTS = [
     ("clash", "nonterminal Z 0\nterminal a 2\ncolour stop\nprob a 1\nabsorbing stop\n"
      "axiom Z\nrule Z\n  vertex r stop\n  arc a r stop\n  colour stop stop\n", "r", "stop"),
 ]
+# a grammar the quotient narrows: m0 steps to the axiom twins t1 and t2,
+# and each level rule climbs from its input to three interchangeable tops,
+# B's red
+WIDE = ("nonterminal Z 0\nnonterminal A 1\nnonterminal B 1\nterminal go 2\nterminal up 2\n"
+        "terminal down 2\ncolour green\ncolour red\nprob go 1/2\nprob up 1/6\n"
+        "prob down 1/2\nabsorbing green\naxiom Z\nrule Z\n  vertex m0 t1 t2 base\n"
+        "  colour green base\n  arc go m0 t1\n  arc go m0 t2\n  arc down t1 base\n"
+        "  arc down t2 base\n  hyperarc A t1\n  hyperarc A t2\n"
+        "rule A inputs lo\n  vertex h0 h1 h2\n"
+        "  arc up lo h0\n  arc up lo h1\n  arc up lo h2\n"
+        "  arc down h0 lo\n  arc down h1 lo\n  arc down h2 lo\n"
+        "  hyperarc B h0\n  hyperarc B h1\n  hyperarc B h2\n"
+        "rule B inputs lo\n  vertex h0 h1 h2\n"
+        "  arc up lo h0\n  arc up lo h1\n  arc up lo h2\n"
+        "  arc down h0 lo\n  arc down h1 lo\n  arc down h2 lo\n"
+        "  colour red h0\n  colour red h1\n  colour red h2\n"
+        "  hyperarc A h0\n  hyperarc A h1\n  hyperarc A h2\n")
 # grammar, axiom vertices the queries start from, colours the formulas use
 GRAMMARS = [
     ("corpus/running.gg", ["v0", "t0"], ["V1", "V2", "sink"]),
     ("corpus/critical.gg", ["base", "m0"], ["green"]),
     ("corpus/dag.gg", ["v0"], ["goal"]),
     ("corpus/updrift.gg", ["base", "m0"], ["green"]),
+    ("wide.gg", ["m0", "t2"], ["red", "green"]),
     ("gen/pds_example.gg", ["r", "Ap"], []),
     ("gen/pds_example_prob.gg", ["r", "r'", "p"], ["halt"]),
     *((f"gen/{name}.gg", ["vgate", "ugate", "goal"], ["green", "red"]) for name in PCP),
@@ -164,6 +184,9 @@ def _calls() -> list[list[str]]:
                     "G[>=1/2] V1", "G[>0] V1"]:
         calls += [[*check, formula, "--at", "v0"], [*check, formula, "--emit-coloured"]]
     calls += [[*check, formula, "--qualitative"] for formula in ["!X[>0] V2", "X[>=1] !V1"]]
+    # an atom naming one axiom twin keeps the twins apart
+    check = ["check", "wide.gg", "--formula", "X[>=1/2] t1 & F[>0] red"]
+    calls += [[*check, "--at", "m0"], [*check, "--emit-coloured"]]
     # usage errors and refusals
     calls += [
         [],
@@ -235,6 +258,7 @@ def sweep() -> int:
         shutil.copytree(ROOT / "corpus", Path(work, "corpus"))
         os.mkdir(Path(work, "gen"))
         os.mkdir(Path(work, "bad"))
+        Path(work, "wide.gg").write_text(WIDE, encoding="utf-8")
         for name, text, _, _ in DEFECTS:
             Path(work, "bad", f"{name}.gg").write_text(text, encoding="utf-8")
         cwd = os.getcwd()

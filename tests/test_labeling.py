@@ -382,7 +382,7 @@ def test_class_ids_are_dense_and_named(running, pds_prob):
         # win c is c, and c's descents follow every win, one per input
         assert an.dec[0] == n
         assert [an.dec[c + 1] - an.dec[c] for c in an.reachable] == [
-            len(an.rules[c.rule].inputs) for c in an.names]
+            len(an.grammar.rule_for(c.rule).inputs) for c in an.names]
         assert {node.can for f in an.fragments.values() for node in f.nodes.values()} \
             <= {None, *an.reachable}
         # label_formula keys every reachable class in the order of ids

@@ -18,7 +18,8 @@ from pregma.validation import (
     phr_check,
     vertex_classes,
 )
-from reference import occurrence_fault, occurrence_faults, quotient_faults, record_faults
+from reference import (occurrence_fault, occurrence_faults, quotient_faults, record_faults,
+                       walk)
 
 HEAD = (
     "nonterminal Z 0\nnonterminal C 1\nterminal a 2\ncolour stop\n"
@@ -317,6 +318,23 @@ def test_engine_accepts_quiet_input_loop():
     assert not r.terminates
     # the loop gains no arc either way, so no label is infinite
     assert (r.counts, r.forever) == (Counter(), frozenset())
+
+
+@pytest.mark.parametrize("b, k", [(0, 0), (2, 8), (64, 4)], ids=["dag", "branching", "width"])
+def test_the_quotient_redirects_arcs_and_invents_no_terminal(b, k, corpus_dir):
+    """The quotient keeps the grammar's own terminals and mu: the arcs into
+    a collapsed group stay parallel, each under its own label, and only
+    lead to the representative."""
+    g = parse_grammar(walk(b, [Fraction(1, 5)] * k)) if b else load_grammar(corpus_dir / "dag.gg")
+    an = analyse(g)
+    assert an.grammar is not g  # something collapsed
+    assert an.grammar.terminals == g.terminals and an.grammar.mu == g.mu
+    if b == 64:
+        # each level rule keeps its 64 u<i> arcs from lo, all into h0
+        for rule in an.grammar.rules[1:]:
+            i = rule.lhs[1:]
+            assert rule.rhs.vertices == ["lo", "h0"]
+            assert [a for a in rule.rhs.arcs if a.source == "lo"] == [("u" + i, "lo", "h0")] * 64
 
 
 def test_the_quotient_agrees_with_the_unquotiented_grammar():
